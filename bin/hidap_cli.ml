@@ -360,7 +360,7 @@ let stats_cmd =
 let place_cmd =
   let run file circuit seed lambda jobs svg ascii save strict budget trace metrics
       profile qor profile_out perf_out progress_file progress_fd ckpt_dir ckpt_every
-      resume full_eval =
+      resume =
     if resume && ckpt_dir = None then die_usage "--resume requires --checkpoint-dir";
     (* SIGINT/SIGTERM on a checkpointed run: ask the flow to stop at
        its next budget poll instead of dying mid-write; the handler
@@ -405,10 +405,7 @@ let place_cmd =
       let name, design = design_of ~strict ~file ~circuit in
       let flat = elaborate_checked design in
       let config =
-        { (config_of ~seed ~lambda ~jobs) with Hidap.Config.faults; budgets;
-          incremental_eval =
-            (not full_eval)
-            && Hidap.Config.default.Hidap.Config.incremental_eval }
+        { (config_of ~seed ~lambda ~jobs) with Hidap.Config.faults; budgets }
       in
       let die = Hidap.die_for flat ~config in
       let flat_diags = Guard.Validate.flat ~strict ~die flat in
@@ -622,19 +619,11 @@ let place_cmd =
                  or wholly corrupted directory starts from scratch, so a \
                  retry loop can always pass --resume.")
   in
-  let full_eval_arg =
-    Arg.(value & flag & info [ "full-eval" ]
-           ~doc:"Evaluate every SA move with the full (non-incremental) layout \
-                 evaluation. The placement is bit-identical to the default \
-                 incremental path — this flag exists to check exactly that, \
-                 and to benchmark the incremental speedup (DESIGN.md \
-                 section 14).")
-  in
   Cmd.v (Cmd.info "place" ~doc:"Run the HiDaP macro placement flow" ~exits)
     Term.(const run $ file_arg $ circuit_arg $ seed_arg $ lambda_arg $ jobs_arg $ svg_arg
           $ ascii_arg $ save_arg $ strict_arg $ budget_arg $ trace_arg $ metrics_arg
           $ profile_arg $ qor_arg $ profile_out_arg $ perf_out_arg $ progress_file_arg
-          $ progress_fd_arg $ ckpt_dir_arg $ ckpt_every_arg $ resume_arg $ full_eval_arg)
+          $ progress_fd_arg $ ckpt_dir_arg $ ckpt_every_arg $ resume_arg)
 
 (* ---- eval --------------------------------------------------------- *)
 
@@ -1221,7 +1210,7 @@ let diff_cmd =
 let default_speed_baselines = Filename.concat "bench" "speed_baselines.json"
 
 let bench_cmd =
-  let run circuits baselines update jobs qor report_out speed_out check_incremental =
+  let run circuits baselines update jobs qor report_out speed_out =
     let qor_out = Option.map (open_output ~what:"qor") qor in
     let speed_out = Option.map (open_output ~what:"speed") speed_out in
     let names = String.split_on_char ',' circuits |> List.filter (fun s -> s <> "") in
@@ -1278,66 +1267,11 @@ let bench_cmd =
                 ~major_words:gc_delta.Obs.Gcstats.major_words ~circuit:name ~wall_s
                 ~sa_moves ()
             in
-            (* --check-incremental: a second HiDaP-only leg with the
-               incremental evaluator forced off. The placements must be
-               bit-identical (DESIGN.md section 14); its throughput lands
-               in the speed document as "<circuit>-full" so the summary
-               shows both paths side by side. *)
-            let extra =
-              if not check_incremental then []
-              else begin
-                let gseq =
-                  Seqgraph.build ~bit_threshold:config.Hidap.Config.bit_threshold flat
-                in
-                let die = Hidap.die_for flat ~config in
-                let ports = Hidap.Port_plan.make gseq ~die in
-                let full_config =
-                  { config with Hidap.Config.incremental_eval = false }
-                in
-                let gc_before = Obs.Gcstats.snapshot () in
-                Obs.Perf.reset Obs.Perf.global;
-                Obs.Perf.set_enabled true;
-                let full_run =
-                  Fun.protect
-                    ~finally:(fun () -> Obs.Perf.set_enabled false)
-                    (fun () ->
-                      Evalflow.run_flow Evalflow.HiDaP ~config:full_config ~flat
-                        ~gseq ~ports ~die ())
-                in
-                let full_moves = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_moves in
-                let gc_full =
-                  Obs.Gcstats.diff ~before:gc_before ~after:(Obs.Gcstats.snapshot ())
-                in
-                let inc_run =
-                  List.find
-                    (fun (r : Evalflow.run) -> r.Evalflow.kind = Evalflow.HiDaP)
-                    res.Evalflow.runs
-                in
-                if full_run.Evalflow.macros <> inc_run.Evalflow.macros then begin
-                  flush stdout;
-                  Format.eprintf
-                    "hidap bench: %s: incremental and full evaluation disagree on \
-                     the macro placement@."
-                    name;
-                  exit 1
-                end;
-                let full_s = full_run.Evalflow.metrics.Evalflow.runtime_s in
-                let inc_s = inc_run.Evalflow.metrics.Evalflow.runtime_s in
-                Format.printf
-                  "bench %s: incremental vs full evaluation: placements \
-                   bit-identical, HiDaP leg %.2fs vs %.2fs full (%.1fx)@."
-                  name inc_s full_s
-                  (full_s /. Float.max 1e-9 inc_s);
-                [ Qor.Speed.entry ~peak_rss_kb:(Obs.Gcstats.peak_rss_kb ())
-                    ~major_words:gc_full.Obs.Gcstats.major_words
-                    ~circuit:(name ^ "-full") ~wall_s:full_s ~sa_moves:full_moves () ]
-              end
-            in
-            (records, entry :: extra))
+            (records, entry))
         names
     in
     let records = List.concat_map fst per_circuit in
-    let speed = { Qor.Speed.entries = List.concat_map snd per_circuit } in
+    let speed = { Qor.Speed.entries = List.map snd per_circuit } in
     write_output "qor" qor_out (Qor.Record.ledger_json records);
     write_output "speed" speed_out (Qor.Speed.to_json speed);
     (* Speed comparison against the committed per-circuit baseline:
@@ -1399,18 +1333,11 @@ let bench_cmd =
                     gate: wall-clock is machine-dependent)."
                    default_speed_baselines))
   in
-  let check_incremental_arg =
-    Arg.(value & flag & info [ "check-incremental" ]
-           ~doc:"Re-run each circuit's HiDaP leg with the incremental SA \
-                 evaluator forced off and fail unless the macro placements are \
-                 bit-identical. The full leg's throughput is reported (and \
-                 written to --speed-out) as \"<circuit>-full\".")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Run suite circuits through all flows and gate QoR against baselines")
     Term.(const run $ circuits_arg $ baselines_arg $ update_arg $ jobs_arg $ qor_arg
-          $ report_arg $ speed_out_arg $ check_incremental_arg)
+          $ report_arg $ speed_out_arg)
 
 (* ---- serve / submit / jobs ---------------------------------------- *)
 

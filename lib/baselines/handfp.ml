@@ -202,7 +202,7 @@ let place ?(params = default_params) ~flat ~gseq ~ports ~die () =
       temp := !temp *. 0.95
     done;
     (* legalize and orient *)
-    let rects = Legalize.separate ~die (Array.init n rect_of) in
+    let rects = Hidap.Legalize.separate ~die (Array.init n rect_of) in
     (* The oracle never rotates macros, so every base orientation is R0. *)
     let macros =
       Array.to_list

@@ -230,7 +230,7 @@ let place ~flat ~gseq ~die ?(spacing = 2.0) ?(ordering = By_area) () =
   in
   let raw = wall_pack ~die ~spacing sizes in
   let rects = Array.of_list (List.map snd raw) in
-  let rects = Legalize.separate ~die ~spacing:0.0 rects in
+  let rects = Hidap.Legalize.separate ~die ~spacing:0.0 rects in
   List.mapi
     (fun i (fid, _) -> { fid; rect = rects.(i); orient = Geom.Orientation.R0 })
     raw

@@ -29,13 +29,6 @@ type t = {
           affinity-greedy chain alone for 1, plus its reversal for 2,
           plus [sa_starts - 2] random shuffles beyond that (values
           below 1 are clamped to 1) *)
-  incremental_eval : bool;
-      (** evaluate SA moves incrementally against the previous
-          evaluation (default true). The incremental path is
-          bit-identical to the full evaluation — same costs, same
-          trajectories, same placements — so this only trades time;
-          [false] forces the full path for identity checks and
-          benchmarking (DESIGN.md section 14). *)
   jobs : int;
       (** worker domains for the annealing starts and the lambda sweep
           (default [Parexec.default_jobs ()]); results are bit-identical

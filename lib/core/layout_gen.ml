@@ -101,27 +101,11 @@ let affinity_pairs ~n_blocks ~n_endpoints affinity =
   done;
   Array.of_list !pairs
 
-(* Scratch buffers for expression evaluation. The SA cost function is
-   called once per proposed move, so the per-call rect/center arrays
-   are reused instead of reallocated; each annealing start owns its own
-   scratch, which also keeps the parallel starts free of shared mutable
-   state. *)
-type scratch = {
-  s_rects : Rect.t array;
-  s_centers : Point.t array;
-  s_budget_center : Point.t;
-}
-
-let make_scratch ~n_blocks ~budget =
-  let c = Rect.center budget in
-  { s_rects = Array.make n_blocks budget;
-    s_centers = Array.make n_blocks c;
-    s_budget_center = c }
-
 (* Assemble (cost, wirelength, violations) from the wirelength fold and
-   the raw violation totals. Shared verbatim by the full and the
-   incremental evaluation paths, so once their [wl]/[viol] inputs agree
-   bitwise the scalar the annealer sees does too. *)
+   the raw violation totals. Shared verbatim by the annealer's
+   incremental path and [result_of_expr]'s full walk, so once their
+   [wl]/[viol] inputs agree bitwise the result's cost is the scalar the
+   annealer saw. *)
 let finish_cost ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks ~wl viol =
   (* Normalize violation areas by the budget area so the penalty weights
      are scale-free. *)
@@ -163,23 +147,6 @@ let finish_cost ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks ~wl viol
          cost wl budget.Rect.w budget.Rect.h);
   (cost, wl, viol)
 
-(* Evaluate [expr] into [s.s_rects]/[s.s_centers] (valid until the next
-   call on the same scratch) and return (cost, wirelength, violations). *)
-let evaluate_into s ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks expr =
-  let placement = Slicing.Layout.evaluate expr ~leaves ~budget in
-  Array.fill s.s_rects 0 n_blocks budget;
-  Array.fill s.s_centers 0 n_blocks s.s_budget_center;
-  List.iter
-    (fun (lid, r) ->
-      s.s_rects.(lid) <- r;
-      s.s_centers.(lid) <- Rect.center r)
-    placement.Slicing.Layout.rects;
-  let pos i = if i < n_blocks then s.s_centers.(i) else fixed_pos.(i - n_blocks) in
-  let wl = ref 0.0 in
-  Array.iter (fun (i, j, w) -> wl := !wl +. (w *. Point.manhattan (pos i) (pos j))) pairs;
-  finish_cost ~leaves ~budget ~n_pairs:(Array.length pairs) ~config ~n_blocks ~wl:!wl
-    placement.Slicing.Layout.viol
-
 (* ---- incremental evaluation ---------------------------------------- *)
 
 (* Per-start state for the incremental cost path (DESIGN.md section 14):
@@ -189,8 +156,8 @@ let evaluate_into s ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks expr =
    contributions of pairs with a moved endpoint (fixed endpoints never
    move). The total is still re-folded left to right over the whole
    contribution array every evaluation: each entry is bitwise the term
-   the full path would compute, and the fold order is the full path's
-   pair order, so the sum — and hence the cost — is bit-identical. *)
+   [result_of_expr]'s pair scan computes, in the same pair order, so the
+   sum — and hence the cost — is bit-identical. *)
 type inc = {
   ic_state : Slicing.Inc.t;
   ic_pi : int array;
@@ -236,8 +203,8 @@ let make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks =
     ic_fx = Array.map (fun (p : Point.t) -> p.Point.x) fixed_pos;
     ic_fy = Array.map (fun (p : Point.t) -> p.Point.y) fixed_pos }
 
-(* Incremental counterpart of [evaluate_into]: same contract, same
-   floats. Rects are read through [Slicing.Inc.rects inc.ic_state]. *)
+(* The annealer's cost function: (cost, wirelength, violations) of
+   [expr], the same floats [result_of_expr] derives from a full walk. *)
 let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
   let st = inc.ic_state in
   let viol = Slicing.Inc.evaluate st expr in
@@ -246,7 +213,7 @@ let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
   (* Refresh the contribution of one pair. Recomputing a pair twice
      (both endpoints moved) just rewrites the same value, so the moved
      list needs no deduplication. The arithmetic is [w *. Point.manhattan]
-     with the same operand order as the full path. *)
+     with the same operand order as [result_of_expr]. *)
   let update p =
     let i = inc.ic_pi.(p) and j = inc.ic_pj.(p) in
     let xi = if i < n_blocks then cx.(i) else inc.ic_fx.(i - n_blocks) in
@@ -278,40 +245,45 @@ let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
 
 (* Full evaluation of one expression: the scalar cost plus its named
    breakdown and the post-hoc per-pair / per-leaf attribution. Runs once
-   per placed instance (never inside the SA move loop), so it can afford
-   the extra slicing-tree walk of [evaluate_attributed]. *)
+   per placed instance (never inside the SA move loop). One slicing walk
+   yields the rects, the violation totals and the per-leaf charges; one
+   pair scan yields the per-pair shares and their left-to-right fold,
+   which is [wirelength_term] bit for bit. *)
 let result_of_expr ~leaves ~budget ~pairs ~fixed_pos ~(config : Config.t) ~n_blocks
     ~sa_moves ~final_temperature expr =
-  let s = make_scratch ~n_blocks ~budget in
+  let placement, attr_leaf_viol =
+    Slicing.Layout.evaluate_attributed expr ~leaves ~budget
+  in
+  let rects = Array.make n_blocks budget in
+  List.iter (fun (lid, r) -> rects.(lid) <- r) placement.Slicing.Layout.rects;
+  let centers = Array.map Rect.center rects in
+  let pos i = if i < n_blocks then centers.(i) else fixed_pos.(i - n_blocks) in
+  let wl = ref 0.0 in
+  let attr_pairs =
+    Array.init (Array.length pairs) (fun p ->
+        let i, j, w = pairs.(p) in
+        let pc_wl = w *. Point.manhattan (pos i) (pos j) in
+        wl := !wl +. pc_wl;
+        { pc_i = i; pc_j = j; pc_weight = w; pc_wl })
+  in
   let cost, wl, viol =
-    evaluate_into s ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks expr
+    finish_cost ~leaves ~budget ~n_pairs:(Array.length pairs) ~config ~n_blocks ~wl:!wl
+      placement.Slicing.Layout.viol
   in
   let breakdown =
     breakdown_of ~cost ~wirelength:wl ~viol ~config ~budget
       ~n_pairs:(Array.length pairs)
   in
-  (* Per-pair wirelength: replay the [evaluate_into] loop term by term.
-     Same pairs array, same order, same positions, same float products —
-     folding the contributions reproduces [wirelength_term] bit for
-     bit. *)
-  let pos i = if i < n_blocks then s.s_centers.(i) else fixed_pos.(i - n_blocks) in
-  let attr_pairs =
-    Array.map
-      (fun (i, j, w) ->
-        { pc_i = i; pc_j = j; pc_weight = w; pc_wl = w *. Point.manhattan (pos i) (pos j) })
-      pairs
-  in
-  (* Per-leaf violations, with the single-block budget adjustment of
-     [evaluate_into] mirrored onto the lone leaf so the attribution
-     covers the same total as [viol]. *)
-  let _, attr_leaf_viol = Slicing.Layout.evaluate_attributed expr ~leaves ~budget in
+  (* Per-leaf violations, with [finish_cost]'s single-block budget
+     adjustment mirrored onto the lone leaf so the attribution covers
+     the same total as [viol]. *)
   if n_blocks = 1 && Array.length attr_leaf_viol > 0 then
     attr_leaf_viol.(0) <-
       { attr_leaf_viol.(0) with
         Slicing.Layout.am_deficit =
           attr_leaf_viol.(0).Slicing.Layout.am_deficit
           +. max 0.0 (leaves.(0).Slicing.Layout.area_min -. Rect.area budget) };
-  { rects = Array.copy s.s_rects; cost; wirelength_term = wl; viol; breakdown;
+  { rects; cost; wirelength_term = wl; viol; breakdown;
     attribution = { attr_pairs; attr_leaf_viol }; sa_moves; final_temperature }
 
 let eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget expr =
@@ -380,9 +352,6 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
   let n_endpoints = Array.length affinity in
   assert (n_endpoints = n_blocks + Array.length fixed_pos);
   let pairs = affinity_pairs ~n_blocks ~n_endpoints affinity in
-  let eval_into s expr =
-    evaluate_into s ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks expr
-  in
   if n_blocks = 1 then
     (* No search needed, but the cost must grade budget violations and
        wirelength to fixed endpoints exactly like the multi-block path,
@@ -429,61 +398,52 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
       let results =
         Parexec.map pool
           (fun i ->
-            (* Each start owns its evaluation state (incremental or
-               scratch), so the parallel starts share nothing mutable.
-               Both paths return bit-identical (cost, wl, viol) — the
-               incremental property suite and the bench/CI identity
-               checks hold them together — so the flag never changes a
-               placement, only the time to reach it. *)
-            let eval_expr =
-              if config.Config.incremental_eval then begin
-                let inc = make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks in
-                fun expr -> evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr
-              end
-              else begin
-                let s = make_scratch ~n_blocks ~budget in
-                fun expr -> eval_into s expr
-              end
+            (* Each start owns its incremental evaluation state, so the
+               parallel starts share nothing mutable. *)
+            let inc = make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks in
+            let eval_expr expr =
+              evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr
             in
-            match term_observer with
-            | None ->
-              let cost expr =
-                Guard.Budget.check ~stage:"floorplan";
-                let c, _, _ = eval_expr expr in
-                c
-              in
-              Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
-                ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
-                ~params:config.Config.layout_sa ?observer ()
-            | Some on_terms ->
-              (* Telemetry-only side channel: the cost closure remembers
-                 the cheapest evaluation this start has seen (calibration
-                 samples included), and each plateau reports its named
-                 breakdown. The closure returns the identical scalar and
-                 the observer runs outside the RNG path, so trajectories
-                 and placements are unchanged (DESIGN.md §9). *)
-              let best = ref infinity in
-              let best_wl = ref 0.0 in
-              let best_viol = ref Slicing.Layout.no_violations in
-              let cost expr =
-                Guard.Budget.check ~stage:"floorplan";
-                let c, wl, viol = eval_expr expr in
-                if not (!best <= c) then begin
-                  best := c;
-                  best_wl := wl;
-                  best_viol := viol
-                end;
-                c
-              in
-              let observer' p =
-                (match observer with None -> () | Some f -> f p);
-                on_terms p
-                  (breakdown_of ~cost:!best ~wirelength:!best_wl ~viol:!best_viol
-                     ~config ~budget ~n_pairs:(Array.length pairs))
-              in
-              Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
-                ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
-                ~params:config.Config.layout_sa ~observer:observer' ())
+            let cost, observer =
+              match term_observer with
+              | None ->
+                let cost expr =
+                  Guard.Budget.check ~stage:"floorplan";
+                  let c, _, _ = eval_expr expr in
+                  c
+                in
+                (cost, observer)
+              | Some on_terms ->
+                (* Telemetry-only side channel: the cost closure remembers
+                   the cheapest evaluation this start has seen (calibration
+                   samples included), and each plateau reports its named
+                   breakdown. The closure returns the identical scalar and
+                   the observer runs outside the RNG path, so trajectories
+                   and placements are unchanged (DESIGN.md §9). *)
+                let best = ref infinity in
+                let best_wl = ref 0.0 in
+                let best_viol = ref Slicing.Layout.no_violations in
+                let cost expr =
+                  Guard.Budget.check ~stage:"floorplan";
+                  let c, wl, viol = eval_expr expr in
+                  if not (!best <= c) then begin
+                    best := c;
+                    best_wl := wl;
+                    best_viol := viol
+                  end;
+                  c
+                in
+                let observer' p =
+                  (match observer with None -> () | Some f -> f p);
+                  on_terms p
+                    (breakdown_of ~cost:!best ~wirelength:!best_wl ~viol:!best_viol
+                       ~config ~budget ~n_pairs:(Array.length pairs))
+                in
+                (cost, Some observer')
+            in
+            Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
+              ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
+              ~params:config.Config.layout_sa ?observer ())
           (Array.init n_starts Fun.id)
       in
       (* Deterministic reduction: minimum best cost, ties to the lowest

@@ -51,14 +51,22 @@ let idle_slots t =
 
 type spawn_result = Spawned of int | No_slot | Fork_failed of string
 
+let pipe_fds t =
+  Array.to_list t.slots
+  |> List.filter_map (fun s ->
+         match s.running with
+         | Some r when not r.eof -> Some r.pipe_r
+         | _ -> None)
+
 let spawn t ~job ~extra_close ~child =
   match Array.find_opt (fun s -> s.running = None) t.slots with
   | None -> No_slot
   | Some slot ->
-    let sibling_pipes =
-      Array.to_list t.slots
-      |> List.filter_map (fun s -> Option.map (fun r -> r.pipe_r) s.running)
-    in
+    (* Only the read ends the parent still holds: an EOF'd sibling's
+       fd is already closed, and [Unix.pipe] below may reuse its number
+       for the new pipe — the child would then close its own write end
+       and die before reporting. *)
+    let sibling_pipes = pipe_fds t in
     (match Unix.pipe () with
     | exception Unix.Unix_error (e, _, _) -> Fork_failed (Unix.error_message e)
     | pipe_r, pipe_w ->
@@ -89,13 +97,6 @@ let spawn t ~job ~extra_close ~child =
               last_io_s = now; frame = None; killed = None;
               drain_killed = false; status = None; eof = false };
         Spawned pid))
-
-let pipe_fds t =
-  Array.to_list t.slots
-  |> List.filter_map (fun s ->
-         match s.running with
-         | Some r when not r.eof -> Some r.pipe_r
-         | _ -> None)
 
 (* Split complete lines out of [r.rbuf], leaving any partial tail. *)
 let take_lines buf =

@@ -1,8 +1,9 @@
 (* Incremental slicing-tree evaluation.
 
-   [Layout.evaluate] rebuilds the whole tree and re-derives every shape
-   curve and rectangle for each proposed SA move, although an M1/M2/M3
-   perturbation only changes a bounded region of the Polish expression.
+   A full [Layout.evaluate] rebuilds the whole tree and re-derives every
+   shape curve and rectangle, although the M1/M2/M3 perturbation behind
+   each proposed SA move only changes a bounded region of the Polish
+   expression.
    This module keeps one flat, preallocated evaluation state per
    annealing start and, on each call, diffs the new expression against
    the last one it evaluated: only nodes whose postfix span contains a
@@ -10,8 +11,8 @@
    whose assigned rectangle actually changed re-place their leaves.
 
    Bit-identity with [Layout.evaluate] (the DESIGN.md section 14
-   determinism argument, asserted by the incremental property suite and
-   the bench/CI identity checks) rests on three facts:
+   determinism argument, asserted by the incremental property suite)
+   rests on three facts:
 
    - A node whose span is unchanged and whose assigned rectangle equals
      the previous evaluation's is a pure function of unchanged inputs:

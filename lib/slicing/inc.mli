@@ -9,9 +9,10 @@
     assigned rectangle is unchanged. Violation totals are re-folded from
     cached per-node contributions in the full evaluation's exact
     preorder, so the results — violations, rectangles, centers — are bit
-    for bit what {!Layout.evaluate} returns for the same expression (the
-    incremental property suite and the bench/CI identity checks assert
-    this).
+    for bit what {!Layout.evaluate} returns for the same expression. The
+    incremental property suite asserts this along random move walks,
+    including reverts; it is the only evaluator the annealer uses, so
+    that suite is its oracle.
 
     The diff targets the last {e evaluated} expression, not the
     annealer's accepted state, so rejected moves need no SA hook: the

@@ -162,61 +162,6 @@ let macro_min_extent curve ~cross ~axis =
       let need_axis, need_cross = match axis with `Width -> (w, h) | `Height -> (h, w) in
       (need_axis, max 0.0 (need_cross -. cross) *. need_axis))
 
-let evaluate expr ~leaves ~budget =
-  let tree = build_tree expr ~table:(leaf_table leaves) in
-  let rects = ref [] in
-  let viol = ref no_violations in
-  let rec place t (r : Rect.t) =
-    match t with
-    | Leaf l ->
-      (* Leaf macro fit check. *)
-      let deficit =
-        if Curve.fits l.curve ~w:r.Rect.w ~h:r.Rect.h then 0.0
-        else begin
-          match Curve.min_area_point l.curve with
-          | None -> 0.0
-          | Some (w, h) ->
-            let need = min ((w -. r.Rect.w) *. h) ((h -. r.Rect.h) *. w) in
-            let need = if need <= 0.0 then abs_float need else need in
-            max 1e-9 need
-        end
-      in
-      viol := add_viol !viol { no_violations with macro_deficit = deficit };
-      rects := (l.lid, r) :: !rects
-    | Node { op; l; r = rt; _ } ->
-      (match op with
-      | Polish.V ->
-        let mac_a, def_a = macro_min_extent (curve_of l) ~cross:r.Rect.h ~axis:`Width in
-        let mac_b, def_b = macro_min_extent (curve_of rt) ~cross:r.Rect.h ~axis:`Width in
-        viol :=
-          add_viol !viol { no_violations with macro_deficit = def_a +. def_b };
-        let s, dv =
-          split_extent ~extent:r.Rect.w ~cross:r.Rect.h ~at_a:(at_of l) ~at_b:(at_of rt)
-            ~am_a:(am_of l) ~am_b:(am_of rt) ~mac_min_a:mac_a ~mac_min_b:mac_b
-        in
-        viol := add_viol !viol dv;
-        let frac = if r.Rect.w > 0.0 then s /. r.Rect.w else 0.5 in
-        let ra, rb = Rect.split_v r (Util.Stat.clamp ~lo:0.0 ~hi:1.0 frac) in
-        place l ra;
-        place rt rb
-      | Polish.H ->
-        let mac_a, def_a = macro_min_extent (curve_of l) ~cross:r.Rect.w ~axis:`Height in
-        let mac_b, def_b = macro_min_extent (curve_of rt) ~cross:r.Rect.w ~axis:`Height in
-        viol :=
-          add_viol !viol { no_violations with macro_deficit = def_a +. def_b };
-        let s, dv =
-          split_extent ~extent:r.Rect.h ~cross:r.Rect.w ~at_a:(at_of l) ~at_b:(at_of rt)
-            ~am_a:(am_of l) ~am_b:(am_of rt) ~mac_min_a:mac_a ~mac_min_b:mac_b
-        in
-        viol := add_viol !viol dv;
-        let frac = if r.Rect.h > 0.0 then s /. r.Rect.h else 0.5 in
-        let ra, rb = Rect.split_h r (Util.Stat.clamp ~lo:0.0 ~hi:1.0 frac) in
-        place l ra;
-        place rt rb)
-  in
-  place tree budget;
-  { rects = List.rev !rects; viol = !viol }
-
 (* ---- per-leaf attribution ------------------------------------------ *)
 
 let rec fold_leaves t acc f =
@@ -254,14 +199,14 @@ let evaluate_attributed expr ~leaves ~budget =
   let per_leaf = Array.make n no_violations in
   let rects = ref [] in
   let viol = ref no_violations in
-  (* The recursion mirrors [evaluate] operation for operation — every
-     float feeding [rects]/[viol] is computed by the same expressions in
-     the same order, so the returned placement is bit-identical (a
-     property test holds the two in sync). Only the [charge] calls are
-     new, and they write exclusively into [per_leaf]. *)
+  (* The one slicing placement recursion: [evaluate] is its projection
+     and [Inc] reproduces its floats. The [charge] calls write only into
+     [per_leaf]; every float feeding [rects]/[viol] is independent of
+     them. *)
   let rec place t (r : Rect.t) =
     match t with
     | Leaf l ->
+      (* Leaf macro fit check. *)
       let deficit =
         if Curve.fits l.curve ~w:r.Rect.w ~h:r.Rect.h then 0.0
         else begin
@@ -320,6 +265,8 @@ let evaluate_attributed expr ~leaves ~budget =
   in
   place tree budget;
   ({ rects = List.rev !rects; viol = !viol }, per_leaf)
+
+let evaluate expr ~leaves ~budget = fst (evaluate_attributed expr ~leaves ~budget)
 
 let tree_curve expr ~leaves =
   let tree = build_tree expr ~table:(leaf_table leaves) in

@@ -34,16 +34,16 @@ val penalty : violations -> at_w:float -> am_w:float -> macro_w:float -> float
 (** Weighted violation sum, used as the paper's multiplicative penalty
     term: [1. +. penalty ...] multiplies the wirelength cost. *)
 
-val evaluate : Polish.t -> leaves:leaf array -> budget:Geom.Rect.t -> placement
-(** Lay the slicing tree out inside [budget]. [leaves] must cover exactly
-    the operand indices of the expression. The returned rectangles
-    partition the budget exactly (up to floating-point rounding). *)
-
 val evaluate_attributed :
   Polish.t -> leaves:leaf array -> budget:Geom.Rect.t -> placement * violations array
-(** [evaluate] plus a per-leaf attribution of the violation total. The
-    returned placement is bit-identical to [evaluate]'s — the extra
-    accumulation never touches the shared float path. Slot [lid] of the
+(** Lay the slicing tree out inside [budget] and attribute the violation
+    total to the leaves. [leaves] must cover exactly the operand indices
+    of the expression. The returned rectangles partition the budget
+    exactly (up to floating-point rounding).
+
+    This is the one full placement walk: {!evaluate} is its projection,
+    and the incremental evaluator {!Inc} is tested bit for bit against
+    it. The attribution never feeds a placement float. Slot [lid] of the
     array holds the share of [placement.viol] charged to that leaf:
     leaf macro-fit deficits go to the leaf itself; each internal node's
     split violations go to its two subtrees (the exact per-side
@@ -53,6 +53,9 @@ val evaluate_attributed :
     subtree has no target area). The charges sum to the total only up
     to float rounding; consumers reconcile with an explicit residual
     (DESIGN.md §13). *)
+
+val evaluate : Polish.t -> leaves:leaf array -> budget:Geom.Rect.t -> placement
+(** [fst (evaluate_attributed ...)]: the placement alone. *)
 
 val tree_curve : Polish.t -> leaves:leaf array -> Shape.Curve.t
 (** Bottom-up composition of the leaf curves along the tree — the shape

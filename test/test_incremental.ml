@@ -2,12 +2,13 @@
 
    The contract under test: [Slicing.Inc] evaluated along any random
    M1/M2/M3 perturbation sequence is bit for bit [Layout.evaluate] on
-   the same expression — violations, rectangles and centers; a
-   [Layout_gen.run] with [incremental_eval] on is bit-identical to one
-   with it off at every job count; the configured start count is
-   honored exactly (sa_starts = 1 runs one start); and an asymmetric
-   affinity matrix is rejected with a structured diagnostic instead of
-   silently dropping weight. *)
+   the same expression — violations, rectangles and centers; the cost
+   [Layout_gen.run] reports (a full walk plus a pair scan) is bitwise
+   the best cost the annealer reached through [Inc] and the pair
+   tables, and the result is bit-identical at every job count; the
+   configured start count is honored exactly (sa_starts = 1 runs one
+   start); and an asymmetric affinity matrix is rejected with a
+   structured diagnostic instead of silently dropping weight. *)
 
 module Rect = Geom.Rect
 module Point = Geom.Point
@@ -132,12 +133,11 @@ let inc_handles_reverts =
       && check_step inc b ~leaves ~budget
       && check_step inc a ~leaves ~budget)
 
-(* ---- the flag never changes a placement ----------------------------- *)
+(* ---- the annealer's cost is the result's cost ----------------------- *)
 
-let fast_config ~jobs ~incremental =
+let fast_config ~jobs =
   { Hidap.Config.default with
     Hidap.Config.jobs;
-    incremental_eval = incremental;
     sa_starts = 3;
     layout_sa = { Anneal.Sa.quick_params with Anneal.Sa.max_moves = 600 } }
 
@@ -175,12 +175,24 @@ let random_instance seed =
   in
   (blocks, affinity, fixed_pos, budget)
 
-let run_one seed ~jobs ~incremental =
+(* Runs one instance and also returns the lowest [plateau_best_cost]
+   the observer saw across all starts (infinity when no plateau ran).
+   Best-so-far costs only fall, so that minimum is the minimum of the
+   starts' final best costs. The observer runs on worker domains. *)
+let run_one seed ~jobs =
   let blocks, affinity, fixed_pos, budget = random_instance seed in
-  LG.run
-    ~rng:(Util.Rng.create (seed + 7))
-    ~config:(fast_config ~jobs ~incremental)
-    ~blocks ~affinity ~fixed_pos ~budget ()
+  let lock = Mutex.create () in
+  let best = ref infinity in
+  let observer (p : Anneal.Sa.plateau) =
+    let c = p.Anneal.Sa.plateau_best_cost in
+    Mutex.protect lock (fun () -> if c < !best then best := c)
+  in
+  let r =
+    LG.run ~observer
+      ~rng:(Util.Rng.create (seed + 7))
+      ~config:(fast_config ~jobs) ~blocks ~affinity ~fixed_pos ~budget ()
+  in
+  (r, !best)
 
 let same_result (a : LG.result) (b : LG.result) =
   Array.length a.LG.rects = Array.length b.LG.rects
@@ -190,14 +202,12 @@ let same_result (a : LG.result) (b : LG.result) =
   && beq_viol a.LG.viol b.LG.viol
   && a.LG.sa_moves = b.LG.sa_moves
 
-let incremental_flag_is_neutral =
-  qtest ~count:8 "incremental_eval never changes the search result" seed_arb
+let run_cost_is_annealer_best =
+  qtest ~count:8 "run cost equals the annealer's best at jobs 1/2/4" seed_arb
     (fun seed ->
-      let base = run_one seed ~jobs:1 ~incremental:false in
-      List.for_all
-        (fun jobs -> same_result base (run_one seed ~jobs ~incremental:true))
-        [ 1; 2; 4 ]
-      && same_result base (run_one seed ~jobs:4 ~incremental:false))
+      let runs = List.map (fun jobs -> run_one seed ~jobs) [ 1; 2; 4 ] in
+      let base = fst (List.hd runs) in
+      List.for_all (fun (r, best) -> beq r.LG.cost best && same_result base r) runs)
 
 (* ---- sa_starts is honored exactly ----------------------------------- *)
 
@@ -210,7 +220,7 @@ let test_sa_starts_honored () =
     (fun n_starts ->
       let blocks, affinity, fixed_pos, budget = random_instance 42 in
       let config =
-        { (fast_config ~jobs:1 ~incremental:true) with
+        { (fast_config ~jobs:1) with
           Hidap.Config.sa_starts = n_starts }
       in
       let reg = Obs.Perf.create () in
@@ -260,7 +270,7 @@ let test_asymmetric_affinity_rejected () =
 let suite =
   [ ( "incremental",
       [ inc_matches_full_random_walk; inc_matches_full_per_move;
-        inc_handles_reverts; incremental_flag_is_neutral;
+        inc_handles_reverts; run_cost_is_annealer_best;
         Alcotest.test_case "sa_starts honored exactly" `Quick
           test_sa_starts_honored;
         Alcotest.test_case "asymmetric affinity rejected" `Quick

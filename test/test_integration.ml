@@ -86,7 +86,7 @@ let test_every_flow_legal () =
       Alcotest.(check bool)
         (Evalflow.flow_name r.Evalflow.kind ^ " placement near-legal")
         true
-        (Baselines.Legalize.total_overlap rects < 1e-3))
+        (Hidap.Legalize.total_overlap rects < 1e-3))
     res.Evalflow.runs
 
 let test_density_maps () =

@@ -426,6 +426,20 @@ let test_worker_fault_sites_registered () =
   | Ok _ -> Alcotest.fail "wrong spec count"
   | Error m -> Alcotest.failf "spec refused: %s" m
 
+(* A worker spawned while an EOF'd sibling still holds its slot must
+   not be told to close that sibling's stale fd: the new pipe may reuse
+   the number. test/pool_harness.ml forces the reuse; it runs as a
+   subprocess because Pool.spawn forks. *)
+let test_pool_sibling_fd_reuse () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "pool_harness.exe"
+  in
+  let pid = Unix.create_process exe [| exe |] Unix.stdin Unix.stdout Unix.stderr in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED c -> Alcotest.failf "pool_harness exited %d" c
+  | _ -> Alcotest.fail "pool_harness died of a signal"
+
 (* ---- end-to-end daemon -------------------------------------------- *)
 
 let test_serve_done_result_report () =
@@ -1037,6 +1051,8 @@ let suite =
           test_worker_classify;
         Alcotest.test_case "worker fault sites registered" `Quick
           test_worker_fault_sites_registered;
+        Alcotest.test_case "pool worker survives an EOF'd sibling's fd reuse"
+          `Quick test_pool_sibling_fd_reuse;
         Alcotest.test_case "job done, result and report served" `Slow
           test_serve_done_result_report;
         Alcotest.test_case "deadline lands in timed-out" `Slow

@@ -110,9 +110,9 @@ let test_legalize () =
        Rect.make ~x:12.0 ~y:18.0 ~w:20.0 ~h:20.0 |]
   in
   Alcotest.(check bool) "initially overlapping" true
-    (Baselines.Legalize.total_overlap overlapping > 0.0);
-  let fixed = Baselines.Legalize.separate ~die overlapping in
-  Alcotest.(check bool) "separated" true (Baselines.Legalize.total_overlap fixed < 1e-3);
+    (Hidap.Legalize.total_overlap overlapping > 0.0);
+  let fixed = Hidap.Legalize.separate ~die overlapping in
+  Alcotest.(check bool) "separated" true (Hidap.Legalize.total_overlap fixed < 1e-3);
   Array.iter
     (fun r ->
       Alcotest.(check bool) "inside die" true (Rect.contains_rect ~outer:die ~inner:r))
@@ -121,7 +121,7 @@ let test_legalize () =
 let test_legalize_clamps_outside () =
   let die = Rect.make ~x:0.0 ~y:0.0 ~w:50.0 ~h:50.0 in
   let out = [| Rect.make ~x:(-10.0) ~y:60.0 ~w:20.0 ~h:20.0 |] in
-  let fixed = Baselines.Legalize.separate ~die out in
+  let fixed = Hidap.Legalize.separate ~die out in
   Alcotest.(check bool) "clamped into die" true
     (Rect.contains_rect ~outer:die ~inner:fixed.(0))
 
@@ -130,7 +130,7 @@ let test_indeda_placement () =
   let pl = Baselines.Indeda.place ~flat ~gseq ~die () in
   Alcotest.(check int) "all macros" 16 (List.length pl);
   let rects = Array.of_list (List.map (fun (p : Baselines.Indeda.placement) -> p.Baselines.Indeda.rect) pl) in
-  Alcotest.(check bool) "legal" true (Baselines.Legalize.total_overlap rects < 1e-3);
+  Alcotest.(check bool) "legal" true (Hidap.Legalize.total_overlap rects < 1e-3);
   Array.iter
     (fun r ->
       Alcotest.(check bool) "inside die" true (Rect.contains_rect ~outer:die ~inner:r))
@@ -175,7 +175,7 @@ let test_handfp_placement () =
   Alcotest.(check int) "all macros" 16 (List.length pl);
   let rects = Array.of_list (List.map (fun (p : Baselines.Handfp.placement) -> p.Baselines.Handfp.rect) pl) in
   Alcotest.(check bool) "legal after separation" true
-    (Baselines.Legalize.total_overlap rects < 1e-3);
+    (Hidap.Legalize.total_overlap rects < 1e-3);
   Array.iter
     (fun r ->
       Alcotest.(check bool) "inside die" true (Rect.contains_rect ~outer:die ~inner:r))
