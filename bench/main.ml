@@ -952,6 +952,25 @@ let throughput_gate () =
 (* Bechamel timing microbenches                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Minor words allocated, read with [Gc.minor_words]: Bechamel's own
+   [minor_allocated] reads [Gc.quick_stat], whose counter OCaml 5 only
+   updates at minor collections, so small runs read as 0. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Bechamel.Measure.instance
+    (module Minor_words)
+    (Bechamel.Measure.register (module Minor_words))
+
 let bechamel_benches () =
   printf "%s@." (T.section "Timing microbenches (Bechamel, ns/run)");
   let open Bechamel in
@@ -1000,6 +1019,31 @@ let bechamel_benches () =
         Test.make ~name:"F8:polish_perturb"
           (let e = ref (Slicing.Polish.initial ~n:12) in
            Staged.stage (fun () -> e := Slicing.Polish.perturb rng !e));
+        (* One annealing move: F8's perturbation plus the incremental
+           cost of the result on a warm evaluator (12 blocks, half with
+           macro curves). *)
+        Test.make ~name:"F10:inc_evaluate"
+          (let n = 12 in
+           let blocks =
+             Array.init n (fun i ->
+                 { Hidap.Block.idx = i; ht_id = i; name = Printf.sprintf "b%d" i;
+                   curve =
+                     (if i mod 2 = 0 then Shape.Curve.unconstrained
+                      else Shape.Curve.of_macro ~w:(20.0 +. float_of_int i) ~h:15.0 ());
+                   am = 900.0; at = 1000.0; macro_count = i mod 2 })
+           in
+           let affinity =
+             Array.init n (fun i ->
+                 Array.init n (fun j -> if i <> j && (i + j) mod 3 = 0 then 1.0 else 0.0))
+           in
+           let cost =
+             Hidap.Layout_gen.annealing_cost ~config ~blocks ~affinity ~fixed_pos:[||]
+               ~budget:(Rect.make ~x:0.0 ~y:0.0 ~w:120.0 ~h:100.0)
+           in
+           let e = ref (Slicing.Polish.initial ~n) in
+           Staged.stage (fun () ->
+               e := Slicing.Polish.perturb rng !e;
+               ignore (cost !e : float)));
         Test.make ~name:"F9:cellplace_sweep"
           (Staged.stage (fun () ->
                Cellplace.run
@@ -1010,21 +1054,23 @@ let bechamel_benches () =
                  ~die ())) ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
+  let instances = [ Toolkit.Instance.monotonic_clock; minor_words ] in
+  let raw = Benchmark.all cfg instances tests in
   let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ x ] -> Printf.sprintf "%.0f" x
-        | Some _ | None -> "n/a"
-      in
-      rows := [ name; est ] :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  printf "%s@." (T.render ~header:[ "bench"; "ns/run" ] rows)
+  let estimate instance =
+    let results = Analyze.all ols instance raw in
+    fun name ->
+      match Option.map Analyze.OLS.estimates (Hashtbl.find_opt results name) with
+      | Some (Some [ x ]) -> Printf.sprintf "%.0f" x
+      | Some _ | None -> "n/a"
+  in
+  let ns = estimate Toolkit.Instance.monotonic_clock in
+  let words = estimate minor_words in
+  let rows =
+    List.sort compare
+      (Hashtbl.fold (fun name _ acc -> [ name; ns name; words name ] :: acc) raw [])
+  in
+  printf "%s@." (T.render ~header:[ "bench"; "ns/run"; "minor words/run" ] rows)
 
 (* ------------------------------------------------------------------ *)
 (* Serve: daemon throughput under concurrent clients and workers       *)

@@ -73,8 +73,8 @@ val minimize :
     moves) is outside the RNG path, so attaching one cannot change the
     result.
 
-    When {!Obs.Perf} is enabled the run bumps the ambient
-    [sa.moves]/[sa.accepts]/[sa.rejects] counters per move (a pair of
-    unchecked array increments — one branch per move when disabled)
-    and [sa.plateaus]/[cost.evals] once at the end. Counters never
-    touch the RNG, so enabling them cannot change the result. *)
+    The move loop does no telemetry work. When {!Obs.Perf} is enabled
+    the run adds its totals to the ambient [sa.moves]/[sa.accepts]/
+    [sa.rejects]/[sa.plateaus]/[cost.evals] counters once, at the end,
+    from the loop's own local tallies. Counters never touch the RNG, so
+    enabling them cannot change the result. *)

@@ -101,38 +101,43 @@ let affinity_pairs ~n_blocks ~n_endpoints affinity =
   done;
   Array.of_list !pairs
 
-(* Assemble (cost, wirelength, violations) from the wirelength fold and
-   the raw violation totals. Shared verbatim by the annealer's
-   incremental path and [result_of_expr]'s full walk, so once their
-   [wl]/[viol] inputs agree bitwise the result's cost is the scalar the
-   annealer saw. *)
-let finish_cost ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks ~wl viol =
+(* The cost frame: [finish_cost]'s inputs and outputs, flat, so the
+   annealer's path boxes no float. In: the wirelength fold and the raw
+   violation totals. Out: the totals with the single-block adjustment,
+   and the cost. *)
+let cf_wl = 0
+let cf_at = 1
+let cf_am = 2
+let cf_mac = 3
+let cf_cost = 4
+
+(* Assemble the cost from the wirelength fold and the violation totals.
+   Shared verbatim by the annealer's incremental path and
+   [result_of_expr]'s full walk, so once their inputs agree bitwise the
+   result's cost is the scalar the annealer saw. *)
+let finish_cost cf ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks =
   (* Normalize violation areas by the budget area so the penalty weights
-     are scale-free. *)
-  let scale v = v /. max 1e-9 (Rect.area budget) in
-  (* A lone leaf never passes through [split_extent], which is where the
+     are scale-free. The expressions are [Rect.area] and
+     [Slicing.Layout.penalty]'s, written out: a float crossing a module
+     boundary is boxed. *)
+  let area = budget.Rect.w *. budget.Rect.h in
+  let den = if 1e-9 >= area then 1e-9 else area in
+  (* A lone leaf never passes through the split, which is where the
      multi-block path charges minimum-area deficits; charge its deficit
      against the whole budget here so a violating single block pays the
      same graded penalty. *)
-  let viol =
-    if n_blocks = 1 then
-      { viol with
-        Slicing.Layout.am_deficit =
-          viol.Slicing.Layout.am_deficit
-          +. max 0.0 (leaves.(0).Slicing.Layout.area_min -. Rect.area budget) }
-    else viol
-  in
-  let norm_viol =
-    { Slicing.Layout.at_shift = scale viol.Slicing.Layout.at_shift;
-      am_deficit = scale viol.Slicing.Layout.am_deficit;
-      macro_deficit = scale viol.Slicing.Layout.macro_deficit }
-  in
+  if n_blocks = 1 then begin
+    let over = leaves.(0).Slicing.Layout.area_min -. area in
+    cf.(cf_am) <- cf.(cf_am) +. (if 0.0 >= over then 0.0 else over)
+  end;
   let pen =
-    Slicing.Layout.penalty norm_viol ~at_w:config.Config.at_weight
-      ~am_w:config.Config.am_weight ~macro_w:config.Config.macro_weight
+    (config.Config.at_weight *. (cf.(cf_at) /. den))
+    +. (config.Config.am_weight *. (cf.(cf_am) /. den))
+    +. (config.Config.macro_weight *. (cf.(cf_mac) /. den))
   in
   (* A tiny wirelength-free bias keeps annealing meaningful when the
      affinity matrix is empty: prefer legal layouts. *)
+  let wl = cf.(cf_wl) in
   let base = if n_pairs = 0 then 1.0 else wl in
   let cost = base *. (1.0 +. pen) in
   (* NaN poisoning must surface as a diagnostic, never reach the SA
@@ -145,7 +150,11 @@ let finish_cost ~leaves ~budget ~n_pairs ~(config : Config.t) ~n_blocks ~wl viol
          "layout cost is %g (wirelength %g, budget %gx%g): non-finite area or \
           position reached the annealer"
          cost wl budget.Rect.w budget.Rect.h);
-  (cost, wl, viol)
+  cf.(cf_cost) <- cost
+
+let viol_of_frame cf =
+  { Slicing.Layout.at_shift = cf.(cf_at); am_deficit = cf.(cf_am);
+    macro_deficit = cf.(cf_mac) }
 
 (* ---- incremental evaluation ---------------------------------------- *)
 
@@ -167,9 +176,15 @@ type inc = {
   ic_adj : int array array;
   ic_fx : float array;   (* fixed endpoint coordinates, flattened *)
   ic_fy : float array;
+  ic_cf : float array;   (* the cost frame *)
+  ic_leaves : Slicing.Layout.leaf array;
+  ic_budget : Rect.t;
+  ic_config : Config.t;
+  ic_n_blocks : int;
 }
 
-let make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks =
+let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config =
+  let n_blocks = Array.length leaves in
   let np = Array.length pairs in
   let pi = Array.make np 0 and pj = Array.make np 0 and pw = Array.make np 0.0 in
   let deg = Array.make n_blocks 0 in
@@ -201,37 +216,44 @@ let make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks =
     ic_pc = Array.make np 0.0;
     ic_adj = adj;
     ic_fx = Array.map (fun (p : Point.t) -> p.Point.x) fixed_pos;
-    ic_fy = Array.map (fun (p : Point.t) -> p.Point.y) fixed_pos }
+    ic_fy = Array.map (fun (p : Point.t) -> p.Point.y) fixed_pos;
+    ic_cf = Array.make 5 0.0;
+    ic_leaves = leaves;
+    ic_budget = budget;
+    ic_config = config;
+    ic_n_blocks = n_blocks }
 
-(* The annealer's cost function: (cost, wirelength, violations) of
-   [expr], the same floats [result_of_expr] derives from a full walk. *)
-let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
+(* Refresh the contribution of pair [p]. Recomputing a pair twice (both
+   endpoints moved) just rewrites the same value, so the moved list
+   needs no deduplication. The arithmetic is [w *. Point.manhattan] with
+   the same operand order as [result_of_expr]. *)
+let update_pair inc cx cy p =
+  let n_blocks = inc.ic_n_blocks in
+  let i = inc.ic_pi.(p) and j = inc.ic_pj.(p) in
+  let xi = if i < n_blocks then cx.(i) else inc.ic_fx.(i - n_blocks) in
+  let yi = if i < n_blocks then cy.(i) else inc.ic_fy.(i - n_blocks) in
+  let xj = if j < n_blocks then cx.(j) else inc.ic_fx.(j - n_blocks) in
+  let yj = if j < n_blocks then cy.(j) else inc.ic_fy.(j - n_blocks) in
+  inc.ic_pc.(p) <- inc.ic_pw.(p) *. (abs_float (xi -. xj) +. abs_float (yi -. yj))
+
+(* The annealer's cost function: the cost of [expr], the same float
+   [result_of_expr] derives from a full walk. The cost frame [ic_cf]
+   holds its wirelength and adjusted violations until the next call. *)
+let evaluate_inc inc expr =
   let st = inc.ic_state in
-  let viol = Slicing.Inc.evaluate st expr in
+  Slicing.Inc.evaluate st expr;
   let cx = Slicing.Inc.centers_x st and cy = Slicing.Inc.centers_y st in
   let np = Array.length inc.ic_pc in
-  (* Refresh the contribution of one pair. Recomputing a pair twice
-     (both endpoints moved) just rewrites the same value, so the moved
-     list needs no deduplication. The arithmetic is [w *. Point.manhattan]
-     with the same operand order as [result_of_expr]. *)
-  let update p =
-    let i = inc.ic_pi.(p) and j = inc.ic_pj.(p) in
-    let xi = if i < n_blocks then cx.(i) else inc.ic_fx.(i - n_blocks) in
-    let yi = if i < n_blocks then cy.(i) else inc.ic_fy.(i - n_blocks) in
-    let xj = if j < n_blocks then cx.(j) else inc.ic_fx.(j - n_blocks) in
-    let yj = if j < n_blocks then cy.(j) else inc.ic_fy.(j - n_blocks) in
-    inc.ic_pc.(p) <- inc.ic_pw.(p) *. (abs_float (xi -. xj) +. abs_float (yi -. yj))
-  in
   if Slicing.Inc.full st then
     for p = 0 to np - 1 do
-      update p
+      update_pair inc cx cy p
     done
   else begin
     let moved = Slicing.Inc.moved st and n_moved = Slicing.Inc.n_moved st in
     for m = 0 to n_moved - 1 do
       let adj = inc.ic_adj.(moved.(m)) in
       for a = 0 to Array.length adj - 1 do
-        update adj.(a)
+        update_pair inc cx cy adj.(a)
       done
     done
   end;
@@ -241,7 +263,24 @@ let evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr =
   for p = 0 to np - 1 do
     wl := !wl +. inc.ic_pc.(p)
   done;
-  finish_cost ~leaves ~budget ~n_pairs:np ~config ~n_blocks ~wl:!wl viol
+  let cf = inc.ic_cf and v = Slicing.Inc.totals st in
+  cf.(cf_wl) <- !wl;
+  cf.(cf_at) <- v.(0);
+  cf.(cf_am) <- v.(1);
+  cf.(cf_mac) <- v.(2);
+  finish_cost cf ~leaves:inc.ic_leaves ~budget:inc.ic_budget ~n_pairs:np
+    ~config:inc.ic_config ~n_blocks:inc.ic_n_blocks;
+  cf.(cf_cost)
+
+let annealing_cost ~config ~blocks ~affinity ~fixed_pos ~budget =
+  let n_blocks = Array.length blocks in
+  let leaves = Array.map Block.to_leaf blocks in
+  let pairs = affinity_pairs ~n_blocks ~n_endpoints:(Array.length affinity) affinity in
+  let inc =
+    make_inc ~leaves ~table:(Slicing.Layout.leaf_table leaves) ~budget ~pairs
+      ~fixed_pos ~config
+  in
+  fun expr -> evaluate_inc inc expr
 
 (* Full evaluation of one expression: the scalar cost plus its named
    breakdown and the post-hoc per-pair / per-leaf attribution. Runs once
@@ -266,10 +305,13 @@ let result_of_expr ~leaves ~budget ~pairs ~fixed_pos ~(config : Config.t) ~n_blo
         wl := !wl +. pc_wl;
         { pc_i = i; pc_j = j; pc_weight = w; pc_wl })
   in
-  let cost, wl, viol =
-    finish_cost ~leaves ~budget ~n_pairs:(Array.length pairs) ~config ~n_blocks ~wl:!wl
-      placement.Slicing.Layout.viol
+  let v = placement.Slicing.Layout.viol in
+  let cf =
+    [| !wl; v.Slicing.Layout.at_shift; v.Slicing.Layout.am_deficit;
+       v.Slicing.Layout.macro_deficit; 0.0 |]
   in
+  finish_cost cf ~leaves ~budget ~n_pairs:(Array.length pairs) ~config ~n_blocks;
+  let cost = cf.(cf_cost) and wl = cf.(cf_wl) and viol = viol_of_frame cf in
   let breakdown =
     breakdown_of ~cost ~wirelength:wl ~viol ~config ~budget
       ~n_pairs:(Array.length pairs)
@@ -400,17 +442,13 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
           (fun i ->
             (* Each start owns its incremental evaluation state, so the
                parallel starts share nothing mutable. *)
-            let inc = make_inc ~table ~budget ~pairs ~fixed_pos ~n_blocks in
-            let eval_expr expr =
-              evaluate_inc inc ~leaves ~budget ~config ~n_blocks expr
-            in
+            let inc = make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config in
             let cost, observer =
               match term_observer with
               | None ->
                 let cost expr =
                   Guard.Budget.check ~stage:"floorplan";
-                  let c, _, _ = eval_expr expr in
-                  c
+                  evaluate_inc inc expr
                 in
                 (cost, observer)
               | Some on_terms ->
@@ -425,11 +463,11 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
                 let best_viol = ref Slicing.Layout.no_violations in
                 let cost expr =
                   Guard.Budget.check ~stage:"floorplan";
-                  let c, wl, viol = eval_expr expr in
+                  let c = evaluate_inc inc expr in
                   if not (!best <= c) then begin
                     best := c;
-                    best_wl := wl;
-                    best_viol := viol
+                    best_wl := inc.ic_cf.(cf_wl);
+                    best_viol := viol_of_frame inc.ic_cf
                   end;
                   c
                 in

@@ -101,6 +101,19 @@ val eval_expr :
     produce, with [sa_moves = 0] and [final_temperature = 0.0]. Exposed
     for tests and tools that need to re-attribute a known layout. *)
 
+val annealing_cost :
+  config:Config.t ->
+  blocks:Block.t array ->
+  affinity:float array array ->
+  fixed_pos:Geom.Point.t array ->
+  budget:Geom.Rect.t ->
+  Slicing.Polish.t ->
+  float
+(** The cost one annealing start of {!run} minimizes, on its own
+    incremental state: applying the first five arguments builds the
+    state, and each call then evaluates one expression — bitwise the
+    [cost] {!eval_expr} reports for it. Exposed for tests. *)
+
 val run :
   ?observer:(Anneal.Sa.plateau -> unit) ->
   ?term_observer:(Anneal.Sa.plateau -> breakdown -> unit) ->

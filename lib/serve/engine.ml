@@ -533,6 +533,11 @@ let finish_worker t conns (r : Pool.running) =
         | _ -> ""
       in
       set_state t job Proto.Done note;
+      (* A done job never runs again and [job.json] now holds its spec,
+         so the daemon lets go of the netlist text: kept, it grew the
+         daemon, and every worker forked from it, by one netlist per
+         job served. *)
+      job.Job.spec <- { job.Job.spec with Proto.hnl = None };
       t.c.completed <- t.c.completed + 1;
       notify_watchers t conns job.Job.id
     | Worker.Invalid msg ->

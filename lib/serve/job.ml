@@ -19,7 +19,7 @@ let job_version = 1
 type t = {
   id : string;
   seq : int;
-  spec : Proto.submit;
+  mutable spec : Proto.submit;
   mutable state : Proto.state;
   mutable attempts : int;
   mutable detail : string;

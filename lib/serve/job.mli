@@ -9,7 +9,9 @@
 type t = {
   id : string;  (** ["j%04d"] of [seq] *)
   seq : int;  (** submission order, unique within a state dir *)
-  spec : Proto.submit;
+  mutable spec : Proto.submit;
+      (** the daemon drops the netlist text ([hnl]) once the job is
+          done; [job.json] keeps it *)
   mutable state : Proto.state;
   mutable attempts : int;
   mutable detail : string;

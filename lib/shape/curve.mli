@@ -10,7 +10,9 @@
     curves are pruned to a bounded number of points to keep compositions
     cheap. *)
 
-type t
+type t = private float array
+(** Flat storage: point [i] is [(t.(2i), t.(2i+1))] = (w, h). The empty
+    array is {!unconstrained}. *)
 
 val unconstrained : t
 (** No macro constraint: every box fits. *)
@@ -58,5 +60,37 @@ val prune : max_points:int -> t -> t
     extremes and a spread of intermediate points. *)
 
 val size : t -> int
+(** Number of points. *)
+
+(** {1 Flat buffers}
+
+    The functions above applied to the first [n] points of any flat
+    buffer — a curve's own storage, or a caller-owned preallocated
+    array — so that an evaluator can keep every curve it derives in
+    place without allocating. [n = 0] is the unconstrained curve. A
+    float passed to a function of another module is boxed, so float
+    inputs and outputs go through slots of a caller-owned [float array]. *)
+
+val merge : stack:bool -> float array -> int -> float array -> int -> float array -> int
+(** [merge ~stack a na b nb dst] writes the composition of [a] and [b]
+    into [dst] and returns its point count: side by side ({!compose_h})
+    when [stack] is false, stacked ({!compose_v}) when true. [dst] must
+    hold [2 * (na + nb)] floats and alias neither input. This is the one
+    staircase merge; {!compose_h}/{!compose_v} are it on fresh storage. *)
+
+val prune_in_place : max_points:int -> float array -> int -> int
+(** {!prune} of the first [n] points, in place; returns the new count. *)
+
+val fits_box : float array -> int -> float array -> int -> bool
+(** [fits_box a n box i]: {!fits} with [w = box.(i)], [h = box.(i+1)]. *)
+
+val min_extent :
+  float array -> int -> width:bool -> float array -> cross:int -> out:int -> bool
+(** {!min_width} ([width]) or {!min_height} with the cross dimension in
+    [q.(cross)]: false for [None], else the result is in [q.(out)]. *)
+
+val min_area_box : float array -> int -> float array -> out:int -> bool
+(** {!min_area_point}: false for [None], else the point is in
+    [q.(out)], [q.(out+1)]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -32,7 +32,13 @@
    The diff is taken against the last EVALUATED expression, not the
    annealer's accepted state, so rejected moves need no hook into the
    SA loop: the next candidate simply diffs as "reverted window plus
-   new window". *)
+   new window".
+
+   An evaluation allocates nothing (DESIGN.md section 14): every float
+   lives in a float array sized at [create] — curves in per-node flat
+   buffers, rectangles and accumulators in node arrays — and the split,
+   merge and fit arithmetic is [Layout]'s and [Curve]'s, reached through
+   calls that pass no float. *)
 
 module Curve = Shape.Curve
 module Rect = Geom.Rect
@@ -50,43 +56,64 @@ type t = {
   left : int array;            (* child node ids; -1 marks an operand *)
   right : int array;
   lid : int array;             (* operand positions: the block id *)
+  node_of : int array;         (* lid -> its operand position *)
   stack : int array;
-  (* Bottom-up node data, cached across evaluations. *)
-  nd_curve : Curve.t array;
+  (* Bottom-up node data, cached across evaluations. A node's curve is
+     the first [nd_n] points of [nd_pts]: the leaf's own storage for an
+     operand, the node's preallocated [own] buffer for an operator. *)
+  own : float array array;
+  nd_pts : float array array;
+  nd_n : int array;
   nd_am : float array;
   nd_at : float array;
-  (* The rectangle assigned to each node by the last evaluation. *)
+  (* The rectangle each node is asked to fill ([q*], written by its
+     parent before the recursion reaches it) and the one it filled in
+     the last evaluation ([r*]). *)
+  qx : float array;
+  qy : float array;
+  qw : float array;
+  qh : float array;
   rx : float array;
   ry : float array;
   rw : float array;
   rh : float array;
   (* Elementary violation contributions per node, in the order
      [Layout.evaluate] adds them: [c_def] is the children's
-     macro_min_extent deficit sum (or the fit deficit for a leaf),
-     [c_at]/[c_am]/[c_mac] the split_extent delta. *)
+     minimum-extent deficit sum (or the fit deficit for a leaf),
+     [c_at]/[c_am]/[c_mac] the split's violation delta. *)
   c_def : float array;
   c_at : float array;
   c_am : float array;
   c_mac : float array;
+  fr : float array;            (* [Layout]'s split frame *)
+  (* Violation accumulators [at; am; macro]; they hold the last
+     evaluation's totals between calls so an unchanged expression
+     returns without re-folding. *)
+  acc : float array;
   (* Outputs, indexed by lid. *)
-  out_rect : Rect.t array;
   out_cx : float array;
   out_cy : float array;
   moved : int array;           (* lids whose center changed this evaluation *)
   mutable n_moved : int;
   mutable full : bool;         (* cold evaluation: treat every lid as moved *)
-  (* Violation accumulators; hold the last evaluation's totals between
-     calls so an unchanged expression returns without re-folding. *)
-  mutable v_at : float;
-  mutable v_am : float;
-  mutable v_mac : float;
 }
+
+let a_at = 0
+let a_am = 1
+let a_mac = 2
 
 let create ~table ~budget =
   let n = Array.length table in
   assert (n >= 1);
   let len = (2 * n) - 1 in
   let c = Rect.center budget in
+  (* An operator composes two curves of at most [Layout.max_curve_points]
+     points (after pruning) or of a leaf's size, whichever is larger. *)
+  let cap =
+    Array.fold_left
+      (fun acc (l : Layout.leaf) -> max acc (Curve.size l.Layout.curve))
+      Layout.max_curve_points table
+  in
   { table;
     budget;
     len;
@@ -97,10 +124,17 @@ let create ~table ~budget =
     left = Array.make len (-1);
     right = Array.make len (-1);
     lid = Array.make len (-1);
+    node_of = Array.make n 0;
     stack = Array.make len 0;
-    nd_curve = Array.make len Curve.unconstrained;
+    own = Array.init len (fun _ -> Array.make (4 * cap) 0.0);
+    nd_pts = Array.make len [||];
+    nd_n = Array.make len 0;
     nd_am = Array.make len 0.0;
     nd_at = Array.make len 0.0;
+    qx = Array.make len nan;
+    qy = Array.make len nan;
+    qw = Array.make len nan;
+    qh = Array.make len nan;
     rx = Array.make len nan;
     ry = Array.make len nan;
     rw = Array.make len nan;
@@ -109,15 +143,13 @@ let create ~table ~budget =
     c_at = Array.make len 0.0;
     c_am = Array.make len 0.0;
     c_mac = Array.make len 0.0;
-    out_rect = Array.make n budget;
+    fr = Layout.frame ();
+    acc = Array.make 3 0.0;
     out_cx = Array.make n c.Geom.Point.x;
     out_cy = Array.make n c.Geom.Point.y;
     moved = Array.make n 0;
     n_moved = 0;
-    full = true;
-    v_at = 0.0;
-    v_am = 0.0;
-    v_mac = 0.0 }
+    full = true }
 
 (* Accessors for the caller's wirelength update. [moved]/[n_moved] list
    the lids whose center changed in the last [evaluate]; when [full] is
@@ -127,29 +159,36 @@ let moved t = t.moved
 let n_moved t = t.n_moved
 let centers_x t = t.out_cx
 let centers_y t = t.out_cy
-let rects t = t.out_rect
+let totals t = t.acc
+
+let rects t =
+  Array.map
+    (fun k -> { Rect.x = t.rx.(k); y = t.ry.(k); w = t.rw.(k); h = t.rh.(k) })
+    t.node_of
 
 let violations t =
-  { Layout.at_shift = t.v_at; am_deficit = t.v_am; macro_deficit = t.v_mac }
+  { Layout.at_shift = t.acc.(a_at); am_deficit = t.acc.(a_am);
+    macro_deficit = t.acc.(a_mac) }
 
 (* Re-add a clean subtree's cached contributions in the preorder the
    full evaluation visits them: node first, then left, then right. *)
 let rec fold_cached t k =
+  let acc = t.acc in
   let l = t.left.(k) in
-  if l < 0 then t.v_mac <- t.v_mac +. t.c_def.(k)
-  else begin
-    t.v_mac <- t.v_mac +. t.c_def.(k);
-    t.v_at <- t.v_at +. t.c_at.(k);
-    t.v_am <- t.v_am +. t.c_am.(k);
-    t.v_mac <- t.v_mac +. t.c_mac.(k);
+  acc.(a_mac) <- acc.(a_mac) +. t.c_def.(k);
+  if l >= 0 then begin
+    acc.(a_at) <- acc.(a_at) +. t.c_at.(k);
+    acc.(a_am) <- acc.(a_am) +. t.c_am.(k);
+    acc.(a_mac) <- acc.(a_mac) +. t.c_mac.(k);
     fold_cached t l;
     fold_cached t t.right.(k)
   end
 
-(* Place node [k] into (x, y, w, h), mirroring [Layout.evaluate]'s
-   recursion operation for operation on the recompute path. [may_skip]
-   is true when the caches are consistent (warm state). *)
-let rec place t ~may_skip k x y w h =
+(* Place node [k] into its asked-for rectangle, running the full
+   evaluation's arithmetic on the recompute path. [may_skip] is true
+   when the caches are consistent (warm state). *)
+let rec place t ~may_skip k =
+  let x = t.qx.(k) and y = t.qy.(k) and w = t.qw.(k) and h = t.qh.(k) in
   if
     may_skip
     && t.cp.(k + 1) - t.cp.(t.span_lo.(k)) = 0
@@ -160,25 +199,17 @@ let rec place t ~may_skip k x y w h =
     t.ry.(k) <- y;
     t.rw.(k) <- w;
     t.rh.(k) <- h;
+    let fr = t.fr and acc = t.acc in
     let l = t.left.(k) in
     if l < 0 then begin
-      let i = t.lid.(k) in
-      let leaf = t.table.(i) in
-      let deficit =
-        if Curve.fits leaf.Layout.curve ~w ~h then 0.0
-        else begin
-          match Curve.min_area_point leaf.Layout.curve with
-          | None -> 0.0
-          | Some (cw, ch) ->
-            let need = min ((cw -. w) *. ch) ((ch -. h) *. cw) in
-            let need = if need <= 0.0 then abs_float need else need in
-            max 1e-9 need
-        end
-      in
+      fr.(Layout.fr_w) <- w;
+      fr.(Layout.fr_h) <- h;
+      Layout.leaf_deficit fr t.nd_pts.(k) t.nd_n.(k);
+      let deficit = fr.(Layout.fr_leaf_deficit) in
       t.c_def.(k) <- deficit;
-      t.v_mac <- t.v_mac +. deficit;
-      t.out_rect.(i) <- { Rect.x; y; w; h };
+      acc.(a_mac) <- acc.(a_mac) +. deficit;
       (* Same float expressions as [Rect.center]. *)
+      let i = t.lid.(k) in
       let cx = x +. (w /. 2.0) and cy = y +. (h /. 2.0) in
       if not (cx = t.out_cx.(i) && cy = t.out_cy.(i)) then begin
         t.out_cx.(i) <- cx;
@@ -194,43 +225,46 @@ let rec place t ~may_skip k x y w h =
         | Polish.Operator o -> o
         | Polish.Operand _ -> assert false
       in
-      let extent, cross =
-        match op with Polish.V -> (w, h) | Polish.H -> (h, w)
-      in
-      let axis = match op with Polish.V -> `Width | Polish.H -> `Height in
-      let mac_a, def_a = Layout.macro_min_extent t.nd_curve.(l) ~cross ~axis in
-      let mac_b, def_b = Layout.macro_min_extent t.nd_curve.(r) ~cross ~axis in
-      let def_sum = def_a +. def_b in
+      fr.(Layout.fr_x) <- x;
+      fr.(Layout.fr_y) <- y;
+      fr.(Layout.fr_w) <- w;
+      fr.(Layout.fr_h) <- h;
+      fr.(Layout.fr_at_a) <- t.nd_at.(l);
+      fr.(Layout.fr_at_b) <- t.nd_at.(r);
+      fr.(Layout.fr_am_a) <- t.nd_am.(l);
+      fr.(Layout.fr_am_b) <- t.nd_am.(r);
+      Layout.split_node fr op t.nd_pts.(l) t.nd_n.(l) t.nd_pts.(r) t.nd_n.(r);
+      let def_sum = fr.(Layout.fr_def_a) +. fr.(Layout.fr_def_b) in
       t.c_def.(k) <- def_sum;
-      t.v_mac <- t.v_mac +. def_sum;
-      let s, dv =
-        Layout.split_extent ~extent ~cross ~at_a:t.nd_at.(l) ~at_b:t.nd_at.(r)
-          ~am_a:t.nd_am.(l) ~am_b:t.nd_am.(r) ~mac_min_a:mac_a ~mac_min_b:mac_b
-      in
-      t.c_at.(k) <- dv.Layout.at_shift;
-      t.c_am.(k) <- dv.Layout.am_deficit;
-      t.c_mac.(k) <- dv.Layout.macro_deficit;
-      t.v_at <- t.v_at +. dv.Layout.at_shift;
-      t.v_am <- t.v_am +. dv.Layout.am_deficit;
-      t.v_mac <- t.v_mac +. dv.Layout.macro_deficit;
-      let frac = if extent > 0.0 then s /. extent else 0.5 in
-      let frac = Util.Stat.clamp ~lo:0.0 ~hi:1.0 frac in
-      (* Child rects exactly as [Rect.split_v]/[split_h] derive them. *)
-      match op with
-      | Polish.V ->
-        let wl = w *. frac in
-        place t ~may_skip l x y wl h;
-        place t ~may_skip r (x +. wl) y (w -. wl) h
-      | Polish.H ->
-        let hb = h *. frac in
-        place t ~may_skip l x y w hb;
-        place t ~may_skip r x (y +. hb) w (h -. hb)
+      acc.(a_mac) <- acc.(a_mac) +. def_sum;
+      let d_at = fr.(Layout.fr_at_shift)
+      and d_am = fr.(Layout.fr_am_deficit)
+      and d_mac = fr.(Layout.fr_macro_deficit) in
+      t.c_at.(k) <- d_at;
+      t.c_am.(k) <- d_am;
+      t.c_mac.(k) <- d_mac;
+      acc.(a_at) <- acc.(a_at) +. d_at;
+      acc.(a_am) <- acc.(a_am) +. d_am;
+      acc.(a_mac) <- acc.(a_mac) +. d_mac;
+      (* The frame is reused below this node: hand both children their
+         rectangles before recursing. *)
+      t.qx.(l) <- fr.(Layout.fr_ax);
+      t.qy.(l) <- fr.(Layout.fr_ay);
+      t.qw.(l) <- fr.(Layout.fr_aw);
+      t.qh.(l) <- fr.(Layout.fr_ah);
+      t.qx.(r) <- fr.(Layout.fr_bx);
+      t.qy.(r) <- fr.(Layout.fr_by);
+      t.qw.(r) <- fr.(Layout.fr_bw);
+      t.qh.(r) <- fr.(Layout.fr_bh);
+      place t ~may_skip l;
+      place t ~may_skip r
     end
   end
 
 (* Evaluate [expr], reusing everything the diff against the previous
-   evaluation allows. Returns the violation totals; rects and centers
-   are read through the accessors (valid until the next call). *)
+   evaluation allows. The violation totals are read through [totals] /
+   [violations], rects and centers through their accessors (valid until
+   the next call). *)
 let evaluate t (expr : Polish.t) =
   if Polish.length expr <> t.len then
     invalid_arg "Inc.evaluate: expression length changed";
@@ -260,16 +294,15 @@ let evaluate t (expr : Polish.t) =
     (* Identical expression (e.g. a no-op perturbation): every cached
        output and the held violation totals are the answer. *)
     t.n_moved <- 0;
-    t.full <- false;
-    violations t
+    t.full <- false
   end
   else begin
     (* An exception below (diagnostic, injected fault) can leave the
        caches half-updated; drop them until an evaluation completes. *)
     t.warm <- false;
     (* Phase 1: structure + bottom-up curves/areas. The stack pass is
-       integer work for every node; curve composition (the expensive,
-       allocating part) only runs for nodes whose span changed. *)
+       integer work for every node; curve composition (the expensive
+       part) only runs for nodes whose span changed. *)
     let sp = ref 0 in
     for k = 0 to t.len - 1 do
       match t.prev.(k) with
@@ -279,7 +312,9 @@ let evaluate t (expr : Polish.t) =
         t.lid.(k) <- i;
         if not was_warm || t.cp.(k + 1) - t.cp.(k) > 0 then begin
           let leaf = Layout.leaf_of_table t.table i in
-          t.nd_curve.(k) <- leaf.Layout.curve;
+          t.node_of.(i) <- k;
+          t.nd_pts.(k) <- (leaf.Layout.curve :> float array);
+          t.nd_n.(k) <- Curve.size leaf.Layout.curve;
           t.nd_am.(k) <- leaf.Layout.area_min;
           t.nd_at.(k) <- leaf.Layout.area_target
         end;
@@ -293,16 +328,16 @@ let evaluate t (expr : Polish.t) =
         t.left.(k) <- l;
         t.right.(k) <- r;
         if not was_warm || t.cp.(k + 1) - t.cp.(t.span_lo.(k)) > 0 then begin
-          let curve =
-            let c =
-              match op with
-              | Polish.V -> Curve.compose_h t.nd_curve.(l) t.nd_curve.(r)
-              | Polish.H -> Curve.compose_v t.nd_curve.(l) t.nd_curve.(r)
-            in
-            if Curve.is_unconstrained c then c
-            else Curve.prune ~max_points:Layout.max_curve_points c
+          (* V cut: children side by side -> widths add; H cut: stacked
+             -> heights add. *)
+          let dst = t.own.(k) in
+          let m =
+            Curve.merge
+              ~stack:(match op with Polish.H -> true | Polish.V -> false)
+              t.nd_pts.(l) t.nd_n.(l) t.nd_pts.(r) t.nd_n.(r) dst
           in
-          t.nd_curve.(k) <- curve;
+          t.nd_pts.(k) <- dst;
+          t.nd_n.(k) <- Curve.prune_in_place ~max_points:Layout.max_curve_points dst m;
           t.nd_am.(k) <- t.nd_am.(l) +. t.nd_am.(r);
           t.nd_at.(k) <- t.nd_at.(l) +. t.nd_at.(r)
         end;
@@ -312,13 +347,14 @@ let evaluate t (expr : Polish.t) =
     if !sp <> 1 then invalid_arg "Layout.evaluate: malformed expression";
     (* Phase 2+3: top-down placement with subtree reuse, folding the
        violation contributions in evaluation order as it goes. *)
-    t.v_at <- 0.0;
-    t.v_am <- 0.0;
-    t.v_mac <- 0.0;
+    Array.fill t.acc 0 3 0.0;
     t.n_moved <- 0;
     t.full <- not was_warm;
-    let b = t.budget in
-    place t ~may_skip:was_warm (t.len - 1) b.Rect.x b.Rect.y b.Rect.w b.Rect.h;
-    t.warm <- true;
-    violations t
+    let root = t.len - 1 and b = t.budget in
+    t.qx.(root) <- b.Rect.x;
+    t.qy.(root) <- b.Rect.y;
+    t.qw.(root) <- b.Rect.w;
+    t.qh.(root) <- b.Rect.h;
+    place t ~may_skip:was_warm root;
+    t.warm <- true
   end

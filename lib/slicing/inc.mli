@@ -16,7 +16,12 @@
 
     The diff targets the last {e evaluated} expression, not the
     annealer's accepted state, so rejected moves need no SA hook: the
-    next candidate diffs as a reverted window plus a new window. *)
+    next candidate diffs as a reverted window plus a new window.
+
+    A warm {!evaluate} allocates nothing: all of its floats live in
+    arrays sized by {!create}, and it reaches {!Layout}'s split
+    arithmetic and {!Shape.Curve}'s merge through calls that pass no
+    float (DESIGN.md section 14). *)
 
 type t
 
@@ -25,17 +30,21 @@ val create : table:Layout.leaf array -> budget:Geom.Rect.t -> t
     {!Layout.leaf_table}) laid out inside [budget]. The first
     {!evaluate} computes everything. *)
 
-val evaluate : t -> Polish.t -> Layout.violations
+val evaluate : t -> Polish.t -> unit
 (** Evaluate [expr], reusing whatever the diff allows. The expression
     must keep the length [create]'s table implies ([2n - 1]); M1/M2/M3
-    all preserve it. Rects/centers accessors are valid until the next
+    all preserve it. The accessors below read the result until the next
     call. *)
 
+val totals : t -> float array
+(** The last evaluation's violation totals as [[| at_shift; am_deficit;
+    macro_deficit |]], without allocating (do not mutate). *)
+
 val violations : t -> Layout.violations
-(** The last evaluation's violation totals. *)
+(** {!totals} as a record. *)
 
 val rects : t -> Geom.Rect.t array
-(** Per-lid rectangles of the last evaluation (do not mutate). *)
+(** Per-lid rectangles of the last evaluation, freshly allocated. *)
 
 val centers_x : t -> float array
 (** Per-lid center coordinates of the last evaluation — the same floats

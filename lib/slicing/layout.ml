@@ -101,66 +101,152 @@ let build_tree expr ~table =
   | [ t ] -> t
   | _ -> invalid_arg "Layout.evaluate: malformed expression"
 
-(* Decide the size of the first child along the cut axis. [extent] is the
-   budget along the cut axis, [cross] the perpendicular dimension.
-   [mac_min_a]/[mac_min_b] are the children's curve-derived minimum sizes
-   along the axis at the given cross dimension (with their own deficit
-   already accounted if the cross dimension is too small for any curve
-   point). Returns (first child's extent, violations delta). *)
-let split_extent ~extent ~cross ~at_a ~at_b ~am_a ~am_b ~mac_min_a ~mac_min_b =
+(* ---- the split arithmetic ------------------------------------------ *)
+
+(* One node's inputs and outputs, flat: the full walk below and [Inc]
+   both fill a frame, call [split_node] or [leaf_deficit], and read the
+   results, so neither keeps its own copy of the arithmetic and neither
+   boxes a float per node. *)
+let fr_x = 0
+let fr_y = 1
+let fr_w = 2
+let fr_h = 3
+let fr_at_a = 4
+let fr_at_b = 5
+let fr_am_a = 6
+let fr_am_b = 7
+let fr_extent = 8
+let fr_cross = 9
+let fr_mac_a = 10
+let fr_mac_b = 11
+let fr_def_a = 12
+let fr_def_b = 13
+let fr_s = 14
+let fr_at_shift = 15
+let fr_am_deficit = 16
+let fr_macro_deficit = 17
+let fr_ax = 18
+let fr_ay = 19
+let fr_aw = 20
+let fr_ah = 21
+let fr_bx = 22
+let fr_by = 23
+let fr_bw = 24
+let fr_bh = 25
+let fr_leaf_deficit = 26
+(* scratch: a curve's minimum-area point *)
+let fr_cw = 27
+let fr_ch = 28
+
+let frame () = Array.make 29 0.0
+
+(* [Stdlib.max 0.0 x] and [Util.Stat.clamp], float-typed so they
+   compile to plain comparisons. *)
+let[@inline] pos x = if 0.0 >= x then 0.0 else x
+
+let[@inline] clamp lo hi (x : float) = if x < lo then lo else if x > hi then hi else x
+
+(* Minimum extent along the cut axis for a subtree inside the cross
+   dimension, into [mac]; any unavoidable macro deficit, when no curve
+   point respects the cross dimension, into [def]. *)
+let macro_min_extent fr pts n ~width ~mac ~def =
+  if Curve.min_extent pts n ~width fr ~cross:fr_cross ~out:mac then fr.(def) <- 0.0
+  else if Curve.min_area_box pts n fr ~out:fr_cw then begin
+    (* Even unlimited extent cannot fit: charge the smallest curve box's
+       cross overflow as macro deficit and require its axis extent. *)
+    let w = fr.(fr_cw) and h = fr.(fr_ch) in
+    let need_axis = if width then w else h and need_cross = if width then h else w in
+    fr.(mac) <- need_axis;
+    fr.(def) <- pos (need_cross -. fr.(fr_cross)) *. need_axis
+  end
+  else begin
+    fr.(mac) <- 0.0;
+    fr.(def) <- 0.0
+  end
+
+(* Decide the size of the first child along the cut axis, staged:
+   target-area share, then minimum areas when feasible, then the macro
+   minima. Returns the split into [fr_s] and the violation delta into
+   [fr_at_shift]/[fr_am_deficit]/[fr_macro_deficit]. *)
+let split_extent fr =
+  let extent = fr.(fr_extent) and cross = fr.(fr_cross) in
+  let at_a = fr.(fr_at_a) and at_b = fr.(fr_at_b) in
+  let am_a = fr.(fr_am_a) and am_b = fr.(fr_am_b) in
+  let mac_min_a = fr.(fr_mac_a) and mac_min_b = fr.(fr_mac_b) in
   let total_at = at_a +. at_b in
   let share = if total_at > 0.0 then extent *. (at_a /. total_at) else extent /. 2.0 in
   (* Stage 1: respect minimum areas when feasible. *)
   let lo_am = if cross > 0.0 then am_a /. cross else 0.0 in
   let hi_am = if cross > 0.0 then extent -. (am_b /. cross) else extent in
   let s1 =
-    if lo_am <= hi_am then Util.Stat.clamp ~lo:lo_am ~hi:hi_am share
+    if lo_am <= hi_am then clamp lo_am hi_am share
     else if am_a +. am_b > 0.0 then extent *. (am_a /. (am_a +. am_b))
     else share
   in
   (* Stage 2: macro minima override. *)
   let lo_mac = mac_min_a and hi_mac = extent -. mac_min_b in
   let s2 =
-    if lo_mac <= hi_mac then Util.Stat.clamp ~lo:lo_mac ~hi:hi_mac s1
+    if lo_mac <= hi_mac then clamp lo_mac hi_mac s1
     else if mac_min_a +. mac_min_b > 0.0 then
       extent *. (mac_min_a /. (mac_min_a +. mac_min_b))
     else s1
   in
-  let s2 = Util.Stat.clamp ~lo:0.0 ~hi:extent s2 in
+  let s2 = clamp 0.0 extent s2 in
   let wa = s2 and wb = extent -. s2 in
-  let viol =
-    { at_shift = abs_float (s2 -. share) *. cross;
-      am_deficit =
-        max 0.0 (am_a -. (wa *. cross)) +. max 0.0 (am_b -. (wb *. cross));
-      macro_deficit =
-        (max 0.0 (mac_min_a -. wa) +. max 0.0 (mac_min_b -. wb)) *. cross }
-  in
-  (s2, viol)
+  fr.(fr_s) <- s2;
+  fr.(fr_at_shift) <- abs_float (s2 -. share) *. cross;
+  fr.(fr_am_deficit) <- pos (am_a -. (wa *. cross)) +. pos (am_b -. (wb *. cross));
+  fr.(fr_macro_deficit) <- (pos (mac_min_a -. wa) +. pos (mac_min_b -. wb)) *. cross
+
+let split_node fr op a na b nb =
+  let x = fr.(fr_x) and y = fr.(fr_y) and w = fr.(fr_w) and h = fr.(fr_h) in
+  let vertical = match op with Polish.V -> true | Polish.H -> false in
+  let extent = if vertical then w else h in
+  fr.(fr_extent) <- extent;
+  fr.(fr_cross) <- (if vertical then h else w);
+  macro_min_extent fr a na ~width:vertical ~mac:fr_mac_a ~def:fr_def_a;
+  macro_min_extent fr b nb ~width:vertical ~mac:fr_mac_b ~def:fr_def_b;
+  split_extent fr;
+  let s = fr.(fr_s) in
+  let frac = clamp 0.0 1.0 (if extent > 0.0 then s /. extent else 0.5) in
+  (* Child rects exactly as [Rect.split_v]/[split_h] derive them. *)
+  fr.(fr_ax) <- x;
+  fr.(fr_ay) <- y;
+  if vertical then begin
+    let wl = w *. frac in
+    fr.(fr_aw) <- wl;
+    fr.(fr_ah) <- h;
+    fr.(fr_bx) <- x +. wl;
+    fr.(fr_by) <- y;
+    fr.(fr_bw) <- w -. wl;
+    fr.(fr_bh) <- h
+  end
+  else begin
+    let hb = h *. frac in
+    fr.(fr_aw) <- w;
+    fr.(fr_ah) <- hb;
+    fr.(fr_bx) <- x;
+    fr.(fr_by) <- y +. hb;
+    fr.(fr_bw) <- w;
+    fr.(fr_bh) <- h -. hb
+  end
+
+let leaf_deficit fr pts n =
+  fr.(fr_leaf_deficit) <-
+    (if Curve.fits_box pts n fr fr_w then 0.0
+     else if Curve.min_area_box pts n fr ~out:fr_cw then begin
+       let cw = fr.(fr_cw) and ch = fr.(fr_ch) in
+       let by_w = (cw -. fr.(fr_w)) *. ch and by_h = (ch -. fr.(fr_h)) *. cw in
+       let need = if by_w <= by_h then by_w else by_h in
+       let need = if need <= 0.0 then abs_float need else need in
+       if 1e-9 >= need then 1e-9 else need
+     end
+     else 0.0)
 
 let add_viol a b =
   { at_shift = a.at_shift +. b.at_shift;
     am_deficit = a.am_deficit +. b.am_deficit;
     macro_deficit = a.macro_deficit +. b.macro_deficit }
-
-(* Minimum extent along the cut axis for a subtree inside cross dimension
-   [cross]; pairs the extent with any unavoidable macro deficit when no
-   curve point respects [cross]. *)
-let macro_min_extent curve ~cross ~axis =
-  let q =
-    match axis with
-    | `Width -> Curve.min_width curve ~h:cross
-    | `Height -> Curve.min_height curve ~w:cross
-  in
-  match q with
-  | Some m -> (m, 0.0)
-  | None ->
-    (* Even unlimited extent cannot fit: charge the smallest curve box's
-       cross overflow as macro deficit and require its axis extent. *)
-    (match Curve.min_area_point curve with
-    | None -> (0.0, 0.0)
-    | Some (w, h) ->
-      let need_axis, need_cross = match axis with `Width -> (w, h) | `Height -> (h, w) in
-      (need_axis, max 0.0 (need_cross -. cross) *. need_axis))
 
 (* ---- per-leaf attribution ------------------------------------------ *)
 
@@ -203,63 +289,57 @@ let evaluate_attributed expr ~leaves ~budget =
      and [Inc] reproduces its floats. The [charge] calls write only into
      [per_leaf]; every float feeding [rects]/[viol] is independent of
      them. *)
+  let fr = frame () in
   let rec place t (r : Rect.t) =
     match t with
     | Leaf l ->
       (* Leaf macro fit check. *)
-      let deficit =
-        if Curve.fits l.curve ~w:r.Rect.w ~h:r.Rect.h then 0.0
-        else begin
-          match Curve.min_area_point l.curve with
-          | None -> 0.0
-          | Some (w, h) ->
-            let need = min ((w -. r.Rect.w) *. h) ((h -. r.Rect.h) *. w) in
-            let need = if need <= 0.0 then abs_float need else need in
-            max 1e-9 need
-        end
-      in
+      fr.(fr_w) <- r.Rect.w;
+      fr.(fr_h) <- r.Rect.h;
+      leaf_deficit fr (l.curve :> float array) (Curve.size l.curve);
+      let deficit = fr.(fr_leaf_deficit) in
       viol := add_viol !viol { no_violations with macro_deficit = deficit };
       per_leaf.(l.lid) <-
         add_viol per_leaf.(l.lid) { no_violations with macro_deficit = deficit };
       rects := (l.lid, r) :: !rects
     | Node { op; l; r = rt; _ } ->
-      let axis = match op with Polish.V -> `Width | Polish.H -> `Height in
-      let extent, cross =
-        match op with
-        | Polish.V -> (r.Rect.w, r.Rect.h)
-        | Polish.H -> (r.Rect.h, r.Rect.w)
-      in
-      let mac_a, def_a = macro_min_extent (curve_of l) ~cross ~axis in
-      let mac_b, def_b = macro_min_extent (curve_of rt) ~cross ~axis in
+      fr.(fr_x) <- r.Rect.x;
+      fr.(fr_y) <- r.Rect.y;
+      fr.(fr_w) <- r.Rect.w;
+      fr.(fr_h) <- r.Rect.h;
+      fr.(fr_at_a) <- at_of l;
+      fr.(fr_at_b) <- at_of rt;
+      fr.(fr_am_a) <- am_of l;
+      fr.(fr_am_b) <- am_of rt;
+      let ca = curve_of l and cb = curve_of rt in
+      split_node fr op (ca :> float array) (Curve.size ca) (cb :> float array) (Curve.size cb);
+      let def_a = fr.(fr_def_a) and def_b = fr.(fr_def_b) in
       viol := add_viol !viol { no_violations with macro_deficit = def_a +. def_b };
       charge per_leaf l { no_violations with macro_deficit = def_a };
       charge per_leaf rt { no_violations with macro_deficit = def_b };
-      let s, dv =
-        split_extent ~extent ~cross ~at_a:(at_of l) ~at_b:(at_of rt) ~am_a:(am_of l)
-          ~am_b:(am_of rt) ~mac_min_a:mac_a ~mac_min_b:mac_b
+      let dv =
+        { at_shift = fr.(fr_at_shift);
+          am_deficit = fr.(fr_am_deficit);
+          macro_deficit = fr.(fr_macro_deficit) }
       in
       viol := add_viol !viol dv;
       (* Per-side decomposition of the split violation: the minimum-area
          addends are exactly the two terms summed inside [split_extent];
          the target shift has no natural side, so it splits evenly; the
          macro terms distribute the shared [cross] factor per side. *)
-      let wa = s and wb = extent -. s in
+      let cross = fr.(fr_cross) in
+      let wa = fr.(fr_s) and wb = fr.(fr_extent) -. fr.(fr_s) in
       let at_half = 0.5 *. dv.at_shift in
       charge per_leaf l
         { at_shift = at_half;
-          am_deficit = max 0.0 (am_of l -. (wa *. cross));
-          macro_deficit = max 0.0 (mac_a -. wa) *. cross };
+          am_deficit = pos (am_of l -. (wa *. cross));
+          macro_deficit = pos (fr.(fr_mac_a) -. wa) *. cross };
       charge per_leaf rt
         { at_shift = dv.at_shift -. at_half;
-          am_deficit = max 0.0 (am_of rt -. (wb *. cross));
-          macro_deficit = max 0.0 (mac_b -. wb) *. cross };
-      let frac = if extent > 0.0 then s /. extent else 0.5 in
-      let frac = Util.Stat.clamp ~lo:0.0 ~hi:1.0 frac in
-      let ra, rb =
-        match op with
-        | Polish.V -> Rect.split_v r frac
-        | Polish.H -> Rect.split_h r frac
-      in
+          am_deficit = pos (am_of rt -. (wb *. cross));
+          macro_deficit = pos (fr.(fr_mac_b) -. wb) *. cross };
+      let ra = { Rect.x = fr.(fr_ax); y = fr.(fr_ay); w = fr.(fr_aw); h = fr.(fr_ah) } in
+      let rb = { Rect.x = fr.(fr_bx); y = fr.(fr_by); w = fr.(fr_bw); h = fr.(fr_bh) } in
       place l ra;
       place rt rb
   in

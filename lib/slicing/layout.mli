@@ -80,21 +80,61 @@ val leaf_of_table : leaf array -> int -> leaf
 val max_curve_points : int
 (** Pruning bound applied to every composed internal-node curve. *)
 
-val macro_min_extent :
-  Shape.Curve.t -> cross:float -> axis:[ `Width | `Height ] -> float * float
-(** Minimum extent along the cut axis for a subtree inside cross
-    dimension [cross], paired with any unavoidable macro deficit when no
-    curve point respects [cross]. *)
+(** {2 The split frame}
 
-val split_extent :
-  extent:float ->
-  cross:float ->
-  at_a:float ->
-  at_b:float ->
-  am_a:float ->
-  am_b:float ->
-  mac_min_a:float ->
-  mac_min_b:float ->
-  float * violations
-(** Size of the first child along the cut axis plus the split's
-    violation delta (see the implementation for the staged clamping). *)
+    One node's inputs and outputs, flat in a [float array]: the full
+    walk and {!Inc} fill a frame, call {!split_node} or {!leaf_deficit}
+    and read the results, so both run the same arithmetic and neither
+    boxes a float per node. The [fr_*] values are slot indices. *)
+
+val frame : unit -> float array
+(** A fresh frame. *)
+
+val fr_x : int
+val fr_y : int
+val fr_w : int
+val fr_h : int
+(** Inputs: the node's rectangle. *)
+
+val fr_at_a : int
+val fr_at_b : int
+val fr_am_a : int
+val fr_am_b : int
+(** Inputs: the two subtrees' target and minimum areas. *)
+
+val fr_def_a : int
+val fr_def_b : int
+(** Outputs: each subtree's unavoidable macro deficit when no point of
+    its curve respects the cross dimension. *)
+
+val fr_at_shift : int
+val fr_am_deficit : int
+val fr_macro_deficit : int
+(** Outputs: the split's violation delta. *)
+
+val fr_ax : int
+val fr_ay : int
+val fr_aw : int
+val fr_ah : int
+val fr_bx : int
+val fr_by : int
+val fr_bw : int
+val fr_bh : int
+(** Outputs: the two children's rectangles, as [Geom.Rect.split_v] /
+    [split_h] derive them. *)
+
+val fr_leaf_deficit : int
+(** Output of {!leaf_deficit}. *)
+
+val split_node : float array -> Polish.op -> float array -> int -> float array -> int -> unit
+(** [split_node fr op a na b nb] splits the node rectangle of [fr] with
+    cut [op] between subtrees whose shape curves are the first [na]
+    points of [a] and [nb] of [b] (flat, see {!Shape.Curve.merge}):
+    minimum extents, then the staged split (target-area share, minimum
+    areas when feasible, macro minima), its violation delta and the
+    child rectangles. *)
+
+val leaf_deficit : float array -> float array -> int -> unit
+(** [leaf_deficit fr pts n]: the macro deficit of a leaf whose curve is
+    the first [n] points of [pts] inside a [fr_w] x [fr_h] box, into
+    [fr_leaf_deficit] (0 when a curve point fits). *)

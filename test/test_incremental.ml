@@ -60,10 +60,12 @@ let random_budget rng =
 
 (* One incremental evaluation checked bitwise against the full one. *)
 let check_step inc expr ~leaves ~budget =
-  let vi = Inc.evaluate inc expr in
+  Inc.evaluate inc expr;
+  let vi = Inc.violations inc and tot = Inc.totals inc in
   let p = Layout.evaluate expr ~leaves ~budget in
   let rects = Inc.rects inc and cx = Inc.centers_x inc and cy = Inc.centers_y inc in
-  beq_viol vi (Inc.violations inc)
+  beq_viol vi
+    { Layout.at_shift = tot.(0); am_deficit = tot.(1); macro_deficit = tot.(2) }
   && beq_viol vi p.Layout.viol
   && List.length p.Layout.rects = Array.length leaves
   && List.for_all
@@ -267,6 +269,107 @@ let test_asymmetric_affinity_rejected () =
       (Some "asymmetric-affinity") (diag_code e)
   | _ -> Alcotest.fail "NaN affinity weight was accepted"
 
+(* ---- allocation budget of the annealing move ------------------------ *)
+
+(* A fixed 7-block instance: soft blocks, two-point macro curves and a
+   four-point staircase, with two fixed endpoints. *)
+let alloc_instance () =
+  let n = 7 in
+  let budget = Rect.make ~x:0.0 ~y:0.0 ~w:40.0 ~h:30.0 in
+  let blocks =
+    Array.init n (fun i ->
+        let curve =
+          match i mod 3 with
+          | 0 -> Curve.unconstrained
+          | 1 ->
+            Curve.of_macro ~w:(3.0 +. float_of_int i) ~h:(2.0 +. float_of_int (i mod 2)) ()
+          | _ -> Curve.of_points [ (2.0, 9.0); (4.0, 5.0); (7.0, 3.0); (10.0, 2.0) ]
+        in
+        let am = 60.0 +. (10.0 *. float_of_int i) in
+        { Hidap.Block.idx = i; ht_id = i; name = Printf.sprintf "b%d" i; curve; am;
+          at = am *. 1.2; macro_count = i mod 3 })
+  in
+  let fixed_pos = [| Point.make 0.0 0.0; Point.make 40.0 30.0 |] in
+  let total = n + Array.length fixed_pos in
+  let affinity = Array.make_matrix total total 0.0 in
+  for i = 0 to total - 1 do
+    for j = i + 1 to total - 1 do
+      if (i + j) mod 3 <> 0 then begin
+        let w = 1.0 +. float_of_int ((i * j) mod 4) in
+        affinity.(i).(j) <- w;
+        affinity.(j).(i) <- w
+      end
+    done
+  done;
+  (blocks, affinity, fixed_pos, budget)
+
+(* 10k perturb + incremental-cost steps on a warm evaluator. Before the
+   inner loop was made allocation-free this walk allocated 6.9M minor
+   words (691 per step: boxed curve points, float arguments and
+   accumulators, copying moves, a boxed RNG state); it now allocates
+   about 0.2M — the returned expression copy and the boxed cost. The
+   bound, 0.4M, fails as soon as boxing per tree node comes back. *)
+let test_move_allocation_budget () =
+  let blocks, affinity, fixed_pos, budget = alloc_instance () in
+  let cost =
+    LG.annealing_cost ~config:Hidap.Config.default ~blocks ~affinity ~fixed_pos ~budget
+  in
+  let rng = Util.Rng.create 5 in
+  let expr = ref (Polish.initial_random rng ~n:(Array.length blocks)) in
+  let sum = ref 0.0 in
+  let step () =
+    let e = Polish.perturb rng !expr in
+    sum := !sum +. cost e;
+    expr := e
+  in
+  for _ = 1 to 100 do
+    step ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    step ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "walk cost is finite" true (Float.is_finite !sum);
+  if words > 400_000.0 then
+    Alcotest.failf "10k annealing moves allocated %.0f minor words (bound 400000)" words
+
+(* ---- golden placement ------------------------------------------------ *)
+
+(* MD5 of the c1 placement (the benchmark's seed-1 circuit: generator
+   seed moved by 1000, through HNL text) at lambda = 0.5, macros printed
+   with %h — the exact floats. Pinned from the code before the annealing
+   loop was made allocation-free, so every later refactor of the
+   evaluation must keep placements bit for bit. Runs at the ambient job
+   count (placements do not depend on it). *)
+let golden_c1_digest = "e64014df466d4856df4044f4ee3f5c40"
+
+let test_golden_c1_placement () =
+  let c = Option.get (Circuitgen.Suite.find "c1") in
+  let params = { c.Circuitgen.Suite.params with seed = c.Circuitgen.Suite.params.seed + 1000 } in
+  let text = Hnl.Printer.to_string (Circuitgen.Gen.generate params) in
+  let design =
+    match Hnl.Parser.parse_string text with
+    | Ok d -> d
+    | Error _ -> Alcotest.fail "generated c1 does not parse"
+  in
+  let flat = Netlist.Flat.elaborate design in
+  let config =
+    { Hidap.Config.default with Hidap.Config.seed = 1; lambda = 0.5; lambda_sweep = [ 0.5 ] }
+  in
+  let r = Hidap.place ~config ~die:(Hidap.die_for flat ~config) flat in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (p : Hidap.macro_placement) ->
+      let q = p.Hidap.rect in
+      Buffer.add_string b
+        (Printf.sprintf "%d %h %h %h %h %s\n" p.Hidap.fid q.Rect.x q.Rect.y q.Rect.w q.Rect.h
+           (Geom.Orientation.to_string p.Hidap.orient)))
+    r.Hidap.placements;
+  Alcotest.(check int) "32 macros" 32 (List.length r.Hidap.placements);
+  Alcotest.(check string) "c1 placement digest" golden_c1_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [ ( "incremental",
       [ inc_matches_full_random_walk; inc_matches_full_per_move;
@@ -274,4 +377,8 @@ let suite =
         Alcotest.test_case "sa_starts honored exactly" `Quick
           test_sa_starts_honored;
         Alcotest.test_case "asymmetric affinity rejected" `Quick
-          test_asymmetric_affinity_rejected ] ) ]
+          test_asymmetric_affinity_rejected;
+        Alcotest.test_case "annealing move allocation budget" `Quick
+          test_move_allocation_budget;
+        Alcotest.test_case "golden c1 placement digest" `Quick
+          test_golden_c1_placement ] ) ]

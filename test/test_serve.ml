@@ -452,6 +452,13 @@ let test_serve_done_result_report () =
   (match wait_state cl id with
   | P.Done -> ()
   | s -> Alcotest.failf "job ended %s" (P.state_to_string s));
+  (* the daemon drops a done job's netlist from memory, never from
+     job.json *)
+  (match Serve.Job.load ~state_dir:d.state_dir id with
+  | Ok j ->
+    Alcotest.(check bool) "job.json keeps the netlist" true
+      (j.Serve.Job.spec.P.hnl = Some (Lazy.force fig1_hnl))
+  | Error e -> Alcotest.failf "job.json unreadable: %s" e);
   (* the QoR ledger and the HTML report are served back *)
   let qor = ok (Serve.Client.result cl id) in
   (match J.member "records" qor with

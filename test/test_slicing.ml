@@ -167,6 +167,163 @@ let m1_preserves = move_preserves_invariants "M1" Polish.move_m1
 let m2_preserves = move_preserves_invariants "M2" Polish.move_m2
 let m3_preserves = move_preserves_invariants "M3" Polish.move_m3
 
+(* ---- move oracle ---------------------------------------------------- *)
+
+(* The list/copy formulation of M1/M2/M3 and [perturb] that the
+   scanning, copy-light moves replaced, kept as their reference: it
+   builds the candidate arrays the moves pick from, copies the
+   expression on every M3 attempt and checks normalization on the copy. *)
+module Ref_moves = struct
+  open Polish
+
+  let flip = function H -> V | V -> H
+
+  let is_operand = function Operand _ -> true | Operator _ -> false
+
+  let is_normalized e =
+    let n = Array.length e in
+    if n = 0 then false
+    else begin
+      let ok = ref true in
+      let operands = ref 0 and operators = ref 0 in
+      for i = 0 to n - 1 do
+        (match e.(i) with
+        | Operand _ -> incr operands
+        | Operator o ->
+          incr operators;
+          if i > 0 then
+            (match e.(i - 1) with Operator o' when o' = o -> ok := false | _ -> ()));
+        if !operators >= !operands then ok := false
+      done;
+      !ok && !operands = !operators + 1
+    end
+
+  let move_m1 rng t =
+    let n = Array.fold_left (fun acc e -> if is_operand e then acc + 1 else acc) 0 t in
+    if n < 2 then None
+    else begin
+      let positions = Array.make n 0 in
+      let k = ref 0 in
+      Array.iteri
+        (fun i e ->
+          if is_operand e then begin
+            positions.(!k) <- i;
+            incr k
+          end)
+        t;
+      let i = Util.Rng.int rng (n - 1) in
+      let p = positions.(i) and q = positions.(i + 1) in
+      let e = Array.copy t in
+      let tmp = e.(p) in
+      e.(p) <- e.(q);
+      e.(q) <- tmp;
+      Some e
+    end
+
+  let move_m2 rng t =
+    let len = Array.length t in
+    let chain_starts = ref [] in
+    for i = 0 to len - 1 do
+      match t.(i) with
+      | Operator _ when i = 0 || is_operand t.(i - 1) -> chain_starts := i :: !chain_starts
+      | Operator _ | Operand _ -> ()
+    done;
+    match !chain_starts with
+    | [] -> None
+    | starts ->
+      let starts = Array.of_list starts in
+      let s = Util.Rng.pick rng starts in
+      let e = Array.copy t in
+      let i = ref s in
+      while !i < len && match e.(!i) with Operator _ -> true | Operand _ -> false do
+        (match e.(!i) with
+        | Operator o -> e.(!i) <- Operator (flip o)
+        | Operand _ -> assert false);
+        incr i
+      done;
+      Some e
+
+  let move_m3 rng t =
+    let len = Array.length t in
+    if len < 3 then None
+    else begin
+      let attempt () =
+        let i = Util.Rng.int rng (len - 1) in
+        let a = t.(i) and b = t.(i + 1) in
+        let swappable =
+          match (a, b) with
+          | Operand _, Operator _ | Operator _, Operand _ -> true
+          | Operand _, Operand _ | Operator _, Operator _ -> false
+        in
+        if not swappable then None
+        else begin
+          let e = Array.copy t in
+          e.(i) <- b;
+          e.(i + 1) <- a;
+          if is_normalized e then Some e else None
+        end
+      in
+      let rec try_n k =
+        if k = 0 then None else match attempt () with Some e -> Some e | None -> try_n (k - 1)
+      in
+      try_n 16
+    end
+
+  let perturb rng t =
+    let moves = [| move_m1; move_m2; move_m3 |] in
+    let order = [| 0; 1; 2 |] in
+    Util.Rng.shuffle rng order;
+    let rec go i =
+      if i >= Array.length order then t
+      else match moves.(order.(i)) rng t with Some e -> e | None -> go (i + 1)
+    in
+    go 0
+end
+
+(* Random normalized expressions with n = 1..17 operands: a random
+   operand order on the alternating chain, walked by reference moves. *)
+let random_normalized rng =
+  let n = 1 + Util.Rng.int rng 17 in
+  let e = ref (Polish.elements (Polish.initial_random rng ~n)) in
+  for _ = 1 to Util.Rng.int rng 40 do
+    e := Ref_moves.perturb rng !e
+  done;
+  Polish.of_elements !e
+
+let moves_match_reference =
+  qtest ~count:300 "M1/M2/M3/perturb equal the reference moves, draw for draw"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let ok = ref true in
+      for _ = 1 to 20 do
+        let t = random_normalized rng in
+        let elems = Polish.elements t in
+        let same move reference =
+          let r1 = Util.Rng.copy rng and r2 = Util.Rng.copy rng in
+          let got = move r1 t and want = reference r2 elems in
+          got = want && Util.Rng.state r1 = Util.Rng.state r2
+        in
+        let opt m rng t = Option.map Polish.elements (m rng t) in
+        ok :=
+          !ok
+          && same (opt Polish.move_m1) Ref_moves.move_m1
+          && same (opt Polish.move_m2) Ref_moves.move_m2
+          && same (opt Polish.move_m3) Ref_moves.move_m3
+          && same (fun rng t -> Polish.elements (Polish.perturb rng t)) Ref_moves.perturb
+          && Polish.is_normalized elems = Ref_moves.is_normalized elems;
+        (* normalization of an arbitrary adjacent swap, legal or not *)
+        let len = Array.length elems in
+        if len >= 2 then begin
+          let i = Util.Rng.int rng (len - 1) in
+          let e = Array.copy elems in
+          e.(i) <- elems.(i + 1);
+          e.(i + 1) <- elems.(i);
+          ok := !ok && Polish.is_normalized e = Ref_moves.is_normalized e
+        end
+      done;
+      !ok)
+
 (* M1 swaps adjacent operands: every operator stays at its position with
    its value. *)
 let m1_touches_operands_only =
@@ -333,7 +490,7 @@ let suite =
         Alcotest.test_case "normalization check" `Quick test_is_normalized_rejects_skew;
         Alcotest.test_case "single operand perturb" `Quick test_perturb_single_operand;
         perturb_preserves_normalization; m1_preserves; m2_preserves; m3_preserves;
-        m1_touches_operands_only; m2_touches_operators_only ] );
+        m1_touches_operands_only; m2_touches_operators_only; moves_match_reference ] );
     ( "slicing.layout",
       [ Alcotest.test_case "fig8 regression" `Quick test_fig8_regression;
         Alcotest.test_case "two-leaf cuts" `Quick test_two_leaf_cuts;
