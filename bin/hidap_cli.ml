@@ -190,7 +190,8 @@ let trace_arg =
 
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"OUT.json"
-         ~doc:"Write flow metrics (counters, gauges, histograms, series) as JSON.")
+         ~doc:"Write flow metrics as JSON: the run's counters (the values \
+               $(b,--perf-out) reports), gauges, histograms and series.")
 
 let profile_arg =
   Arg.(value & flag & info [ "profile" ]
@@ -209,10 +210,11 @@ let profile_out_arg =
 
 let perf_out_arg =
   Arg.(value & opt (some string) None & info [ "perf-out" ] ~docv:"OUT.json"
-         ~doc:"Write the hot-path perf counters (SA moves/accepts/rejects/\
-               reheats, cost evaluations), pool utilization and throughput as \
-               JSON. The merged counters are bit-identical for every --jobs \
-               value.")
+         ~doc:"Write the run's counters (SA moves/accepts/rejects/reheats, \
+               cost evaluations, floorplan instances and the per-stage \
+               counters; the same values as the $(b,--metrics) counters), \
+               pool utilization and throughput as JSON. The merged counters \
+               are bit-identical for every --jobs value.")
 
 let progress_file_arg =
   Arg.(value & opt (some string) None & info [ "progress-file" ] ~docv:"OUT.ndjson"
@@ -293,10 +295,11 @@ let perf_out_json (p : Qor.Record.perf_info) =
       ("perf", Qor.Record.perf_info_json p) ]
 
 (* Run [f] with the observability layer active when any output was
-   requested; otherwise run it with the default no-op sink. [after] is
-   called once the trace is finished and the metric sinks are written,
-   with the spans and the still-populated global registry — the QoR
-   ledger hook. *)
+   requested; otherwise run it with the default no-op sink. Active
+   means spans, metrics and the perf counters, all reset before [f]
+   parses anything. [after] is called once the trace is finished and
+   the metric sinks are written, with the spans and the still-populated
+   global registry — the QoR ledger hook. *)
 let with_obs ~trace ~metrics ~profile ?(force = false) ?(after = fun _ _ -> ()) f =
   let trace_out = Option.map (open_output ~what:"trace") trace in
   let metrics_out = Option.map (open_output ~what:"metrics") metrics in
@@ -305,11 +308,15 @@ let with_obs ~trace ~metrics ~profile ?(force = false) ?(after = fun _ _ -> ()) 
   else begin
     Obs.Trace.start ();
     Obs.Metrics.set_enabled true;
+    Obs.Perf.reset Obs.Perf.global;
+    Obs.Perf.set_enabled true;
     let finish () =
       let spans = Obs.Trace.finish () in
       Obs.Metrics.set_enabled false;
+      Obs.Perf.set_enabled false;
       write_output "trace" trace_out (Obs.Trace.to_chrome_json spans);
-      write_output "metrics" metrics_out (Obs.Metrics.to_json Obs.Metrics.global);
+      write_output "metrics" metrics_out
+        (Obs.Metrics.to_json ~counters:Obs.Perf.global Obs.Metrics.global);
       if profile then prerr_string (Obs.Trace.summary spans);
       after spans Obs.Metrics.global;
       Obs.Metrics.reset Obs.Metrics.global
@@ -377,12 +384,11 @@ let place_cmd =
     let profile_out = Option.map (open_output ~what:"profile") profile_out in
     let perf_out = Option.map (open_output ~what:"perf") perf_out in
     let progress = open_progress ~progress_file ~progress_fd in
-    (* Perf counters piggyback on any structured output request; they
-       are cheap (one gated add per SA move) and deterministic, so the
-       outputs agree regardless of which one asked. *)
-    let want_perf =
-      Option.is_some perf_out || Option.is_some qor_out || Option.is_some metrics
-    in
+    (* The perf section goes to --perf-out and the QoR record; the
+       counters it reports are the ones [with_obs] enables for every
+       instrumented run, so the outputs agree regardless of which one
+       asked. *)
+    let want_perf = Option.is_some perf_out || Option.is_some qor_out in
     let captured = ref None in
     let perf_captured = ref None in
     let after spans registry =
@@ -399,7 +405,7 @@ let place_cmd =
        outputs are written even for degraded or audit-failing runs. *)
     let run_body () =
       with_obs ~trace ~metrics ~profile
-        ~force:(Option.is_some qor_out || Option.is_some profile_out)
+        ~force:(want_perf || Option.is_some profile_out)
         ~after
       @@ fun () ->
       let name, design = design_of ~strict ~file ~circuit in
@@ -418,10 +424,6 @@ let place_cmd =
         | None -> ());
         Obs.Stream.run_start ~circuit:name ~seed:config.Hidap.Config.seed
           ~jobs:config.Hidap.Config.jobs;
-        if want_perf then begin
-          Obs.Perf.reset Obs.Perf.global;
-          Obs.Perf.set_enabled true
-        end;
         Parexec.reset_pool_stats ();
         let t0 = Obs.Clock.now_s () in
         let session = ref None in
@@ -499,7 +501,6 @@ let place_cmd =
             !session
         in
         let wall_s = Obs.Clock.now_s () -. t0 in
-        if want_perf then Obs.Perf.set_enabled false;
         let samples = if Obs.Sampler.running () then Obs.Sampler.stop () else [] in
         (match profile_out with
         | Some (path, oc) ->
@@ -1207,15 +1208,12 @@ let diff_cmd =
 
 (* ---- bench -------------------------------------------------------- *)
 
-let default_speed_baselines = Filename.concat "bench" "speed_baselines.json"
-
 let bench_cmd =
-  let run circuits baselines update jobs qor report_out speed_out =
+  let run circuits baselines update jobs qor report_out =
     let qor_out = Option.map (open_output ~what:"qor") qor in
-    let speed_out = Option.map (open_output ~what:"speed") speed_out in
     let names = String.split_on_char ',' circuits |> List.filter (fun s -> s <> "") in
-    let per_circuit =
-      List.map
+    let records =
+      List.concat_map
         (fun name ->
           match Circuitgen.Suite.find name with
           | None -> die_usage "unknown suite circuit %s (c1..c8)" name
@@ -1227,22 +1225,13 @@ let bench_cmd =
             in
             Obs.Metrics.reset Obs.Metrics.global;
             Obs.Metrics.set_enabled true;
-            Obs.Perf.reset Obs.Perf.global;
-            Obs.Perf.set_enabled true;
-            let gc_before = Obs.Gcstats.snapshot () in
             Obs.Trace.start ();
             let res =
               Fun.protect
-                ~finally:(fun () ->
-                  Obs.Metrics.set_enabled false;
-                  Obs.Perf.set_enabled false)
+                ~finally:(fun () -> Obs.Metrics.set_enabled false)
                 (fun () -> Evalflow.run_all ~config ~name design)
             in
             let spans = Obs.Trace.finish () in
-            let gc_delta =
-              Obs.Gcstats.diff ~before:gc_before ~after:(Obs.Gcstats.snapshot ())
-            in
-            let sa_moves = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_moves in
             let records =
               Qor.Record.of_eval ~circuit:name ~flat ~config ~spans
                 ~registry:Obs.Metrics.global res
@@ -1250,39 +1239,10 @@ let bench_cmd =
             Obs.Metrics.reset Obs.Metrics.global;
             Format.printf "bench %s: %d cells, %d macros, %d flows@." name
               res.Evalflow.cells res.Evalflow.macro_count (List.length records);
-            (* Throughput of the HiDaP leg: its measured runtime against
-               the deterministic move count of the whole sweep. *)
-            let wall_s =
-              List.fold_left
-                (fun acc (r : Qor.Record.t) ->
-                  if r.Qor.Record.flow = "HiDaP" then
-                    acc +. r.Qor.Record.qm.Qor.Record.runtime_s
-                  else acc)
-                0.0 records
-            in
-            (* Peak RSS is process-wide and monotone: in a multi-circuit
-               run each entry records the high-water mark so far. *)
-            let entry =
-              Qor.Speed.entry ~peak_rss_kb:(Obs.Gcstats.peak_rss_kb ())
-                ~major_words:gc_delta.Obs.Gcstats.major_words ~circuit:name ~wall_s
-                ~sa_moves ()
-            in
-            (records, entry))
+            records)
         names
     in
-    let records = List.concat_map fst per_circuit in
-    let speed = { Qor.Speed.entries = List.map snd per_circuit } in
     write_output "qor" qor_out (Qor.Record.ledger_json records);
-    write_output "speed" speed_out (Qor.Speed.to_json speed);
-    (* Speed comparison against the committed per-circuit baseline:
-       report-only by design — wall-clock is machine-dependent, so it
-       informs but never gates. *)
-    if Sys.file_exists default_speed_baselines then begin
-      match Qor.Speed.load default_speed_baselines with
-      | Ok base ->
-        print_string (Qor.Speed.render (Qor.Speed.compare_to ~baseline:base speed))
-      | Error msg -> Format.eprintf "hidap: %s (speed comparison skipped)@." msg
-    end;
     let baselines_path = Option.value ~default:default_baselines baselines in
     if update then begin
       Qor.Baseline.write baselines_path (Qor.Baseline.of_records records);
@@ -1324,20 +1284,11 @@ let bench_cmd =
     Arg.(value & opt (some string) None & info [ "report" ] ~docv:"OUT.html"
            ~doc:"Also write a self-contained HTML report of the run.")
   in
-  let speed_out_arg =
-    Arg.(value & opt (some string) None & info [ "speed-out" ] ~docv:"OUT.json"
-           ~doc:(Printf.sprintf
-                   "Write per-circuit throughput (wall-clock, SA moves, \
-                    moves/sec) as a hidap-speed JSON document. When %s exists \
-                    a report-only comparison against it is printed (never a \
-                    gate: wall-clock is machine-dependent)."
-                   default_speed_baselines))
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Run suite circuits through all flows and gate QoR against baselines")
     Term.(const run $ circuits_arg $ baselines_arg $ update_arg $ jobs_arg $ qor_arg
-          $ report_arg $ speed_out_arg)
+          $ report_arg)
 
 (* ---- serve / submit / jobs ---------------------------------------- *)
 

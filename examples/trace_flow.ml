@@ -1,12 +1,14 @@
-(* Trace a full HiDaP run: enable the span recorder and the metrics
-   registry, place suite circuit c1', then print the stage tree and the
-   per-level SA convergence telemetry, and export both as JSON.
+(* Trace a full HiDaP run: enable the span recorder, the metrics
+   registry and the perf counters, place suite circuit c1', then print
+   the stage tree and the per-level SA convergence telemetry, and
+   export both as JSON.
 
    Run with: dune exec examples/trace_flow.exe
 
    Output files (written to the current directory):
      trace_c1.json   - Chrome trace (load in chrome://tracing or Perfetto)
-     metrics_c1.json - metrics registry dump (counters/gauges/histograms/series)
+     metrics_c1.json - metrics document (perf counters, gauges, histograms,
+                       series)
 
    The same instrumentation backs `hidap place --trace/--metrics/--profile`;
    this example shows how to drive it from the library API. *)
@@ -19,10 +21,12 @@ let () =
     Netlist.Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params)
   in
 
-  (* 1. Turn observability on. Both sinks are global and off by default,
+  (* 1. Turn observability on. The sinks are global and off by default,
      so library code pays nothing until this point. *)
   Obs.Metrics.reset Obs.Metrics.global;
   Obs.Metrics.set_enabled true;
+  Obs.Perf.reset Obs.Perf.global;
+  Obs.Perf.set_enabled true;
   Obs.Trace.start ();
 
   (* 2. Run the flow exactly as usual - the stages instrument themselves. *)
@@ -31,6 +35,7 @@ let () =
   (* 3. Collect. [finish] returns the completed span forest. *)
   let spans = Obs.Trace.finish () in
   Obs.Metrics.set_enabled false;
+  Obs.Perf.set_enabled false;
 
   Format.printf "placed %d macros on c1' (lambda=%.1f)@.@."
     (List.length result.Hidap.placements)
@@ -57,5 +62,6 @@ let () =
 
   (* 6. Export both views as JSON. *)
   Obs.Trace.write_chrome_file "trace_c1.json" spans;
-  Obs.Jsonx.write_file "metrics_c1.json" (Obs.Metrics.to_json Obs.Metrics.global);
+  Obs.Jsonx.write_file "metrics_c1.json"
+    (Obs.Metrics.to_json ~counters:Obs.Perf.global Obs.Metrics.global);
   Format.printf "@.wrote trace_c1.json and metrics_c1.json@."

@@ -279,7 +279,7 @@ let run_body ~params ~flat ~macros ~port_pos ~die =
 
 let run ?(params = default_params) ~flat ~macros ~port_pos ~die () =
   Obs.Span.with_ ~name:"cellplace.run" (fun () ->
-      Obs.Metrics.counter "cellplace.runs" 1;
+      Obs.Perf.add Obs.Perf.cellplace_runs 1;
       Guard.Supervisor.protect ~stage:"cellplace.run"
         ~fallback:(fun _ ->
           let positions, movable = seed_state ~flat ~macros ~port_pos ~die in

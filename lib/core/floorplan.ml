@@ -316,8 +316,7 @@ and instance_body ctx ~nh ~budget ~depth =
     Obs.Span.attr_int "blocks" n_blocks;
     Obs.Span.attr_int "sa_moves" inst_moves;
     Obs.Perf.add Obs.Perf.fp_instances 1;
-    Obs.Metrics.counter "floorplan.instances" 1;
-    Obs.Metrics.counter "floorplan.sa_moves" inst_moves;
+    Obs.Perf.add Obs.Perf.fp_sa_moves inst_moves;
     Obs.Metrics.sample "floorplan.block_count" (float_of_int n_blocks);
     (* Record rectangles; update provisional macro positions. *)
     let positions = Array.append (Array.map Rect.center rects) fixed_pos in

@@ -137,8 +137,7 @@ let place_body ~config ~die ?ckpt flat =
     if Guard.Supervisor.degraded () then repair_placements ~die flat placements
     else placements
   in
-  Obs.Metrics.counter "hidap.places" 1;
-  Obs.Metrics.counter "hidap.sa_moves" fp.Floorplan.sa_moves_total;
+  Obs.Perf.add Obs.Perf.hidap_places 1;
   Obs.Metrics.gauge "hidap.macros_placed" (float_of_int (List.length placements));
   Obs.Metrics.gauge "hidap.die_area" (Rect.area die);
   if Obs.Metrics.enabled () then Obs.Gcstats.gauges (Obs.Gcstats.snapshot ());

@@ -29,8 +29,8 @@ let combine_children ~config ~rng child_curves child_areas =
         ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
         ~params:config.Config.curve_sa ()
     in
-    Obs.Metrics.counter "shape_curves.combines" 1;
-    Obs.Metrics.counter "shape_curves.sa_moves" result.Anneal.Sa.moves;
+    Obs.Perf.add Obs.Perf.sc_combines 1;
+    Obs.Perf.add Obs.Perf.sc_sa_moves result.Anneal.Sa.moves;
     let best = Slicing.Layout.tree_curve result.Anneal.Sa.best ~leaves in
     (* Also keep the initial arrangement's shapes for diversity. *)
     let fallback = Slicing.Layout.tree_curve init ~leaves in

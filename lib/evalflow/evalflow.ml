@@ -21,6 +21,7 @@ type run = {
   macros : Cellplace.macro_place list;
   placement : Cellplace.t;
   lambda_used : float option;
+  sa_moves : int;
   sweep_trace : (float * float) list;
 }
 
@@ -106,7 +107,7 @@ let to_cp_macros placements =
 
 let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
   let t0 = Obs.Clock.now_s () in
-  let macros, lambda_used, sweep_trace =
+  let macros, lambda_used, sa_moves, sweep_trace =
     match kind with
     | IndEDA ->
       let pl = Baselines.Indeda.place ~flat ~gseq ~die () in
@@ -116,6 +117,7 @@ let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
               orient = p.Baselines.Indeda.orient })
           pl,
         None,
+        0,
         [] )
     | HandFP ->
       (* The expert-oracle protocol: engineers iterate for weeks against
@@ -150,7 +152,7 @@ let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
           (fun (bm, bw) (m, w) -> if w < bw then (m, w) else (bm, bw))
           (List.hd candidates) (List.tl candidates)
       in
-      (fst best, None, [])
+      (fst best, None, 0, [])
     | HiDaP ->
       let objective r =
         let m, _ = measure ~flat ~gseq ~ports ~die ~macros:(to_cp_macros r.Hidap.placements) in
@@ -159,6 +161,7 @@ let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
       let sw = Hidap.place_sweep ~config ~die ~objective flat in
       ( to_cp_macros sw.Hidap.best.Hidap.placements,
         Some sw.Hidap.best.Hidap.lambda,
+        sw.Hidap.best.Hidap.sa_moves,
         sw.Hidap.sweep_trace )
   in
   let runtime_s = Obs.Clock.now_s () -. t0 in
@@ -178,6 +181,7 @@ let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
     macros;
     placement = cp;
     lambda_used;
+    sa_moves;
     sweep_trace }
 
 let run_flow kind ?(config = Hidap.Config.default) ~flat ~gseq ~ports ~die () =

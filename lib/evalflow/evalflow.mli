@@ -32,6 +32,9 @@ type run = {
   macros : Cellplace.macro_place list;
   placement : Cellplace.t;
   lambda_used : float option;  (** HiDaP only *)
+  sa_moves : int;
+      (** HiDaP only: the winning λ's [Hidap.result.sa_moves] (0 for
+          the other flows) *)
   sweep_trace : (float * float) list;
       (** HiDaP only: every (λ, objective) of the sweep, losing runs
           included ([] for the other flows) *)

@@ -176,7 +176,7 @@ let design st =
 let parse_string src =
   Obs.Span.with_ ~name:"hnl.parse" (fun () ->
       Obs.Span.attr_int "bytes" (String.length src);
-      Obs.Metrics.counter "hnl.bytes_parsed" (String.length src);
+      Obs.Perf.add Obs.Perf.hnl_bytes_parsed (String.length src);
       match
         let toks = Lexer.tokenize src in
         design { toks }
@@ -189,7 +189,7 @@ let parse_string src =
 let parse_file path =
   Obs.Span.with_ ~name:"hnl.parse_file" (fun () ->
       Obs.Span.attr_str "path" path;
-      Obs.Metrics.counter "hnl.files_parsed" 1;
+      Obs.Perf.add Obs.Perf.hnl_files_parsed 1;
       let ic = open_in path in
       let src =
         Fun.protect

@@ -176,7 +176,7 @@ let elaborate (d : Design.t) =
       Obs.Span.attr_str "design" t.design_name;
       Obs.Span.attr_int "nodes" (Array.length t.nodes);
       Obs.Span.attr_int "nets" t.net_count;
-      Obs.Metrics.counter "netlist.elaborations" 1;
+      Obs.Perf.add Obs.Perf.netlist_elaborations 1;
       Obs.Metrics.gauge "netlist.nodes" (float_of_int (Array.length t.nodes));
       Obs.Metrics.gauge "netlist.nets" (float_of_int t.net_count);
       t)

@@ -22,7 +22,6 @@ type hist = {
 }
 
 type value =
-  | Counter of int ref
   | Gauge of float ref
   | Hist of hist
   | Series of (float * float) list ref  (* reversed *)
@@ -56,11 +55,6 @@ let with_ambient r f =
 let reset t = Hashtbl.reset t.tbl
 
 (* ---- operations --------------------------------------------------- *)
-
-let incr_counter t name n =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Counter r) -> r := !r + n
-  | Some _ | None -> Hashtbl.replace t.tbl name (Counter (ref n))
 
 let set_gauge t name v =
   match Hashtbl.find_opt t.tbl name with
@@ -121,8 +115,6 @@ let push_series t name x y =
 
 (* ---- gated shorthands --------------------------------------------- *)
 
-let counter name n = if enabled () then incr_counter (ambient ()) name n
-
 let gauge name v = if enabled () then set_gauge (ambient ()) name v
 
 let sample ?bin_width name x = if enabled () then observe ?bin_width (ambient ()) name x
@@ -133,9 +125,6 @@ let series name ~x ~y = if enabled () then push_series (ambient ()) name x y
 
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort compare
-
-let counter_value t name =
-  match Hashtbl.find_opt t.tbl name with Some (Counter r) -> Some !r | _ -> None
 
 let gauge_value t name =
   match Hashtbl.find_opt t.tbl name with Some (Gauge r) -> Some !r | _ -> None
@@ -156,7 +145,6 @@ let series_points t name =
 let merge_into dst src =
   let copy_into name v =
     match v with
-    | Counter r -> incr_counter dst name !r
     | Gauge r -> set_gauge dst name !r
     | Hist h ->
       let d = get_hist dst name ~bin_width:h.bin_width in
@@ -237,7 +225,7 @@ let hist_json h =
                (fun (b, w) -> Jsonx.List [ Jsonx.Int b; Jsonx.Float w ])
                (Util.Histogram.bins h.bins)) ) ])
 
-let to_json t =
+let to_json ~counters t =
   let section pick to_j =
     List.filter_map
       (fun name ->
@@ -247,9 +235,7 @@ let to_json t =
       (names t)
   in
   Jsonx.Obj
-    [ ( "counters",
-        Jsonx.Obj
-          (section (function Counter r -> Some !r | _ -> None) (fun n -> Jsonx.Int n)) );
+    [ ("counters", Perf.to_json counters);
       ( "gauges",
         Jsonx.Obj
           (section (function Gauge r -> Some !r | _ -> None) (fun v -> Jsonx.Float v)) );

@@ -1,5 +1,6 @@
-(** Metrics registry: named counters, gauges, float histograms and
-    (x, y) series.
+(** Metrics registry: named gauges, float histograms and (x, y)
+    series. Counters live in {!Perf}, the one counter registry; the
+    JSON document of a run ({!to_json}) reports them next to these.
 
     Histograms keep a {e capped} raw-sample view plus a binned
     [Util.Histogram.t] view (bin = [floor (x / bin_width)]) that is
@@ -19,7 +20,7 @@
     order), the retained set is a deterministic function of the
     observation sequence — never of wall-clock or scheduling.
 
-    The gated shorthands ([counter], [gauge], [sample], [series]) write
+    The gated shorthands ([gauge], [sample], [series]) write
     to the calling domain's {e ambient} registry — [global] unless
     overridden with [with_ambient] — and are no-ops until
     [set_enabled true] (an atomic flag readable from any domain), so
@@ -59,8 +60,6 @@ val reset : t -> unit
 
 (* ---- operations on an explicit registry --------------------------- *)
 
-val incr_counter : t -> string -> int -> unit
-
 val set_gauge : t -> string -> float -> unit
 
 val observe : ?bin_width:float -> t -> string -> float -> unit
@@ -72,7 +71,6 @@ val push_series : t -> string -> float -> float -> unit
 
 (* ---- gated shorthands on the global registry ---------------------- *)
 
-val counter : string -> int -> unit
 val gauge : string -> float -> unit
 val sample : ?bin_width:float -> string -> float -> unit
 val series : string -> x:float -> y:float -> unit
@@ -82,7 +80,6 @@ val series : string -> x:float -> y:float -> unit
 val names : t -> string list
 (** Sorted names of every registered metric. *)
 
-val counter_value : t -> string -> int option
 val gauge_value : t -> string -> float option
 
 val hist_samples : t -> string -> float list
@@ -95,10 +92,10 @@ val hist_bins : t -> string -> Util.Histogram.t option
 val series_points : t -> string -> (float * float) list
 
 val merge : t -> t -> t
-(** Fresh registry combining both: counters add, gauges take the right
-    value, histograms merge exactly (count/sum/min/max/bins) and
-    re-offer the right side's retained samples to the left reservoir,
-    series concatenate (left points first). On a kind clash the right
+(** Fresh registry combining both: gauges take the right value,
+    histograms merge exactly (count/sum/min/max/bins) and re-offer the
+    right side's retained samples to the left reservoir, series
+    concatenate (left points first). On a kind clash the right
     side wins. *)
 
 val merge_into : t -> t -> unit
@@ -123,7 +120,10 @@ val hist_percentile : t -> string -> p:float -> float option
     when the name is absent, not a histogram, or the histogram is
     empty. *)
 
-val to_json : t -> Jsonx.t
-(** [{"counters": {...}, "gauges": {...}, "histograms": {...},
-    "series": {...}}] with per-histogram count/mean/min/max (exact)
-    and p50/p90/p99 (from the reservoir) plus the binned view. *)
+val to_json : counters:Perf.t -> t -> Jsonx.t
+(** The metrics document of a run (what [--metrics] writes):
+    [{"counters": {...}, "gauges": {...}, "histograms": {...},
+    "series": {...}}]. ["counters"] is {!Perf.to_json} of [counters];
+    the other sections come from the registry, with per-histogram
+    count/mean/min/max (exact) and p50/p90/p99 (from the reservoir)
+    plus the binned view. *)

@@ -1,8 +1,9 @@
-(* Pre-registered hot-path counters.
+(* The counter registry: every counter of the program, pre-registered.
 
    Every counter id is a fixed index into a flat [int array]; the hot
-   path never hashes a string or allocates. The registry is ambient and
-   domain-local, mirroring [Metrics]: fork-join runners give each task
+   path never hashes a string or allocates. Ids are only ever appended,
+   so an id's index is stable across versions. The registry is ambient
+   and domain-local, mirroring [Metrics]: fork-join runners give each task
    a fresh array via [with_ambient] and fold the snapshots back with
    [merge_into] in task order, so the merged totals are identical for
    every job count and enabling the counters never perturbs a
@@ -17,7 +18,15 @@ let names =
      "sa.plateaus";
      "sa.reheats";
      "cost.evals";
-     "floorplan.instances" |]
+     "floorplan.instances";
+     "floorplan.sa_moves";
+     "shape_curves.combines";
+     "shape_curves.sa_moves";
+     "hidap.places";
+     "cellplace.runs";
+     "netlist.elaborations";
+     "hnl.files_parsed";
+     "hnl.bytes_parsed" |]
 
 let sa_moves = 0
 let sa_accepts = 1
@@ -26,6 +35,14 @@ let sa_plateaus = 3
 let sa_reheats = 4
 let cost_evals = 5
 let fp_instances = 6
+let fp_sa_moves = 7
+let sc_combines = 8
+let sc_sa_moves = 9
+let hidap_places = 10
+let cellplace_runs = 11
+let netlist_elaborations = 12
+let hnl_files_parsed = 13
+let hnl_bytes_parsed = 14
 
 let n_ids = Array.length names
 

@@ -1,12 +1,13 @@
-(** Pre-registered hot-path performance counters.
+(** The counter registry: every counter of the program.
 
-    Unlike {!Metrics} (string-keyed, hashtable-backed, built for
-    flexible telemetry), [Perf] is built for the annealing inner loop:
-    every counter is registered below as a fixed integer {!id} indexing
+    Each counter is registered below as a fixed integer {!id} indexing
     a flat [int array], so bumping a counter is two array accesses and
     the gated shorthand {!add} costs exactly one branch (an atomic
     flag load) when disabled. No string is hashed and nothing is
-    allocated on the hot path.
+    allocated, which is what the annealing inner loop needs. Ids are
+    appended, never reordered, so an id's index is stable. {!Metrics}
+    holds the other telemetry kinds (gauges, histograms, series), and
+    its JSON document reports this registry as its ["counters"].
 
     {b Determinism contract} (DESIGN.md §9/§12): counters never touch
     any RNG, so enabling them cannot change a placement. The registry
@@ -42,6 +43,31 @@ val cost_evals : id
 
 val fp_instances : id
 (** Floorplan instances annealed. *)
+
+val fp_sa_moves : id
+(** SA moves of the floorplan instances ([floorplan.sa_moves]); a
+    placement's total is its [Hidap.result.sa_moves]. *)
+
+val sc_combines : id
+(** Shape-curve combinations annealed ([shape_curves.combines]). *)
+
+val sc_sa_moves : id
+(** SA moves of the shape-curve combinations ([shape_curves.sa_moves]). *)
+
+val hidap_places : id
+(** Completed [Hidap.place] runs ([hidap.places]). *)
+
+val cellplace_runs : id
+(** Standard-cell placements ([cellplace.runs]). *)
+
+val netlist_elaborations : id
+(** Netlist elaborations ([netlist.elaborations]). *)
+
+val hnl_files_parsed : id
+(** HNL files parsed ([hnl.files_parsed]). *)
+
+val hnl_bytes_parsed : id
+(** HNL source bytes parsed ([hnl.bytes_parsed]). *)
 
 val n_ids : int
 

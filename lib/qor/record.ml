@@ -345,7 +345,7 @@ let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
             runtime_s = m.Evalflow.runtime_s;
             dataflow_cost = 0.0 };
         displacement;
-        sa_moves = 0;
+        sa_moves = run.Evalflow.sa_moves;
         sa_curve = (if is_hidap then sa_curve_of registry else []);
         stages = (if is_hidap then stages_of spans else []);
         gc = (if is_hidap then gc_of registry else None);

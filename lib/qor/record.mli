@@ -178,8 +178,9 @@ val of_eval :
   Evalflow.circuit_result ->
   t list
 (** One record per flow of an {!Evalflow.run_all} result, each carrying
-    its macro displacement against the other flows. Trace/metrics
-    attachments go to the HiDaP record. *)
+    its macro displacement against the other flows. The HiDaP record
+    carries the winning λ's SA move count, as {!of_place} does, plus
+    the trace/metrics attachments; the other flows record 0 moves. *)
 
 val perf_info_json : perf_info -> Obs.Jsonx.t
 (** The ["perf"] sub-object of {!to_json}, exposed for standalone

@@ -72,7 +72,14 @@ let test_hidap_lambda_recorded () =
   let r = get_run Evalflow.HiDaP in
   match r.Evalflow.lambda_used with
   | Some l ->
-    Alcotest.(check bool) "lambda from the sweep" true (List.mem l [ 0.2; 0.5; 0.8 ])
+    Alcotest.(check bool) "lambda from the sweep" true (List.mem l [ 0.2; 0.5; 0.8 ]);
+    (* The run's move count is the winning lambda's placement's. *)
+    let flat, _ = Lazy.force result in
+    let config = { Hidap.Config.default with Hidap.Config.lambda = l } in
+    Alcotest.(check int) "sa_moves of the winning lambda"
+      (Hidap.place ~config flat).Hidap.sa_moves r.Evalflow.sa_moves;
+    Alcotest.(check int) "IndEDA anneals nothing" 0
+      (get_run Evalflow.IndEDA).Evalflow.sa_moves
   | None -> Alcotest.fail "HiDaP must record its lambda"
 
 let test_every_flow_legal () =

@@ -149,16 +149,12 @@ let test_percentiles () =
 
 let test_registry_basics () =
   let r = Metrics.create () in
-  Metrics.incr_counter r "runs" 2;
-  Metrics.incr_counter r "runs" 3;
   Metrics.set_gauge r "wl" 10.0;
   Metrics.set_gauge r "wl" 11.5;
   Metrics.observe ~bin_width:0.5 r "rate" 0.6;
   Metrics.observe r "rate" 1.4;
   Metrics.push_series r "curve" 1.0 0.9;
   Metrics.push_series r "curve" 2.0 0.8;
-  Alcotest.(check (option int)) "counter accumulates" (Some 5)
-    (Metrics.counter_value r "runs");
   Alcotest.(check (option (float 0.0))) "gauge keeps last" (Some 11.5)
     (Metrics.gauge_value r "wl");
   Alcotest.(check (list (float 1e-9))) "samples in order" [ 0.6; 1.4 ]
@@ -166,14 +162,12 @@ let test_registry_basics () =
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "series in order"
     [ (1.0, 0.9); (2.0, 0.8) ]
     (Metrics.series_points r "curve");
-  Alcotest.(check (list string)) "names sorted" [ "curve"; "rate"; "runs"; "wl" ]
+  Alcotest.(check (list string)) "names sorted" [ "curve"; "rate"; "wl" ]
     (Metrics.names r)
 
 let test_registry_merge () =
   let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr_counter a "n" 1;
-  Metrics.incr_counter b "n" 10;
-  Metrics.incr_counter a "only_a" 4;
+  Metrics.set_gauge a "only_a" 4.0;
   Metrics.set_gauge a "g" 1.0;
   Metrics.set_gauge b "g" 2.0;
   Metrics.observe a "h" 1.0;
@@ -181,9 +175,8 @@ let test_registry_merge () =
   Metrics.push_series a "s" 0.0 1.0;
   Metrics.push_series b "s" 1.0 2.0;
   let m = Metrics.merge a b in
-  Alcotest.(check (option int)) "counters add" (Some 11) (Metrics.counter_value m "n");
-  Alcotest.(check (option int)) "left-only kept" (Some 4)
-    (Metrics.counter_value m "only_a");
+  Alcotest.(check (option (float 0.0))) "left-only kept" (Some 4.0)
+    (Metrics.gauge_value m "only_a");
   Alcotest.(check (option (float 0.0))) "gauge right wins" (Some 2.0)
     (Metrics.gauge_value m "g");
   Alcotest.(check (list (float 1e-9))) "histograms pool" [ 1.0; 3.0 ]
@@ -192,24 +185,24 @@ let test_registry_merge () =
     [ (0.0, 1.0); (1.0, 2.0) ]
     (Metrics.series_points m "s");
   (* merge leaves its inputs untouched *)
-  Alcotest.(check (option int)) "left input intact" (Some 1)
-    (Metrics.counter_value a "n")
+  Alcotest.(check (list (float 1e-9))) "left input intact" [ 1.0 ]
+    (Metrics.hist_samples a "h")
 
 let test_global_gating () =
   Metrics.reset Metrics.global;
   Metrics.set_enabled false;
-  Metrics.counter "gated" 1;
-  Alcotest.(check (option int)) "disabled shorthand drops" None
-    (Metrics.counter_value Metrics.global "gated");
+  Metrics.gauge "gated" 1.0;
+  Alcotest.(check (option (float 0.0))) "disabled shorthand drops" None
+    (Metrics.gauge_value Metrics.global "gated");
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Metrics.set_enabled false;
       Metrics.reset Metrics.global)
     (fun () ->
-      Metrics.counter "gated" 1;
-      Alcotest.(check (option int)) "enabled shorthand records" (Some 1)
-        (Metrics.counter_value Metrics.global "gated"))
+      Metrics.gauge "gated" 1.0;
+      Alcotest.(check (option (float 0.0))) "enabled shorthand records" (Some 1.0)
+        (Metrics.gauge_value Metrics.global "gated"))
 
 (* The SA observer sees every plateau and cannot change the outcome. *)
 let test_sa_observer () =
@@ -275,9 +268,12 @@ let test_place_determinism_under_tracing () =
 
 (* Perf counters are merged in task order at every join point, so the
    merged totals — and the placement itself — must be bit-identical for
-   every job count (DESIGN.md §9/§12). *)
+   every job count (DESIGN.md §9/§12). Each run parses and elaborates
+   the design too, so every registered counter is exercised. *)
 let test_perf_merge_determinism () =
-  let flat = Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ()) in
+  let src = Hnl.Printer.to_string (Circuitgen.Suite.fig1_design ()) in
+  let path = Filename.temp_file "fig1" ".hnl" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc src);
   let run jobs =
     let config = { Hidap.Config.default with Hidap.Config.jobs } in
     Obs.Perf.reset Obs.Perf.global;
@@ -285,6 +281,12 @@ let test_perf_merge_determinism () =
     Fun.protect
       ~finally:(fun () -> Obs.Perf.set_enabled false)
       (fun () ->
+        let design =
+          match Hnl.Parser.parse_file path with
+          | Ok d -> d
+          | Error _ -> Alcotest.fail "fig1 HNL does not parse"
+        in
+        let flat = Netlist.Flat.elaborate design in
         let r = Hidap.place ~config flat in
         let counts = Obs.Perf.to_assoc Obs.Perf.global in
         Obs.Perf.reset Obs.Perf.global;
@@ -302,13 +304,24 @@ let test_perf_merge_determinism () =
         (Printf.sprintf "jobs=%d merged counters identical to jobs=1" jobs)
         counts1 counts)
     [ 2; 4 ];
+  Sys.remove path;
   Alcotest.(check bool) "sa.moves counted" true
     (List.assoc "sa.moves" counts1 > 0);
   Alcotest.(check int) "moves split into accepts + rejects"
     (List.assoc "sa.moves" counts1)
     (List.assoc "sa.accepts" counts1 + List.assoc "sa.rejects" counts1);
   Alcotest.(check bool) "instances counted" true
-    (List.assoc "floorplan.instances" counts1 > 0)
+    (List.assoc "floorplan.instances" counts1 > 0);
+  Alcotest.(check int) "floorplan.sa_moves is the result's sa_moves"
+    base.Hidap.sa_moves
+    (List.assoc "floorplan.sa_moves" counts1);
+  Alcotest.(check bool) "shape-curve combinations counted" true
+    (List.assoc "shape_curves.combines" counts1 > 0
+    && List.assoc "shape_curves.sa_moves" counts1 > 0);
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) name n (List.assoc name counts1))
+    [ ("hidap.places", 1); ("netlist.elaborations", 1); ("hnl.files_parsed", 1);
+      ("hnl.bytes_parsed", String.length src); ("cellplace.runs", 0) ]
 
 (* The sampler's collapsed-stack output: root-first stacks joined with
    ';', "(idle)" for an empty stack, sorted buckets, positive counts. *)

@@ -56,14 +56,19 @@ let test_exception_lowest_index () =
     jobs_under_test
 
 (* Telemetry merged at the join point must be identical for every job
-   count: counters in full, span trees in task order. *)
+   count: counters in full, series and span trees in task order. *)
 let run_instrumented jobs =
   let registry = Obs.Metrics.create () in
+  let perf = Obs.Perf.create () in
   let spans =
-    Obs.Metrics.with_ambient registry (fun () ->
+    Obs.Metrics.with_ambient registry @@ fun () ->
+    Obs.Perf.with_ambient perf (fun () ->
         Obs.Metrics.set_enabled true;
+        Obs.Perf.set_enabled true;
         Fun.protect
-          ~finally:(fun () -> Obs.Metrics.set_enabled false)
+          ~finally:(fun () ->
+            Obs.Metrics.set_enabled false;
+            Obs.Perf.set_enabled false)
           (fun () ->
             Obs.Trace.start ();
             let pool = P.create ~jobs () in
@@ -71,30 +76,26 @@ let run_instrumented jobs =
               P.map pool
                 (fun i ->
                   Obs.Span.with_ ~name:(Printf.sprintf "task.%d" i) (fun () ->
-                      Obs.Metrics.counter "tasks" 1;
-                      Obs.Metrics.counter (Printf.sprintf "task.%d" i) (i + 1);
+                      Obs.Perf.add Obs.Perf.hidap_places 1;
+                      Obs.Perf.add Obs.Perf.sa_moves (i + 1);
                       Obs.Metrics.series "order" ~x:(float_of_int i) ~y:0.0;
                       i))
                 (Array.init 8 Fun.id)
             in
             Obs.Trace.finish ()))
   in
-  (registry, spans)
+  (registry, perf, spans)
 
 let rec span_names (s : Obs.Span.t) =
   s.Obs.Span.name :: List.concat_map span_names s.Obs.Span.children
 
 let test_telemetry_deterministic () =
-  let r1, spans1 = run_instrumented 1 in
-  let r4, spans4 = run_instrumented 4 in
+  let r1, p1, spans1 = run_instrumented 1 in
+  let r4, p4, spans4 = run_instrumented 4 in
   Alcotest.(check (list string)) "same metric names" (Obs.Metrics.names r1)
     (Obs.Metrics.names r4);
-  List.iter
-    (fun name ->
-      Alcotest.(check (option int)) name
-        (Obs.Metrics.counter_value r1 name)
-        (Obs.Metrics.counter_value r4 name))
-    (Obs.Metrics.names r1);
+  Alcotest.(check (list (pair string int))) "same counters"
+    (Obs.Perf.to_assoc p1) (Obs.Perf.to_assoc p4);
   Alcotest.(check (list (pair (float 0.0) (float 0.0))))
     "series points merged in task order"
     (Obs.Metrics.series_points r1 "order")
@@ -102,8 +103,8 @@ let test_telemetry_deterministic () =
   Alcotest.(check (list string)) "span trees in task order"
     (List.concat_map span_names spans1)
     (List.concat_map span_names spans4);
-  Alcotest.(check int) "all tasks counted" 8
-    (match Obs.Metrics.counter_value r1 "tasks" with Some n -> n | None -> 0)
+  Alcotest.(check int) "all tasks counted" 8 (Obs.Perf.get p1 Obs.Perf.hidap_places);
+  Alcotest.(check int) "every task's count added" 36 (Obs.Perf.get p1 Obs.Perf.sa_moves)
 
 let test_results_identical_across_jobs () =
   (* A pure computation gives bitwise-equal outputs regardless of the

@@ -231,7 +231,35 @@ let test_record_roundtrip () =
     Alcotest.(check bool) "ckpt kept" true (r'.Record.ckpt = r.Record.ckpt);
     Alcotest.(check bool) "perf kept" true (r'.Record.perf = r.Record.perf);
     Alcotest.(check bool) "cost_breakdown kept" true
-      (r'.Record.cost_breakdown = r.Record.cost_breakdown)
+      (r'.Record.cost_breakdown = r.Record.cost_breakdown);
+    (* An eval-path record carries the HiDaP run's SA move count, as a
+       place-path record does; the other flows anneal nothing. *)
+    let flat = Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ()) in
+    let die = Geom.Rect.make ~x:0.0 ~y:0.0 ~w:400.0 ~h:400.0 in
+    let run kind sa_moves =
+      { Evalflow.kind;
+        metrics = { Evalflow.wl_um = 1.0; wl_m = 1e-6; grc_pct = 0.0; wns_pct = 0.0;
+                    tns = 0.0; runtime_s = 0.0 };
+        macros = [];
+        placement = { Cellplace.positions = [||]; die; movable = [||] };
+        lambda_used = None;
+        sa_moves;
+        sweep_trace = [] }
+    in
+    let res =
+      { Evalflow.circuit = "fig1"; cells = 0; macro_count = 0;
+        runs = [ run Evalflow.IndEDA 0; run Evalflow.HiDaP r.Record.sa_moves ] }
+    in
+    let moves =
+      List.map
+        (fun (e : Record.t) ->
+          match Record.of_json (roundtrip (Record.to_json e)) with
+          | Ok e' -> (e'.Record.flow, e'.Record.sa_moves)
+          | Error e -> Alcotest.failf "eval record of_json failed: %s" e)
+        (Record.of_eval ~circuit:"fig1" ~flat ~config:Hidap.Config.default res)
+    in
+    Alcotest.(check (list (pair string int))) "eval records keep sa_moves"
+      [ ("IndEDA", 0); ("HiDaP", r.Record.sa_moves) ] moves
 
 let test_record_versioning () =
   let r = sample_record () in

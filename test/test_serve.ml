@@ -589,10 +589,11 @@ let test_serve_worker_hang_watchdog () =
 
 (* --job-cpu-s: CPU exhaustion is SIGXCPU, classified rlimit, and
    deterministic — so the job fails without burning its retry budget.
-   The bound must separate the two jobs cleanly: fig1 burns ~1s of
-   CPU, c5 far more, so 3s fails only c5. *)
+   The bound must separate the two jobs cleanly: a fig1 job burns
+   ~0.1s of CPU and a c5 job ~2s (its placement alone is 1.8s on one
+   2-core box), so 1s fails only c5. *)
 let test_serve_cpu_rlimit () =
-  let d = start ~job_cpu_s:3 (scratch ()) in
+  let d = start ~job_cpu_s:1 (scratch ()) in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id = submit_ok cl (c5_submit ~max_retries:3 ()) in
@@ -694,6 +695,26 @@ let test_serve_stress_multi_client () =
 
 (* ---- worker SIGKILL mid-job: bit-identical retry ------------------- *)
 
+(* Wait until job [id] has written its first checkpoint snapshot: a
+   point mid-flow that, unlike a fixed sleep, a faster machine does not
+   skip past. *)
+let await_snapshot ?(timeout_s = 30.0) d id =
+  let ckdir = Serve.Job.ckpt_dir ~state_dir:d.state_dir id in
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec poll () =
+    if
+      Sys.file_exists ckdir
+      && Array.exists (fun f -> Filename.check_suffix f ".ckpt") (Sys.readdir ckdir)
+    then ()
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "job %s never wrote a snapshot" id
+    else begin
+      Unix.sleepf 0.01;
+      poll ()
+    end
+  in
+  poll ()
+
 let record_macros_of_json doc =
   match J.member "records" doc with
   | Some (J.List [ r ]) -> (
@@ -733,7 +754,10 @@ let test_serve_worker_sigkill_bit_identical () =
         find_pid ()
   in
   let pid = find_pid () in
-  Unix.sleepf 1.5 (* let it get mid-SA, past a checkpoint *);
+  (* Kill once the victim has written its first snapshot: the retry
+     then resumes from a checkpoint, and the kill lands well before
+     the job (about 2s of work) can finish. *)
+  await_snapshot d victim;
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   let v = ok (Serve.Client.wait ~timeout_s:300.0 cl victim) in
   (match v.P.state with
@@ -875,8 +899,8 @@ let record_resumed_from path =
 
 (* SIGTERM mid-job: the drain's second phase asks the worker to
    checkpoint and park; a new daemon on the same state dir resumes it
-   to a placement bit-identical to a control run of the same spec. c1
-   runs long enough to be caught mid-SA. *)
+   to a placement bit-identical to a control run of the same spec. The
+   drain starts once the job has written its first snapshot. *)
 let test_serve_drain_parks_then_resumes () =
   let dir = scratch () in
   let spec = c1_submit () in
@@ -884,7 +908,7 @@ let test_serve_drain_parks_then_resumes () =
   let id =
     let cl = connect d1 in
     let id = submit_ok cl spec in
-    Unix.sleepf 0.4 (* let the job get mid-flow *);
+    await_snapshot d1 id;
     Serve.Client.close cl;
     stop d1 (* SIGTERM; graceful -> term -> the worker parks *);
     id
