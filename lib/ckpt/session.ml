@@ -9,6 +9,7 @@ type t = {
   mutable written : int;
   mutable reused : int;
   mutex : Mutex.t;
+  on_save : unit -> unit;
 }
 
 type summary = {
@@ -26,12 +27,12 @@ let summary (t : t) =
     snapshots_written = t.written;
     instances_reused = t.reused }
 
-let make ~store ~every ~state ~resumed_from =
+let make ~store ~every ~state ~resumed_from ~on_save =
   let lookup = Hashtbl.create 64 in
   List.iter (fun (e : State.instance_entry) -> Hashtbl.replace lookup e.State.nh e) state.State.instances;
   { store; every = max 1 every; state; lookup;
     resumed_flip = state.State.flip; resumed_from;
-    new_units = 0; written = 0; reused = 0; mutex = Mutex.create () }
+    new_units = 0; written = 0; reused = 0; mutex = Mutex.create (); on_save }
 
 (* Resume loading honors the [ckpt_load_corrupt] injection site: the
    armed fault corrupts the newest snapshot on disk and retries, so the
@@ -55,18 +56,19 @@ let load_for_resume store =
       | None -> ());
       loaded)
 
-let start ?(keep = 4) ?(every = 1) ~dir ~resume fp =
+let start ?(keep = 4) ?(every = 1) ?(on_save = ignore) ~dir ~resume fp =
   match Store.open_ ~keep ~fresh:(not resume) dir with
   | Error msg ->
     Error (Guard.Diag.error ~code:"ckpt-io" ~stage:"ckpt" (dir ^ ": " ^ msg))
   | Ok store ->
-    if not resume then Ok (make ~store ~every ~state:(State.empty fp) ~resumed_from:None)
+    if not resume then
+      Ok (make ~store ~every ~state:(State.empty fp) ~resumed_from:None ~on_save)
     else begin
       match load_for_resume store with
       | None ->
         (* Nothing (valid) to resume from: run from scratch in the same
            directory so retry loops are idempotent. *)
-        Ok (make ~store ~every ~state:(State.empty fp) ~resumed_from:None)
+        Ok (make ~store ~every ~state:(State.empty fp) ~resumed_from:None ~on_save)
       | Some { Store.state; entry; rejected = _ } ->
         if not (State.fingerprint_equal state.State.fp fp) then
           Error
@@ -77,7 +79,7 @@ let start ?(keep = 4) ?(every = 1) ~dir ~resume fp =
                   entry.Store.file State.pp_fingerprint state.State.fp
                   State.pp_fingerprint fp))
         else
-          Ok (make ~store ~every ~state ~resumed_from:(Some entry.Store.file))
+          Ok (make ~store ~every ~state ~resumed_from:(Some entry.Store.file) ~on_save)
     end
 
 (* Snapshot writes degrade, never kill: a full disk or an injected
@@ -91,7 +93,8 @@ let save_now t ~stage =
           t.written <- t.written + 1;
           Obs.Span.attr_int "seq" e.Store.seq;
           Obs.Span.attr_int "instances" (List.length t.state.State.instances);
-          Obs.Stream.checkpoint ~seq:e.Store.seq ~file:e.Store.file));
+          Obs.Stream.checkpoint ~seq:e.Store.seq ~file:e.Store.file;
+          t.on_save ()));
   t.new_units <- 0
 
 let lookup_instance t ~nh ~n_blocks =

@@ -28,6 +28,7 @@ type summary = {
 val start :
   ?keep:int ->
   ?every:int ->
+  ?on_save:(unit -> unit) ->
   dir:string ->
   resume:bool ->
   State.fingerprint ->
@@ -38,7 +39,8 @@ val start :
     fingerprint matches ([ckpt-mismatch] error otherwise); an empty or
     wholly invalid store resumes from scratch. [every] (default 1) is
     the number of completed floorplan instances between periodic
-    snapshots; [keep] (default 4) the store retention window. *)
+    snapshots; [keep] (default 4) the store retention window.
+    [on_save] runs after each snapshot is written (default: nothing). *)
 
 val lookup_instance : t -> nh:int -> n_blocks:int -> State.instance_entry option
 

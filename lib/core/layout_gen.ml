@@ -181,7 +181,62 @@ type inc = {
   ic_budget : Rect.t;
   ic_config : Config.t;
   ic_n_blocks : int;
+  (* The cost memo (below); [ic_bits = 0] turns it off, with empty
+     tables. *)
+  ic_bits : int;
+  ic_mkey : int array;   (* -1 marks an empty slot *)
+  ic_mcost : float array;
+  mutable ic_hits : int;
 }
+
+(* Per-start cost memo (DESIGN.md section 14). An annealing start on a
+   few blocks keeps proposing expressions it has already scored, and
+   the cost is a pure function of the expression ([Slicing.Inc] results
+   do not depend on evaluation history), so a repeat can return the
+   stored float instead of re-walking the tree. The key packs the
+   expression into one int at [ic_bits] bits per element (H -> 0,
+   V -> 1, operand i -> i + 2). That packing is injective, so a key
+   match is an exact expression match; the memo is enabled only when
+   all [2n - 1] elements fit 62 bits, i.e. n <= 8. *)
+let memo_slot_bits = 12
+let memo_slots = 1 lsl memo_slot_bits
+
+let memo_bits n_blocks =
+  let rec width b = if 1 lsl b >= n_blocks + 2 then b else width (b + 1) in
+  let b = width 1 in
+  if ((2 * n_blocks) - 1) * b <= 62 then b else 0
+
+(* The packed key of [expr], or -1 when it cannot be packed (wrong
+   length or operand out of range): such an expression never reaches
+   the table and gets [Slicing.Inc.evaluate]'s own diagnostic. *)
+let memo_key ~n_blocks ~bits expr =
+  let len = Slicing.Polish.length expr in
+  if len <> (2 * n_blocks) - 1 then -1
+  else begin
+    let key = ref 0 and k = ref 0 in
+    while !k < len do
+      (match Slicing.Polish.get expr !k with
+      | Slicing.Polish.Operator Slicing.Polish.H -> key := !key lsl bits
+      | Slicing.Polish.Operator Slicing.Polish.V -> key := (!key lsl bits) lor 1
+      | Slicing.Polish.Operand i ->
+        if i < 0 || i >= n_blocks then begin
+          key := -1;
+          k := len
+        end
+        else key := (!key lsl bits) lor (i + 2));
+      incr k
+    done;
+    !key
+  end
+
+(* Fibonacci hashing: the top [memo_slot_bits] bits of the key times an
+   odd 63-bit constant, so every element position reaches the slot. *)
+let memo_slot key = (key * 0x2545F4914F6CDD1D) lsr (63 - memo_slot_bits)
+
+let memo_slot_of ~n_blocks expr =
+  let bits = memo_bits n_blocks in
+  let key = if bits = 0 then -1 else memo_key ~n_blocks ~bits expr in
+  if key < 0 then None else Some (memo_slot key)
 
 let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config =
   let n_blocks = Array.length leaves in
@@ -209,6 +264,7 @@ let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config =
         fill.(j) <- fill.(j) + 1
       end)
     pairs;
+  let bits = memo_bits n_blocks in
   { ic_state = Slicing.Inc.create ~table ~budget;
     ic_pi = pi;
     ic_pj = pj;
@@ -221,7 +277,11 @@ let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config =
     ic_leaves = leaves;
     ic_budget = budget;
     ic_config = config;
-    ic_n_blocks = n_blocks }
+    ic_n_blocks = n_blocks;
+    ic_bits = bits;
+    ic_mkey = (if bits > 0 then Array.make memo_slots (-1) else [||]);
+    ic_mcost = (if bits > 0 then Array.make memo_slots 0.0 else [||]);
+    ic_hits = 0 }
 
 (* Refresh the contribution of pair [p]. Recomputing a pair twice (both
    endpoints moved) just rewrites the same value, so the moved list
@@ -236,10 +296,10 @@ let update_pair inc cx cy p =
   let yj = if j < n_blocks then cy.(j) else inc.ic_fy.(j - n_blocks) in
   inc.ic_pc.(p) <- inc.ic_pw.(p) *. (abs_float (xi -. xj) +. abs_float (yi -. yj))
 
-(* The annealer's cost function: the cost of [expr], the same float
-   [result_of_expr] derives from a full walk. The cost frame [ic_cf]
-   holds its wirelength and adjusted violations until the next call. *)
-let evaluate_inc inc expr =
+(* Score [expr] on the incremental state: the cost frame [ic_cf] gets
+   its wirelength, adjusted violations and cost, the same floats
+   [result_of_expr] derives from a full walk. *)
+let evaluate_slicing inc expr =
   let st = inc.ic_state in
   Slicing.Inc.evaluate st expr;
   let cx = Slicing.Inc.centers_x st and cy = Slicing.Inc.centers_y st in
@@ -269,8 +329,40 @@ let evaluate_inc inc expr =
   cf.(cf_am) <- v.(1);
   cf.(cf_mac) <- v.(2);
   finish_cost cf ~leaves:inc.ic_leaves ~budget:inc.ic_budget ~n_pairs:np
-    ~config:inc.ic_config ~n_blocks:inc.ic_n_blocks;
-  cf.(cf_cost)
+    ~config:inc.ic_config ~n_blocks:inc.ic_n_blocks
+
+(* The annealer's cost function: the cost of [expr]. A memo hit returns
+   the stored cost and leaves [ic_state], the pair contributions and
+   [ic_cf] as the last miss left them, which only widens the next
+   miss's diff window. So [ic_cf] describes [expr] after a miss only;
+   its one reader, [run]'s [term_observer] closure, reads it on a new
+   best, and a hit is never one: its cost was already returned by the
+   same closure, which then kept a best no greater. *)
+let evaluate_inc inc expr =
+  let key =
+    if inc.ic_bits = 0 then -1
+    else memo_key ~n_blocks:inc.ic_n_blocks ~bits:inc.ic_bits expr
+  in
+  if key < 0 then begin
+    evaluate_slicing inc expr;
+    inc.ic_cf.(cf_cost)
+  end
+  else begin
+    let s = memo_slot key in
+    if inc.ic_mkey.(s) = key then begin
+      inc.ic_hits <- inc.ic_hits + 1;
+      inc.ic_mcost.(s)
+    end
+    else begin
+      (* Filled only after a completed evaluation: a diagnostic (such
+         as a non-finite cost) or a fault leaves the slot as it was. *)
+      evaluate_slicing inc expr;
+      let c = inc.ic_cf.(cf_cost) in
+      inc.ic_mkey.(s) <- key;
+      inc.ic_mcost.(s) <- c;
+      c
+    end
+  end
 
 let annealing_cost ~config ~blocks ~affinity ~fixed_pos ~budget =
   let n_blocks = Array.length blocks in
@@ -479,9 +571,15 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
                 in
                 (cost, Some observer')
             in
-            Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
-              ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
-              ~params:config.Config.layout_sa ?observer ())
+            let r =
+              Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
+                ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
+                ~params:config.Config.layout_sa ?observer ()
+            in
+            (* Flushed once per start, like [Sa.minimize]'s tallies, so
+               a memo hit carries no telemetry work. *)
+            Obs.Perf.add Obs.Perf.cost_cache_hits inc.ic_hits;
+            r)
           (Array.init n_starts Fun.id)
       in
       (* Deterministic reduction: minimum best cost, ties to the lowest

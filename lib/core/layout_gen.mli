@@ -111,8 +111,18 @@ val annealing_cost :
   float
 (** The cost one annealing start of {!run} minimizes, on its own
     incremental state: applying the first five arguments builds the
-    state, and each call then evaluates one expression — bitwise the
-    [cost] {!eval_expr} reports for it. Exposed for tests. *)
+    state, and each call then returns the cost of one expression —
+    bitwise the [cost] {!eval_expr} reports for it. On up to 8 blocks
+    the state carries the start's cost memo, so a call on an
+    expression the state has already scored may be a memo hit, which
+    returns the stored cost without re-walking the slicing tree
+    (DESIGN.md §14). Exposed for tests and the bench. *)
+
+val memo_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
+(** The cost-memo slot [expr] maps to on [n_blocks] blocks, or [None]
+    when the memo is off at that size (more than 8 blocks) or [expr]
+    cannot be packed (wrong length, operand out of range). Exposed for
+    tests. *)
 
 val run :
   ?observer:(Anneal.Sa.plateau -> unit) ->

@@ -27,8 +27,10 @@ let sites =
       "a job attempt dies at start; the job retries with capped backoff up to its \
        retry limit" );
     ( "serve.worker_kill",
-      "the worker process SIGKILLs itself mid-job; the daemon classifies the \
-       signaled exit as worker-lost and retries within the job's retry budget" );
+      "the worker process SIGKILLs itself mid-job, right after its first \
+       checkpoint snapshot (with stall=D: D seconds into the attempt); the daemon \
+       classifies the signaled exit as worker-lost and retries within the job's \
+       retry budget" );
     ( "serve.worker_hang",
       "the worker process stalls before emitting any progress; the hung-job \
        watchdog SIGKILLs it and the job retries" ) ]

@@ -26,7 +26,8 @@ let names =
      "cellplace.runs";
      "netlist.elaborations";
      "hnl.files_parsed";
-     "hnl.bytes_parsed" |]
+     "hnl.bytes_parsed";
+     "cost.cache_hits" |]
 
 let sa_moves = 0
 let sa_accepts = 1
@@ -43,6 +44,7 @@ let cellplace_runs = 11
 let netlist_elaborations = 12
 let hnl_files_parsed = 13
 let hnl_bytes_parsed = 14
+let cost_cache_hits = 15
 
 let n_ids = Array.length names
 

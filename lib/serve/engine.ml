@@ -137,7 +137,7 @@ let decide_inject t =
   | None ->
     (match fire_spec t "serve.worker_kill" with
     | Some (Guard.Fault.Stall d) -> Worker.Inj_kill d
-    | Some Guard.Fault.Raise -> Worker.Inj_kill 0.25
+    | Some Guard.Fault.Raise -> Worker.Inj_kill_at_snapshot
     | None ->
       (match fire_spec t "serve.worker" with
       | Some Guard.Fault.Raise -> Worker.Inj_fail

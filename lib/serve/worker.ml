@@ -49,7 +49,10 @@ type inject =
   | Inj_none
   | Inj_fail  (** serve.worker Raise: die at attempt start (transient) *)
   | Inj_stall of float  (** serve.worker Stall: a slow job, not a dead one *)
-  | Inj_kill of float  (** serve.worker_kill: self-SIGKILL after delay *)
+  | Inj_kill of float  (** serve.worker_kill Stall: self-SIGKILL after delay *)
+  | Inj_kill_at_snapshot
+      (** serve.worker_kill Raise: self-SIGKILL right after the attempt
+          writes its first checkpoint snapshot *)
   | Inj_hang  (** serve.worker_hang: silent forever; only the watchdog ends it *)
 
 (* ---- exit classification (parent side, pure) ----------------------- *)
@@ -170,7 +173,7 @@ let design_of_spec (spec : Proto.submit) =
   | Some _, Some _ | None, None ->
     raise (Invalid_job "give exactly one of circuit or hnl")
 
-let run_attempt ~state_dir ~default_job_jobs ~flow_faults (job : Job.t) =
+let run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot (job : Job.t) =
   let spec = job.Job.spec in
   let name, design = design_of_spec spec in
   let design =
@@ -208,7 +211,7 @@ let run_attempt ~state_dir ~default_job_jobs ~flow_faults (job : Job.t) =
       macro_count = Netlist.Flat.macro_count flat }
   in
   let session =
-    match Ckpt.Session.start ~dir:ckdir ~resume:true fp with
+    match Ckpt.Session.start ~on_save:on_snapshot ~dir:ckdir ~resume:true fp with
     | Ok s -> s
     | Error d -> raise (Invalid_job (Format.asprintf "%a" Guard.Diag.pp d))
   in
@@ -316,7 +319,12 @@ let exec ~state_dir ~default_job_jobs ~flow_faults ~mem_mb ~cpu_s ~inject
       raise (Guard.Fault.Injected { site = "serve.worker"; hit = job.Job.attempts })
     | Inj_stall s -> Unix.sleepf s
     | _ -> ());
-    run_attempt ~state_dir ~default_job_jobs ~flow_faults job
+    let on_snapshot =
+      match inject with
+      | Inj_kill_at_snapshot -> fun () -> Unix.kill (Unix.getpid ()) Sys.sigkill
+      | _ -> ignore
+    in
+    run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot job
   with
   | () -> finish exit_done "done" ""
   | exception Guard.Budget.Deadline { deadline_s } ->

@@ -143,9 +143,9 @@ let fast_config ~jobs =
     sa_starts = 3;
     layout_sa = { Anneal.Sa.quick_params with Anneal.Sa.max_moves = 600 } }
 
-let random_instance seed =
+let random_instance ?n seed =
   let rng = Util.Rng.create seed in
-  let n = 2 + Util.Rng.int rng 7 in
+  let n = match n with Some n -> n | None -> 2 + Util.Rng.int rng 7 in
   let nf = Util.Rng.int rng 3 in
   let budget = random_budget rng in
   let blocks =
@@ -210,6 +210,80 @@ let run_cost_is_annealer_best =
       let runs = List.map (fun jobs -> run_one seed ~jobs) [ 1; 2; 4 ] in
       let base = fst (List.hd runs) in
       List.for_all (fun (r, best) -> beq r.LG.cost best && same_result base r) runs)
+
+(* ---- the per-start cost memo ----------------------------------------- *)
+
+(* [exact e]: one annealing start's cost of [e] equals, bitwise, a cold
+   full evaluation's — which [full_cost] returns on its own. *)
+let memo_instance ~n seed =
+  let blocks, affinity, fixed_pos, budget = random_instance ~n seed in
+  let config = Hidap.Config.default in
+  let cost = LG.annealing_cost ~config ~blocks ~affinity ~fixed_pos ~budget in
+  let full_cost e =
+    (LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget e).LG.cost
+  in
+  ((fun e -> beq (cost e) (full_cost e)), full_cost)
+
+(* A walk that revisits: each move is scored, then its inverse (back to
+   the previous expression), then the move again, then a replay of an
+   earlier expression. Every call is compared bitwise with a cold full
+   evaluation, so a hit is right exactly when it returns what a miss
+   would have computed. Sizes 2..8 run with the memo on, 9..12 with it
+   off (the packed key would not fit an int). *)
+let memo_matches_eval_on_revisits =
+  qtest ~count:12 "annealing_cost = eval_expr bitwise on revisiting walks, n = 2..12"
+    seed_arb (fun seed ->
+      List.for_all
+        (fun n ->
+          let exact, _ = memo_instance ~n seed in
+          let rng = Util.Rng.create (seed + n) in
+          let steps = 40 in
+          let history = Array.make steps (Polish.initial_random rng ~n) in
+          let cur = ref history.(0) in
+          let ok =
+            ref (exact !cur && (LG.memo_slot_of ~n_blocks:n !cur <> None) = (n <= 8))
+          in
+          for s = 1 to steps - 1 do
+            let next = Polish.perturb rng !cur in
+            ok :=
+              !ok && exact next && exact !cur && exact next
+              && exact history.(Util.Rng.int rng s);
+            history.(s) <- next;
+            cur := next
+          done;
+          !ok)
+        (List.init 11 (fun i -> i + 2)))
+
+(* Eviction: two expressions of different cost that share a slot,
+   scored alternately, each evicting the other. A lookup that trusted
+   the slot without the key would return the other one's cost. *)
+let test_memo_slot_eviction () =
+  List.iter
+    (fun n ->
+      let exact, full_cost = memo_instance ~n 17 in
+      let rng = Util.Rng.create n in
+      let by_slot = Hashtbl.create 4096 in
+      let rec find e tries =
+        if tries = 0 then Alcotest.failf "n = %d: no slot collision found" n
+        else begin
+          let slot = Option.get (LG.memo_slot_of ~n_blocks:n e) in
+          match Hashtbl.find_opt by_slot slot with
+          | Some e'
+            when Polish.elements e' <> Polish.elements e
+                 && not (beq (full_cost e) (full_cost e')) ->
+            (e', e)
+          | Some _ -> find (Polish.perturb rng e) (tries - 1)
+          | None ->
+            Hashtbl.add by_slot slot e;
+            find (Polish.perturb rng e) (tries - 1)
+        end
+      in
+      let a, b = find (Polish.initial_random rng ~n) 100_000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "n = %d: alternating a slot's two tenants stays exact" n)
+        true
+        (List.for_all exact [ a; b; a; b; a; a; b; b ]))
+    [ 4; 6; 8 ]
 
 (* ---- sa_starts is honored exactly ----------------------------------- *)
 
@@ -374,6 +448,9 @@ let suite =
   [ ( "incremental",
       [ inc_matches_full_random_walk; inc_matches_full_per_move;
         inc_handles_reverts; run_cost_is_annealer_best;
+        memo_matches_eval_on_revisits;
+        Alcotest.test_case "memo slot eviction stays exact" `Quick
+          test_memo_slot_eviction;
         Alcotest.test_case "sa_starts honored exactly" `Quick
           test_sa_starts_honored;
         Alcotest.test_case "asymmetric affinity rejected" `Quick

@@ -552,9 +552,10 @@ let test_serve_fails_after_retry_budget () =
   Alcotest.(check int) "initial attempt + one retry" 2 v.P.attempts;
   Serve.Client.close cl
 
-(* serve.worker_kill: the worker SIGKILLs itself mid-job. The daemon
-   must classify the signaled exit as worker-lost, retry, and stay
-   fully serviceable. *)
+(* serve.worker_kill: the worker SIGKILLs itself mid-job, right after
+   its first checkpoint snapshot, so the kill lands inside the
+   placement however fast the job runs. The daemon must classify the
+   signaled exit as worker-lost, retry, and stay fully serviceable. *)
 let test_serve_worker_killed_retries () =
   let d = start ~fault:"serve.worker_kill:1" (scratch ()) in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
