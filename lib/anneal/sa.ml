@@ -142,7 +142,8 @@ let minimize ~rng ~init ~cost ~neighbor ?(params = default_params) ?observer () 
   (* Perf counters are flushed once per run from the loop's own local
      tallies, so the annealing inner loop carries no telemetry work at
      all — not even a branch — and the totals are identical to per-move
-     bumps (the ≤2% budget in DESIGN.md §12 is asserted by bench). *)
+     bumps (test_obs "telemetry does no per-move work" bounds what
+     enabling them allocates; DESIGN.md §12). *)
   if Obs.Perf.enabled () then begin
     let h = Obs.Perf.ambient () in
     Obs.Perf.bump h Obs.Perf.sa_moves !moves;

@@ -22,43 +22,6 @@ let snapshot () =
 
 let allocated_words s = s.minor_words +. s.major_words -. s.promoted_words
 
-(* Peak resident set size of this process in kilobytes, read from the
-   kernel's high-water mark (VmHWM in /proc/self/status). 0 when the
-   file or the field is unavailable (non-Linux); callers treat 0 as
-   "not measured". *)
-let peak_rss_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let prefix = "VmHWM:" in
-        let plen = String.length prefix in
-        let rec scan () =
-          match input_line ic with
-          | exception End_of_file -> 0
-          | line ->
-            if String.length line > plen && String.sub line 0 plen = prefix then
-              (* "VmHWM:	  123456 kB" *)
-              (try
-                 Scanf.sscanf (String.sub line plen (String.length line - plen))
-                   " %d" (fun n -> n)
-               with Scanf.Scan_failure _ | Failure _ | End_of_file -> 0)
-            else scan ()
-        in
-        scan ())
-
-let diff ~before ~after =
-  { minor_words = after.minor_words -. before.minor_words;
-    promoted_words = after.promoted_words -. before.promoted_words;
-    major_words = after.major_words -. before.major_words;
-    minor_collections = after.minor_collections - before.minor_collections;
-    major_collections = after.major_collections - before.major_collections;
-    compactions = after.compactions - before.compactions;
-    heap_words = after.heap_words;
-    top_heap_words = after.top_heap_words }
-
 let record ?(prefix = "gc") t s =
   Metrics.set_gauge t (prefix ^ ".minor_words") s.minor_words;
   Metrics.set_gauge t (prefix ^ ".promoted_words") s.promoted_words;

@@ -1,11 +1,9 @@
 (** OCaml runtime allocation / collection statistics as metrics.
 
-    A [snapshot] captures [Gc.quick_stat] at one point; [diff] turns two
-    snapshots into the allocation and collection work done between them
-    (word counters subtract, heap sizes keep the later reading).
-    [gauges] publishes a snapshot to the global registry as
-    [gc.*] gauges, gated on {!Metrics.enabled} like every other
-    shorthand — reading [Gc] statistics never perturbs the flow. *)
+    A [snapshot] captures [Gc.quick_stat] at one point. [gauges]
+    publishes a snapshot to the global registry as [gc.*] gauges, gated
+    on {!Metrics.enabled} like every other shorthand — reading [Gc]
+    statistics never perturbs the flow. *)
 
 type snapshot = {
   minor_words : float;
@@ -23,16 +21,6 @@ val snapshot : unit -> snapshot
 val allocated_words : snapshot -> float
 (** Total words allocated: minor + major - promoted (promoted words
     would otherwise be counted twice). *)
-
-val peak_rss_kb : unit -> int
-(** Peak resident set size of this process in kilobytes (the kernel's
-    VmHWM high-water mark from [/proc/self/status]); 0 when it cannot
-    be read (non-Linux). A whole-process, monotone measure — unlike the
-    GC words it includes code, stacks and C allocations. *)
-
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Work done between two snapshots; [heap_words]/[top_heap_words] are
-    taken from [after]. *)
 
 val record : ?prefix:string -> Metrics.t -> snapshot -> unit
 (** Publish as [<prefix>.minor_words] etc. gauges (default prefix

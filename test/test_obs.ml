@@ -328,6 +328,55 @@ let test_perf_merge_determinism () =
     [ ("hidap.places", 1); ("netlist.elaborations", 1); ("hnl.files_parsed", 1);
       ("hnl.bytes_parsed", String.length src); ("cellplace.runs", 0) ]
 
+(* Telemetry must cost nothing per annealing move (DESIGN.md §12). The
+   bound is on minor words, which — unlike wall-clock — a run allocates
+   the same on every machine. Perf counters are flushed once per start
+   from local tallies, so enabling them may add well under one word per
+   hundred moves; the metrics layer works once per plateau (observer,
+   histogram sample, curve point), so it may add a fixed amount per
+   plateau but not a boxed word per move. *)
+let test_telemetry_no_per_move_work () =
+  let c = Option.get (Circuitgen.Suite.find "c1") in
+  let flat = Netlist.Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
+  let config =
+    { (Hidap.Config.with_lambda Hidap.Config.default 0.5) with Hidap.Config.jobs = 1 }
+  in
+  let die = Hidap.die_for flat ~config in
+  let place ~perf ~metrics =
+    Obs.Perf.reset Obs.Perf.global;
+    Metrics.reset Metrics.global;
+    Obs.Perf.set_enabled perf;
+    Metrics.set_enabled metrics;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Perf.set_enabled false;
+        Metrics.set_enabled false;
+        Metrics.reset Metrics.global)
+      (fun () ->
+        let w0 = Gc.minor_words () in
+        let r = Hidap.place ~config ~die flat in
+        (r, Gc.minor_words () -. w0))
+  in
+  ignore (place ~perf:false ~metrics:false : Hidap.result * float);
+  let off, off_words = place ~perf:false ~metrics:false in
+  let perf, perf_words = place ~perf:true ~metrics:false in
+  let moves = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_moves in
+  let plateaus = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_plateaus in
+  let both, both_words = place ~perf:true ~metrics:true in
+  Alcotest.(check bool) "perf-on placement identical" true
+    (perf.Hidap.placements = off.Hidap.placements);
+  Alcotest.(check bool) "perf+metrics placement identical" true
+    (both.Hidap.placements = off.Hidap.placements);
+  Alcotest.(check bool) "moves and plateaus counted" true (moves > 0 && plateaus > 0);
+  let perf_extra = perf_words -. off_words in
+  let both_extra = both_words -. off_words in
+  if perf_extra >= float_of_int (moves / 100) then
+    Alcotest.failf "perf counters added %.0f minor words over %d moves (bound %d)"
+      perf_extra moves (moves / 100);
+  if both_extra >= float_of_int (300 * plateaus) then
+    Alcotest.failf "perf + metrics added %.0f minor words over %d plateaus (bound %d)"
+      both_extra plateaus (300 * plateaus)
+
 (* The sampler's collapsed-stack output: root-first stacks joined with
    ';', "(idle)" for an empty stack, sorted buckets, positive counts. *)
 let test_sampler_collapsed_stacks () =
@@ -499,6 +548,8 @@ let suite =
           test_stream_ndjson_roundtrip;
         Alcotest.test_case "emit/disable race leaves no torn lines" `Slow
           test_stream_emit_disable_race;
+        Alcotest.test_case "telemetry does no per-move work" `Slow
+          test_telemetry_no_per_move_work;
         Alcotest.test_case "perf counter merge determinism" `Slow
           test_perf_merge_determinism;
         Alcotest.test_case "tracing preserves determinism" `Slow

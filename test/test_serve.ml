@@ -675,6 +675,24 @@ let test_serve_stress_multi_client () =
   let uniq = List.sort_uniq compare ids in
   Alcotest.(check int) "no duplicate ids" 80 (List.length uniq);
   let cl0 = List.hd clients in
+  (* The pool runs jobs side by side: while the queue drains, some
+     stats reply shows both slots holding distinct jobs at once. *)
+  let deadline = Unix.gettimeofday () +. 120.0 in
+  let rec await_overlap () =
+    let s = ok (Serve.Client.stats cl0) in
+    match List.filter_map (fun w -> w.P.job) s.P.workers with
+    | [ a; b ] when a <> b -> ()
+    | _ ->
+      if s.P.completed >= 80 then
+        Alcotest.fail "the 80 jobs drained without two workers ever busy at once"
+      else if Unix.gettimeofday () > deadline then
+        Alcotest.fail "no stats reply showed two workers busy at once"
+      else begin
+        Unix.sleepf 0.005;
+        await_overlap ()
+      end
+  in
+  await_overlap ();
   List.iter
     (fun id ->
       match ok (Serve.Client.wait ~timeout_s:300.0 cl0 id) with
