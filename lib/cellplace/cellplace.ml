@@ -28,45 +28,46 @@ let macro_pin_position ~flat ~macros fid ~dir =
   | None -> None
   | Some m -> Some (Hidap.Flipping.pin_position ~rect:m.rect ~orient:m.orient ~dir)
 
+(* Per flat node: how many pins it has on the nets of the pin index.
+   The relaxation divides by it; it does not depend on positions. *)
+let net_degrees (idx : Flat.pin_index) n =
+  let deg = Array.make n 0 in
+  Array.iter (fun fid -> deg.(fid) <- deg.(fid) + 1) idx.Flat.ids;
+  deg
+
 (* One Jacobi sweep of the star model: every movable cell moves to the
    mean of its nets' pin centroids. [damp] blends with the previous
-   position. *)
-let relax_sweep ~flat ~pos ~movable ~damp =
-  let n = Array.length pos in
-  let accx = Array.make n 0.0 and accy = Array.make n 0.0 in
-  let cnt = Array.make n 0 in
-  Array.iter
-    (fun (drivers, sinks) ->
-      let pins = Array.append drivers sinks in
-      let np = Array.length pins in
-      if np >= 2 then begin
-        let sx = ref 0.0 and sy = ref 0.0 in
-        Array.iter
-          (fun fid ->
-            let p = pos.(fid) in
-            sx := !sx +. p.Point.x;
-            sy := !sy +. p.Point.y)
-          pins;
-        let cx = !sx /. float_of_int np and cy = !sy /. float_of_int np in
-        Array.iter
-          (fun fid ->
-            if movable.(fid) then begin
-              accx.(fid) <- accx.(fid) +. cx;
-              accy.(fid) <- accy.(fid) +. cy;
-              cnt.(fid) <- cnt.(fid) + 1
-            end)
-          pins
-      end)
-    flat.Flat.net_pins;
+   position. Positions live unboxed in [xs]/[ys]; [accx]/[accy] are
+   scratch buffers reused across sweeps. *)
+let relax_sweep ~(idx : Flat.pin_index) ~deg ~movable ~xs ~ys ~accx ~accy ~damp =
+  let n = Array.length xs in
+  Array.fill accx 0 n 0.0;
+  Array.fill accy 0 n 0.0;
+  let off = idx.Flat.off and ids = idx.Flat.ids in
+  for k = 0 to Array.length off - 2 do
+    let a = off.(k) and b = off.(k + 1) in
+    let sx = ref 0.0 and sy = ref 0.0 in
+    for q = a to b - 1 do
+      let fid = ids.(q) in
+      sx := !sx +. xs.(fid);
+      sy := !sy +. ys.(fid)
+    done;
+    let np = float_of_int (b - a) in
+    let cx = !sx /. np and cy = !sy /. np in
+    for q = a to b - 1 do
+      let fid = ids.(q) in
+      if movable.(fid) then begin
+        accx.(fid) <- accx.(fid) +. cx;
+        accy.(fid) <- accy.(fid) +. cy
+      end
+    done
+  done;
   for fid = 0 to n - 1 do
-    if movable.(fid) && cnt.(fid) > 0 then begin
-      let nx = accx.(fid) /. float_of_int cnt.(fid) in
-      let ny = accy.(fid) /. float_of_int cnt.(fid) in
-      let p = pos.(fid) in
-      pos.(fid) <-
-        Point.make
-          ((damp *. nx) +. ((1.0 -. damp) *. p.Point.x))
-          ((damp *. ny) +. ((1.0 -. damp) *. p.Point.y))
+    if movable.(fid) && deg.(fid) > 0 then begin
+      let nx = accx.(fid) /. float_of_int deg.(fid) in
+      let ny = accy.(fid) /. float_of_int deg.(fid) in
+      xs.(fid) <- (damp *. nx) +. ((1.0 -. damp) *. xs.(fid));
+      ys.(fid) <- (damp *. ny) +. ((1.0 -. damp) *. ys.(fid))
     end
   done
 
@@ -78,12 +79,8 @@ let relax_sweep ~flat ~pos ~movable ~damp =
    preserved instead of smearing cells over all the free area. *)
 let max_bin_utilization = 0.70
 
-let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
-  let cells =
-    Array.to_list flat.Flat.nodes
-    |> List.filter (fun (nd : Flat.node) -> movable.(nd.Flat.id))
-  in
-  if cells <> [] then begin
+let spread ~flat ~xs ~ys ~movable ~die ~macro_rects ~s =
+  if Array.exists Fun.id movable then begin
     let bin_w = die.Rect.w /. float_of_int s in
     let bin_h = die.Rect.h /. float_of_int s in
     let bin_rect i j =
@@ -103,63 +100,66 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
       done
     done;
     let bin_of fid =
-      let p = pos.(fid) in
-      let i = int_of_float ((p.Point.x -. die.Rect.x) /. bin_w) in
-      let j = int_of_float ((p.Point.y -. die.Rect.y) /. bin_h) in
+      let i = int_of_float ((xs.(fid) -. die.Rect.x) /. bin_w) in
+      let j = int_of_float ((ys.(fid) -. die.Rect.y) /. bin_h) in
       (Util.Stat.clamp_int ~lo:0 ~hi:(s - 1) i, Util.Stat.clamp_int ~lo:0 ~hi:(s - 1) j)
     in
-    let members : (int, int list) Hashtbl.t = Hashtbl.create (s * s) in
+    (* per bin [i * s + j], its cells, most recently added first *)
+    let members = Array.make (s * s) [] in
     let load = Array.make_matrix s s 0.0 in
     let area_of fid = max 1.0 flat.Flat.nodes.(fid).Flat.area in
-    List.iter
-      (fun (nd : Flat.node) ->
-        let fid = nd.Flat.id in
-        let i, j = bin_of fid in
-        let key = (i * s) + j in
-        Hashtbl.replace members key (fid :: (try Hashtbl.find members key with Not_found -> []));
-        load.(i).(j) <- load.(i).(j) +. area_of fid)
-      cells;
+    Array.iteri
+      (fun fid mv ->
+        if mv then begin
+          let i, j = bin_of fid in
+          let key = (i * s) + j in
+          members.(key) <- fid :: members.(key);
+          load.(i).(j) <- load.(i).(j) +. area_of fid
+        end)
+      movable;
     (* Spill excess cells ring by ring to the nearest bin with spare
-       capacity, scanning bins deterministically. *)
+       capacity: the most spare capacity on the nearest ring that has
+       any, ties to the first bin in (di, dj) order. [ring] is where the
+       search starts; while one bin spills, loads only grow, so a ring
+       that had no free bin stays full and the search resumes at the
+       last ring found. *)
+    let ring = ref 1 in
     let nearest_free i j =
-      let best = ref None in
-      let radius = ref 1 in
-      while !best = None && !radius < 2 * s do
-        let r = !radius in
-        for di = -r to r do
-          for dj = -r to r do
-            if max (abs di) (abs dj) = r then begin
-              let ni = i + di and nj = j + dj in
-              if ni >= 0 && ni < s && nj >= 0 && nj < s
-                 && cap.(ni).(nj) -. load.(ni).(nj) > 0.0
-              then
-                match !best with
-                | None -> best := Some (ni, nj)
-                | Some (bi, bj) ->
-                  if
-                    cap.(ni).(nj) -. load.(ni).(nj)
-                    > cap.(bi).(bj) -. load.(bi).(bj)
-                  then best := Some (ni, nj)
-            end
-          done
+      let best = ref (-1) and best_free = ref 0.0 in
+      let visit ni nj =
+        let free = cap.(ni).(nj) -. load.(ni).(nj) in
+        if free > 0.0 && (!best < 0 || free > !best_free) then begin
+          best := (ni * s) + nj;
+          best_free := free
+        end
+      in
+      while !best < 0 && !ring < 2 * s do
+        let r = !ring in
+        for di = max (-r) (-i) to min r (s - 1 - i) do
+          let ni = i + di in
+          if di = -r || di = r then
+            for dj = max (-r) (-j) to min r (s - 1 - j) do
+              visit ni (j + dj)
+            done
+          else begin
+            if j - r >= 0 then visit ni (j - r);
+            if j + r < s then visit ni (j + r)
+          end
         done;
-        incr radius
+        if !best < 0 then incr ring
       done;
-      !best
+      if !best < 0 then None else Some (!best / s, !best mod s)
     in
     for i = 0 to s - 1 do
       for j = 0 to s - 1 do
         if load.(i).(j) > cap.(i).(j) then begin
           let key = (i * s) + j in
-          let cells_here = try Hashtbl.find members key with Not_found -> [] in
           let centre = Rect.center (bin_rect i j) in
-          (* keep the cells closest to the bin centre *)
-          let sorted =
-            List.sort
-              (fun a b ->
-                compare (Point.manhattan pos.(a) centre) (Point.manhattan pos.(b) centre))
-              cells_here
+          let dist fid =
+            abs_float (xs.(fid) -. centre.Point.x) +. abs_float (ys.(fid) -. centre.Point.y)
           in
+          (* keep the cells closest to the bin centre *)
+          let sorted = List.sort (fun a b -> compare (dist a) (dist b)) members.(key) in
           let keep = ref [] and here = ref 0.0 in
           let spill = ref [] in
           List.iter
@@ -172,7 +172,8 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
               else spill := fid :: !spill)
             sorted;
           load.(i).(j) <- !here;
-          Hashtbl.replace members key !keep;
+          members.(key) <- !keep;
+          ring := 1;
           List.iter
             (fun fid ->
               match nearest_free i j with
@@ -181,49 +182,101 @@ let spread ~flat ~pos ~movable ~die ~macro_rects ~s =
                 let a = area_of fid in
                 load.(ni).(nj) <- load.(ni).(nj) +. a;
                 let nkey = (ni * s) + nj in
-                Hashtbl.replace members nkey
-                  (fid :: (try Hashtbl.find members nkey with Not_found -> []));
+                members.(nkey) <- fid :: members.(nkey);
                 let r = bin_rect ni nj in
                 (* deterministic sub-bin position *)
                 let h = (fid * 40503) land 0xFFFF in
                 let fx = float_of_int (h land 0xFF) /. 255.0 in
                 let fy = float_of_int ((h lsr 8) land 0xFF) /. 255.0 in
-                pos.(fid) <-
-                  Point.make
-                    (r.Rect.x +. (fx *. r.Rect.w))
-                    (r.Rect.y +. (fy *. r.Rect.h)))
+                xs.(fid) <- r.Rect.x +. (fx *. r.Rect.w);
+                ys.(fid) <- r.Rect.y +. (fy *. r.Rect.h))
             (List.rev !spill)
         end
       done
     done
   end
 
-let push_out_of_macros ~pos ~movable ~macro_rects ~die =
-  Array.iteri
-    (fun fid p ->
-      if movable.(fid) then begin
-        let p = ref p in
-        List.iter
-          (fun (r : Rect.t) ->
-            if Rect.contains_point r !p then begin
-              (* move to the nearest edge of the macro *)
-              let dl = (!p).Point.x -. r.Rect.x in
-              let dr = r.Rect.x +. r.Rect.w -. (!p).Point.x in
-              let db = (!p).Point.y -. r.Rect.y in
-              let dt = r.Rect.y +. r.Rect.h -. (!p).Point.y in
-              let m = min (min dl dr) (min db dt) in
-              p :=
-                if m = dl then Point.make (r.Rect.x -. 0.5) (!p).Point.y
-                else if m = dr then Point.make (r.Rect.x +. r.Rect.w +. 0.5) (!p).Point.y
-                else if m = db then Point.make (!p).Point.x (r.Rect.y -. 0.5)
-                else Point.make (!p).Point.x (r.Rect.y +. r.Rect.h +. 0.5)
-            end)
-          macro_rects;
-        let x = Util.Stat.clamp ~lo:die.Rect.x ~hi:(die.Rect.x +. die.Rect.w) (!p).Point.x in
-        let y = Util.Stat.clamp ~lo:die.Rect.y ~hi:(die.Rect.y +. die.Rect.h) (!p).Point.y in
-        pos.(fid) <- Point.make x y
-      end)
-    (Array.copy pos)
+(* The macros bucketed on a [g] x [g] grid over the die: [bins.(b)]
+   lists, ascending, the indices of the macros whose bin range covers
+   bin [b]. Coordinates map to bins by one monotone formula, so a closed
+   rectangle's bin range covers the bin of every point it contains, with
+   no epsilon. *)
+type macro_grid = {
+  rects : Rect.t array;
+  g : int;
+  ox : float;
+  oy : float;
+  bw : float;
+  bh : float;
+  bins : int list array;
+}
+
+let grid_cell ~o ~size ~g v =
+  let f = (v -. o) /. size in
+  if not (f >= 0.0) then 0 else if f >= float_of_int g then g - 1 else int_of_float f
+
+let macro_grid ~macro_rects ~die =
+  let rects = Array.of_list macro_rects in
+  let g = min 32 (1 + int_of_float (sqrt (float_of_int (Array.length rects)))) in
+  let ox = die.Rect.x and oy = die.Rect.y in
+  let bw = die.Rect.w /. float_of_int g and bh = die.Rect.h /. float_of_int g in
+  let col = grid_cell ~o:ox ~size:bw ~g and row = grid_cell ~o:oy ~size:bh ~g in
+  let bins = Array.make (g * g) [] in
+  for k = Array.length rects - 1 downto 0 do
+    let r = rects.(k) in
+    for i = col r.Rect.x to col (r.Rect.x +. r.Rect.w) do
+      for j = row r.Rect.y to row (r.Rect.y +. r.Rect.h) do
+        bins.((i * g) + j) <- k :: bins.((i * g) + j)
+      done
+    done
+  done;
+  { rects; g; ox; oy; bw; bh; bins }
+
+(* Moves the point out of every macro containing it, in list order: each
+   macro after the last one pushed out of that contains the current point
+   moves it to the nearest edge of that macro, 0.5 outside. The lowest
+   such macro is in the point's bin, so the bin's list stands in for the
+   whole one. Then the point is clamped to the die. *)
+let push_out_cell grid ~die ~xs ~ys fid =
+  let x = ref xs.(fid) and y = ref ys.(fid) in
+  let last = ref (-1) and moving = ref true in
+  while !moving do
+    let b =
+      (grid_cell ~o:grid.ox ~size:grid.bw ~g:grid.g !x * grid.g)
+      + grid_cell ~o:grid.oy ~size:grid.bh ~g:grid.g !y
+    in
+    let contains k =
+      let r = grid.rects.(k) in
+      k > !last && !x >= r.Rect.x && !x <= r.Rect.x +. r.Rect.w && !y >= r.Rect.y
+      && !y <= r.Rect.y +. r.Rect.h
+    in
+    match List.find_opt contains grid.bins.(b) with
+    | None -> moving := false
+    | Some k ->
+      let r = grid.rects.(k) in
+      let dl = !x -. r.Rect.x in
+      let dr = r.Rect.x +. r.Rect.w -. !x in
+      let db = !y -. r.Rect.y in
+      let dt = r.Rect.y +. r.Rect.h -. !y in
+      let m = min (min dl dr) (min db dt) in
+      if m = dl then x := r.Rect.x -. 0.5
+      else if m = dr then x := r.Rect.x +. r.Rect.w +. 0.5
+      else if m = db then y := r.Rect.y -. 0.5
+      else y := r.Rect.y +. r.Rect.h +. 0.5;
+      last := k
+  done;
+  xs.(fid) <- Util.Stat.clamp ~lo:die.Rect.x ~hi:(die.Rect.x +. die.Rect.w) !x;
+  ys.(fid) <- Util.Stat.clamp ~lo:die.Rect.y ~hi:(die.Rect.y +. die.Rect.h) !y
+
+let push_out_of_macros grid ~die ~xs ~ys ~movable =
+  Array.iteri (fun fid mv -> if mv then push_out_cell grid ~die ~xs ~ys fid) movable
+
+let push_out ~macro_rects ~die points =
+  let xs = Array.map (fun (p : Point.t) -> p.Point.x) points in
+  let ys = Array.map (fun (p : Point.t) -> p.Point.y) points in
+  push_out_of_macros (macro_grid ~macro_rects ~die) ~die ~xs ~ys
+    ~movable:(Array.make (Array.length points) true);
+  Array.init (Array.length points) (fun i -> Point.make xs.(i) ys.(i))
 
 (* Initial state: ports and macros pinned, movable cells seeded from a
    deterministic jitter around the die centroid. This is also the
@@ -264,18 +317,28 @@ let run_body ~params ~flat ~macros ~port_pos ~die =
   Obs.Span.attr_int "cells" n;
   Obs.Span.attr_int "iterations" params.iterations;
   let pos, movable = seed_state ~flat ~macros ~port_pos ~die in
+  let xs = Array.map (fun (p : Point.t) -> p.Point.x) pos in
+  let ys = Array.map (fun (p : Point.t) -> p.Point.y) pos in
+  let idx = flat.Flat.pin_index in
+  let deg = net_degrees idx n in
+  let accx = Array.make n 0.0 and accy = Array.make n 0.0 in
+  let relax damp = relax_sweep ~idx ~deg ~movable ~xs ~ys ~accx ~accy ~damp in
   for _ = 1 to params.iterations do
     Guard.Budget.check ~stage:"cellplace";
-    relax_sweep ~flat ~pos ~movable ~damp:1.0
+    relax 1.0
   done;
   let macro_rects = List.map (fun m -> m.rect) macros in
-  spread ~flat ~pos ~movable ~die ~macro_rects ~s:params.spread_grid;
+  spread ~flat ~xs ~ys ~movable ~die ~macro_rects ~s:params.spread_grid;
+  let grid = macro_grid ~macro_rects ~die in
   for _ = 1 to params.smooth_iterations do
     Guard.Budget.check ~stage:"cellplace";
-    relax_sweep ~flat ~pos ~movable ~damp:0.25;
-    push_out_of_macros ~pos ~movable ~macro_rects ~die
+    relax 0.25;
+    push_out_of_macros grid ~die ~xs ~ys ~movable
   done;
-  { positions = pos; die; movable }
+  let positions =
+    Array.mapi (fun fid p -> if movable.(fid) then Point.make xs.(fid) ys.(fid) else p) pos
+  in
+  { positions; die; movable }
 
 let run ?(params = default_params) ~flat ~macros ~port_pos ~die () =
   Obs.Span.with_ ~name:"cellplace.run" (fun () ->

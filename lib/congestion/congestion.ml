@@ -22,39 +22,35 @@ let estimate ?(params = default_params) ~flat ~positions ~die ?(macros = []) () 
   let demand = Array.make_matrix s s 0.0 in
   let bin_w = die.Rect.w /. float_of_int s and bin_h = die.Rect.h /. float_of_int s in
   let clamp_bin v hi = Util.Stat.clamp_int ~lo:0 ~hi v in
-  Array.iter
-    (fun (drivers, sinks) ->
-      let pins = Array.append drivers sinks in
-      if Array.length pins >= 2 then begin
-        let minx = ref infinity and maxx = ref neg_infinity in
-        let miny = ref infinity and maxy = ref neg_infinity in
-        Array.iter
-          (fun fid ->
-            let p = positions.(fid) in
-            if p.Point.x < !minx then minx := p.Point.x;
-            if p.Point.x > !maxx then maxx := p.Point.x;
-            if p.Point.y < !miny then miny := p.Point.y;
-            if p.Point.y > !maxy then maxy := p.Point.y)
-          pins;
-        let hpwl = !maxx -. !minx +. (!maxy -. !miny) in
-        (* Nets contained well inside one bin route on local layers and
-           do not contribute to global-routing congestion. *)
-        if hpwl > 0.5 *. min bin_w bin_h then begin
-          let bw = max bin_w (!maxx -. !minx) and bh = max bin_h (!maxy -. !miny) in
-          let density = hpwl /. (bw *. bh) in
-          let i0 = clamp_bin (int_of_float ((!minx -. die.Rect.x) /. bin_w)) (s - 1) in
-          let i1 = clamp_bin (int_of_float ((!maxx -. die.Rect.x) /. bin_w)) (s - 1) in
-          let j0 = clamp_bin (int_of_float ((!miny -. die.Rect.y) /. bin_h)) (s - 1) in
-          let j1 = clamp_bin (int_of_float ((!maxy -. die.Rect.y) /. bin_h)) (s - 1) in
-          for i = i0 to i1 do
-            for j = j0 to j1 do
-              demand.(i).(j) <- demand.(i).(j) +. (density *. bin_w *. bin_h)
-            done
-          done
-        end
-      end)
-    flat.Flat.net_pins;
-  ignore (Array.fold_left (fun acc row -> Array.fold_left ( +. ) acc row) 0.0 demand);
+  let idx = flat.Flat.pin_index in
+  let off = idx.Flat.off and ids = idx.Flat.ids in
+  for k = 0 to Array.length off - 2 do
+    let minx = ref infinity and maxx = ref neg_infinity in
+    let miny = ref infinity and maxy = ref neg_infinity in
+    for q = off.(k) to off.(k + 1) - 1 do
+      let p = positions.(ids.(q)) in
+      if p.Point.x < !minx then minx := p.Point.x;
+      if p.Point.x > !maxx then maxx := p.Point.x;
+      if p.Point.y < !miny then miny := p.Point.y;
+      if p.Point.y > !maxy then maxy := p.Point.y
+    done;
+    let hpwl = !maxx -. !minx +. (!maxy -. !miny) in
+    (* Nets contained well inside one bin route on local layers and
+       do not contribute to global-routing congestion. *)
+    if hpwl > 0.5 *. min bin_w bin_h then begin
+      let bw = max bin_w (!maxx -. !minx) and bh = max bin_h (!maxy -. !miny) in
+      let density = hpwl /. (bw *. bh) in
+      let i0 = clamp_bin (int_of_float ((!minx -. die.Rect.x) /. bin_w)) (s - 1) in
+      let i1 = clamp_bin (int_of_float ((!maxx -. die.Rect.x) /. bin_w)) (s - 1) in
+      let j0 = clamp_bin (int_of_float ((!miny -. die.Rect.y) /. bin_h)) (s - 1) in
+      let j1 = clamp_bin (int_of_float ((!maxy -. die.Rect.y) /. bin_h)) (s - 1) in
+      for i = i0 to i1 do
+        for j = j0 to j1 do
+          demand.(i).(j) <- demand.(i).(j) +. (density *. bin_w *. bin_h)
+        done
+      done
+    end
+  done;
   (* Routable fraction of each bin: macros block most routing layers but
      keep [macro_porosity] of the tracks. The total routing supply is
      held constant (factor x total demand) and distributed over the

@@ -25,28 +25,44 @@ type run = {
   sweep_trace : (float * float) list;
 }
 
-(* Total HPWL with macro pins resolved through the flipping pin model. *)
+(* Total HPWL with macro pins resolved through the flipping pin model:
+   every node's output and input pin positions are resolved once into
+   flat arrays, then each net of the pin index is one bounding box over
+   its drivers' output pins and its sinks' input pins. *)
 let total_wirelength ~flat ~(cp : Cellplace.t) ~macros =
-  let macro_tbl = Hashtbl.create 64 in
+  let positions = cp.Cellplace.positions in
+  let outx = Array.map (fun (p : Point.t) -> p.Point.x) positions in
+  let outy = Array.map (fun (p : Point.t) -> p.Point.y) positions in
+  let inx = Array.copy outx and iny = Array.copy outy in
   List.iter
-    (fun (m : Cellplace.macro_place) -> Hashtbl.replace macro_tbl m.Cellplace.fid m)
-    macros;
-  let pin_pos fid ~dir =
-    match Hashtbl.find_opt macro_tbl fid with
-    | Some m ->
-      Hidap.Flipping.pin_position ~rect:m.Cellplace.rect ~orient:m.Cellplace.orient ~dir
-    | None -> cp.Cellplace.positions.(fid)
-  in
-  let acc = ref 0.0 in
-  Array.iter
-    (fun (drivers, sinks) ->
-      let pins =
-        Array.append
-          (Array.map (fun fid -> pin_pos fid ~dir:`Out) drivers)
-          (Array.map (fun fid -> pin_pos fid ~dir:`In) sinks)
+    (fun (m : Cellplace.macro_place) ->
+      let pin dir =
+        Hidap.Flipping.pin_position ~rect:m.Cellplace.rect ~orient:m.Cellplace.orient ~dir
       in
-      acc := !acc +. Geom.Wirelength.hpwl_array pins)
-    flat.Flat.net_pins;
+      let o = pin `Out and i = pin `In in
+      outx.(m.Cellplace.fid) <- o.Point.x;
+      outy.(m.Cellplace.fid) <- o.Point.y;
+      inx.(m.Cellplace.fid) <- i.Point.x;
+      iny.(m.Cellplace.fid) <- i.Point.y)
+    macros;
+  let idx = flat.Flat.pin_index in
+  let off = idx.Flat.off and ids = idx.Flat.ids in
+  let acc = ref 0.0 in
+  for k = 0 to Array.length off - 2 do
+    let minx = ref infinity and maxx = ref neg_infinity in
+    let miny = ref infinity and maxy = ref neg_infinity in
+    let first_sink = idx.Flat.first_sink.(k) in
+    for q = off.(k) to off.(k + 1) - 1 do
+      let fid = ids.(q) in
+      let x = if q < first_sink then outx.(fid) else inx.(fid) in
+      let y = if q < first_sink then outy.(fid) else iny.(fid) in
+      if x < !minx then minx := x;
+      if x > !maxx then maxx := x;
+      if y < !miny then miny := y;
+      if y > !maxy then maxy := y
+    done;
+    acc := !acc +. (!maxx -. !minx +. (!maxy -. !miny))
+  done;
   !acc
 
 (* Gseq node positions for timing: macros at their pin centres, ports on

@@ -11,62 +11,51 @@ let fmt_float f =
   in
   search 6
 
-let pp_pins ppf (ins, outs) =
-  let pp_names ppf names =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-      Format.pp_print_string ppf names
-  in
+let add_pins b (ins, outs) =
+  let names = String.concat " " in
   match (ins, outs) with
-  | [], [] -> Format.pp_print_string ppf "()"
-  | ins, [] -> Format.fprintf ppf "(in %a)" pp_names ins
-  | [], outs -> Format.fprintf ppf "(out %a)" pp_names outs
-  | ins, outs -> Format.fprintf ppf "(in %a ; out %a)" pp_names ins pp_names outs
+  | [], [] -> Buffer.add_string b "()"
+  | ins, [] -> Printf.bprintf b "(in %s)" (names ins)
+  | [], outs -> Printf.bprintf b "(out %s)" (names outs)
+  | ins, outs -> Printf.bprintf b "(in %s ; out %s)" (names ins) (names outs)
 
-let pp_cell ppf (c : D.cell_decl) =
+let add_cell b (c : D.cell_decl) =
+  let pins = (c.D.cins, c.D.couts) in
   match c.D.ckind with
   | D.Macro { D.mw; mh } ->
-    Format.fprintf ppf "  macro %s size %s %s %a@," c.D.cname (fmt_float mw) (fmt_float mh) pp_pins (c.D.cins, c.D.couts)
+    Printf.bprintf b "  macro %s size %s %s %a\n" c.D.cname (fmt_float mw) (fmt_float mh)
+      add_pins pins
+  | D.Flop when c.D.carea = 1.0 -> Printf.bprintf b "  flop %s %a\n" c.D.cname add_pins pins
   | D.Flop ->
-    if c.D.carea = 1.0 then
-      Format.fprintf ppf "  flop %s %a@," c.D.cname pp_pins (c.D.cins, c.D.couts)
-    else
-      Format.fprintf ppf "  flop %s area %s %a@," c.D.cname (fmt_float c.D.carea) pp_pins
-        (c.D.cins, c.D.couts)
+    Printf.bprintf b "  flop %s area %s %a\n" c.D.cname (fmt_float c.D.carea) add_pins pins
+  | D.Comb when c.D.carea = 1.0 -> Printf.bprintf b "  comb %s %a\n" c.D.cname add_pins pins
   | D.Comb ->
-    if c.D.carea = 1.0 then
-      Format.fprintf ppf "  comb %s %a@," c.D.cname pp_pins (c.D.cins, c.D.couts)
-    else
-      Format.fprintf ppf "  comb %s area %s %a@," c.D.cname (fmt_float c.D.carea) pp_pins
-        (c.D.cins, c.D.couts)
+    Printf.bprintf b "  comb %s area %s %a\n" c.D.cname (fmt_float c.D.carea) add_pins pins
 
-let pp_port ppf (p : D.port_decl) =
+let add_port b (p : D.port_decl) =
   match p.D.pdir with
-  | D.Input -> Format.fprintf ppf "  input %s@," p.D.pname
-  | D.Output -> Format.fprintf ppf "  output %s@," p.D.pname
+  | D.Input -> Printf.bprintf b "  input %s\n" p.D.pname
+  | D.Output -> Printf.bprintf b "  output %s\n" p.D.pname
 
-let pp_inst ppf (i : D.inst_decl) =
-  let pp_binding ppf (f, a) = Format.fprintf ppf "%s => %s" f a in
-  Format.fprintf ppf "  inst %s : %s (%a)@," i.D.iname i.D.imodule
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp_binding)
-    i.D.bindings
+let add_inst b (i : D.inst_decl) =
+  Printf.bprintf b "  inst %s : %s (%s)\n" i.D.iname i.D.imodule
+    (String.concat ", " (List.map (fun (f, a) -> f ^ " => " ^ a) i.D.bindings))
 
-let pp_module ppf (m : D.module_def) =
-  Format.fprintf ppf "@[<v>module %s {@," m.D.mname;
-  List.iter (pp_port ppf) m.D.ports;
-  List.iter (pp_cell ppf) m.D.cells;
-  List.iter (pp_inst ppf) m.D.insts;
-  Format.fprintf ppf "}@]@."
+let add_module b (m : D.module_def) =
+  Printf.bprintf b "module %s {\n" m.D.mname;
+  List.iter (add_port b) m.D.ports;
+  List.iter (add_cell b) m.D.cells;
+  List.iter (add_inst b) m.D.insts;
+  Buffer.add_string b "}\n"
 
-let pp_design ppf (d : D.t) =
-  Format.fprintf ppf "design %s@.@." d.D.top;
-  List.iter (fun (_, m) -> pp_module ppf m) d.D.modules
+let to_buffer (d : D.t) =
+  let b = Buffer.create 65536 in
+  Printf.bprintf b "design %s\n\n" d.D.top;
+  List.iter (fun (_, m) -> add_module b m) d.D.modules;
+  b
 
-let to_string d = Format.asprintf "%a" pp_design d
+let to_string d = Buffer.contents (to_buffer d)
 
 let write_file path d =
   let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  pp_design ppf d;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc (to_buffer d))

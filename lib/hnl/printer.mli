@@ -1,8 +1,6 @@
 (** HNL pretty-printer; {!Parser.parse_string} of the output reproduces
     the design (round-trip tested). *)
 
-val pp_design : Format.formatter -> Netlist.Design.t -> unit
-
 val to_string : Netlist.Design.t -> string
 
 val write_file : string -> Netlist.Design.t -> unit

@@ -22,6 +22,12 @@ type scope = {
   mutable scells : int list;
 }
 
+type pin_index = {
+  off : int array;
+  first_sink : int array;
+  ids : int array;
+}
+
 type t = {
   design_name : string;
   nodes : node array;
@@ -29,6 +35,7 @@ type t = {
   gnet : Graphlib.Digraph.t;
   net_count : int;
   net_pins : (int array * int array) array;
+  pin_index : pin_index;
 }
 
 (* Growable accumulators used during elaboration. *)
@@ -68,6 +75,34 @@ let add_scope b ~spath ~smodule ~sparent =
   let s = { sid; spath; smodule; sparent; schildren = []; scells = [] } in
   b.bscopes <- s :: b.bscopes;
   s
+
+let pin_index_of net_pins =
+  let listed = ref 0 and total = ref 0 in
+  Array.iter
+    (fun (ds, ss) ->
+      let np = Array.length ds + Array.length ss in
+      if np >= 2 then begin
+        incr listed;
+        total := !total + np
+      end)
+    net_pins;
+  let off = Array.make (!listed + 1) 0 in
+  let first_sink = Array.make !listed 0 in
+  let ids = Array.make !total 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun (ds, ss) ->
+      let nd = Array.length ds and ns = Array.length ss in
+      if nd + ns >= 2 then begin
+        let o = off.(!k) in
+        Array.blit ds 0 ids o nd;
+        Array.blit ss 0 ids (o + nd) ns;
+        first_sink.(!k) <- o + nd;
+        off.(!k + 1) <- o + nd + ns;
+        incr k
+      end)
+    net_pins;
+  { off; first_sink; ids }
 
 let elaborate_body (d : Design.t) =
   (match Design.validate d with
@@ -168,7 +203,8 @@ let elaborate_body (d : Design.t) =
     (fun (ds, ss) ->
       Array.iter (fun u -> Array.iter (fun v -> Graphlib.Digraph.add_edge gnet u v) ss) ds)
     net_pins;
-  { design_name = d.Design.top; nodes; scopes; gnet; net_count = b.nnets; net_pins }
+  { design_name = d.Design.top; nodes; scopes; gnet; net_count = b.nnets; net_pins;
+    pin_index = pin_index_of net_pins }
 
 let elaborate (d : Design.t) =
   Obs.Span.with_ ~name:"netlist.elaborate" (fun () ->

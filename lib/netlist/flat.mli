@@ -30,6 +30,17 @@ type scope = {
   mutable scells : int list;  (** node ids of leaf cells directly in this scope *)
 }
 
+(** The nets with two or more pins, in [net_pins] order, as flat arrays
+    (compressed sparse rows): listed net [k] has the pins
+    [ids.(off.(k)) .. ids.(off.(k + 1) - 1)], drivers then sinks in
+    [net_pins] order, and its sinks start at [ids.(first_sink.(k))].
+    Nets with fewer than two pins are left out. *)
+type pin_index = {
+  off : int array;  (** length = listed nets + 1 *)
+  first_sink : int array;  (** length = listed nets *)
+  ids : int array;
+}
+
 type t = {
   design_name : string;
   nodes : node array;
@@ -38,6 +49,7 @@ type t = {
   net_count : int;
   net_pins : (int array * int array) array;
       (** per net: (driver node ids, sink node ids) *)
+  pin_index : pin_index;  (** [net_pins] as flat arrays, built once *)
 }
 
 val elaborate : Design.t -> t

@@ -418,20 +418,29 @@ let test_move_allocation_budget () =
    count (placements do not depend on it). *)
 let golden_c1_digest = "e64014df466d4856df4044f4ee3f5c40"
 
-let test_golden_c1_placement () =
-  let c = Option.get (Circuitgen.Suite.find "c1") in
+(* A suite circuit as the benchmark's seed 1 sees it: generator seed
+   moved by 1000, handed over as HNL text. *)
+let seed1_flat name =
+  let c = Option.get (Circuitgen.Suite.find name) in
   let params = { c.Circuitgen.Suite.params with seed = c.Circuitgen.Suite.params.seed + 1000 } in
   let text = Hnl.Printer.to_string (Circuitgen.Gen.generate params) in
-  let design =
-    match Hnl.Parser.parse_string text with
-    | Ok d -> d
-    | Error _ -> Alcotest.fail "generated c1 does not parse"
-  in
-  let flat = Netlist.Flat.elaborate design in
-  let config =
-    { Hidap.Config.default with Hidap.Config.seed = 1; lambda = 0.5; lambda_sweep = [ 0.5 ] }
-  in
-  let r = Hidap.place ~config ~die:(Hidap.die_for flat ~config) flat in
+  match Hnl.Parser.parse_string text with
+  | Ok d -> Netlist.Flat.elaborate d
+  | Error _ -> Alcotest.failf "generated %s does not parse" name
+
+let golden_config =
+  { Hidap.Config.default with Hidap.Config.seed = 1; lambda = 0.5; lambda_sweep = [ 0.5 ] }
+
+(* The golden c1 placement, shared by the placement and evaluation
+   digests. *)
+let golden_c1 =
+  lazy
+    (let flat = seed1_flat "c1" in
+     let die = Hidap.die_for flat ~config:golden_config in
+     (flat, die, Hidap.place ~config:golden_config ~die flat))
+
+let test_golden_c1_placement () =
+  let _, _, r = Lazy.force golden_c1 in
   let b = Buffer.create 4096 in
   List.iter
     (fun (p : Hidap.macro_placement) ->
@@ -442,6 +451,48 @@ let test_golden_c1_placement () =
     r.Hidap.placements;
   Alcotest.(check int) "32 macros" 32 (List.length r.Hidap.placements);
   Alcotest.(check string) "c1 placement digest" golden_c1_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* MD5 of the evaluation of three macro placements: c1 and c5 wall-packed
+   by IndEDA and the golden c1 placement above. Every standard-cell
+   position [Cellplace.run] returns is printed with %h, then the
+   measured wl_um, grc_pct, wns_pct and tns. Pinned from the code
+   before the evaluation's hot loops moved onto flat arrays: a one-ulp
+   change anywhere in cell placement, HPWL, congestion or timing fails
+   it, where the QoR baselines tolerate percents. *)
+let golden_eval_digest = "520047f314fbafa0fdb2706fe0e4cf98"
+
+let test_golden_evaluation () =
+  let b = Buffer.create (1 lsl 20) in
+  let measure ~flat ~die macros_of =
+    let gseq = Seqgraph.build ~bit_threshold:golden_config.Hidap.Config.bit_threshold flat in
+    let ports = Hidap.Port_plan.make gseq ~die in
+    let m, cp = Evalflow.measure ~flat ~gseq ~ports ~die ~macros:(macros_of gseq) in
+    Array.iter
+      (fun (p : Point.t) -> Buffer.add_string b (Printf.sprintf "%h %h\n" p.Point.x p.Point.y))
+      cp.Cellplace.positions;
+    Buffer.add_string b
+      (Printf.sprintf "%h %h %h %h\n" m.Evalflow.wl_um m.Evalflow.grc_pct m.Evalflow.wns_pct
+         m.Evalflow.tns)
+  in
+  List.iter
+    (fun name ->
+      let flat = seed1_flat name in
+      let die = Hidap.die_for flat ~config:golden_config in
+      measure ~flat ~die (fun gseq ->
+          List.map
+            (fun (p : Baselines.Indeda.placement) ->
+              { Cellplace.fid = p.Baselines.Indeda.fid; rect = p.Baselines.Indeda.rect;
+                orient = p.Baselines.Indeda.orient })
+            (Baselines.Indeda.place ~flat ~gseq ~die ())))
+    [ "c1"; "c5" ];
+  let flat, die, r = Lazy.force golden_c1 in
+  measure ~flat ~die (fun _ ->
+      List.map
+        (fun (p : Hidap.macro_placement) ->
+          { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
+        r.Hidap.placements);
+  Alcotest.(check string) "evaluation digest" golden_eval_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let suite =
@@ -458,4 +509,6 @@ let suite =
         Alcotest.test_case "annealing move allocation budget" `Quick
           test_move_allocation_budget;
         Alcotest.test_case "golden c1 placement digest" `Quick
-          test_golden_c1_placement ] ) ]
+          test_golden_c1_placement;
+        Alcotest.test_case "golden evaluation digest" `Quick
+          test_golden_evaluation ] ) ]

@@ -200,7 +200,21 @@ let test_elab_net_pins () =
       (fun acc (ds, ss) -> acc + (Array.length ds * Array.length ss))
       0 f.Flat.net_pins
   in
-  Alcotest.(check int) "pin products = edges" (G.edge_count f.Flat.gnet) edges
+  Alcotest.(check int) "pin products = edges" (G.edge_count f.Flat.gnet) edges;
+  (* the pin index lists the nets with two or more pins, in order *)
+  let idx = f.Flat.pin_index in
+  let listed =
+    Array.to_list f.Flat.net_pins
+    |> List.filter (fun (ds, ss) -> Array.length ds + Array.length ss >= 2)
+  in
+  Alcotest.(check int) "listed nets" (List.length listed) (Array.length idx.Flat.off - 1);
+  List.iteri
+    (fun k (ds, ss) ->
+      let o = idx.Flat.off.(k) and fs = idx.Flat.first_sink.(k) in
+      Alcotest.(check (array int)) "drivers" ds (Array.sub idx.Flat.ids o (fs - o));
+      Alcotest.(check (array int)) "sinks" ss
+        (Array.sub idx.Flat.ids fs (idx.Flat.off.(k + 1) - fs)))
+    listed
 
 let test_generated_designs_validate () =
   List.iter

@@ -114,6 +114,111 @@ let test_macro_pin_position () =
   Alcotest.(check bool) "unknown macro" true
     (Cellplace.macro_pin_position ~flat ~macros (-1) ~dir:`In = None)
 
+(* ---- macro push-out -------------------------------------------------- *)
+
+(* The reference push-out: every macro in list order, moving the point
+   to the nearest edge of each one that contains it, then a clamp to the
+   die. [Cellplace.push_out] must agree with it bit for bit. *)
+let push_out_reference ~macro_rects ~die (p : Point.t) =
+  let p =
+    List.fold_left
+      (fun (p : Point.t) (r : Rect.t) ->
+        if Rect.contains_point r p then begin
+          let dl = p.Point.x -. r.Rect.x in
+          let dr = r.Rect.x +. r.Rect.w -. p.Point.x in
+          let db = p.Point.y -. r.Rect.y in
+          let dt = r.Rect.y +. r.Rect.h -. p.Point.y in
+          let m = min (min dl dr) (min db dt) in
+          if m = dl then Point.make (r.Rect.x -. 0.5) p.Point.y
+          else if m = dr then Point.make (r.Rect.x +. r.Rect.w +. 0.5) p.Point.y
+          else if m = db then Point.make p.Point.x (r.Rect.y -. 0.5)
+          else Point.make p.Point.x (r.Rect.y +. r.Rect.h +. 0.5)
+        end
+        else p)
+      p macro_rects
+  in
+  Point.make
+    (Util.Stat.clamp ~lo:die.Rect.x ~hi:(die.Rect.x +. die.Rect.w) p.Point.x)
+    (Util.Stat.clamp ~lo:die.Rect.y ~hi:(die.Rect.y +. die.Rect.h) p.Point.y)
+
+let check_push_out name ~macro_rects ~die points =
+  let got = Cellplace.push_out ~macro_rects ~die points in
+  Array.iteri
+    (fun i (p : Point.t) ->
+      let want = push_out_reference ~macro_rects ~die p in
+      let q = got.(i) in
+      if Int64.bits_of_float q.Point.x <> Int64.bits_of_float want.Point.x
+         || Int64.bits_of_float q.Point.y <> Int64.bits_of_float want.Point.y
+      then
+        Alcotest.failf "%s: point %d (%h, %h) pushed to (%h, %h), reference (%h, %h)" name i
+          p.Point.x p.Point.y q.Point.x q.Point.y want.Point.x want.Point.y)
+    points
+
+let test_push_out_cases () =
+  let die = Rect.make ~x:0.0 ~y:0.0 ~w:100.0 ~h:100.0 in
+  let r x y w h = Rect.make ~x ~y ~w ~h in
+  let pts l = Array.of_list (List.map (fun (x, y) -> Point.make x y) l) in
+  (* out of A across its right edge lands in B, listed later *)
+  let a = r 10.0 10.0 20.0 20.0 and b = r 30.2 10.0 20.0 20.0 in
+  Alcotest.(check (float 0.0)) "A then B" 29.7
+    (Cellplace.push_out ~macro_rects:[ a; b ] ~die (pts [ (29.0, 20.0) ])).(0).Point.x;
+  check_push_out "chain into a later macro" ~macro_rects:[ a; b ] ~die
+    (pts [ (29.0, 20.0); (28.5, 12.0); (11.0, 29.5) ]);
+  (* out of B across its left edge lands in A, listed earlier: A is not
+     revisited *)
+  Alcotest.(check (float 0.0)) "B, landing in A" 29.7
+    (Cellplace.push_out ~macro_rects:[ a; b ] ~die (pts [ (30.5, 20.0) ])).(0).Point.x;
+  check_push_out "no revisit of an earlier macro" ~macro_rects:[ a; b ] ~die
+    (pts [ (30.5, 20.0); (30.6, 15.0) ]);
+  check_push_out "reversed list" ~macro_rects:[ b; a ] ~die
+    (pts [ (29.0, 20.0); (30.5, 20.0) ]);
+  (* closed containment: points on edges and corners are pushed *)
+  check_push_out "points on macro edges" ~macro_rects:[ a; b ] ~die
+    (pts [ (10.0, 20.0); (30.0, 20.0); (20.0, 10.0); (20.0, 30.0); (10.0, 10.0);
+           (30.0, 30.0); (30.2, 30.0); (50.2, 10.0) ]);
+  (* outside the die, and macros on and past the die edge *)
+  let edge = r (-5.0) 90.0 20.0 15.0 in
+  check_push_out "points outside the die" ~macro_rects:[ a; edge; b ] ~die
+    (pts [ (-40.0, 50.0); (140.0, -3.0); (-2.0, 95.0); (0.0, 100.0); (1e300, 1e300);
+           (-1e300, 50.0); (infinity, 20.0); (nan, 20.0) ])
+
+(* 200 macros put a 15 x 15 bin grid over the die, with lines every 60
+   in x and every 50 in y; every fourth macro is snapped to those lines,
+   so edges and corners fall exactly on bin boundaries. *)
+let test_push_out_random () =
+  let rng = Util.Rng.create 17 in
+  let die = Rect.make ~x:(-37.5) ~y:12.25 ~w:900.0 ~h:750.0 in
+  let macro_rects =
+    List.init 200 (fun k ->
+        if k mod 4 = 0 then
+          Rect.make
+            ~x:(die.Rect.x +. (60.0 *. float_of_int (Util.Rng.int rng 15)))
+            ~y:(die.Rect.y +. (50.0 *. float_of_int (Util.Rng.int rng 15)))
+            ~w:(60.0 *. float_of_int (Util.Rng.range rng 1 3))
+            ~h:(50.0 *. float_of_int (Util.Rng.range rng 1 3))
+        else
+          let w = Util.Rng.float rng 120.0 and h = Util.Rng.float rng 90.0 in
+          Rect.make
+            ~x:(die.Rect.x -. 40.0 +. Util.Rng.float rng (die.Rect.w +. 40.0))
+            ~y:(die.Rect.y -. 30.0 +. Util.Rng.float rng (die.Rect.h +. 30.0))
+            ~w ~h)
+    |> Array.of_list
+  in
+  let points =
+    Array.init 6000 (fun i ->
+        let r = macro_rects.(i / 6 mod 200) in
+        match i mod 6 with
+        (* on the macro's edges and corners *)
+        | 0 -> Point.make (r.Rect.x +. r.Rect.w) r.Rect.y
+        | 1 -> Point.make r.Rect.x (r.Rect.y +. r.Rect.h)
+        | 2 -> Point.make (r.Rect.x +. r.Rect.w) (r.Rect.y +. (r.Rect.h /. 2.0))
+        | _ ->
+          Point.make
+            (die.Rect.x -. 50.0 +. Util.Rng.float rng (die.Rect.w +. 100.0))
+            (die.Rect.y -. 50.0 +. Util.Rng.float rng (die.Rect.h +. 100.0)))
+  in
+  check_push_out "200 random macros" ~macro_rects:(Array.to_list macro_rects) ~die points
+
 (* ---- congestion ----------------------------------------------------- *)
 
 let test_congestion_uniform_design () =
@@ -253,7 +358,10 @@ let suite =
         Alcotest.test_case "locality" `Quick test_cellplace_locality;
         Alcotest.test_case "deterministic" `Quick test_cellplace_deterministic;
         Alcotest.test_case "density map" `Quick test_density_map;
-        Alcotest.test_case "macro pin position" `Quick test_macro_pin_position ] );
+        Alcotest.test_case "macro pin position" `Quick test_macro_pin_position;
+        Alcotest.test_case "push-out matches the list scan" `Quick test_push_out_cases;
+        Alcotest.test_case "push-out matches the list scan, 200 macros" `Quick
+          test_push_out_random ] );
     ( "congestion",
       [ Alcotest.test_case "single net" `Quick test_congestion_uniform_design;
         Alcotest.test_case "hotspot" `Quick test_congestion_hotspot;
