@@ -73,33 +73,23 @@ let tables_2_3 () =
   let results =
     List.map
       (fun (c : Circuitgen.Suite.circuit) ->
-        let design = Circuitgen.Gen.generate c.Circuitgen.Suite.params in
-        let flat = Flat.elaborate design in
         (* Run instrumented so the QoR ledger gets stage times, the SA
            curve and GC gauges; telemetry cannot change the placement
            (see test_obs determinism case). *)
-        Obs.Metrics.reset Obs.Metrics.global;
-        Obs.Metrics.set_enabled true;
-        Obs.Trace.start ();
-        let res =
-          Fun.protect
-            ~finally:(fun () -> Obs.Metrics.set_enabled false)
-            (fun () -> Evalflow.run_all ~name:c.Circuitgen.Suite.cname design)
+        let ev =
+          Qor.Run.eval ~config:Hidap.Config.default (fun () ->
+              ( c.Circuitgen.Suite.cname,
+                Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) ))
         in
-        let spans = Obs.Trace.finish () in
-        let records =
-          Qor.Record.of_eval ~circuit:c.Circuitgen.Suite.cname ~flat
-            ~config:Hidap.Config.default ~spans ~registry:Obs.Metrics.global res
-        in
-        Obs.Metrics.reset Obs.Metrics.global;
+        let res = ev.Qor.Run.result in
         let ledger_path =
           Filename.concat artifacts_dir
             (Printf.sprintf "qor_%s.json" c.Circuitgen.Suite.cname)
         in
-        Qor.Record.write_ledger ledger_path records;
+        Qor.Record.write_ledger ledger_path ev.Qor.Run.records;
         printf "  [done] %s (%d cells, %d macros) -> %s@." res.Evalflow.circuit
           res.Evalflow.cells res.Evalflow.macro_count ledger_path;
-        (c, flat, res))
+        (c, ev.Qor.Run.flat, res))
       (circuits ())
   in
   let rows =
@@ -232,14 +222,7 @@ let figs_2_3 () =
     (fun (lambda, label) ->
       let config = Hidap.Config.with_lambda config lambda in
       let r = Hidap.place ~config ~die flat in
-      let m, _ =
-        Evalflow.measure ~flat ~gseq ~ports ~die
-          ~macros:
-            (List.map
-               (fun (p : Hidap.macro_placement) ->
-                 { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
-               r.Hidap.placements)
-      in
+      let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
       printf "lambda=%.1f (%s): WL=%.0f um, overlap=%.1f@." lambda label m.Evalflow.wl_um
         (Hidap.overlap_area r);
       match r.Hidap.top with
@@ -499,13 +482,7 @@ let fig9 results =
       { Hidap.Config.default with Hidap.Config.lambda = Option.get run.Evalflow.lambda_used }
     in
     let r = Hidap.place ~config ~die:(Hidap.die_for flat ~config) flat in
-    let macros =
-      List.map
-        (fun (p : Hidap.macro_placement) ->
-          { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
-        r.Hidap.placements
-    in
-    if macros <> run.Evalflow.macros then
+    if r.Hidap.placements <> run.Evalflow.macros then
       failwith "fig9: re-placing c3 at the sweep's lambda differs from the HiDaP run";
     (match r.Hidap.top with
     | Some top ->
@@ -548,13 +525,7 @@ let ablations () =
     let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros in
     m.Evalflow.wl_um
   in
-  let wl_of_result (r : Hidap.result) =
-    wl_of_macros
-      (List.map
-         (fun (p : Hidap.macro_placement) ->
-           { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
-         r.Hidap.placements)
-  in
+  let wl_of_result (r : Hidap.result) = wl_of_macros r.Hidap.placements in
   printf "-- lambda (block vs macro flow blend):@.";
   let rows =
     List.map
@@ -579,9 +550,7 @@ let ablations () =
   let without_flip =
     wl_of_macros
       (List.map
-         (fun (p : Hidap.macro_placement) ->
-           { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect;
-             orient = Geom.Orientation.R0 })
+         (fun (p : Hidap.macro_placement) -> { p with Hidap.orient = Geom.Orientation.R0 })
          r.Hidap.placements)
   in
   printf "%s@."
@@ -600,12 +569,7 @@ let ablations () =
   printf "%s@." (T.render ~header:[ "open/min"; "WL(um)" ] rows);
   printf "-- IndEDA wall-packing order:@.";
   let indeda ordering =
-    wl_of_macros
-      (List.map
-         (fun (p : Baselines.Indeda.placement) ->
-           { Cellplace.fid = p.Baselines.Indeda.fid; rect = p.Baselines.Indeda.rect;
-             orient = p.Baselines.Indeda.orient })
-         (Baselines.Indeda.place ~flat ~gseq ~die ~ordering ()))
+    wl_of_macros (Baselines.Indeda.place ~flat ~gseq ~die ~ordering ())
   in
   printf "%s@."
     (T.render ~header:[ "ordering"; "WL(um)" ]
@@ -628,20 +592,7 @@ let observability () =
     (fun (c : Circuitgen.Suite.circuit) ->
       let cname = c.Circuitgen.Suite.cname in
       let flat = Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
-      Obs.Metrics.reset Obs.Metrics.global;
-      Obs.Metrics.set_enabled true;
-      Obs.Perf.reset Obs.Perf.global;
-      Obs.Perf.set_enabled true;
-      Obs.Trace.start ();
-      let spans =
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.Metrics.set_enabled false;
-            Obs.Perf.set_enabled false)
-          (fun () ->
-            let (_ : Hidap.result) = Hidap.place flat in
-            Obs.Trace.finish ())
-      in
+      let (_ : Hidap.result), spans = Obs.Trace.instrumented (fun () -> Hidap.place flat) in
       let trace_path =
         Filename.concat artifacts_dir (Printf.sprintf "trace_%s.json" cname)
       in
@@ -690,8 +641,7 @@ let observability () =
         (String.concat ", "
            (List.map
               (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-              (Obs.Perf.to_assoc Obs.Perf.global)));
-      Obs.Metrics.reset Obs.Metrics.global)
+              (Obs.Perf.to_assoc Obs.Perf.global))))
     (circuits ())
 
 (* ------------------------------------------------------------------ *)

@@ -114,6 +114,14 @@ let elaborate_checked design =
     Format.eprintf "hidap: elaboration rejected the design: %s@." msg;
     exit exit_invalid
 
+(* [Guard.Audit] takes its placements as (fid, rect, orient) tuples. *)
+let audit_result ~flat (r : Hidap.result) =
+  Guard.Audit.run ~flat ~die:r.Hidap.die
+    ~placements:
+      (List.map
+         (fun (p : Hidap.macro_placement) -> (p.Hidap.fid, p.Hidap.rect, p.Hidap.orient))
+         r.Hidap.placements)
+
 (* Fault specs come from HIDAP_FAULT; budgets merge HIDAP_BUDGET with
    the --budget flag (flag entries win for a stage listed in both). *)
 let supervision ~budget =
@@ -294,35 +302,17 @@ let perf_out_json (p : Qor.Record.perf_info) =
       ("version", Obs.Jsonx.Int 1);
       ("perf", Qor.Record.perf_info_json p) ]
 
-(* Run [f] with the observability layer active when any output was
-   requested; otherwise run it with the default no-op sink. Active
-   means spans, metrics and the perf counters, all reset before [f]
-   parses anything. [after] is called once the trace is finished and
-   the metric sinks are written, with the spans and the still-populated
-   global registry — the QoR ledger hook. *)
-let with_obs ~trace ~metrics ~profile ?(force = false) ?(after = fun _ _ -> ()) f =
+(* The --trace/--metrics/--profile outputs of an instrumented run, as
+   an [Obs.Trace.instrumented] finish hook: called with the spans on
+   every exit path, while the global registries hold the run's values. *)
+let obs_outputs ~trace ~metrics ~profile =
   let trace_out = Option.map (open_output ~what:"trace") trace in
   let metrics_out = Option.map (open_output ~what:"metrics") metrics in
-  let active = force || Option.is_some trace_out || Option.is_some metrics_out || profile in
-  if not active then f ()
-  else begin
-    Obs.Trace.start ();
-    Obs.Metrics.set_enabled true;
-    Obs.Perf.reset Obs.Perf.global;
-    Obs.Perf.set_enabled true;
-    let finish () =
-      let spans = Obs.Trace.finish () in
-      Obs.Metrics.set_enabled false;
-      Obs.Perf.set_enabled false;
-      write_output "trace" trace_out (Obs.Trace.to_chrome_json spans);
-      write_output "metrics" metrics_out
-        (Obs.Metrics.to_json ~counters:Obs.Perf.global Obs.Metrics.global);
-      if profile then prerr_string (Obs.Trace.summary spans);
-      after spans Obs.Metrics.global;
-      Obs.Metrics.reset Obs.Metrics.global
-    in
-    Fun.protect ~finally:finish f
-  end
+  fun spans ->
+    write_output "trace" trace_out (Obs.Trace.to_chrome_json spans);
+    write_output "metrics" metrics_out
+      (Obs.Metrics.to_json ~counters:Obs.Perf.global Obs.Metrics.global);
+    if profile then prerr_string (Obs.Trace.summary spans)
 
 (* ---- stats -------------------------------------------------------- *)
 
@@ -385,29 +375,29 @@ let place_cmd =
     let perf_out = Option.map (open_output ~what:"perf") perf_out in
     let progress = open_progress ~progress_file ~progress_fd in
     (* The perf section goes to --perf-out and the QoR record; the
-       counters it reports are the ones [with_obs] enables for every
-       instrumented run, so the outputs agree regardless of which one
-       asked. *)
+       counters it reports are the ones every instrumented run enables,
+       so the outputs agree regardless of which one asked. *)
     let want_perf = Option.is_some perf_out || Option.is_some qor_out in
+    let write_obs = obs_outputs ~trace ~metrics ~profile in
     let captured = ref None in
     let perf_captured = ref None in
-    let after spans registry =
+    let on_finish spans =
+      write_obs spans;
       match (!captured, qor_out) with
-      | Some (name, flat, config, r, measured, degradations, ckpt), Some _ ->
+      | Some (name, flat, config, (p : Qor.Run.placed)), Some _ ->
         let record =
-          Qor.Record.of_place ~circuit:name ~flat ~config ~spans ~registry
-            ~degradations ?measured ?ckpt ?perf:!perf_captured r
+          Qor.Record.of_place ~circuit:name ~flat ~config ~spans
+            ~registry:Obs.Metrics.global ~degradations:p.Qor.Run.degradations
+            ~measured:(Option.get p.Qor.Run.measured) ?ckpt:p.Qor.Run.ckpt_summary
+            ?perf:!perf_captured p.Qor.Run.result
         in
         write_output "qor" qor_out (Qor.Record.to_json record)
       | _ -> ()
     in
-    (* The exit happens after [with_obs] unwinds so requested telemetry
-       outputs are written even for degraded or audit-failing runs. *)
-    let run_body () =
-      with_obs ~trace ~metrics ~profile
-        ~force:(want_perf || Option.is_some profile_out)
-        ~after
-      @@ fun () ->
+    (* The exit happens after the instrumented run unwinds so requested
+       telemetry outputs are written even for degraded or audit-failing
+       runs. *)
+    let body () =
       let name, design = design_of ~strict ~file ~circuit in
       let flat = elaborate_checked design in
       let config =
@@ -426,80 +416,39 @@ let place_cmd =
           ~jobs:config.Hidap.Config.jobs;
         Parexec.reset_pool_stats ();
         let t0 = Obs.Clock.now_s () in
-        let session = ref None in
-        (* Quality metrics are measured inside the supervised region:
-           the cell-placement stage they drive has its own fault site
-           and fallback, and its degradations must land in the ledger
-           (and hence the QoR record), not fire after disarm. The
-           checkpoint session starts inside it too: resume-time
-           rollbacks and snapshot-write failures belong in the same
-           ledger. *)
-        let (r, measured), degradations =
-          try
-            Guard.Supervisor.with_run ~budgets ~faults (fun () ->
-              (match ckpt_dir with
-              | None -> ()
-              | Some dir ->
-                let fp =
-                  { Ckpt.State.circuit = name;
-                    seed = config.Hidap.Config.seed;
-                    lambda = config.Hidap.Config.lambda;
-                    sa_starts = config.Hidap.Config.sa_starts;
-                    cells = Netlist.Flat.cell_count flat;
-                    macro_count = Netlist.Flat.macro_count flat }
-                in
-                (match Ckpt.Session.start ~every:ckpt_every ~dir ~resume fp with
-                | Error d ->
-                  print_diag d;
-                  exit exit_invalid
-                | Ok s ->
-                  (match Ckpt.Session.resumed_from s with
-                  | Some f -> Format.eprintf "checkpoint: resuming from %s/%s@." dir f
-                  | None -> ());
-                  session := Some s));
-              let r = Hidap.place ~config ~die ?ckpt:!session flat in
-              let measured =
-                match qor_out with
-                | None -> None
-                | Some _ ->
-                  let cp_macros =
-                    List.map
-                      (fun (p : Hidap.macro_placement) ->
-                        { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect;
-                          orient = p.Hidap.orient })
-                      r.Hidap.placements
-                  in
-                  let m, _ =
-                    Evalflow.measure ~flat ~gseq:r.Hidap.gseq ~ports:r.Hidap.ports
-                      ~die:r.Hidap.die ~macros:cp_macros
-                  in
-                  Some m
-              in
-              (r, measured))
-          with Guard.Budget.Cancelled _ ->
-            (* The signal handler requested a stop: write a final
-               snapshot so --resume continues bit-identically, then
-               unwind to the interrupted exit code. *)
-            (match !session with
-            | Some s -> (try Ckpt.Session.save_now s ~stage:false with _ -> ())
-            | None -> ());
+        let ckpt =
+          Option.map
+            (fun dir -> { Qor.Run.dir; every = ckpt_every; resume; on_save = ignore })
+            ckpt_dir
+        in
+        let on_resume f =
+          Format.eprintf "checkpoint: resuming from %s/%s@." (Option.get ckpt_dir) f
+        in
+        let placed =
+          match
+            Qor.Run.place ~circuit:name ~config ~die ?ckpt ~on_resume
+              ~measure:(Option.is_some qor_out) flat
+          with
+          | Ok p -> p
+          | Error d ->
+            print_diag d;
+            exit exit_invalid
+          | exception Guard.Budget.Cancelled _ ->
+            (* The signal handler requested a stop and the final
+               snapshot is written: unwind to the interrupted exit
+               code, and --resume continues bit-identically. *)
             Format.eprintf
               "hidap: interrupted; final checkpoint written, continue with \
                --resume@.";
             Obs.Stream.run_end ~status:"interrupted";
             raise Interrupted
         in
-        let ckpt_summary =
-          Option.map
-            (fun s ->
-              let sm = Ckpt.Session.summary s in
-              Format.eprintf "checkpoint: %d snapshot(s) written, %d instance(s) reused@."
-                sm.Ckpt.Session.snapshots_written sm.Ckpt.Session.instances_reused;
-              { Qor.Record.resumed_from = sm.Ckpt.Session.resumed_from;
-                snapshots_written = sm.Ckpt.Session.snapshots_written;
-                instances_reused = sm.Ckpt.Session.instances_reused })
-            !session
-        in
+        let r = placed.Qor.Run.result and degradations = placed.Qor.Run.degradations in
+        Option.iter
+          (fun (sm : Qor.Record.ckpt_info) ->
+            Format.eprintf "checkpoint: %d snapshot(s) written, %d instance(s) reused@."
+              sm.Qor.Record.snapshots_written sm.Qor.Record.instances_reused)
+          placed.Qor.Run.ckpt_summary;
         let wall_s = Obs.Clock.now_s () -. t0 in
         let samples = if Obs.Sampler.running () then Obs.Sampler.stop () else [] in
         (match profile_out with
@@ -517,7 +466,7 @@ let place_cmd =
         (match (!perf_captured, perf_out) with
         | Some p, Some _ -> write_output "perf" perf_out (perf_out_json p)
         | _ -> ());
-        captured := Some (name, flat, config, r, measured, degradations, ckpt_summary);
+        captured := Some (name, flat, config, placed);
         List.iter
           (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
           degradations;
@@ -537,15 +486,10 @@ let place_cmd =
                ~rects:
                  (List.map (fun (p : Hidap.macro_placement) -> ("M", p.Hidap.rect)) r.Hidap.placements)
                ~width:64 ~height:28 ());
-        let placements =
-          List.map
-            (fun (p : Hidap.macro_placement) -> (p.Hidap.fid, p.Hidap.rect, p.Hidap.orient))
-            r.Hidap.placements
-        in
         (match save with
         | Some path ->
           Hidap.Placement_io.save path
-            (Hidap.Placement_io.make ~flat ~die:r.Hidap.die ~placements);
+            (Hidap.Placement_io.make ~flat ~die:r.Hidap.die ~placements:r.Hidap.placements);
           Format.printf "saved placement to %s@." path
         | None -> ());
         (match svg with
@@ -560,7 +504,7 @@ let place_cmd =
           Viz.Svg.write_file path (Viz.Svg.floorplan ~die:r.Hidap.die ~rects ());
           Format.printf "wrote %s@." path
         | None -> ());
-        let audit = Guard.Audit.run ~flat ~die:r.Hidap.die ~placements in
+        let audit = audit_result ~flat r in
         let audit_ok = Guard.Audit.ok audit in
         Obs.Stream.run_end
           ~status:
@@ -575,6 +519,13 @@ let place_cmd =
         else if Guard.Supervisor.budget_degraded degradations then exit_budget
         else 0
       end
+    in
+    let run_body () =
+      if trace <> None || metrics <> None || profile || want_perf
+         || Option.is_some profile_out
+      then
+        fst (Obs.Trace.instrumented ~on_finish body)
+      else body ()
     in
     (* The stream must be flushed and closed on every path — normal,
        interrupted, or exceptional — so an NDJSON consumer never sees
@@ -632,33 +583,20 @@ let eval_cmd =
   let run file circuit seed jobs strict budget trace metrics profile qor =
     let faults, budgets = supervision ~budget in
     let qor_out = Option.map (open_output ~what:"qor") qor in
-    let captured = ref None in
-    let after spans registry =
-      match (!captured, qor_out) with
-      | Some (name, flat, config, res, degradations), Some _ ->
-        let records =
-          Qor.Record.of_eval ~circuit:name ~flat ~config ~spans ~registry
-            ~degradations res
-        in
-        write_output "qor" qor_out (Qor.Record.ledger_json records)
-      | _ -> ()
+    let on_finish = obs_outputs ~trace ~metrics ~profile in
+    let config =
+      { Hidap.Config.default with Hidap.Config.seed; jobs = resolve_jobs jobs;
+        faults; budgets }
     in
-    let code =
-      with_obs ~trace ~metrics ~profile ~force:(Option.is_some qor_out) ~after
-      @@ fun () ->
-      let name, design = design_of ~strict ~file ~circuit in
-      let config =
-        { Hidap.Config.default with Hidap.Config.seed; jobs = resolve_jobs jobs;
-          faults; budgets }
-      in
-      let res, degradations =
-        Guard.Supervisor.with_run ~budgets ~faults (fun () ->
-            Evalflow.run_all ~config ~name design)
-      in
-      captured := Some (name, elaborate_checked design, config, res, degradations);
-      List.iter
-        (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
-        degradations;
+    let ev =
+      Qor.Run.eval ~config ~on_finish (fun () ->
+          let name, design = design_of ~strict ~file ~circuit in
+          (name, elaborate_checked design))
+    in
+    let res = ev.Qor.Run.result in
+    List.iter
+      (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
+      ev.Qor.Run.degradations;
     Format.printf "circuit %s: %d cells, %d macros@." res.Evalflow.circuit
       res.Evalflow.cells res.Evalflow.macro_count;
     let rows =
@@ -679,21 +617,18 @@ let eval_cmd =
          ~header:[ "flow"; "WL(m)"; "WLnorm"; "GRC%"; "WNS%"; "TNS"; "rt(s)" ]
          rows);
     (* λ sweep of the HiDaP run, losing candidates included. *)
-      List.iter
-        (fun (r : Evalflow.run) ->
-          match r.Evalflow.sweep_trace with
-          | [] -> ()
-          | sweep ->
-            Format.printf "%s lambda sweep:%s@."
-              (Evalflow.flow_name r.Evalflow.kind)
-              (String.concat ""
-                 (List.map
-                    (fun (l, o) -> Printf.sprintf "  %.1f->%.0f" l o)
-                    sweep)))
-        res.Evalflow.runs;
-      if Guard.Supervisor.budget_degraded degradations then exit_budget else 0
-    in
-    if code <> 0 then exit code
+    List.iter
+      (fun (r : Evalflow.run) ->
+        match r.Evalflow.sweep_trace with
+        | [] -> ()
+        | sweep ->
+          Format.printf "%s lambda sweep:%s@."
+            (Evalflow.flow_name r.Evalflow.kind)
+            (String.concat ""
+               (List.map (fun (l, o) -> Printf.sprintf "  %.1f->%.0f" l o) sweep)))
+      res.Evalflow.runs;
+    write_output "qor" qor_out (Qor.Record.ledger_json ev.Qor.Run.records);
+    if Guard.Supervisor.budget_degraded ev.Qor.Run.degradations then exit exit_budget
   in
   Cmd.v (Cmd.info "eval" ~doc:"Compare the IndEDA / HiDaP / handFP flows" ~exits)
     Term.(const run $ file_arg $ circuit_arg $ seed_arg $ jobs_arg $ strict_arg
@@ -759,13 +694,7 @@ let check_cmd =
               List.iter
                 (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
                 degradations;
-              let placements =
-                List.map
-                  (fun (p : Hidap.macro_placement) ->
-                    (p.Hidap.fid, p.Hidap.rect, p.Hidap.orient))
-                  r.Hidap.placements
-              in
-              let report = Guard.Audit.run ~flat ~die:r.Hidap.die ~placements in
+              let report = audit_result ~flat r in
               Guard.Audit.pp_summary Format.std_formatter report;
               if Guard.Audit.ok report then
                 Format.printf "%s: OK (validated and audited)@." name
@@ -845,17 +774,13 @@ let view_cmd =
         let die = pl.Hidap.Placement_io.die in
         let gseq = Seqgraph.build flat in
         let ports = Hidap.Port_plan.make gseq ~die in
-        let macros =
-          List.map
-            (fun (fid, rect, orient) -> { Cellplace.fid; rect; orient })
-            placements
-        in
-        let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros in
+        let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros:placements in
         Format.printf "WL %.3f m  GRC %.2f%%  WNS %.1f%%  TNS %.0f@." m.Evalflow.wl_m
           m.Evalflow.grc_pct m.Evalflow.wns_pct m.Evalflow.tns;
         print_string
           (Viz.Ascii.floorplan ~die
-             ~rects:(List.map (fun (_, r, _) -> ("M", r)) placements)
+             ~rects:
+               (List.map (fun (p : Hidap.macro_placement) -> ("M", p.Hidap.rect)) placements)
              ~width:64 ~height:28 ()))
   in
   let placement_arg =
@@ -1212,34 +1137,22 @@ let bench_cmd =
   let run circuits baselines update jobs qor report_out =
     let qor_out = Option.map (open_output ~what:"qor") qor in
     let names = String.split_on_char ',' circuits |> List.filter (fun s -> s <> "") in
+    let config = { Hidap.Config.default with Hidap.Config.jobs = resolve_jobs jobs } in
     let records =
       List.concat_map
         (fun name ->
           match Circuitgen.Suite.find name with
           | None -> die_usage "unknown suite circuit %s (c1..c8)" name
           | Some c ->
-            let design = Circuitgen.Gen.generate c.Circuitgen.Suite.params in
-            let flat = Netlist.Flat.elaborate design in
-            let config =
-              { Hidap.Config.default with Hidap.Config.jobs = resolve_jobs jobs }
+            let ev =
+              Qor.Run.eval ~config (fun () ->
+                  ( name,
+                    Netlist.Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) ))
             in
-            Obs.Metrics.reset Obs.Metrics.global;
-            Obs.Metrics.set_enabled true;
-            Obs.Trace.start ();
-            let res =
-              Fun.protect
-                ~finally:(fun () -> Obs.Metrics.set_enabled false)
-                (fun () -> Evalflow.run_all ~config ~name design)
-            in
-            let spans = Obs.Trace.finish () in
-            let records =
-              Qor.Record.of_eval ~circuit:name ~flat ~config ~spans
-                ~registry:Obs.Metrics.global res
-            in
-            Obs.Metrics.reset Obs.Metrics.global;
+            let res = ev.Qor.Run.result in
             Format.printf "bench %s: %d cells, %d macros, %d flows@." name
-              res.Evalflow.cells res.Evalflow.macro_count (List.length records);
-            records)
+              res.Evalflow.cells res.Evalflow.macro_count (List.length ev.Qor.Run.records);
+            ev.Qor.Run.records)
         names
     in
     write_output "qor" qor_out (Qor.Record.ledger_json records);

@@ -20,7 +20,7 @@ let () =
   Format.printf "%a@." Netlist.Flat.pp_summary flat;
   Format.printf "paper counterpart: %d cells, %d macros (cells scaled 1:100 here)@.@."
     circuit.Circuitgen.Suite.paper_cells circuit.Circuitgen.Suite.paper_macros;
-  let res = Evalflow.run_all ~name design in
+  let res = Evalflow.run_all ~name flat in
   List.iter
     (fun (r : Evalflow.run) ->
       let m = r.Evalflow.metrics in

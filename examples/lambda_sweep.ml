@@ -23,13 +23,7 @@ let () =
     (fun lambda ->
       let config = Hidap.Config.with_lambda config lambda in
       let r = Hidap.place ~config ~die flat in
-      let macros =
-        List.map
-          (fun (p : Hidap.macro_placement) ->
-            { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
-          r.Hidap.placements
-      in
-      let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros in
+      let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
       if m.Evalflow.wl_um < fst !best then best := (m.Evalflow.wl_um, lambda);
       Format.printf "lambda = %.2f -> wirelength %.0f um, WNS %.1f%%@." lambda
         m.Evalflow.wl_um m.Evalflow.wns_pct;

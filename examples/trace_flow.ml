@@ -1,5 +1,5 @@
-(* Trace a full HiDaP run: enable the span recorder, the metrics
-   registry and the perf counters, place suite circuit c1', then print
+(* Trace a full HiDaP run: place suite circuit c1' with the span
+   recorder, the metrics registry and the perf counters on, then print
    the stage tree and the per-level SA convergence telemetry, and
    export both as JSON.
 
@@ -21,30 +21,20 @@ let () =
     Netlist.Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params)
   in
 
-  (* 1. Turn observability on. The sinks are global and off by default,
-     so library code pays nothing until this point. *)
-  Obs.Metrics.reset Obs.Metrics.global;
-  Obs.Metrics.set_enabled true;
-  Obs.Perf.reset Obs.Perf.global;
-  Obs.Perf.set_enabled true;
-  Obs.Trace.start ();
-
-  (* 2. Run the flow exactly as usual - the stages instrument themselves. *)
-  let result = Hidap.place flat in
-
-  (* 3. Collect. [finish] returns the completed span forest. *)
-  let spans = Obs.Trace.finish () in
-  Obs.Metrics.set_enabled false;
-  Obs.Perf.set_enabled false;
+  (* 1. Run the flow instrumented. The sinks are global and off by
+     default, so library code pays nothing outside this call; inside it
+     the stages instrument themselves, and it returns the completed
+     span forest with the flow's result. *)
+  let result, spans = Obs.Trace.instrumented (fun () -> Hidap.place flat) in
 
   Format.printf "placed %d macros on c1' (lambda=%.1f)@.@."
     (List.length result.Hidap.placements)
     result.Hidap.lambda;
 
-  (* 4. Human-readable stage tree (what --profile prints to stderr). *)
+  (* 2. Human-readable stage tree (what --profile prints to stderr). *)
   print_string (Obs.Trace.summary spans);
 
-  (* 5. SA convergence telemetry recorded by the plateau observer. *)
+  (* 3. SA convergence telemetry recorded by the plateau observer. *)
   Format.printf "@.SA acceptance by recursion level:@.";
   List.iter
     (fun name ->
@@ -60,7 +50,7 @@ let () =
           (Obs.Metrics.percentile samples ~p:90.0))
     (Obs.Metrics.names Obs.Metrics.global);
 
-  (* 6. Export both views as JSON. *)
+  (* 4. Export both views as JSON. *)
   Obs.Trace.write_chrome_file "trace_c1.json" spans;
   Obs.Jsonx.write_file "metrics_c1.json"
     (Obs.Metrics.to_json ~counters:Obs.Perf.global Obs.Metrics.global);

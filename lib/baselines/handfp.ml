@@ -2,7 +2,7 @@ module Flat = Netlist.Flat
 module Rect = Geom.Rect
 module Point = Geom.Point
 
-type placement = {
+type placement = Hidap.macro_placement = {
   fid : int;
   rect : Rect.t;
   orient : Geom.Orientation.t;

@@ -8,7 +8,7 @@
     followed by overlap legalization and orientation flipping. It is the
     quality bar the paper's HiDaP approaches within ~1% of wirelength. *)
 
-type placement = {
+type placement = Hidap.macro_placement = {
   fid : int;
   rect : Geom.Rect.t;
   orient : Geom.Orientation.t;

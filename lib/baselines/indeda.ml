@@ -5,7 +5,7 @@ type ordering =
   | By_area
   | By_connectivity
 
-type placement = {
+type placement = Hidap.macro_placement = {
   fid : int;
   rect : Rect.t;
   orient : Geom.Orientation.t;

@@ -16,7 +16,7 @@ type ordering =
   | By_area  (** commercial-packer proxy (default) *)
   | By_connectivity  (** greedy strongest-tie chain over Gseq *)
 
-type placement = {
+type placement = Hidap.macro_placement = {
   fid : int;
   rect : Geom.Rect.t;
   orient : Geom.Orientation.t;

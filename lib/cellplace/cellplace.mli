@@ -18,7 +18,7 @@
     paper's protocol ("metrics are taken after placement of standard
     cells using the same tool"). *)
 
-type macro_place = {
+type macro_place = Hidap.macro_placement = {
   fid : int;
   rect : Geom.Rect.t;
   orient : Geom.Orientation.t;

@@ -11,7 +11,7 @@ module Placement_io = Placement_io
 module Rect = Geom.Rect
 module Flat = Netlist.Flat
 
-type macro_placement = {
+type macro_placement = Placement_io.macro_placement = {
   fid : int;
   rect : Rect.t;
   orient : Geom.Orientation.t;

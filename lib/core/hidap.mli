@@ -19,7 +19,7 @@ module Flipping = Flipping
 module Legalize = Legalize
 module Placement_io = Placement_io
 
-type macro_placement = {
+type macro_placement = Placement_io.macro_placement = {
   fid : int;  (** flat node id of the macro *)
   rect : Geom.Rect.t;
   orient : Geom.Orientation.t;

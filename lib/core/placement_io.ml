@@ -1,6 +1,12 @@
 module Flat = Netlist.Flat
 module Rect = Geom.Rect
 
+type macro_placement = {
+  fid : int;
+  rect : Rect.t;
+  orient : Geom.Orientation.t;
+}
+
 type entry = {
   path : string;
   rect : Rect.t;
@@ -15,8 +21,8 @@ type t = {
 let make ~flat ~die ~placements =
   let entries =
     List.map
-      (fun (fid, rect, orient) ->
-        { path = flat.Flat.nodes.(fid).Flat.path; rect; orient })
+      (fun (p : macro_placement) ->
+        { path = flat.Flat.nodes.(p.fid).Flat.path; rect = p.rect; orient = p.orient })
       placements
   in
   { die; entries }
@@ -96,6 +102,6 @@ let resolve flat t =
       | None -> Error (Printf.sprintf "unknown macro path %s" e.path)
       | Some n when not (Flat.is_macro n) ->
         Error (Printf.sprintf "%s is not a macro" e.path)
-      | Some n -> go ((n.Flat.id, e.rect, e.orient) :: acc) rest)
+      | Some n -> go ({ fid = n.Flat.id; rect = e.rect; orient = e.orient } :: acc) rest)
   in
   go [] t.entries

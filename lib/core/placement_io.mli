@@ -5,6 +5,14 @@
     invocation and reloaded for evaluation or visualization in
     another. *)
 
+type macro_placement = {
+  fid : int;  (** flat node id of the macro *)
+  rect : Geom.Rect.t;
+  orient : Geom.Orientation.t;
+}
+(** One placed macro. Re-exported as {!Hidap.macro_placement}, the one
+    macro-placement type every flow and the evaluation share. *)
+
 type entry = {
   path : string;  (** hierarchical macro name *)
   rect : Geom.Rect.t;
@@ -16,11 +24,7 @@ type t = {
   entries : entry list;
 }
 
-val make :
-  flat:Netlist.Flat.t ->
-  die:Geom.Rect.t ->
-  placements:(int * Geom.Rect.t * Geom.Orientation.t) list ->
-  t
+val make : flat:Netlist.Flat.t -> die:Geom.Rect.t -> placements:macro_placement list -> t
 (** Build from flat macro ids (paths are resolved through [flat]). *)
 
 val to_string : t -> string
@@ -32,7 +36,6 @@ val save : string -> t -> unit
 
 val load : string -> (t, string) result
 
-val resolve :
-  Netlist.Flat.t -> t -> ((int * Geom.Rect.t * Geom.Orientation.t) list, string) result
+val resolve : Netlist.Flat.t -> t -> (macro_placement list, string) result
 (** Map entries back to flat node ids by path; fails when a path is
     unknown or does not name a macro. *)

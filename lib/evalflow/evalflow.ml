@@ -115,26 +115,12 @@ let measure ~flat ~gseq ~ports ~die ~macros =
   Obs.Span.with_ ~name:"evalflow.measure" (fun () ->
       measure_body ~flat ~gseq ~ports ~die ~macros)
 
-let to_cp_macros placements =
-  List.map
-    (fun (p : Hidap.macro_placement) ->
-      { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
-    placements
-
 let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
   let t0 = Obs.Clock.now_s () in
   let macros, lambda_used, sa_moves, sweep_trace =
     match kind with
     | IndEDA ->
-      let pl = Baselines.Indeda.place ~flat ~gseq ~die () in
-      ( List.map
-          (fun (p : Baselines.Indeda.placement) ->
-            { Cellplace.fid = p.Baselines.Indeda.fid; rect = p.Baselines.Indeda.rect;
-              orient = p.Baselines.Indeda.orient })
-          pl,
-        None,
-        0,
-        [] )
+      (Baselines.Indeda.place ~flat ~gseq ~die (), None, 0, [])
     | HandFP ->
       (* The expert-oracle protocol: engineers iterate for weeks against
          the real metric. Modelled as a multi-start search judged by the
@@ -142,21 +128,15 @@ let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
          differently-seeded multi-level sweeps. Seeds differ from the
          HiDaP flow's, so HiDaP can occasionally win (as in the paper's
          c3 and c8). *)
-      let flat_sa =
-        List.map
-          (fun (p : Baselines.Handfp.placement) ->
-            { Cellplace.fid = p.Baselines.Handfp.fid; rect = p.Baselines.Handfp.rect;
-              orient = p.Baselines.Handfp.orient })
-          (Baselines.Handfp.place ~flat ~gseq ~ports ~die ())
-      in
+      let flat_sa = Baselines.Handfp.place ~flat ~gseq ~ports ~die () in
       let objective r =
-        let m, _ = measure ~flat ~gseq ~ports ~die ~macros:(to_cp_macros r.Hidap.placements) in
+        let m, _ = measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
         m.wl_um
       in
       let reseeded offset =
         let config = { config with Hidap.Config.seed = config.Hidap.Config.seed + offset } in
         let sw = Hidap.place_sweep ~config ~die ~objective flat in
-        (to_cp_macros sw.Hidap.best.Hidap.placements, sw.Hidap.best_objective)
+        (sw.Hidap.best.Hidap.placements, sw.Hidap.best_objective)
       in
       let candidates =
         (let m, _ = measure ~flat ~gseq ~ports ~die ~macros:flat_sa in
@@ -171,11 +151,11 @@ let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
       (fst best, None, 0, [])
     | HiDaP ->
       let objective r =
-        let m, _ = measure ~flat ~gseq ~ports ~die ~macros:(to_cp_macros r.Hidap.placements) in
+        let m, _ = measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
         m.wl_um
       in
       let sw = Hidap.place_sweep ~config ~die ~objective flat in
-      ( to_cp_macros sw.Hidap.best.Hidap.placements,
+      ( sw.Hidap.best.Hidap.placements,
         Some sw.Hidap.best.Hidap.lambda,
         sw.Hidap.best.Hidap.sa_moves,
         sw.Hidap.sweep_trace )
@@ -212,8 +192,7 @@ type circuit_result = {
   runs : run list;
 }
 
-let run_all ?(config = Hidap.Config.default) ~name design =
-  let flat = Flat.elaborate design in
+let run_all ?(config = Hidap.Config.default) ~name flat =
   let gseq = Seqgraph.build ~bit_threshold:config.Hidap.Config.bit_threshold flat in
   let die = Hidap.die_for flat ~config in
   let ports = Hidap.Port_plan.make gseq ~die in

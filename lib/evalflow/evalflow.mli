@@ -66,9 +66,8 @@ type circuit_result = {
   runs : run list;  (** IndEDA, HiDaP, handFP order *)
 }
 
-val run_all :
-  ?config:Hidap.Config.t -> name:string -> Netlist.Design.t -> circuit_result
-(** Elaborates the design once and runs the three flows on the same die
+val run_all : ?config:Hidap.Config.t -> name:string -> Netlist.Flat.t -> circuit_result
+(** Runs the three flows on the elaborated netlist, on the same die
     with the same port plan. *)
 
 val normalized_wl : circuit_result -> flow_kind -> float

@@ -28,9 +28,8 @@ let sites =
        retry limit" );
     ( "serve.worker_kill",
       "the worker process SIGKILLs itself mid-job, right after its first \
-       checkpoint snapshot (with stall=D: D seconds into the attempt); the daemon \
-       classifies the signaled exit as worker-lost and retries within the job's \
-       retry budget" );
+       checkpoint snapshot; the daemon classifies the signaled exit as \
+       worker-lost and retries within the job's retry budget" );
     ( "serve.worker_hang",
       "the worker process stalls before emitting any progress; the hung-job \
        watchdog SIGKILLs it and the job retries" ) ]

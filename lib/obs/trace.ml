@@ -4,6 +4,26 @@ let start = Span.start_recording
 
 let finish = Span.finish_recording
 
+let instrumented ?(on_finish = ignore) f =
+  Metrics.reset Metrics.global;
+  Metrics.set_enabled true;
+  Perf.reset Perf.global;
+  Perf.set_enabled true;
+  start ();
+  let stop () =
+    let spans = finish () in
+    Metrics.set_enabled false;
+    Perf.set_enabled false;
+    on_finish spans;
+    spans
+  in
+  match f () with
+  | v -> (v, stop ())
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (stop ());
+    Printexc.raise_with_backtrace e bt
+
 let event ~t0 (sp : Span.t) =
   let base =
     [ ("name", Jsonx.String sp.Span.name);

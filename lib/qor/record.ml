@@ -8,7 +8,7 @@ let schema = "hidap-qor"
    attribution); v1/v2 records read back with [cost_breakdown = None]. *)
 let version = 3
 
-type ckpt_info = {
+type ckpt_info = Ckpt.Session.summary = {
   resumed_from : string option;
   snapshots_written : int;
   instances_reused : int;
@@ -236,7 +236,8 @@ let gc_of registry =
 (* ---- constructors ------------------------------------------------- *)
 
 let of_place ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
-    ?(degradations = []) ?measured ?ckpt ?perf (r : Hidap.result) =
+    ?(degradations = []) ~measured:(m : Evalflow.metrics) ?ckpt ?perf
+    (r : Hidap.result) =
   let macros =
     List.map
       (fun (p : Hidap.macro_placement) ->
@@ -244,22 +245,6 @@ let of_place ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
           macro_rect = p.Hidap.rect;
           orient = p.Hidap.orient })
       r.Hidap.placements
-  in
-  let cp_macros =
-    List.map
-      (fun (p : Hidap.macro_placement) ->
-        { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
-      r.Hidap.placements
-  in
-  let m =
-    match measured with
-    | Some m -> m
-    | None ->
-      let m, _ =
-        Evalflow.measure ~flat ~gseq:r.Hidap.gseq ~ports:r.Hidap.ports
-          ~die:r.Hidap.die ~macros:cp_macros
-      in
-      m
   in
   let runtime_s =
     match spans with

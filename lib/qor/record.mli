@@ -22,7 +22,7 @@ val version : int
     attribution section. Older records read back with the
     corresponding fields [None]. *)
 
-type ckpt_info = {
+type ckpt_info = Ckpt.Session.summary = {
   resumed_from : string option;
       (** snapshot file the run resumed from; [None] for a run that
           checkpointed but started fresh *)
@@ -156,15 +156,14 @@ val of_place :
   ?spans:Obs.Trace.t ->
   ?registry:Obs.Metrics.t ->
   ?degradations:Guard.Supervisor.entry list ->
-  ?measured:Evalflow.metrics ->
+  measured:Evalflow.metrics ->
   ?ckpt:ckpt_info ->
   ?perf:perf_info ->
   Hidap.result ->
   t
-(** Record a [Hidap.place] run. Quality metrics are measured with the
-    shared evaluation pipeline ({!Evalflow.measure}) unless a
-    pre-computed [measured] is supplied (the CLI measures inside the
-    supervised region so cell-placement degradations are captured);
+(** Record a [Hidap.place] run whose quality metrics [measured] came
+    from {!Evalflow.measure} ({!Run.place} measures inside the
+    supervised region, so cell-placement degradations are captured);
     stage times, the SA curve and [Gc] gauges are pulled from
     [spans] / [registry] when the run was instrumented. *)
 

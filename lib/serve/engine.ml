@@ -136,8 +136,7 @@ let decide_inject t =
   | Some _ -> Worker.Inj_hang
   | None ->
     (match fire_spec t "serve.worker_kill" with
-    | Some (Guard.Fault.Stall d) -> Worker.Inj_kill d
-    | Some Guard.Fault.Raise -> Worker.Inj_kill_at_snapshot
+    | Some _ -> Worker.Inj_kill_at_snapshot
     | None ->
       (match fire_spec t "serve.worker" with
       | Some Guard.Fault.Raise -> Worker.Inj_fail

@@ -49,10 +49,9 @@ type inject =
   | Inj_none
   | Inj_fail  (** serve.worker Raise: die at attempt start (transient) *)
   | Inj_stall of float  (** serve.worker Stall: a slow job, not a dead one *)
-  | Inj_kill of float  (** serve.worker_kill Stall: self-SIGKILL after delay *)
   | Inj_kill_at_snapshot
-      (** serve.worker_kill Raise: self-SIGKILL right after the attempt
-          writes its first checkpoint snapshot *)
+      (** serve.worker_kill (either action): self-SIGKILL right after the
+          attempt writes its first checkpoint snapshot *)
   | Inj_hang  (** serve.worker_hang: silent forever; only the watchdog ends it *)
 
 (* ---- exit classification (parent side, pure) ----------------------- *)
@@ -203,60 +202,27 @@ let run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot (job : Jo
   let die = Hidap.die_for flat ~config in
   let ckdir = Job.ckpt_dir ~state_dir job.Job.id in
   Job.mkdir_p ckdir;
-  let fp =
-    { Ckpt.State.circuit = name; seed = config.Hidap.Config.seed;
-      lambda = config.Hidap.Config.lambda;
-      sa_starts = config.Hidap.Config.sa_starts;
-      cells = Netlist.Flat.cell_count flat;
-      macro_count = Netlist.Flat.macro_count flat }
-  in
-  let session =
-    match Ckpt.Session.start ~on_save:on_snapshot ~dir:ckdir ~resume:true fp with
-    | Ok s -> s
-    | Error d -> raise (Invalid_job (Format.asprintf "%a" Guard.Diag.pp d))
-  in
+  let ckpt = { Qor.Run.dir = ckdir; every = 1; resume = true; on_save = on_snapshot } in
   (* The deadline is per attempt: each retry gets the full window. The
-     budget cells are process-global but the process is ours alone. *)
+     budget cells are process-global but the process is ours alone. A
+     drain's cancellation unwinds out of [Qor.Run.place] after it
+     parked the job on a final snapshot, so the next daemon resumes it
+     bit-identically. *)
   Option.iter Guard.Budget.set_deadline spec.Proto.deadline_s;
   Fun.protect ~finally:Guard.Budget.clear_deadline @@ fun () ->
-  match
-    Guard.Supervisor.with_run ~faults:flow_faults (fun () ->
-        let r = Hidap.place ~config ~die ~ckpt:session flat in
-        let macros =
-          List.map
-            (fun (p : Hidap.macro_placement) ->
-              { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect;
-                orient = p.Hidap.orient })
-            r.Hidap.placements
-        in
-        let m, _ =
-          Evalflow.measure ~flat ~gseq:r.Hidap.gseq ~ports:r.Hidap.ports
-            ~die:r.Hidap.die ~macros
-        in
-        (r, m))
-  with
-  | (r, measured), degradations ->
-    let sm = Ckpt.Session.summary session in
-    let ckpt =
-      { Qor.Record.resumed_from = sm.Ckpt.Session.resumed_from;
-        snapshots_written = sm.Ckpt.Session.snapshots_written;
-        instances_reused = sm.Ckpt.Session.instances_reused }
-    in
+  match Qor.Run.place ~circuit:name ~config ~die ~ckpt ~measure:true flat with
+  | Error d -> raise (Invalid_job (Format.asprintf "%a" Guard.Diag.pp d))
+  | Ok p ->
     let record =
-      Qor.Record.of_place ~circuit:name ~flat ~config ~degradations ~measured
-        ~ckpt r
+      Qor.Record.of_place ~circuit:name ~flat ~config
+        ~degradations:p.Qor.Run.degradations ~measured:(Option.get p.Qor.Run.measured)
+        ?ckpt:p.Qor.Run.ckpt_summary p.Qor.Run.result
     in
     Qor.Record.write_ledger (Job.result_path ~state_dir job.Job.id) [ record ];
     Qor.Html.write_file
       (Job.report_path ~state_dir job.Job.id)
       (Qor.Html.render ~title:(Printf.sprintf "hidap serve — %s" job.Job.id)
-         [ record ]);
-    ()
-  | exception Guard.Budget.Cancelled c ->
-    (* Drain reached this job: park it on a final snapshot so the next
-       daemon resumes it bit-identically. *)
-    (try Ckpt.Session.save_now session ~stage:false with _ -> ());
-    raise (Guard.Budget.Cancelled c)
+         [ record ])
 
 (* ---- child main ----------------------------------------------------- *)
 
@@ -295,13 +261,6 @@ let exec ~state_dir ~default_job_jobs ~flow_faults ~mem_mb ~cpu_s ~inject
   | _ -> ());
   Obs.Stream.enable ~heartbeat_s:0.5 ~close_on_disable:true
     (Unix.out_channel_of_descr pipe_w);
-  (match inject with
-  | Inj_kill delay ->
-    ignore
-      (Domain.spawn (fun () ->
-           Unix.sleepf delay;
-           Unix.kill (Unix.getpid ()) Sys.sigkill))
-  | _ -> ());
   Obs.Stream.emit "job-attempt"
     [ ("id", J.String job.Job.id); ("attempt", J.Int job.Job.attempts) ];
   let finish code outcome detail =

@@ -48,11 +48,11 @@ type inject =
   | Inj_none
   | Inj_fail  (** [serve.worker] Raise: die at attempt start (transient) *)
   | Inj_stall of float  (** [serve.worker] Stall: slow, but alive (heartbeats) *)
-  | Inj_kill of float  (** [serve.worker_kill:stall=D]: self-SIGKILL after [D] s *)
   | Inj_kill_at_snapshot
-      (** [serve.worker_kill]: self-SIGKILL right after the attempt writes
-          its first checkpoint snapshot — a point inside the placement
-          that does not depend on how fast the job runs *)
+      (** [serve.worker_kill] (either action): self-SIGKILL right after
+          the attempt writes its first checkpoint snapshot — a point
+          inside the placement that does not depend on how fast the job
+          runs *)
   | Inj_hang  (** [serve.worker_hang]: silent forever; only the watchdog ends it *)
 
 (** {1 Exit classification (parent side)} *)

@@ -74,11 +74,7 @@ let placement =
   lazy
     (let flat = Lazy.force fig1_flat in
      let r = Hidap.place flat in
-     let placements =
-       List.map
-         (fun (p : Hidap.macro_placement) -> (p.Hidap.fid, p.Hidap.rect, p.Hidap.orient))
-         r.Hidap.placements
-     in
+     let placements = r.Hidap.placements in
      (flat, Hidap.Placement_io.make ~flat ~die:r.Hidap.die ~placements, placements))
 
 let test_placement_roundtrip () =
@@ -107,7 +103,8 @@ let test_placement_resolve () =
   | Error msg -> Alcotest.fail msg
   | Ok resolved ->
     List.iter2
-      (fun (fid, _, _) (fid', _, _) -> Alcotest.(check int) "ids match" fid fid')
+      (fun (a : Hidap.macro_placement) (b : Hidap.macro_placement) ->
+        Alcotest.(check int) "ids match" a.Hidap.fid b.Hidap.fid)
       placements resolved
 
 let test_placement_resolve_unknown () =

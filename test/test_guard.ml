@@ -309,15 +309,10 @@ let test_fault_matrix () =
             in
             let r = Hidap.place ?ckpt flat in
             (* reach the cell-placement site the way `place --qor` does *)
-            let macros =
-              List.map
-                (fun (p : Hidap.macro_placement) ->
-                  { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect;
-                    orient = p.Hidap.orient })
-                r.Hidap.placements
-            in
             let gseq = r.Hidap.gseq and ports = r.Hidap.ports in
-            ignore (Evalflow.measure ~flat ~gseq ~ports ~die:r.Hidap.die ~macros);
+            ignore
+              (Evalflow.measure ~flat ~gseq ~ports ~die:r.Hidap.die
+                 ~macros:r.Hidap.placements);
             r)
       in
       Alcotest.(check bool) (site ^ " recorded") true

@@ -479,19 +479,10 @@ let test_golden_evaluation () =
     (fun name ->
       let flat = seed1_flat name in
       let die = Hidap.die_for flat ~config:golden_config in
-      measure ~flat ~die (fun gseq ->
-          List.map
-            (fun (p : Baselines.Indeda.placement) ->
-              { Cellplace.fid = p.Baselines.Indeda.fid; rect = p.Baselines.Indeda.rect;
-                orient = p.Baselines.Indeda.orient })
-            (Baselines.Indeda.place ~flat ~gseq ~die ())))
+      measure ~flat ~die (fun gseq -> Baselines.Indeda.place ~flat ~gseq ~die ()))
     [ "c1"; "c5" ];
   let flat, die, r = Lazy.force golden_c1 in
-  measure ~flat ~die (fun _ ->
-      List.map
-        (fun (p : Hidap.macro_placement) ->
-          { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
-        r.Hidap.placements);
+  measure ~flat ~die (fun _ -> r.Hidap.placements);
   Alcotest.(check string) "evaluation digest" golden_eval_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 

@@ -5,11 +5,26 @@
 module Flat = Netlist.Flat
 module Rect = Geom.Rect
 
+(* One instrumented suite run shared by every case, the way `hidap
+   eval` and `hidap bench` run a circuit. The elaboration count is read
+   as soon as it finishes, before another case can reset the counters. *)
+let suite_run =
+  lazy
+    (let ev =
+       Qor.Run.eval ~config:Hidap.Config.default (fun () ->
+           ("fig1", Flat.elaborate (Circuitgen.Suite.fig1_design ())))
+     in
+     (ev, Obs.Perf.get Obs.Perf.global Obs.Perf.netlist_elaborations))
+
 let result =
   lazy
-    (let design = Circuitgen.Suite.fig1_design () in
-     let flat = Flat.elaborate design in
-     (flat, Evalflow.run_all ~name:"fig1" design))
+    (let ev, _ = Lazy.force suite_run in
+     (ev.Qor.Run.flat, ev.Qor.Run.result))
+
+let test_suite_run_elaborates_once () =
+  let ev, elaborations = Lazy.force suite_run in
+  Alcotest.(check int) "netlist.elaborations" 1 elaborations;
+  Alcotest.(check int) "one record per flow" 3 (List.length ev.Qor.Run.records)
 
 let get_run kind =
   let _, res = Lazy.force result in
@@ -148,4 +163,6 @@ let suite =
         Alcotest.test_case "legal placements" `Slow test_every_flow_legal;
         Alcotest.test_case "density maps" `Slow test_density_maps;
         Alcotest.test_case "measurement deterministic" `Slow test_measure_deterministic;
-        Alcotest.test_case "flipping sanity" `Slow test_flipping_improves_or_neutral ] ) ]
+        Alcotest.test_case "flipping sanity" `Slow test_flipping_improves_or_neutral;
+        Alcotest.test_case "one elaboration per suite run" `Slow
+          test_suite_run_elaborates_once ] ) ]

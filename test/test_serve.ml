@@ -905,6 +905,12 @@ let record_macros path =
   | Error msg -> Alcotest.failf "%s: %s" path msg
   | Ok doc -> record_macros_of_json doc
 
+let record_of path =
+  match Qor.Record.load_ledger path with
+  | Ok [ r ] -> r
+  | Ok _ -> Alcotest.failf "%s: not a one-record ledger" path
+  | Error msg -> Alcotest.failf "%s: %s" path msg
+
 let record_resumed_from path =
   match J.parse_file path with
   | Error msg -> Alcotest.failf "%s: %s" path msg
@@ -919,7 +925,9 @@ let record_resumed_from path =
 (* SIGTERM mid-job: the drain's second phase asks the worker to
    checkpoint and park; a new daemon on the same state dir resumes it
    to a placement bit-identical to a control run of the same spec. The
-   drain starts once the job has written its first snapshot. *)
+   drain starts once the job has written its first snapshot. Before the
+   restart the parked job's newest snapshot is torn, so the resume
+   rolls back past it, and the job's result must record that rollback. *)
 let test_serve_drain_parks_then_resumes () =
   let dir = scratch () in
   let spec = c1_submit () in
@@ -944,6 +952,13 @@ let test_serve_drain_parks_then_resumes () =
       Alcotest.skip ()
     | s -> Alcotest.failf "after drain the job is %s" (P.state_to_string s))
   | Error msg -> Alcotest.failf "parked job unreadable: %s" msg);
+  (* tear the parked job's newest snapshot: the resume must roll back
+     past it and record the rollback in the job's own ledger *)
+  (match
+     Ckpt.Store.open_ ~fresh:false (Serve.Job.ckpt_dir ~state_dir:d1.state_dir id)
+   with
+  | Ok store -> Ckpt.Store.corrupt_latest store
+  | Error msg -> Alcotest.failf "parked job's checkpoints unreadable: %s" msg);
   (* restart on the same state dir: the job resumes and completes *)
   let d2 = start dir in
   Fun.protect ~finally:(fun () -> try stop d2 with _ -> ()) @@ fun () ->
@@ -962,6 +977,11 @@ let test_serve_drain_parks_then_resumes () =
   | Some J.Null | None ->
     Alcotest.fail "resumed job did not restart from a checkpoint"
   | Some _ -> ());
+  Alcotest.(check bool) "rollback recorded in the resumed job's ledger" true
+    (List.exists
+       (fun (e : Guard.Supervisor.entry) ->
+         e.Guard.Supervisor.stage = "ckpt.load" && e.Guard.Supervisor.reason = "rollback")
+       (record_of resumed).Qor.Record.degradations);
   Alcotest.(check bool) "resumed placement bit-identical to control" true
     (record_macros resumed = record_macros fresh);
   Serve.Client.close cl

@@ -17,13 +17,7 @@ let setup =
      let die = Hidap.die_for flat ~config in
      let ports = Hidap.Port_plan.make gseq ~die in
      let r = Hidap.place ~config ~die flat in
-     let macros =
-       List.map
-         (fun (p : Hidap.macro_placement) ->
-           { Cellplace.fid = p.Hidap.fid; rect = p.Hidap.rect; orient = p.Hidap.orient })
-         r.Hidap.placements
-     in
-     (flat, gseq, die, ports, macros))
+     (flat, gseq, die, ports, r.Hidap.placements))
 
 let run_cellplace () =
   let flat, _, die, ports, macros = Lazy.force setup in
