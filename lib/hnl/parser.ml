@@ -4,171 +4,155 @@ type error = { line : int; col : int; message : string }
 
 exception Parse_error of error
 
-type state = { mutable toks : (Lexer.token * Lexer.pos) list }
+(* The parser reads the lexer's current token and advances it itself:
+   no token list is built. *)
+let peek = Lexer.token
 
-let peek st =
-  match st.toks with
-  | (t, pos) :: _ -> (t, pos)
-  | [] -> (Lexer.Eof, { Lexer.line = 0; col = 0 })
+let advance = Lexer.next
 
-let advance st =
-  match st.toks with
-  | _ :: rest -> st.toks <- rest
-  | [] -> ()
+let fail lx message =
+  let (p : Lexer.pos) = Lexer.pos lx in
+  raise (Parse_error { line = p.line; col = p.col; message })
 
-let fail (pos : Lexer.pos) message =
-  raise (Parse_error { line = pos.Lexer.line; col = pos.Lexer.col; message })
-
-let expect st tok =
-  let t, pos = peek st in
-  if t = tok then advance st
+(* [tok] is always a constant constructor, so [==] is equality. *)
+let expect lx tok =
+  let t = peek lx in
+  if t == tok then advance lx
   else
-    fail pos
+    fail lx
       (Printf.sprintf "expected %s, found %s" (Lexer.token_to_string tok)
          (Lexer.token_to_string t))
 
-let ident st =
-  match peek st with
-  | Lexer.Ident s, _ ->
-    advance st;
+let ident lx =
+  match peek lx with
+  | Lexer.Ident s ->
+    advance lx;
     s
-  | t, pos -> fail pos (Printf.sprintf "expected identifier, found %s" (Lexer.token_to_string t))
+  | t -> fail lx (Printf.sprintf "expected identifier, found %s" (Lexer.token_to_string t))
 
-let number st =
-  match peek st with
-  | Lexer.Number f, _ ->
-    advance st;
+let number lx =
+  match peek lx with
+  | Lexer.Number f ->
+    advance lx;
     f
-  | t, pos -> fail pos (Printf.sprintf "expected number, found %s" (Lexer.token_to_string t))
+  | t -> fail lx (Printf.sprintf "expected number, found %s" (Lexer.token_to_string t))
 
-let ident_list st =
+let ident_list lx =
   let rec loop acc =
-    match peek st with
-    | Lexer.Ident s, _ ->
-      advance st;
+    match peek lx with
+    | Lexer.Ident s ->
+      advance lx;
       loop (s :: acc)
     | _ -> List.rev acc
   in
   loop []
 
 (* pins := "(" ["in" IDENT*] [";"] ["out" IDENT*] ")" *)
-let pins st =
-  expect st Lexer.Lparen;
+let pins lx =
+  expect lx Lexer.Lparen;
   let ins =
-    match peek st with
-    | Lexer.Kw_in, _ ->
-      advance st;
-      ident_list st
+    match peek lx with
+    | Lexer.Kw_in ->
+      advance lx;
+      ident_list lx
     | _ -> []
   in
-  (match peek st with Lexer.Semi, _ -> advance st | _ -> ());
+  (match peek lx with Lexer.Semi -> advance lx | _ -> ());
   let outs =
-    match peek st with
-    | Lexer.Kw_out, _ ->
-      advance st;
-      ident_list st
+    match peek lx with
+    | Lexer.Kw_out ->
+      advance lx;
+      ident_list lx
     | _ -> []
   in
-  expect st Lexer.Rparen;
+  expect lx Lexer.Rparen;
   (ins, outs)
 
-let binding st =
-  let formal = ident st in
-  expect st Lexer.Arrow;
-  let actual = ident st in
+let binding lx =
+  let formal = ident lx in
+  expect lx Lexer.Arrow;
+  let actual = ident lx in
   (formal, actual)
 
-let bindings st =
-  expect st Lexer.Lparen;
+let bindings lx =
+  expect lx Lexer.Lparen;
   let rec loop acc =
-    match peek st with
-    | Lexer.Rparen, _ ->
-      advance st;
+    match peek lx with
+    | Lexer.Rparen ->
+      advance lx;
       List.rev acc
-    | Lexer.Comma, _ ->
-      advance st;
+    | Lexer.Comma ->
+      advance lx;
       loop acc
-    | _ -> loop (binding st :: acc)
+    | _ -> loop (binding lx :: acc)
   in
   loop []
 
-type item =
-  | Iport of D.port_decl
-  | Icell of D.cell_decl
-  | Iinst of D.inst_decl
+(* After "flop" or "comb": IDENT ["area" NUM] pins *)
+let std_cell lx kind =
+  let name = ident lx in
+  let area =
+    match peek lx with
+    | Lexer.Kw_area ->
+      advance lx;
+      Some (number lx)
+    | _ -> None
+  in
+  let ins, outs = pins lx in
+  D.cell ~name ~kind ?area ~ins ~outs ()
 
-let item st =
-  match peek st with
-  | Lexer.Kw_input, _ ->
-    advance st;
-    Some (Iport (D.port ~name:(ident st) ~dir:D.Input))
-  | Lexer.Kw_output, _ ->
-    advance st;
-    Some (Iport (D.port ~name:(ident st) ~dir:D.Output))
-  | Lexer.Kw_macro, _ ->
-    advance st;
-    let name = ident st in
-    expect st Lexer.Kw_size;
-    let w = number st in
-    let h = number st in
-    let ins, outs = pins st in
-    Some (Icell (D.cell ~name ~kind:(D.make_macro ~w ~h) ~ins ~outs ()))
-  | Lexer.Kw_flop, _ ->
-    advance st;
-    let name = ident st in
-    let area =
-      match peek st with
-      | Lexer.Kw_area, _ ->
-        advance st;
-        Some (number st)
-      | _ -> None
-    in
-    let ins, outs = pins st in
-    Some (Icell (D.cell ~name ~kind:D.Flop ?area ~ins ~outs ()))
-  | Lexer.Kw_comb, _ ->
-    advance st;
-    let name = ident st in
-    let area =
-      match peek st with
-      | Lexer.Kw_area, _ ->
-        advance st;
-        Some (number st)
-      | _ -> None
-    in
-    let ins, outs = pins st in
-    Some (Icell (D.cell ~name ~kind:D.Comb ?area ~ins ~outs ()))
-  | Lexer.Kw_inst, _ ->
-    advance st;
-    let name = ident st in
-    expect st Lexer.Colon;
-    let module_ = ident st in
-    let bs = bindings st in
-    Some (Iinst (D.inst ~name ~module_ ~bindings:bs))
-  | _ -> None
-
-let module_ st =
-  expect st Lexer.Kw_module;
-  let name = ident st in
-  expect st Lexer.Lbrace;
+let module_ lx =
+  expect lx Lexer.Kw_module;
+  let name = ident lx in
+  expect lx Lexer.Lbrace;
   let rec loop ports cells insts =
-    match item st with
-    | Some (Iport p) -> loop (p :: ports) cells insts
-    | Some (Icell c) -> loop ports (c :: cells) insts
-    | Some (Iinst i) -> loop ports cells (i :: insts)
-    | None ->
-      expect st Lexer.Rbrace;
+    match peek lx with
+    | Lexer.Kw_input ->
+      advance lx;
+      let p = D.port ~name:(ident lx) ~dir:D.Input in
+      loop (p :: ports) cells insts
+    | Lexer.Kw_output ->
+      advance lx;
+      let p = D.port ~name:(ident lx) ~dir:D.Output in
+      loop (p :: ports) cells insts
+    | Lexer.Kw_macro ->
+      advance lx;
+      let name = ident lx in
+      expect lx Lexer.Kw_size;
+      let w = number lx in
+      let h = number lx in
+      let ins, outs = pins lx in
+      let c = D.cell ~name ~kind:(D.make_macro ~w ~h) ~ins ~outs () in
+      loop ports (c :: cells) insts
+    | Lexer.Kw_flop ->
+      advance lx;
+      let c = std_cell lx D.Flop in
+      loop ports (c :: cells) insts
+    | Lexer.Kw_comb ->
+      advance lx;
+      let c = std_cell lx D.Comb in
+      loop ports (c :: cells) insts
+    | Lexer.Kw_inst ->
+      advance lx;
+      let name = ident lx in
+      expect lx Lexer.Colon;
+      let module_ = ident lx in
+      let i = D.inst ~name ~module_ ~bindings:(bindings lx) in
+      loop ports cells (i :: insts)
+    | _ ->
+      expect lx Lexer.Rbrace;
       D.module_def ~name ~ports:(List.rev ports) ~cells:(List.rev cells)
         ~insts:(List.rev insts) ()
   in
   loop [] [] []
 
-let design st =
-  expect st Lexer.Kw_design;
-  let top = ident st in
+let design lx =
+  expect lx Lexer.Kw_design;
+  let top = ident lx in
   let rec loop acc =
-    match peek st with
-    | Lexer.Eof, _ -> List.rev acc
-    | _ -> loop (module_ st :: acc)
+    match peek lx with
+    | Lexer.Eof -> List.rev acc
+    | _ -> loop (module_ lx :: acc)
   in
   let modules = loop [] in
   D.design ~top ~modules
@@ -177,14 +161,22 @@ let parse_string src =
   Obs.Span.with_ ~name:"hnl.parse" (fun () ->
       Obs.Span.attr_int "bytes" (String.length src);
       Obs.Perf.add Obs.Perf.hnl_bytes_parsed (String.length src);
+      let lex_error { Lexer.line; col; message } = Error { line; col; message } in
+      let lx = Lexer.of_string src in
       match
-        let toks = Lexer.tokenize src in
-        design { toks }
+        advance lx;
+        design lx
       with
       | d -> Ok d
-      | exception Parse_error e -> Error e
-      | exception Lexer.Lex_error { Lexer.line; col; message } ->
-        Error { line; col; message })
+      | exception Lexer.Lex_error e -> lex_error e
+      | exception Parse_error e -> (
+        (* A lexical error anywhere in the text outranks a parse error,
+           as if the whole text were tokenized first: read on to the
+           end and report the first one. *)
+        let rec drain () = match peek lx with Lexer.Eof -> () | _ -> advance lx; drain () in
+        match drain () with
+        | () -> Error e
+        | exception Lexer.Lex_error e -> lex_error e))
 
 let parse_file path =
   Obs.Span.with_ ~name:"hnl.parse_file" (fun () ->

@@ -45,23 +45,26 @@ type builder = {
   mutable bscopes : scope list;  (* reversed *)
   mutable nscopes : int;
   mutable nnets : int;
-  (* per net id: reversed driver / sink node id lists *)
-  drivers : (int, int list) Hashtbl.t;
-  sinks : (int, int list) Hashtbl.t;
+  (* indexed by net id, growing with [nnets]: reversed driver / sink
+     node id lists *)
+  mutable drivers : int list array;
+  mutable sinks : int list array;
 }
 
 let fresh_net b =
   let id = b.nnets in
+  let cap = Array.length b.drivers in
+  if id = cap then begin
+    let grow a = Array.append a (Array.make (max 1024 cap) []) in
+    b.drivers <- grow b.drivers;
+    b.sinks <- grow b.sinks
+  end;
   b.nnets <- id + 1;
   id
 
-let add_driver b net node =
-  let cur = try Hashtbl.find b.drivers net with Not_found -> [] in
-  Hashtbl.replace b.drivers net (node :: cur)
+let add_driver b net node = b.drivers.(net) <- node :: b.drivers.(net)
 
-let add_sink b net node =
-  let cur = try Hashtbl.find b.sinks net with Not_found -> [] in
-  Hashtbl.replace b.sinks net (node :: cur)
+let add_sink b net node = b.sinks.(net) <- node :: b.sinks.(net)
 
 let add_node b ~path ~base ~kind ~area ~scope =
   let id = b.nnodes in
@@ -114,8 +117,8 @@ let elaborate_body (d : Design.t) =
     | None -> assert false
   in
   let b =
-    { bnodes = []; nnodes = 0; bscopes = []; nscopes = 0; nnets = 0;
-      drivers = Hashtbl.create 1024; sinks = Hashtbl.create 1024 }
+    { bnodes = []; nnodes = 0; bscopes = []; nscopes = 0; nnets = 0; drivers = [||];
+      sinks = [||] }
   in
   (* env maps local net names of the module being elaborated to global net
      ids. Local nets not bound through ports get fresh ids on first use. *)
@@ -195,9 +198,7 @@ let elaborate_body (d : Design.t) =
   let gnet = Graphlib.Digraph.create (Array.length nodes) in
   let net_pins =
     Array.init b.nnets (fun net ->
-        let ds = try Hashtbl.find b.drivers net with Not_found -> [] in
-        let ss = try Hashtbl.find b.sinks net with Not_found -> [] in
-        (Array.of_list (List.rev ds), Array.of_list (List.rev ss)))
+        (Array.of_list (List.rev b.drivers.(net)), Array.of_list (List.rev b.sinks.(net))))
   in
   Array.iter
     (fun (ds, ss) ->

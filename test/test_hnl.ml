@@ -132,6 +132,18 @@ let test_parse_error_line () =
     Alcotest.(check int) "error col" 11 e.P.col
   | Ok _ -> Alcotest.fail "expected error"
 
+(* A lexical error anywhere in the text outranks a parse error before
+   it: the macro on line 2 has no size, but the illegal character on
+   line 4 is what gets reported. *)
+let test_lex_error_outranks_parse_error () =
+  let src = "design t\nmodule t { macro m (in a) }\nmodule u {\n  comb c $ ()\n}\n" in
+  match P.parse_string src with
+  | Error e ->
+    Alcotest.(check int) "error line" 4 e.P.line;
+    Alcotest.(check int) "error col" 10 e.P.col;
+    Alcotest.(check string) "error message" "illegal character '$'" e.P.message
+  | Ok _ -> Alcotest.fail "expected error"
+
 let test_roundtrip_small () =
   let d = P.parse_exn small_src in
   let printed = Hnl.Printer.to_string d in
@@ -154,6 +166,26 @@ let test_roundtrip_generated () =
       (Graphlib.Digraph.edge_count f1.Netlist.Flat.gnet)
       (Graphlib.Digraph.edge_count f2.Netlist.Flat.gnet)
 
+(* The printer writes large values with a signed exponent ([1e+07],
+   [2.5e+06]); the lexer must read them back. *)
+let test_roundtrip_exponents () =
+  let m =
+    D.module_def ~name:"t"
+      ~cells:
+        [ D.cell ~name:"m" ~kind:(D.make_macro ~w:1e7 ~h:4.0) ~ins:[ "a" ] ~outs:[ "q" ] ();
+          D.cell ~name:"c" ~kind:D.Comb ~area:2.5e6 ~ins:[ "q" ] ~outs:[ "z" ] () ]
+      ()
+  in
+  let d = D.design ~top:"t" ~modules:[ m ] in
+  let printed = Hnl.Printer.to_string d in
+  Alcotest.(check bool) "size printed with exponent" true
+    (Astring.String.is_infix ~affix:"size 1e+07 4 " printed);
+  Alcotest.(check bool) "area printed with exponent" true
+    (Astring.String.is_infix ~affix:"area 2.5e+06 " printed);
+  match P.parse_string printed with
+  | Ok d2 -> Alcotest.(check bool) "round trip equal" true (d = d2)
+  | Error e -> Alcotest.failf "re-parse failed at %d:%d: %s" e.P.line e.P.col e.P.message
+
 let test_roundtrip_fig2 () =
   let d = Circuitgen.Suite.fig2_system () in
   let d2 = P.parse_exn (Hnl.Printer.to_string d) in
@@ -169,6 +201,22 @@ let test_parse_file () =
   | Error e -> Alcotest.failf "parse_file failed: %s" e.P.message);
   Sys.remove path
 
+(* A suite circuit as the benchmark's seed 1 generates it (generator
+   seed moved by 1000). *)
+let seed1_design name =
+  let c = Option.get (Circuitgen.Suite.find name) in
+  Circuitgen.Gen.generate
+    { c.Circuitgen.Suite.params with seed = c.Circuitgen.Suite.params.seed + 1000 }
+
+let test_roundtrip_suite () =
+  List.iter
+    (fun name ->
+      let d = seed1_design name in
+      match P.parse_string (Hnl.Printer.to_string d) with
+      | Ok d2 -> Alcotest.(check bool) (name ^ " round trip equal") true (d = d2)
+      | Error e -> Alcotest.failf "%s re-parse failed at line %d: %s" name e.P.line e.P.message)
+    [ "c1"; "c5" ]
+
 (* MD5 of the HNL text printed for c1 and c5 as the benchmark's seed 1
    generates them (generator seed moved by 1000). Pinned from the
    Format-based printer, so the Buffer-based one must print the same
@@ -179,11 +227,7 @@ let printed_digests =
 let test_printer_digest () =
   List.iter
     (fun (name, digest) ->
-      let c = Option.get (Circuitgen.Suite.find name) in
-      let params =
-        { c.Circuitgen.Suite.params with seed = c.Circuitgen.Suite.params.seed + 1000 }
-      in
-      let text = Hnl.Printer.to_string (Circuitgen.Gen.generate params) in
+      let text = Hnl.Printer.to_string (seed1_design name) in
       Alcotest.(check string) (name ^ " printed digest") digest
         (Digest.to_hex (Digest.string text)))
     printed_digests
@@ -203,9 +247,13 @@ let suite =
         Alcotest.test_case "empty pins" `Quick test_parse_empty_pins;
         Alcotest.test_case "errors" `Quick test_parse_errors;
         Alcotest.test_case "error line" `Quick test_parse_error_line;
+        Alcotest.test_case "lex error outranks parse error" `Quick
+          test_lex_error_outranks_parse_error;
         Alcotest.test_case "parse_file" `Quick test_parse_file ] );
     ( "hnl.roundtrip",
       [ Alcotest.test_case "small" `Quick test_roundtrip_small;
         Alcotest.test_case "generated fig1" `Quick test_roundtrip_generated;
         Alcotest.test_case "fig2 system" `Quick test_roundtrip_fig2;
+        Alcotest.test_case "suite c1/c5" `Quick test_roundtrip_suite;
+        Alcotest.test_case "signed exponents" `Quick test_roundtrip_exponents;
         Alcotest.test_case "printed c1/c5 digest" `Quick test_printer_digest ] ) ]

@@ -224,6 +224,57 @@ let test_generated_designs_validate () =
       | Error e -> Alcotest.failf "%s: %a" c.Circuitgen.Suite.cname D.pp_error e)
     (Circuitgen.Suite.c_suite () |> List.filteri (fun i _ -> i < 2))
 
+(* MD5 of the elaboration of c1 and c5 as the benchmark's seed 1 sees
+   them (generator seed moved by 1000, handed over as HNL text): every
+   node's path, kind, area (%h) and scope, every net's drivers and sinks
+   in order, and every node's Gnet successors in order. Pinned before
+   the builder's per-net tables moved from hash tables to arrays, so
+   node, net and edge order must stay bit for bit. *)
+let elaboration_digests =
+  [ ("c1", "90eca39456fc8b77985ffd52561d0677"); ("c5", "f3708c1437d6fe2be3df74990675f72e") ]
+
+let flat_digest (f : Flat.t) =
+  let b = Buffer.create (1 lsl 20) in
+  let ints a = Array.iter (fun i -> Printf.bprintf b " %d" i) a in
+  Array.iter
+    (fun (n : Flat.node) ->
+      let kind =
+        match n.Flat.kind with
+        | Flat.Kmacro { D.mw; mh } -> Printf.sprintf "macro %h %h" mw mh
+        | Flat.Kflop -> "flop"
+        | Flat.Kcomb -> "comb"
+        | Flat.Kport D.Input -> "input"
+        | Flat.Kport D.Output -> "output"
+      in
+      Printf.bprintf b "n %s %s %h %d\n" n.Flat.path kind n.Flat.area n.Flat.scope)
+    f.Flat.nodes;
+  Array.iter
+    (fun (ds, ss) ->
+      Buffer.add_string b "d";
+      ints ds;
+      Buffer.add_string b " s";
+      ints ss;
+      Buffer.add_char b '\n')
+    f.Flat.net_pins;
+  for u = 0 to G.node_count f.Flat.gnet - 1 do
+    Buffer.add_string b "e";
+    G.succ_iter f.Flat.gnet u (fun v -> Printf.bprintf b " %d" v);
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_elaboration_digest () =
+  List.iter
+    (fun (name, digest) ->
+      let c = Option.get (Circuitgen.Suite.find name) in
+      let params =
+        { c.Circuitgen.Suite.params with seed = c.Circuitgen.Suite.params.seed + 1000 }
+      in
+      let text = Hnl.Printer.to_string (Circuitgen.Gen.generate params) in
+      let f = Flat.elaborate (Hnl.Parser.parse_exn text) in
+      Alcotest.(check string) (name ^ " elaboration digest") digest (flat_digest f))
+    elaboration_digests
+
 let suite =
   [ ( "netlist.design",
       [ Alcotest.test_case "cell defaults" `Quick test_cell_defaults;
@@ -247,5 +298,6 @@ let suite =
         Alcotest.test_case "kinds" `Quick test_elab_kinds;
         Alcotest.test_case "invalid design raises" `Quick test_elab_invalid_raises;
         Alcotest.test_case "net pins consistent" `Quick test_elab_net_pins;
+        Alcotest.test_case "golden c1/c5 elaboration digest" `Quick test_elaboration_digest;
         Alcotest.test_case "generated designs validate" `Slow
           test_generated_designs_validate ] ) ]
