@@ -162,8 +162,9 @@ let svg_arg =
 let jobs_arg =
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains for the annealing starts and the lambda sweep \
-               (0 = one per recommended core). The placement is bit-identical \
-               for every value.")
+               (0 = one per recommended core). A value above the recommended \
+               domain count is clamped to it, with a warning. The placement is \
+               bit-identical for every value.")
 
 let strict_arg =
   Arg.(value & flag & info [ "strict" ]
@@ -179,7 +180,24 @@ let budget_arg =
                and the run exits with the budget-exceeded status. Merged with \
                $(b,HIDAP_BUDGET).")
 
-let resolve_jobs jobs = if jobs <= 0 then Parexec.default_jobs () else jobs
+(* The job count a command runs with: [--jobs], else [HIDAP_JOBS], else
+   one per recommended domain, clamped to the recommended domain count
+   (more domains than cores only adds contention; placements are
+   identical at every count, so only stderr tells, once per process). *)
+let clamp_warned = ref false
+
+let resolve_jobs jobs =
+  let j = if jobs <= 0 then Parexec.default_jobs () else jobs in
+  let cap = Domain.recommended_domain_count () in
+  if j <= cap then j
+  else begin
+    if not !clamp_warned then begin
+      clamp_warned := true;
+      Format.eprintf
+        "hidap: warning: %d jobs requested, clamped to the %d recommended domains@." j cap
+    end;
+    cap
+  end
 
 let config_of ~seed ~lambda ~jobs =
   let config =

@@ -110,6 +110,7 @@ let cf_at = 1
 let cf_am = 2
 let cf_mac = 3
 let cf_cost = 4
+let cf_slots = 5
 
 (* Assemble the cost from the wirelength fold and the violation totals.
    Shared verbatim by the annealer's incremental path and
@@ -158,6 +159,87 @@ let viol_of_frame cf =
 
 (* ---- incremental evaluation ---------------------------------------- *)
 
+(* The cost memos (DESIGN.md section 14). An annealing start on a few
+   blocks keeps proposing expressions it has already scored, and so do
+   its sibling starts; the cost is a pure function of the expression
+   ([Slicing.Inc] results do not depend on evaluation history), so a
+   repeat can return a stored cost instead of re-walking the tree. Two
+   direct-mapped levels share one key, the expression packed into one
+   int at [ic_bits] bits per element (its [Polish] codes: H -> 0,
+   V -> 1, operand i -> i + 2). That packing is injective, so a key
+   match is an exact expression match; the memos are enabled only when
+   all [2n - 1] elements fit 62 bits, i.e. n <= 8.
+
+   - The per-start memo: [ic_mkey]/[ic_mcost], owned by one start and
+     read first. Its hits are [cost.cache_hits].
+   - The instance table: [ic_shared], one per [run] instance, shared by
+     its starts (possibly on other domains) and read on a per-start
+     miss. An entry is an immutable record holding the key and its own
+     copy of the cost frame, both built before the entry is published
+     with a single array store and never written after, so a reader
+     sees a whole entry or the previous one, never a key paired with
+     another expression's cost. Which start publishes an entry first
+     depends on scheduling at jobs >= 2, so its hits are counted
+     nowhere. *)
+let memo_slot_bits = 12
+let memo_slots = 1 lsl memo_slot_bits
+let table_slot_bits = 14
+let table_slots = 1 lsl table_slot_bits
+
+type entry = { e_key : int; e_cf : float array }
+
+let no_entry = { e_key = -1; e_cf = [||] }
+
+let memo_bits n_blocks =
+  let rec width b = if 1 lsl b >= n_blocks + 2 then b else width (b + 1) in
+  let b = width 1 in
+  if ((2 * n_blocks) - 1) * b <= 62 then b else 0
+
+(* An empty instance table, or none when the memos are off. *)
+let instance_table ~n_blocks =
+  if memo_bits n_blocks > 0 then Array.make table_slots no_entry else [||]
+
+(* The packed key of [expr], or -1 when it cannot be packed (wrong
+   length or operand out of range): such an expression never reaches
+   the memos and gets [Slicing.Inc.evaluate]'s own diagnostic. *)
+let memo_key ~n_blocks ~bits expr =
+  let codes = (expr : Slicing.Polish.t :> int array) in
+  let len = Array.length codes in
+  if len <> (2 * n_blocks) - 1 then -1
+  else begin
+    let limit = n_blocks + 2 in
+    let key = ref 0 and k = ref 0 in
+    while !k < len do
+      let c = codes.(!k) in
+      if c >= limit then begin
+        key := -1;
+        k := len
+      end
+      else begin
+        key := (!key lsl bits) lor c;
+        incr k
+      end
+    done;
+    !key
+  end
+
+(* Fibonacci hashing: the top bits of the key times an odd 63-bit
+   constant, so every element position reaches the slot. *)
+let fib_slot ~slot_bits key = (key * 0x2545F4914F6CDD1D) lsr (63 - slot_bits)
+
+let memo_slot key = fib_slot ~slot_bits:memo_slot_bits key
+
+let table_slot key = fib_slot ~slot_bits:table_slot_bits key
+
+let slot_of slot ~n_blocks expr =
+  let bits = memo_bits n_blocks in
+  let key = if bits = 0 then -1 else memo_key ~n_blocks ~bits expr in
+  if key < 0 then None else Some (slot key)
+
+let memo_slot_of = slot_of memo_slot
+
+let table_slot_of = slot_of table_slot
+
 (* Per-start state for the incremental cost path (DESIGN.md section 14):
    the [Slicing.Inc] tree evaluator plus flat pair tables. [ic_pc]
    caches each pair's wirelength contribution; [ic_adj] lists, per
@@ -181,64 +263,16 @@ type inc = {
   ic_budget : Rect.t;
   ic_config : Config.t;
   ic_n_blocks : int;
-  (* The cost memo (below); [ic_bits = 0] turns it off, with empty
+  (* The cost memos (below); [ic_bits = 0] turns them off, with empty
      tables. *)
   ic_bits : int;
   ic_mkey : int array;   (* -1 marks an empty slot *)
   ic_mcost : float array;
   mutable ic_hits : int;
+  ic_shared : entry array;   (* the instance table, one per [run] instance *)
 }
 
-(* Per-start cost memo (DESIGN.md section 14). An annealing start on a
-   few blocks keeps proposing expressions it has already scored, and
-   the cost is a pure function of the expression ([Slicing.Inc] results
-   do not depend on evaluation history), so a repeat can return the
-   stored float instead of re-walking the tree. The key packs the
-   expression into one int at [ic_bits] bits per element (H -> 0,
-   V -> 1, operand i -> i + 2). That packing is injective, so a key
-   match is an exact expression match; the memo is enabled only when
-   all [2n - 1] elements fit 62 bits, i.e. n <= 8. *)
-let memo_slot_bits = 12
-let memo_slots = 1 lsl memo_slot_bits
-
-let memo_bits n_blocks =
-  let rec width b = if 1 lsl b >= n_blocks + 2 then b else width (b + 1) in
-  let b = width 1 in
-  if ((2 * n_blocks) - 1) * b <= 62 then b else 0
-
-(* The packed key of [expr], or -1 when it cannot be packed (wrong
-   length or operand out of range): such an expression never reaches
-   the table and gets [Slicing.Inc.evaluate]'s own diagnostic. *)
-let memo_key ~n_blocks ~bits expr =
-  let len = Slicing.Polish.length expr in
-  if len <> (2 * n_blocks) - 1 then -1
-  else begin
-    let key = ref 0 and k = ref 0 in
-    while !k < len do
-      (match Slicing.Polish.get expr !k with
-      | Slicing.Polish.Operator Slicing.Polish.H -> key := !key lsl bits
-      | Slicing.Polish.Operator Slicing.Polish.V -> key := (!key lsl bits) lor 1
-      | Slicing.Polish.Operand i ->
-        if i < 0 || i >= n_blocks then begin
-          key := -1;
-          k := len
-        end
-        else key := (!key lsl bits) lor (i + 2));
-      incr k
-    done;
-    !key
-  end
-
-(* Fibonacci hashing: the top [memo_slot_bits] bits of the key times an
-   odd 63-bit constant, so every element position reaches the slot. *)
-let memo_slot key = (key * 0x2545F4914F6CDD1D) lsr (63 - memo_slot_bits)
-
-let memo_slot_of ~n_blocks expr =
-  let bits = memo_bits n_blocks in
-  let key = if bits = 0 then -1 else memo_key ~n_blocks ~bits expr in
-  if key < 0 then None else Some (memo_slot key)
-
-let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config =
+let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared =
   let n_blocks = Array.length leaves in
   let np = Array.length pairs in
   let pi = Array.make np 0 and pj = Array.make np 0 and pw = Array.make np 0.0 in
@@ -273,7 +307,7 @@ let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config =
     ic_adj = adj;
     ic_fx = Array.map (fun (p : Point.t) -> p.Point.x) fixed_pos;
     ic_fy = Array.map (fun (p : Point.t) -> p.Point.y) fixed_pos;
-    ic_cf = Array.make 5 0.0;
+    ic_cf = Array.make cf_slots 0.0;
     ic_leaves = leaves;
     ic_budget = budget;
     ic_config = config;
@@ -281,7 +315,8 @@ let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config =
     ic_bits = bits;
     ic_mkey = (if bits > 0 then Array.make memo_slots (-1) else [||]);
     ic_mcost = (if bits > 0 then Array.make memo_slots 0.0 else [||]);
-    ic_hits = 0 }
+    ic_hits = 0;
+    ic_shared = shared }
 
 (* Refresh the contribution of pair [p]. Recomputing a pair twice (both
    endpoints moved) just rewrites the same value, so the moved list
@@ -331,13 +366,32 @@ let evaluate_slicing inc expr =
   finish_cost cf ~leaves:inc.ic_leaves ~budget:inc.ic_budget ~n_pairs:np
     ~config:inc.ic_config ~n_blocks:inc.ic_n_blocks
 
-(* The annealer's cost function: the cost of [expr]. A memo hit returns
-   the stored cost and leaves [ic_state], the pair contributions and
-   [ic_cf] as the last miss left them, which only widens the next
-   miss's diff window. So [ic_cf] describes [expr] after a miss only;
-   its one reader, [run]'s [term_observer] closure, reads it on a new
-   best, and a hit is never one: its cost was already returned by the
-   same closure, which then kept a best no greater. *)
+(* A per-start miss on key [key]: the instance table's entry when it
+   holds [key], else a full evaluation, published. Either way [ic_cf]
+   ends up describing [expr], so [run]'s [term_observer] closure reads
+   the right frame when the cost is a new best for this start. *)
+let score_shared inc key expr =
+  let t = table_slot key in
+  let e = inc.ic_shared.(t) in
+  if e.e_key = key then
+    for k = 0 to cf_slots - 1 do
+      inc.ic_cf.(k) <- e.e_cf.(k)
+    done
+  else begin
+    (* Published only after a completed evaluation: a diagnostic (such
+       as a non-finite cost) or a fault publishes nothing. *)
+    evaluate_slicing inc expr;
+    inc.ic_shared.(t) <- { e_key = key; e_cf = Array.copy inc.ic_cf }
+  end
+
+(* The annealer's cost function: the cost of [expr]. A per-start memo
+   hit returns the stored cost and leaves [ic_state], the pair
+   contributions and [ic_cf] as they were, which only widens the next
+   evaluation's diff window. So [ic_cf] describes [expr] after a
+   per-start miss only; its one reader, [run]'s [term_observer]
+   closure, reads it on a new best, and a per-start hit is never one:
+   its cost was already returned by the same closure, which then kept a
+   best no greater. *)
 let evaluate_inc inc expr =
   let key =
     if inc.ic_bits = 0 then -1
@@ -354,9 +408,7 @@ let evaluate_inc inc expr =
       inc.ic_mcost.(s)
     end
     else begin
-      (* Filled only after a completed evaluation: a diagnostic (such
-         as a non-finite cost) or a fault leaves the slot as it was. *)
-      evaluate_slicing inc expr;
+      score_shared inc key expr;
       let c = inc.ic_cf.(cf_cost) in
       inc.ic_mkey.(s) <- key;
       inc.ic_mcost.(s) <- c;
@@ -364,15 +416,17 @@ let evaluate_inc inc expr =
     end
   end
 
-let annealing_cost ~config ~blocks ~affinity ~fixed_pos ~budget =
+(* The cost closures of [starts] starts of one instance: own states,
+   one shared instance table. *)
+let annealing_costs ~starts ~config ~blocks ~affinity ~fixed_pos ~budget =
   let n_blocks = Array.length blocks in
   let leaves = Array.map Block.to_leaf blocks in
   let pairs = affinity_pairs ~n_blocks ~n_endpoints:(Array.length affinity) affinity in
-  let inc =
-    make_inc ~leaves ~table:(Slicing.Layout.leaf_table leaves) ~budget ~pairs
-      ~fixed_pos ~config
-  in
-  fun expr -> evaluate_inc inc expr
+  let table = Slicing.Layout.leaf_table leaves in
+  let shared = instance_table ~n_blocks in
+  Array.init starts (fun _ ->
+      let inc = make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared in
+      fun expr -> evaluate_inc inc expr)
 
 (* Full evaluation of one expression: the scalar cost plus its named
    breakdown and the post-hoc per-pair / per-leaf attribution. Runs once
@@ -528,13 +582,17 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
          a fresh calibrated temperature — the reheat counter. *)
       Obs.Perf.add Obs.Perf.sa_reheats (n_starts - 1);
       let rngs = Array.init n_starts (fun _ -> Util.Rng.split rng) in
+      let shared = instance_table ~n_blocks in
       let pool = Parexec.create ~jobs:config.Config.jobs () in
       let results =
         Parexec.map pool
           (fun i ->
-            (* Each start owns its incremental evaluation state, so the
-               parallel starts share nothing mutable. *)
-            let inc = make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config in
+            (* Each start owns its incremental evaluation state and
+               per-start memo; the starts share only the instance
+               table, whose entries are immutable. *)
+            let inc =
+              make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared
+            in
             let cost, observer =
               match term_observer with
               | None ->

@@ -101,28 +101,32 @@ val eval_expr :
     produce, with [sa_moves = 0] and [final_temperature = 0.0]. Exposed
     for tests and tools that need to re-attribute a known layout. *)
 
-val annealing_cost :
+val annealing_costs :
+  starts:int ->
   config:Config.t ->
   blocks:Block.t array ->
   affinity:float array array ->
   fixed_pos:Geom.Point.t array ->
   budget:Geom.Rect.t ->
-  Slicing.Polish.t ->
-  float
-(** The cost one annealing start of {!run} minimizes, on its own
-    incremental state: applying the first five arguments builds the
-    state, and each call then returns the cost of one expression —
-    bitwise the [cost] {!eval_expr} reports for it. On up to 8 blocks
-    the state carries the start's cost memo, so a call on an
-    expression the state has already scored may be a memo hit, which
-    returns the stored cost without re-walking the slicing tree
-    (DESIGN.md §14). Exposed for tests and the bench. *)
+  (Slicing.Polish.t -> float) array
+(** The costs [starts] annealing starts of one {!run} instance
+    minimize: slot [i] is start [i]'s cost function, on its own
+    incremental state, and each call returns the cost of one
+    expression — bitwise the [cost] {!eval_expr} reports for it. On up
+    to 8 blocks each state carries its start's cost memo, and all of
+    them share the instance's cost table: a call on an expression this
+    start, or another one, has already scored may return the stored
+    cost without re-walking the slicing tree (DESIGN.md §14). Exposed
+    for tests. *)
 
 val memo_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
-(** The cost-memo slot [expr] maps to on [n_blocks] blocks, or [None]
-    when the memo is off at that size (more than 8 blocks) or [expr]
-    cannot be packed (wrong length, operand out of range). Exposed for
-    tests. *)
+(** The per-start cost-memo slot [expr] maps to on [n_blocks] blocks,
+    or [None] when the memos are off at that size (more than 8 blocks)
+    or [expr] cannot be packed (wrong length, operand out of range).
+    Exposed for tests. *)
+
+val table_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
+(** The same for the instance cost table. Exposed for tests. *)
 
 val run :
   ?observer:(Anneal.Sa.plateau -> unit) ->

@@ -47,7 +47,7 @@ type t = {
   table : Layout.leaf array;   (* lid -> leaf, validated by [Layout.leaf_table] *)
   budget : Rect.t;
   len : int;                   (* expression length: 2 * n_blocks - 1 *)
-  prev : Polish.elt array;     (* the last-evaluated expression's elements *)
+  prev : int array;            (* the last-evaluated expression's codes *)
   mutable warm : bool;         (* caches consistent with [prev]? *)
   cp : int array;              (* changed-position prefix counts, len + 1 *)
   (* Structure of the current expression, rebuilt every evaluation
@@ -117,7 +117,7 @@ let create ~table ~budget =
   { table;
     budget;
     len;
-    prev = Array.make len (Polish.Operand 0);
+    prev = Array.make len 0;
     warm = false;
     cp = Array.make (len + 1) 0;
     span_lo = Array.make len 0;
@@ -220,11 +220,7 @@ let rec place t ~may_skip k =
     end
     else begin
       let r = t.right.(k) in
-      let op =
-        match t.prev.(k) with
-        | Polish.Operator o -> o
-        | Polish.Operand _ -> assert false
-      in
+      let op = if t.prev.(k) = 1 then Polish.V else Polish.H in
       fr.(Layout.fr_x) <- x;
       fr.(Layout.fr_y) <- y;
       fr.(Layout.fr_w) <- w;
@@ -273,19 +269,11 @@ let evaluate t (expr : Polish.t) =
      ownership of the new ones. Prefix counts make "any change in span
      [a, k]?" an O(1) query. *)
   let changed = ref 0 in
+  let codes = (expr :> int array) in
   for k = 0 to t.len - 1 do
-    let ek = Polish.get expr k in
-    let same =
-      was_warm
-      &&
-      match (t.prev.(k), ek) with
-      | Polish.Operand a, Polish.Operand b -> a = b
-      | Polish.Operator a, Polish.Operator b -> a = b
-      | Polish.Operand _, Polish.Operator _ | Polish.Operator _, Polish.Operand _ ->
-        false
-    in
-    if not same then begin
-      t.prev.(k) <- ek;
+    let ck = codes.(k) in
+    if not (was_warm && t.prev.(k) = ck) then begin
+      t.prev.(k) <- ck;
       incr changed
     end;
     t.cp.(k + 1) <- !changed
@@ -305,8 +293,10 @@ let evaluate t (expr : Polish.t) =
        part) only runs for nodes whose span changed. *)
     let sp = ref 0 in
     for k = 0 to t.len - 1 do
-      match t.prev.(k) with
-      | Polish.Operand i ->
+      let c = t.prev.(k) in
+      (* Codes: H -> 0, V -> 1, operand i -> i + 2 ([Polish]). *)
+      if c >= 2 then begin
+        let i = c - 2 in
         t.span_lo.(k) <- k;
         t.left.(k) <- -1;
         t.lid.(k) <- i;
@@ -320,7 +310,8 @@ let evaluate t (expr : Polish.t) =
         end;
         t.stack.(!sp) <- k;
         incr sp
-      | Polish.Operator op ->
+      end
+      else begin
         if !sp < 2 then invalid_arg "Layout.evaluate: malformed expression";
         let r = t.stack.(!sp - 1) and l = t.stack.(!sp - 2) in
         sp := !sp - 2;
@@ -332,9 +323,7 @@ let evaluate t (expr : Polish.t) =
              -> heights add. *)
           let dst = t.own.(k) in
           let m =
-            Curve.merge
-              ~stack:(match op with Polish.H -> true | Polish.V -> false)
-              t.nd_pts.(l) t.nd_n.(l) t.nd_pts.(r) t.nd_n.(r) dst
+            Curve.merge ~stack:(c = 0) t.nd_pts.(l) t.nd_n.(l) t.nd_pts.(r) t.nd_n.(r) dst
           in
           t.nd_pts.(k) <- dst;
           t.nd_n.(k) <- Curve.prune_in_place ~max_points:Layout.max_curve_points dst m;
@@ -343,6 +332,7 @@ let evaluate t (expr : Polish.t) =
         end;
         t.stack.(!sp) <- k;
         incr sp
+      end
     done;
     if !sp <> 1 then invalid_arg "Layout.evaluate: malformed expression";
     (* Phase 2+3: top-down placement with subtree reuse, folding the

@@ -74,14 +74,15 @@ let leaf_of_table table i =
          (Array.length table));
   table.(i)
 
-let build_tree expr ~table =
+let build_tree (expr : Polish.t) ~table =
   let stack = ref [] in
   Array.iter
-    (fun e ->
-      match e with
-      | Polish.Operand i -> stack := Leaf (leaf_of_table table i) :: !stack
-      | Polish.Operator op ->
-        (match !stack with
+    (fun c ->
+      (* Codes: H -> 0, V -> 1, operand i -> i + 2 ([Polish]). *)
+      if c >= 2 then stack := Leaf (leaf_of_table table (c - 2)) :: !stack
+      else begin
+        let op = if c = 1 then Polish.V else Polish.H in
+        match !stack with
         | r :: l :: rest ->
           (* V cut: children side by side -> widths add (compose_h).
              H cut: children stacked -> heights add (compose_v). *)
@@ -95,8 +96,9 @@ let build_tree expr ~table =
           in
           let am = am_of l +. am_of r and at = at_of l +. at_of r in
           stack := Node { op; l; r; curve; am; at } :: rest
-        | _ -> invalid_arg "Layout.evaluate: malformed expression"))
-    (Polish.elements expr);
+        | _ -> invalid_arg "Layout.evaluate: malformed expression"
+      end)
+    (expr :> int array);
   match !stack with
   | [ t ] -> t
   | _ -> invalid_arg "Layout.evaluate: malformed expression"

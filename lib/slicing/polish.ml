@@ -4,81 +4,74 @@ type elt =
   | Operand of int
   | Operator of op
 
-type t = elt array
+(* One int per element: H -> 0, V -> 1, operand i -> i + 2 (the cost
+   memo's packing). Every value of [t] is normalized: [initial] and
+   [initial_random] build normalized chains, [of_elements] validates,
+   and the moves preserve normalization. *)
+type t = int array
 
-let flip = function H -> V | V -> H
+let[@inline] is_operand c = c >= 2
 
-let is_operand = function Operand _ -> true | Operator _ -> false
+let encode = function Operator H -> 0 | Operator V -> 1 | Operand i -> i + 2
 
-(* Element [k] of [e] with positions [swap] and [swap + 1] exchanged
-   ([swap] past the end: [e] itself), so M3 can test a swap without
-   copying. *)
-let view e swap k = if k = swap then e.(k + 1) else if k = swap + 1 then e.(k - 1) else e.(k)
+let decode c = if c = 0 then Operator H else if c = 1 then Operator V else Operand (c - 2)
 
-let is_normalized_view e swap =
+let is_normalized e =
   let n = Array.length e in
   if n = 0 then false
   else begin
     let ok = ref true in
     let operands = ref 0 and operators = ref 0 in
     for i = 0 to n - 1 do
-      (match view e swap i with
+      (match e.(i) with
       | Operand _ -> incr operands
       | Operator o ->
         incr operators;
         (* no two adjacent equal operators *)
         if i > 0 then
-          (match view e swap (i - 1) with Operator o' when o' = o -> ok := false | _ -> ()));
+          (match e.(i - 1) with Operator o' when o' = o -> ok := false | _ -> ()));
       if !operators >= !operands then ok := false
     done;
     !ok && !operands = !operators + 1
   end
 
-let is_normalized e = is_normalized_view e (Array.length e)
-
+(* The chain [0 1 V 2 H 3 V ...]. *)
 let initial ~n =
   assert (n >= 1);
-  if n = 1 then [| Operand 0 |]
-  else begin
-    let e = Array.make ((2 * n) - 1) (Operand 0) in
-    e.(0) <- Operand 0;
-    let op = ref V in
-    for i = 1 to n - 1 do
-      e.((2 * i) - 1) <- Operand i;
-      e.(2 * i) <- Operator !op;
-      op := flip !op
-    done;
-    e
-  end
+  let e = Array.make ((2 * n) - 1) 2 in
+  for i = 1 to n - 1 do
+    e.((2 * i) - 1) <- i + 2;
+    e.(2 * i) <- (if i land 1 = 1 then 1 else 0)
+  done;
+  e
 
 let initial_random rng ~n =
   let e = initial ~n in
-  let operand_positions =
-    Array.of_list
-      (List.filter (fun i -> is_operand e.(i)) (List.init (Array.length e) (fun i -> i)))
-  in
   (* Shuffle the operand values across operand positions. *)
-  let values = Array.map (fun i -> e.(i)) operand_positions in
+  let positions = Array.init n (fun k -> if k = 0 then 0 else (2 * k) - 1) in
+  let values = Array.map (fun i -> e.(i)) positions in
   Util.Rng.shuffle rng values;
-  Array.iteri (fun k pos -> e.(pos) <- values.(k)) operand_positions;
+  Array.iteri (fun k pos -> e.(pos) <- values.(k)) positions;
   e
 
-let elements t = Array.copy t
+let elements t = Array.map decode t
 
-let get (t : t) i = t.(i)
+let get (t : t) i = decode t.(i)
 
-let operand_count t =
-  let c = ref 0 in
-  for i = 0 to Array.length t - 1 do
-    if is_operand t.(i) then incr c
-  done;
-  !c
+let code (t : t) i = t.(i)
+
+(* A normalized expression of length [2n - 1] holds [n] operands. *)
+let operand_count t = (Array.length t + 1) / 2
 
 let length t = Array.length t
 
 let of_elements e =
   if not (is_normalized e) then invalid_arg "Polish.of_elements: not normalized";
-  Array.copy e
+  Array.map
+    (function
+      | Operand i when i < 0 -> invalid_arg "Polish.of_elements: negative operand"
+      | x -> encode x)
+    e
 
 (* The moves find their positions by scanning and copy only the
    expression they return; [no_move] (never a valid expression) stands
@@ -110,11 +103,7 @@ let m1 rng t =
     swapped t p (nth_operand t (p + 1) 0)
   end
 
-let is_chain_start t i =
-  (not (is_operand t.(i))) && (i = 0 || is_operand t.(i - 1))
-
-let op_h = Operator H
-let op_v = Operator V
+let is_chain_start t i = (not (is_operand t.(i))) && (i = 0 || is_operand t.(i - 1))
 
 (* M2: complement a maximal operator chain. A chain is picked as if from
    the array of chain starts in decreasing position order. *)
@@ -135,11 +124,35 @@ let m2 rng t =
     let e = Array.copy t in
     let i = ref !s in
     while !i < len && not (is_operand e.(!i)) do
-      e.(!i) <- (match e.(!i) with Operator H -> op_v | Operator V | Operand _ -> op_h);
+      e.(!i) <- e.(!i) lxor 1;
       incr i
     done;
     e
   end
+
+(* Whether swapping positions [i] and [i + 1] of the normalized [t]
+   keeps it normalized. Only the two swapped elements change, so only
+   their neighbours and one prefix can break: an operand moving right
+   past operator [o] puts [o] first, which needs [o] to differ from its
+   new left neighbour and the prefix before it to hold at least two
+   more operands than operators (balloting at the moved operator); an
+   operator moving right only needs to differ from its new right
+   neighbour. Two operands or two operators never form a legal M3
+   pair. *)
+let m3_swappable t i =
+  let a = t.(i) and b = t.(i + 1) in
+  if is_operand a then
+    (not (is_operand b))
+    && (i = 0 || t.(i - 1) <> b)
+    && begin
+      let ops = ref 0 in
+      for k = 0 to i - 1 do
+        if not (is_operand t.(k)) then incr ops
+      done;
+      (* operands before [i] = i - ops > ops + 1 *)
+      (2 * !ops) + 1 < i
+    end
+  else is_operand b && (i + 2 >= Array.length t || t.(i + 2) <> a)
 
 (* M3: swap an adjacent operand-operator pair, keeping normalization.
    Try random adjacent pairs a bounded number of times. *)
@@ -147,9 +160,7 @@ let rec m3_attempts rng t k =
   if k = 0 then no_move
   else begin
     let i = Util.Rng.int rng (Array.length t - 1) in
-    if is_operand t.(i) <> is_operand t.(i + 1) && is_normalized_view t i then
-      swapped t i (i + 1)
-    else m3_attempts rng t (k - 1)
+    if m3_swappable t i then swapped t i (i + 1) else m3_attempts rng t (k - 1)
   end
 
 let m3 rng t = if Array.length t < 3 then no_move else m3_attempts rng t 16
@@ -183,9 +194,8 @@ let perturb rng t =
 
 let pp ppf t =
   Array.iter
-    (fun e ->
-      match e with
-      | Operand i -> Format.fprintf ppf "%d " i
-      | Operator H -> Format.fprintf ppf "H "
-      | Operator V -> Format.fprintf ppf "V ")
+    (fun c ->
+      if c = 0 then Format.fprintf ppf "H "
+      else if c = 1 then Format.fprintf ppf "V "
+      else Format.fprintf ppf "%d " (c - 2))
     t

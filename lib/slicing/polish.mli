@@ -12,7 +12,13 @@
     - M1: swap two adjacent operands;
     - M2: complement a maximal chain of operators;
     - M3: swap an adjacent operand–operator pair (retrying until the
-      result stays normalized). *)
+      result stays normalized).
+
+    An expression is stored as one [int] per element: [H] is 0, [V] is
+    1 and operand [i] is [i + 2]. The moves, the annealer's cost memo
+    key, {!Inc}'s diff and the tree builders read these codes directly
+    (through {!code} or the coercion [(t :> int array)], never written
+    through); {!elements} and {!get} decode them for everything else. *)
 
 type op = H | V
 
@@ -20,7 +26,7 @@ type elt =
   | Operand of int
   | Operator of op
 
-type t
+type t = private int array
 
 val initial : n:int -> t
 (** The chain [0 1 V 2 H 3 V ...] with alternating operators; requires
@@ -30,11 +36,15 @@ val initial_random : Util.Rng.t -> n:int -> t
 (** Random operand order on the same alternating chain skeleton. *)
 
 val elements : t -> elt array
-(** Defensive copy. *)
+(** The elements, decoded into a fresh array. *)
 
 val get : t -> int -> elt
-(** O(1) read of element [i], no copy — the incremental evaluator diffs
-    expressions element by element on every SA move. *)
+(** Element [i], decoded. *)
+
+val code : t -> int -> int
+(** O(1) code of element [i] (see above): [get t i] is [Operator H]
+    for 0, [Operator V] for 1 and [Operand (c - 2)] for any other
+    code [c]. *)
 
 val operand_count : t -> int
 
@@ -45,7 +55,8 @@ val is_normalized : elt array -> bool
     operand than operators. *)
 
 val of_elements : elt array -> t
-(** Validates normalization; raises [Invalid_argument] otherwise. *)
+(** Validates normalization and non-negative operands; raises
+    [Invalid_argument] otherwise. *)
 
 val perturb : Util.Rng.t -> t -> t
 (** One of M1 / M2 / M3, chosen with equal probability. Always returns a

@@ -6,6 +6,8 @@
    [Layout_gen.run] reports (a full walk plus a pair scan) is bitwise
    the best cost the annealer reached through [Inc] and the pair
    tables, and the result is bit-identical at every job count; the
+   per-start memo and the instance cost table its starts share return
+   exactly what a full evaluation would, cost frame included; the
    configured start count is honored exactly (sa_starts = 1 runs one
    start); and an asymmetric affinity matrix is rejected with a
    structured diagnostic instead of silently dropping weight. *)
@@ -218,7 +220,9 @@ let run_cost_is_annealer_best =
 let memo_instance ~n seed =
   let blocks, affinity, fixed_pos, budget = random_instance ~n seed in
   let config = Hidap.Config.default in
-  let cost = LG.annealing_cost ~config ~blocks ~affinity ~fixed_pos ~budget in
+  let cost =
+    (LG.annealing_costs ~starts:1 ~config ~blocks ~affinity ~fixed_pos ~budget).(0)
+  in
   let full_cost e =
     (LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget e).LG.cost
   in
@@ -254,6 +258,27 @@ let memo_matches_eval_on_revisits =
           !ok)
         (List.init 11 (fun i -> i + 2)))
 
+(* Two expressions of different cost that [slot_of] maps to one slot,
+   found along a perturbation walk on [n] blocks. *)
+let colliding_pair ~slot_of ~full_cost ~n ~tries rng =
+  let by_slot = Hashtbl.create 4096 in
+  let rec find e tries =
+    if tries = 0 then Alcotest.failf "n = %d: no slot collision found" n
+    else begin
+      let slot = Option.get (slot_of ~n_blocks:n e) in
+      match Hashtbl.find_opt by_slot slot with
+      | Some e'
+        when Polish.elements e' <> Polish.elements e
+             && not (beq (full_cost e) (full_cost e')) ->
+        (e', e)
+      | Some _ -> find (Polish.perturb rng e) (tries - 1)
+      | None ->
+        Hashtbl.add by_slot slot e;
+        find (Polish.perturb rng e) (tries - 1)
+    end
+  in
+  find (Polish.initial_random rng ~n) tries
+
 (* Eviction: two expressions of different cost that share a slot,
    scored alternately, each evicting the other. A lookup that trusted
    the slot without the key would return the other one's cost. *)
@@ -261,29 +286,104 @@ let test_memo_slot_eviction () =
   List.iter
     (fun n ->
       let exact, full_cost = memo_instance ~n 17 in
-      let rng = Util.Rng.create n in
-      let by_slot = Hashtbl.create 4096 in
-      let rec find e tries =
-        if tries = 0 then Alcotest.failf "n = %d: no slot collision found" n
-        else begin
-          let slot = Option.get (LG.memo_slot_of ~n_blocks:n e) in
-          match Hashtbl.find_opt by_slot slot with
-          | Some e'
-            when Polish.elements e' <> Polish.elements e
-                 && not (beq (full_cost e) (full_cost e')) ->
-            (e', e)
-          | Some _ -> find (Polish.perturb rng e) (tries - 1)
-          | None ->
-            Hashtbl.add by_slot slot e;
-            find (Polish.perturb rng e) (tries - 1)
-        end
+      let a, b =
+        colliding_pair ~slot_of:LG.memo_slot_of ~full_cost ~n ~tries:100_000
+          (Util.Rng.create n)
       in
-      let a, b = find (Polish.initial_random rng ~n) 100_000 in
       Alcotest.(check bool)
         (Printf.sprintf "n = %d: alternating a slot's two tenants stays exact" n)
         true
         (List.for_all exact [ a; b; a; b; a; a; b; b ]))
     [ 4; 6; 8 ]
+
+(* ---- the instance cost table ----------------------------------------- *)
+
+(* Two expressions of different cost that share an instance-table slot
+   (and hence a per-start memo slot), scored alternately by two starts
+   of one instance: each call misses its own memo, so the instance
+   table answers or is overwritten every time. A lookup that trusted
+   the slot without the key, or an entry holding another expression's
+   cost, would differ from the cold full evaluation. *)
+let test_instance_table_collision () =
+  List.iter
+    (fun n ->
+      let blocks, affinity, fixed_pos, budget = random_instance ~n 23 in
+      let config = Hidap.Config.default in
+      let costs =
+        LG.annealing_costs ~starts:2 ~config ~blocks ~affinity ~fixed_pos ~budget
+      in
+      let full_cost e =
+        (LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget e).LG.cost
+      in
+      let a, b =
+        colliding_pair ~slot_of:LG.table_slot_of ~full_cost ~n ~tries:200_000
+          (Util.Rng.create n)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "n = %d: the pair shares a per-start memo slot too" n)
+        true
+        (LG.memo_slot_of ~n_blocks:n a = LG.memo_slot_of ~n_blocks:n b);
+      List.iter
+        (fun (start, e) ->
+          if not (beq (costs.(start) e) (full_cost e)) then
+            Alcotest.failf "n = %d: start %d scored a shared-slot tenant wrongly" n start)
+        [ (0, a); (1, b); (0, b); (1, a); (0, a); (1, b); (1, a); (0, b) ])
+    [ 5; 6; 8 ]
+
+(* MD5 of fig1's [sa.term.*] series (the cost terms of each start's
+   cheapest evaluation, per plateau) from one [Hidap.place], names and
+   points printed with %h, pinned from the code before the instance
+   table existed. A new best served by the table must restore the cost
+   frame it was computed with; a stale frame changes these series. *)
+let golden_fig1_terms_digest = "ba65c7dcb5ad41d67f0ee2ba5f2e4c0e"
+
+let fig1_flat = lazy (Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ()))
+
+let fig1_terms jobs =
+  let flat = Lazy.force fig1_flat in
+  let config = { Hidap.Config.default with Hidap.Config.jobs } in
+  Obs.Perf.reset Obs.Perf.global;
+  Obs.Metrics.reset Obs.Metrics.global;
+  Obs.Perf.set_enabled true;
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Perf.set_enabled false;
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset Obs.Metrics.global;
+      Obs.Perf.reset Obs.Perf.global)
+    (fun () ->
+      let r = Hidap.place ~config flat in
+      let reg = Obs.Metrics.global in
+      let b = Buffer.create 65536 in
+      List.iter
+        (fun name ->
+          if String.starts_with ~prefix:"sa.term." name then begin
+            Buffer.add_string b (name ^ "\n");
+            List.iter
+              (fun (x, y) -> Buffer.add_string b (Printf.sprintf "%h %h\n" x y))
+              (Obs.Metrics.series_points reg name)
+          end)
+        (List.sort compare (Obs.Metrics.names reg));
+      (r.Hidap.placements, Buffer.contents b, Obs.Perf.to_assoc Obs.Perf.global))
+
+let test_instance_table_terms () =
+  let base, terms1, counters1 = fig1_terms 1 in
+  Alcotest.(check string) "jobs = 1 cost-term series digest" golden_fig1_terms_digest
+    (Digest.to_hex (Digest.string terms1));
+  List.iter
+    (fun jobs ->
+      let placements, terms, counters = fig1_terms jobs in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs = %d placement identical" jobs)
+        true (placements = base);
+      Alcotest.(check string)
+        (Printf.sprintf "jobs = %d cost-term series identical" jobs)
+        terms1 terms;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "jobs = %d perf counters identical" jobs)
+        counters1 counters)
+    [ 2; 4 ]
 
 (* ---- sa_starts is honored exactly ----------------------------------- *)
 
@@ -381,12 +481,14 @@ let alloc_instance () =
    inner loop was made allocation-free this walk allocated 6.9M minor
    words (691 per step: boxed curve points, float arguments and
    accumulators, copying moves, a boxed RNG state); it now allocates
-   about 0.2M — the returned expression copy and the boxed cost. The
-   bound, 0.4M, fails as soon as boxing per tree node comes back. *)
+   about 0.26M — the returned expression copy, the boxed cost and, on
+   a miss, the instance-table entry (9 words). The bound, 0.4M, fails
+   as soon as boxing per tree node comes back. *)
 let test_move_allocation_budget () =
   let blocks, affinity, fixed_pos, budget = alloc_instance () in
   let cost =
-    LG.annealing_cost ~config:Hidap.Config.default ~blocks ~affinity ~fixed_pos ~budget
+    (LG.annealing_costs ~starts:1 ~config:Hidap.Config.default ~blocks ~affinity ~fixed_pos
+      ~budget).(0)
   in
   let rng = Util.Rng.create 5 in
   let expr = ref (Polish.initial_random rng ~n:(Array.length blocks)) in
@@ -493,6 +595,10 @@ let suite =
         memo_matches_eval_on_revisits;
         Alcotest.test_case "memo slot eviction stays exact" `Quick
           test_memo_slot_eviction;
+        Alcotest.test_case "instance table slot collision stays exact" `Quick
+          test_instance_table_collision;
+        Alcotest.test_case "instance table keeps fig1 cost terms at jobs 1/2/4" `Slow
+          test_instance_table_terms;
         Alcotest.test_case "sa_starts honored exactly" `Quick
           test_sa_starts_honored;
         Alcotest.test_case "asymmetric affinity rejected" `Quick

@@ -324,6 +324,65 @@ let moves_match_reference =
       done;
       !ok)
 
+(* The int-coded expression against the boxed reference along whole
+   annealing-like walks: for n = 1..17 and several seeds, every step
+   applies one of M1/M2/M3/perturb to the production expression and the
+   same move to the reference [elt array], from copies of one RNG, and
+   the walk then keeps the move or drops it (a rejected move). After
+   every move the elements and the RNG states must be identical, [code]
+   must agree with [get], and [of_elements]/[elements] must
+   round-trip. *)
+let code_of = function
+  | Polish.Operator Polish.H -> 0
+  | Polish.Operator Polish.V -> 1
+  | Polish.Operand i -> i + 2
+
+let test_walks_match_reference () =
+  for n = 1 to 17 do
+    List.iter
+      (fun seed ->
+        let rng = ref (Util.Rng.create ((1000 * seed) + n)) in
+        let t = ref (Polish.initial_random !rng ~n) in
+        let r = ref (Polish.elements !t) in
+        for step = 1 to 150 do
+          let fail what = Alcotest.failf "n = %d, seed %d, step %d: %s" n seed step what in
+          let kind = Util.Rng.int !rng 4 in
+          let r1 = Util.Rng.copy !rng and r2 = Util.Rng.copy !rng in
+          let got, want =
+            let opt m reference =
+              (Option.map Polish.elements (m r1 !t), reference r2 !r)
+            in
+            match kind with
+            | 0 -> opt Polish.move_m1 Ref_moves.move_m1
+            | 1 -> opt Polish.move_m2 Ref_moves.move_m2
+            | 2 -> opt Polish.move_m3 Ref_moves.move_m3
+            | _ ->
+              (Some (Polish.elements (Polish.perturb r1 !t)), Some (Ref_moves.perturb r2 !r))
+          in
+          if got <> want then fail "elements differ from the reference";
+          if Util.Rng.state r1 <> Util.Rng.state r2 then fail "RNG state differs";
+          rng := r1;
+          match got with
+          | None -> ()
+          | Some e ->
+            let cand = Polish.of_elements e in
+            if Polish.elements cand <> e then fail "of_elements/elements round trip";
+            for i = 0 to Polish.length cand - 1 do
+              if Polish.code cand i <> code_of (Polish.get cand i) then
+                fail (Printf.sprintf "code and get disagree at %d" i)
+            done;
+            (* keep the move about two times in three *)
+            if Util.Rng.int !rng 3 > 0 then begin
+              t := cand;
+              r := e
+            end
+        done)
+      [ 1; 2; 3; 4; 5 ]
+  done;
+  match Polish.of_elements [| Polish.Operand (-1) |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative operand has no code and must be rejected"
+
 (* M1 swaps adjacent operands: every operator stays at its position with
    its value. *)
 let m1_touches_operands_only =
@@ -490,7 +549,9 @@ let suite =
         Alcotest.test_case "normalization check" `Quick test_is_normalized_rejects_skew;
         Alcotest.test_case "single operand perturb" `Quick test_perturb_single_operand;
         perturb_preserves_normalization; m1_preserves; m2_preserves; m3_preserves;
-        m1_touches_operands_only; m2_touches_operators_only; moves_match_reference ] );
+        m1_touches_operands_only; m2_touches_operators_only; moves_match_reference;
+        Alcotest.test_case "walks match the boxed reference, n = 1..17" `Quick
+          test_walks_match_reference ] );
     ( "slicing.layout",
       [ Alcotest.test_case "fig8 regression" `Quick test_fig8_regression;
         Alcotest.test_case "two-leaf cuts" `Quick test_two_leaf_cuts;
