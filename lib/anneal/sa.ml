@@ -44,20 +44,19 @@ let acceptance_rate p =
 
 let calibration_samples = 32
 
-(* Sample random moves to estimate the mean uphill cost delta, then pick
-   T0 so that exp(-mean_uphill / T0) = target acceptance. *)
-let calibrate ~rng ~cost ~neighbor ~target state c0 =
-  let samples = calibration_samples in
+(* Walk [state] (a copy the run owns) through [calibration_samples]
+   random moves, all kept, to estimate the mean uphill cost delta, then
+   pick T0 so that exp(-mean_uphill / T0) = target acceptance. *)
+let calibrate ~rng ~cost ~perturb ~target state c0 =
   let uphill = ref 0.0 and n_up = ref 0 in
-  let s = ref state and c = ref c0 in
-  for _ = 1 to samples do
-    let s' = neighbor rng !s in
-    let c' = cost s' in
+  let c = ref c0 in
+  for _ = 1 to calibration_samples do
+    perturb rng state;
+    let c' = cost state in
     if c' > !c then begin
       uphill := !uphill +. (c' -. !c);
       incr n_up
     end;
-    s := s';
     c := c'
   done;
   if !n_up = 0 then max 1e-9 (abs_float c0 *. 0.1)
@@ -66,16 +65,30 @@ let calibrate ~rng ~cost ~neighbor ~target state c0 =
     let t = -.mean_up /. log target in
     max 1e-9 t
 
-let minimize ~rng ~init ~cost ~neighbor ?(params = default_params) ?observer () =
-  (* Calibration solves exp(-mean_up / t0) = target for t0, so the
-     target must lie strictly inside (0, 1): log 1.0 = 0 divides by
-     zero (the 1e-9 floor would silently quench the search), log of a
-     non-positive target is NaN, and a target above 1 gives a negative
-     temperature. Reject the parameter up front with a structured
-     diagnostic instead of annealing with a nonsense schedule. The
-     check is written to also catch NaN. *)
+(* Reject a schedule that cannot run, with a structured diagnostic
+   instead of annealing with it. Calibration solves
+   exp(-mean_up / t0) = target for t0, so the target must lie strictly
+   inside (0, 1): log 1.0 = 0 divides by zero (the 1e-9 floor would
+   silently quench the search), log of a non-positive target is NaN,
+   and a target above 1 gives a negative temperature. The loop ends
+   when the temperature falls below [min_temp * t0] or the moves reach
+   [max_moves]; with no move per plateau and a cooling factor of 1 it
+   would end never. Every check is written to also catch NaN. *)
+let validate params =
+  let bad fmt =
+    Printf.ksprintf (fun msg -> Guard.Diag.fail ~code:"bad-sa-params" ~stage:"anneal" msg) fmt
+  in
+  if not (params.moves_per_plateau >= 1) then
+    bad "moves_per_plateau %d is below 1: a plateau must propose a move"
+      params.moves_per_plateau;
+  if not (params.cooling > 0.0 && params.cooling < 1.0) then
+    bad "cooling %g is outside (0, 1): the temperature must fall geometrically"
+      params.cooling;
+  if params.max_moves < 0 then bad "max_moves %d is negative" params.max_moves;
   (match params.initial_temp with
-  | Some _ -> ()
+  | Some t ->
+    if not (t > 0.0 && t < Float.infinity) then
+      bad "initial_temp %g is not a finite positive temperature" t
   | None ->
     let a = params.initial_acceptance in
     if not (a > 0.0 && a < 1.0) then
@@ -83,18 +96,23 @@ let minimize ~rng ~init ~cost ~neighbor ?(params = default_params) ?observer () 
         (Printf.sprintf
            "initial_acceptance %g is outside (0, 1): temperature calibration \
             needs log(target) finite and negative"
-           a));
+           a))
+
+let anneal ~rng ~init ~cost ~perturb ~undo ~copy ?(params = default_params) ?observer () =
+  validate params;
   let c0 = cost init in
   let t0, calibration_moves =
     match params.initial_temp with
     | Some t -> (t, 0)
     | None ->
-      ( calibrate ~rng:(Util.Rng.split rng) ~cost ~neighbor
-          ~target:params.initial_acceptance init c0,
+      ( calibrate ~rng:(Util.Rng.split rng) ~cost ~perturb
+          ~target:params.initial_acceptance (copy init) c0,
         calibration_samples )
   in
-  let cur = ref init and cur_cost = ref c0 in
-  let best = ref init and best_cost = ref c0 in
+  (* [cur] is [init], moved in place; a rejected move is undone, and
+     the state is copied only on a new best. *)
+  let cur = init and cur_cost = ref c0 in
+  let best = ref (copy init) and best_cost = ref c0 in
   let temp = ref t0 in
   let moves = ref 0 and accepted = ref 0 and plateaus = ref 0 in
   let stop_temp = params.min_temp *. t0 in
@@ -104,23 +122,23 @@ let minimize ~rng ~init ~cost ~neighbor ?(params = default_params) ?observer () 
     for _ = 1 to params.moves_per_plateau do
       if !moves < params.max_moves then begin
         incr moves;
-        let cand = neighbor rng !cur in
-        let cand_cost = cost cand in
+        perturb rng cur;
+        let cand_cost = cost cur in
         let delta = cand_cost -. !cur_cost in
         let accept =
           delta <= 0.0
           || Util.Rng.float rng 1.0 < exp (-.delta /. !temp)
         in
         if accept then begin
-          cur := cand;
           cur_cost := cand_cost;
           incr accepted;
           incr plateau_accepts;
           if cand_cost < !best_cost then begin
-            best := cand;
+            best := copy cur;
             best_cost := cand_cost
           end
         end
+        else undo cur
       end
     done;
     incr plateaus;
@@ -155,3 +173,20 @@ let minimize ~rng ~init ~cost ~neighbor ?(params = default_params) ?observer () 
   end;
   { best = !best; best_cost = !best_cost; moves = !moves; accepted = !accepted;
     plateaus = !plateaus; calibration_moves; final_temperature = !temp }
+
+(* The functional state in a cell: a move keeps the state it replaced,
+   and undo restores it. *)
+type 'a cell = { mutable now : 'a; mutable before : 'a }
+
+let minimize ~rng ~init ~cost ~neighbor ?params ?observer () =
+  let r =
+    anneal ~rng ~init:{ now = init; before = init }
+      ~cost:(fun s -> cost s.now)
+      ~perturb:(fun rng s ->
+        s.before <- s.now;
+        s.now <- neighbor rng s.now)
+      ~undo:(fun s -> s.now <- s.before)
+      ~copy:(fun s -> { now = s.now; before = s.before })
+      ?params ?observer ()
+  in
+  { r with best = r.best.now }

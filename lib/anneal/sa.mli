@@ -1,11 +1,14 @@
 (** Generic simulated annealing (minimization).
 
-    The engine is purely functional in the solution type: [neighbor]
-    returns a fresh candidate and the engine keeps the incumbent and the
-    best-so-far. Temperature follows a geometric schedule; the initial
-    temperature can be calibrated automatically from the uphill move
-    distribution (Kirkpatrick-style) so that an initial acceptance
-    probability is met. *)
+    One loop, {!anneal}, moves a mutable state in place: it proposes a
+    move with [perturb], undoes it with [undo] when the move is
+    rejected, and copies the state with [copy] only on a new best (and
+    once for calibration, which walks its own copy). {!minimize} is the
+    same loop over an immutable state kept in a cell. Temperature
+    follows a geometric schedule; the initial temperature can be
+    calibrated automatically from the uphill move distribution
+    (Kirkpatrick-style) so that an initial acceptance probability is
+    met. *)
 
 type params = {
   initial_temp : float option;
@@ -13,9 +16,9 @@ type params = {
   initial_acceptance : float;
       (** target acceptance probability for calibration (default 0.85) *)
   cooling : float;  (** geometric factor per plateau, in (0, 1) *)
-  moves_per_plateau : int;  (** proposals evaluated at each temperature *)
+  moves_per_plateau : int;  (** proposals evaluated at each temperature, >= 1 *)
   min_temp : float;  (** stop when temperature drops below *)
-  max_moves : int;  (** hard cap on total proposals *)
+  max_moves : int;  (** hard cap on total proposals, >= 0 *)
 }
 
 val default_params : params
@@ -59,6 +62,30 @@ type plateau = {
 val acceptance_rate : plateau -> float
 (** [plateau_accepted / plateau_moves] (0 for an empty plateau). *)
 
+val anneal :
+  rng:Util.Rng.t ->
+  init:'a ->
+  cost:('a -> float) ->
+  perturb:(Util.Rng.t -> 'a -> unit) ->
+  undo:('a -> unit) ->
+  copy:('a -> 'a) ->
+  ?params:params ->
+  ?observer:(plateau -> unit) ->
+  unit ->
+  'a result
+(** Runs the schedule on [init], which the run owns and moves in place,
+    and returns a copy of the best state seen. [perturb rng s] applies
+    one random move to [s]; [undo s] reverts the last move applied to
+    [s]; [copy s] is an independent state equal to [s]. The cost calls
+    are those of the functional loop: [init], then each calibration
+    sample (on a copy of [init]), then each proposal.
+
+    The parameters are checked first. A schedule that cannot run fails
+    with a [bad-sa-params] diagnostic ([moves_per_plateau < 1], [cooling]
+    outside (0, 1), [max_moves < 0], or an [initial_temp] that is not
+    finite and positive), and a calibration target outside (0, 1) with
+    [bad-sa-acceptance] (only when calibration runs). *)
+
 val minimize :
   rng:Util.Rng.t ->
   init:'a ->
@@ -68,7 +95,8 @@ val minimize :
   ?observer:(plateau -> unit) ->
   unit ->
   'a result
-(** Runs the schedule and returns the best solution seen. Deterministic
+(** {!anneal} over an immutable state: [neighbor] returns a fresh
+    candidate, and undo restores the one it replaced. Deterministic
     given the rng state; [observer] (called once per plateau, after its
     moves) is outside the RNG path, so attaching one cannot change the
     result.

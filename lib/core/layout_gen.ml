@@ -164,27 +164,30 @@ let viol_of_frame cf =
    its sibling starts; the cost is a pure function of the expression
    ([Slicing.Inc] results do not depend on evaluation history), so a
    repeat can return a stored cost instead of re-walking the tree. Two
-   direct-mapped levels share one key, the expression packed into one
-   int at [ic_bits] bits per element (its [Polish] codes: H -> 0,
-   V -> 1, operand i -> i + 2). That packing is injective, so a key
-   match is an exact expression match; the memos are enabled only when
-   all [2n - 1] elements fit 62 bits, i.e. n <= 8.
+   levels share one key, the expression packed into one int at
+   [ic_bits] bits per element (its [Polish] codes: H -> 0, V -> 1,
+   operand i -> i + 2), element 0 most significant. That packing is
+   injective, so a key match is an exact expression match; the memos
+   are enabled only when all [2n - 1] elements fit 62 bits, i.e.
+   n <= 8. The annealer's walker keeps the key up to date as it moves.
 
-   - The per-start memo: [ic_mkey]/[ic_mcost], owned by one start and
-     read first. Its hits are [cost.cache_hits].
+   - The per-start memo: [ic_mkey]/[ic_mcost], direct-mapped, owned by
+     one start and read first. Its hits are [cost.cache_hits].
    - The instance table: [ic_shared], one per [run] instance, shared by
      its starts (possibly on other domains) and read on a per-start
-     miss. An entry is an immutable record holding the key and its own
-     copy of the cost frame, both built before the entry is published
-     with a single array store and never written after, so a reader
-     sees a whole entry or the previous one, never a key paired with
-     another expression's cost. Which start publishes an entry first
-     depends on scheduling at jobs >= 2, so its hits are counted
-     nowhere. *)
+     miss, with bounded linear probing. An entry is an immutable record
+     holding the key and its own copy of the cost frame, both built
+     before the entry is published with a single array store and never
+     written after, so a reader sees a whole entry or the previous one,
+     never a key paired with another expression's cost. A racing store
+     can lose an entry, which costs only a later re-evaluation. Which
+     start publishes an entry first depends on scheduling at jobs >= 2,
+     so its hits are counted nowhere. *)
 let memo_slot_bits = 12
 let memo_slots = 1 lsl memo_slot_bits
-let table_slot_bits = 14
+let table_slot_bits = 15
 let table_slots = 1 lsl table_slot_bits
+let table_probes = 8
 
 type entry = { e_key : int; e_cf : float array }
 
@@ -231,6 +234,14 @@ let memo_slot key = fib_slot ~slot_bits:memo_slot_bits key
 
 let table_slot key = fib_slot ~slot_bits:table_slot_bits key
 
+(* A walker over [expr] that keeps its memo key up to date, or none
+   when the memos are off or [expr] cannot be packed: the only place
+   the annealer packs a key from scratch. *)
+let walker ~n_blocks expr =
+  let bits = memo_bits n_blocks in
+  if bits = 0 then Slicing.Polish.Walker.create expr
+  else Slicing.Polish.Walker.create ~bits ~key:(memo_key ~n_blocks ~bits expr) expr
+
 let slot_of slot ~n_blocks expr =
   let bits = memo_bits n_blocks in
   let key = if bits = 0 then -1 else memo_key ~n_blocks ~bits expr in
@@ -270,9 +281,10 @@ type inc = {
   ic_mcost : float array;
   mutable ic_hits : int;
   ic_shared : entry array;   (* the instance table, one per [run] instance *)
+  ic_home : int -> int;      (* a key's home slot in [ic_shared] *)
 }
 
-let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared =
+let make_inc ?(home = table_slot) ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared () =
   let n_blocks = Array.length leaves in
   let np = Array.length pairs in
   let pi = Array.make np 0 and pj = Array.make np 0 and pw = Array.make np 0.0 in
@@ -316,7 +328,8 @@ let make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared =
     ic_mkey = (if bits > 0 then Array.make memo_slots (-1) else [||]);
     ic_mcost = (if bits > 0 then Array.make memo_slots 0.0 else [||]);
     ic_hits = 0;
-    ic_shared = shared }
+    ic_shared = shared;
+    ic_home = home }
 
 (* Refresh the contribution of pair [p]. Recomputing a pair twice (both
    endpoints moved) just rewrites the same value, so the moved list
@@ -366,25 +379,39 @@ let evaluate_slicing inc expr =
   finish_cost cf ~leaves:inc.ic_leaves ~budget:inc.ic_budget ~n_pairs:np
     ~config:inc.ic_config ~n_blocks:inc.ic_n_blocks
 
-(* A per-start miss on key [key]: the instance table's entry when it
-   holds [key], else a full evaluation, published. Either way [ic_cf]
-   ends up describing [expr], so [run]'s [term_observer] closure reads
-   the right frame when the cost is a new best for this start. *)
-let score_shared inc key expr =
-  let t = table_slot key in
-  let e = inc.ic_shared.(t) in
-  if e.e_key = key then
-    for k = 0 to cf_slots - 1 do
-      inc.ic_cf.(k) <- e.e_cf.(k)
-    done
+(* Evaluate [expr] and publish its cost frame under [key] in slot [s]
+   of the instance table. Published only after a completed evaluation:
+   a diagnostic (such as a non-finite cost) or a fault publishes
+   nothing. *)
+let publish inc key expr s =
+  evaluate_slicing inc expr;
+  inc.ic_shared.(s) <- { e_key = key; e_cf = Array.copy inc.ic_cf }
+
+(* A per-start miss on key [key], from probe [k] on: bounded linear
+   probing from the home slot [home]. An entry holding [key] within
+   [table_probes] probes answers; otherwise [expr] is evaluated and
+   published in the first empty slot met or, when every probed slot
+   holds another key, over the home slot. Slots are never emptied, so
+   a probe that meets an empty slot has passed every slot [key] can be
+   in. Either way [ic_cf] ends up describing [expr], so [run]'s
+   [term_observer] closure reads the right frame when the cost is a new
+   best for this start. *)
+let rec score_shared inc key expr home k =
+  if k = table_probes then publish inc key expr home
   else begin
-    (* Published only after a completed evaluation: a diagnostic (such
-       as a non-finite cost) or a fault publishes nothing. *)
-    evaluate_slicing inc expr;
-    inc.ic_shared.(t) <- { e_key = key; e_cf = Array.copy inc.ic_cf }
+    let s = (home + k) land (table_slots - 1) in
+    let e = inc.ic_shared.(s) in
+    if e.e_key = key then
+      for j = 0 to cf_slots - 1 do
+        inc.ic_cf.(j) <- e.e_cf.(j)
+      done
+    else if e.e_key < 0 then publish inc key expr s
+    else score_shared inc key expr home (k + 1)
   end
 
-(* The annealer's cost function: the cost of [expr]. A per-start memo
+(* The annealer's cost function: the cost of [expr], whose packed key
+   at [ic_bits] is [key] (or -1: no memo). In the annealer the key is
+   the one a [walker] keeps up to date. A per-start memo
    hit returns the stored cost and leaves [ic_state], the pair
    contributions and [ic_cf] as they were, which only widens the next
    evaluation's diff window. So [ic_cf] describes [expr] after a
@@ -392,12 +419,8 @@ let score_shared inc key expr =
    closure, reads it on a new best, and a per-start hit is never one:
    its cost was already returned by the same closure, which then kept a
    best no greater. *)
-let evaluate_inc inc expr =
-  let key =
-    if inc.ic_bits = 0 then -1
-    else memo_key ~n_blocks:inc.ic_n_blocks ~bits:inc.ic_bits expr
-  in
-  if key < 0 then begin
+let evaluate_inc inc key expr =
+  if key < 0 || inc.ic_bits = 0 then begin
     evaluate_slicing inc expr;
     inc.ic_cf.(cf_cost)
   end
@@ -408,7 +431,7 @@ let evaluate_inc inc expr =
       inc.ic_mcost.(s)
     end
     else begin
-      score_shared inc key expr;
+      score_shared inc key expr (inc.ic_home key) 0;
       let c = inc.ic_cf.(cf_cost) in
       inc.ic_mkey.(s) <- key;
       inc.ic_mcost.(s) <- c;
@@ -416,17 +439,33 @@ let evaluate_inc inc expr =
     end
   end
 
-(* The cost closures of [starts] starts of one instance: own states,
-   one shared instance table. *)
-let annealing_costs ~starts ~config ~blocks ~affinity ~fixed_pos ~budget =
+let walker_cost inc w =
+  evaluate_inc inc (Slicing.Polish.Walker.key w) (Slicing.Polish.Walker.expr w)
+
+(* The states of [starts] starts of one instance: their own, with one
+   shared instance table. *)
+let start_states ?home ~starts ~config ~blocks ~affinity ~fixed_pos ~budget () =
   let n_blocks = Array.length blocks in
   let leaves = Array.map Block.to_leaf blocks in
   let pairs = affinity_pairs ~n_blocks ~n_endpoints:(Array.length affinity) affinity in
   let table = Slicing.Layout.leaf_table leaves in
   let shared = instance_table ~n_blocks in
   Array.init starts (fun _ ->
-      let inc = make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared in
-      fun expr -> evaluate_inc inc expr)
+      make_inc ?home ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared ())
+
+let annealing_costs ~starts ~config ~blocks ~affinity ~fixed_pos ~budget =
+  Array.map
+    (fun inc expr ->
+      let key =
+        if inc.ic_bits = 0 then -1
+        else memo_key ~n_blocks:inc.ic_n_blocks ~bits:inc.ic_bits expr
+      in
+      evaluate_inc inc key expr)
+    (start_states ~starts ~config ~blocks ~affinity ~fixed_pos ~budget ())
+
+let walker_costs ?home ~starts ~config ~blocks ~affinity ~fixed_pos ~budget () =
+  Array.map walker_cost
+    (start_states ?home ~starts ~config ~blocks ~affinity ~fixed_pos ~budget ())
 
 (* Full evaluation of one expression: the scalar cost plus its named
    breakdown and the post-hoc per-pair / per-leaf attribution. Runs once
@@ -591,14 +630,14 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
                per-start memo; the starts share only the instance
                table, whose entries are immutable. *)
             let inc =
-              make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared
+              make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared ()
             in
             let cost, observer =
               match term_observer with
               | None ->
-                let cost expr =
+                let cost w =
                   Guard.Budget.check ~stage:"floorplan";
-                  evaluate_inc inc expr
+                  walker_cost inc w
                 in
                 (cost, observer)
               | Some on_terms ->
@@ -611,9 +650,9 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
                 let best = ref infinity in
                 let best_wl = ref 0.0 in
                 let best_viol = ref Slicing.Layout.no_violations in
-                let cost expr =
+                let cost w =
                   Guard.Budget.check ~stage:"floorplan";
-                  let c = evaluate_inc inc expr in
+                  let c = walker_cost inc w in
                   if not (!best <= c) then begin
                     best := c;
                     best_wl := inc.ic_cf.(cf_wl);
@@ -630,9 +669,9 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
                 (cost, Some observer')
             in
             let r =
-              Anneal.Sa.minimize ~rng:rngs.(i) ~init:inits.(i) ~cost
-                ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
-                ~params:config.Config.layout_sa ?observer ()
+              Anneal.Sa.anneal ~rng:rngs.(i) ~init:(walker ~n_blocks inits.(i)) ~cost
+                ~perturb:Slicing.Polish.Walker.perturb ~undo:Slicing.Polish.Walker.undo
+                ~copy:Slicing.Polish.Walker.copy ~params:config.Config.layout_sa ?observer ()
             in
             (* Flushed once per start, like [Sa.minimize]'s tallies, so
                a memo hit carries no telemetry work. *)
@@ -652,7 +691,7 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
           (fun acc (r : _ Anneal.Sa.result) -> acc + r.moves + r.calibration_moves)
           0 results
       in
-      ( results.(!best_i).Anneal.Sa.best,
+      ( Slicing.Polish.Walker.expr results.(!best_i).Anneal.Sa.best,
         sa_moves,
         results.(!best_i).Anneal.Sa.final_temperature )
     in

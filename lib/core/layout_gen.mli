@@ -101,6 +101,13 @@ val eval_expr :
     produce, with [sa_moves = 0] and [final_temperature = 0.0]. Exposed
     for tests and tools that need to re-attribute a known layout. *)
 
+val walker : n_blocks:int -> Slicing.Polish.t -> Slicing.Polish.walker
+(** A walker over the expression that keeps the instance's cost-memo key
+    up to date on [n_blocks] blocks (no key when the memos are off at
+    that size or the expression cannot be packed). The annealer makes
+    one per start; this is the only place a key is packed from
+    scratch. *)
+
 val annealing_costs :
   starts:int ->
   config:Config.t ->
@@ -116,8 +123,25 @@ val annealing_costs :
     to 8 blocks each state carries its start's cost memo, and all of
     them share the instance's cost table: a call on an expression this
     start, or another one, has already scored may return the stored
-    cost without re-walking the slicing tree (DESIGN.md §14). Exposed
-    for tests. *)
+    cost without re-walking the slicing tree (DESIGN.md §14). Each call
+    packs the expression's memo key from scratch. Exposed for tests. *)
+
+val walker_costs :
+  ?home:(int -> int) ->
+  starts:int ->
+  config:Config.t ->
+  blocks:Block.t array ->
+  affinity:float array array ->
+  fixed_pos:Geom.Point.t array ->
+  budget:Geom.Rect.t ->
+  unit ->
+  (Slicing.Polish.walker -> float) array
+(** The same costs as the annealer calls them: on the walker's current
+    expression, looked up by the key the walker keeps. The walker must
+    come from {!walker} on the same number of blocks. [home] replaces
+    the instance table's home-slot function (the default is
+    {!table_slot_of}'s) and must return a slot below 2^15. Exposed for
+    tests. *)
 
 val memo_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
 (** The per-start cost-memo slot [expr] maps to on [n_blocks] blocks,
@@ -126,7 +150,8 @@ val memo_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
     Exposed for tests. *)
 
 val table_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
-(** The same for the instance cost table. Exposed for tests. *)
+(** The same for the home slot of the instance cost table. Exposed for
+    tests. *)
 
 val run :
   ?observer:(Anneal.Sa.plateau -> unit) ->

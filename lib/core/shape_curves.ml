@@ -22,16 +22,16 @@ let combine_children ~config ~rng child_curves child_areas =
             area_min = child_areas.(i);
             area_target = child_areas.(i) })
     in
-    let cost expr = Curve.min_area (Slicing.Layout.tree_curve expr ~leaves) in
+    let module W = Slicing.Polish.Walker in
+    let cost w = Curve.min_area (Slicing.Layout.tree_curve (W.expr w) ~leaves) in
     let init = Slicing.Polish.initial_random rng ~n in
     let result =
-      Anneal.Sa.minimize ~rng ~init ~cost
-        ~neighbor:(fun rng e -> Slicing.Polish.perturb rng e)
-        ~params:config.Config.curve_sa ()
+      Anneal.Sa.anneal ~rng ~init:(W.create init) ~cost ~perturb:W.perturb ~undo:W.undo
+        ~copy:W.copy ~params:config.Config.curve_sa ()
     in
     Obs.Perf.add Obs.Perf.sc_combines 1;
     Obs.Perf.add Obs.Perf.sc_sa_moves result.Anneal.Sa.moves;
-    let best = Slicing.Layout.tree_curve result.Anneal.Sa.best ~leaves in
+    let best = Slicing.Layout.tree_curve (W.expr result.Anneal.Sa.best) ~leaves in
     (* Also keep the initial arrangement's shapes for diversity. *)
     let fallback = Slicing.Layout.tree_curve init ~leaves in
     let merged =

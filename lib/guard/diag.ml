@@ -53,6 +53,11 @@ let codes =
      "annealing initial_acceptance outside (0, 1): temperature calibration \
       would divide by log(target) = 0 (silent quench) or produce NaN/negative \
       temperatures");
+    ("bad-sa-params", "error",
+     "an annealing schedule that cannot run: moves_per_plateau below 1, cooling \
+      outside (0, 1), negative max_moves, or an initial_temp that is not finite \
+      and positive (with no move per plateau and a cooling of 1 the loop would \
+      never end)");
     ("ckpt-io", "error",
      "checkpoint directory cannot be created, opened or written");
     ("ckpt-mismatch", "error",

@@ -58,10 +58,63 @@ val of_elements : elt array -> t
 (** Validates normalization and non-negative operands; raises
     [Invalid_argument] otherwise. *)
 
+(** {1 Moving in place}
+
+    A walker owns one mutable expression and moves it in place, the way
+    the annealers do: {!Walker.perturb} applies one move and records a
+    one-level undo, {!Walker.undo} reverts it. M1 and M3 find their
+    positions in O(1) (the walker keeps the operand rank -> position map
+    and its inverse) and M2 scans the expression once. The functional
+    moves below are wrappers over the walker, so the moves have one
+    implementation. *)
+
+type walker
+
+module Walker : sig
+  val create : ?bits:int -> ?key:int -> t -> walker
+  (** A walker over a copy of the expression. With [bits > 0] and
+      [key >= 0], [key] must be the expression packed at [bits] bits per
+      element, element 0 most significant (the annealer's cost-memo key,
+      see [Layout_gen]); every move and every undo then keeps {!key}
+      equal to that packing of the current expression. Otherwise {!key}
+      is [-1]. *)
+
+  val copy : walker -> walker
+  (** An independent walker in the same state, undo record included. *)
+
+  val expr : walker -> t
+  (** The current expression, aliased: the next move or undo changes
+      it. *)
+
+  val key : walker -> int
+  (** The packed key of the current expression, or [-1]. *)
+
+  val perturb : Util.Rng.t -> walker -> unit
+  (** One of M1 / M2 / M3, chosen with equal probability, applied in
+      place; falls back to another move kind if the chosen one has no
+      legal application, and leaves the expression as it was if none
+      has. Draws from the RNG exactly what the functional {!perturb}
+      draws. *)
+
+  val undo : walker -> unit
+  (** Reverts the last {!perturb} (codes, maps and key); a no-op when
+      that perturb applied nothing or was already undone. One level
+      only. *)
+
+  val rank : walker -> int -> int
+  (** The number of operands before position [i]. Exposed for tests. *)
+
+  val position : walker -> int -> int
+  (** The position of the operand of rank [r]. Exposed for tests. *)
+end
+
+(** {1 Functional moves} *)
+
 val perturb : Util.Rng.t -> t -> t
 (** One of M1 / M2 / M3, chosen with equal probability. Always returns a
     normalized expression (falls back to another move kind if the chosen
-    one has no legal application). *)
+    one has no legal application). [Walker.perturb] on a walker over a
+    copy of the expression, which it returns: the only allocation. *)
 
 (** The individual moves, exposed for property testing. Each returns
     [None] when the move has no legal application to [t] (or, for M3,

@@ -132,6 +132,103 @@ let test_acceptance_validation () =
   Alcotest.(check bool) "explicit temp skips the validation" true
     (explicit.Sa.moves > 0)
 
+(* A schedule that cannot run is rejected before any cost call, with
+   one structured diagnostic per case. With no move per plateau and a
+   cooling factor of 1 the loop used to spin forever. *)
+let test_params_validation () =
+  let cost, neighbor = quadratic_setup () in
+  let calls = ref 0 in
+  let cost x =
+    incr calls;
+    cost x
+  in
+  let rejected what params =
+    calls := 0;
+    match Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor ~params () with
+    | exception Guard.Diag.Fail d ->
+      Alcotest.(check string) (what ^ ": code") "bad-sa-params" d.Guard.Diag.code;
+      Alcotest.(check int) (what ^ ": no cost call") 0 !calls
+    | _ -> Alcotest.failf "%s was accepted" what
+  in
+  let p = Sa.default_params in
+  rejected "moves_per_plateau 0, cooling 1"
+    { p with Sa.moves_per_plateau = 0; cooling = 1.0 };
+  rejected "moves_per_plateau 0" { p with Sa.moves_per_plateau = 0 };
+  rejected "moves_per_plateau -3" { p with Sa.moves_per_plateau = -3 };
+  List.iter
+    (fun c -> rejected (Printf.sprintf "cooling %g" c) { p with Sa.cooling = c })
+    [ 1.0; 0.0; -0.5; 1.5; Float.nan ];
+  rejected "max_moves -1" { p with Sa.max_moves = -1 };
+  List.iter
+    (fun t -> rejected (Printf.sprintf "initial_temp %g" t) { p with Sa.initial_temp = Some t })
+    [ 0.0; -1.0; Float.infinity; Float.nan ];
+  (* the edges that can run still do *)
+  let r = Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor
+      ~params:{ p with Sa.max_moves = 0 } () in
+  Alcotest.(check int) "max_moves 0 runs no move" 0 r.Sa.moves;
+  let r = Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor
+      ~params:{ p with Sa.moves_per_plateau = 1; max_moves = 50 } () in
+  Alcotest.(check int) "one move per plateau" r.Sa.moves r.Sa.plateaus
+
+(* The in-place loop on the Polish walker against the functional loop on
+   [Polish.perturb]: equal RNGs and one cost give the same best, the
+   same statistics, the same per-plateau snapshots, the same cost calls
+   in the same order and the same final RNG state, so undoing a
+   rejected move in place is the functional loop's dropping it. *)
+let test_in_place_matches_functional () =
+  List.iter
+    (fun (n, seed) ->
+      let cost_of e =
+        (* any deterministic function of the expression *)
+        float_of_int (Hashtbl.hash (Slicing.Polish.elements e) land 0xffff)
+      in
+      let run in_place =
+        let rng = Util.Rng.create seed in
+        let init = Slicing.Polish.initial_random rng ~n in
+        let calls = ref [] and plateaus = ref [] in
+        let observer p = plateaus := p :: !plateaus in
+        let params = { Sa.default_params with Sa.max_moves = 3_000 } in
+        let stats (r : _ Sa.result) =
+          ( r.Sa.best_cost, r.Sa.moves, r.Sa.accepted, r.Sa.plateaus, r.Sa.calibration_moves,
+            r.Sa.final_temperature )
+        in
+        let best, stats =
+          if in_place then begin
+            let module W = Slicing.Polish.Walker in
+            let cost w =
+              let c = cost_of (W.expr w) in
+              calls := c :: !calls;
+              c
+            in
+            let r =
+              Sa.anneal ~rng ~init:(W.create init) ~cost ~perturb:W.perturb ~undo:W.undo
+                ~copy:W.copy ~params ~observer ()
+            in
+            (Slicing.Polish.elements (W.expr r.Sa.best), stats r)
+          end
+          else begin
+            let cost e =
+              let c = cost_of e in
+              calls := c :: !calls;
+              c
+            in
+            let r =
+              Sa.minimize ~rng ~init ~cost ~neighbor:Slicing.Polish.perturb ~params ~observer ()
+            in
+            (Slicing.Polish.elements r.Sa.best, stats r)
+          end
+        in
+        (best, stats, !calls, !plateaus, Util.Rng.state rng)
+      in
+      let b1, s1, c1, p1, g1 = run true and b2, s2, c2, p2, g2 = run false in
+      let what = Printf.sprintf "n = %d, seed %d" n seed in
+      Alcotest.(check bool) (what ^ ": best") true (b1 = b2);
+      Alcotest.(check bool) (what ^ ": statistics") true (s1 = s2);
+      Alcotest.(check bool) (what ^ ": cost calls") true (c1 = c2);
+      Alcotest.(check bool) (what ^ ": plateaus") true (p1 = p2);
+      Alcotest.(check bool) (what ^ ": RNG state") true (g1 = g2))
+    [ (2, 1); (5, 2); (7, 3); (12, 4) ]
+
 let suite =
   [ ( "anneal.sa",
       [ Alcotest.test_case "minimizes quadratic" `Quick test_minimizes_quadratic;
@@ -146,4 +243,7 @@ let suite =
         Alcotest.test_case "stats consistent" `Quick test_stats_consistent;
         Alcotest.test_case "acceptance target validated" `Quick
           test_acceptance_validation;
+        Alcotest.test_case "schedule parameters validated" `Quick test_params_validation;
+        Alcotest.test_case "in-place walker loop equals the functional loop" `Quick
+          test_in_place_matches_functional;
         best_never_worse_than_init; discrete_state_space ] ) ]

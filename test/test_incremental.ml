@@ -330,6 +330,49 @@ let test_instance_table_collision () =
         [ (0, a); (1, b); (0, b); (1, a); (0, a); (1, b); (1, a); (0, b) ])
     [ 5; 6; 8 ]
 
+(* Bounded linear probing, forced: a hook sends every key to one home
+   slot (once near the start of the table, once two slots before its
+   end, so the probe chain wraps), and two starts of one instance score
+   20 distinct expressions. The first 8 fill the probe chain, every
+   later one finds it full and overwrites the home slot, and each start
+   then re-scores them all in another order: lookups walk the chain,
+   hit entries past the home slot and miss the overwritten ones. Every
+   cost must be [eval_expr]'s bit for bit. *)
+let test_instance_table_probing () =
+  List.iter
+    (fun (n, home) ->
+      let blocks, affinity, fixed_pos, budget = random_instance ~n 29 in
+      let config = Hidap.Config.default in
+      let costs =
+        LG.walker_costs ~home:(fun _ -> home) ~starts:2 ~config ~blocks ~affinity ~fixed_pos
+          ~budget ()
+      in
+      let full_cost e =
+        (LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget e).LG.cost
+      in
+      let rng = Util.Rng.create (n + home) in
+      let distinct = ref [] in
+      let e = ref (Polish.initial_random rng ~n) in
+      while List.length !distinct < 20 do
+        if not (List.exists (fun d -> Polish.elements d = Polish.elements !e) !distinct) then
+          distinct := !e :: !distinct;
+        e := Polish.perturb rng !e
+      done;
+      let exprs = Array.of_list (List.rev !distinct) in
+      let order = Array.init 20 Fun.id in
+      let score start i =
+        let e = exprs.(i) in
+        if not (beq (costs.(start) (LG.walker ~n_blocks:n e)) (full_cost e)) then
+          Alcotest.failf "n = %d, home %d: start %d scored expression %d wrongly" n home
+            start i
+      in
+      Array.iter (score 0) order;
+      Array.iter (score 1) (Array.init 20 (fun i -> 19 - i));
+      Util.Rng.shuffle rng order;
+      Array.iter (score 1) order;
+      Array.iter (score 0) order)
+    [ (5, 7); (6, (1 lsl 15) - 2); (8, 100) ]
+
 (* MD5 of fig1's [sa.term.*] series (the cost terms of each start's
    cheapest evaluation, per plateau) from one [Hidap.place], names and
    points printed with %h, pinned from the code before the instance
@@ -510,6 +553,42 @@ let test_move_allocation_budget () =
   if words > 400_000.0 then
     Alcotest.failf "10k annealing moves allocated %.0f minor words (bound 400000)" words
 
+(* 10k in-place annealing steps on a warm evaluator, as the annealer
+   takes them: a walker move, the cost looked up by the walker's key,
+   and about half of the moves undone. The moves, the undo and a memo
+   hit allocate nothing; what is left is the boxed cost the closure
+   returns, the test's own float accumulator and, on an instance-table
+   miss, the published entry (9 words): 0.115M minor words, where the
+   functional walk above takes 0.26M. The bound, 0.16M, fails as soon
+   as a move copies the expression (14 words a step here) or the
+   annealer builds a walker per step. *)
+let test_walker_allocation_budget () =
+  let blocks, affinity, fixed_pos, budget = alloc_instance () in
+  let n = Array.length blocks in
+  let cost =
+    (LG.walker_costs ~starts:1 ~config:Hidap.Config.default ~blocks ~affinity ~fixed_pos
+       ~budget ()).(0)
+  in
+  let rng = Util.Rng.create 5 in
+  let w = LG.walker ~n_blocks:n (Polish.initial_random rng ~n) in
+  let sum = ref 0.0 in
+  let step () =
+    Polish.Walker.perturb rng w;
+    sum := !sum +. cost w;
+    if Util.Rng.int rng 2 = 0 then Polish.Walker.undo w
+  in
+  for _ = 1 to 100 do
+    step ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    step ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "walk cost is finite" true (Float.is_finite !sum);
+  if words > 160_000.0 then
+    Alcotest.failf "10k in-place walker steps allocated %.0f minor words (bound 160000)" words
+
 (* ---- golden placement ------------------------------------------------ *)
 
 (* MD5 of the c1 placement (the benchmark's seed-1 circuit: generator
@@ -520,15 +599,27 @@ let test_move_allocation_budget () =
    count (placements do not depend on it). *)
 let golden_c1_digest = "e64014df466d4856df4044f4ee3f5c40"
 
+(* MD5s of two more placements, taken the same way from the code before
+   the annealer moved its expression in place: fig1 as the serve
+   benchmark places it (its generator seed moved by 1000), whose
+   instances have 2 and 5 blocks, and c3, whose instances have 4, 6, 7
+   and 11 blocks (the instance table's probe chains on the larger
+   tables, and the memo-off path above 8 blocks). *)
+let golden_fig1_digest = "e8921c30a0cb1326fa31f906b60c73e3"
+let golden_c3_digest = "7735a2faeb9972c2387523ef349c522d"
+
+(* A generated design handed over as HNL text. *)
+let hnl_flat (params : Circuitgen.Gen.params) =
+  let text = Hnl.Printer.to_string (Circuitgen.Gen.generate params) in
+  match Hnl.Parser.parse_string text with
+  | Ok d -> Netlist.Flat.elaborate d
+  | Error _ -> Alcotest.failf "generated %s does not parse" params.Circuitgen.Gen.name
+
 (* A suite circuit as the benchmark's seed 1 sees it: generator seed
    moved by 1000, handed over as HNL text. *)
 let seed1_flat name =
   let c = Option.get (Circuitgen.Suite.find name) in
-  let params = { c.Circuitgen.Suite.params with seed = c.Circuitgen.Suite.params.seed + 1000 } in
-  let text = Hnl.Printer.to_string (Circuitgen.Gen.generate params) in
-  match Hnl.Parser.parse_string text with
-  | Ok d -> Netlist.Flat.elaborate d
-  | Error _ -> Alcotest.failf "generated %s does not parse" name
+  hnl_flat { c.Circuitgen.Suite.params with seed = c.Circuitgen.Suite.params.seed + 1000 }
 
 let golden_config =
   { Hidap.Config.default with Hidap.Config.seed = 1; lambda = 0.5; lambda_sweep = [ 0.5 ] }
@@ -541,8 +632,7 @@ let golden_c1 =
      let die = Hidap.die_for flat ~config:golden_config in
      (flat, die, Hidap.place ~config:golden_config ~die flat))
 
-let test_golden_c1_placement () =
-  let _, _, r = Lazy.force golden_c1 in
+let placement_digest (r : Hidap.result) =
   let b = Buffer.create 4096 in
   List.iter
     (fun (p : Hidap.macro_placement) ->
@@ -551,9 +641,27 @@ let test_golden_c1_placement () =
         (Printf.sprintf "%d %h %h %h %h %s\n" p.Hidap.fid q.Rect.x q.Rect.y q.Rect.w q.Rect.h
            (Geom.Orientation.to_string p.Hidap.orient)))
     r.Hidap.placements;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_c1_placement () =
+  let _, _, r = Lazy.force golden_c1 in
   Alcotest.(check int) "32 macros" 32 (List.length r.Hidap.placements);
-  Alcotest.(check string) "c1 placement digest" golden_c1_digest
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
+  Alcotest.(check string) "c1 placement digest" golden_c1_digest (placement_digest r)
+
+let test_golden_placement name flat digest () =
+  let flat = flat () in
+  let die = Hidap.die_for flat ~config:golden_config in
+  let r = Hidap.place ~config:golden_config ~die flat in
+  Alcotest.(check string) (name ^ " placement digest") digest (placement_digest r)
+
+(* [Circuitgen.Suite.fig1_design]'s parameters with the seed moved by
+   1000, as the serve benchmark generates fig1. *)
+let seed1_fig1 () =
+  hnl_flat
+    { Circuitgen.Gen.name = "fig1"; seed = 16 + 1000; n_subsystems = 2;
+      units_per_subsystem = 2; n_macros = 16; bus_width = 12; pipe_stages = 1;
+      target_cells = 1_500; macro_w = 55.0; macro_h = 40.0; port_arrays = 2;
+      cross_links = 0; cell_area = 8.0 }
 
 (* MD5 of the evaluation of three macro placements: c1 and c5 wall-packed
    by IndEDA and the golden c1 placement above. Every standard-cell
@@ -597,6 +705,8 @@ let suite =
           test_memo_slot_eviction;
         Alcotest.test_case "instance table slot collision stays exact" `Quick
           test_instance_table_collision;
+        Alcotest.test_case "instance table probe chain and overwrite stay exact" `Quick
+          test_instance_table_probing;
         Alcotest.test_case "instance table keeps fig1 cost terms at jobs 1/2/4" `Slow
           test_instance_table_terms;
         Alcotest.test_case "sa_starts honored exactly" `Quick
@@ -605,7 +715,13 @@ let suite =
           test_asymmetric_affinity_rejected;
         Alcotest.test_case "annealing move allocation budget" `Quick
           test_move_allocation_budget;
+        Alcotest.test_case "in-place walker step allocation budget" `Quick
+          test_walker_allocation_budget;
         Alcotest.test_case "golden c1 placement digest" `Quick
           test_golden_c1_placement;
+        Alcotest.test_case "golden fig1 placement digest" `Quick
+          (test_golden_placement "fig1" seed1_fig1 golden_fig1_digest);
+        Alcotest.test_case "golden c3 placement digest" `Quick
+          (test_golden_placement "c3" (fun () -> seed1_flat "c3") golden_c3_digest);
         Alcotest.test_case "golden evaluation digest" `Quick
           test_golden_evaluation ] ) ]

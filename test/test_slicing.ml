@@ -383,6 +383,67 @@ let test_walks_match_reference () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "a negative operand has no code and must be rejected"
 
+(* The in-place walker against the boxed reference: for n = 1..17 and
+   several seeds, one walker and one reference [elt array] take the
+   same moves from two equal RNGs, and the walk keeps each move or
+   undoes it (a rejected annealing move), sometimes undoing twice (the
+   second undo must do nothing). After every move and every undo the
+   codes and the RNG states must be equal, the rank/position maps must
+   agree with a rescan, and the walker's incremental key must equal the
+   key packed from scratch by a fresh walker ([Layout_gen.walker], the
+   annealer's only packing), which exists exactly for n <= 8. *)
+let test_walker_matches_reference () =
+  for n = 1 to 17 do
+    List.iter
+      (fun seed ->
+        let rng = Util.Rng.create ((7919 * seed) + n) in
+        let w = Hidap.Layout_gen.walker ~n_blocks:n (Polish.initial_random rng ~n) in
+        let r = ref (Polish.elements (Polish.Walker.expr w)) in
+        let rw = Util.Rng.copy rng and rr = Util.Rng.copy rng in
+        let check step what =
+          let fail msg =
+            Alcotest.failf "n = %d, seed %d, step %d, after %s: %s" n seed step what msg
+          in
+          let e = Polish.Walker.expr w in
+          if Polish.elements e <> !r then fail "codes differ from the reference";
+          if Util.Rng.state rw <> Util.Rng.state rr then fail "RNG state differs";
+          let rank = ref 0 in
+          for i = 0 to Polish.length e - 1 do
+            if Polish.Walker.rank w i <> !rank then fail (Printf.sprintf "rank at %d" i);
+            if Polish.code e i >= 2 then begin
+              if Polish.Walker.position w !rank <> i then
+                fail (Printf.sprintf "position of rank %d" !rank);
+              incr rank
+            end
+          done;
+          let fresh =
+            Polish.Walker.key (Hidap.Layout_gen.walker ~n_blocks:n (Polish.of_elements !r))
+          in
+          if Polish.Walker.key w <> fresh then
+            fail (Printf.sprintf "key %d, packed from scratch %d" (Polish.Walker.key w) fresh);
+          if (fresh >= 0) <> (n <= 8) then fail "key presence"
+        in
+        check 0 "create";
+        for step = 1 to 200 do
+          let before = !r in
+          Polish.Walker.perturb rw w;
+          r := Ref_moves.perturb rr !r;
+          check step "move";
+          match Util.Rng.int rng 6 with
+          | 0 | 1 ->
+            Polish.Walker.undo w;
+            r := before;
+            check step "undo"
+          | 2 ->
+            Polish.Walker.undo w;
+            Polish.Walker.undo w;
+            r := before;
+            check step "double undo"
+          | _ -> ()
+        done)
+      [ 1; 2; 3; 4; 5; 6 ]
+  done
+
 (* M1 swaps adjacent operands: every operator stays at its position with
    its value. *)
 let m1_touches_operands_only =
@@ -551,7 +612,9 @@ let suite =
         perturb_preserves_normalization; m1_preserves; m2_preserves; m3_preserves;
         m1_touches_operands_only; m2_touches_operators_only; moves_match_reference;
         Alcotest.test_case "walks match the boxed reference, n = 1..17" `Quick
-          test_walks_match_reference ] );
+          test_walks_match_reference;
+        Alcotest.test_case "walker moves and undoes like the boxed reference, n = 1..17"
+          `Quick test_walker_matches_reference ] );
     ( "slicing.layout",
       [ Alcotest.test_case "fig8 regression" `Quick test_fig8_regression;
         Alcotest.test_case "two-leaf cuts" `Quick test_two_leaf_cuts;
