@@ -159,32 +159,27 @@ let viol_of_frame cf =
 
 (* ---- incremental evaluation ---------------------------------------- *)
 
-(* The cost memos (DESIGN.md section 14). An annealing start on a few
-   blocks keeps proposing expressions it has already scored, and so do
-   its sibling starts; the cost is a pure function of the expression
-   ([Slicing.Inc] results do not depend on evaluation history), so a
-   repeat can return a stored cost instead of re-walking the tree. Two
-   levels share one key, the expression packed into one int at
-   [ic_bits] bits per element (its [Polish] codes: H -> 0, V -> 1,
-   operand i -> i + 2), element 0 most significant. That packing is
-   injective, so a key match is an exact expression match; the memos
-   are enabled only when all [2n - 1] elements fit 62 bits, i.e.
-   n <= 8. The annealer's walker keeps the key up to date as it moves.
+(* The instance cost table (DESIGN.md section 14). An annealing start
+   on a few blocks keeps proposing expressions it has already scored,
+   and so do its sibling starts; the cost is a pure function of the
+   expression ([Slicing.Inc] results do not depend on evaluation
+   history), so a repeat can return a stored cost instead of re-walking
+   the tree. The key is the expression packed into one int at [ic_bits]
+   bits per element (its [Polish] codes: H -> 0, V -> 1, operand
+   i -> i + 2), element 0 most significant. That packing is injective,
+   so a key match is an exact expression match; the table is enabled
+   only when all [2n - 1] elements fit 62 bits, i.e. n <= 8. The
+   annealer's walker keeps the key up to date as it moves.
 
-   - The per-start memo: [ic_mkey]/[ic_mcost], direct-mapped, owned by
-     one start and read first. Its hits are [cost.cache_hits].
-   - The instance table: [ic_shared], one per [run] instance, shared by
-     its starts (possibly on other domains) and read on a per-start
-     miss, with bounded linear probing. An entry is an immutable record
-     holding the key and its own copy of the cost frame, both built
-     before the entry is published with a single array store and never
-     written after, so a reader sees a whole entry or the previous one,
-     never a key paired with another expression's cost. A racing store
-     can lose an entry, which costs only a later re-evaluation. Which
-     start publishes an entry first depends on scheduling at jobs >= 2,
-     so its hits are counted nowhere. *)
-let memo_slot_bits = 12
-let memo_slots = 1 lsl memo_slot_bits
+   One table per [run] instance, [ic_shared], is shared by its starts
+   (possibly on other domains), with bounded linear probing. An entry
+   is an immutable record holding the key and its own copy of the cost
+   frame, both built before the entry is published with a single array
+   store and never written after, so a reader sees a whole entry or the
+   previous one, never a key paired with another expression's cost. A
+   racing store can lose an entry, which costs only a later
+   re-evaluation. Which start publishes an entry first depends on
+   scheduling at jobs >= 2, so its hits are counted nowhere. *)
 let table_slot_bits = 15
 let table_slots = 1 lsl table_slot_bits
 let table_probes = 8
@@ -193,19 +188,19 @@ type entry = { e_key : int; e_cf : float array }
 
 let no_entry = { e_key = -1; e_cf = [||] }
 
-let memo_bits n_blocks =
+let key_bits n_blocks =
   let rec width b = if 1 lsl b >= n_blocks + 2 then b else width (b + 1) in
   let b = width 1 in
   if ((2 * n_blocks) - 1) * b <= 62 then b else 0
 
-(* An empty instance table, or none when the memos are off. *)
+(* An empty instance table, or none when the table is off. *)
 let instance_table ~n_blocks =
-  if memo_bits n_blocks > 0 then Array.make table_slots no_entry else [||]
+  if key_bits n_blocks > 0 then Array.make table_slots no_entry else [||]
 
 (* The packed key of [expr], or -1 when it cannot be packed (wrong
    length or operand out of range): such an expression never reaches
-   the memos and gets [Slicing.Inc.evaluate]'s own diagnostic. *)
-let memo_key ~n_blocks ~bits expr =
+   the table and gets [Slicing.Inc.evaluate]'s own diagnostic. *)
+let table_key ~n_blocks ~bits expr =
   let codes = (expr : Slicing.Polish.t :> int array) in
   let len = Array.length codes in
   if len <> (2 * n_blocks) - 1 then -1
@@ -228,28 +223,20 @@ let memo_key ~n_blocks ~bits expr =
 
 (* Fibonacci hashing: the top bits of the key times an odd 63-bit
    constant, so every element position reaches the slot. *)
-let fib_slot ~slot_bits key = (key * 0x2545F4914F6CDD1D) lsr (63 - slot_bits)
+let table_slot key = (key * 0x2545F4914F6CDD1D) lsr (63 - table_slot_bits)
 
-let memo_slot key = fib_slot ~slot_bits:memo_slot_bits key
-
-let table_slot key = fib_slot ~slot_bits:table_slot_bits key
-
-(* A walker over [expr] that keeps its memo key up to date, or none
-   when the memos are off or [expr] cannot be packed: the only place
+(* A walker over [expr] that keeps its table key up to date, or none
+   when the table is off or [expr] cannot be packed: the only place
    the annealer packs a key from scratch. *)
 let walker ~n_blocks expr =
-  let bits = memo_bits n_blocks in
+  let bits = key_bits n_blocks in
   if bits = 0 then Slicing.Polish.Walker.create expr
-  else Slicing.Polish.Walker.create ~bits ~key:(memo_key ~n_blocks ~bits expr) expr
+  else Slicing.Polish.Walker.create ~bits ~key:(table_key ~n_blocks ~bits expr) expr
 
-let slot_of slot ~n_blocks expr =
-  let bits = memo_bits n_blocks in
-  let key = if bits = 0 then -1 else memo_key ~n_blocks ~bits expr in
-  if key < 0 then None else Some (slot key)
-
-let memo_slot_of = slot_of memo_slot
-
-let table_slot_of = slot_of table_slot
+let table_slot_of ~n_blocks expr =
+  let bits = key_bits n_blocks in
+  let key = if bits = 0 then -1 else table_key ~n_blocks ~bits expr in
+  if key < 0 then None else Some (table_slot key)
 
 (* Per-start state for the incremental cost path (DESIGN.md section 14):
    the [Slicing.Inc] tree evaluator plus flat pair tables. [ic_pc]
@@ -274,12 +261,9 @@ type inc = {
   ic_budget : Rect.t;
   ic_config : Config.t;
   ic_n_blocks : int;
-  (* The cost memos (below); [ic_bits = 0] turns them off, with empty
-     tables. *)
+  (* The instance table (below); [ic_bits = 0] turns it off, with an
+     empty table. *)
   ic_bits : int;
-  ic_mkey : int array;   (* -1 marks an empty slot *)
-  ic_mcost : float array;
-  mutable ic_hits : int;
   ic_shared : entry array;   (* the instance table, one per [run] instance *)
   ic_home : int -> int;      (* a key's home slot in [ic_shared] *)
 }
@@ -310,7 +294,6 @@ let make_inc ?(home = table_slot) ~leaves ~table ~budget ~pairs ~fixed_pos ~conf
         fill.(j) <- fill.(j) + 1
       end)
     pairs;
-  let bits = memo_bits n_blocks in
   { ic_state = Slicing.Inc.create ~table ~budget;
     ic_pi = pi;
     ic_pj = pj;
@@ -324,10 +307,7 @@ let make_inc ?(home = table_slot) ~leaves ~table ~budget ~pairs ~fixed_pos ~conf
     ic_budget = budget;
     ic_config = config;
     ic_n_blocks = n_blocks;
-    ic_bits = bits;
-    ic_mkey = (if bits > 0 then Array.make memo_slots (-1) else [||]);
-    ic_mcost = (if bits > 0 then Array.make memo_slots 0.0 else [||]);
-    ic_hits = 0;
+    ic_bits = key_bits n_blocks;
     ic_shared = shared;
     ic_home = home }
 
@@ -387,15 +367,13 @@ let publish inc key expr s =
   evaluate_slicing inc expr;
   inc.ic_shared.(s) <- { e_key = key; e_cf = Array.copy inc.ic_cf }
 
-(* A per-start miss on key [key], from probe [k] on: bounded linear
-   probing from the home slot [home]. An entry holding [key] within
-   [table_probes] probes answers; otherwise [expr] is evaluated and
-   published in the first empty slot met or, when every probed slot
-   holds another key, over the home slot. Slots are never emptied, so
-   a probe that meets an empty slot has passed every slot [key] can be
-   in. Either way [ic_cf] ends up describing [expr], so [run]'s
-   [term_observer] closure reads the right frame when the cost is a new
-   best for this start. *)
+(* The cost of [expr], whose key is [key], from probe [k] on: bounded
+   linear probing from the home slot [home]. An entry holding [key]
+   within [table_probes] probes answers; otherwise [expr] is evaluated
+   and published in the first empty slot met or, when every probed
+   slot holds another key, over the home slot. Slots are never emptied,
+   so a probe that meets an empty slot has passed every slot [key] can
+   be in. Either way [ic_cf] ends up describing [expr]. *)
 let rec score_shared inc key expr home k =
   if k = table_probes then publish inc key expr home
   else begin
@@ -410,34 +388,15 @@ let rec score_shared inc key expr home k =
   end
 
 (* The annealer's cost function: the cost of [expr], whose packed key
-   at [ic_bits] is [key] (or -1: no memo). In the annealer the key is
-   the one a [walker] keeps up to date. A per-start memo
-   hit returns the stored cost and leaves [ic_state], the pair
-   contributions and [ic_cf] as they were, which only widens the next
-   evaluation's diff window. So [ic_cf] describes [expr] after a
-   per-start miss only; its one reader, [run]'s [term_observer]
-   closure, reads it on a new best, and a per-start hit is never one:
-   its cost was already returned by the same closure, which then kept a
-   best no greater. *)
+   at [ic_bits] is [key] (or -1: no table). In the annealer the key is
+   the one a [walker] keeps up to date. Every call leaves [ic_cf]
+   describing [expr]: a table hit copies the whole stored frame, and
+   leaves [ic_state] and the pair contributions as they were, which
+   only widens the next evaluation's diff window. *)
 let evaluate_inc inc key expr =
-  if key < 0 || inc.ic_bits = 0 then begin
-    evaluate_slicing inc expr;
-    inc.ic_cf.(cf_cost)
-  end
-  else begin
-    let s = memo_slot key in
-    if inc.ic_mkey.(s) = key then begin
-      inc.ic_hits <- inc.ic_hits + 1;
-      inc.ic_mcost.(s)
-    end
-    else begin
-      score_shared inc key expr (inc.ic_home key) 0;
-      let c = inc.ic_cf.(cf_cost) in
-      inc.ic_mkey.(s) <- key;
-      inc.ic_mcost.(s) <- c;
-      c
-    end
-  end
+  if key < 0 || inc.ic_bits = 0 then evaluate_slicing inc expr
+  else score_shared inc key expr (inc.ic_home key) 0;
+  inc.ic_cf.(cf_cost)
 
 let walker_cost inc w =
   evaluate_inc inc (Slicing.Polish.Walker.key w) (Slicing.Polish.Walker.expr w)
@@ -458,7 +417,7 @@ let annealing_costs ~starts ~config ~blocks ~affinity ~fixed_pos ~budget =
     (fun inc expr ->
       let key =
         if inc.ic_bits = 0 then -1
-        else memo_key ~n_blocks:inc.ic_n_blocks ~bits:inc.ic_bits expr
+        else table_key ~n_blocks:inc.ic_n_blocks ~bits:inc.ic_bits expr
       in
       evaluate_inc inc key expr)
     (start_states ~starts ~config ~blocks ~affinity ~fixed_pos ~budget ())
@@ -626,9 +585,9 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
       let results =
         Parexec.map pool
           (fun i ->
-            (* Each start owns its incremental evaluation state and
-               per-start memo; the starts share only the instance
-               table, whose entries are immutable. *)
+            (* Each start owns its incremental evaluation state; the
+               starts share only the instance table, whose entries are
+               immutable. *)
             let inc =
               make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared ()
             in
@@ -668,15 +627,9 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
                 in
                 (cost, Some observer')
             in
-            let r =
-              Anneal.Sa.anneal ~rng:rngs.(i) ~init:(walker ~n_blocks inits.(i)) ~cost
-                ~perturb:Slicing.Polish.Walker.perturb ~undo:Slicing.Polish.Walker.undo
-                ~copy:Slicing.Polish.Walker.copy ~params:config.Config.layout_sa ?observer ()
-            in
-            (* Flushed once per start, like [Sa.minimize]'s tallies, so
-               a memo hit carries no telemetry work. *)
-            Obs.Perf.add Obs.Perf.cost_cache_hits inc.ic_hits;
-            r)
+            Anneal.Sa.anneal ~rng:rngs.(i) ~init:(walker ~n_blocks inits.(i)) ~cost
+              ~perturb:Slicing.Polish.Walker.perturb ~undo:Slicing.Polish.Walker.undo
+              ~copy:Slicing.Polish.Walker.copy ~params:config.Config.layout_sa ?observer ())
           (Array.init n_starts Fun.id)
       in
       (* Deterministic reduction: minimum best cost, ties to the lowest

@@ -102,8 +102,8 @@ val eval_expr :
     for tests and tools that need to re-attribute a known layout. *)
 
 val walker : n_blocks:int -> Slicing.Polish.t -> Slicing.Polish.walker
-(** A walker over the expression that keeps the instance's cost-memo key
-    up to date on [n_blocks] blocks (no key when the memos are off at
+(** A walker over the expression that keeps its instance cost table key
+    up to date on [n_blocks] blocks (no key when the table is off at
     that size or the expression cannot be packed). The annealer makes
     one per start; this is the only place a key is packed from
     scratch. *)
@@ -120,11 +120,11 @@ val annealing_costs :
     minimize: slot [i] is start [i]'s cost function, on its own
     incremental state, and each call returns the cost of one
     expression — bitwise the [cost] {!eval_expr} reports for it. On up
-    to 8 blocks each state carries its start's cost memo, and all of
-    them share the instance's cost table: a call on an expression this
-    start, or another one, has already scored may return the stored
-    cost without re-walking the slicing tree (DESIGN.md §14). Each call
-    packs the expression's memo key from scratch. Exposed for tests. *)
+    to 8 blocks all states share the instance's cost table: a call on
+    an expression this start, or another one, has already scored may
+    return the stored cost without re-walking the slicing tree
+    (DESIGN.md §14). Each call packs the expression's table key from
+    scratch. Exposed for tests. *)
 
 val walker_costs :
   ?home:(int -> int) ->
@@ -143,15 +143,11 @@ val walker_costs :
     {!table_slot_of}'s) and must return a slot below 2^15. Exposed for
     tests. *)
 
-val memo_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
-(** The per-start cost-memo slot [expr] maps to on [n_blocks] blocks,
-    or [None] when the memos are off at that size (more than 8 blocks)
-    or [expr] cannot be packed (wrong length, operand out of range).
-    Exposed for tests. *)
-
 val table_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
-(** The same for the home slot of the instance cost table. Exposed for
-    tests. *)
+(** The home slot of [expr] in the instance cost table on [n_blocks]
+    blocks, or [None] when the table is off at that size (more than 8
+    blocks) or [expr] cannot be packed (wrong length, operand out of
+    range). Exposed for tests. *)
 
 val run :
   ?observer:(Anneal.Sa.plateau -> unit) ->

@@ -35,8 +35,6 @@ let deadline () =
 
 let request_cancel () = Atomic.set cancel_cell true
 
-let cancel_requested () = Atomic.get cancel_cell
-
 let clear_cancel () = Atomic.set cancel_cell false
 
 let configure budgets =

@@ -64,8 +64,6 @@ val deadline : unit -> float option
 val request_cancel : unit -> unit
 (** Ask the running flow to stop at its next budget poll. *)
 
-val cancel_requested : unit -> bool
-
 val clear_cancel : unit -> unit
 
 val parse : string -> ((string * float) list, string) result

@@ -69,13 +69,6 @@ let hit site =
         end)
       specs
 
-let spec_to_string { site; nth; action } =
-  let nth_part = if nth = 1 then "" else Printf.sprintf ":%d" nth in
-  let action_part =
-    match action with Raise -> "" | Stall s -> Printf.sprintf ":stall=%g" s
-  in
-  site ^ nth_part ^ action_part
-
 let parse_one s =
   match String.split_on_char ':' (String.trim s) with
   | [] | [ "" ] -> Error "empty fault spec"

@@ -64,5 +64,3 @@ val hit : string -> unit
 (** Mark execution reaching [site]. No-op (one atomic load) when
     nothing is armed for the site; raises {!Injected} or stalls when a
     matching armed spec triggers. Safe to call from worker domains. *)
-
-val spec_to_string : spec -> string

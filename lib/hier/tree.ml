@@ -163,7 +163,3 @@ let rec is_ancestor t ~ancestor id =
 let depth t id =
   let rec go id d = if t.nodes.(id).parent < 0 then d else go t.nodes.(id).parent (d + 1) in
   go id 0
-
-let pp_node t ppf id =
-  let n = t.nodes.(id) in
-  Format.fprintf ppf "%s (area %.1f, %d macros)" n.name n.area n.macro_count

@@ -59,5 +59,3 @@ val is_ancestor : t -> ancestor:int -> int -> bool
 (** Reflexive ancestry test. *)
 
 val depth : t -> int -> int
-
-val pp_node : t -> Format.formatter -> int -> unit

@@ -134,9 +134,6 @@ let hist_samples t name =
   | Some (Hist h) -> retained h
   | _ -> []
 
-let hist_bins t name =
-  match Hashtbl.find_opt t.tbl name with Some (Hist h) -> Some h.bins | _ -> None
-
 let series_points t name =
   match Hashtbl.find_opt t.tbl name with Some (Series r) -> List.rev !r | _ -> []
 

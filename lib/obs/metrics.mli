@@ -88,7 +88,6 @@ val hist_samples : t -> string -> float list
     sequence in order; beyond that it is the reservoir subsample in
     slot order. *)
 
-val hist_bins : t -> string -> Util.Histogram.t option
 val series_points : t -> string -> (float * float) list
 
 val merge : t -> t -> t

@@ -26,8 +26,7 @@ let names =
      "cellplace.runs";
      "netlist.elaborations";
      "hnl.files_parsed";
-     "hnl.bytes_parsed";
-     "cost.cache_hits" |]
+     "hnl.bytes_parsed" |]
 
 let sa_moves = 0
 let sa_accepts = 1
@@ -44,11 +43,8 @@ let cellplace_runs = 11
 let netlist_elaborations = 12
 let hnl_files_parsed = 13
 let hnl_bytes_parsed = 14
-let cost_cache_hits = 15
 
 let n_ids = Array.length names
-
-let id_name i = names.(i)
 
 let all_ids = List.init n_ids Fun.id
 

@@ -69,14 +69,7 @@ val hnl_files_parsed : id
 val hnl_bytes_parsed : id
 (** HNL source bytes parsed ([hnl.bytes_parsed]). *)
 
-val cost_cache_hits : id
-(** Floorplan cost calls answered by the per-start cost memo
-    ([cost.cache_hits]); slicing evaluations are
-    [cost_evals - cost_cache_hits]. *)
-
 val n_ids : int
-
-val id_name : id -> string
 
 val all_ids : id list
 (** All registered ids in registration order. *)

@@ -93,11 +93,3 @@ let stop () =
 
 let to_collapsed_lines samples =
   List.map (fun (stack, n) -> Printf.sprintf "%s %d" stack n) samples
-
-let write_collapsed path samples =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter (fun l -> output_string oc l; output_char oc '\n')
-        (to_collapsed_lines samples))

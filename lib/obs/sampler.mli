@@ -34,7 +34,3 @@ val collapse : string list -> string
 
 val to_collapsed_lines : (string * int) list -> string list
 (** One ["stack count"] line per sample bucket. *)
-
-val write_collapsed : string -> (string * int) list -> unit
-(** Write the collapsed-stack lines to a file (flamegraph.pl /
-    speedscope / inferno input). *)

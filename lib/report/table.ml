@@ -41,8 +41,6 @@ let render ~header ?aligns rows =
 
 let fmt_f digits v = Printf.sprintf "%.*f" digits v
 
-let fmt_pct v = Printf.sprintf "%.2f" v
-
 let section title =
   let bar = String.make (max 8 (String.length title + 8)) '=' in
   Printf.sprintf "\n%s\n=== %s ===\n%s\n" bar title bar

@@ -10,7 +10,5 @@ val render : header:string list -> ?aligns:align list -> string list list -> str
 val fmt_f : int -> float -> string
 (** Fixed-decimal float formatting. *)
 
-val fmt_pct : float -> string
-
 val section : string -> string
 (** A titled horizontal rule used between bench sections. *)

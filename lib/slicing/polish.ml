@@ -4,8 +4,8 @@ type elt =
   | Operand of int
   | Operator of op
 
-(* One int per element: H -> 0, V -> 1, operand i -> i + 2 (the cost
-   memo's packing). Every value of [t] is normalized: [initial] and
+(* One int per element: H -> 0, V -> 1, operand i -> i + 2 (the
+   instance cost table key's packing). Every value of [t] is normalized: [initial] and
    [initial_random] build normalized chains, [of_elements] validates,
    and the moves preserve normalization. *)
 type t = int array
@@ -84,9 +84,10 @@ let of_elements e =
    at [i] changes only [rank.(i + 1)] and one [pos] entry.
 
    With [bits > 0], [key] is the expression packed at [bits] bits per
-   element, element 0 most significant (the cost memos' key): every
-   code a move or an undo changes XORs its old and new values into
-   [key] at its element's shift, so the key never needs re-packing.
+   element, element 0 most significant (the instance cost table key):
+   every code a move or an undo changes XORs its old and new values
+   into [key] at its element's shift, so the key never needs
+   re-packing.
 
    Each move records a one-level undo: [u_kind] is [undo_none], a swap
    of positions [u_a] and [u_b] (M1), the adjacent operand-operator

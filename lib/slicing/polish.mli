@@ -15,7 +15,7 @@
       result stays normalized).
 
     An expression is stored as one [int] per element: [H] is 0, [V] is
-    1 and operand [i] is [i + 2]. The moves, the annealer's cost memo
+    1 and operand [i] is [i + 2]. The moves, the instance cost table
     key, {!Inc}'s diff and the tree builders read these codes directly
     (through {!code} or the coercion [(t :> int array)], never written
     through); {!elements} and {!get} decode them for everything else. *)
@@ -74,7 +74,7 @@ module Walker : sig
   val create : ?bits:int -> ?key:int -> t -> walker
   (** A walker over a copy of the expression. With [bits > 0] and
       [key >= 0], [key] must be the expression packed at [bits] bits per
-      element, element 0 most significant (the annealer's cost-memo key,
+      element, element 0 most significant (the instance cost table key,
       see [Layout_gen]); every move and every undo then keeps {!key}
       equal to that packing of the current expression. Otherwise {!key}
       is [-1]. *)

@@ -6,7 +6,7 @@
    [Layout_gen.run] reports (a full walk plus a pair scan) is bitwise
    the best cost the annealer reached through [Inc] and the pair
    tables, and the result is bit-identical at every job count; the
-   per-start memo and the instance cost table its starts share return
+   instance cost table the starts of one instance share returns
    exactly what a full evaluation would, cost frame included; the
    configured start count is honored exactly (sa_starts = 1 runs one
    start); and an asymmetric affinity matrix is rejected with a
@@ -213,39 +213,35 @@ let run_cost_is_annealer_best =
       let base = fst (List.hd runs) in
       List.for_all (fun (r, best) -> beq r.LG.cost best && same_result base r) runs)
 
-(* ---- the per-start cost memo ----------------------------------------- *)
+(* ---- the instance cost table ----------------------------------------- *)
 
-(* [exact e]: one annealing start's cost of [e] equals, bitwise, a cold
-   full evaluation's — which [full_cost] returns on its own. *)
-let memo_instance ~n seed =
-  let blocks, affinity, fixed_pos, budget = random_instance ~n seed in
-  let config = Hidap.Config.default in
-  let cost =
-    (LG.annealing_costs ~starts:1 ~config ~blocks ~affinity ~fixed_pos ~budget).(0)
-  in
-  let full_cost e =
-    (LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget e).LG.cost
-  in
-  ((fun e -> beq (cost e) (full_cost e)), full_cost)
+(* The cost of an expression from a cold full evaluation. *)
+let full_cost ~blocks ~affinity ~fixed_pos ~budget e =
+  (LG.eval_expr ~config:Hidap.Config.default ~blocks ~affinity ~fixed_pos ~budget e).LG.cost
 
 (* A walk that revisits: each move is scored, then its inverse (back to
    the previous expression), then the move again, then a replay of an
    earlier expression. Every call is compared bitwise with a cold full
    evaluation, so a hit is right exactly when it returns what a miss
-   would have computed. Sizes 2..8 run with the memo on, 9..12 with it
-   off (the packed key would not fit an int). *)
-let memo_matches_eval_on_revisits =
+   would have computed. Sizes 2..8 run with the instance table on,
+   9..12 with it off (the packed key would not fit an int). *)
+let table_matches_eval_on_revisits =
   qtest ~count:12 "annealing_cost = eval_expr bitwise on revisiting walks, n = 2..12"
     seed_arb (fun seed ->
       List.for_all
         (fun n ->
-          let exact, _ = memo_instance ~n seed in
+          let blocks, affinity, fixed_pos, budget = random_instance ~n seed in
+          let cost =
+            (LG.annealing_costs ~starts:1 ~config:Hidap.Config.default ~blocks ~affinity
+               ~fixed_pos ~budget).(0)
+          in
+          let exact e = beq (cost e) (full_cost ~blocks ~affinity ~fixed_pos ~budget e) in
           let rng = Util.Rng.create (seed + n) in
           let steps = 40 in
           let history = Array.make steps (Polish.initial_random rng ~n) in
           let cur = ref history.(0) in
           let ok =
-            ref (exact !cur && (LG.memo_slot_of ~n_blocks:n !cur <> None) = (n <= 8))
+            ref (exact !cur && (LG.table_slot_of ~n_blocks:n !cur <> None) = (n <= 8))
           in
           for s = 1 to steps - 1 do
             let next = Polish.perturb rng !cur in
@@ -279,50 +275,24 @@ let colliding_pair ~slot_of ~full_cost ~n ~tries rng =
   in
   find (Polish.initial_random rng ~n) tries
 
-(* Eviction: two expressions of different cost that share a slot,
-   scored alternately, each evicting the other. A lookup that trusted
-   the slot without the key would return the other one's cost. *)
-let test_memo_slot_eviction () =
-  List.iter
-    (fun n ->
-      let exact, full_cost = memo_instance ~n 17 in
-      let a, b =
-        colliding_pair ~slot_of:LG.memo_slot_of ~full_cost ~n ~tries:100_000
-          (Util.Rng.create n)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "n = %d: alternating a slot's two tenants stays exact" n)
-        true
-        (List.for_all exact [ a; b; a; b; a; a; b; b ]))
-    [ 4; 6; 8 ]
-
-(* ---- the instance cost table ----------------------------------------- *)
-
-(* Two expressions of different cost that share an instance-table slot
-   (and hence a per-start memo slot), scored alternately by two starts
-   of one instance: each call misses its own memo, so the instance
-   table answers or is overwritten every time. A lookup that trusted
-   the slot without the key, or an entry holding another expression's
-   cost, would differ from the cold full evaluation. *)
+(* Two expressions of different cost that share an instance-table home
+   slot, scored alternately by two starts of one instance, so the
+   table answers or probes past the other tenant every time. A lookup
+   that trusted the slot without the key, or an entry holding another
+   expression's cost, would differ from the cold full evaluation. *)
 let test_instance_table_collision () =
   List.iter
     (fun n ->
       let blocks, affinity, fixed_pos, budget = random_instance ~n 23 in
-      let config = Hidap.Config.default in
       let costs =
-        LG.annealing_costs ~starts:2 ~config ~blocks ~affinity ~fixed_pos ~budget
+        LG.annealing_costs ~starts:2 ~config:Hidap.Config.default ~blocks ~affinity
+          ~fixed_pos ~budget
       in
-      let full_cost e =
-        (LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget e).LG.cost
-      in
+      let full_cost = full_cost ~blocks ~affinity ~fixed_pos ~budget in
       let a, b =
         colliding_pair ~slot_of:LG.table_slot_of ~full_cost ~n ~tries:200_000
           (Util.Rng.create n)
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "n = %d: the pair shares a per-start memo slot too" n)
-        true
-        (LG.memo_slot_of ~n_blocks:n a = LG.memo_slot_of ~n_blocks:n b);
       List.iter
         (fun (start, e) ->
           if not (beq (costs.(start) e) (full_cost e)) then
@@ -342,14 +312,11 @@ let test_instance_table_probing () =
   List.iter
     (fun (n, home) ->
       let blocks, affinity, fixed_pos, budget = random_instance ~n 29 in
-      let config = Hidap.Config.default in
       let costs =
-        LG.walker_costs ~home:(fun _ -> home) ~starts:2 ~config ~blocks ~affinity ~fixed_pos
-          ~budget ()
+        LG.walker_costs ~home:(fun _ -> home) ~starts:2 ~config:Hidap.Config.default ~blocks
+          ~affinity ~fixed_pos ~budget ()
       in
-      let full_cost e =
-        (LG.eval_expr ~config ~blocks ~affinity ~fixed_pos ~budget e).LG.cost
-      in
+      let full_cost = full_cost ~blocks ~affinity ~fixed_pos ~budget in
       let rng = Util.Rng.create (n + home) in
       let distinct = ref [] in
       let e = ref (Polish.initial_random rng ~n) in
@@ -372,6 +339,63 @@ let test_instance_table_probing () =
       Array.iter (score 1) order;
       Array.iter (score 0) order)
     [ (5, 7); (6, (1 lsl 15) - 2); (8, 100) ]
+
+(* Two starts of one instance score the same revisiting walk at the
+   same time, start 0 on the calling domain and start 1 on a spawned
+   one, so they race to publish and to read the shared table's
+   entries. Each step is a walker move and its cost, then, on about
+   half of the steps, the undo and the cost of the expression both
+   starts have already scored. Once with the real home slots, once
+   with every key sent to one home slot, so the two domains also race
+   along one probe chain and overwrite each other's entries there.
+   Entries are immutable and published with one store, so every cost
+   either domain returned must be [eval_expr]'s bit for bit. *)
+let test_instance_table_concurrent () =
+  List.iter
+    (fun (n, home) ->
+      let blocks, affinity, fixed_pos, budget = random_instance ~n 31 in
+      let costs =
+        LG.walker_costs ?home ~starts:2 ~config:Hidap.Config.default ~blocks ~affinity
+          ~fixed_pos ~budget ()
+      in
+      let steps = 2_000 in
+      let ready = Atomic.make 0 in
+      let walk start () =
+        let rng = Util.Rng.create n in
+        let w = LG.walker ~n_blocks:n (Polish.initial_random rng ~n) in
+        let scored = ref [] in
+        let score () =
+          let c = costs.(start) w in
+          scored := (Polish.elements (Polish.Walker.expr w), c) :: !scored
+        in
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        for _ = 1 to steps do
+          Polish.Walker.perturb rng w;
+          score ();
+          if Util.Rng.bool rng then begin
+            Polish.Walker.undo w;
+            score ()
+          end
+        done;
+        !scored
+      in
+      let other = Domain.spawn (walk 1) in
+      let mine = walk 0 () in
+      let theirs = Domain.join other in
+      let full_cost = full_cost ~blocks ~affinity ~fixed_pos ~budget in
+      List.iter
+        (fun (start, scored) ->
+          List.iter
+            (fun (elems, c) ->
+              if not (beq c (full_cost (Polish.of_elements elems))) then
+                Alcotest.failf "n = %d: start %d returned a cost eval_expr does not give" n
+                  start)
+            scored)
+        [ (0, mine); (1, theirs) ])
+    [ (5, None); (5, Some (fun _ -> 11)); (7, None); (8, Some (fun _ -> (1 lsl 15) - 3)) ]
 
 (* MD5 of fig1's [sa.term.*] series (the cost terms of each start's
    cheapest evaluation, per plateau) from one [Hidap.place], names and
@@ -555,7 +579,7 @@ let test_move_allocation_budget () =
 
 (* 10k in-place annealing steps on a warm evaluator, as the annealer
    takes them: a walker move, the cost looked up by the walker's key,
-   and about half of the moves undone. The moves, the undo and a memo
+   and about half of the moves undone. The moves, the undo and a table
    hit allocate nothing; what is left is the boxed cost the closure
    returns, the test's own float accumulator and, on an instance-table
    miss, the published entry (9 words): 0.115M minor words, where the
@@ -604,7 +628,7 @@ let golden_c1_digest = "e64014df466d4856df4044f4ee3f5c40"
    benchmark places it (its generator seed moved by 1000), whose
    instances have 2 and 5 blocks, and c3, whose instances have 4, 6, 7
    and 11 blocks (the instance table's probe chains on the larger
-   tables, and the memo-off path above 8 blocks). *)
+   tables, and the table-off path above 8 blocks). *)
 let golden_fig1_digest = "e8921c30a0cb1326fa31f906b60c73e3"
 let golden_c3_digest = "7735a2faeb9972c2387523ef349c522d"
 
@@ -700,13 +724,13 @@ let suite =
   [ ( "incremental",
       [ inc_matches_full_random_walk; inc_matches_full_per_move;
         inc_handles_reverts; run_cost_is_annealer_best;
-        memo_matches_eval_on_revisits;
-        Alcotest.test_case "memo slot eviction stays exact" `Quick
-          test_memo_slot_eviction;
+        table_matches_eval_on_revisits;
         Alcotest.test_case "instance table slot collision stays exact" `Quick
           test_instance_table_collision;
         Alcotest.test_case "instance table probe chain and overwrite stay exact" `Quick
           test_instance_table_probing;
+        Alcotest.test_case "instance table shared by two domains stays exact" `Quick
+          test_instance_table_concurrent;
         Alcotest.test_case "instance table keeps fig1 cost terms at jobs 1/2/4" `Slow
           test_instance_table_terms;
         Alcotest.test_case "sa_starts honored exactly" `Quick

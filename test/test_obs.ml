@@ -312,11 +312,6 @@ let test_perf_merge_determinism () =
     (List.assoc "sa.accepts" counts1 + List.assoc "sa.rejects" counts1);
   Alcotest.(check bool) "instances counted" true
     (List.assoc "floorplan.instances" counts1 > 0);
-  (* The cost memo's hits are part of the merged list compared above,
-     so they are identical at every job count too. *)
-  let hits = List.assoc "cost.cache_hits" counts1 in
-  Alcotest.(check bool) "cost memo hits some but not every cost call" true
-    (0 < hits && hits < List.assoc "cost.evals" counts1);
   Alcotest.(check int) "floorplan.sa_moves is the result's sa_moves"
     base.Hidap.sa_moves
     (List.assoc "floorplan.sa_moves" counts1);
