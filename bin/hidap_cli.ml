@@ -3,7 +3,7 @@
    Subcommands:
      stats  FILE.hnl           netlist statistics and abstraction sizes
      place  FILE.hnl           run the HiDaP flow, print macro placements
-     eval   (FILE.hnl | -c N)  compare IndEDA / HiDaP / handFP
+     eval   (FILE.hnl | -c N)  compare IndEDA / HiDaP, WL vs the best known
      check  (FILE.hnl | -c N)  validate a design (optionally audit its placement)
      gen    -c NAME -o FILE    emit a synthetic suite circuit as HNL
      view   FILE.hnl           evaluate and render a saved placement
@@ -648,7 +648,11 @@ let eval_cmd =
     write_output "qor" qor_out (Qor.Record.ledger_json ev.Qor.Run.records);
     if Guard.Supervisor.budget_degraded ev.Qor.Run.degradations then exit exit_budget
   in
-  Cmd.v (Cmd.info "eval" ~doc:"Compare the IndEDA / HiDaP / handFP flows" ~exits)
+  Cmd.v
+    (Cmd.info "eval"
+       ~doc:"Compare the IndEDA and HiDaP flows; WLnorm is WL over the best known \
+             (the lowest WL measured by either flow at this seed)"
+       ~exits)
     Term.(const run $ file_arg $ circuit_arg $ seed_arg $ jobs_arg $ strict_arg
           $ budget_arg $ trace_arg $ metrics_arg $ profile_arg $ qor_arg)
 

@@ -2,9 +2,9 @@ module Flat = Netlist.Flat
 module Rect = Geom.Rect
 module Point = Geom.Point
 
-type flow_kind = IndEDA | HiDaP | HandFP
+type flow_kind = IndEDA | HiDaP
 
-let flow_name = function IndEDA -> "IndEDA" | HiDaP -> "HiDaP" | HandFP -> "handFP"
+let flow_name = function IndEDA -> "IndEDA" | HiDaP -> "HiDaP"
 
 type metrics = {
   wl_um : float;
@@ -67,8 +67,7 @@ let total_wirelength ~flat ~(cp : Cellplace.t) ~macros =
 
 (* Gseq node positions for timing: macros at their pin centres, ports on
    the boundary, register arrays at the mean of their placed members. *)
-let gseq_positions ~flat ~gseq ~ports ~(cp : Cellplace.t) ~die =
-  ignore flat;
+let gseq_positions ~gseq ~ports ~(cp : Cellplace.t) ~die =
   let n = Seqgraph.node_count gseq in
   let pos = Array.make n (Rect.center die) in
   Array.iteri
@@ -101,7 +100,7 @@ let measure_body ~flat ~gseq ~ports ~die ~macros =
   let cong =
     Congestion.estimate ~flat ~positions:cp.Cellplace.positions ~die ~macros:macro_rects ()
   in
-  let pos = gseq_positions ~flat ~gseq ~ports ~cp ~die in
+  let pos = gseq_positions ~gseq ~ports ~cp ~die in
   let timing = Sta.analyze ~gseq ~node_pos:(fun gid -> pos.(gid)) ~die () in
   ( { wl_um;
       wl_m = wl_um *. 1e-6;
@@ -121,34 +120,6 @@ let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
     match kind with
     | IndEDA ->
       (Baselines.Indeda.place ~flat ~gseq ~die (), None, 0, [])
-    | HandFP ->
-      (* The expert-oracle protocol: engineers iterate for weeks against
-         the real metric. Modelled as a multi-start search judged by the
-         measured wirelength: a flat annealing candidate plus
-         differently-seeded multi-level sweeps. Seeds differ from the
-         HiDaP flow's, so HiDaP can occasionally win (as in the paper's
-         c3 and c8). *)
-      let flat_sa = Baselines.Handfp.place ~flat ~gseq ~ports ~die () in
-      let objective r =
-        let m, _ = measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
-        m.wl_um
-      in
-      let reseeded offset =
-        let config = { config with Hidap.Config.seed = config.Hidap.Config.seed + offset } in
-        let sw = Hidap.place_sweep ~config ~die ~objective flat in
-        (sw.Hidap.best.Hidap.placements, sw.Hidap.best_objective)
-      in
-      let candidates =
-        (let m, _ = measure ~flat ~gseq ~ports ~die ~macros:flat_sa in
-         (flat_sa, m.wl_um))
-        :: List.map reseeded [ 11; 23 ]
-      in
-      let best =
-        List.fold_left
-          (fun (bm, bw) (m, w) -> if w < bw then (m, w) else (bm, bw))
-          (List.hd candidates) (List.tl candidates)
-      in
-      (fst best, None, 0, [])
     | HiDaP ->
       let objective r =
         let m, _ = measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
@@ -199,20 +170,20 @@ let run_all ?(config = Hidap.Config.default) ~name flat =
   let runs =
     List.map
       (fun kind -> run_flow kind ~config ~flat ~gseq ~ports ~die ())
-      [ IndEDA; HiDaP; HandFP ]
+      [ IndEDA; HiDaP ]
   in
   { circuit = name;
     cells = Flat.cell_count flat;
     macro_count = Flat.macro_count flat;
     runs }
 
+let best_known_wl result =
+  List.fold_left (fun acc r -> Float.min acc r.metrics.wl_um) infinity result.runs
+
 let normalized_wl result kind =
-  let wl k =
-    match List.find_opt (fun r -> r.kind = k) result.runs with
-    | Some r -> r.metrics.wl_um
-    | None -> invalid_arg "normalized_wl: missing flow"
-  in
-  wl kind /. wl HandFP
+  match List.find_opt (fun r -> r.kind = kind) result.runs with
+  | Some r -> r.metrics.wl_um /. best_known_wl result
+  | None -> invalid_arg "normalized_wl: missing flow"
 
 let density_map run ~flat ~bins =
   Cellplace.density_map run.placement ~flat ~macros:run.macros ~bins

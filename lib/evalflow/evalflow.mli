@@ -9,11 +9,13 @@
     - GRC%: RUDY global-routing overflow;
     - WNS% / TNS: static timing on the sequential graph.
 
-    The three flows of the paper are provided: IndEDA (wall-packing
-    proxy), HiDaP (this repository's contribution, best wirelength of
-    the λ sweep) and handFP (expert-oracle proxy). *)
+    Two flows are provided: IndEDA (wall-packing proxy of the paper's
+    commercial tool) and HiDaP (this repository's contribution, best
+    wirelength of the λ sweep). The paper's third column, expert hand
+    floorplans, has no stand-in: WL is normalised to the best known
+    result instead ({!normalized_wl}). *)
 
-type flow_kind = IndEDA | HiDaP | HandFP
+type flow_kind = IndEDA | HiDaP
 
 val flow_name : flow_kind -> string
 
@@ -63,15 +65,24 @@ type circuit_result = {
   circuit : string;
   cells : int;
   macro_count : int;
-  runs : run list;  (** IndEDA, HiDaP, handFP order *)
+  runs : run list;  (** IndEDA, HiDaP order *)
 }
 
 val run_all : ?config:Hidap.Config.t -> name:string -> Netlist.Flat.t -> circuit_result
-(** Runs the three flows on the elaborated netlist, on the same die
-    with the same port plan. *)
+(** Runs both flows on the elaborated netlist, on the same die with the
+    same port plan. *)
+
+val best_known_wl : circuit_result -> float
+(** The "best known" WL of a circuit: the minimum [wl_um] over
+    [runs]. It is also the minimum over every candidate the flows
+    measured, because HiDaP's λ sweep keeps the candidate of lowest
+    measured WL, so a losing λ can never be lower than the winner. The
+    reference is taken over K = 1 seed (the config's). [infinity] when
+    [runs] is empty. *)
 
 val normalized_wl : circuit_result -> flow_kind -> float
-(** WL relative to the handFP run of the same circuit. *)
+(** WL relative to {!best_known_wl} of the same circuit: >= 1.0 for
+    every flow, and exactly 1.0 for the best one. *)
 
 val density_map : run -> flat:Netlist.Flat.t -> bins:int -> float array array
 

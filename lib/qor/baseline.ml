@@ -52,6 +52,7 @@ type comparison = {
   deltas : metric_delta list;
   run_verdict : verdict;
   missing_baseline : bool;
+  missing_run : bool;
 }
 
 let tolerance_of t name =
@@ -86,7 +87,8 @@ let compare_record t (r : Record.t) =
       c_flow = r.Record.flow;
       deltas = [];
       run_verdict = Unchanged;
-      missing_baseline = true }
+      missing_baseline = true;
+      missing_run = false }
   | Some base ->
     let deltas =
       List.map
@@ -102,9 +104,31 @@ let compare_record t (r : Record.t) =
       c_flow = r.Record.flow;
       deltas;
       run_verdict = combine (List.map (fun d -> d.metric_verdict) deltas);
-      missing_baseline = false }
+      missing_baseline = false;
+      missing_run = false }
 
-let compare_all t records = List.map (compare_record t) records
+(* A baseline entry whose circuit the run covered but whose flow left no
+   record is a flow that stopped producing results: it regresses. Entries
+   of circuits the run did not cover are out of scope and ignored. *)
+let compare_all t records =
+  let has p = List.exists p records in
+  let no_run e =
+    has (fun (r : Record.t) -> r.Record.circuit = e.circuit)
+    && not (has (fun (r : Record.t) -> r.Record.circuit = e.circuit && r.Record.flow = e.flow))
+  in
+  List.map (compare_record t) records
+  @ List.filter_map
+      (fun e ->
+        if no_run e then
+          Some
+            { c_circuit = e.circuit;
+              c_flow = e.flow;
+              deltas = [];
+              run_verdict = Regressed;
+              missing_baseline = false;
+              missing_run = true }
+        else None)
+      t.entries
 
 let overall comparisons = combine (List.map (fun c -> c.run_verdict) comparisons)
 
@@ -201,6 +225,10 @@ let render comparisons =
         Buffer.add_string buf
           (Printf.sprintf "%-8s %-8s NO BASELINE (run --update-baselines to add)\n"
              c.c_circuit c.c_flow)
+      else if c.missing_run then
+        Buffer.add_string buf
+          (Printf.sprintf "%-8s %-8s NO RUN (baseline entry has no record)\n" c.c_circuit
+             c.c_flow)
       else begin
         Buffer.add_string buf
           (Printf.sprintf "%-8s %-8s %s\n" c.c_circuit c.c_flow

@@ -52,11 +52,19 @@ type comparison = {
       (** true when the baselines file has no entry for this
           (circuit, flow); the run then counts as [Unchanged] so new
           circuits do not fail the gate before a baseline exists *)
+  missing_run : bool;
+      (** true when a baseline entry has no record although the run
+          covered its circuit: the flow stopped producing records. Such
+          a comparison has no deltas and counts as [Regressed]. *)
 }
 
 val compare_record : t -> Record.t -> comparison
 
 val compare_all : t -> Record.t list -> comparison list
+(** One comparison per record, then one [missing_run] comparison per
+    baseline entry that has no record but whose circuit some record
+    covers. Entries of circuits no record covers are ignored, so a run
+    over a subset of the baseline's circuits can still pass. *)
 
 val overall : comparison list -> verdict
 (** [Regressed] dominates, then [Improved], else [Unchanged]. *)
@@ -74,5 +82,6 @@ val write : string -> t -> unit
 val load : string -> (t, string) result
 
 val render : comparison list -> string
-(** Human-readable verdict table, one line per run plus the
-    out-of-tolerance metric deltas and an overall verdict line. *)
+(** Human-readable verdict table, one line per comparison (NO BASELINE
+    and NO RUN lines included) plus the out-of-tolerance metric deltas
+    and an overall verdict line. *)

@@ -490,7 +490,16 @@ let render ?baseline ~title records =
       (Printf.sprintf "<p>Overall verdict: <span class=\"%s\">%s</span></p>\n"
          (Baseline.verdict_name (Baseline.overall comparisons))
          (String.uppercase_ascii
-            (Baseline.verdict_name (Baseline.overall comparisons))))
+            (Baseline.verdict_name (Baseline.overall comparisons))));
+    List.iter
+      (fun (c : Baseline.comparison) ->
+        if c.Baseline.missing_run then
+          Buffer.add_string buf
+            (Printf.sprintf
+               "<p class=\"regressed\">%s &middot; %s: NO RUN (baseline entry has no \
+                record)</p>\n"
+               (escape c.Baseline.c_circuit) (escape c.Baseline.c_flow)))
+      comparisons
   | _ -> ());
   List.iter (fun r -> record_section buf ?baseline r) records;
   Buffer.add_string buf

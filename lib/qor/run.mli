@@ -2,7 +2,7 @@
 
     {!place} is the one checkpointed place-and-measure behind
     [hidap place] and the serve worker. {!eval} is the one instrumented
-    three-flow suite run behind [hidap eval], [hidap bench] and the
+    two-flow suite run behind [hidap eval], [hidap bench] and the
     paper bench. Printing, exit codes and signal handling stay with the
     callers. *)
 
@@ -59,7 +59,7 @@ val eval :
   ?on_finish:(Obs.Trace.t -> unit) ->
   (unit -> string * Netlist.Flat.t) ->
   evaluated
-(** [eval ~config load] runs the three flows of one circuit inside
+(** [eval ~config load] runs both flows of one circuit inside
     {!Obs.Trace.instrumented} ([on_finish] is passed on): [load] names
     and elaborates the circuit inside the instrumented region, then
     {!Evalflow.run_all} runs under {!Guard.Supervisor.with_run}, armed

@@ -1,6 +1,6 @@
 (* End-to-end integration tests: the full evaluation pipeline on a real
-   (small) circuit, exercising all three flows and the cross-flow
-   invariants the paper's tables rely on. *)
+   (small) circuit, exercising both flows and the cross-flow invariants
+   the paper's tables rely on. *)
 
 module Flat = Netlist.Flat
 module Rect = Geom.Rect
@@ -24,7 +24,7 @@ let result =
 let test_suite_run_elaborates_once () =
   let ev, elaborations = Lazy.force suite_run in
   Alcotest.(check int) "netlist.elaborations" 1 elaborations;
-  Alcotest.(check int) "one record per flow" 3 (List.length ev.Qor.Run.records)
+  Alcotest.(check int) "one record per flow" 2 (List.length ev.Qor.Run.records)
 
 let get_run kind =
   let _, res = Lazy.force result in
@@ -32,8 +32,7 @@ let get_run kind =
 
 let test_all_flows_present () =
   let _, res = Lazy.force result in
-  Alcotest.(check int) "three flows" 3 (List.length res.Evalflow.runs);
-  Alcotest.(check (list string)) "order" [ "IndEDA"; "HiDaP"; "handFP" ]
+  Alcotest.(check (list string)) "order" [ "IndEDA"; "HiDaP" ]
     (List.map (fun (r : Evalflow.run) -> Evalflow.flow_name r.Evalflow.kind) res.Evalflow.runs)
 
 let test_macro_counts () =
@@ -62,22 +61,24 @@ let test_metrics_sane () =
 
 let test_normalization () =
   let _, res = Lazy.force result in
-  Alcotest.(check (float 1e-9)) "handFP normalizes to 1" 1.0
-    (Evalflow.normalized_wl res Evalflow.HandFP);
+  let norms =
+    List.map
+      (fun (r : Evalflow.run) -> Evalflow.normalized_wl res r.Evalflow.kind)
+      res.Evalflow.runs
+  in
   List.iter
-    (fun kind ->
-      Alcotest.(check bool) "normalized WL positive" true
-        (Evalflow.normalized_wl res kind > 0.0))
-    [ Evalflow.IndEDA; Evalflow.HiDaP ]
+    (fun n -> Alcotest.(check bool) "normalized WL >= 1" true (n >= 1.0))
+    norms;
+  (* the best flow is the reference itself: exactly 1, not merely close *)
+  Alcotest.(check (float 0.0)) "best flow normalizes to exactly 1" 1.0
+    (List.fold_left Float.min infinity norms)
 
 let test_paper_shape () =
-  (* The headline result: HiDaP beats the commercial proxy and is close
-     to the expert oracle. *)
+  (* The headline result: HiDaP beats the commercial proxy. *)
   let _, res = Lazy.force result in
   let wl k = Evalflow.normalized_wl res k in
   Alcotest.(check bool) "HiDaP < IndEDA on wirelength" true
     (wl Evalflow.HiDaP < wl Evalflow.IndEDA);
-  Alcotest.(check bool) "HiDaP within 15% of handFP" true (wl Evalflow.HiDaP < 1.15);
   (* and HiDaP's timing is no worse than the wall packer's *)
   let wns k = (get_run k).Evalflow.metrics.Evalflow.wns_pct in
   Alcotest.(check bool) "HiDaP WNS >= IndEDA WNS" true

@@ -132,7 +132,7 @@ let sample_record () =
         runtime_s = 4.25;
         dataflow_cost = 987.5;
       };
-    displacement = [ ("IndEDA", 250.0); ("handFP", 80.5) ];
+    displacement = [ ("IndEDA", 250.0); ("X", 80.5) ];
     sa_moves = 21312;
     sa_curve = [ (100.0, 0.9); (200.0, 0.7); (300.0, 0.4) ];
     stages =
@@ -365,6 +365,38 @@ let test_comparator_verdicts () =
     (Baseline.overall (Baseline.compare_all base [ better; worse ])
     = Baseline.Regressed)
 
+let test_gate_no_run () =
+  let r = sample_record () in
+  let rec_of circuit flow = { r with Record.circuit; flow } in
+  let base =
+    Baseline.of_records
+      [ rec_of "c1" "IndEDA"; rec_of "c1" "HiDaP"; rec_of "c1" "X"; rec_of "c5" "IndEDA" ]
+  in
+  let records = [ rec_of "c1" "IndEDA"; rec_of "c1" "HiDaP" ] in
+  let cs = Baseline.compare_all base records in
+  Alcotest.(check bool) "a flow with no record regresses the gate" true
+    (Baseline.overall cs = Baseline.Regressed);
+  Alcotest.(check (list (pair string string))) "exactly one NO RUN: c1 X"
+    [ ("c1", "X") ]
+    (List.filter_map
+       (fun (c : Baseline.comparison) ->
+         if c.Baseline.missing_run then Some (c.Baseline.c_circuit, c.Baseline.c_flow)
+         else None)
+       cs);
+  Alcotest.(check bool) "c5 not covered by the run: ignored" false
+    (List.exists (fun (c : Baseline.comparison) -> c.Baseline.c_circuit = "c5") cs);
+  Alcotest.(check int) "render shows NO RUN once" 1
+    (List.length (Astring.String.cuts ~sep:"NO RUN" (Baseline.render cs)) - 1);
+  Alcotest.(check bool) "html shows NO RUN" true
+    (Astring.String.is_infix ~affix:"NO RUN"
+       (Qor.Html.render ~baseline:base ~title:"c1 run" records));
+  (* Without the c1 X entry the same run passes: c5 alone never fails it. *)
+  let base' =
+    Baseline.of_records [ rec_of "c1" "IndEDA"; rec_of "c1" "HiDaP"; rec_of "c5" "IndEDA" ]
+  in
+  Alcotest.(check bool) "covered entries all ran -> Unchanged" true
+    (Baseline.overall (Baseline.compare_all base' records) = Baseline.Unchanged)
+
 let test_baseline_json_roundtrip () =
   let base = Baseline.of_records [ sample_record () ] in
   match Baseline.of_json (roundtrip (Baseline.to_json base)) with
@@ -419,6 +451,7 @@ let suite =
         Alcotest.test_case "record versioning rules" `Quick test_record_versioning;
         Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;
         Alcotest.test_case "comparator verdicts" `Quick test_comparator_verdicts;
+        Alcotest.test_case "gate flags a flow with no run" `Quick test_gate_no_run;
         Alcotest.test_case "baseline json round-trip" `Quick
           test_baseline_json_roundtrip;
         Alcotest.test_case "html report" `Quick test_html_report ] ) ]

@@ -99,8 +99,7 @@ let baseline_setup =
     (let flat = Flat.elaborate (Circuitgen.Suite.fig1_design ()) in
      let gseq = Seqgraph.build flat in
      let die = Hidap.die_for flat ~config:Hidap.Config.default in
-     let ports = Hidap.Port_plan.make gseq ~die in
-     (flat, gseq, die, ports))
+     (flat, gseq, die))
 
 let test_legalize () =
   let die = Rect.make ~x:0.0 ~y:0.0 ~w:100.0 ~h:100.0 in
@@ -126,7 +125,7 @@ let test_legalize_clamps_outside () =
     (Rect.contains_rect ~outer:die ~inner:fixed.(0))
 
 let test_indeda_placement () =
-  let flat, gseq, die, _ = Lazy.force baseline_setup in
+  let flat, gseq, die = Lazy.force baseline_setup in
   let pl = Baselines.Indeda.place ~flat ~gseq ~die () in
   Alcotest.(check int) "all macros" 16 (List.length pl);
   let rects = Array.of_list (List.map (fun (p : Baselines.Indeda.placement) -> p.Baselines.Indeda.rect) pl) in
@@ -147,7 +146,7 @@ let test_indeda_placement () =
   Alcotest.(check bool) "mostly on the walls" true (on_wall >= 12)
 
 let test_indeda_orderings_differ () =
-  let flat, gseq, die, _ = Lazy.force baseline_setup in
+  let flat, gseq, die = Lazy.force baseline_setup in
   let area = Baselines.Indeda.place ~flat ~gseq ~die ~ordering:Baselines.Indeda.By_area () in
   let conn =
     Baselines.Indeda.place ~flat ~gseq ~die ~ordering:Baselines.Indeda.By_connectivity ()
@@ -159,7 +158,7 @@ let test_indeda_orderings_differ () =
   Alcotest.(check bool) "different placements" false (sig_of area = sig_of conn)
 
 let test_connectivity_order_covers () =
-  let _, gseq, _, _ = Lazy.force baseline_setup in
+  let _, gseq, _ = Lazy.force baseline_setup in
   let macro_gids =
     Array.to_list gseq.Seqgraph.nodes
     |> List.filter_map (fun (n : Seqgraph.node) ->
@@ -168,24 +167,6 @@ let test_connectivity_order_covers () =
   let order = Baselines.Indeda.connectivity_order gseq macro_gids in
   Alcotest.(check (list int)) "permutation of the macros"
     (List.sort compare macro_gids) (List.sort compare order)
-
-let test_handfp_placement () =
-  let flat, gseq, die, ports = Lazy.force baseline_setup in
-  let pl = Baselines.Handfp.place ~flat ~gseq ~ports ~die () in
-  Alcotest.(check int) "all macros" 16 (List.length pl);
-  let rects = Array.of_list (List.map (fun (p : Baselines.Handfp.placement) -> p.Baselines.Handfp.rect) pl) in
-  Alcotest.(check bool) "legal after separation" true
-    (Hidap.Legalize.total_overlap rects < 1e-3);
-  Array.iter
-    (fun r ->
-      Alcotest.(check bool) "inside die" true (Rect.contains_rect ~outer:die ~inner:r))
-    rects
-
-let test_handfp_deterministic () =
-  let flat, gseq, die, ports = Lazy.force baseline_setup in
-  let p1 = Baselines.Handfp.place ~flat ~gseq ~ports ~die () in
-  let p2 = Baselines.Handfp.place ~flat ~gseq ~ports ~die () in
-  Alcotest.(check bool) "identical runs" true (p1 = p2)
 
 (* ---- report --------------------------------------------------------- *)
 
@@ -291,9 +272,7 @@ let suite =
         Alcotest.test_case "legalize clamps" `Quick test_legalize_clamps_outside;
         Alcotest.test_case "indeda placement" `Quick test_indeda_placement;
         Alcotest.test_case "indeda orderings differ" `Quick test_indeda_orderings_differ;
-        Alcotest.test_case "connectivity order" `Quick test_connectivity_order_covers;
-        Alcotest.test_case "handfp placement" `Slow test_handfp_placement;
-        Alcotest.test_case "handfp deterministic" `Slow test_handfp_deterministic ] );
+        Alcotest.test_case "connectivity order" `Quick test_connectivity_order_covers ] );
     ( "report",
       [ Alcotest.test_case "table render" `Quick test_table_render;
         Alcotest.test_case "paper data consistent" `Quick test_paper_data_consistency;
