@@ -225,16 +225,12 @@ let fig1 () =
 
 let figs_2_3 () =
   printf "%s@." (T.section "Figs 2-3: block flow vs macro flow on the 4-block system");
-  let design = Circuitgen.Suite.fig2_system () in
-  let flat = Flat.elaborate design in
-  let gseq = Seqgraph.build flat in
-  let config = Hidap.Config.default in
-  let die = Hidap.die_for flat ~config in
-  let ports = Hidap.Port_plan.make gseq ~die in
+  let flat = Flat.elaborate (Circuitgen.Suite.fig2_system ()) in
+  let d = Hidap.prepare flat in
+  let gseq = d.Hidap.gseq and ports = d.Hidap.ports and die = d.Hidap.die in
   List.iter
     (fun (lambda, label) ->
-      let config = Hidap.Config.with_lambda config lambda in
-      let r = Hidap.place ~config ~die flat in
+      let r = Hidap.place_design d ~lambda in
       let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
       printf "lambda=%.1f (%s): WL=%.0f um, overlap=%.1f@." lambda label m.Evalflow.wl_um
         (Hidap.overlap_area r);
@@ -531,9 +527,8 @@ let ablations () =
   let design = Circuitgen.Gen.generate c.Circuitgen.Suite.params in
   let flat = Flat.elaborate design in
   let config = Hidap.Config.default in
-  let gseq = Seqgraph.build ~bit_threshold:config.Hidap.Config.bit_threshold flat in
-  let die = Hidap.die_for flat ~config in
-  let ports = Hidap.Port_plan.make gseq ~die in
+  let d = Hidap.prepare ~config flat in
+  let gseq = d.Hidap.gseq and ports = d.Hidap.ports and die = d.Hidap.die in
   let wl_of_macros macros =
     let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros in
     m.Evalflow.wl_um
@@ -543,8 +538,7 @@ let ablations () =
   let rows =
     List.map
       (fun lambda ->
-        let r = Hidap.place ~config:(Hidap.Config.with_lambda config lambda) ~die flat in
-        [ T.fmt_f 1 lambda; T.fmt_f 0 (wl_of_result r) ])
+        [ T.fmt_f 1 lambda; T.fmt_f 0 (wl_of_result (Hidap.place_design d ~lambda)) ])
       [ 0.0; 0.2; 0.5; 0.8; 1.0 ]
   in
   printf "%s@." (T.render ~header:[ "lambda"; "WL(um)" ] rows);
@@ -588,74 +582,6 @@ let ablations () =
     (T.render ~header:[ "ordering"; "WL(um)" ]
        [ [ "by area (commercial proxy)"; T.fmt_f 0 (indeda Baselines.Indeda.By_area) ];
          [ "by connectivity chain"; T.fmt_f 0 (indeda Baselines.Indeda.By_connectivity) ] ])
-
-(* ------------------------------------------------------------------ *)
-(* Observability: per-circuit stage timings + SA convergence curves    *)
-(* ------------------------------------------------------------------ *)
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let observability () =
-  printf "%s@."
-    (T.section "Observability: stage timings and SA acceptance curves");
-  ensure_artifacts_dir ();
-  List.iter
-    (fun (c : Circuitgen.Suite.circuit) ->
-      let cname = c.Circuitgen.Suite.cname in
-      let flat = Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
-      let (_ : Hidap.result), spans = Obs.Trace.instrumented (fun () -> Hidap.place flat) in
-      let trace_path =
-        Filename.concat artifacts_dir (Printf.sprintf "trace_%s.json" cname)
-      in
-      Obs.Trace.write_chrome_file trace_path spans;
-      let metrics_path =
-        Filename.concat artifacts_dir (Printf.sprintf "metrics_%s.json" cname)
-      in
-      Obs.Jsonx.write_file metrics_path
-        (Obs.Metrics.to_json ~counters:Obs.Perf.global Obs.Metrics.global);
-      let curve_names =
-        List.filter
-          (has_prefix ~prefix:"sa.curve.level")
-          (Obs.Metrics.names Obs.Metrics.global)
-      in
-      let curve_path =
-        Filename.concat artifacts_dir (Printf.sprintf "sa_curves_%s.csv" cname)
-      in
-      let oc = open_out curve_path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc "level,moves,acceptance_rate\n";
-          List.iter
-            (fun name ->
-              let level = String.sub name 14 (String.length name - 14) in
-              List.iter
-                (fun (x, y) ->
-                  output_string oc (Printf.sprintf "%s,%.0f,%.4f\n" level x y))
-                (Obs.Metrics.series_points Obs.Metrics.global name))
-            curve_names);
-      printf "%s: stage tree@." cname;
-      printf "%s@." (Obs.Trace.summary spans);
-      List.iter
-        (fun name ->
-          let samples = Obs.Metrics.hist_samples Obs.Metrics.global name in
-          if samples <> [] then
-            printf "  %s: %d plateaus, mean %.3f, p50 %.3f@." name
-              (List.length samples)
-              (Util.Stat.mean samples)
-              (Obs.Metrics.percentile samples ~p:50.0))
-        (List.filter
-           (has_prefix ~prefix:"sa.acceptance.level")
-           (Obs.Metrics.names Obs.Metrics.global));
-      printf "  wrote %s, %s, %s@." trace_path metrics_path curve_path;
-      printf "  perf: %s@."
-        (String.concat ", "
-           (List.map
-              (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-              (Obs.Perf.to_assoc Obs.Perf.global))))
-    (circuits ())
 
 (* ------------------------------------------------------------------ *)
 (* Suite-level QoR summary: one JSON per bench run at the repo root so *)
@@ -730,7 +656,6 @@ let () =
   fig8 ();
   fig9 results;
   ablations ();
-  observability ();
   let elapsed_s = Obs.Clock.now_s () -. t0 in
   suite_summary results ~elapsed_s;
   printf "@.total bench time: %.1fs@." elapsed_s

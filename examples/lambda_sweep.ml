@@ -12,17 +12,15 @@
    Run with: dune exec examples/lambda_sweep.exe *)
 
 let () =
-  let design = Circuitgen.Suite.fig2_system () in
-  let flat = Netlist.Flat.elaborate design in
-  let gseq = Seqgraph.build flat in
-  let config = Hidap.Config.default in
-  let die = Hidap.die_for flat ~config in
-  let ports = Hidap.Port_plan.make gseq ~die in
+  let flat = Netlist.Flat.elaborate (Circuitgen.Suite.fig2_system ()) in
+  (* The tree, Gseq, shape curves and port plan do not depend on lambda:
+     build them once and place the design at each lambda. *)
+  let d = Hidap.prepare flat in
+  let gseq = d.Hidap.gseq and ports = d.Hidap.ports and die = d.Hidap.die in
   let best = ref (infinity, 0.0) in
   List.iter
     (fun lambda ->
-      let config = Hidap.Config.with_lambda config lambda in
-      let r = Hidap.place ~config ~die flat in
+      let r = Hidap.place_design d ~lambda in
       let m, _ = Evalflow.measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
       if m.Evalflow.wl_um < fst !best then best := (m.Evalflow.wl_um, lambda);
       Format.printf "lambda = %.2f -> wirelength %.0f um, WNS %.1f%%@." lambda

@@ -17,6 +17,17 @@ type macro_placement = Placement_io.macro_placement = {
   orient : Geom.Orientation.t;
 }
 
+type design = {
+  flat : Flat.t;
+  config : Config.t;
+  die : Rect.t;
+  tree : Hier.Tree.t;
+  gseq : Seqgraph.t;
+  sgamma : Shape_curves.t;
+  ports : Port_plan.t;
+  rng_state : int64;
+}
+
 type result = {
   die : Rect.t;
   placements : macro_placement list;
@@ -63,35 +74,42 @@ let repair_placements ~die flat placements =
   let rects = Legalize.separate ~die ~iterations:512 rects in
   List.mapi (fun i p -> { p with rect = rects.(i) }) placements
 
-let place_body ~config ~die ?ckpt flat =
+(* Progress-stream stage brackets reuse the span names, so a live
+   consumer and a trace line up 1:1. Emission is write-only telemetry:
+   no RNG, no effect on the flow. *)
+let stage = Obs.Stream.with_stage
+
+let seqgraph ~config flat =
+  stage "seqgraph.build" (fun () ->
+      Obs.Span.with_ ~name:"seqgraph.build" (fun () ->
+          Seqgraph.build ~bit_threshold:config.Config.bit_threshold flat))
+
+let port_plan gseq ~die =
+  stage "port_plan.make" (fun () ->
+      Obs.Span.with_ ~name:"port_plan.make" (fun () -> Port_plan.make gseq ~die))
+
+let prepare ?(config = Config.default) ?die ?gseq ?ports flat =
   let die = match die with Some d -> d | None -> die_for flat ~config in
-  Obs.Span.attr_int "seed" config.Config.seed;
-  Obs.Span.attr_float "lambda" config.Config.lambda;
   let rng = Util.Rng.create config.Config.seed in
-  (* Progress-stream stage brackets reuse the span names, so a live
-     consumer and a trace line up 1:1. Emission is write-only
-     telemetry: no RNG, no effect on the flow. *)
-  let stage = Obs.Stream.with_stage in
   let tree =
     stage "hier.tree_build" (fun () ->
         Obs.Span.with_ ~name:"hier.tree_build" (fun () -> Hier.Tree.build flat))
   in
-  let gseq =
-    stage "seqgraph.build" (fun () ->
-        Obs.Span.with_ ~name:"seqgraph.build" (fun () ->
-            Seqgraph.build ~bit_threshold:config.Config.bit_threshold flat))
-  in
+  let gseq = match gseq with Some g -> g | None -> seqgraph ~config flat in
   let sgamma =
     stage "shape_curves.generate" (fun () ->
         Shape_curves.generate tree ~config ~rng:(Util.Rng.split rng))
   in
-  let ports =
-    stage "port_plan.make" (fun () ->
-        Obs.Span.with_ ~name:"port_plan.make" (fun () -> Port_plan.make gseq ~die))
-  in
+  let ports = match ports with Some p -> p | None -> port_plan gseq ~die in
+  { flat; config; die; tree; gseq; sgamma; ports; rng_state = Util.Rng.state rng }
+
+let place_design ?ckpt d ~lambda =
+  let { flat; die; tree; gseq; sgamma; ports; _ } = d in
+  let config = { d.config with Config.lambda } in
   let fp =
     stage "floorplan.run" (fun () ->
-        Floorplan.run ~tree ~gseq ~sgamma ~ports ~config ~rng:(Util.Rng.split rng)
+        Floorplan.run ~tree ~gseq ~sgamma ~ports ~config
+          ~rng:(Util.Rng.split (Util.Rng.of_state d.rng_state))
           ?ckpt ~die ())
   in
   Option.iter (fun s -> Ckpt.Session.stage_done s "floorplan") ckpt;
@@ -154,47 +172,10 @@ let place_body ~config ~die ?ckpt flat =
     flip_gain = flip.Flipping.gain }
 
 let place ?(config = Config.default) ?die ?ckpt flat =
-  Obs.Span.with_ ~name:"hidap.place" (fun () -> place_body ~config ~die ?ckpt flat)
-
-type sweep = {
-  best : result;
-  best_objective : float;
-  sweep_trace : (float * float) list;
-}
-
-let place_sweep ?(config = Config.default) ?die ~objective flat =
-  Obs.Span.with_ ~name:"hidap.place_sweep" (fun () ->
-      let lambdas =
-        match config.Config.lambda_sweep with [] -> [ config.Config.lambda ] | l -> l
-      in
-      (* Lambda runs are independent; fan them across the pool. The
-         results come back in sweep order and the reduction below keeps
-         the first minimum, so the chosen run is the same for every job
-         count. Nested pool use inside each run degrades to sequential
-         execution on that worker. *)
-      let pool = Parexec.create ~jobs:config.Config.jobs () in
-      let runs =
-        Array.to_list
-          (Parexec.map pool
-             (fun lambda ->
-               let r = place ~config:{ config with Config.lambda } ?die flat in
-               (r, objective r))
-             (Array.of_list lambdas))
-      in
-      let sweep_trace = List.map (fun (r, o) -> (r.lambda, o)) runs in
-      List.iter
-        (fun (lambda, o) -> Obs.Metrics.series "hidap.sweep" ~x:lambda ~y:o)
-        sweep_trace;
-      match runs with
-      | [] -> assert false
-      | first :: rest ->
-        let best, best_objective =
-          List.fold_left
-            (fun (br, bo) (r, o) -> if o < bo then (r, o) else (br, bo))
-            first rest
-        in
-        Obs.Span.attr_float "best_lambda" best.lambda;
-        { best; best_objective; sweep_trace })
+  Obs.Span.with_ ~name:"hidap.place" (fun () ->
+      Obs.Span.attr_int "seed" config.Config.seed;
+      Obs.Span.attr_float "lambda" config.Config.lambda;
+      place_design ?ckpt (prepare ~config ?die flat) ~lambda:config.Config.lambda)
 
 let overlap_area result =
   let rects = List.map (fun p -> p.rect) result.placements in

@@ -1,12 +1,11 @@
 (** HiDaP — Hierarchical Dataflow Placement (top flow, paper
     Algorithm 1).
 
-    [place] runs the whole pipeline on an elaborated netlist: hierarchy
-    tree, shape curves SΓ, recursive block floorplanning, macro flipping.
-    [place_sweep] replicates the paper's evaluation protocol: one run per
-    λ in the configured sweep, keeping the result ranked best by a
-    caller-supplied objective (the paper uses post-placement
-    wirelength). *)
+    {!prepare} builds the λ-independent stages once per design
+    (hierarchy tree, Gseq, shape curves SΓ, port plan); {!place_design}
+    runs floorplanning, where λ enters the affinity (§IV-D), and macro
+    flipping for one λ; {!place} is the two in a row. The paper's λ
+    sweep (§V) lives with the metrics that judge it, in [Evalflow]. *)
 
 module Config = Config
 module Block = Block
@@ -25,6 +24,21 @@ type macro_placement = Placement_io.macro_placement = {
   orient : Geom.Orientation.t;
 }
 
+type design = private {
+  flat : Netlist.Flat.t;
+  config : Config.t;
+  die : Geom.Rect.t;
+  tree : Hier.Tree.t;
+  gseq : Seqgraph.t;
+  sgamma : Shape_curves.t;
+  ports : Port_plan.t;
+  rng_state : int64;  (** the flow RNG right after the shape-curve split *)
+}
+(** The λ-independent stages of one design. It is read-only after
+    {!prepare}, so {!place_design} calls on other domains may share it:
+    the tree (its [macro_ht] included), the Gseq, SΓ and the port plan's
+    tables are only read. *)
+
 type result = {
   die : Geom.Rect.t;
   placements : macro_placement list;
@@ -42,9 +56,31 @@ type result = {
 val die_for : Netlist.Flat.t -> config:Config.t -> Geom.Rect.t
 (** Die sized from total cell area, utilization and aspect ratio. *)
 
+val seqgraph : config:Config.t -> Netlist.Flat.t -> Seqgraph.t
+(** The [seqgraph.build] stage, at [config.bit_threshold]. *)
+
+val port_plan : Seqgraph.t -> die:Geom.Rect.t -> Port_plan.t
+(** The [port_plan.make] stage. *)
+
+val prepare :
+  ?config:Config.t ->
+  ?die:Geom.Rect.t ->
+  ?gseq:Seqgraph.t ->
+  ?ports:Port_plan.t ->
+  Netlist.Flat.t ->
+  design
+(** Builds the tree and SΓ. [die], [gseq] and [ports] (the plan of
+    [gseq] on [die]) default to {!die_for}, {!seqgraph} and
+    {!port_plan}. *)
+
+val place_design : ?ckpt:Ckpt.Session.t -> design -> lambda:float -> result
+(** Floorplanning and flipping at [lambda], with the design's
+    configuration otherwise: bit-identical to [place] at that λ. *)
+
 val place :
   ?config:Config.t -> ?die:Geom.Rect.t -> ?ckpt:Ckpt.Session.t -> Netlist.Flat.t -> result
-(** Single run with [config.lambda]. The flow is instrumented with
+(** {!prepare} then {!place_design} at [config.lambda], under one
+    [hidap.place] span. The flow is instrumented with
     [Obs] spans and metrics; with no trace sink installed the
     instrumentation is inert and the placement is identical.
 
@@ -56,26 +92,6 @@ val place :
     recomputing it; because the recorded RNG states are restored, the
     resumed placement is bit-identical to an uninterrupted run at any
     [config.jobs]. *)
-
-type sweep = {
-  best : result;  (** run with the smallest objective *)
-  best_objective : float;
-  sweep_trace : (float * float) list;
-      (** every (λ, objective) evaluated, in sweep order — losing runs
-          included so callers can report the whole sweep *)
-}
-
-val place_sweep :
-  ?config:Config.t ->
-  ?die:Geom.Rect.t ->
-  objective:(result -> float) ->
-  Netlist.Flat.t ->
-  sweep
-(** Runs once per λ in [config.lambda_sweep] and keeps the result
-    ranked best by [objective] (ties to the earliest λ), recording
-    every λ's objective in [sweep_trace]. The runs execute across up to
-    [config.jobs] domains; the outcome — placements, objective, trace
-    and telemetry — is bit-identical for every job count. *)
 
 val overlap_area : result -> float
 (** Total pairwise overlap between placed macros — 0 for a legal

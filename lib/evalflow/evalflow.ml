@@ -23,6 +23,7 @@ type run = {
   lambda_used : float option;
   sa_moves : int;
   sweep_trace : (float * float) list;
+  winner_metrics : Obs.Metrics.t option;
 }
 
 (* Total HPWL with macro pins resolved through the flipping pin model:
@@ -114,42 +115,68 @@ let measure ~flat ~gseq ~ports ~die ~macros =
   Obs.Span.with_ ~name:"evalflow.measure" (fun () ->
       measure_body ~flat ~gseq ~ports ~die ~macros)
 
+(* The paper's λ sweep (§V) over one prepared design: one candidate per
+   λ, placed and measured once, fanned across the pool. Results come
+   back in sweep order and the fold keeps the first minimum, so the
+   winner is the same for every job count. Each candidate records into
+   a registry of its own, which keeps the winner's SA curves apart; the
+   registries are folded into the ambient one in sweep order, as
+   Parexec would have folded them. *)
+let sweep ~(config : Hidap.Config.t) (d : Hidap.design) =
+  Obs.Span.with_ ~name:"evalflow.sweep" (fun () ->
+      let { Hidap.flat; gseq; ports; die; _ } = d in
+      let candidate lambda =
+        let registry = Obs.Metrics.create () in
+        Obs.Metrics.with_ambient registry (fun () ->
+            Obs.Span.with_ ~name:"evalflow.candidate" (fun () ->
+                Obs.Span.attr_float "lambda" lambda;
+                let r = Hidap.place_design d ~lambda in
+                let measured = measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
+                (r, measured, registry)))
+      in
+      let lambdas = match config.lambda_sweep with [] -> [ config.lambda ] | l -> l in
+      let pool = Parexec.create ~jobs:config.jobs () in
+      let runs = Array.to_list (Parexec.map pool candidate (Array.of_list lambdas)) in
+      List.iter (fun (_, _, reg) -> Obs.Metrics.merge_into (Obs.Metrics.ambient ()) reg) runs;
+      let wl_of (_, ((m : metrics), _), _) = m.wl_um in
+      let trace = List.map (fun ((r : Hidap.result), _, _ as c) -> (r.lambda, wl_of c)) runs in
+      List.iter (fun (lambda, wl) -> Obs.Metrics.series "hidap.sweep" ~x:lambda ~y:wl) trace;
+      let winner =
+        List.fold_left (fun b c -> if wl_of c < wl_of b then c else b) (List.hd runs) runs
+      in
+      let (best : Hidap.result), _, _ = winner in
+      Obs.Span.attr_float "best_lambda" best.lambda;
+      (winner, trace))
+
 let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
   let t0 = Obs.Clock.now_s () in
-  let macros, lambda_used, sa_moves, sweep_trace =
+  let run =
     match kind with
     | IndEDA ->
-      (Baselines.Indeda.place ~flat ~gseq ~die (), None, 0, [])
+      let macros = Baselines.Indeda.place ~flat ~gseq ~die () in
+      let runtime_s = Obs.Clock.now_s () -. t0 in
+      let metrics, placement = measure ~flat ~gseq ~ports ~die ~macros in
+      { kind; metrics = { metrics with runtime_s }; macros; placement; lambda_used = None;
+        sa_moves = 0; sweep_trace = []; winner_metrics = None }
     | HiDaP ->
-      let objective r =
-        let m, _ = measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
-        m.wl_um
+      let (best, (metrics, placement), registry), sweep_trace =
+        sweep ~config (Hidap.prepare ~config ~die ~gseq ~ports flat)
       in
-      let sw = Hidap.place_sweep ~config ~die ~objective flat in
-      ( sw.Hidap.best.Hidap.placements,
-        Some sw.Hidap.best.Hidap.lambda,
-        sw.Hidap.best.Hidap.sa_moves,
-        sw.Hidap.sweep_trace )
+      { kind;
+        metrics = { metrics with runtime_s = Obs.Clock.now_s () -. t0 };
+        macros = best.Hidap.placements;
+        placement;
+        lambda_used = Some best.Hidap.lambda;
+        sa_moves = best.Hidap.sa_moves;
+        sweep_trace;
+        winner_metrics = Some registry }
   in
-  let runtime_s = Obs.Clock.now_s () -. t0 in
-  let metrics, cp = measure ~flat ~gseq ~ports ~die ~macros in
-  Obs.Metrics.gauge
-    (Printf.sprintf "evalflow.%s.wl_um" (flow_name kind))
-    metrics.wl_um;
-  Obs.Metrics.gauge
-    (Printf.sprintf "evalflow.%s.runtime_s" (flow_name kind))
-    runtime_s;
+  let name = flow_name kind in
+  Obs.Metrics.gauge (Printf.sprintf "evalflow.%s.wl_um" name) run.metrics.wl_um;
+  Obs.Metrics.gauge (Printf.sprintf "evalflow.%s.runtime_s" name) run.metrics.runtime_s;
   if Obs.Metrics.enabled () then
-    Obs.Gcstats.record
-      ~prefix:(Printf.sprintf "gc.%s" (flow_name kind))
-      Obs.Metrics.global (Obs.Gcstats.snapshot ());
-  { kind;
-    metrics = { metrics with runtime_s };
-    macros;
-    placement = cp;
-    lambda_used;
-    sa_moves;
-    sweep_trace }
+    Obs.Gcstats.record ~prefix:("gc." ^ name) Obs.Metrics.global (Obs.Gcstats.snapshot ());
+  run
 
 let run_flow kind ?(config = Hidap.Config.default) ~flat ~gseq ~ports ~die () =
   Obs.Span.with_ ~name:"evalflow.flow" (fun () ->
@@ -164,9 +191,9 @@ type circuit_result = {
 }
 
 let run_all ?(config = Hidap.Config.default) ~name flat =
-  let gseq = Seqgraph.build ~bit_threshold:config.Hidap.Config.bit_threshold flat in
+  let gseq = Hidap.seqgraph ~config flat in
   let die = Hidap.die_for flat ~config in
-  let ports = Hidap.Port_plan.make gseq ~die in
+  let ports = Hidap.port_plan gseq ~die in
   let runs =
     List.map
       (fun kind -> run_flow kind ~config ~flat ~gseq ~ports ~die ())

@@ -10,10 +10,13 @@
     - WNS% / TNS: static timing on the sequential graph.
 
     Two flows are provided: IndEDA (wall-packing proxy of the paper's
-    commercial tool) and HiDaP (this repository's contribution, best
-    wirelength of the λ sweep). The paper's third column, expert hand
-    floorplans, has no stand-in: WL is normalised to the best known
-    result instead ({!normalized_wl}). *)
+    commercial tool) and HiDaP (this repository's contribution), whose
+    λ sweep is the program's only one: one {!Hidap.prepare}d design,
+    one {!Hidap.place_design} and {!measure} per λ, fanned across
+    [config.jobs] domains, the first lowest WL kept — bit-identical for
+    every job count. The paper's third column, expert hand floorplans,
+    has no stand-in: WL is normalised to the best known result instead
+    ({!normalized_wl}). *)
 
 type flow_kind = IndEDA | HiDaP
 
@@ -38,8 +41,12 @@ type run = {
       (** HiDaP only: the winning λ's [Hidap.result.sa_moves] (0 for
           the other flows) *)
   sweep_trace : (float * float) list;
-      (** HiDaP only: every (λ, objective) of the sweep, losing runs
-          included ([] for the other flows) *)
+      (** HiDaP only: every (λ, measured WL) of the sweep, losing
+          candidates included ([] for the other flows) *)
+  winner_metrics : Obs.Metrics.t option;
+      (** HiDaP only: the winning candidate's own metrics (its SA
+          curves); every candidate's are also merged into the ambient
+          registry *)
 }
 
 val measure :
@@ -60,6 +67,9 @@ val run_flow :
   die:Geom.Rect.t ->
   unit ->
   run
+(** The HiDaP flow prepares its design from [gseq], [ports] and [die],
+    so the metrics read the floorplanner's Gseq, and measures each
+    candidate once. *)
 
 type circuit_result = {
   circuit : string;
@@ -70,7 +80,7 @@ type circuit_result = {
 
 val run_all : ?config:Hidap.Config.t -> name:string -> Netlist.Flat.t -> circuit_result
 (** Runs both flows on the elaborated netlist, on the same die with the
-    same port plan. *)
+    same Gseq and port plan. *)
 
 val best_known_wl : circuit_result -> float
 (** The "best known" WL of a circuit: the minimum [wl_um] over

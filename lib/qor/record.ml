@@ -331,7 +331,7 @@ let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
             dataflow_cost = 0.0 };
         displacement;
         sa_moves = run.Evalflow.sa_moves;
-        sa_curve = (if is_hidap then sa_curve_of registry else []);
+        sa_curve = sa_curve_of run.Evalflow.winner_metrics;
         stages = (if is_hidap then stages_of spans else []);
         gc = (if is_hidap then gc_of registry else None);
         die;

@@ -178,8 +178,10 @@ val of_eval :
   t list
 (** One record per flow of an {!Evalflow.run_all} result, each carrying
     its macro displacement against the other flows. The HiDaP record
-    carries the winning λ's SA move count, as {!of_place} does, plus
-    the trace/metrics attachments; the other flows record 0 moves. *)
+    carries the winning λ's SA move count and level-0 SA curve (from
+    [Evalflow.run.winner_metrics]), as {!of_place} of a placement at
+    that λ does, plus the trace/metrics attachments; the other flows
+    record 0 moves and no curve. *)
 
 val perf_info_json : perf_info -> Obs.Jsonx.t
 (** The ["perf"] sub-object of {!to_json}, exposed for standalone

@@ -640,7 +640,10 @@ let run t =
         (t.listen_fd :: pipe_fds)
         @ List.filter_map (fun c -> if c.alive then Some c.fd else None) !conns
       in
-      (match Unix.select fds [] [] 0.05 with
+      (* The EOF'd pipe of a finished worker has left the select set;
+         poll again within a millisecond for its exit status. *)
+      let tick = if Pool.awaiting_reap t.pool then 0.001 else 0.05 in
+      (match Unix.select fds [] [] tick with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | ready, _, _ ->
         List.iter

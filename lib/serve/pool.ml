@@ -58,6 +58,11 @@ let pipe_fds t =
          | Some r when not r.eof -> Some r.pipe_r
          | _ -> None)
 
+let awaiting_reap t =
+  Array.exists
+    (fun s -> match s.running with Some r -> r.eof && r.status = None | None -> false)
+    t.slots
+
 let spawn t ~job ~extra_close ~child =
   match Array.find_opt (fun s -> s.running = None) t.slots with
   | None -> No_slot

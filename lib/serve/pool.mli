@@ -66,6 +66,12 @@ val spawn :
 val pipe_fds : t -> Unix.file_descr list
 (** Read ends to include in the select set (running, pre-EOF slots). *)
 
+val awaiting_reap : t -> bool
+(** Some child's pipe is at EOF but {!reap} has not collected its exit
+    status yet. A worker closes its pipe a moment before it exits, so
+    its verdict is imminent: the engine polls again soon instead of
+    sleeping out its select tick. *)
+
 val handle_readable :
   t -> Unix.file_descr -> on_event:(Job.t -> Obs.Jsonx.t -> unit) -> unit
 (** Drain one readable pipe; [on_event] sees every parsed NDJSON line

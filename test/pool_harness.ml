@@ -12,7 +12,9 @@
    descriptor, so holding a placeholder fd below worker A's pipe and
    freeing it after A's EOF makes worker B's pipe come back as
    (placeholder, A's old read end). B must still deliver its final
-   frame and exit 0.
+   frame and exit 0. Along the way it checks Pool.awaiting_reap, the
+   engine's cue to poll soon: false before A's pipe reaches EOF, true
+   from that EOF until A is reaped, false once both are.
 
    Runs as its own process: Pool.spawn forks, which OCaml 5 refuses in
    a process that has ever created a domain (the alcotest binary has).
@@ -77,8 +79,10 @@ let () =
   let pool = Pool.create ~size:2 ~stall_s:60.0 ~deadline_grace_s:1.0 in
   let placeholder = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   spawn pool 1;
+  if Pool.awaiting_reap pool then fail "awaiting reap before the pipe's EOF";
   (* A reports and exits; its pipe reaches EOF, its slot stays held. *)
   drain_to_eof pool (only_pipe pool);
+  if not (Pool.awaiting_reap pool) then fail "not awaiting reap between EOF and reap";
   Unix.close placeholder;
   spawn pool 2;
   if only_pipe pool <> placeholder then
@@ -91,4 +95,5 @@ let () =
       | Some (Unix.WEXITED c), _ ->
         fail "worker %s exited %d without its frame" r.job.Serve.Job.id c
       | _ -> fail "worker %s did not exit cleanly" r.job.Serve.Job.id)
-    (reap_all pool ~n:2)
+    (reap_all pool ~n:2);
+  if Pool.awaiting_reap pool then fail "still awaiting reap after both reaps"

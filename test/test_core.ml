@@ -275,59 +275,6 @@ let test_place_levels_recorded () =
         (Rect.contains_rect ~outer:r.Hidap.die ~inner:l.Hidap.Floorplan.rect))
     r.Hidap.levels
 
-let test_place_sweep () =
-  let flat = Lazy.force fig1_flat in
-  (* objective: macro bbox area (cheap proxy) *)
-  let objective (r : Hidap.result) =
-    List.fold_left
-      (fun acc (p : Hidap.macro_placement) -> acc +. Rect.area p.Hidap.rect)
-      0.0 r.Hidap.placements
-  in
-  let sw = Hidap.place_sweep ~objective flat in
-  let best = sw.Hidap.best in
-  Alcotest.(check bool) "lambda from sweep" true
-    (List.mem best.Hidap.lambda Hidap.Config.default.Hidap.Config.lambda_sweep);
-  check_float "objective consistent" (objective best) sw.Hidap.best_objective;
-  (* every λ of the sweep is recorded, losing runs included *)
-  Alcotest.(check (list (float 0.0)))
-    "sweep trace covers the whole sweep"
-    Hidap.Config.default.Hidap.Config.lambda_sweep
-    (List.map fst sw.Hidap.sweep_trace);
-  List.iter
-    (fun (_, o) ->
-      Alcotest.(check bool) "best objective is minimal" true
-        (sw.Hidap.best_objective <= o))
-    sw.Hidap.sweep_trace
-
-let test_place_sweep_parallel_deterministic () =
-  (* The tentpole contract: a sweep fanned across worker domains is
-     bit-identical to the sequential one for a fixed seed. *)
-  let flat = Lazy.force fig1_flat in
-  let objective (r : Hidap.result) =
-    List.fold_left
-      (fun acc (p : Hidap.macro_placement) ->
-        acc +. Point.manhattan (Rect.center p.Hidap.rect) (Rect.center r.Hidap.die))
-      0.0 r.Hidap.placements
-  in
-  let run jobs =
-    Hidap.place_sweep
-      ~config:{ Hidap.Config.default with Hidap.Config.jobs }
-      ~objective flat
-  in
-  let s1 = run 1 and s2 = run 2 in
-  Alcotest.(check (float 0.0)) "same best objective" s1.Hidap.best_objective
-    s2.Hidap.best_objective;
-  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-    "same sweep trace" s1.Hidap.sweep_trace s2.Hidap.sweep_trace;
-  Alcotest.(check (float 0.0)) "same best lambda" s1.Hidap.best.Hidap.lambda
-    s2.Hidap.best.Hidap.lambda;
-  List.iter2
-    (fun (a : Hidap.macro_placement) (b : Hidap.macro_placement) ->
-      Alcotest.(check int) "same macro" a.Hidap.fid b.Hidap.fid;
-      Alcotest.(check bool) "bit-identical rect" true (a.Hidap.rect = b.Hidap.rect);
-      Alcotest.(check bool) "same orientation" true (a.Hidap.orient = b.Hidap.orient))
-    s1.Hidap.best.Hidap.placements s2.Hidap.best.Hidap.placements
-
 (* ---- rotated-macro orientation -------------------------------------- *)
 
 let test_oriented_fit () =
@@ -461,10 +408,7 @@ let suite =
         Alcotest.test_case "fig1 structure" `Quick test_place_fig1_structure;
         Alcotest.test_case "deterministic" `Slow test_place_deterministic;
         Alcotest.test_case "lambda sensitivity" `Slow test_place_lambda_changes_result;
-        Alcotest.test_case "levels recorded" `Quick test_place_levels_recorded;
-        Alcotest.test_case "lambda sweep" `Slow test_place_sweep;
-        Alcotest.test_case "parallel sweep deterministic" `Slow
-          test_place_sweep_parallel_deterministic ] );
+        Alcotest.test_case "levels recorded" `Quick test_place_levels_recorded ] );
     ( "hidap.orientation",
       [ Alcotest.test_case "oriented fit" `Quick test_oriented_fit;
         Alcotest.test_case "forced rotation reported" `Quick

@@ -14,7 +14,7 @@ let suite_run =
        Qor.Run.eval ~config:Hidap.Config.default (fun () ->
            ("fig1", Flat.elaborate (Circuitgen.Suite.fig1_design ())))
      in
-     (ev, Obs.Perf.get Obs.Perf.global Obs.Perf.netlist_elaborations))
+     (ev, Obs.Perf.to_assoc Obs.Perf.global))
 
 let result =
   lazy
@@ -22,8 +22,8 @@ let result =
      (ev.Qor.Run.flat, ev.Qor.Run.result))
 
 let test_suite_run_elaborates_once () =
-  let ev, elaborations = Lazy.force suite_run in
-  Alcotest.(check int) "netlist.elaborations" 1 elaborations;
+  let ev, counters = Lazy.force suite_run in
+  Alcotest.(check int) "netlist.elaborations" 1 (List.assoc "netlist.elaborations" counters);
   Alcotest.(check int) "one record per flow" 2 (List.length ev.Qor.Run.records)
 
 let get_run kind =
@@ -153,6 +153,99 @@ let test_flipping_improves_or_neutral () =
   Alcotest.(check bool) "flipping does not hurt measurably" true
     (m_flip.Evalflow.wl_um <= m_r0.Evalflow.wl_um *. 1.02)
 
+(* ---- the λ sweep ---------------------------------------------------- *)
+
+let sweep = Hidap.Config.default.Hidap.Config.lambda_sweep
+
+let test_lambda_sweep () =
+  let r = get_run Evalflow.HiDaP in
+  Alcotest.(check (list (float 0.0)))
+    "sweep trace covers the whole sweep" sweep
+    (List.map fst r.Evalflow.sweep_trace);
+  let best = List.fold_left (fun a (_, wl) -> Float.min a wl) infinity r.Evalflow.sweep_trace in
+  Alcotest.(check (float 0.0)) "the run is measured at the sweep minimum" best
+    r.Evalflow.metrics.Evalflow.wl_um;
+  Alcotest.(check (option (float 0.0)))
+    "the winner is the first minimum in sweep order"
+    (Some (fst (List.find (fun (_, wl) -> wl = best) r.Evalflow.sweep_trace)))
+    r.Evalflow.lambda_used
+
+let test_sweep_parallel_deterministic () =
+  (* Candidates fanned across worker domains give the sequential
+     sweep's outcome bit for bit. *)
+  let flat, _ = Lazy.force result in
+  let run jobs =
+    let res =
+      Evalflow.run_all ~config:{ Hidap.Config.default with Hidap.Config.jobs } ~name:"fig1" flat
+    in
+    List.find (fun (r : Evalflow.run) -> r.Evalflow.kind = Evalflow.HiDaP) res.Evalflow.runs
+  in
+  let r1 = run 1 and r2 = run 2 in
+  let untimed (r : Evalflow.run) = { r.Evalflow.metrics with Evalflow.runtime_s = 0.0 } in
+  Alcotest.(check bool) "same metrics" true (untimed r1 = untimed r2);
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "same sweep trace" r1.Evalflow.sweep_trace r2.Evalflow.sweep_trace;
+  Alcotest.(check (option (float 0.0))) "same best lambda" r1.Evalflow.lambda_used
+    r2.Evalflow.lambda_used;
+  Alcotest.(check bool) "bit-identical macros" true (r1.Evalflow.macros = r2.Evalflow.macros)
+
+(* A candidate of the sweep is [Hidap.place] at its λ: preparing the
+   design once changes nothing the floorplanner sees. *)
+let test_candidates_equal_place () =
+  let flat, _ = Lazy.force result in
+  let r = get_run Evalflow.HiDaP in
+  List.iter
+    (fun (lambda, wl) ->
+      let p =
+        Hidap.place ~config:(Hidap.Config.with_lambda Hidap.Config.default lambda) flat
+      in
+      let m, _ =
+        Evalflow.measure ~flat ~gseq:p.Hidap.gseq ~ports:p.Hidap.ports ~die:p.Hidap.die
+          ~macros:p.Hidap.placements
+      in
+      Alcotest.(check (float 0.0)) (Printf.sprintf "WL at lambda %.1f" lambda) m.Evalflow.wl_um wl;
+      if Some lambda = r.Evalflow.lambda_used then
+        Alcotest.(check bool) "winner's macros" true (p.Hidap.placements = r.Evalflow.macros))
+    r.Evalflow.sweep_trace
+
+let test_prepared_once () =
+  let flat, _ = Lazy.force result in
+  let _, eval_counters = Lazy.force suite_run in
+  ignore (Obs.Trace.instrumented (fun () -> Hidap.place flat));
+  let place_counters = Obs.Perf.to_assoc Obs.Perf.global in
+  let count name counters = List.assoc name counters in
+  Alcotest.(check int) "shape curves combined as often as by one Hidap.place"
+    (count "shape_curves.combines" place_counters)
+    (count "shape_curves.combines" eval_counters);
+  Alcotest.(check int) "one placement per candidate" (List.length sweep)
+    (count "hidap.places" eval_counters);
+  Alcotest.(check int) "one measurement per candidate, plus IndEDA's"
+    (List.length sweep + 1)
+    (count "cellplace.runs" eval_counters)
+
+(* The eval record describes the winning candidate: its SA curve is
+   the curve of [Hidap.place] at the winning λ, point for point. *)
+let test_record_curve_is_winners () =
+  let ev, _ = Lazy.force suite_run in
+  let flat = ev.Qor.Run.flat in
+  let hidap =
+    List.find (fun (r : Qor.Record.t) -> r.Qor.Record.flow = "HiDaP") ev.Qor.Run.records
+  in
+  let lambda = Option.get hidap.Qor.Record.lambda in
+  let config = Hidap.Config.with_lambda Hidap.Config.default lambda in
+  let p, spans = Obs.Trace.instrumented (fun () -> Hidap.place ~config flat) in
+  let measured, _ =
+    Evalflow.measure ~flat ~gseq:p.Hidap.gseq ~ports:p.Hidap.ports ~die:p.Hidap.die
+      ~macros:p.Hidap.placements
+  in
+  let placed =
+    Qor.Record.of_place ~circuit:"fig1" ~flat ~config ~spans ~registry:Obs.Metrics.global
+      ~measured p
+  in
+  Alcotest.(check bool) "the place record has a curve" true (placed.Qor.Record.sa_curve <> []);
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "eval curve = place-at-winner curve" placed.Qor.Record.sa_curve hidap.Qor.Record.sa_curve
+
 let suite =
   [ ( "integration.evalflow",
       [ Alcotest.test_case "all flows present" `Slow test_all_flows_present;
@@ -166,4 +259,12 @@ let suite =
         Alcotest.test_case "measurement deterministic" `Slow test_measure_deterministic;
         Alcotest.test_case "flipping sanity" `Slow test_flipping_improves_or_neutral;
         Alcotest.test_case "one elaboration per suite run" `Slow
-          test_suite_run_elaborates_once ] ) ]
+          test_suite_run_elaborates_once;
+        Alcotest.test_case "lambda sweep" `Slow test_lambda_sweep;
+        Alcotest.test_case "parallel sweep deterministic" `Slow
+          test_sweep_parallel_deterministic;
+        Alcotest.test_case "every sweep candidate equals Hidap.place at its lambda" `Slow
+          test_candidates_equal_place;
+        Alcotest.test_case "eval builds the shape curves once" `Slow test_prepared_once;
+        Alcotest.test_case "eval record carries the winner's SA curve" `Slow
+          test_record_curve_is_winners ] ) ]

@@ -244,7 +244,8 @@ let test_record_roundtrip () =
         placement = { Cellplace.positions = [||]; die; movable = [||] };
         lambda_used = None;
         sa_moves;
-        sweep_trace = [] }
+        sweep_trace = [];
+        winner_metrics = None }
     in
     let res =
       { Evalflow.circuit = "fig1"; cells = 0; macro_count = 0;
