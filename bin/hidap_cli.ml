@@ -229,10 +229,11 @@ let qor_arg =
 
 let profile_out_arg =
   Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"OUT.folded"
-         ~doc:"Sample the run with the wall-clock profiler and write a \
-               collapsed-stack profile (flamegraph.pl / speedscope / inferno \
-               input). Implies span recording; the trace itself is only \
-               written when $(b,--trace) is also given.")
+         ~doc:"Write the run's collapsed-stack profile (flamegraph.pl / \
+               speedscope / inferno input): the self time of every span \
+               stack in microseconds, derived from the recorded spans. \
+               Implies span recording; the trace itself is only written \
+               when $(b,--trace) is also given.")
 
 let perf_out_arg =
   Arg.(value & opt (some string) None & info [ "perf-out" ] ~docv:"OUT.json"
@@ -295,7 +296,7 @@ let open_progress ~progress_file ~progress_fd =
 (* Perf/pool/profile assembly shared by --perf-out and the QoR record.
    [wall_s] is the placement wall-clock; moves/sec divides the
    deterministic sa.moves counter by it. *)
-let perf_info_of ~wall_s ~samples () =
+let perf_info_of ~wall_s ~profile =
   let counters = Obs.Perf.to_assoc Obs.Perf.global in
   let moves = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_moves in
   let pool = Parexec.pool_stats () in
@@ -312,7 +313,7 @@ let perf_info_of ~wall_s ~samples () =
            pool.Parexec.workers);
     pool_wall_us = pool.Parexec.wall_us;
     pool_maps = pool.Parexec.maps;
-    profile = samples }
+    profile }
 
 let perf_out_json (p : Qor.Record.perf_info) =
   Obs.Jsonx.Obj
@@ -394,23 +395,36 @@ let place_cmd =
     let progress = open_progress ~progress_file ~progress_fd in
     (* The perf section goes to --perf-out and the QoR record; the
        counters it reports are the ones every instrumented run enables,
-       so the outputs agree regardless of which one asked. *)
+       so the outputs agree regardless of which one asked. Its profile
+       is the one --profile-out writes, and empty without it. *)
     let want_perf = Option.is_some perf_out || Option.is_some qor_out in
     let write_obs = obs_outputs ~trace ~metrics ~profile in
     let captured = ref None in
-    let perf_captured = ref None in
     let on_finish spans =
       write_obs spans;
-      match (!captured, qor_out) with
-      | Some (name, flat, config, (p : Qor.Run.placed)), Some _ ->
-        let record =
-          Qor.Record.of_place ~circuit:name ~flat ~config ~spans
-            ~registry:Obs.Metrics.global ~degradations:p.Qor.Run.degradations
-            ~measured:(Option.get p.Qor.Run.measured) ?ckpt:p.Qor.Run.ckpt_summary
-            ?perf:!perf_captured p.Qor.Run.result
-        in
-        write_output "qor" qor_out (Qor.Record.to_json record)
-      | _ -> ()
+      let profile =
+        match profile_out with
+        | None -> []
+        | Some (path, oc) ->
+          let profile = Obs.Trace.collapsed spans in
+          List.iter (fun (stack, us) -> Printf.fprintf oc "%s %d\n" stack us) profile;
+          close_out oc;
+          Format.eprintf "wrote profile %s@." path;
+          profile
+      in
+      match !captured with
+      | None -> ()
+      | Some (name, flat, config, (p : Qor.Run.placed), wall_s) ->
+        let perf = if want_perf then Some (perf_info_of ~wall_s ~profile) else None in
+        Option.iter (fun perf -> write_output "perf" perf_out (perf_out_json perf)) perf;
+        if Option.is_some qor_out then
+          let record =
+            Qor.Record.of_place ~circuit:name ~flat ~config ~spans
+              ~registry:Obs.Metrics.global ~degradations:p.Qor.Run.degradations
+              ~measured:(Option.get p.Qor.Run.measured) ?ckpt:p.Qor.Run.ckpt_summary
+              ?perf p.Qor.Run.result
+          in
+          write_output "qor" qor_out (Qor.Record.to_json record)
     in
     (* The exit happens after the instrumented run unwinds so requested
        telemetry outputs are written even for degraded or audit-failing
@@ -426,7 +440,6 @@ let place_cmd =
       List.iter print_diag flat_diags;
       if Guard.Validate.errors flat_diags <> [] then exit_invalid
       else begin
-        if Option.is_some profile_out then Obs.Sampler.start ();
         (match progress with
         | Some (oc, close_on_disable) -> Obs.Stream.enable ~close_on_disable oc
         | None -> ());
@@ -468,23 +481,7 @@ let place_cmd =
               sm.Qor.Record.snapshots_written sm.Qor.Record.instances_reused)
           placed.Qor.Run.ckpt_summary;
         let wall_s = Obs.Clock.now_s () -. t0 in
-        let samples = if Obs.Sampler.running () then Obs.Sampler.stop () else [] in
-        (match profile_out with
-        | Some (path, oc) ->
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            (Obs.Sampler.to_collapsed_lines samples);
-          close_out oc;
-          Format.eprintf "wrote profile %s@." path
-        | None -> ());
-        if want_perf || samples <> [] then
-          perf_captured := Some (perf_info_of ~wall_s ~samples ());
-        (match (!perf_captured, perf_out) with
-        | Some p, Some _ -> write_output "perf" perf_out (perf_out_json p)
-        | _ -> ());
-        captured := Some (name, flat, config, placed);
+        captured := Some (name, flat, config, placed, wall_s);
         List.iter
           (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
           degradations;

@@ -33,7 +33,7 @@ let record ?(prefix = "gc") t s =
   Metrics.set_gauge t (prefix ^ ".heap_words") (float_of_int s.heap_words);
   Metrics.set_gauge t (prefix ^ ".top_heap_words") (float_of_int s.top_heap_words)
 
-let gauges ?prefix s = if Metrics.enabled () then record ?prefix Metrics.global s
+let gauges ?prefix s = if Metrics.enabled () then record ?prefix (Metrics.ambient ()) s
 
 let to_json s =
   Jsonx.Obj

@@ -1,7 +1,7 @@
 (** OCaml runtime allocation / collection statistics as metrics.
 
     A [snapshot] captures [Gc.quick_stat] at one point. [gauges]
-    publishes a snapshot to the global registry as [gc.*] gauges, gated
+    publishes a snapshot to the ambient registry as [gc.*] gauges, gated
     on {!Metrics.enabled} like every other shorthand — reading [Gc]
     statistics never perturbs the flow. *)
 
@@ -27,7 +27,9 @@ val record : ?prefix:string -> Metrics.t -> snapshot -> unit
     ["gc"]) on an explicit registry. *)
 
 val gauges : ?prefix:string -> snapshot -> unit
-(** [record] on the global registry, no-op unless metrics are enabled. *)
+(** [record] on the ambient registry ({!Metrics.ambient}), no-op unless
+    metrics are enabled: a task with a registry of its own keeps its
+    snapshot there. *)
 
 val to_json : snapshot -> Jsonx.t
 

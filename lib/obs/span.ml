@@ -24,69 +24,6 @@ let enabled () = match get_active () with None -> false | Some _ -> true
 
 let start_recording () = set_active (Some { roots = []; stack = [] })
 
-(* ---- stack publication (sampling profiler support) ----------------
-
-   Each participating domain owns one slot of a small global table and
-   mirrors its current span stack (innermost first) into it on every
-   span open/close, so a sampler running on another domain can read a
-   consistent immutable snapshot with a single atomic load. [None]
-   marks a free slot; [Some []] an allocated but idle domain. The
-   mirror writes are gated on one atomic flag, so when no sampler runs
-   the cost is a single load per span boundary. *)
-
-let max_slots = 64
-
-let published : string list option Atomic.t array =
-  Array.init max_slots (fun _ -> Atomic.make None)
-
-let publishing_flag = Atomic.make false
-
-let publishing () = Atomic.get publishing_flag
-
-let set_publishing b = Atomic.set publishing_flag b
-
-let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
-
-let publish_current () =
-  if Atomic.get publishing_flag then begin
-    let s = Domain.DLS.get slot_key in
-    if s >= 0 then
-      let names =
-        match get_active () with
-        | Some r -> List.map (fun sp -> sp.name) r.stack
-        | None -> []
-      in
-      Atomic.set published.(s) (Some names)
-  end
-
-let ensure_slot () =
-  if Domain.DLS.get slot_key < 0 then begin
-    let rec scan i =
-      if i >= max_slots then ()
-      else if Atomic.compare_and_set published.(i) None (Some []) then
-        Domain.DLS.set slot_key i
-      else scan (i + 1)
-    in
-    scan 0;
-    publish_current ()
-  end
-
-let release_slot () =
-  let s = Domain.DLS.get slot_key in
-  if s >= 0 then begin
-    Domain.DLS.set slot_key (-1);
-    Atomic.set published.(s) None
-  end
-
-let with_publish_slot f =
-  if (not (Atomic.get publishing_flag)) || Domain.DLS.get slot_key >= 0 then f ()
-  else begin
-    ensure_slot ();
-    Fun.protect ~finally:release_slot f
-  end
-
-let published_stacks () = Array.map Atomic.get published
-
 (* Recording accumulates lists in reverse; normalize once at the end. *)
 let rec normalize sp =
   sp.attrs <- List.rev sp.attrs;
@@ -112,19 +49,16 @@ let finish_recording () =
 let capture f =
   let saved = get_active () in
   set_active (Some { roots = []; stack = [] });
-  publish_current ();
   match f () with
   | v ->
     let spans =
       match get_active () with None -> [] | Some r -> drain_raw r
     in
     set_active saved;
-    publish_current ();
     (v, spans)
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     set_active saved;
-    publish_current ();
     Printexc.raise_with_backtrace e bt
 
 let graft spans =
@@ -152,14 +86,12 @@ let with_ ?(attrs = []) ~name f =
     | parent :: _ -> parent.children <- sp :: parent.children
     | [] -> r.roots <- sp :: r.roots);
     r.stack <- sp :: r.stack;
-    publish_current ();
     Fun.protect
       ~finally:(fun () ->
         sp.dur_us <- Clock.now_us () -. sp.start_us;
         (match r.stack with
         | top :: rest when top == sp -> r.stack <- rest
-        | _ -> ());
-        publish_current ())
+        | _ -> ()))
       f
 
 let add_attr k v =

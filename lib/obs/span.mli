@@ -64,35 +64,3 @@ val add_attr : string -> string -> unit
 val attr_int : string -> int -> unit
 val attr_float : string -> float -> unit
 val attr_str : string -> string -> unit
-
-(** {1 Stack publication}
-
-    Support for the wall-clock sampling profiler ({!Sampler}): each
-    participating domain owns one slot of a small global table and
-    mirrors its current span stack into it at every span boundary, so
-    a sampler on another domain reads a consistent immutable snapshot
-    with one atomic load. Publication is off by default; when off, the
-    only cost is one atomic load per span open/close. *)
-
-val publishing : unit -> bool
-
-val set_publishing : bool -> unit
-(** Turn stack mirroring on or off globally (an atomic flag). *)
-
-val ensure_slot : unit -> unit
-(** Allocate a publication slot for the calling domain if it has none
-    (no-op if the table is full — the domain is then simply invisible
-    to the sampler). *)
-
-val release_slot : unit -> unit
-(** Free the calling domain's slot, if any. Long-lived domains must
-    release before exiting or the slot leaks for the process. *)
-
-val with_publish_slot : (unit -> 'a) -> 'a
-(** Run [f] with a slot held (acquire/release around [f]) — what a
-    fork-join worker wraps its drain loop in. Just runs [f] when
-    publication is off or the domain already holds a slot. *)
-
-val published_stacks : unit -> string list option array
-(** Snapshot of the slot table: [None] for free slots, [Some names]
-    (innermost frame first, [[]] = idle) for domains holding one. *)

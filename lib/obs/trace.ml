@@ -69,6 +69,45 @@ let stage_totals spans =
       (name, total, calls))
     !order
 
+(* A span's self time: its duration minus the union of its children's
+   intervals, each clipped to the span's own. Parexec grafts the spans
+   of parallel tasks under the open span, so children can overlap; they
+   are merged in start order rather than summed. *)
+let self_us (sp : Span.t) =
+  let lo = sp.Span.start_us and hi = sp.Span.start_us +. sp.Span.dur_us in
+  let intervals =
+    List.filter_map
+      (fun (c : Span.t) ->
+        let a = Float.max lo c.Span.start_us
+        and b = Float.min hi (c.Span.start_us +. c.Span.dur_us) in
+        if b > a then Some (a, b) else None)
+      sp.Span.children
+    |> List.sort compare
+  in
+  let covered, _ =
+    List.fold_left
+      (fun (acc, reach) (a, b) ->
+        let a = Float.max a reach in
+        if b > a then (acc +. (b -. a), b) else (acc, reach))
+      (0.0, neg_infinity) intervals
+  in
+  Float.max 0.0 (sp.Span.dur_us -. covered)
+
+let collapsed spans =
+  let tbl = Hashtbl.create 64 in
+  let rec visit prefix (sp : Span.t) =
+    let stack = match prefix with None -> sp.Span.name | Some p -> p ^ ";" ^ sp.Span.name in
+    let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl stack) in
+    Hashtbl.replace tbl stack (prev +. self_us sp);
+    List.iter (visit (Some stack)) sp.Span.children
+  in
+  List.iter (visit None) spans;
+  Hashtbl.fold
+    (fun stack us acc ->
+      match Float.to_int (Float.round us) with 0 -> acc | n -> (stack, n) :: acc)
+    tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
 let fmt_dur us =
   if us >= 1e6 then Printf.sprintf "%.2fs" (us /. 1e6)
   else if us >= 1e3 then Printf.sprintf "%.1fms" (us /. 1e3)

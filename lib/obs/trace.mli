@@ -33,6 +33,16 @@ val stage_totals : t -> (string * float * int) list
     of the same name each contribute, so a recursive stage's total can
     exceed its outermost duration. *)
 
+val collapsed : t -> (string * int) list
+(** The collapsed-stack profile of the tree (flamegraph.pl / speedscope
+    / inferno input, one ["root;child;leaf N"] line per entry): the self
+    time of every root-first [';']-joined name path, in integer µs,
+    summed over the spans on that path, sorted by stack. A span's self
+    time is its duration minus the union of its children's intervals
+    (the spans of parallel tasks, grafted under one parent, overlap),
+    never negative.
+    Paths whose self time rounds to 0 µs are left out. *)
+
 val summary : t -> string
 (** Human-readable tree: per-span duration, share of the parent's
     duration, and attributes. *)

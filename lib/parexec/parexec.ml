@@ -124,19 +124,15 @@ let map t f xs =
     let busy_w = Array.make workers 0.0 in
     let map_t0 = Obs.Clock.now_us () in
     let next = Atomic.make 0 in
-    let run_worker w =
-      Obs.Span.with_publish_slot (fun () ->
-          let rec loop () =
-            let i = Atomic.fetch_and_add next 1 in
-            if i < n then begin
-              let t0 = Obs.Clock.now_us () in
-              run_task i;
-              busy_w.(w) <- busy_w.(w) +. (Obs.Clock.now_us () -. t0);
-              tasks_w.(w) <- tasks_w.(w) + 1;
-              loop ()
-            end
-          in
-          loop ())
+    let rec run_worker w =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        let t0 = Obs.Clock.now_us () in
+        run_task i;
+        busy_w.(w) <- busy_w.(w) +. (Obs.Clock.now_us () -. t0);
+        tasks_w.(w) <- tasks_w.(w) + 1;
+        run_worker w
+      end
     in
     if workers <= 1 then run_worker 0
     else begin

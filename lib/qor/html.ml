@@ -221,7 +221,7 @@ let frame_tree profile =
 
 let flamegraph_svg profile =
   let root = frame_tree profile in
-  if root.fr_total = 0 then "<p class=\"meta\">(no profile samples)</p>"
+  if root.fr_total = 0 then "<p class=\"meta\">(empty profile)</p>"
   else begin
     let width = 700.0 and row_h = 17 in
     let rec depth_of f =
@@ -239,14 +239,11 @@ let flamegraph_svg profile =
       let y = depth * row_h in
       let w = width *. float_of_int f.fr_total /. float_of_int root.fr_total in
       if f.fr_name <> "" && w >= 0.5 then begin
-        let fill =
-          if f.fr_name = "(idle)" then "#d4d8e0"
-          else palette.(Hashtbl.hash f.fr_name mod Array.length palette)
-        in
+        let fill = palette.(Hashtbl.hash f.fr_name mod Array.length palette) in
         Buffer.add_string buf
           (Printf.sprintf
              "<g><rect x=\"%.1f\" y=\"%d\" width=\"%.1f\" height=\"%d\" fill=\"%s\" \
-              stroke=\"#fff\" stroke-width=\"0.5\"/><title>%s (%d samples, %.1f%%)</title>"
+              stroke=\"#fff\" stroke-width=\"0.5\"/><title>%s (%d µs, %.1f%%)</title>"
              x y w (row_h - 1) fill (escape f.fr_name) f.fr_total
              (100.0 *. float_of_int f.fr_total /. float_of_int root.fr_total));
         if w > 40.0 then
@@ -322,7 +319,7 @@ let perf_section buf (r : Record.t) =
       Buffer.add_string buf "</table>\n");
     if p.Record.profile <> [] then begin
       Buffer.add_string buf
-        "<h3>Sampled profile <span class=\"meta\">(wall-clock span samples, \
+        "<h3>Span profile <span class=\"meta\">(span self time in µs, \
          collapsed-stack)</span></h3>\n";
       Buffer.add_string buf (flamegraph_svg p.Record.profile);
       Buffer.add_string buf "\n"

@@ -213,6 +213,16 @@ let stages_of spans =
       (fun (stage_name, total_us, calls) -> { stage_name; total_us; calls })
       (Obs.Trace.stage_totals spans)
 
+(* The span of one flow's run in an eval trace. *)
+let rec flow_span flow spans =
+  List.find_map
+    (fun (sp : Obs.Span.t) ->
+      if sp.Obs.Span.name = "evalflow.flow"
+         && List.assoc_opt "flow" sp.Obs.Span.attrs = Some flow
+      then Some sp
+      else flow_span flow sp.Obs.Span.children)
+    spans
+
 let gc_of registry =
   match registry with
   | None -> None
@@ -289,7 +299,7 @@ let of_place ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
     perf;
     cost_breakdown = cost_breakdown_of_top registry r.Hidap.top }
 
-let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
+let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans
     ?(degradations = []) (res : Evalflow.circuit_result) =
   let die = Hidap.die_for flat ~config in
   List.map
@@ -332,8 +342,10 @@ let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
         displacement;
         sa_moves = run.Evalflow.sa_moves;
         sa_curve = sa_curve_of run.Evalflow.winner_metrics;
-        stages = (if is_hidap then stages_of spans else []);
-        gc = (if is_hidap then gc_of registry else None);
+        stages =
+          stages_of
+            (Option.map (fun sp -> [ sp ]) (Option.bind spans (flow_span flow)));
+        gc = gc_of run.Evalflow.winner_metrics;
         die;
         macros;
         levels = [];

@@ -77,7 +77,9 @@ type perf_info = {
   pool_wall_us : float;
   pool_maps : int;
   profile : (string * int) list;
-      (** collapsed-stack profile lines from {!Obs.Sampler}: (stack, samples) *)
+      (** collapsed-stack profile from {!Obs.Trace.collapsed}: (stack,
+          span self time in µs); empty unless the run wrote
+          [--profile-out] *)
 }
 
 type pair_contrib = {
@@ -141,7 +143,7 @@ type t = {
           checkpoint (including every pre-v2 record) *)
   perf : perf_info option;
       (** hot-path performance section (perf counters, pool utilization,
-          sampled profile); [None] when the run was not instrumented.
+          span profile); [None] when the run was not instrumented.
           Added as a backward-compatible field — no version bump. *)
   cost_breakdown : cost_breakdown option;
       (** exact cost-term attribution of the top-level instance (v3);
@@ -172,16 +174,16 @@ val of_eval :
   flat:Netlist.Flat.t ->
   config:Hidap.Config.t ->
   ?spans:Obs.Trace.t ->
-  ?registry:Obs.Metrics.t ->
   ?degradations:Guard.Supervisor.entry list ->
   Evalflow.circuit_result ->
   t list
 (** One record per flow of an {!Evalflow.run_all} result, each carrying
-    its macro displacement against the other flows. The HiDaP record
-    carries the winning λ's SA move count and level-0 SA curve (from
-    [Evalflow.run.winner_metrics]), as {!of_place} of a placement at
-    that λ does, plus the trace/metrics attachments; the other flows
-    record 0 moves and no curve. *)
+    its macro displacement against the other flows. Each record's stage
+    times come from its own flow's ["evalflow.flow"] span in [spans].
+    The HiDaP record carries the winning λ's SA move count, level-0 SA
+    curve and [Gc] gauges (from [Evalflow.run.winner_metrics]), as
+    {!of_place} of a placement at that λ does, and the degradations;
+    the other flows record 0 moves, no curve and no GC. *)
 
 val perf_info_json : perf_info -> Obs.Jsonx.t
 (** The ["perf"] sub-object of {!to_json}, exposed for standalone

@@ -372,45 +372,80 @@ let test_telemetry_no_per_move_work () =
     Alcotest.failf "perf + metrics added %.0f minor words over %d plateaus (bound %d)"
       both_extra plateaus (300 * plateaus)
 
-(* The sampler's collapsed-stack output: root-first stacks joined with
-   ';', "(idle)" for an empty stack, sorted buckets, positive counts. *)
-let test_sampler_collapsed_stacks () =
-  Alcotest.(check string) "empty stack is idle" "(idle)" (Obs.Sampler.collapse []);
-  Alcotest.(check string) "innermost-first input collapses root-first"
-    "root;mid;leaf"
-    (Obs.Sampler.collapse [ "leaf"; "mid"; "root" ]);
-  Alcotest.(check (list string)) "one line per bucket"
-    [ "hidap.place;floorplan.run 41"; "(idle) 3" ]
-    (Obs.Sampler.to_collapsed_lines
-       [ ("hidap.place;floorplan.run", 41); ("(idle)", 3) ]);
-  (* live run: sample deterministically via sample_now inside a nested
-     span, plus stop's forced final sample outside any span *)
-  Trace.start ();
-  Obs.Sampler.start ~interval_ms:1000.0 ();
-  let samples =
+(* A hand-built span; times in µs. *)
+let span ?(children = []) name ~start ~dur =
+  { Span.name; attrs = []; start_us = start; dur_us = dur; children }
+
+(* The span profile: self time per root-first path, children's
+   intervals counted as their union, zero weights left out, sorted. *)
+let test_span_profile () =
+  let profile = Alcotest.(list (pair string int)) in
+  let nested =
+    span "root" ~start:0.0 ~dur:100.0
+      ~children:
+        [ span "b" ~start:10.0 ~dur:30.0 ~children:[ span "c" ~start:20.0 ~dur:5.0 ];
+          span "a" ~start:50.0 ~dur:20.0;
+          span "b" ~start:80.0 ~dur:10.0 ]
+  in
+  Alcotest.check profile "nested self times, one line per path, sorted"
+    [ ("root", 40); ("root;a", 20); ("root;b", 35); ("root;b;c", 5) ]
+    (Trace.collapsed [ nested ]);
+  (* Two parallel tasks grafted under one span overlap on [30, 60): the
+     parent loses their union (70 µs), not their sum (100 µs). *)
+  let overlapping =
+    span "level" ~start:0.0 ~dur:100.0
+      ~children:[ span "task" ~start:10.0 ~dur:50.0; span "task" ~start:30.0 ~dur:50.0 ]
+  in
+  Alcotest.check profile "overlapping children count as their union"
+    [ ("level", 30); ("level;task", 100) ]
+    (Trace.collapsed [ overlapping ]);
+  (* Children covering the parent, one reaching past its end: the
+     parent's self time is 0, not negative, and its line is left out;
+     so is a span shorter than half a microsecond. *)
+  let covered =
+    span "level" ~start:0.0 ~dur:40.0
+      ~children:
+        [ span "task" ~start:0.0 ~dur:40.0; span "task" ~start:0.0 ~dur:60.0;
+          span "blip" ~start:5.0 ~dur:0.4 ]
+  in
+  Alcotest.check profile "zero-weight stacks left out"
+    [ ("level;task", 100) ]
+    (Trace.collapsed [ covered ]);
+  Alcotest.check profile "no spans, no profile" [] (Trace.collapsed [])
+
+(* The live profile of c1: the same stacks for every job count, and the
+   annealing (self time of the floorplan instances) carries most of the
+   weight. *)
+let test_span_profile_live () =
+  let c = Option.get (Circuitgen.Suite.find "c1") in
+  let flat = Netlist.Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
+  let profile jobs =
+    let config =
+      { (Hidap.Config.with_lambda Hidap.Config.default 0.5) with Hidap.Config.jobs }
+    in
+    Trace.start ();
     Fun.protect
       ~finally:(fun () -> ignore (Trace.finish ()))
       (fun () ->
-        Span.with_ ~name:"outer" (fun () ->
-            Span.with_ ~name:"inner" (fun () -> Obs.Sampler.sample_now ()));
-        Obs.Sampler.stop ())
+        ignore (Hidap.place ~config flat : Hidap.result);
+        Trace.collapsed (Trace.finish ()))
   in
-  Alcotest.(check bool) "sampler stopped" false (Obs.Sampler.running ());
-  Alcotest.(check bool) "captured samples" true (samples <> []);
-  let stacks = List.map fst samples in
-  Alcotest.(check (list string)) "buckets sorted by stack"
-    (List.sort compare stacks) stacks;
+  let p1 = profile 1 and p2 = profile 2 in
+  Alcotest.(check (list string)) "same stacks at jobs 1 and 2" (List.map fst p1)
+    (List.map fst p2);
   List.iter
-    (fun (stack, n) ->
-      Alcotest.(check bool) (stack ^ ": positive count") true (n > 0);
-      Alcotest.(check bool) (stack ^ ": no empty frames") true
-        (stack <> ""
-        && List.for_all
-             (fun f -> f <> "")
-             (String.split_on_char ';' stack)))
-    samples;
-  Alcotest.(check bool) "sample_now saw the nested stack" true
-    (List.mem_assoc "outer;inner" samples)
+    (fun (jobs, p) ->
+      let total = List.fold_left (fun acc (_, us) -> acc + us) 0 p in
+      let level =
+        List.fold_left
+          (fun acc (stack, us) ->
+            if List.mem "floorplan.level" (String.split_on_char ';' stack) then acc + us
+            else acc)
+          0 p
+      in
+      if 2 * level <= total then
+        Alcotest.failf "jobs=%d: floorplan.level stacks carry %d of %d us" jobs level total)
+    [ (1, p1); (2, p2) ]
 
 (* Every progress line must parse back through Jsonx with the standard
    envelope and the documented per-event fields (DESIGN.md §12). *)
@@ -537,8 +572,9 @@ let suite =
         Alcotest.test_case "registry merge" `Quick test_registry_merge;
         Alcotest.test_case "global registry gating" `Quick test_global_gating;
         Alcotest.test_case "sa plateau observer" `Quick test_sa_observer;
-        Alcotest.test_case "sampler collapsed stacks" `Quick
-          test_sampler_collapsed_stacks;
+        Alcotest.test_case "span profile self times" `Quick test_span_profile;
+        Alcotest.test_case "span profile of a c1 placement" `Slow
+          test_span_profile_live;
         Alcotest.test_case "progress stream NDJSON round-trip" `Quick
           test_stream_ndjson_roundtrip;
         Alcotest.test_case "emit/disable race leaves no torn lines" `Slow

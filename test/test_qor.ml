@@ -178,7 +178,9 @@ let sample_record () =
               { Record.pw_tasks = 4; pw_steals = 4; pw_busy_us = 1.1e6 } ];
           pool_wall_us = 2.0e6;
           pool_maps = 2;
-          profile = [ ("hidap.place;floorplan.run", 41); ("(idle)", 3) ] };
+          profile =
+            [ ("hidap.place;floorplan.run", 41_250); ("hidap.place;seqgraph.build", 1_544) ]
+        };
     cost_breakdown =
       Some
         { Record.cb_total = 1234.5;
@@ -441,6 +443,55 @@ let test_html_report () =
   contains "ram";
   contains "rom"
 
+(* Each eval record describes its own flow: the HiDaP record's stages
+   are its own flow span (one evalflow.flow, one measurement per λ
+   candidate, no elaboration and nothing of IndEDA's), and its GC is
+   the winning candidate's snapshot. *)
+let test_eval_record_own_flow () =
+  let config = Hidap.Config.default in
+  let ev =
+    Qor.Run.eval ~config (fun () ->
+        ("fig1", Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ())))
+  in
+  let record flow =
+    List.find (fun (r : Record.t) -> r.Record.flow = flow) ev.Qor.Run.records
+  in
+  let calls (r : Record.t) name =
+    match List.find_opt (fun (s : Record.stage) -> s.Record.stage_name = name) r.Record.stages with
+    | Some s -> s.Record.calls
+    | None -> 0
+  in
+  let hidap = record "HiDaP" and indeda = record "IndEDA" in
+  List.iter
+    (fun (what, r, name, n) -> Alcotest.(check int) (what ^ " " ^ name) n (calls r name))
+    [ ("HiDaP", hidap, "evalflow.flow", 1);
+      ("HiDaP", hidap, "evalflow.measure", List.length config.Hidap.Config.lambda_sweep);
+      ("HiDaP", hidap, "netlist.elaborate", 0);
+      ("IndEDA", indeda, "evalflow.flow", 1);
+      ("IndEDA", indeda, "evalflow.measure", 1);
+      ("IndEDA", indeda, "floorplan.run", 0) ];
+  let winner =
+    List.find
+      (fun (r : Evalflow.run) -> r.Evalflow.kind = Evalflow.HiDaP)
+      ev.Qor.Run.result.Evalflow.runs
+  in
+  let reg = Option.get winner.Evalflow.winner_metrics in
+  let gauge name = Metrics.gauge_value reg ("gc." ^ name) in
+  (match hidap.Record.gc with
+  | None -> Alcotest.fail "HiDaP eval record has no GC snapshot"
+  | Some g ->
+    List.iter
+      (fun (name, v) ->
+        Alcotest.(check (option (float 0.0))) ("gc." ^ name ^ " of the winner") (gauge name)
+          (Some v))
+      [ ("minor_words", g.Obs.Gcstats.minor_words);
+        ("promoted_words", g.Obs.Gcstats.promoted_words);
+        ("major_words", g.Obs.Gcstats.major_words);
+        ("minor_collections", float_of_int g.Obs.Gcstats.minor_collections);
+        ("major_collections", float_of_int g.Obs.Gcstats.major_collections);
+        ("heap_words", float_of_int g.Obs.Gcstats.heap_words) ]);
+  Alcotest.(check bool) "IndEDA anneals nothing, records no GC" true (indeda.Record.gc = None)
+
 let suite =
   [ ( "qor",
       [ Alcotest.test_case "jsonx escape round-trip" `Quick test_escape_roundtrip;
@@ -455,4 +506,6 @@ let suite =
         Alcotest.test_case "gate flags a flow with no run" `Quick test_gate_no_run;
         Alcotest.test_case "baseline json round-trip" `Quick
           test_baseline_json_roundtrip;
-        Alcotest.test_case "html report" `Quick test_html_report ] ) ]
+        Alcotest.test_case "html report" `Quick test_html_report;
+        Alcotest.test_case "eval record describes its own flow" `Slow
+          test_eval_record_own_flow ] ) ]
