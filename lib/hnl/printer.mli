@@ -4,3 +4,7 @@
 val to_string : Netlist.Design.t -> string
 
 val write_file : string -> Netlist.Design.t -> unit
+
+val fmt_float : float -> string
+(** The shortest [%.{p}g] text, [p] from 6 up to 17, that reads back as
+    the same float. *)

@@ -46,6 +46,34 @@ let test_stats_pp () =
   let text = Format.asprintf "%a" Netlist.Stats.pp s in
   Alcotest.(check bool) "mentions macros" true (contains ~affix:"16 macros" text)
 
+(* Node, edge and net counts, the longest combinational path and the
+   fanout of c1-c8 as [hidap stats -c cN] computes them. The comb depth
+   runs a topological order over [Digraph.map_nodes] of Gnet. Pinned
+   before Gnet moved to compressed sparse rows. *)
+let stats_golden =
+  [ ("c1", "nodes 5408 nets 5856 edges 6384 depth 1984 fanout max 6 avg 0x1.1988aa66edep+0");
+    ("c2", "nodes 40052 nets 42280 edges 47152 depth 4851 fanout max 9 avg 0x1.1e85cb447a173p+0");
+    ("c3", "nodes 38352 nets 40442 edges 45026 depth 4681 fanout max 9 avg 0x1.1e15cb1fb631dp+0");
+    ("c4", "nodes 48940 nets 52122 edges 59066 depth 4160 fanout max 10 avg 0x1.236893e3ccabbp+0");
+    ("c5", "nodes 14364 nets 16311 edges 18519 depth 889 fanout max 7 avg 0x1.25271169ae109p+0");
+    ("c6", "nodes 29100 nets 30750 edges 36190 depth 4348 fanout max 7 avg 0x1.2e5248c2cf16cp+0");
+    ("c7", "nodes 17004 nets 18592 edges 20368 depth 2102 fanout max 7 avg 0x1.19c5de7e6a7ebp+0");
+    ("c8", "nodes 22260 nets 22923 edges 24423 depth 9411 fanout max 7 avg 0x1.1180df9d180ep+0") ]
+
+let stats_line (s : Netlist.Stats.t) =
+  Printf.sprintf "nodes %d nets %d edges %d depth %d fanout max %d avg %h"
+    s.Netlist.Stats.nodes s.Netlist.Stats.nets s.Netlist.Stats.edges
+    s.Netlist.Stats.comb_depth s.Netlist.Stats.max_fanout s.Netlist.Stats.avg_fanout
+
+let test_stats_golden () =
+  List.iter
+    (fun (name, expected) ->
+      let c = Option.get (Circuitgen.Suite.find name) in
+      let flat = Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
+      Alcotest.(check string) (name ^ " stats") expected
+        (stats_line (Netlist.Stats.compute flat)))
+    stats_golden
+
 (* ---- dot ------------------------------------------------------------ *)
 
 let test_dot_hierarchy () =
@@ -161,7 +189,8 @@ let suite =
   [ ( "netlist.stats",
       [ Alcotest.test_case "counts" `Quick test_stats_counts;
         Alcotest.test_case "comb depth" `Quick test_stats_comb_depth_chain;
-        Alcotest.test_case "pretty print" `Quick test_stats_pp ] );
+        Alcotest.test_case "pretty print" `Quick test_stats_pp;
+        Alcotest.test_case "golden c1-c8" `Quick test_stats_golden ] );
     ( "viz.dot",
       [ Alcotest.test_case "hierarchy" `Quick test_dot_hierarchy;
         Alcotest.test_case "seqgraph" `Quick test_dot_seqgraph ] );

@@ -224,13 +224,44 @@ let test_roundtrip_suite () =
 let printed_digests =
   [ ("c1", "ef366e5ad6de6b53d1f98c68c6718aaa"); ("c5", "351228c6a89d69c6ac908ff71ff3bf68") ]
 
-let test_printer_digest () =
+(* The same for the other suite circuits and the fig1 and fig2
+   designs, pinned from the Printf-based printer before it was replaced
+   by one that writes strings and characters straight to the buffer. *)
+let more_printed_digests =
+  [ ("c2", "4b923b32bc00c2ee6dba6f57f4673720"); ("c3", "fe9ae72f380a78e79940a5ca5daf259c");
+    ("c4", "4d16316c01d27218940fce56f9d5a88e"); ("c6", "6dac2bcaf27103788f625802d1030716");
+    ("c7", "e6242ad129869d5fdb39a4c33a9664ec"); ("c8", "c22a834bf456cd354a031a3cfc2b2d5b");
+    ("fig1", "b0f191f3202f7850fb65d0bcaa4d5ee2"); ("fig2", "8e32621722a737ee8c29745fe51631d5") ]
+
+let printed_design = function
+  | "fig1" -> Circuitgen.Suite.fig1_design ()
+  | "fig2" -> Circuitgen.Suite.fig2_system ()
+  | name -> seed1_design name
+
+let check_printed_digests digests () =
   List.iter
     (fun (name, digest) ->
-      let text = Hnl.Printer.to_string (seed1_design name) in
+      let text = Hnl.Printer.to_string (printed_design name) in
       Alcotest.(check string) (name ^ " printed digest") digest
         (Digest.to_hex (Digest.string text)))
-    printed_digests
+    digests
+
+(* The printer's shortest round-tripping decimal against the search it
+   is defined by: the first [%.{p}g], p = 6 .. 17, that reads back as
+   the same float. *)
+let reference_fmt_float f =
+  let rec search p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else search (p + 1)
+  in
+  search 6
+
+let test_fmt_float () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (reference_fmt_float f)
+        (Hnl.Printer.fmt_float f))
+    [ 0.0; -0.0; 8.0; 999999.0; 1e6; 1234567.0; 2.5e6; 1e15; 0.1; 1.0 /. 3.0; -42.0; 0.5 ]
 
 let suite =
   [ ( "hnl.lexer",
@@ -256,4 +287,8 @@ let suite =
         Alcotest.test_case "fig2 system" `Quick test_roundtrip_fig2;
         Alcotest.test_case "suite c1/c5" `Quick test_roundtrip_suite;
         Alcotest.test_case "signed exponents" `Quick test_roundtrip_exponents;
-        Alcotest.test_case "printed c1/c5 digest" `Quick test_printer_digest ] ) ]
+        Alcotest.test_case "printed c1/c5 digest" `Quick
+          (check_printed_digests printed_digests);
+        Alcotest.test_case "printed c2-c4, c6-c8, fig1, fig2 digest" `Quick
+          (check_printed_digests more_printed_digests) ] );
+    ("hnl.printer", [ Alcotest.test_case "fmt_float" `Quick test_fmt_float ]) ]

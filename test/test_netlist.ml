@@ -263,7 +263,14 @@ let flat_digest (f : Flat.t) =
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let test_elaboration_digest () =
+(* The same for the other suite circuits, pinned before Gnet moved to
+   compressed sparse rows and the builder to one flat pin table. *)
+let more_elaboration_digests =
+  [ ("c2", "09bd07b70809a9dc9583daf8a6130830"); ("c3", "e225a47c1c066c355c74854b44e6a694");
+    ("c4", "8ded8ed4c9d966be0fa02a1d731cfff5"); ("c6", "03ff551dded19b773067a078eff08577");
+    ("c7", "796557b7379f07bf4b4dddeed7f33260"); ("c8", "eea11746e405bbe375166ab20a3581c1") ]
+
+let check_elaboration_digests digests () =
   List.iter
     (fun (name, digest) ->
       let c = Option.get (Circuitgen.Suite.find name) in
@@ -273,7 +280,7 @@ let test_elaboration_digest () =
       let text = Hnl.Printer.to_string (Circuitgen.Gen.generate params) in
       let f = Flat.elaborate (Hnl.Parser.parse_exn text) in
       Alcotest.(check string) (name ^ " elaboration digest") digest (flat_digest f))
-    elaboration_digests
+    digests
 
 let suite =
   [ ( "netlist.design",
@@ -298,6 +305,9 @@ let suite =
         Alcotest.test_case "kinds" `Quick test_elab_kinds;
         Alcotest.test_case "invalid design raises" `Quick test_elab_invalid_raises;
         Alcotest.test_case "net pins consistent" `Quick test_elab_net_pins;
-        Alcotest.test_case "golden c1/c5 elaboration digest" `Quick test_elaboration_digest;
+        Alcotest.test_case "golden c1/c5 elaboration digest" `Quick
+          (check_elaboration_digests elaboration_digests);
+        Alcotest.test_case "golden c2-c4, c6-c8 elaboration digest" `Quick
+          (check_elaboration_digests more_elaboration_digests);
         Alcotest.test_case "generated designs validate" `Slow
           test_generated_designs_validate ] ) ]
