@@ -89,16 +89,23 @@ let spread ~flat ~xs ~ys ~movable ~die ~macro_rects ~s =
         ~y:(die.Rect.y +. (float_of_int j *. bin_h))
         ~w:bin_w ~h:bin_h
     in
-    let cap = Array.make_matrix s s 0.0 in
-    for i = 0 to s - 1 do
-      for j = 0 to s - 1 do
-        let r = bin_rect i j in
-        let blocked =
-          List.fold_left (fun acc mr -> acc +. Rect.intersection_area r mr) 0.0 macro_rects
-        in
-        cap.(i).(j) <- max 0.0 (Rect.area r -. blocked) *. max_bin_utilization
-      done
-    done;
+    (* per bin, the macro area on it: each macro adds to the bins it
+       can overlap, in list order *)
+    let blocked = Array.make_matrix s s 0.0 in
+    List.iter
+      (fun mr ->
+        let i0, i1, j0, j1 = Rect.grid_range mr ~grid:die ~bins:s in
+        for i = i0 to i1 do
+          for j = j0 to j1 do
+            blocked.(i).(j) <- blocked.(i).(j) +. Rect.intersection_area (bin_rect i j) mr
+          done
+        done)
+      macro_rects;
+    let cap =
+      Array.init s (fun i ->
+          Array.init s (fun j ->
+              max 0.0 (Rect.area (bin_rect i j) -. blocked.(i).(j)) *. max_bin_utilization))
+    in
     let bin_of fid =
       let i = int_of_float ((xs.(fid) -. die.Rect.x) /. bin_w) in
       let j = int_of_float ((ys.(fid) -. die.Rect.y) /. bin_h) in
@@ -372,8 +379,9 @@ let density_map t ~flat ~macros ~bins =
     flat.Flat.nodes;
   List.iter
     (fun m ->
-      for i = 0 to s - 1 do
-        for j = 0 to s - 1 do
+      let i0, i1, j0, j1 = Rect.grid_range m.rect ~grid:die ~bins:s in
+      for i = i0 to i1 do
+        for j = j0 to j1 do
           let r =
             Rect.make
               ~x:(die.Rect.x +. (float_of_int i *. bin_w))

@@ -60,8 +60,10 @@ let estimate ?(params = default_params) ~flat ~positions ~die ?(macros = []) () 
   let routable = Array.make_matrix s s 1.0 in
   List.iter
     (fun (m : Rect.t) ->
-      for i = 0 to s - 1 do
-        for j = 0 to s - 1 do
+      (* a bin [m] does not overlap keeps its routable fraction *)
+      let i0, i1, j0, j1 = Rect.grid_range m ~grid:die ~bins:s in
+      for i = i0 to i1 do
+        for j = j0 to j1 do
           let r =
             Rect.make
               ~x:(die.Rect.x +. (float_of_int i *. bin_w))

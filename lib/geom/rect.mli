@@ -23,6 +23,13 @@ val overlaps : t -> t -> bool
 
 val intersection_area : t -> t -> float
 
+val grid_range : t -> grid:t -> bins:int -> int * int * int * int
+(** [grid_range r ~grid ~bins] is [(i0, i1, j0, j1)]: the columns
+    [i0 .. i1] and rows [j0 .. j1] of the [bins] x [bins] grid over
+    [grid] that [r] can overlap, widened by one bin on each side so that
+    rounding cannot leave one out. Every bin outside the range has zero
+    intersection area with [r]. *)
+
 val union_bbox : t -> t -> t
 
 val inset : t -> float -> t

@@ -1,60 +1,66 @@
-(* Adjacency lists as growable int arrays, one pair per node. *)
+(* Compressed sparse rows, built once: the successors of [u] are
+   [fwd.(fwd_off.(u)) .. fwd.(fwd_off.(u + 1) - 1)], its predecessors
+   likewise in [bwd], each in edge order. *)
+type t = { fwd_off : int array; fwd : int array; bwd_off : int array; bwd : int array }
 
-type adj = { mutable data : int array; mutable len : int }
+let rows n ~key ~value =
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun k -> off.(k + 1) <- off.(k + 1) + 1) key;
+  for k = 1 to n do
+    off.(k) <- off.(k) + off.(k - 1)
+  done;
+  let next = Array.sub off 0 n in
+  let vals = Array.make (Array.length key) 0 in
+  Array.iteri
+    (fun i k ->
+      vals.(next.(k)) <- value.(i);
+      next.(k) <- next.(k) + 1)
+    key;
+  (off, vals)
 
-type t = { fwd : adj array; bwd : adj array; mutable edges : int }
+let of_edges n ~src ~dst =
+  if Array.length src <> Array.length dst then
+    invalid_arg "Digraph.of_edges: src and dst differ in length";
+  let in_range v = v >= 0 && v < n in
+  if not (Array.for_all in_range src && Array.for_all in_range dst) then
+    invalid_arg "Digraph.of_edges: node out of range";
+  let fwd_off, fwd = rows n ~key:src ~value:dst in
+  let bwd_off, bwd = rows n ~key:dst ~value:src in
+  { fwd_off; fwd; bwd_off; bwd }
 
-let empty_adj () = { data = [||]; len = 0 }
+let node_count t = Array.length t.fwd_off - 1
 
-let create n =
-  { fwd = Array.init n (fun _ -> empty_adj ());
-    bwd = Array.init n (fun _ -> empty_adj ());
-    edges = 0 }
+let edge_count t = Array.length t.fwd
 
-let node_count t = Array.length t.fwd
+let slice off ends u = List.init (off.(u + 1) - off.(u)) (fun i -> ends.(off.(u) + i))
 
-let edge_count t = t.edges
+let succ t u = slice t.fwd_off t.fwd u
 
-let adj_push a v =
-  let cap = Array.length a.data in
-  if a.len = cap then begin
-    let nd = Array.make (max 4 (cap * 2)) 0 in
-    Array.blit a.data 0 nd 0 a.len;
-    a.data <- nd
-  end;
-  a.data.(a.len) <- v;
-  a.len <- a.len + 1
+let pred t v = slice t.bwd_off t.bwd v
 
-let add_edge t u v =
-  adj_push t.fwd.(u) v;
-  adj_push t.bwd.(v) u;
-  t.edges <- t.edges + 1
-
-let adj_list a = Array.to_list (Array.sub a.data 0 a.len)
-
-let succ t u = adj_list t.fwd.(u)
-
-let pred t v = adj_list t.bwd.(v)
-
-let adj_iter a f =
-  for i = 0 to a.len - 1 do
-    f a.data.(i)
+let succ_iter t u f =
+  for q = t.fwd_off.(u) to t.fwd_off.(u + 1) - 1 do
+    f t.fwd.(q)
   done
 
-let succ_iter t u f = adj_iter t.fwd.(u) f
+let pred_iter t v f =
+  for q = t.bwd_off.(v) to t.bwd_off.(v + 1) - 1 do
+    f t.bwd.(q)
+  done
 
-let pred_iter t v f = adj_iter t.bwd.(v) f
+let out_degree t u = t.fwd_off.(u + 1) - t.fwd_off.(u)
 
-let out_degree t u = t.fwd.(u).len
+let in_degree t v = t.bwd_off.(v + 1) - t.bwd_off.(v)
 
-let in_degree t v = t.bwd.(v).len
-
-let transpose t =
-  let g = create (node_count t) in
+(* The source of each edge, in [fwd] order. *)
+let sources t =
+  let src = Array.make (edge_count t) 0 in
   for u = 0 to node_count t - 1 do
-    succ_iter t u (fun v -> add_edge g v u)
+    Array.fill src t.fwd_off.(u) (out_degree t u) u
   done;
-  g
+  src
+
+let transpose t = of_edges (node_count t) ~src:t.fwd ~dst:(sources t)
 
 let map_nodes t ~keep =
   let n = node_count t in
@@ -67,15 +73,12 @@ let map_nodes t ~keep =
     end
   done;
   let old_of_new = Array.make !count 0 in
-  for v = 0 to n - 1 do
-    if new_of_old.(v) >= 0 then old_of_new.(new_of_old.(v)) <- v
-  done;
-  let sub = create !count in
-  for u = 0 to n - 1 do
-    let nu = new_of_old.(u) in
-    if nu >= 0 then
-      succ_iter t u (fun v ->
-          let nv = new_of_old.(v) in
-          if nv >= 0 then add_edge sub nu nv)
-  done;
-  (sub, old_of_new, new_of_old)
+  Array.iteri (fun v nv -> if nv >= 0 then old_of_new.(nv) <- v) new_of_old;
+  let src = sources t in
+  let kept =
+    List.init (edge_count t) Fun.id
+    |> List.filter (fun e -> new_of_old.(src.(e)) >= 0 && new_of_old.(t.fwd.(e)) >= 0)
+    |> Array.of_list
+  in
+  let renamed ends = Array.map (fun e -> new_of_old.(ends.(e))) kept in
+  (of_edges !count ~src:(renamed src) ~dst:(renamed t.fwd), old_of_new, new_of_old)

@@ -88,9 +88,8 @@ let bindings lx =
   in
   loop []
 
-(* After "flop" or "comb": IDENT ["area" NUM] pins *)
-let std_cell lx kind =
-  let name = ident lx in
+(* ["area" NUM] pins: a cell's optional area, then its pins *)
+let cell_rest lx ~name ~kind =
   let area =
     match peek lx with
     | Lexer.Kw_area ->
@@ -100,6 +99,17 @@ let std_cell lx kind =
   in
   let ins, outs = pins lx in
   D.cell ~name ~kind ?area ~ins ~outs ()
+
+(* After "flop" or "comb": IDENT ["area" NUM] pins *)
+let std_cell lx kind = cell_rest lx ~name:(ident lx) ~kind
+
+(* After "macro": IDENT "size" NUM NUM ["area" NUM] pins *)
+let macro lx =
+  let name = ident lx in
+  expect lx Lexer.Kw_size;
+  let w = number lx in
+  let h = number lx in
+  cell_rest lx ~name ~kind:(D.make_macro ~w ~h)
 
 let module_ lx =
   expect lx Lexer.Kw_module;
@@ -117,12 +127,7 @@ let module_ lx =
       loop (p :: ports) cells insts
     | Lexer.Kw_macro ->
       advance lx;
-      let name = ident lx in
-      expect lx Lexer.Kw_size;
-      let w = number lx in
-      let h = number lx in
-      let ins, outs = pins lx in
-      let c = D.cell ~name ~kind:(D.make_macro ~w ~h) ~ins ~outs () in
+      let c = macro lx in
       loop ports (c :: cells) insts
     | Lexer.Kw_flop ->
       advance lx;

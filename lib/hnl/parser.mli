@@ -6,7 +6,7 @@
     module  := "module" IDENT "{" item* "}"
     item    := "input" IDENT
              | "output" IDENT
-             | "macro" IDENT "size" NUM NUM pins
+             | "macro" IDENT "size" NUM NUM ["area" NUM] pins
              | "flop" IDENT ["area" NUM] pins
              | "comb" IDENT ["area" NUM] pins
              | "inst" IDENT ":" IDENT "(" [binding ("," binding)*] ")"

@@ -1,48 +1,82 @@
 module D = Netlist.Design
 
-(* Shortest decimal that round-trips to the same float. *)
+(* Shortest decimal that round-trips to the same float. An integral
+   value below 1e6 in magnitude, other than -0, is its decimal digits:
+   [%.6g] prints exactly those, and it switches to [1e+06] at 1e6. *)
 let fmt_float f =
-  let try_prec p =
-    let s = Printf.sprintf "%.*g" p f in
-    if float_of_string s = f then Some s else None
-  in
-  let rec search p = if p > 17 then Printf.sprintf "%.17g" f else
-    match try_prec p with Some s -> s | None -> search (p + 1)
-  in
-  search 6
+  if Float.is_integer f && Float.abs f < 1e6 && not (f = 0.0 && Float.sign_bit f) then
+    string_of_int (int_of_float f)
+  else
+    let try_prec p =
+      let s = Printf.sprintf "%.*g" p f in
+      if float_of_string s = f then Some s else None
+    in
+    let rec search p = if p > 17 then Printf.sprintf "%.17g" f else
+      match try_prec p with Some s -> s | None -> search (p + 1)
+    in
+    search 6
 
-let add_pins b (ins, outs) =
-  let names = String.concat " " in
-  match (ins, outs) with
-  | [], [] -> Buffer.add_string b "()"
-  | ins, [] -> Printf.bprintf b "(in %s)" (names ins)
-  | [], outs -> Printf.bprintf b "(out %s)" (names outs)
-  | ins, outs -> Printf.bprintf b "(in %s ; out %s)" (names ins) (names outs)
+(* "(in A B ; out C)", either group left out when it has no names *)
+let add_pins b ins outs =
+  let group keyword names =
+    Buffer.add_string b keyword;
+    List.iter (fun n -> Buffer.add_char b ' '; Buffer.add_string b n) names
+  in
+  Buffer.add_char b '(';
+  (match ins with [] -> () | _ -> group "in" ins);
+  (match outs with [] -> () | _ -> group (match ins with [] -> "out" | _ -> " ; out") outs);
+  Buffer.add_char b ')'
 
+let add_number b f =
+  Buffer.add_string b (fmt_float f);
+  Buffer.add_char b ' '
+
+(* "  KEYWORD NAME [size W H ][area A ](PINS)": the area only where it
+   differs from the kind's default. *)
 let add_cell b (c : D.cell_decl) =
-  let pins = (c.D.cins, c.D.couts) in
-  match c.D.ckind with
+  Buffer.add_string b "  ";
+  Buffer.add_string b (D.kind_name c.D.ckind);
+  Buffer.add_char b ' ';
+  Buffer.add_string b c.D.cname;
+  Buffer.add_char b ' ';
+  (match c.D.ckind with
   | D.Macro { D.mw; mh } ->
-    Printf.bprintf b "  macro %s size %s %s %a\n" c.D.cname (fmt_float mw) (fmt_float mh)
-      add_pins pins
-  | D.Flop when c.D.carea = 1.0 -> Printf.bprintf b "  flop %s %a\n" c.D.cname add_pins pins
-  | D.Flop ->
-    Printf.bprintf b "  flop %s area %s %a\n" c.D.cname (fmt_float c.D.carea) add_pins pins
-  | D.Comb when c.D.carea = 1.0 -> Printf.bprintf b "  comb %s %a\n" c.D.cname add_pins pins
-  | D.Comb ->
-    Printf.bprintf b "  comb %s area %s %a\n" c.D.cname (fmt_float c.D.carea) add_pins pins
+    Buffer.add_string b "size ";
+    add_number b mw;
+    add_number b mh
+  | D.Flop | D.Comb -> ());
+  if c.D.carea <> D.default_area c.D.ckind then begin
+    Buffer.add_string b "area ";
+    add_number b c.D.carea
+  end;
+  add_pins b c.D.cins c.D.couts;
+  Buffer.add_char b '\n'
 
 let add_port b (p : D.port_decl) =
-  match p.D.pdir with
-  | D.Input -> Printf.bprintf b "  input %s\n" p.D.pname
-  | D.Output -> Printf.bprintf b "  output %s\n" p.D.pname
+  Buffer.add_string b
+    (match p.D.pdir with D.Input -> "  input " | D.Output -> "  output ");
+  Buffer.add_string b p.D.pname;
+  Buffer.add_char b '\n'
 
 let add_inst b (i : D.inst_decl) =
-  Printf.bprintf b "  inst %s : %s (%s)\n" i.D.iname i.D.imodule
-    (String.concat ", " (List.map (fun (f, a) -> f ^ " => " ^ a) i.D.bindings))
+  Buffer.add_string b "  inst ";
+  Buffer.add_string b i.D.iname;
+  Buffer.add_string b " : ";
+  Buffer.add_string b i.D.imodule;
+  Buffer.add_string b " (";
+  List.iteri
+    (fun k (formal, actual) ->
+      if k > 0 then Buffer.add_string b ", ";
+      Buffer.add_string b formal;
+      Buffer.add_string b " => ";
+      Buffer.add_string b actual)
+    i.D.bindings;
+  Buffer.add_string b ")\n"
 
 let add_module b (m : D.module_def) =
-  Printf.bprintf b "module %s {\n" m.D.mname;
+  Buffer.add_string b "module ";
+  Buffer.add_string b m.D.mname;
+  Buffer.add_string b " {\n";
   List.iter (add_port b) m.D.ports;
   List.iter (add_cell b) m.D.cells;
   List.iter (add_inst b) m.D.insts;
@@ -50,7 +84,9 @@ let add_module b (m : D.module_def) =
 
 let to_buffer (d : D.t) =
   let b = Buffer.create 65536 in
-  Printf.bprintf b "design %s\n\n" d.D.top;
+  Buffer.add_string b "design ";
+  Buffer.add_string b d.D.top;
+  Buffer.add_string b "\n\n";
   List.iter (fun (_, m) -> add_module b m) d.D.modules;
   b
 

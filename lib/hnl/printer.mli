@@ -1,5 +1,6 @@
 (** HNL pretty-printer; {!Parser.parse_string} of the output reproduces
-    the design (round-trip tested). *)
+    the design (round-trip tested). A cell's [area] is written only where
+    it differs from {!Netlist.Design.default_area} of its kind. *)
 
 val to_string : Netlist.Design.t -> string
 

@@ -38,6 +38,20 @@ type t = {
   pin_index : pin_index;
 }
 
+(* A growable int array. *)
+type ivec = { mutable data : int array; mutable len : int }
+
+let push v x =
+  if v.len = Array.length v.data then begin
+    let data = Array.make (max 1024 (2 * v.len)) 0 in
+    Array.blit v.data 0 data 0 v.len;
+    v.data <- data
+  end;
+  v.data.(v.len) <- x;
+  v.len <- v.len + 1
+
+let contents v = Array.sub v.data 0 v.len
+
 (* Growable accumulators used during elaboration. *)
 type builder = {
   mutable bnodes : node list;  (* reversed *)
@@ -45,26 +59,24 @@ type builder = {
   mutable bscopes : scope list;  (* reversed *)
   mutable nscopes : int;
   mutable nnets : int;
-  (* indexed by net id, growing with [nnets]: reversed driver / sink
-     node id lists *)
-  mutable drivers : int list array;
-  mutable sinks : int list array;
+  (* one entry per pin, in elaboration order: its slot, [2 * net] for a
+     driver and [2 * net + 1] for a sink, and its node id *)
+  pin_slot : ivec;
+  pin_node : ivec;
 }
 
 let fresh_net b =
   let id = b.nnets in
-  let cap = Array.length b.drivers in
-  if id = cap then begin
-    let grow a = Array.append a (Array.make (max 1024 cap) []) in
-    b.drivers <- grow b.drivers;
-    b.sinks <- grow b.sinks
-  end;
   b.nnets <- id + 1;
   id
 
-let add_driver b net node = b.drivers.(net) <- node :: b.drivers.(net)
+let add_driver b net node =
+  push b.pin_slot (2 * net);
+  push b.pin_node node
 
-let add_sink b net node = b.sinks.(net) <- node :: b.sinks.(net)
+let add_sink b net node =
+  push b.pin_slot ((2 * net) + 1);
+  push b.pin_node node
 
 let add_node b ~path ~base ~kind ~area ~scope =
   let id = b.nnodes in
@@ -79,33 +91,52 @@ let add_scope b ~spath ~smodule ~sparent =
   b.bscopes <- s :: b.bscopes;
   s
 
-let pin_index_of net_pins =
-  let listed = ref 0 and total = ref 0 in
-  Array.iter
-    (fun (ds, ss) ->
-      let np = Array.length ds + Array.length ss in
-      if np >= 2 then begin
-        incr listed;
-        total := !total + np
-      end)
-    net_pins;
-  let off = Array.make (!listed + 1) 0 in
-  let first_sink = Array.make !listed 0 in
-  let ids = Array.make !total 0 in
-  let k = ref 0 in
-  Array.iter
-    (fun (ds, ss) ->
-      let nd = Array.length ds and ns = Array.length ss in
-      if nd + ns >= 2 then begin
-        let o = off.(!k) in
-        Array.blit ds 0 ids o nd;
-        Array.blit ss 0 ids (o + nd) ns;
-        first_sink.(!k) <- o + nd;
-        off.(!k + 1) <- o + nd + ns;
-        incr k
-      end)
-    net_pins;
-  { off; first_sink; ids }
+(* The pins grouped by slot: net [k]'s drivers are
+   [ids.(first k) .. ids.(mid k - 1)] and its sinks
+   [ids.(mid k) .. ids.(first (k + 1) - 1)], each in elaboration order.
+   [net_pins], [pin_index] and Gnet's edges are all read off these rows. *)
+let nets_of_rows nnets (off, ids) =
+  let first k = off.(2 * k) and mid k = off.((2 * k) + 1) in
+  let net_pins =
+    Array.init nnets (fun k ->
+        (Array.sub ids (first k) (mid k - first k), Array.sub ids (mid k) (first (k + 1) - mid k)))
+  in
+  (* the pin index: the nets with two or more pins, in net order *)
+  let listed k = first (k + 1) - first k >= 2 in
+  let nlisted = ref 0 and npins = ref 0 and nedges = ref 0 in
+  for k = 0 to nnets - 1 do
+    if listed k then begin
+      incr nlisted;
+      npins := !npins + first (k + 1) - first k
+    end;
+    nedges := !nedges + ((mid k - first k) * (first (k + 1) - mid k))
+  done;
+  let ioff = Array.make (!nlisted + 1) 0 in
+  let first_sink = Array.make !nlisted 0 in
+  let iids = Array.make !npins 0 in
+  let i = ref 0 in
+  for k = 0 to nnets - 1 do
+    if listed k then begin
+      let o = ioff.(!i) in
+      Array.blit ids (first k) iids o (first (k + 1) - first k);
+      first_sink.(!i) <- o + mid k - first k;
+      ioff.(!i + 1) <- o + first (k + 1) - first k;
+      incr i
+    end
+  done;
+  (* Gnet: an edge from every driver to every sink of every net *)
+  let src = Array.make !nedges 0 and dst = Array.make !nedges 0 in
+  let e = ref 0 in
+  for k = 0 to nnets - 1 do
+    for p = first k to mid k - 1 do
+      for q = mid k to first (k + 1) - 1 do
+        src.(!e) <- ids.(p);
+        dst.(!e) <- ids.(q);
+        incr e
+      done
+    done
+  done;
+  (net_pins, { off = ioff; first_sink; ids = iids }, src, dst)
 
 let elaborate_body (d : Design.t) =
   (match Design.validate d with
@@ -117,8 +148,8 @@ let elaborate_body (d : Design.t) =
     | None -> assert false
   in
   let b =
-    { bnodes = []; nnodes = 0; bscopes = []; nscopes = 0; nnets = 0; drivers = [||];
-      sinks = [||] }
+    { bnodes = []; nnodes = 0; bscopes = []; nscopes = 0; nnets = 0;
+      pin_slot = { data = [||]; len = 0 }; pin_node = { data = [||]; len = 0 } }
   in
   (* env maps local net names of the module being elaborated to global net
      ids. Local nets not bound through ports get fresh ids on first use. *)
@@ -195,17 +226,12 @@ let elaborate_body (d : Design.t) =
       s.schildren <- List.rev s.schildren;
       s.scells <- List.rev s.scells)
     scopes;
-  let gnet = Graphlib.Digraph.create (Array.length nodes) in
-  let net_pins =
-    Array.init b.nnets (fun net ->
-        (Array.of_list (List.rev b.drivers.(net)), Array.of_list (List.rev b.sinks.(net))))
+  let rows =
+    Graphlib.Digraph.rows (2 * b.nnets) ~key:(contents b.pin_slot) ~value:(contents b.pin_node)
   in
-  Array.iter
-    (fun (ds, ss) ->
-      Array.iter (fun u -> Array.iter (fun v -> Graphlib.Digraph.add_edge gnet u v) ss) ds)
-    net_pins;
-  { design_name = d.Design.top; nodes; scopes; gnet; net_count = b.nnets; net_pins;
-    pin_index = pin_index_of net_pins }
+  let net_pins, pin_index, src, dst = nets_of_rows b.nnets rows in
+  let gnet = Graphlib.Digraph.of_edges (Array.length nodes) ~src ~dst in
+  { design_name = d.Design.top; nodes; scopes; gnet; net_count = b.nnets; net_pins; pin_index }
 
 let elaborate (d : Design.t) =
   Obs.Span.with_ ~name:"netlist.elaborate" (fun () ->

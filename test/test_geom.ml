@@ -109,6 +109,29 @@ let intersection_bounded =
       let i = Rect.intersection_area a b in
       i >= 0.0 && i <= Rect.area a +. 1e-9 && i <= Rect.area b +. 1e-9)
 
+(* Every bin of the grid that [r] overlaps lies in its range, bins built
+   as the congestion and density grids build them. *)
+let grid_range_covers =
+  qtest "grid_range covers every overlapping bin"
+    QCheck.(triple rect_arb rect_arb (int_range 1 32))
+    (fun (r, grid, bins) ->
+      let i0, i1, j0, j1 = Rect.grid_range r ~grid ~bins in
+      let bw = grid.Rect.w /. float_of_int bins and bh = grid.Rect.h /. float_of_int bins in
+      let ok = ref (0 <= i0 && i0 <= i1 && i1 < bins && 0 <= j0 && j0 <= j1 && j1 < bins) in
+      for i = 0 to bins - 1 do
+        for j = 0 to bins - 1 do
+          let bin =
+            Rect.make
+              ~x:(grid.Rect.x +. (float_of_int i *. bw))
+              ~y:(grid.Rect.y +. (float_of_int j *. bh))
+              ~w:bw ~h:bh
+          in
+          if (i < i0 || i > i1 || j < j0 || j > j1) && Rect.intersection_area bin r <> 0.0 then
+            ok := false
+        done
+      done;
+      !ok)
+
 let split_partitions =
   qtest "split_v partitions the area"
     QCheck.(pair rect_arb (float_range 0.0 1.0))
@@ -249,7 +272,7 @@ let suite =
         Alcotest.test_case "union" `Quick test_rect_union;
         Alcotest.test_case "split" `Quick test_rect_split;
         Alcotest.test_case "misc" `Quick test_rect_misc;
-        intersection_commutative; intersection_bounded; split_partitions;
+        intersection_commutative; intersection_bounded; grid_range_covers; split_partitions;
         of_corners_contains ] );
     ( "geom.orientation",
       [ Alcotest.test_case "dims" `Quick test_orient_dims;

@@ -186,6 +186,23 @@ let test_roundtrip_exponents () =
   | Ok d2 -> Alcotest.(check bool) "round trip equal" true (d = d2)
   | Error e -> Alcotest.failf "re-parse failed at %d:%d: %s" e.P.line e.P.col e.P.message
 
+(* A macro's area given apart from its footprint is printed after the
+   size and read back; a macro at its footprint prints no area. *)
+let test_roundtrip_macro_area () =
+  let macro ~name ?area () =
+    D.cell ~name ~kind:(D.make_macro ~w:8.0 ~h:4.0) ?area ~ins:[ "a" ] ~outs:[ "q" ] ()
+  in
+  let m = D.module_def ~name:"t" ~cells:[ macro ~name:"m" ~area:40.0 (); macro ~name:"n" () ] () in
+  let d = D.design ~top:"t" ~modules:[ m ] in
+  let printed = Hnl.Printer.to_string d in
+  Alcotest.(check bool) "explicit area printed" true
+    (Astring.String.is_infix ~affix:"macro m size 8 4 area 40 (in a ; out q)" printed);
+  Alcotest.(check bool) "footprint area not printed" true
+    (Astring.String.is_infix ~affix:"macro n size 8 4 (in a ; out q)" printed);
+  match P.parse_string printed with
+  | Ok d2 -> Alcotest.(check bool) "round trip equal" true (d = d2)
+  | Error e -> Alcotest.failf "re-parse failed at %d:%d: %s" e.P.line e.P.col e.P.message
+
 let test_roundtrip_fig2 () =
   let d = Circuitgen.Suite.fig2_system () in
   let d2 = P.parse_exn (Hnl.Printer.to_string d) in
@@ -287,6 +304,7 @@ let suite =
         Alcotest.test_case "fig2 system" `Quick test_roundtrip_fig2;
         Alcotest.test_case "suite c1/c5" `Quick test_roundtrip_suite;
         Alcotest.test_case "signed exponents" `Quick test_roundtrip_exponents;
+        Alcotest.test_case "macro explicit area" `Quick test_roundtrip_macro_area;
         Alcotest.test_case "printed c1/c5 digest" `Quick
           (check_printed_digests printed_digests);
         Alcotest.test_case "printed c2-c4, c6-c8, fig1, fig2 digest" `Quick
