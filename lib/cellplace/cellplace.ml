@@ -218,16 +218,13 @@ type macro_grid = {
   bins : int list array;
 }
 
-let grid_cell ~o ~size ~g v =
-  let f = (v -. o) /. size in
-  if not (f >= 0.0) then 0 else if f >= float_of_int g then g - 1 else int_of_float f
-
 let macro_grid ~macro_rects ~die =
   let rects = Array.of_list macro_rects in
   let g = min 32 (1 + int_of_float (sqrt (float_of_int (Array.length rects)))) in
   let ox = die.Rect.x and oy = die.Rect.y in
   let bw = die.Rect.w /. float_of_int g and bh = die.Rect.h /. float_of_int g in
-  let col = grid_cell ~o:ox ~size:bw ~g and row = grid_cell ~o:oy ~size:bh ~g in
+  let col = Rect.grid_cell ~o:ox ~size:bw ~bins:g in
+  let row = Rect.grid_cell ~o:oy ~size:bh ~bins:g in
   let bins = Array.make (g * g) [] in
   for k = Array.length rects - 1 downto 0 do
     let r = rects.(k) in
@@ -249,8 +246,8 @@ let push_out_cell grid ~die ~xs ~ys fid =
   let last = ref (-1) and moving = ref true in
   while !moving do
     let b =
-      (grid_cell ~o:grid.ox ~size:grid.bw ~g:grid.g !x * grid.g)
-      + grid_cell ~o:grid.oy ~size:grid.bh ~g:grid.g !y
+      (Rect.grid_cell ~o:grid.ox ~size:grid.bw ~bins:grid.g !x * grid.g)
+      + Rect.grid_cell ~o:grid.oy ~size:grid.bh ~bins:grid.g !y
     in
     let contains k =
       let r = grid.rects.(k) in

@@ -35,13 +35,13 @@ let intersection_area a b =
   let oy = min (a.y +. a.h) (b.y +. b.h) -. max a.y b.y in
   if ox > 0.0 && oy > 0.0 then ox *. oy else 0.0
 
+let grid_cell ~o ~size ~bins v =
+  let f = (v -. o) /. size in
+  if not (f >= 0.0) then 0 else if f >= float_of_int bins then bins - 1 else int_of_float f
+
 let grid_range r ~grid ~bins =
   let span o size a b =
-    let cell v =
-      let f = (v -. o) /. size in
-      if not (f >= 0.0) then 0 else if f >= float_of_int bins then bins - 1 else int_of_float f
-    in
-    (max 0 (cell a - 1), min (bins - 1) (cell b + 1))
+    (max 0 (grid_cell ~o ~size ~bins a - 1), min (bins - 1) (grid_cell ~o ~size ~bins b + 1))
   in
   let i0, i1 = span grid.x (grid.w /. float_of_int bins) r.x (r.x +. r.w) in
   let j0, j1 = span grid.y (grid.h /. float_of_int bins) r.y (r.y +. r.h) in

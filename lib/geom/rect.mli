@@ -23,6 +23,12 @@ val overlaps : t -> t -> bool
 
 val intersection_area : t -> t -> float
 
+val grid_cell : o:float -> size:float -> bins:int -> float -> int
+(** [grid_cell ~o ~size ~bins v] is the cell of [v] on an axis of [bins]
+    cells of [size] from [o], clamped to [0 .. bins-1] ([0] for NaN).
+    One monotone formula, so a closed interval's cell range covers the
+    cell of every point in it. *)
+
 val grid_range : t -> grid:t -> bins:int -> int * int * int * int
 (** [grid_range r ~grid ~bins] is [(i0, i1, j0, j1)]: the columns
     [i0 .. i1] and rows [j0 .. j1] of the [bins] x [bins] grid over
