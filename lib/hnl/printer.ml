@@ -52,31 +52,21 @@ let add_cell b (c : D.cell_decl) =
   add_pins b c.D.cins c.D.couts;
   Buffer.add_char b '\n'
 
+let add_all b = List.iter (Buffer.add_string b)
+
 let add_port b (p : D.port_decl) =
-  Buffer.add_string b
-    (match p.D.pdir with D.Input -> "  input " | D.Output -> "  output ");
-  Buffer.add_string b p.D.pname;
-  Buffer.add_char b '\n'
+  let keyword = match p.D.pdir with D.Input -> "  input " | D.Output -> "  output " in
+  add_all b [ keyword; p.D.pname; "\n" ]
 
 let add_inst b (i : D.inst_decl) =
-  Buffer.add_string b "  inst ";
-  Buffer.add_string b i.D.iname;
-  Buffer.add_string b " : ";
-  Buffer.add_string b i.D.imodule;
-  Buffer.add_string b " (";
+  add_all b [ "  inst "; i.D.iname; " : "; i.D.imodule; " (" ];
   List.iteri
-    (fun k (formal, actual) ->
-      if k > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b formal;
-      Buffer.add_string b " => ";
-      Buffer.add_string b actual)
+    (fun k (formal, actual) -> add_all b [ (if k > 0 then ", " else ""); formal; " => "; actual ])
     i.D.bindings;
   Buffer.add_string b ")\n"
 
 let add_module b (m : D.module_def) =
-  Buffer.add_string b "module ";
-  Buffer.add_string b m.D.mname;
-  Buffer.add_string b " {\n";
+  add_all b [ "module "; m.D.mname; " {\n" ];
   List.iter (add_port b) m.D.ports;
   List.iter (add_cell b) m.D.cells;
   List.iter (add_inst b) m.D.insts;
@@ -84,9 +74,7 @@ let add_module b (m : D.module_def) =
 
 let to_buffer (d : D.t) =
   let b = Buffer.create 65536 in
-  Buffer.add_string b "design ";
-  Buffer.add_string b d.D.top;
-  Buffer.add_string b "\n\n";
+  add_all b [ "design "; d.D.top; "\n\n" ];
   List.iter (fun (_, m) -> add_module b m) d.D.modules;
   b
 
