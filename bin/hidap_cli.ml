@@ -106,8 +106,9 @@ let design_of ~strict ~file ~circuit =
     Format.eprintf "hidap: invalid design: %d error%s@." n (if n = 1 then "" else "s");
     exit exit_invalid
 
-(* The validator repairs or rejects everything [Flat.elaborate] checks,
-   so this is a backstop, not the primary gate. *)
+(* [Guard.Validate.design] is the one design validator and runs first;
+   elaboration raises [Invalid_argument] only for a missing or recursive
+   module, which the validator already rejects, so this is a backstop. *)
 let elaborate_checked design =
   try Netlist.Flat.elaborate design
   with Invalid_argument msg ->

@@ -28,9 +28,9 @@ let () =
                 D.cell ~name:"r_0" ~kind:D.Flop ~ins:[ "q0" ] ~outs:[ "d0" ] () ]
             () ]
   in
-  (match D.validate tiny with
-  | Ok () -> print_endline "tiny design validates"
-  | Error e -> Format.printf "validation error: %a@." D.pp_error e);
+  (match Guard.Validate.design tiny with
+  | Ok _ -> print_endline "tiny design validates"
+  | Error diags -> List.iter (Format.printf "%a@." Guard.Diag.pp) diags);
 
   (* 2. Elaborate to the flat netlist (Gnet) and look at it. *)
   let flat = Netlist.Flat.elaborate design in

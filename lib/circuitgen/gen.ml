@@ -309,11 +309,4 @@ let generate p =
     D.module_def ~name:p.name ~ports:top_ports ~cells:(List.rev !top_cells)
       ~insts:(List.rev !top_insts) ()
   in
-  let design =
-    D.design ~top:p.name
-      ~modules:(top :: (ss_mods @ conn_mods @ glue_mods @ List.rev !unit_mods))
-  in
-  (match D.validate design with
-  | Ok () -> ()
-  | Error e -> failwith (Format.asprintf "Gen.generate: invalid design: %a" D.pp_error e));
-  design
+  D.design ~top:p.name ~modules:(top :: (ss_mods @ conn_mods @ glue_mods @ List.rev !unit_mods))

@@ -25,6 +25,8 @@ let codes =
      "duplicate port declaration in a module");
     ("dup-cell", "warning (repaired: duplicate dropped)",
      "duplicate leaf-cell name in a module");
+    ("dup-instance", "warning (repaired: later duplicate dropped)",
+     "duplicate instance name in a module");
     ("dup-binding", "warning (repaired: duplicate dropped)",
      "instance binds the same formal port twice");
     ("dangling-binding", "warning (repaired: binding dropped)",

@@ -28,24 +28,20 @@ let repaired_warn acc ~code fmt =
 let finite_pos f = Float.is_finite f && f > 0.0
 
 (* Drop later duplicates of a keyed list, reporting each drop. *)
-let dedup acc ~key ~report items =
-  let seen = Hashtbl.create 16 in
-  let kept =
-    List.filter
-      (fun item ->
-        let k = key item in
-        if Hashtbl.mem seen k then begin
-          report item;
-          false
-        end
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      items
-  in
-  ignore acc;
-  kept
+let dedup ~key ~report items =
+  let seen = Hashtbl.create (List.length items) in
+  List.filter
+    (fun item ->
+      let k = key item in
+      if Hashtbl.mem seen k then begin
+        report item;
+        false
+      end
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end)
+    items
 
 let check_cell acc ~mname (c : D.cell_decl) =
   match c.D.ckind with
@@ -71,9 +67,9 @@ let check_cell acc ~mname (c : D.cell_decl) =
     end
     else c
 
-let check_module acc (d : D.t) (m : D.module_def) =
+let check_module acc find (m : D.module_def) =
   let ports =
-    dedup acc
+    dedup
       ~key:(fun (p : D.port_decl) -> p.D.pname)
       ~report:(fun (p : D.port_decl) ->
         repaired_warn acc ~code:"dup-port" "dropping duplicate port %s in module %s"
@@ -81,7 +77,7 @@ let check_module acc (d : D.t) (m : D.module_def) =
       m.D.ports
   in
   let cells =
-    dedup acc
+    dedup
       ~key:(fun (c : D.cell_decl) -> c.D.cname)
       ~report:(fun (c : D.cell_decl) ->
         repaired_warn acc ~code:"dup-cell" "dropping duplicate cell %s in module %s"
@@ -90,9 +86,17 @@ let check_module acc (d : D.t) (m : D.module_def) =
   in
   let cells = List.map (check_cell acc ~mname:m.D.mname) cells in
   let insts =
+    dedup
+      ~key:(fun (i : D.inst_decl) -> i.D.iname)
+      ~report:(fun (i : D.inst_decl) ->
+        repaired_warn acc ~code:"dup-instance" "dropping duplicate instance %s in module %s"
+          i.D.iname m.D.mname)
+      m.D.insts
+  in
+  let insts =
     List.map
       (fun (i : D.inst_decl) ->
-        match D.find_module d i.D.imodule with
+        match find i.D.imodule with
         | None ->
           err acc ~code:"missing-module" "instance %s in module %s instantiates unknown module %s"
             i.D.iname m.D.mname i.D.imodule;
@@ -112,7 +116,7 @@ let check_module acc (d : D.t) (m : D.module_def) =
               i.D.bindings
           in
           let bindings =
-            dedup acc
+            dedup
               ~key:(fun (formal, _) -> formal)
               ~report:(fun (formal, _) ->
                 repaired_warn acc ~code:"dup-binding"
@@ -121,12 +125,12 @@ let check_module acc (d : D.t) (m : D.module_def) =
               bindings
           in
           if bindings == i.D.bindings then i else { i with D.bindings })
-      m.D.insts
+      insts
   in
   { m with D.ports; cells; insts }
 
 (* Recursion check over the (already deduplicated) module table. *)
-let check_recursion acc (d : D.t) =
+let check_recursion acc find top =
   let visiting = Hashtbl.create 16 and done_ = Hashtbl.create 16 in
   let rec dfs name =
     if Hashtbl.mem done_ name || Hashtbl.mem visiting name then begin
@@ -134,7 +138,7 @@ let check_recursion acc (d : D.t) =
         err acc ~code:"recursive-module" "recursive instantiation of module %s" name
     end
     else
-      match D.find_module d name with
+      match find name with
       | None -> ()  (* reported by check_module *)
       | Some m ->
         Hashtbl.add visiting name ();
@@ -142,13 +146,13 @@ let check_recursion acc (d : D.t) =
         Hashtbl.remove visiting name;
         Hashtbl.add done_ name ()
   in
-  dfs d.D.top
+  dfs top
 
 let design ?(strict = false) (d : D.t) =
   let acc = { ds = []; repairs = 0 } in
   let module_list = List.map snd d.D.modules in
   let module_list =
-    dedup acc
+    dedup
       ~key:(fun (m : D.module_def) -> m.D.mname)
       ~report:(fun (m : D.module_def) ->
         repaired_warn acc ~code:"dup-module" "dropping duplicate module %s" m.D.mname)
@@ -157,11 +161,11 @@ let design ?(strict = false) (d : D.t) =
   (* Repairs that change lookup results (duplicate modules) must land
      before per-module checks resolve instances. *)
   let d0 = if acc.repairs = 0 then d else D.design ~top:d.D.top ~modules:module_list in
-  if not (List.exists (fun (m : D.module_def) -> m.D.mname = d.D.top) module_list) then
-    err acc ~code:"missing-module" "top module %s is not defined" d.D.top;
+  let find = D.module_lookup d0 in
+  if find d.D.top = None then err acc ~code:"missing-module" "top module %s is not defined" d.D.top;
   let repairs_before = acc.repairs in
-  let checked = List.map (check_module acc d0) module_list in
-  check_recursion acc d0;
+  let checked = List.map (check_module acc find) module_list in
+  check_recursion acc find d.D.top;
   let d1 =
     if acc.repairs = repairs_before && d0 == d then d
     else D.design ~top:d.D.top ~modules:checked

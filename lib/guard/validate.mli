@@ -2,7 +2,7 @@
 
     [design] checks a parsed {!Netlist.Design.t} before elaboration and
     either repairs what it safely can — dropping dangling instance
-    bindings, duplicate modules/cells/ports/bindings, clamping
+    bindings, duplicate modules/cells/instances/ports/bindings, clamping
     non-finite or negative cell areas back to their defaults — or
     rejects the design with error diagnostics (missing modules,
     recursive instantiation, non-finite macro footprints).

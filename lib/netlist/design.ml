@@ -51,23 +51,10 @@ let module_def ~name ?(ports = []) ?(cells = []) ?(insts = []) () =
 
 let design ~top ~modules = { top; modules = List.map (fun m -> (m.mname, m)) modules }
 
-let find_module t name = List.assoc_opt name t.modules
-
-type error =
-  | Missing_module of string
-  | Duplicate_module of string
-  | Unknown_port of { module_ : string; inst : string; port : string }
-  | Duplicate_cell of { module_ : string; cell : string }
-  | Recursive_instantiation of string
-
-let pp_error ppf = function
-  | Missing_module m -> Format.fprintf ppf "missing module %s" m
-  | Duplicate_module m -> Format.fprintf ppf "duplicate module %s" m
-  | Unknown_port { module_; inst; port } ->
-    Format.fprintf ppf "instance %s in module %s binds unknown port %s" inst module_ port
-  | Duplicate_cell { module_; cell } ->
-    Format.fprintf ppf "duplicate cell %s in module %s" cell module_
-  | Recursive_instantiation m -> Format.fprintf ppf "recursive instantiation of %s" m
+let module_lookup t =
+  let tbl = Hashtbl.create (List.length t.modules) in
+  List.iter (fun (name, m) -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name m) t.modules;
+  Hashtbl.find_opt tbl
 
 let module_count t = List.length t.modules
 
@@ -77,82 +64,3 @@ let kind_name = function
   | Macro _ -> "macro"
   | Flop -> "flop"
   | Comb -> "comb"
-
-let validate t =
-  let ( let* ) r f = Result.bind r f in
-  let* () =
-    let seen = Hashtbl.create 16 in
-    List.fold_left
-      (fun acc (name, _) ->
-        let* () = acc in
-        if Hashtbl.mem seen name then Error (Duplicate_module name)
-        else begin
-          Hashtbl.add seen name ();
-          Ok ()
-        end)
-      (Ok ()) t.modules
-  in
-  let* top =
-    match find_module t t.top with
-    | Some m -> Ok m
-    | None -> Error (Missing_module t.top)
-  in
-  let check_module m =
-    let seen = Hashtbl.create 16 in
-    let* () =
-      List.fold_left
-        (fun acc c ->
-          let* () = acc in
-          if Hashtbl.mem seen c.cname then
-            Error (Duplicate_cell { module_ = m.mname; cell = c.cname })
-          else begin
-            Hashtbl.add seen c.cname ();
-            Ok ()
-          end)
-        (Ok ()) m.cells
-    in
-    List.fold_left
-      (fun acc i ->
-        let* () = acc in
-        match find_module t i.imodule with
-        | None -> Error (Missing_module i.imodule)
-        | Some child ->
-          let formal_ok (formal, _) =
-            List.exists (fun p -> p.pname = formal) child.ports
-          in
-          (match List.find_opt (fun b -> not (formal_ok b)) i.bindings with
-          | Some (formal, _) ->
-            Error (Unknown_port { module_ = m.mname; inst = i.iname; port = formal })
-          | None -> Ok ()))
-      (Ok ()) m.insts
-  in
-  let* () =
-    List.fold_left
-      (fun acc (_, m) ->
-        let* () = acc in
-        check_module m)
-      (Ok ()) t.modules
-  in
-  (* Recursion check: DFS over the instantiation DAG from top. *)
-  let visiting = Hashtbl.create 16 in
-  let done_ = Hashtbl.create 16 in
-  let rec dfs m =
-    if Hashtbl.mem done_ m.mname then Ok ()
-    else if Hashtbl.mem visiting m.mname then Error (Recursive_instantiation m.mname)
-    else begin
-      Hashtbl.add visiting m.mname ();
-      let* () =
-        List.fold_left
-          (fun acc i ->
-            let* () = acc in
-            match find_module t i.imodule with
-            | Some child -> dfs child
-            | None -> Error (Missing_module i.imodule))
-          (Ok ()) m.insts
-      in
-      Hashtbl.remove visiting m.mname;
-      Hashtbl.add done_ m.mname ();
-      Ok ()
-    end
-  in
-  dfs top

@@ -5,7 +5,12 @@
     indexed names such as [data[7]] or [data_7], exactly the RTL-stage
     array information the paper exploits), leaf cells (macros, flops,
     combinational gates) and instances of other modules. Nets are local
-    names; instance port bindings stitch them across hierarchy levels. *)
+    names; instance port bindings stitch them across hierarchy levels.
+
+    This module builds and reads designs; it checks nothing. The
+    structural checks (missing, duplicate and recursive modules,
+    duplicate cells, instances and ports, unknown bindings, bad areas)
+    are [Guard.Validate.design]'s. *)
 
 type direction = Input | Output
 
@@ -63,21 +68,10 @@ val default_area : cell_kind -> float
 (** The area [cell] assigns when none is given: the macro footprint for
     macros, 1.0 for flops / combinational cells. *)
 
-val find_module : t -> string -> module_def option
-
-type error =
-  | Missing_module of string
-  | Duplicate_module of string
-  | Unknown_port of { module_ : string; inst : string; port : string }
-  | Duplicate_cell of { module_ : string; cell : string }
-  | Recursive_instantiation of string
-
-val validate : t -> (unit, error) result
-(** Structural sanity: top exists, all instantiated modules exist and are
-    non-recursive, instance bindings name declared ports, cell names are
-    unique within their module. *)
-
-val pp_error : Format.formatter -> error -> unit
+val module_lookup : t -> string -> module_def option
+(** [module_lookup d] builds a name -> module table once and returns its
+    lookup: the first definition of a name wins. Apply it to [d] once
+    and keep the function for repeated lookups. *)
 
 val module_count : t -> int
 

@@ -139,21 +139,25 @@ let nets_of_rows nnets (off, ids) =
   (net_pins, { off = ioff; first_sink; ids = iids }, src, dst)
 
 let elaborate_body (d : Design.t) =
-  (match Design.validate d with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Format.asprintf "Flat.elaborate: %a" Design.pp_error e));
-  let top =
-    match Design.find_module d d.Design.top with
+  let lookup = Design.module_lookup d in
+  let find name =
+    match lookup name with
     | Some m -> m
-    | None -> assert false
+    | None -> invalid_arg ("Flat.elaborate: missing module " ^ name)
   in
+  let top = find d.Design.top in
   let b =
     { bnodes = []; nnodes = 0; bscopes = []; nscopes = 0; nnets = 0;
       pin_slot = { data = [||]; len = 0 }; pin_node = { data = [||]; len = 0 } }
   in
+  (* the modules on the current instantiation path *)
+  let on_path = Hashtbl.create 16 in
   (* env maps local net names of the module being elaborated to global net
      ids. Local nets not bound through ports get fresh ids on first use. *)
   let rec elab_module (m : Design.module_def) ~path ~parent_sid ~(env : (string, int) Hashtbl.t) =
+    if Hashtbl.mem on_path m.Design.mname then
+      invalid_arg ("Flat.elaborate: recursive instantiation of " ^ m.Design.mname);
+    Hashtbl.add on_path m.Design.mname ();
     let scope = add_scope b ~spath:path ~smodule:m.Design.mname ~sparent:parent_sid in
     let net name =
       match Hashtbl.find_opt env name with
@@ -181,11 +185,7 @@ let elaborate_body (d : Design.t) =
       m.Design.cells;
     List.iter
       (fun (i : Design.inst_decl) ->
-        let child =
-          match Design.find_module d i.Design.imodule with
-          | Some c -> c
-          | None -> assert false
-        in
+        let child = find i.Design.imodule in
         let child_env = Hashtbl.create 64 in
         List.iter
           (fun (formal, actual) -> Hashtbl.replace child_env formal (net actual))
@@ -194,6 +194,7 @@ let elaborate_body (d : Design.t) =
         let child_scope = elab_module child ~path:child_path ~parent_sid:scope.sid ~env:child_env in
         scope.schildren <- child_scope.sid :: scope.schildren)
       m.Design.insts;
+    Hashtbl.remove on_path m.Design.mname;
     scope
   in
   let top_env = Hashtbl.create 64 in

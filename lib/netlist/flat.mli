@@ -53,8 +53,13 @@ type t = {
 }
 
 val elaborate : Design.t -> t
-(** Flatten the design. Raises [Invalid_argument] if {!Design.validate}
-    would fail. *)
+(** Flatten the design.
+
+    Precondition: [Guard.Validate.design] accepts the design without
+    repairs. Elaboration checks only what it cannot proceed past: it
+    raises [Invalid_argument] for a missing module (the top included)
+    and for a module that instantiates itself, directly or through
+    others. A name defined twice resolves to its first definition. *)
 
 val is_macro : node -> bool
 val is_flop : node -> bool

@@ -17,8 +17,8 @@ type sink = {
   oc : out_channel;
   lock : Mutex.t;
   close_oc : bool;
-  hb_stop : bool Atomic.t;
-  mutable hb : unit Domain.t option;
+  mutable hb : (unit Domain.t * Unix.file_descr * Unix.file_descr) option;
+      (** the heartbeat domain and its wake-up pipe (read end, write end) *)
   mutable closed : bool;  (** guarded by [lock]; set by {!disable} *)
 }
 
@@ -59,45 +59,50 @@ let emit event fields =
 
 let heartbeat () = emit "heartbeat" []
 
-let interruptible_sleep stop s =
-  let chunk = 0.05 in
-  let rec go left =
-    if left > 0.0 && not (Atomic.get stop) then begin
-      Unix.sleepf (min chunk left);
-      go (left -. chunk)
-    end
+(* Emit a heartbeat, then wait [period] on the wake-up pipe; a byte on
+   it (written by [disable]) ends the domain at once. *)
+let heartbeat_loop ~period wake =
+  let rec wait deadline =
+    match Unix.select [ wake ] [] [] (Float.max 0.0 (deadline -. Unix.gettimeofday ())) with
+    | [], _, _ -> true
+    | _ -> false
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait deadline
   in
-  go s
+  let rec beat () =
+    heartbeat ();
+    if wait (Unix.gettimeofday () +. period) then beat ()
+  in
+  beat ()
 
 let enable ?(heartbeat_s = 1.0) ?(close_on_disable = false) oc =
   if not (enabled ()) then begin
     let s =
-      { oc; lock = Mutex.create (); close_oc = close_on_disable;
-        hb_stop = Atomic.make false; hb = None; closed = false }
+      { oc; lock = Mutex.create (); close_oc = close_on_disable; hb = None; closed = false }
     in
     current := Some s;
     Atomic.set enabled_flag true;
-    if heartbeat_s > 0.0 then
-      s.hb <-
-        Some
-          (Domain.spawn (fun () ->
-               while not (Atomic.get s.hb_stop) do
-                 heartbeat ();
-                 interruptible_sleep s.hb_stop heartbeat_s
-               done))
+    if heartbeat_s > 0.0 then begin
+      let r, w = Unix.pipe ~cloexec:true () in
+      s.hb <- Some (Domain.spawn (fun () -> heartbeat_loop ~period:heartbeat_s r), r, w)
+    end
   end
 
 let disable () =
   match !current with
   | None -> ()
   | Some s ->
-    (* Stop and join the heartbeat before touching the channel: the
+    (* Wake and join the heartbeat before touching the channel: the
        heartbeat domain emits under [s.lock], so it must be gone (not
        merely signalled) before the close. Joining outside the lock is
        required — holding it here while the heartbeat waits for it
        would deadlock. *)
-    Atomic.set s.hb_stop true;
-    Option.iter Domain.join s.hb;
+    Option.iter
+      (fun (hb, r, w) ->
+        ignore (Unix.write_substring w "x" 0 1);
+        Domain.join hb;
+        Unix.close r;
+        Unix.close w)
+      s.hb;
     s.hb <- None;
     Atomic.set enabled_flag false;
     current := None;

@@ -35,12 +35,13 @@ val enable : ?heartbeat_s:float -> ?close_on_disable:bool -> out_channel -> unit
 
 val disable : unit -> unit
 (** Stop {e and join} the heartbeat domain, flush, detach (and close
-    the channel when [close_on_disable] was set). Safe on exception
-    paths: flush/close failures are swallowed, the call is idempotent,
-    and the close happens under the sink mutex so an [emit] racing
-    [disable] either writes its whole line before the close or skips —
-    an NDJSON line is never torn and the channel is never written
-    after close. *)
+    the channel when [close_on_disable] was set). The heartbeat waits on
+    a pipe that [disable] writes to, so it stops at once, not at the end
+    of its period. Safe on exception paths: flush/close failures are
+    swallowed, the call is idempotent, and the close happens under the
+    sink mutex so an [emit] racing [disable] either writes its whole
+    line before the close or skips — an NDJSON line is never torn and
+    the channel is never written after close. *)
 
 val emit : string -> (string * Jsonx.t) list -> unit
 (** [emit event fields] writes one line with the standard envelope

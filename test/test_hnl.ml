@@ -70,7 +70,7 @@ let test_parse_small () =
   | Error e -> Alcotest.failf "parse failed at line %d: %s" e.P.line e.P.message
   | Ok d ->
     Alcotest.(check string) "top name" "top" d.D.top;
-    (match D.find_module d "top" with
+    (match D.module_lookup d "top" with
     | None -> Alcotest.fail "module missing"
     | Some m ->
       Alcotest.(check int) "ports" 2 (List.length m.D.ports);
@@ -93,7 +93,7 @@ module t { input x output y inst u : sub (i => x, o => y) }|}
   match P.parse_string src with
   | Error e -> Alcotest.failf "parse failed: %s" e.P.message
   | Ok d ->
-    (match D.find_module d "t" with
+    (match D.module_lookup d "t" with
     | Some m ->
       Alcotest.(check int) "one inst" 1 (List.length m.D.insts);
       let i = List.hd m.D.insts in
@@ -107,7 +107,7 @@ let test_parse_empty_pins () =
 module t { comb c () }|} in
   match P.parse_string src with
   | Ok d ->
-    let m = Option.get (D.find_module d "t") in
+    let m = Option.get (D.module_lookup d "t") in
     let c = List.hd m.D.cells in
     Alcotest.(check (list string)) "no ins" [] c.D.cins;
     Alcotest.(check (list string)) "no outs" [] c.D.couts

@@ -1,4 +1,5 @@
-(* Tests for the netlist data model, validation and elaboration. *)
+(* Tests for the netlist data model, its validation by Guard.Validate
+   and elaboration. *)
 
 module D = Netlist.Design
 module Flat = Netlist.Flat
@@ -51,40 +52,55 @@ let test_kind_name () =
   Alcotest.(check string) "comb" "comb" (D.kind_name D.Comb)
 
 let test_find_module () =
-  Alcotest.(check bool) "finds leafm" true (D.find_module ref_design "leafm" <> None);
-  Alcotest.(check bool) "missing" true (D.find_module ref_design "nope" = None);
+  Alcotest.(check bool) "finds leafm" true (D.module_lookup ref_design "leafm" <> None);
+  Alcotest.(check bool) "missing" true (D.module_lookup ref_design "nope" = None);
+  let other = D.module_def ~name:"leafm" () in
+  let twice = D.design ~top:"leafm" ~modules:[ leafm; other ] in
+  Alcotest.(check bool) "first definition wins" true
+    (Option.get (D.module_lookup twice "leafm") == leafm);
   Alcotest.(check int) "module count" 2 (D.module_count ref_design)
 
-(* ---- validation --------------------------------------------------- *)
+(* ---- validation ------------------------------------------------- *)
 
-let expect_error design pred name =
-  match D.validate design with
-  | Ok () -> Alcotest.fail (name ^ ": expected validation error")
-  | Error e -> Alcotest.(check bool) name true (pred e)
+(* The structural checks are [Guard.Validate.design]'s: [design] must
+   draw the diagnostic [code], and be rejected outright exactly when
+   [rejected] (otherwise the code is a repair). *)
+let expect_code design code ~rejected name =
+  let diags, was_rejected =
+    match Guard.Validate.design design with
+    | Ok r -> (r.Guard.Validate.diags, false)
+    | Error diags -> (diags, true)
+  in
+  Alcotest.(check bool) (name ^ ": rejected") rejected was_rejected;
+  Alcotest.(check bool) (name ^ ": " ^ code) true
+    (List.exists (fun (g : Guard.Diag.t) -> g.Guard.Diag.code = code) diags)
 
-let test_validate_ok () =
-  match D.validate ref_design with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "unexpected error: %a" D.pp_error e
+(* Accepted as it is: no diagnostic, no repair, the very same design. *)
+let check_accepted_as_is name d =
+  match Guard.Validate.design d with
+  | Error _ -> Alcotest.failf "%s: rejected" name
+  | Ok r ->
+    Alcotest.(check int) (name ^ ": diagnostics") 0 (List.length r.Guard.Validate.diags);
+    Alcotest.(check int) (name ^ ": repairs") 0 r.Guard.Validate.repairs;
+    Alcotest.(check bool) (name ^ ": same design") true (r.Guard.Validate.design == d)
+
+let test_validate_ok () = check_accepted_as_is "ref design" ref_design
 
 let test_validate_missing_top () =
   let d = D.design ~top:"ghost" ~modules:[ leafm ] in
-  expect_error d (function D.Missing_module "ghost" -> true | _ -> false) "missing top"
+  expect_code d "missing-module" ~rejected:true "missing top"
+
+(* bad instantiates ghost, which is not defined *)
+let missing_child_design =
+  let bad = D.module_def ~name:"bad" ~insts:[ D.inst ~name:"u" ~module_:"ghost" ~bindings:[] ] () in
+  D.design ~top:"bad" ~modules:[ bad ]
 
 let test_validate_missing_child () =
-  let bad =
-    D.module_def ~name:"bad"
-      ~insts:[ D.inst ~name:"u" ~module_:"ghost" ~bindings:[] ]
-      ()
-  in
-  let d = D.design ~top:"bad" ~modules:[ bad ] in
-  expect_error d (function D.Missing_module "ghost" -> true | _ -> false) "missing child"
+  expect_code missing_child_design "missing-module" ~rejected:true "missing child"
 
 let test_validate_duplicate_module () =
   let d = D.design ~top:"leafm" ~modules:[ leafm; leafm ] in
-  expect_error d
-    (function D.Duplicate_module "leafm" -> true | _ -> false)
-    "duplicate module"
+  expect_code d "dup-module" ~rejected:false "duplicate module"
 
 let test_validate_unknown_port () =
   let bad =
@@ -93,7 +109,7 @@ let test_validate_unknown_port () =
       ()
   in
   let d = D.design ~top:"bad" ~modules:[ bad; leafm ] in
-  expect_error d (function D.Unknown_port _ -> true | _ -> false) "unknown port"
+  expect_code d "dangling-binding" ~rejected:false "unknown port"
 
 let test_validate_duplicate_cell () =
   let bad =
@@ -104,17 +120,42 @@ let test_validate_duplicate_cell () =
       ()
   in
   let d = D.design ~top:"bad" ~modules:[ bad ] in
-  expect_error d (function D.Duplicate_cell _ -> true | _ -> false) "duplicate cell"
+  expect_code d "dup-cell" ~rejected:false "duplicate cell"
 
-let test_validate_recursion () =
+(* a instantiates b, which instantiates a *)
+let recursive_design =
   let a =
     D.module_def ~name:"a" ~insts:[ D.inst ~name:"u" ~module_:"b" ~bindings:[] ] ()
   in
   let b =
     D.module_def ~name:"b" ~insts:[ D.inst ~name:"v" ~module_:"a" ~bindings:[] ] ()
   in
-  let d = D.design ~top:"a" ~modules:[ a; b ] in
-  expect_error d (function D.Recursive_instantiation _ -> true | _ -> false) "recursion"
+  D.design ~top:"a" ~modules:[ a; b ]
+
+let test_validate_recursion () =
+  expect_code recursive_design "recursive-module" ~rejected:true "recursion"
+
+(* Two instances named u0: the later one is dropped, so the repaired
+   design holds one u0/mem macro, not two. *)
+let test_validate_duplicate_instance () =
+  let top =
+    D.module_def ~name:"top"
+      ~insts:
+        [ D.inst ~name:"u0" ~module_:"leafm" ~bindings:[ ("in", "a") ];
+          D.inst ~name:"u0" ~module_:"leafm" ~bindings:[ ("in", "b") ] ]
+      ()
+  in
+  let d = D.design ~top:"top" ~modules:[ top; leafm ] in
+  expect_code d "dup-instance" ~rejected:false "duplicate instance";
+  (match Guard.Validate.design ~strict:true d with
+  | Ok _ -> Alcotest.fail "strict must reject a duplicate instance"
+  | Error _ -> ());
+  match Guard.Validate.design d with
+  | Error _ -> Alcotest.fail "duplicate instance should be repairable"
+  | Ok r ->
+    let f = Flat.elaborate r.Guard.Validate.design in
+    Alcotest.(check (list string)) "one macro" [ "u0/mem" ]
+      (List.map (fun (n : Flat.node) -> n.Flat.path) (Flat.macros f))
 
 (* ---- elaboration -------------------------------------------------- *)
 
@@ -186,11 +227,23 @@ let test_elab_kinds () =
   Alcotest.(check int) "ports listed" 2 (List.length (Flat.ports f));
   Alcotest.(check int) "macros listed" 2 (List.length (Flat.macros f))
 
-let test_elab_invalid_raises () =
-  let d = D.design ~top:"ghost" ~modules:[] in
-  (match Flat.elaborate d with
+(* Elaboration finds what it cannot proceed past in its own DFS: a
+   missing module and a recursive one raise [Invalid_argument] (no
+   assertion failure, no stack overflow). *)
+let expect_invalid_argument name d =
+  match Flat.elaborate d with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument")
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+
+let test_elab_invalid_raises () =
+  expect_invalid_argument "missing top" (D.design ~top:"ghost" ~modules:[]);
+  expect_invalid_argument "missing child" missing_child_design;
+  expect_invalid_argument "recursion" recursive_design;
+  let self =
+    D.module_def ~name:"self" ~insts:[ D.inst ~name:"u" ~module_:"self" ~bindings:[] ] ()
+  in
+  expect_invalid_argument "self instantiation" (D.design ~top:"self" ~modules:[ self ])
 
 let test_elab_net_pins () =
   let f = Lazy.force flat in
@@ -216,13 +269,16 @@ let test_elab_net_pins () =
         (Array.sub idx.Flat.ids fs (idx.Flat.off.(k + 1) - fs)))
     listed
 
+(* The generator's guarantee: the validator accepts every suite design
+   as it is. *)
 let test_generated_designs_validate () =
   List.iter
     (fun (c : Circuitgen.Suite.circuit) ->
-      match D.validate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: %a" c.Circuitgen.Suite.cname D.pp_error e)
-    (Circuitgen.Suite.c_suite () |> List.filteri (fun i _ -> i < 2))
+      check_accepted_as_is c.Circuitgen.Suite.cname
+        (Circuitgen.Gen.generate c.Circuitgen.Suite.params))
+    (Circuitgen.Suite.c_suite ());
+  check_accepted_as_is "fig1" (Circuitgen.Suite.fig1_design ());
+  check_accepted_as_is "fig2" (Circuitgen.Suite.fig2_system ())
 
 (* MD5 of the elaboration of c1 and c5 as the benchmark's seed 1 sees
    them (generator seed moved by 1000, handed over as HNL text): every
@@ -294,7 +350,8 @@ let suite =
         Alcotest.test_case "duplicate module" `Quick test_validate_duplicate_module;
         Alcotest.test_case "unknown port" `Quick test_validate_unknown_port;
         Alcotest.test_case "duplicate cell" `Quick test_validate_duplicate_cell;
-        Alcotest.test_case "recursion" `Quick test_validate_recursion ] );
+        Alcotest.test_case "recursion" `Quick test_validate_recursion;
+        Alcotest.test_case "duplicate instance" `Quick test_validate_duplicate_instance ] );
     ( "netlist.flat",
       [ Alcotest.test_case "counts" `Quick test_elab_counts;
         Alcotest.test_case "paths" `Quick test_elab_paths;

@@ -556,6 +556,19 @@ let test_stream_emit_disable_race () =
     Sys.remove path
   done
 
+(* [disable] wakes the heartbeat domain rather than waiting out its
+   sleep: with a 0.5 s period, stopping 55 ms in must not wait for the
+   period's end, nor for the next 50 ms step of a chunked sleep. *)
+let test_stream_disable_prompt () =
+  let path = Filename.temp_file "hidap_stream_stop" ".ndjson" in
+  Obs.Stream.enable ~heartbeat_s:0.5 ~close_on_disable:true (open_out path);
+  Unix.sleepf 0.055;
+  let t0 = Unix.gettimeofday () in
+  Obs.Stream.disable ();
+  let dt = Unix.gettimeofday () -. t0 in
+  Sys.remove path;
+  if dt >= 0.020 then Alcotest.failf "disable took %.1f ms" (dt *. 1000.0)
+
 let suite =
   [ ( "obs",
       [ Alcotest.test_case "span nesting and timing" `Quick test_span_nesting;
@@ -577,6 +590,8 @@ let suite =
           test_span_profile_live;
         Alcotest.test_case "progress stream NDJSON round-trip" `Quick
           test_stream_ndjson_roundtrip;
+        Alcotest.test_case "disable stops the heartbeat at once" `Quick
+          test_stream_disable_prompt;
         Alcotest.test_case "emit/disable race leaves no torn lines" `Slow
           test_stream_emit_disable_race;
         Alcotest.test_case "telemetry does no per-move work" `Slow

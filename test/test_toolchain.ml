@@ -59,7 +59,12 @@ let gen_always_validates =
           bus_width = bw;
           target_cells = 500 }
       in
-      match D.validate (Circuitgen.Gen.generate p) with Ok () -> true | Error _ -> false)
+      let d = Circuitgen.Gen.generate p in
+      match Guard.Validate.design d with
+      | Ok r ->
+        r.Guard.Validate.diags = [] && r.Guard.Validate.repairs = 0
+        && r.Guard.Validate.design == d
+      | Error _ -> false)
 
 let test_suite_matches_paper () =
   let suite = Circuitgen.Suite.c_suite () in
