@@ -1437,7 +1437,9 @@ let submit_cmd =
             client_error_code e 1
         end
         else if wait then begin
-          match Serve.Client.wait cl id with
+          (* the daemon pushes the terminal view to a watcher, so no
+             polling and no cap on how long the job may run *)
+          match Serve.Client.watch cl id ~on_event:ignore with
           | Ok v -> finish v
           | Error e ->
             Format.eprintf "hidap: wait: %s@." (Serve.Client.error_message e);

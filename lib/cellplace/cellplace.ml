@@ -22,12 +22,6 @@ type params = {
 
 let default_params = { iterations = 30; spread_grid = 16; smooth_iterations = 3 }
 
-let macro_pin_position ~flat ~macros fid ~dir =
-  ignore flat;
-  match List.find_opt (fun m -> m.fid = fid) macros with
-  | None -> None
-  | Some m -> Some (Hidap.Flipping.pin_position ~rect:m.rect ~orient:m.orient ~dir)
-
 (* Per flat node: how many pins it has on the nets of the pin index.
    The relaxation divides by it; it does not depend on positions. *)
 let net_degrees (idx : Flat.pin_index) n =

@@ -55,11 +55,6 @@ val density_map :
 (** [bins x bins] grid of placement density (cell area per bin area,
     macros included); row 0 is the bottom of the die. *)
 
-val macro_pin_position :
-  flat:Netlist.Flat.t -> macros:macro_place list -> int -> dir:[ `In | `Out ] ->
-  Geom.Point.t option
-(** Pin position of a macro flat node under the flipping pin model. *)
-
 val push_out :
   macro_rects:Geom.Rect.t list -> die:Geom.Rect.t -> Geom.Point.t array -> Geom.Point.t array
 (** The smoothing phase's macro push-out applied to every point: each

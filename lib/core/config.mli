@@ -15,14 +15,11 @@ type t = {
           become glue (1%) *)
   bit_threshold : int;  (** Gseq array width filter (§IV-D step 4) *)
   utilization : float;  (** die area = cell area / utilization *)
-  die_aspect : float;  (** die width / height *)
   at_weight : float;  (** layout penalty for target-area shifts *)
   am_weight : float;  (** layout penalty for minimum-area deficits *)
   macro_weight : float;  (** layout penalty for macro-area deficits *)
   layout_sa : Anneal.Sa.params;  (** per-instance layout annealing *)
   curve_sa : Anneal.Sa.params;  (** shape-curve generation annealing *)
-  max_curve_points : int;
-  flipping_passes : int;  (** iterations of the orientation post-process *)
   seed : int;
   sa_starts : int;
       (** independent annealing starts per floorplan instance: the

@@ -43,11 +43,19 @@ type result = {
 }
 
 let die_for flat ~config =
-  let area = Flat.total_cell_area flat /. config.Config.utilization in
-  let aspect = config.Config.die_aspect in
-  let h = sqrt (area /. aspect) in
-  let w = aspect *. h in
-  Rect.make ~x:0.0 ~y:0.0 ~w ~h
+  let longer side (n : Flat.node) =
+    match n.Flat.kind with
+    | Flat.Kmacro { Netlist.Design.mw; mh } ->
+      let l = if mh > mw then mh else mw in
+      if l > side then l else side
+    | Flat.Kflop | Flat.Kcomb | Flat.Kport _ -> side
+  in
+  let side =
+    Array.fold_left longer
+      (sqrt (Flat.total_cell_area flat /. config.Config.utilization))
+      flat.Flat.nodes
+  in
+  Rect.make ~x:0.0 ~y:0.0 ~w:side ~h:side
 
 (* Degraded stages (fault fallbacks, budget cuts) can leave macros
    clamped below their library footprint or stacked on top of each

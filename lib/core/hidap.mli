@@ -54,7 +54,10 @@ type result = {
 }
 
 val die_for : Netlist.Flat.t -> config:Config.t -> Geom.Rect.t
-(** Die sized from total cell area, utilization and aspect ratio. *)
+(** The square die at the origin whose area is the total cell area over
+    [config.utilization], unless a macro is longer than that side: then
+    the side is the longest macro side, so every macro fits the die in
+    every orientation. *)
 
 val seqgraph : config:Config.t -> Netlist.Flat.t -> Seqgraph.t
 (** The [seqgraph.build] stage, at [config.bit_threshold]. *)

@@ -581,9 +581,8 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
       Obs.Perf.add Obs.Perf.sa_reheats (n_starts - 1);
       let rngs = Array.init n_starts (fun _ -> Util.Rng.split rng) in
       let shared = instance_table ~n_blocks in
-      let pool = Parexec.create ~jobs:config.Config.jobs () in
       let results =
-        Parexec.map pool
+        Parexec.map ~jobs:config.Config.jobs
           (fun i ->
             (* Each start owns its incremental evaluation state; the
                starts share only the instance table, whose entries are

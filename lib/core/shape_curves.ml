@@ -39,7 +39,7 @@ let combine_children ~config ~rng child_curves child_areas =
       | [], _ | _, [] -> best
       | pb, pf -> Curve.of_points (pb @ pf)
     in
-    Curve.prune ~max_points:config.Config.max_curve_points merged
+    Curve.prune ~max_points:Slicing.Layout.max_curve_points merged
 
 let generate_body tree ~config ~rng =
   let n = Tree.node_count tree in

@@ -135,8 +135,7 @@ let sweep ~(config : Hidap.Config.t) (d : Hidap.design) =
                 (r, measured, registry)))
       in
       let lambdas = match config.lambda_sweep with [] -> [ config.lambda ] | l -> l in
-      let pool = Parexec.create ~jobs:config.jobs () in
-      let runs = Array.to_list (Parexec.map pool candidate (Array.of_list lambdas)) in
+      let runs = Array.to_list (Parexec.map ~jobs:config.jobs candidate (Array.of_list lambdas)) in
       List.iter (fun (_, _, reg) -> Obs.Metrics.merge_into (Obs.Metrics.ambient ()) reg) runs;
       let wl_of (_, ((m : metrics), _), _) = m.wl_um in
       let trace = List.map (fun ((r : Hidap.result), _, _ as c) -> (r.lambda, wl_of c)) runs in

@@ -16,8 +16,6 @@ let euclidean a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   sqrt ((dx *. dx) +. (dy *. dy))
 
-let midpoint a b = { x = (a.x +. b.x) /. 2.0; y = (a.y +. b.y) /. 2.0 }
-
 let equal a b = a.x = b.x && a.y = b.y
 
 let pp ppf p = Format.fprintf ppf "(%.3f, %.3f)" p.x p.y

@@ -15,8 +15,6 @@ val manhattan : t -> t -> float
 
 val euclidean : t -> t -> float
 
-val midpoint : t -> t -> t
-
 val equal : t -> t -> bool
 (** Exact float equality (used on points derived from identical
     computations only). *)

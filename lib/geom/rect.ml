@@ -4,11 +4,6 @@ let make ~x ~y ~w ~h =
   assert (w >= 0.0 && h >= 0.0);
   { x; y; w; h }
 
-let of_corners (a : Point.t) (b : Point.t) =
-  let x = min a.Point.x b.Point.x and y = min a.Point.y b.Point.y in
-  let w = abs_float (a.Point.x -. b.Point.x) and h = abs_float (a.Point.y -. b.Point.y) in
-  { x; y; w; h }
-
 let area r = r.w *. r.h
 
 let center r = Point.make (r.x +. (r.w /. 2.0)) (r.y +. (r.h /. 2.0))
@@ -47,16 +42,9 @@ let grid_range r ~grid ~bins =
   let j0, j1 = span grid.y (grid.h /. float_of_int bins) r.y (r.y +. r.h) in
   (i0, i1, j0, j1)
 
-let union_bbox a b =
-  let x = min a.x b.x and y = min a.y b.y in
-  let x2 = max (a.x +. a.w) (b.x +. b.w) and y2 = max (a.y +. a.h) (b.y +. b.h) in
-  { x; y; w = x2 -. x; h = y2 -. y }
-
 let inset r m =
   let w = max 0.0 (r.w -. (2.0 *. m)) and h = max 0.0 (r.h -. (2.0 *. m)) in
   { x = r.x +. m; y = r.y +. m; w; h }
-
-let translate r (d : Point.t) = { r with x = r.x +. d.Point.x; y = r.y +. d.Point.y }
 
 let aspect_ratio r =
   if r.w <= 0.0 || r.h <= 0.0 then infinity else max (r.w /. r.h) (r.h /. r.w)

@@ -5,9 +5,6 @@ type t = { x : float; y : float; w : float; h : float }
 val make : x:float -> y:float -> w:float -> h:float -> t
 (** Requires [w >= 0] and [h >= 0]. *)
 
-val of_corners : Point.t -> Point.t -> t
-(** Bounding box of two points. *)
-
 val area : t -> float
 
 val center : t -> Point.t
@@ -36,12 +33,8 @@ val grid_range : t -> grid:t -> bins:int -> int * int * int * int
     rounding cannot leave one out. Every bin outside the range has zero
     intersection area with [r]. *)
 
-val union_bbox : t -> t -> t
-
 val inset : t -> float -> t
 (** Shrink by a margin on every side (clamped at degenerate). *)
-
-val translate : t -> Point.t -> t
 
 val aspect_ratio : t -> float
 (** max(w/h, h/w); [infinity] for degenerate rectangles. *)

@@ -25,5 +25,3 @@ let star pins =
     let sy = List.fold_left (fun acc p -> acc +. p.Point.y) 0.0 pins in
     let c = Point.make (sx /. n) (sy /. n) in
     List.fold_left (fun acc p -> acc +. Point.manhattan c p) 0.0 pins
-
-let total_hpwl nets = Array.fold_left (fun acc net -> acc +. hpwl_array net) 0.0 nets

@@ -7,7 +7,3 @@ val hpwl_array : Point.t array -> float
 
 val star : Point.t list -> float
 (** Star model: sum of Manhattan distances from the centroid. *)
-
-val total_hpwl : Point.t array array -> float
-(** Sum of per-net HPWL over an array of nets (each an array of pin
-    positions). *)

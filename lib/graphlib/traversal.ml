@@ -38,14 +38,6 @@ let multi_source_nearest g ~sources =
   done;
   label
 
-let distances_from g ~sources =
-  let n = Digraph.node_count g in
-  let dist = Array.make n (-1) in
-  bfs_layers g ~sources ~direction:`Fwd
-    ~visit:(fun ~node ~dist:d ~parent:_ -> dist.(node) <- d)
-    ();
-  dist
-
 let topological_order g =
   let n = Digraph.node_count g in
   let indeg = Array.init n (Digraph.in_degree g) in
@@ -72,28 +64,3 @@ let reachable_set g ~sources =
     ~visit:(fun ~node ~dist:_ ~parent:_ -> seen.(node) <- true)
     ();
   seen
-
-let weakly_connected_components g =
-  let n = Digraph.node_count g in
-  let label = Array.make n (-1) in
-  let q = Queue.create () in
-  let comp = ref 0 in
-  for s = 0 to n - 1 do
-    if label.(s) < 0 then begin
-      label.(s) <- !comp;
-      Queue.push s q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        let touch v =
-          if label.(v) < 0 then begin
-            label.(v) <- !comp;
-            Queue.push v q
-          end
-        in
-        Digraph.succ_iter g u touch;
-        Digraph.pred_iter g u touch
-      done;
-      incr comp
-    end
-  done;
-  (label, !comp)

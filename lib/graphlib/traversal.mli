@@ -20,13 +20,7 @@ val multi_source_nearest : Digraph.t -> sources:(int * int) list -> int array
     of [(node, label)]. Unreached nodes get label [-1]. This is the
     paper's glue-logic absorption search (Fig. 6). *)
 
-val distances_from : Digraph.t -> sources:int list -> int array
-(** Forward BFS distance from the source set; [-1] when unreachable. *)
-
 val topological_order : Digraph.t -> int array option
 (** Kahn topological order; [None] when the graph has a cycle. *)
 
 val reachable_set : Digraph.t -> sources:int list -> bool array
-
-val weakly_connected_components : Digraph.t -> int array * int
-(** Component label per node, and the number of components. *)

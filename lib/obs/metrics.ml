@@ -193,11 +193,6 @@ let percentile xs ~p =
   | Some v -> v
   | None -> invalid_arg "Metrics.percentile: empty sample list"
 
-let hist_percentile t name ~p =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Hist h) -> percentile_opt (retained h) ~p
-  | _ -> None
-
 let hist_json h =
   let samples = retained h in
   (* count/mean/min/max are exact even past the reservoir capacity;

@@ -12,9 +12,9 @@
     exactly (and in observation order); past that, Algorithm R keeps a
     uniform subsample, replacing slots via a dedicated RNG seeded from
     the metric {e name}. Count, mean, min, max and the binned view
-    remain exact at any count; percentiles ({!hist_percentile},
-    [to_json]'s p50/p90/p99) are computed from the retained subsample
-    and become estimates once a histogram exceeds the capacity. Because
+    remain exact at any count; [to_json]'s p50/p90/p99 are computed
+    from the retained subsample and become estimates once a histogram
+    exceeds the capacity. Because
     the replacement stream is seeded by name and consumed in
     observation order (and merges re-offer retained samples in task
     order), the retained set is a deterministic function of the
@@ -112,12 +112,6 @@ val percentile_opt : float list -> p:float -> float option
 val percentile : float list -> p:float -> float
 (** [percentile_opt] that raises [Invalid_argument] on an empty list;
     same single-sample convention. *)
-
-val hist_percentile : t -> string -> p:float -> float option
-(** Percentile of a named histogram's retained samples (exact below
-    {!reservoir_capacity} observations, an estimate above); [None]
-    when the name is absent, not a histogram, or the histogram is
-    empty. *)
 
 val to_json : counters:Perf.t -> t -> Jsonx.t
 (** The metrics document of a run (what [--metrics] writes):

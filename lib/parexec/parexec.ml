@@ -1,5 +1,3 @@
-type t = { jobs : int }
-
 let default_jobs () =
   match Sys.getenv_opt "HIDAP_JOBS" with
   | Some s ->
@@ -7,16 +5,6 @@ let default_jobs () =
     | Some j when j >= 1 -> min 64 j
     | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
-
-let create ?jobs () =
-  let jobs =
-    match jobs with
-    | Some j -> max 1 (min 64 j)
-    | None -> max 1 (default_jobs ())
-  in
-  { jobs }
-
-let jobs t = t.jobs
 
 (* Set while a task body runs, so a nested [map] (e.g. the per-lambda
    sweep tasks each running per-instance annealing starts) degrades to
@@ -78,7 +66,7 @@ type ('b, 'reg, 'span, 'perf) slot =
   | Done of 'b * 'reg option * 'span list * 'perf option
   | Failed of exn * Printexc.raw_backtrace
 
-let map t f xs =
+let map ~jobs f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
@@ -119,7 +107,7 @@ let map t f xs =
       Domain.DLS.set in_task saved
     in
     let nested = Domain.DLS.get in_task in
-    let workers = if nested then 1 else min t.jobs n in
+    let workers = if nested then 1 else min (max 1 (min max_workers jobs)) n in
     let tasks_w = Array.make workers 0 in
     let busy_w = Array.make workers 0.0 in
     let map_t0 = Obs.Clock.now_us () in

@@ -1,10 +1,12 @@
 (** Deterministic fork-join parallelism over OCaml domains.
 
-    [map] distributes independent tasks over a small pool of freshly
-    spawned domains (work-stealing over a shared atomic index; the
-    calling domain participates) and returns the results in input
-    order. The contract is that the observable outcome is {e identical}
-    for every job count, including 1:
+    [map ~jobs f xs] distributes independent tasks over up to [jobs]
+    domains spawned for that call and joined before it returns
+    (work-stealing over a shared atomic index; the calling domain
+    participates), and returns the results in input order. There is no
+    pool value: the job count is the only parameter. The contract is
+    that the observable outcome is {e identical} for every job count,
+    including 1:
 
     - results come back in input order, so any reduction the caller
       performs is independent of scheduling;
@@ -20,34 +22,25 @@
       job count.
 
     Nested [map] calls from inside a task run sequentially on the
-    worker (still with per-task telemetry isolation), so a pool used at
-    two levels of a flow cannot deadlock or oversubscribe the machine.
+    worker (still with per-task telemetry isolation), so a flow that
+    maps at two levels cannot deadlock or oversubscribe the machine.
 
     Tasks must not share mutable state with each other; give each task
     its own scratch buffers and (pre-split) RNG stream. *)
 
-type t
-
 val default_jobs : unit -> int
-(** The pool's default and the bound applied when no explicit job count
-    is given: the [HIDAP_JOBS] environment variable when set to a
-    positive integer (clamped to 64 — lets CI pin the whole test suite
-    and bench gate to a job count), otherwise
-    [Domain.recommended_domain_count ()]. *)
+(** The default job count ([Hidap.Config.default]'s [jobs]): the
+    [HIDAP_JOBS] environment variable when set to a positive integer
+    (clamped to 64 — lets CI pin the whole test suite and bench gate to
+    a job count), otherwise [Domain.recommended_domain_count ()]. *)
 
-val create : ?jobs:int -> unit -> t
-(** A pool descriptor. Without [jobs], the pool is bounded by
-    {!default_jobs}. An explicit [jobs] is honored even beyond the
-    recommended count (useful for exercising determinism on small
-    machines), clamped to [1, 64]. The descriptor is cheap: domains are
-    spawned per [map] call and joined before it returns. *)
-
-val jobs : t -> int
-
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map t f xs] applies [f] to every element of [xs], running up to
-    [jobs t] tasks concurrently, and returns the results in input
-    order. See the module description for the determinism contract. *)
+val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+(** [map ~jobs f xs] applies [f] to every element of [xs], running up
+    to [jobs] tasks concurrently, and returns the results in input
+    order. [jobs] is clamped to [1, 64] and honored even beyond the
+    recommended domain count (useful for exercising determinism on
+    small machines). See the module description for the determinism
+    contract. *)
 
 (** {1 Pool utilization}
 

@@ -33,11 +33,9 @@ val is_unconstrained : t -> bool
 val fits : t -> w:float -> h:float -> bool
 (** Can the block's macros be placed in a [w] x [h] box? *)
 
-val min_height : t -> w:float -> float option
-(** Least height h such that [fits ~w ~h]; [None] when even infinite
-    height does not admit width [w]. [Some 0.] for {!unconstrained}. *)
-
 val min_width : t -> h:float -> float option
+(** Least width w such that [fits ~w ~h]; [None] when even infinite
+    width does not admit height [h]. [Some 0.] for {!unconstrained}. *)
 
 val min_area_point : t -> (float * float) option
 (** Curve point with the smallest area; [None] for {!unconstrained}. *)
@@ -86,7 +84,7 @@ val fits_box : float array -> int -> float array -> int -> bool
 
 val min_extent :
   float array -> int -> width:bool -> float array -> cross:int -> out:int -> bool
-(** {!min_width} ([width]) or {!min_height} with the cross dimension in
+(** {!min_width} ([width]) or the least height with the cross dimension in
     [q.(cross)]: false for [None], else the result is in [q.(out)]. *)
 
 val min_area_box : float array -> int -> float array -> out:int -> bool

@@ -60,5 +60,3 @@ let pop_min t =
     end;
     Some (top.key, top.value)
   end
-
-let peek_min t = if t.len = 0 then None else Some (t.data.(0).key, t.data.(0).value)

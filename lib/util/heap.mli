@@ -15,5 +15,3 @@ val push : 'a t -> key:float -> 'a -> unit
 
 val pop_min : 'a t -> (float * 'a) option
 (** Remove and return the entry with the smallest key. *)
-
-val peek_min : 'a t -> (float * 'a) option

@@ -39,7 +39,3 @@ let median xs =
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 let clamp_int ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-
-let round_to ~digits x =
-  let f = 10.0 ** float_of_int digits in
-  Float.round (x *. f) /. f

@@ -20,6 +20,3 @@ val median : float list -> float
 val clamp : lo:float -> hi:float -> float -> float
 
 val clamp_int : lo:int -> hi:int -> int -> int
-
-val round_to : digits:int -> float -> float
-(** Round to a fixed number of decimal digits (for stable table output). *)

@@ -66,10 +66,3 @@ let density grid ?(width = 48) ?(height = 24) () =
     done;
     Buffer.contents buf
   end
-
-let histogram_bar v ~max ~width =
-  let n =
-    if max <= 0.0 then 0
-    else Util.Stat.clamp_int ~lo:0 ~hi:width (int_of_float (v /. max *. float_of_int width))
-  in
-  String.make n '|' ^ String.make (width - n) ' '

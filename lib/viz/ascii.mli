@@ -17,6 +17,3 @@ val density :
 (** Grey-ramp rendering of a density grid (column-major input as produced
     by {!Cellplace.density_map}: [grid.(ix).(iy)], [iy = 0] at the
     bottom). *)
-
-val histogram_bar : float -> max:float -> width:int -> string
-(** A left-aligned bar of ['▮']-style characters for table rendering. *)

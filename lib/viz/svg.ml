@@ -124,32 +124,6 @@ let floorplan_levels ~die ~levels ?(macros = []) ?(size = 320) () =
     let rects = List.map (fun (label, r) -> (label, r, macro_style)) macros in
     per_level @ [ (max_depth + 1, floorplan ~die ~rects ~size ()) ]
 
-let density_heatmap grid ?(size = 512) () =
-  let nx = Array.length grid in
-  let ny = if nx = 0 then 0 else Array.length grid.(0) in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (header ~w:size ~h:size);
-  if nx > 0 && ny > 0 then begin
-    let vmax = Array.fold_left (fun acc col -> Array.fold_left max acc col) 1e-12 grid in
-    let cw = float_of_int size /. float_of_int nx in
-    let ch = float_of_int size /. float_of_int ny in
-    for i = 0 to nx - 1 do
-      for j = 0 to ny - 1 do
-        let v = grid.(i).(j) /. vmax in
-        let shade = int_of_float (255.0 *. (1.0 -. (0.92 *. v))) in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" \
-              fill=\"rgb(%d,%d,%d)\"/>\n"
-             (float_of_int i *. cw)
-             (float_of_int (ny - 1 - j) *. ch)
-             cw ch shade shade 255)
-      done
-    done
-  end;
-  Buffer.add_string buf "</svg>\n";
-  Buffer.contents buf
-
 (* Labels come from user netlists, so escape them for XML. *)
 let xml_escape s =
   let buf = Buffer.create (String.length s) in

@@ -46,8 +46,6 @@ val floorplan_levels :
     [macros] is given, a final snapshot of the placed macros is appended
     at depth [max_depth + 1]. *)
 
-val density_heatmap : float array array -> ?size:int -> unit -> string
-
 val contribution_heatmap :
   labels:string array -> values:float array array -> ?cell:int -> unit -> string
 (** Labelled symmetric-matrix heat map: cell [(i, j)] is shaded by

@@ -44,17 +44,26 @@ let test_map_nodes () =
   Alcotest.(check int) "edges through dropped vanish" 2 (G.edge_count sub);
   Alcotest.(check int) "old id recovered" 3 old_of_new.(new_of_old.(3))
 
+(* Forward BFS distance of every node from the source set, as
+   [bfs_layers] reports it; [-1] when unreachable. *)
+let distances g ~sources =
+  let d = Array.make (G.node_count g) (-1) in
+  Tr.bfs_layers g ~sources ~direction:`Fwd
+    ~visit:(fun ~node ~dist ~parent:_ -> d.(node) <- dist)
+    ();
+  d
+
 let test_bfs_distances () =
   let g = chain 5 in
-  let d = Tr.distances_from g ~sources:[ 0 ] in
+  let d = distances g ~sources:[ 0 ] in
   Alcotest.(check (array int)) "chain distances" [| 0; 1; 2; 3; 4 |] d;
-  let d2 = Tr.distances_from g ~sources:[ 2 ] in
+  let d2 = distances g ~sources:[ 2 ] in
   Alcotest.(check int) "unreachable" (-1) d2.(0);
   Alcotest.(check int) "forward only" 2 d2.(4)
 
 let test_bfs_multi_source () =
   let g = chain 5 in
-  let d = Tr.distances_from g ~sources:[ 0; 3 ] in
+  let d = distances g ~sources:[ 0; 3 ] in
   Alcotest.(check (array int)) "two sources" [| 0; 1; 2; 0; 1 |] d
 
 let test_bfs_expand_gate () =
@@ -112,13 +121,6 @@ let test_reachable () =
   let r = Tr.reachable_set g ~sources:[ 1 ] in
   Alcotest.(check (array bool)) "reachable" [| false; true; true; true |] r
 
-let test_components () =
-  let g = graph 5 [ (0, 1); (3, 4) ] in
-  let label, n = Tr.weakly_connected_components g in
-  Alcotest.(check int) "three components" 3 n;
-  Alcotest.(check bool) "0 and 1 together" true (label.(0) = label.(1));
-  Alcotest.(check bool) "0 and 2 apart" false (label.(0) = label.(2))
-
 (* random DAG: edges only from smaller to bigger ids *)
 let dag_arb =
   QCheck.(
@@ -144,7 +146,7 @@ let topo_respects_edges =
 let bfs_dist_shortest =
   qtest "bfs distance <= any edge relaxation" dag_arb (fun edges ->
       let g = graph 20 edges in
-      let d = Tr.distances_from g ~sources:[ 0 ] in
+      let d = distances g ~sources:[ 0 ] in
       List.for_all
         (fun (a, b) -> d.(a) < 0 || (d.(b) >= 0 && d.(b) <= d.(a) + 1))
         edges)
@@ -243,21 +245,6 @@ module Ref = struct
         (succ r u)
     done;
     if List.length !order = r.n then Some (Array.of_list (List.rev !order)) else None
-
-  (* component labels in order of each component's lowest node *)
-  let components r =
-    let label = Array.make r.n (-1) in
-    let k = ref 0 in
-    List.iter
-      (fun s ->
-        if label.(s) < 0 then begin
-          List.iter
-            (fun (v, _, _) -> label.(v) <- !k)
-            (bfs r ~sources:[ s ] ~next:(fun u -> succ r u @ pred r u));
-          incr k
-        end)
-      (nodes r);
-    (label, !k)
 end
 
 let of_ref (r : Ref.t) = graph r.Ref.n r.Ref.edges
@@ -324,11 +311,9 @@ let traversals_match_model =
       let labelled = List.mapi (fun i s -> (s, i)) sources in
       visits `Fwd = Ref.bfs r ~sources ~next:(Ref.succ r)
       && visits `Bwd = Ref.bfs r ~sources ~next:(Ref.pred r)
-      && Tr.distances_from g ~sources = Ref.distances r ~sources
       && Tr.reachable_set g ~sources = Array.map (fun d -> d >= 0) (Ref.distances r ~sources)
       && Tr.multi_source_nearest g ~sources:labelled = Ref.nearest r ~sources:labelled
-      && Tr.topological_order g = Ref.topological_order r
-      && Tr.weakly_connected_components g = Ref.components r)
+      && Tr.topological_order g = Ref.topological_order r)
 
 let test_of_edges_rejects () =
   let raises name f =
@@ -357,5 +342,4 @@ let suite =
         Alcotest.test_case "nearest is undirected" `Quick test_multi_source_nearest_undirected;
         Alcotest.test_case "topological" `Quick test_topological;
         Alcotest.test_case "reachable" `Quick test_reachable;
-        Alcotest.test_case "components" `Quick test_components;
         topo_respects_edges; bfs_dist_shortest; traversals_match_model ] ) ]

@@ -104,6 +104,27 @@ let test_validate_flat_macro_exceeds_die () =
   Alcotest.(check bool) "strict escalates" true
     (Guard.Validate.errors strict <> [])
 
+(* [hidap place] on one module holding one 8 x 4 macro: cell area alone
+   would give it a 6.76 x 6.76 die. The die must fit the macro, so the
+   run exits 0 with no macro-exceeds-die warning and a clean audit. *)
+let test_place_macro_longer_than_area_die () =
+  let hnl = Filename.temp_file "onemacro" ".hnl" in
+  let err = Filename.temp_file "onemacro" ".err" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ hnl; err ]) @@ fun () ->
+  Out_channel.with_open_bin hnl (fun oc ->
+      output_string oc "design t\nmodule t {\n  macro m size 8 4 (in a ; out q)\n}\n");
+  let cli = Lazy.force Test_serve.cli in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid = Unix.create_process cli [| cli; "place"; hnl |] Unix.stdin null errfd in
+  Unix.close null;
+  Unix.close errfd;
+  let _, status = Unix.waitpid [] pid in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Alcotest.(check bool) ("exit 0; stderr:\n" ^ stderr) true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "no macro-exceeds-die" false
+    (Astring.String.is_infix ~affix:"macro-exceeds-die" stderr)
+
 (* ---- fault specs -------------------------------------------------- *)
 
 let test_fault_parse () =
@@ -401,6 +422,8 @@ let suite =
         Alcotest.test_case "validate bad area" `Quick test_validate_bad_area;
         Alcotest.test_case "validate macro exceeds die" `Quick
           test_validate_flat_macro_exceeds_die;
+        Alcotest.test_case "place fits a macro longer than the area die" `Quick
+          test_place_macro_longer_than_area_die;
         Alcotest.test_case "fault spec parsing" `Quick test_fault_parse;
         Alcotest.test_case "fault hit counting" `Quick test_fault_hit_counts;
         Alcotest.test_case "budget parse and trip" `Quick

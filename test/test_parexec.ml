@@ -8,30 +8,39 @@ let jobs_under_test = [ 1; 2; 4 ]
 let test_map_preserves_order () =
   List.iter
     (fun jobs ->
-      let pool = P.create ~jobs () in
       let xs = Array.init 100 (fun i -> i) in
-      let ys = P.map pool (fun i -> i * i) xs in
+      let ys = P.map ~jobs (fun i -> i * i) xs in
       Alcotest.(check (array int))
         (Printf.sprintf "squares in input order (jobs=%d)" jobs)
         (Array.map (fun i -> i * i) xs)
         ys)
     jobs_under_test
 
-let test_create_clamps () =
-  Alcotest.(check int) "at least one worker" 1 (P.jobs (P.create ~jobs:0 ()));
-  Alcotest.(check int) "negative clamps to one" 1 (P.jobs (P.create ~jobs:(-3) ()));
-  Alcotest.(check bool) "default is at least one" true
-    (P.jobs (P.create ()) >= 1);
-  Alcotest.(check int) "explicit count kept" 3 (P.jobs (P.create ~jobs:3 ()))
+(* The worker slots that ran tasks in one top-level [map ~jobs] over
+   [n] tasks, with the results checked. *)
+let slots_used ~jobs n =
+  P.reset_pool_stats ();
+  let ys = P.map ~jobs (fun i -> i + 1) (Array.init n Fun.id) in
+  Alcotest.(check (array int)) (Printf.sprintf "results (jobs=%d)" jobs)
+    (Array.init n (fun i -> i + 1)) ys;
+  let st = P.pool_stats () in
+  Alcotest.(check int) (Printf.sprintf "tasks (jobs=%d)" jobs) n
+    (Array.fold_left (fun a (w : P.worker_stats) -> a + w.P.tasks) 0 st.P.workers);
+  Array.length st.P.workers
+
+let test_jobs_clamped () =
+  Alcotest.(check int) "zero runs on one worker" 1 (slots_used ~jobs:0 6);
+  Alcotest.(check int) "negative runs on one worker" 1 (slots_used ~jobs:(-3) 6);
+  Alcotest.(check bool) "explicit count bounds the workers" true (slots_used ~jobs:3 6 <= 3);
+  Alcotest.(check bool) "default is at least one" true (P.default_jobs () >= 1)
 
 let test_nested_map_degrades () =
-  (* A task that maps on the same pool must not spawn domains from a
-     worker; the nested map runs sequentially and still returns the
-     right values. *)
-  let pool = P.create ~jobs:4 () in
+  (* A task that maps again must not spawn domains from a worker; the
+     nested map runs sequentially and still returns the right values. *)
   let ys =
-    P.map pool
-      (fun i -> Array.fold_left ( + ) 0 (P.map pool (fun j -> (10 * i) + j) (Array.init 5 Fun.id)))
+    P.map ~jobs:4
+      (fun i ->
+        Array.fold_left ( + ) 0 (P.map ~jobs:4 (fun j -> (10 * i) + j) (Array.init 5 Fun.id)))
       (Array.init 6 Fun.id)
   in
   Alcotest.(check (array int)) "nested results"
@@ -43,9 +52,8 @@ exception Boom of int
 let test_exception_lowest_index () =
   List.iter
     (fun jobs ->
-      let pool = P.create ~jobs () in
       let xs = Array.init 16 (fun i -> i) in
-      match P.map pool (fun i -> if i mod 5 = 2 then raise (Boom i) else i) xs with
+      match P.map ~jobs (fun i -> if i mod 5 = 2 then raise (Boom i) else i) xs with
       | _ -> Alcotest.fail "expected an exception"
       | exception Boom i ->
         (* failures at 2, 7 and 12: the reported one is the earliest by
@@ -71,9 +79,8 @@ let run_instrumented jobs =
             Obs.Perf.set_enabled false)
           (fun () ->
             Obs.Trace.start ();
-            let pool = P.create ~jobs () in
             let (_ : int array) =
-              P.map pool
+              P.map ~jobs
                 (fun i ->
                   Obs.Span.with_ ~name:(Printf.sprintf "task.%d" i) (fun () ->
                       Obs.Perf.add Obs.Perf.hidap_places 1;
@@ -110,8 +117,7 @@ let test_results_identical_across_jobs () =
   (* A pure computation gives bitwise-equal outputs regardless of the
      worker count. *)
   let compute jobs =
-    let pool = P.create ~jobs () in
-    P.map pool
+    P.map ~jobs
       (fun i ->
         let rng = Util.Rng.create i in
         Util.Rng.float rng 1.0)
@@ -129,7 +135,7 @@ let test_results_identical_across_jobs () =
 let suite =
   [ ( "parexec.map",
       [ Alcotest.test_case "preserves order" `Quick test_map_preserves_order;
-        Alcotest.test_case "create clamps" `Quick test_create_clamps;
+        Alcotest.test_case "clamps jobs" `Quick test_jobs_clamped;
         Alcotest.test_case "nested map degrades" `Quick test_nested_map_degrades;
         Alcotest.test_case "exception by lowest index" `Quick
           test_exception_lowest_index;

@@ -87,7 +87,37 @@ let decluster_covers_cells =
       in
       covered = Flat.cell_count flat)
 
+(* One module holding one [w] x [h] macro. Cell area alone gives it a
+   die side of sqrt (w h / 0.7), shorter than the macro whenever its
+   aspect ratio is below 0.7 (8 x 4 gets 6.76). *)
+let one_macro_design ~w ~h =
+  let module D = Netlist.Design in
+  let m = D.cell ~name:"m" ~kind:(D.make_macro ~w ~h) ~ins:[ "a" ] ~outs:[ "q" ] () in
+  D.design ~top:"t" ~modules:[ D.module_def ~name:"t" ~cells:[ m ] () ]
+
+let die_fits_every_macro =
+  qtest ~count:30 "die_for's die fits every macro"
+    QCheck.(pair params_arb (pair (float_range 1.0 64.0) (float_range 1.0 64.0)))
+    (fun (p, (w, h)) ->
+      List.for_all
+        (fun d ->
+          let flat = Flat.elaborate d in
+          let die = Hidap.die_for flat ~config:Hidap.Config.default in
+          let fits w h = w <= die.Rect.w && h <= die.Rect.h in
+          List.for_all
+            (fun (n : Flat.node) ->
+              match n.Flat.kind with
+              | Flat.Kmacro { Netlist.Design.mw; mh } -> fits mw mh || fits mh mw
+              | Flat.Kflop | Flat.Kcomb | Flat.Kport _ -> true)
+            (Flat.macros flat)
+          && not
+               (List.exists
+                  (fun (g : Guard.Diag.t) -> g.Guard.Diag.code = "macro-exceeds-die")
+                  (Guard.Validate.flat ~die flat)))
+        [ Circuitgen.Gen.generate p; one_macro_design ~w ~h ])
+
 let suite =
   [ ( "properties.flow",
       [ flow_total_and_legal; flow_overlap_bounded; flow_deterministic;
-        hnl_roundtrip_random; gseq_conserves_macros; decluster_covers_cells ] ) ]
+        hnl_roundtrip_random; gseq_conserves_macros; decluster_covers_cells;
+        die_fits_every_macro ] ) ]

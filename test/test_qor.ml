@@ -99,15 +99,7 @@ let test_percentile_edges () =
   Alcotest.(check bool) "singleton p0" true
     (Metrics.percentile_opt [ 3.0 ] ~p:0.0 = Some 3.0);
   Alcotest.(check bool) "singleton p100" true
-    (Metrics.percentile_opt [ 3.0 ] ~p:100.0 = Some 3.0);
-  let r = Metrics.create () in
-  Alcotest.(check bool) "absent hist -> None" true
-    (Metrics.hist_percentile r "nope" ~p:50.0 = None);
-  Metrics.observe r "h" 1.0;
-  Alcotest.(check bool) "one-sample hist" true
-    (match Metrics.hist_percentile r "h" ~p:99.0 with
-    | Some v -> abs_float (v -. 1.0) < 1e-9
-    | None -> false)
+    (Metrics.percentile_opt [ 3.0 ] ~p:100.0 = Some 3.0)
 
 (* ---------------------------------------------------------------- *)
 (* QoR record round-trip                                             *)

@@ -46,11 +46,8 @@ let test_unconstrained () =
     (Curve.min_area_point u);
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "no points" [] (Curve.points u)
 
-let test_min_height_width () =
+let test_min_width () =
   let c = Curve.of_points [ (2.0, 6.0); (4.0, 3.0); (8.0, 1.0) ] in
-  Alcotest.(check (option (float 1e-9))) "min height at w=4" (Some 3.0) (Curve.min_height c ~w:4.0);
-  Alcotest.(check (option (float 1e-9))) "min height at w=5" (Some 3.0) (Curve.min_height c ~w:5.0);
-  Alcotest.(check (option (float 1e-9))) "min height at w=1.9" None (Curve.min_height c ~w:1.9);
   Alcotest.(check (option (float 1e-9))) "min width at h=3" (Some 4.0) (Curve.min_width c ~h:3.0);
   Alcotest.(check (option (float 1e-9))) "min width below all" None (Curve.min_width c ~h:0.5)
 
@@ -184,7 +181,7 @@ let suite =
         Alcotest.test_case "pareto pruning" `Quick test_pareto_prunes_dominated;
         Alcotest.test_case "invalid inputs" `Quick test_of_points_invalid;
         Alcotest.test_case "unconstrained" `Quick test_unconstrained;
-        Alcotest.test_case "min height/width" `Quick test_min_height_width;
+        Alcotest.test_case "min height/width" `Quick test_min_width;
         Alcotest.test_case "compose dims" `Quick test_compose_dims;
         Alcotest.test_case "compose with unconstrained" `Quick
           test_compose_with_unconstrained;

@@ -95,19 +95,6 @@ let test_density_map () =
     (Array.iter (fun d -> Alcotest.(check bool) "non-negative" true (d >= 0.0)))
     grid
 
-let test_macro_pin_position () =
-  let flat, _, macros, _ = Lazy.force setup |> fun (f, _, _, _, m) ->
-    (f, (), m, ())
-  in
-  let m = List.hd macros in
-  (match Cellplace.macro_pin_position ~flat ~macros m.Cellplace.fid ~dir:`In with
-  | Some p ->
-    Alcotest.(check bool) "pin on macro boundary" true
-      (Rect.contains_point m.Cellplace.rect p)
-  | None -> Alcotest.fail "macro pin missing");
-  Alcotest.(check bool) "unknown macro" true
-    (Cellplace.macro_pin_position ~flat ~macros (-1) ~dir:`In = None)
-
 (* ---- macro push-out -------------------------------------------------- *)
 
 (* The reference push-out: every macro in list order, moving the point
@@ -352,7 +339,6 @@ let suite =
         Alcotest.test_case "locality" `Quick test_cellplace_locality;
         Alcotest.test_case "deterministic" `Quick test_cellplace_deterministic;
         Alcotest.test_case "density map" `Quick test_density_map;
-        Alcotest.test_case "macro pin position" `Quick test_macro_pin_position;
         Alcotest.test_case "push-out matches the list scan" `Quick test_push_out_cases;
         Alcotest.test_case "push-out matches the list scan, 200 macros" `Quick
           test_push_out_random ] );

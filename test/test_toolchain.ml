@@ -237,10 +237,6 @@ let test_ascii_density () =
   let s = Viz.Ascii.density grid ~width:8 ~height:4 () in
   Alcotest.(check bool) "hottest bin drawn" true (String.contains s '@')
 
-let test_histogram_bar () =
-  Alcotest.(check string) "half bar" "||||    " (Viz.Ascii.histogram_bar 1.0 ~max:2.0 ~width:8);
-  Alcotest.(check string) "empty" "        " (Viz.Ascii.histogram_bar 0.0 ~max:2.0 ~width:8)
-
 let test_svg_output () =
   let die = Rect.make ~x:0.0 ~y:0.0 ~w:10.0 ~h:10.0 in
   let svg =
@@ -286,6 +282,5 @@ let suite =
       [ Alcotest.test_case "ascii floorplan" `Quick test_ascii_floorplan;
         Alcotest.test_case "ascii overlap marker" `Quick test_ascii_overlap_marker;
         Alcotest.test_case "ascii density" `Quick test_ascii_density;
-        Alcotest.test_case "histogram bar" `Quick test_histogram_bar;
         Alcotest.test_case "svg output" `Quick test_svg_output;
         Alcotest.test_case "ppm output" `Quick test_ppm_output ] ) ]
