@@ -1639,8 +1639,7 @@ let ckpt_cmd =
       Format.eprintf "hidap: %s: %s@." dir msg;
       exit exit_invalid
   in
-  let describe store (e : Ckpt.Store.entry) =
-    match Ckpt.Store.read_entry store e with
+  let describe = function
     | Ok st ->
       Printf.sprintf "ok    %d instance(s)%s%s"
         (List.length st.Ckpt.State.instances)
@@ -1656,12 +1655,22 @@ let ckpt_cmd =
       let entries = Ckpt.Store.entries store in
       if entries = [] then Format.printf "no snapshots in %s@." dir
       else
-        List.iter
-          (fun (e : Ckpt.Store.entry) ->
-            Format.printf "%s  %s  %s@." e.Ckpt.Store.file
-              (if e.Ckpt.Store.stage then "stage" else "     ")
-              (describe store e))
-          entries
+        (* Snapshots are cumulative: a stage boundary is a snapshot
+           whose stage list grew past the last decoded one. *)
+        ignore
+          (List.fold_left
+             (fun prev (e : Ckpt.Store.entry) ->
+               let decoded = Ckpt.Store.read_entry store e in
+               let stages =
+                 match decoded with
+                 | Ok st -> List.length st.Ckpt.State.stages
+                 | Error _ -> prev
+               in
+               Format.printf "%s  %s  %s@." e.Ckpt.Store.file
+                 (if stages > prev then "stage" else "     ")
+                 (describe decoded);
+               stages)
+             0 entries)
     in
     Cmd.v
       (Cmd.info "ls" ~doc:"List the snapshots of a checkpoint directory" ~exits)
@@ -1711,12 +1720,13 @@ let ckpt_cmd =
     in
     let keep_arg =
       Arg.(value & opt (some int) None & info [ "keep" ] ~docv:"K"
-             ~doc:"Retention window to apply (default: the store's own, 4). \
-                   Stage-boundary snapshots are always kept.")
+             ~doc:"Number of newest snapshots to keep (default 4). Each \
+                   snapshot holds the whole run so far, so the newest \
+                   valid one supersedes the rest.")
     in
     Cmd.v
       (Cmd.info "gc"
-         ~doc:"Apply retention and delete unreferenced snapshot files" ~exits)
+         ~doc:"Delete every snapshot file older than the newest K" ~exits)
       Term.(const run $ dir_pos $ keep_arg)
   in
   Cmd.group

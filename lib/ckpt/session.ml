@@ -84,12 +84,12 @@ let start ?(keep = 4) ?(every = 1) ?(on_save = ignore) ~dir ~resume fp =
 
 (* Snapshot writes degrade, never kill: a full disk or an injected
    [ckpt_write] fault costs the checkpoint, not the placement. *)
-let save_now t ~stage =
+let save_now t =
   Guard.Supervisor.protect ~stage:"ckpt_write"
     ~fallback:(fun _ -> ())
     (fun () ->
       Obs.Span.with_ ~name:"ckpt.save" (fun () ->
-          let e = Store.save t.store ~stage t.state in
+          let e = Store.save t.store t.state in
           t.written <- t.written + 1;
           Obs.Span.attr_int "seq" e.Store.seq;
           Obs.Span.attr_int "instances" (List.length t.state.State.instances);
@@ -114,7 +114,7 @@ let instance_done t ~nh ~depth ~n_blocks ~rects ~sa_moves ~rng_after =
   t.new_units <- t.new_units + 1;
   let due = t.new_units >= t.every in
   Mutex.unlock t.mutex;
-  if due then save_now t ~stage:false
+  if due then save_now t
 
 let lookup_flip t = t.resumed_flip
 
@@ -131,4 +131,4 @@ let stage_done t name =
     Mutex.unlock t.mutex;
     fresh
   in
-  if fresh then save_now t ~stage:true
+  if fresh then save_now t

@@ -4,7 +4,10 @@
     run so far. The flow reports completed work ({!instance_done},
     {!flip_done}, {!stage_done}); the session appends it to the state
     and snapshots the whole state every [every] completed units, and
-    unconditionally at stage boundaries. On resume, the flow asks
+    unconditionally at stage boundaries. Every snapshot holds the whole
+    state, so a stage snapshot is an ordinary one whose [stages] list
+    grew, and the newest valid snapshot supersedes the rest. On resume,
+    the flow asks
     before each unit of work ({!lookup_instance}, {!lookup_flip})
     whether a finished result is already on record; a hit skips the
     computation and — for floorplan instances — restores the RNG to the
@@ -35,7 +38,8 @@ val start :
   (t, Guard.Diag.t) result
 (** Open [dir] and begin a session. With [resume:false] a new snapshot
     sequence starts (existing snapshots are ignored until [gc]). With
-    [resume:true] the newest valid snapshot is adopted when its
+    [resume:true] the newest valid snapshot file in [dir], whichever
+    run wrote it, is adopted when its
     fingerprint matches ([ckpt-mismatch] error otherwise); an empty or
     wholly invalid store resumes from scratch. [every] (default 1) is
     the number of completed floorplan instances between periodic
@@ -59,10 +63,10 @@ val lookup_flip : t -> State.flip_entry option
 val flip_done : t -> State.flip_entry -> unit
 
 val stage_done : t -> string -> unit
-(** Record a completed stage boundary and write a stage snapshot.
+(** Record a completed stage boundary and write a snapshot.
     Idempotent per stage name (resumed stages do not re-snapshot). *)
 
-val save_now : t -> stage:bool -> unit
+val save_now : t -> unit
 (** Force a snapshot of the current state. *)
 
 val summary : t -> summary

@@ -3,6 +3,8 @@ module Rect = Geom.Rect
 
 let schema = "hidap-ckpt-state"
 
+(* Payload schema version; bump on any incompatible layout change
+   (DESIGN.md section 11 has the bump rules). *)
 let version = 1
 
 type fingerprint = {

@@ -44,10 +44,6 @@ type t = {
   stages : string list;
 }
 
-val version : int
-(** Payload schema version; bump on any incompatible layout change
-    (see DESIGN.md section 11 for the bump rules). *)
-
 val empty : fingerprint -> t
 
 val equal : t -> t -> bool

@@ -1,15 +1,6 @@
-module Jsonx = Obs.Jsonx
-
-let manifest_schema = "hidap-ckpt-manifest"
-
-let manifest_version = 1
-
-let manifest_file = "manifest.json"
-
 type entry = {
   seq : int;
   file : string;  (** basename inside the store directory *)
-  stage : bool;  (** stage-boundary snapshot (kept beyond the last-K window) *)
 }
 
 type t = {
@@ -18,8 +9,6 @@ type t = {
   mutable next_seq : int;
   mutable entries : entry list;  (** oldest first *)
 }
-
-let dir t = t.dir
 
 let entries t = t.entries
 
@@ -32,71 +21,15 @@ let seq_of_name name =
   | true -> int_of_string_opt (String.sub name 5 6)
   | false -> None
 
-(* ---- manifest ------------------------------------------------------ *)
-
-let manifest_json t =
-  Jsonx.Obj
-    [ ("schema", Jsonx.String manifest_schema);
-      ("version", Jsonx.Int manifest_version);
-      ("keep", Jsonx.Int t.keep);
-      ("next_seq", Jsonx.Int t.next_seq);
-      ( "entries",
-        Jsonx.List
-          (List.map
-             (fun e ->
-               Jsonx.Obj
-                 [ ("seq", Jsonx.Int e.seq);
-                   ("file", Jsonx.String e.file);
-                   ("stage", Jsonx.Bool e.stage) ])
-             t.entries) ) ]
-
-let write_manifest t =
-  Envelope.write (Filename.concat t.dir manifest_file)
-    (Jsonx.to_string ~compact:true (manifest_json t) ^ "\n")
-
-let entries_of_manifest j =
-  match Option.bind (Jsonx.member "entries" j) Jsonx.to_list_opt with
-  | None -> None
-  | Some items ->
-    let entry e =
-      match
-        ( Option.bind (Jsonx.member "seq" e) Jsonx.to_int_opt,
-          Option.bind (Jsonx.member "file" e) Jsonx.to_string_opt,
-          Jsonx.member "stage" e )
-      with
-      | Some seq, Some file, Some (Jsonx.Bool stage) -> Some { seq; file; stage }
-      | _ -> None
-    in
-    let entries = List.filter_map entry items in
-    if List.length entries = List.length items then Some entries else None
-
-let read_manifest dir =
-  match Envelope.read (Filename.concat dir manifest_file) with
-  | Error msg -> Error msg
-  | Ok payload ->
-    (match Jsonx.parse payload with
-    | Error msg -> Error msg
-    | Ok j ->
-      (match
-         ( Option.bind (Jsonx.member "schema" j) Jsonx.to_string_opt,
-           entries_of_manifest j,
-           Option.bind (Jsonx.member "next_seq" j) Jsonx.to_int_opt )
-       with
-      | Some s, Some entries, Some next_seq when s = manifest_schema ->
-        Ok (entries, next_seq)
-      | _ -> Error "malformed manifest"))
-
-(* Fallback when the manifest is lost or torn: the snapshots themselves
-   are self-validating, so the directory listing is an authoritative —
-   if unordered-by-kind — index. Rescued entries are marked as stage
-   boundaries so retention never deletes evidence it cannot classify. *)
-let rescan dir =
+(* The numbered snapshot files are the store's only index: each one is
+   self-validating, so the directory listing ordered by sequence number
+   is all a reopen needs. *)
+let snapshots dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | names ->
     Array.to_list names
-    |> List.filter_map (fun name ->
-           Option.map (fun seq -> { seq; file = name; stage = true }) (seq_of_name name))
+    |> List.filter_map (fun file -> Option.map (fun seq -> { seq; file }) (seq_of_name file))
     |> List.sort (fun a b -> compare a.seq b.seq)
 
 let rec mkdir_p dir =
@@ -110,20 +43,12 @@ let open_ ?(keep = 4) ~fresh dir =
     mkdir_p dir;
     if not (Sys.is_directory dir) then Error (dir ^ " is not a directory")
     else begin
-      let listed, next_seq =
-        match read_manifest dir with
-        | Ok (entries, next_seq) -> (entries, next_seq)
-        | Error _ ->
-          let rescued = rescan dir in
-          ( rescued,
-            1 + List.fold_left (fun acc e -> max acc e.seq) 0 rescued )
-      in
-      if fresh then
-        (* A fresh run ignores whatever a previous run left behind; the
-           old files stay on disk (unlisted) until [gc] sweeps them, so
-           an accidental restart without --resume is recoverable. *)
-        Ok { dir; keep = max 1 keep; next_seq; entries = [] }
-      else Ok { dir; keep = max 1 keep; next_seq; entries = listed }
+      let on_disk = snapshots dir in
+      let next_seq = 1 + List.fold_left (fun acc e -> max acc e.seq) 0 on_disk in
+      (* A fresh run ignores whatever a previous run left behind; the
+         old files stay on disk (unlisted) until [gc] sweeps them, so
+         an accidental restart without --resume is recoverable. *)
+      Ok { dir; keep = max 1 keep; next_seq; entries = (if fresh then [] else on_disk) }
     end
   with
   | r -> r
@@ -133,23 +58,22 @@ let open_ ?(keep = 4) ~fresh dir =
 
 (* ---- retention ----------------------------------------------------- *)
 
-(* Keep every stage-boundary snapshot plus the [keep] most recent
-   snapshots of any kind; everything older is dropped. *)
-let retained t =
-  let n = List.length t.entries in
-  List.filteri (fun i e -> e.stage || i >= n - t.keep) t.entries
+(* Snapshots are cumulative, so the newest valid one supersedes every
+   older one: retention keeps the [keep] newest as rollback targets and
+   returns the entries it dropped. *)
+let drop_older t keep =
+  let excess = List.length t.entries - keep in
+  let dropped = List.filteri (fun i _ -> i < excess) t.entries in
+  t.entries <- List.filteri (fun i _ -> i >= excess) t.entries;
+  dropped
 
-let save t ~stage state =
+let save t state =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let e = { seq; file = snap_name seq; stage } in
+  let e = { seq; file = snap_name seq } in
   Envelope.write (path_of t e) (State.to_payload state);
   t.entries <- t.entries @ [ e ];
-  let kept = retained t in
-  let dropped = List.filter (fun e -> not (List.memq e kept)) t.entries in
-  t.entries <- kept;
-  write_manifest t;
-  List.iter (fun e -> try Sys.remove (path_of t e) with Sys_error _ -> ()) dropped;
+  List.iter (fun e -> try Sys.remove (path_of t e) with Sys_error _ -> ()) (drop_older t t.keep);
   e
 
 (* ---- loading with rollback ----------------------------------------- *)
@@ -210,28 +134,17 @@ let corrupt_latest t =
 
 (* ---- gc ------------------------------------------------------------ *)
 
-(* Re-apply retention under [keep] and sweep snapshot files the
-   manifest no longer references (left by a crash mid-save or by a
-   fresh run over an old directory). *)
+(* Apply retention under [keep], then remove every snapshot file the
+   store does not retain: the ones retention dropped and the ones a
+   fresh run or a crash mid-save left unlisted. *)
 let gc ?keep t =
-  let t = match keep with Some k -> { t with keep = max 1 k } | None -> t in
-  let kept = retained t in
-  let dropped = List.filter (fun e -> not (List.memq e kept)) t.entries in
-  t.entries <- kept;
-  write_manifest t;
-  let listed = List.map (fun e -> e.file) t.entries in
-  let unreferenced =
-    match Sys.readdir t.dir with
-    | exception Sys_error _ -> []
-    | names ->
-      Array.to_list names
-      |> List.filter (fun n -> seq_of_name n <> None && not (List.mem n listed))
-  in
+  ignore (drop_older t (Option.fold ~none:t.keep ~some:(max 1) keep));
   let removed =
-    List.map (fun e -> e.file) dropped
-    @ List.filter (fun _ -> true) unreferenced
+    List.filter_map
+      (fun e -> if List.mem e t.entries then None else Some e.file)
+      (snapshots t.dir)
   in
   List.iter
     (fun file -> try Sys.remove (Filename.concat t.dir file) with Sys_error _ -> ())
     removed;
-  List.sort_uniq compare removed
+  removed

@@ -1,36 +1,35 @@
-(** Checkpoint directory: numbered snapshots plus a manifest.
+(** Checkpoint directory: numbered snapshots, and nothing else.
 
     A store owns one directory holding [snap-NNNNNN.ckpt] envelope
-    files and a [manifest.json] (itself envelope-wrapped, so a torn
-    manifest is detected, not trusted). Snapshots are written through
+    files. The files are the index: each is self-validating, and their
+    sequence numbers order them. Snapshots are written through
     {!Envelope.write}, so every file is atomic-or-rejected.
 
-    Retention keeps every stage-boundary snapshot plus the last [keep]
-    snapshots of any kind. Loading walks newest to oldest and falls
-    back past torn or corrupted snapshots, recording each rollback in
-    the {!Guard.Supervisor} degradation ledger. *)
+    Snapshots are cumulative, so the newest valid one supersedes every
+    older one, and retention keeps the [keep] newest. Loading walks
+    newest to oldest and falls back past torn or corrupted snapshots,
+    recording each rollback in the {!Guard.Supervisor} degradation
+    ledger. *)
 
-type entry = { seq : int; file : string; stage : bool }
+type entry = { seq : int; file : string }
 
 type t
 
 val open_ : ?keep:int -> fresh:bool -> string -> (t, string) result
-(** Open (creating if needed) a checkpoint directory. [fresh] starts a
-    new snapshot sequence ignoring — but not deleting — existing
-    snapshots; [fresh:false] adopts the manifest, or a directory rescan
-    when the manifest itself is lost or torn. [keep] (default 4) is the
-    retention window. *)
-
-val dir : t -> string
+(** Open (creating if needed) a checkpoint directory. Both modes number
+    new snapshots past the highest one on disk. [fresh] starts with no
+    entries, ignoring — but not deleting — existing snapshots, so its
+    saves and retention never touch them; [fresh:false] adopts every
+    snapshot file in the directory. [keep] (default 4) is the retention
+    window. *)
 
 val entries : t -> entry list
 (** Oldest first. *)
 
-val path_of : t -> entry -> string
-
-val save : t -> stage:bool -> State.t -> entry
-(** Write a snapshot, update the manifest, apply retention. Raises on
-    I/O failure (callers degrade via {!Guard.Supervisor.protect}). *)
+val save : t -> State.t -> entry
+(** Write a snapshot and drop this store's entries older than the
+    newest [keep]. Raises on I/O failure (callers degrade via
+    {!Guard.Supervisor.protect}). *)
 
 type loaded = {
   state : State.t;
@@ -52,6 +51,6 @@ val corrupt_latest : t -> unit
     action, also used by the tests. *)
 
 val gc : ?keep:int -> t -> string list
-(** Re-apply retention (optionally under a new [keep]) and remove
-    snapshot files no longer referenced by the manifest. Returns the
-    removed file names, sorted. *)
+(** Re-apply retention (optionally under a new [keep]) and remove every
+    snapshot file in the directory that the store does not retain.
+    Returns the removed file names, oldest first. *)

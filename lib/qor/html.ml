@@ -1,17 +1,6 @@
 module Rect = Geom.Rect
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Viz.Svg.xml_escape
 
 let css =
   {|body { font-family: -apple-system, "Segoe UI", Roboto, sans-serif; margin: 2em auto;

@@ -65,7 +65,7 @@ let place ~circuit ~(config : Hidap.Config.t) ~die ?ckpt ?(on_resume = ignore)
   | exception (Guard.Budget.Cancelled _ as e) ->
     let bt = Printexc.get_raw_backtrace () in
     Option.iter
-      (fun s -> try Ckpt.Session.save_now s ~stage:false with _ -> ())
+      (fun s -> try Ckpt.Session.save_now s with _ -> ())
       !session;
     Printexc.raise_with_backtrace e bt
 

@@ -1,22 +1,15 @@
 (* Bounded priority queue between the accept loop and the worker.
 
-   A mutex + condition around a small list: queue depths are bounded
-   by admission control (the whole point), so linear scans beat a heap
-   on clarity. Ordering is priority descending, then submission
-   sequence ascending (FIFO within a priority). An entry can carry a
-   ready time in the future (retry backoff); [pop] never returns it
-   early.
-
-   OCaml's Condition has no timed wait, so when every queued entry is
-   still backing off the consumer polls with short bounded sleeps
-   instead of blocking on the condition (which only push/close
-   signal). *)
+   A mutex around a small list: queue depths are bounded by admission
+   control (the whole point), so linear scans beat a heap on clarity.
+   Ordering is priority descending, then submission sequence ascending
+   (FIFO within a priority). An entry can carry a ready time in the
+   future (retry backoff); [try_pop] never returns it early. *)
 
 type 'a entry = { priority : int; seq : int; ready_s : float; v : 'a }
 
 type 'a t = {
   lock : Mutex.t;
-  cond : Condition.t;
   limit : int;
   mutable entries : 'a entry list;
   mutable closed : bool;
@@ -25,8 +18,7 @@ type 'a t = {
 type push_result = Enqueued of int | Full of int
 
 let create ~limit =
-  { lock = Mutex.create (); cond = Condition.create ();
-    limit = max 1 limit; entries = []; closed = false }
+  { lock = Mutex.create (); limit = max 1 limit; entries = []; closed = false }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -37,8 +29,7 @@ let depth t = locked t (fun () -> List.length t.entries)
 let limit t = t.limit
 
 let insert t ~priority ~seq ~ready_s v =
-  t.entries <- { priority; seq; ready_s; v } :: t.entries;
-  Condition.broadcast t.cond
+  t.entries <- { priority; seq; ready_s; v } :: t.entries
 
 let push t ~priority ~seq ?(ready_s = 0.0) v =
   locked t (fun () ->
@@ -55,10 +46,7 @@ let push t ~priority ~seq ?(ready_s = 0.0) v =
 let force_push t ~priority ~seq ?(ready_s = 0.0) v =
   locked t (fun () -> if not t.closed then insert t ~priority ~seq ~ready_s v)
 
-let close t =
-  locked t (fun () ->
-      t.closed <- true;
-      Condition.broadcast t.cond)
+let close t = locked t (fun () -> t.closed <- true)
 
 let best_ready ~now entries =
   List.fold_left
@@ -75,7 +63,9 @@ let best_ready ~now entries =
 
 (* Non-blocking pop for the daemon's single-domain select loop, which
    must never sleep in the queue: it owns accept, relay and reaping
-   too. Backing-off entries simply stay put until a later tick. *)
+   too. Backing-off entries simply stay put until a later tick. Close
+   means drain: entries left in a closed queue are not handed out, they
+   stay persisted as pending for the next daemon. *)
 let try_pop t =
   locked t (fun () ->
       if t.closed then None
@@ -86,30 +76,3 @@ let try_pop t =
           t.entries <- List.filter (fun x -> x != e) t.entries;
           Some e.v
         | None -> None)
-
-let rec pop t =
-  Mutex.lock t.lock;
-  if t.closed then begin
-    (* Close means drain: entries left in the queue are NOT handed
-       out — they stay persisted as pending for the next daemon. *)
-    Mutex.unlock t.lock;
-    None
-  end
-  else begin
-    let now = Unix.gettimeofday () in
-    match best_ready ~now t.entries with
-    | Some e ->
-      t.entries <- List.filter (fun x -> x != e) t.entries;
-      Mutex.unlock t.lock;
-      Some e.v
-    | None ->
-      if t.entries = [] then Condition.wait t.cond t.lock
-      else begin
-        (* Only backing-off entries: poll on a short bounded sleep. *)
-        Mutex.unlock t.lock;
-        Unix.sleepf 0.02;
-        Mutex.lock t.lock
-      end;
-      Mutex.unlock t.lock;
-      pop t
-  end

@@ -3,7 +3,7 @@
 
     Ordering: priority descending, then submission sequence ascending
     (FIFO within a priority). Entries may carry a future ready time
-    (retry backoff); {!pop} never hands one out early. The bound is
+    (retry backoff); {!try_pop} never hands one out early. The bound is
     the admission-control limit — {!push} refuses past it, returning
     the depth for the structured backpressure rejection. *)
 
@@ -28,20 +28,16 @@ val force_push : 'a t -> priority:int -> seq:int -> ?ready_s:float -> 'a -> unit
     next daemon will recover it). *)
 
 val try_pop : 'a t -> 'a option
-(** Non-blocking {!pop}: the best eligible entry right now, or [None]
-    when the queue is closed, empty, or holds only entries still
-    backing off. The daemon's select loop polls this once per free
-    worker slot per tick. *)
-
-val pop : 'a t -> 'a option
-(** Block until an eligible entry exists and return the best one, or
-    [None] once the queue is closed. A closed queue returns [None]
-    even when entries remain: close means drain, and undone entries
-    stay persisted for the next daemon. Single-consumer. *)
+(** The best eligible entry right now, or [None] when the queue is
+    closed, empty, or holds only entries still backing off. Never
+    blocks: the daemon's select loop polls this once per free worker
+    slot per tick. A closed queue returns [None] even when entries
+    remain: close means drain, and undone entries stay persisted for
+    the next daemon. *)
 
 val close : 'a t -> unit
-(** Stop the queue: subsequent pushes are refused/dropped and {!pop}
-    returns [None]. *)
+(** Stop the queue: subsequent pushes are refused/dropped and
+    {!try_pop} returns [None]. *)
 
 val depth : 'a t -> int
 

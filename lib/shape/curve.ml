@@ -110,10 +110,6 @@ let min_area_box a n q ~out =
 
 let fits t ~w ~h = fits_box t (size t) [| w; h |] 0
 
-let min_width t ~h =
-  let q = [| h; 0.0 |] in
-  if min_extent t (size t) ~width:true q ~cross:0 ~out:1 then Some q.(1) else None
-
 let min_area_point t =
   let q = [| 0.0; 0.0 |] in
   if min_area_box t (size t) q ~out:0 then Some (q.(0), q.(1)) else None

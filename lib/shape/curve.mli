@@ -33,10 +33,6 @@ val is_unconstrained : t -> bool
 val fits : t -> w:float -> h:float -> bool
 (** Can the block's macros be placed in a [w] x [h] box? *)
 
-val min_width : t -> h:float -> float option
-(** Least width w such that [fits ~w ~h]; [None] when even infinite
-    width does not admit height [h]. [Some 0.] for {!unconstrained}. *)
-
 val min_area_point : t -> (float * float) option
 (** Curve point with the smallest area; [None] for {!unconstrained}. *)
 
@@ -84,8 +80,9 @@ val fits_box : float array -> int -> float array -> int -> bool
 
 val min_extent :
   float array -> int -> width:bool -> float array -> cross:int -> out:int -> bool
-(** {!min_width} ([width]) or the least height with the cross dimension in
-    [q.(cross)]: false for [None], else the result is in [q.(out)]. *)
+(** [width]: the least width w such that {!fits} with [h = q.(cross)];
+    otherwise the least height with [w = q.(cross)]. False when no point
+    qualifies, else the result is in [q.(out)] (0 for {!unconstrained}). *)
 
 val min_area_box : float array -> int -> float array -> out:int -> bool
 (** {!min_area_point}: false for [None], else the point is in

@@ -55,5 +55,9 @@ val contribution_heatmap :
     (DESIGN.md §13); labels are XML-escaped. [cell] is the cell edge in
     pixels. *)
 
+val xml_escape : string -> string
+(** Escapes ampersand, angle brackets and double quote for XML text
+    and attribute values. *)
+
 val write_file : string -> string -> unit
 (** [write_file path contents]. *)

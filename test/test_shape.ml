@@ -48,8 +48,16 @@ let test_unconstrained () =
 
 let test_min_width () =
   let c = Curve.of_points [ (2.0, 6.0); (4.0, 3.0); (8.0, 1.0) ] in
-  Alcotest.(check (option (float 1e-9))) "min width at h=3" (Some 4.0) (Curve.min_width c ~h:3.0);
-  Alcotest.(check (option (float 1e-9))) "min width below all" None (Curve.min_width c ~h:0.5)
+  let min_extent ~width cross =
+    let q = [| cross; 0.0 |] in
+    if Curve.min_extent (c :> float array) (Curve.size c) ~width q ~cross:0 ~out:1 then
+      Some q.(1)
+    else None
+  in
+  Alcotest.(check (option (float 1e-9))) "min width at h=3" (Some 4.0) (min_extent ~width:true 3.0);
+  Alcotest.(check (option (float 1e-9))) "min width below all" None (min_extent ~width:true 0.5);
+  Alcotest.(check (option (float 1e-9))) "min height at w=4" (Some 3.0) (min_extent ~width:false 4.0);
+  Alcotest.(check (option (float 1e-9))) "min height below all" None (min_extent ~width:false 1.0)
 
 let test_compose_dims () =
   let a = Curve.of_points [ (2.0, 3.0) ] and b = Curve.of_points [ (4.0, 1.0) ] in
