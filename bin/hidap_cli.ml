@@ -71,49 +71,46 @@ let print_diag ?path d =
     Format.eprintf "%s: %a@." p Guard.Diag.pp d
   | _ -> Format.eprintf "%a@." Guard.Diag.pp d
 
-let load_design path =
-  match Hnl.Parser.parse_file path with
-  | Ok d -> d
-  | Error { Hnl.Parser.line; col; message } ->
-    Format.eprintf "%s:%d:%d: error: %s@." path line col message;
-    exit exit_invalid
+let source_of ~file ~circuit =
+  match (file, circuit) with
+  | Some path, None -> Qor.Run.File path
+  | None, Some name -> Qor.Run.Circuit name
+  | Some _, Some _ | None, None -> die_usage "give exactly one of FILE.hnl or --circuit"
 
-(* Validate (and possibly repair) a parsed design, reporting every
-   diagnostic to stderr. *)
-let validate_design ~strict ?path design =
-  match Guard.Validate.design ~strict design with
-  | Ok r ->
-    List.iter (print_diag ?path) r.Guard.Validate.diags;
-    Ok r.Guard.Validate.design
-  | Error diags ->
-    List.iter (print_diag ?path) diags;
-    Error (List.length (Guard.Validate.errors diags))
+(* Load through [Qor.Run]'s front door, printing every diagnostic to
+   stderr, a stop's included. *)
+let load_input ?(config = Hidap.Config.default) ~strict source =
+  let path = match source with Qor.Run.File p -> Some p | _ -> None in
+  let input = Qor.Run.load ~strict ~config source in
+  (match input with
+  | Ok i -> List.iter (print_diag ?path) i.Qor.Run.diags
+  | Error (Qor.Run.Invalid_design diags | Qor.Run.Invalid_netlist diags) ->
+    List.iter (print_diag ?path) diags
+  | Error (Qor.Run.Unknown_circuit name) ->
+    Format.eprintf "hidap: unknown suite circuit %s (c1..c8)@." name
+  | Error (Qor.Run.Parse_error { Hnl.Parser.line; col; message }) ->
+    Format.eprintf "%s:%d:%d: error: %s@." (Option.value path ~default:"-") line col message
+  | Error (Qor.Run.Elaboration msg) ->
+    Format.eprintf "hidap: elaboration rejected the design: %s@." msg);
+  input
 
-let design_of ~strict ~file ~circuit =
-  let path, name, design =
-    match (file, circuit) with
-    | Some path, None ->
-      (Some path, Filename.remove_extension (Filename.basename path), load_design path)
-    | None, Some name ->
-      (match Circuitgen.Suite.find name with
-      | Some c -> (None, name, Circuitgen.Gen.generate c.Circuitgen.Suite.params)
-      | None -> die_usage "unknown suite circuit %s (c1..c8)" name)
-    | Some _, Some _ | None, None -> die_usage "give exactly one of FILE.hnl or --circuit"
-  in
-  match validate_design ~strict ?path design with
-  | Ok design -> (name, design)
-  | Error n ->
+(* The exit status of a stopped load, after its summary line. *)
+let stop_code = function
+  | Qor.Run.Unknown_circuit _ -> exit_usage
+  | Qor.Run.Invalid_design diags ->
+    let n = List.length (Guard.Validate.errors diags) in
     Format.eprintf "hidap: invalid design: %d error%s@." n (if n = 1 then "" else "s");
-    exit exit_invalid
+    exit_invalid
+  | Qor.Run.Parse_error _ | Qor.Run.Elaboration _ | Qor.Run.Invalid_netlist _ ->
+    exit_invalid
 
-(* [Guard.Validate.design] is the one design validator and runs first;
-   elaboration raises [Invalid_argument] only for a missing or recursive
-   module, which the validator already rejects, so this is a backstop. *)
-let elaborate_checked design =
-  try Netlist.Flat.elaborate design
-  with Invalid_argument msg ->
-    Format.eprintf "hidap: elaboration rejected the design: %s@." msg;
-    exit exit_invalid
+let input_or_exit ?config ~strict source =
+  match load_input ?config ~strict source with
+  | Ok input -> input
+  | Error stop -> exit (stop_code stop)
+
+let print_degradations =
+  List.iter (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
 
 (* [Guard.Audit] takes its placements as (fid, rect, orient) tuples. *)
 let audit_result ~flat (r : Hidap.result) =
@@ -338,8 +335,7 @@ let obs_outputs ~trace ~metrics ~profile =
 
 let stats_cmd =
   let run file circuit strict dot_hier dot_gseq =
-    let _, design = design_of ~strict ~file ~circuit in
-    let flat = elaborate_checked design in
+    let flat = (input_or_exit ~strict (source_of ~file ~circuit)).Qor.Run.flat in
     Format.printf "%a@." Netlist.Stats.pp (Netlist.Stats.compute flat);
     let gseq = Seqgraph.build flat in
     Format.printf "%a@." Seqgraph.pp_summary gseq;
@@ -431,16 +427,13 @@ let place_cmd =
        telemetry outputs are written even for degraded or audit-failing
        runs. *)
     let body () =
-      let name, design = design_of ~strict ~file ~circuit in
-      let flat = elaborate_checked design in
       let config =
         { (config_of ~seed ~lambda ~jobs) with Hidap.Config.faults; budgets }
       in
-      let die = Hidap.die_for flat ~config in
-      let flat_diags = Guard.Validate.flat ~strict ~die flat in
-      List.iter print_diag flat_diags;
-      if Guard.Validate.errors flat_diags <> [] then exit_invalid
-      else begin
+      match load_input ~strict ~config (source_of ~file ~circuit) with
+      | Error stop -> stop_code stop
+      | Ok input ->
+        let name = input.Qor.Run.name and flat = input.Qor.Run.flat in
         (match progress with
         | Some (oc, close_on_disable) -> Obs.Stream.enable ~close_on_disable oc
         | None -> ());
@@ -458,8 +451,8 @@ let place_cmd =
         in
         let placed =
           match
-            Qor.Run.place ~circuit:name ~config ~die ?ckpt ~on_resume
-              ~measure:(Option.is_some qor_out) flat
+            Qor.Run.place ~config ?ckpt ~on_resume ~measure:(Option.is_some qor_out)
+              input
           with
           | Ok p -> p
           | Error d ->
@@ -483,9 +476,7 @@ let place_cmd =
           placed.Qor.Run.ckpt_summary;
         let wall_s = Obs.Clock.now_s () -. t0 in
         captured := Some (name, flat, config, placed, wall_s);
-        List.iter
-          (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
-          degradations;
+        print_degradations degradations;
         Format.printf "placed %d macros in %.2fs (lambda %.2f, overlap %.2f)@."
           (List.length r.Hidap.placements)
           wall_s r.Hidap.lambda (Hidap.overlap_area r);
@@ -534,7 +525,6 @@ let place_cmd =
         end
         else if Guard.Supervisor.budget_degraded degradations then exit_budget
         else 0
-      end
     in
     let run_body () =
       if trace <> None || metrics <> None || profile || want_perf
@@ -601,18 +591,16 @@ let eval_cmd =
     let qor_out = Option.map (open_output ~what:"qor") qor in
     let on_finish = obs_outputs ~trace ~metrics ~profile in
     let config =
-      { Hidap.Config.default with Hidap.Config.seed; jobs = resolve_jobs jobs;
-        faults; budgets }
+      { (config_of ~seed ~lambda:None ~jobs) with Hidap.Config.faults; budgets }
     in
+    let source = source_of ~file ~circuit in
     let ev =
       Qor.Run.eval ~config ~on_finish (fun () ->
-          let name, design = design_of ~strict ~file ~circuit in
-          (name, elaborate_checked design))
+          let input = input_or_exit ~strict ~config source in
+          (input.Qor.Run.name, input.Qor.Run.flat))
     in
     let res = ev.Qor.Run.result in
-    List.iter
-      (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
-      ev.Qor.Run.degradations;
+    print_degradations ev.Qor.Run.degradations;
     Format.printf "circuit %s: %d cells, %d macros@." res.Evalflow.circuit
       res.Evalflow.cells res.Evalflow.macro_count;
     let rows =
@@ -670,60 +658,42 @@ let check_cmd =
       let names l = String.split_on_char ',' l |> List.filter (fun s -> s <> "") in
       let targets =
         match (file, circuit, circuits) with
-        | Some path, None, None -> [ `File path ]
-        | None, Some name, None -> [ `Circuit name ]
-        | None, None, Some l -> List.map (fun n -> `Circuit n) (names l)
+        | Some path, None, None -> [ Qor.Run.File path ]
+        | None, Some name, None -> [ Qor.Run.Circuit name ]
+        | None, None, Some l -> List.map (fun n -> Qor.Run.Circuit n) (names l)
         | None, None, None -> die_usage "give FILE.hnl, --circuit or --circuits"
         | _ -> die_usage "give exactly one of FILE.hnl, --circuit or --circuits"
       in
+      let config = config_of ~seed ~lambda:None ~jobs in
       (* Check every target before exiting, reporting the worst failure:
          one bad circuit must not mask diagnostics for the rest. *)
       let worst = ref 0 in
       let bump c = if c > !worst then worst := c in
       List.iter
-        (fun target ->
-          let path, name, design =
-            match target with
-            | `File path ->
-              ( Some path,
-                Filename.remove_extension (Filename.basename path),
-                load_design path )
-            | `Circuit name ->
-              (match Circuitgen.Suite.find name with
-              | Some c -> (None, name, Circuitgen.Gen.generate c.Circuitgen.Suite.params)
-              | None -> die_usage "unknown suite circuit %s (c1..c8)" name)
-          in
-          match validate_design ~strict ?path design with
-          | Error n ->
+        (fun source ->
+          let name = Qor.Run.name_of source in
+          match load_input ~strict ~config source with
+          | Error (Qor.Run.Invalid_design diags) ->
+            let n = List.length (Guard.Validate.errors diags) in
             Format.printf "%s: INVALID (%d error%s)@." name n (if n = 1 then "" else "s");
             bump exit_invalid
-          | Ok design ->
-            let flat = elaborate_checked design in
-            let config = config_of ~seed ~lambda:None ~jobs in
-            let die = Hidap.die_for flat ~config in
-            let diags = Guard.Validate.flat ~strict ~die flat in
-            List.iter (print_diag ?path) diags;
-            if Guard.Validate.errors diags <> [] then begin
-              Format.printf "%s: INVALID@." name;
-              bump exit_invalid
+          | Error (Qor.Run.Invalid_netlist _) ->
+            Format.printf "%s: INVALID@." name;
+            bump exit_invalid
+          | Error stop -> exit (stop_code stop)
+          | Ok input when audit ->
+            (* Without a checkpoint session, [Qor.Run.place] cannot stop. *)
+            let p = Result.get_ok (Qor.Run.place ~config ~measure:false input) in
+            print_degradations p.Qor.Run.degradations;
+            let report = audit_result ~flat:input.Qor.Run.flat p.Qor.Run.result in
+            Guard.Audit.pp_summary Format.std_formatter report;
+            if Guard.Audit.ok report then
+              Format.printf "%s: OK (validated and audited)@." name
+            else begin
+              Format.printf "%s: AUDIT FAILED@." name;
+              bump exit_audit
             end
-            else if audit then begin
-              let r, degradations =
-                Guard.Supervisor.with_run (fun () -> Hidap.place ~config ~die flat)
-              in
-              List.iter
-                (fun e -> Format.eprintf "degraded: %a@." Guard.Supervisor.pp_entry e)
-                degradations;
-              let report = audit_result ~flat r in
-              Guard.Audit.pp_summary Format.std_formatter report;
-              if Guard.Audit.ok report then
-                Format.printf "%s: OK (validated and audited)@." name
-              else begin
-                Format.printf "%s: AUDIT FAILED@." name;
-                bump exit_audit
-              end
-            end
-            else Format.printf "%s: OK@." name)
+          | Ok _ -> Format.printf "%s: OK@." name)
         targets;
       if !worst <> 0 then exit !worst
     end
@@ -761,7 +731,7 @@ let gen_cmd =
     match circuit with
     | None -> die_usage "--circuit is required"
     | Some name ->
-      let _, design = design_of ~strict:false ~file:None ~circuit:(Some name) in
+      let design = (input_or_exit ~strict:false (Qor.Run.Circuit name)).Qor.Run.design in
       (match out with
       | Some path ->
         Hnl.Printer.write_file path design;
@@ -779,8 +749,7 @@ let gen_cmd =
 
 let view_cmd =
   let run file circuit placement_file =
-    let _, design = design_of ~strict:false ~file ~circuit in
-    let flat = elaborate_checked design in
+    let flat = (input_or_exit ~strict:false (source_of ~file ~circuit)).Qor.Run.flat in
     match Hidap.Placement_io.load placement_file with
     | Error msg ->
       Format.eprintf "%s: %s@." placement_file msg;
@@ -1161,18 +1130,15 @@ let bench_cmd =
     let records =
       List.concat_map
         (fun name ->
-          match Circuitgen.Suite.find name with
-          | None -> die_usage "unknown suite circuit %s (c1..c8)" name
-          | Some c ->
-            let ev =
-              Qor.Run.eval ~config (fun () ->
-                  ( name,
-                    Netlist.Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) ))
-            in
-            let res = ev.Qor.Run.result in
-            Format.printf "bench %s: %d cells, %d macros, %d flows@." name
-              res.Evalflow.cells res.Evalflow.macro_count (List.length ev.Qor.Run.records);
-            ev.Qor.Run.records)
+          let ev =
+            Qor.Run.eval ~config (fun () ->
+                let input = input_or_exit ~strict:false ~config (Qor.Run.Circuit name) in
+                (name, input.Qor.Run.flat))
+          in
+          let res = ev.Qor.Run.result in
+          Format.printf "bench %s: %d cells, %d macros, %d flows@." name
+            res.Evalflow.cells res.Evalflow.macro_count (List.length ev.Qor.Run.records);
+          ev.Qor.Run.records)
         names
     in
     write_output "qor" qor_out (Qor.Record.ledger_json records);

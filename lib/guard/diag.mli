@@ -50,8 +50,6 @@ val escalate : t -> t
 
 val is_error : t -> bool
 
-val severity_to_string : severity -> string
-
 val pp : Format.formatter -> t -> unit
 (** [file:line:col: severity[code] (stage): message]; location parts are
     omitted when unknown. *)

@@ -14,9 +14,6 @@ val schema : string
 
 val version : int
 
-val default_tolerances : (string * float) list
-(** Relative tolerance per metric name, e.g. [("wl_um", 0.02)] = 2%%. *)
-
 type entry = {
   circuit : string;
   flow : string;

@@ -1,3 +1,50 @@
+type source = Circuit of string | File of string | Text of { name : string; hnl : string }
+
+type stop =
+  | Unknown_circuit of string
+  | Parse_error of Hnl.Parser.error
+  | Invalid_design of Guard.Diag.t list
+  | Elaboration of string
+  | Invalid_netlist of Guard.Diag.t list
+
+type input = {
+  name : string;
+  design : Netlist.Design.t;
+  flat : Netlist.Flat.t;
+  die : Geom.Rect.t;
+  diags : Guard.Diag.t list;
+}
+
+let name_of = function
+  | Circuit name | Text { name; _ } -> name
+  | File path -> Filename.remove_extension (Filename.basename path)
+
+(* Elaboration raises [Invalid_argument] only for a missing or recursive
+   module, which the validator already rejects: a backstop. *)
+let load ~strict ~(config : Hidap.Config.t) source =
+  let ( let* ) = Result.bind in
+  let parsed = Result.map_error (fun e -> Parse_error e) in
+  let* design =
+    match source with
+    | Circuit name ->
+      (match Circuitgen.Suite.find name with
+      | Some c -> Ok (Circuitgen.Gen.generate c.Circuitgen.Suite.params)
+      | None -> Error (Unknown_circuit name))
+    | File path -> parsed (Hnl.Parser.parse_file path)
+    | Text { hnl; _ } -> parsed (Hnl.Parser.parse_string hnl)
+  in
+  let* { Guard.Validate.design; diags; _ } =
+    Result.map_error (fun ds -> Invalid_design ds) (Guard.Validate.design ~strict design)
+  in
+  let* flat =
+    try Ok (Netlist.Flat.elaborate design)
+    with Invalid_argument msg -> Error (Elaboration msg)
+  in
+  let die = Hidap.die_for flat ~config in
+  let diags = diags @ Guard.Validate.flat ~strict ~die flat in
+  if Guard.Validate.errors diags <> [] then Error (Invalid_netlist diags)
+  else Ok { name = name_of source; design; flat; die; diags }
+
 type ckpt = {
   dir : string;
   every : int;
@@ -23,8 +70,8 @@ let fingerprint ~circuit ~(config : Hidap.Config.t) flat =
 (* The session starts inside the supervised region: a resume-time
    rollback or a failed snapshot write is recorded through
    [Guard.Supervisor.record], which is a no-op outside a run. *)
-let place ~circuit ~(config : Hidap.Config.t) ~die ?ckpt ?(on_resume = ignore)
-    ~measure flat =
+let place ~(config : Hidap.Config.t) ?ckpt ?(on_resume = ignore) ~measure
+    { name = circuit; flat; die; _ } =
   let session = ref None in
   let run () =
     let started =

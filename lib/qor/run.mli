@@ -1,10 +1,43 @@
 (** The run paths every entry point shares (DESIGN.md §8).
 
-    {!place} is the one checkpointed place-and-measure behind
-    [hidap place] and the serve worker. {!eval} is the one instrumented
-    two-flow suite run behind [hidap eval], [hidap bench] and the
-    paper bench. Printing, exit codes and signal handling stay with the
-    callers. *)
+    {!load} is the one front door of a run: every [hidap] command that
+    reads a design, and the serve worker, get their netlist, its die
+    and its diagnostics from it. {!place} is the one checkpointed
+    place-and-measure behind [hidap place], [hidap check --audit] and
+    the serve worker. {!eval} is the one instrumented two-flow suite
+    run behind [hidap eval], [hidap bench] and the paper bench.
+    Printing, exit codes and signal handling stay with the callers. *)
+
+(** {1 Load} *)
+
+type source =
+  | Circuit of string  (** a suite circuit, ["c1"] .. ["c8"] *)
+  | File of string  (** an HNL file *)
+  | Text of { name : string; hnl : string }  (** HNL source text *)
+
+(** Why a run cannot start. *)
+type stop =
+  | Unknown_circuit of string
+  | Parse_error of Hnl.Parser.error
+  | Invalid_design of Guard.Diag.t list  (** {!Guard.Validate.design}'s, with an error *)
+  | Elaboration of string  (** the elaboration backstop's message *)
+  | Invalid_netlist of Guard.Diag.t list  (** every diagnostic, with an error *)
+
+type input = {
+  name : string;  (** {!name_of} the source *)
+  design : Netlist.Design.t;  (** validated, repaired where it could be *)
+  flat : Netlist.Flat.t;
+  die : Geom.Rect.t;  (** {!Hidap.die_for} of [flat] *)
+  diags : Guard.Diag.t list;  (** every diagnostic, in detection order *)
+}
+
+val name_of : source -> string
+(** The circuit, the file's basename without its extension, or the
+    text's [name]. *)
+
+val load : strict:bool -> config:Hidap.Config.t -> source -> (input, stop) result
+(** Generate or parse [source], run {!Guard.Validate.design}, elaborate,
+    size the die for [config] and run {!Guard.Validate.flat} on it. *)
 
 (** {1 Place} *)
 
@@ -23,18 +56,17 @@ type placed = {
 }
 
 val place :
-  circuit:string ->
   config:Hidap.Config.t ->
-  die:Geom.Rect.t ->
   ?ckpt:ckpt ->
   ?on_resume:(string -> unit) ->
   measure:bool ->
-  Netlist.Flat.t ->
+  input ->
   (placed, Guard.Diag.t) result
-(** Place [flat] under {!Guard.Supervisor.with_run}, armed with
-    [config.faults] and [config.budgets]. Inside the supervised region,
-    in this order: the checkpoint session starts (its fingerprint built
-    from [circuit], [config] and [flat]), [on_resume] gets the snapshot
+(** Place the input's netlist in its die under
+    {!Guard.Supervisor.with_run}, armed with [config.faults] and
+    [config.budgets]. Inside the supervised region, in this order: the
+    checkpoint session starts (its fingerprint built from the input's
+    name and netlist and [config]), [on_resume] gets the snapshot
     file a resumed session adopted, {!Hidap.place} runs, and with
     [~measure:true] {!Evalflow.measure} scores the placement. So
     resume-time rollbacks, snapshot-write failures and cell-placement

@@ -103,18 +103,6 @@ type t = {
   listen_fd : Unix.file_descr;
 }
 
-let fault t site =
-  Array.iter
-    (fun ((spec : Guard.Fault.spec), count) ->
-      if spec.Guard.Fault.site = site then begin
-        incr count;
-        if !count <= spec.Guard.Fault.nth then
-          match spec.Guard.Fault.action with
-          | Guard.Fault.Raise -> raise (Guard.Fault.Injected { site; hit = !count })
-          | Guard.Fault.Stall s -> Unix.sleepf s
-      end)
-    t.serve_faults
-
 (* Consume one hit of [site]'s spec (if armed and still firing) and
    return its action. Worker-site hits are counted here, per spawn,
    but executed in the child — the parent-side counter is what lets
@@ -130,6 +118,16 @@ let fire_spec t site =
       end)
     t.serve_faults;
   !result
+
+(* A daemon-side site ([serve.accept], [serve.write]): whether this hit
+   fails the client's path; a stall hit delays it and lets it go on. *)
+let fault t site =
+  match fire_spec t site with
+  | Some Guard.Fault.Raise -> true
+  | Some (Guard.Fault.Stall s) ->
+    Unix.sleepf s;
+    false
+  | None -> false
 
 let decide_inject t =
   match fire_spec t "serve.worker_hang" with
@@ -261,6 +259,7 @@ let stats t =
     draining = t.draining;
     workers = Pool.views t.pool ~now:(Unix.gettimeofday ()) }
 
+(* The deterministic delay after failed attempt [attempts] (1-based). *)
 let backoff_s cfg attempts =
   Float.min cfg.retry_cap_s (cfg.retry_base_s *. (2.0 ** float_of_int (attempts - 1)))
 
@@ -281,21 +280,18 @@ let drop c =
 
 let send t c resp =
   if c.alive then begin
-    match
-      fault t "serve.write";
+    if fault t "serve.write" then begin
+      log t "injected write fault; dropping client";
+      drop c
+    end
+    else
       let line = Proto.to_line (Proto.response_to_json resp) ^ "\n" in
       let rec write_all off =
         if off < String.length line then
           let n = Unix.write_substring c.fd line off (String.length line - off) in
           write_all (off + n)
       in
-      write_all 0
-    with
-    | () -> ()
-    | exception Guard.Fault.Injected _ ->
-      log t "injected write fault; dropping client";
-      drop c
-    | exception Unix.Unix_error _ -> drop c
+      try write_all 0 with Unix.Unix_error _ -> drop c
   end
 
 let view_of t id = Option.map Job.view (Hashtbl.find_opt t.jobs id)
@@ -574,15 +570,14 @@ let accept_client t conns =
   | exception Unix.Unix_error (e, _, _) ->
     log t "accept failed: %s; still serving" (Unix.error_message e)
   | fd, _ ->
-    (match fault t "serve.accept" with
-    | () ->
-      conns :=
-        { fd; rbuf = Buffer.create 256; watching = None; alive = true } :: !conns
-    | exception Guard.Fault.Injected _ ->
+    if fault t "serve.accept" then begin
       (* The accept path failed: this client is lost, the daemon keeps
          serving everyone else. *)
       log t "injected accept fault; dropping client";
-      (try Unix.close fd with Unix.Unix_error _ -> ()))
+      try Unix.close fd with Unix.Unix_error _ -> ()
+    end
+    else
+      conns := { fd; rbuf = Buffer.create 256; watching = None; alive = true } :: !conns
 
 (* Drain escalation: Graceful (let in-flight jobs finish) → Term
    (SIGTERM: checkpoint and park) → Kill (SIGKILL: re-pend). Each

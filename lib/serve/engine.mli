@@ -93,7 +93,3 @@ val request_drain : t -> unit
     (one atomic store) — call it from a SIGTERM/SIGINT handler. *)
 
 val stats : t -> Proto.stats
-
-val backoff_s : config -> int -> float
-(** [backoff_s cfg attempt] — the deterministic delay after a failed
-    [attempt] (1-based): [min retry_cap_s (retry_base_s * 2^(attempt-1))]. *)

@@ -20,15 +20,11 @@ type t = {
 val make : seq:int -> Proto.submit -> t
 (** A fresh pending job. *)
 
-val id_of_seq : int -> string
-
 val view : t -> Proto.job_view
 
 val dir : state_dir:string -> string -> string
 
 val ckpt_dir : state_dir:string -> string -> string
-
-val meta_path : state_dir:string -> string -> string
 
 val result_path : state_dir:string -> string -> string
 

@@ -111,10 +111,6 @@ type stats = {
   workers : worker_view list;  (** one entry per pool slot *)
 }
 
-val worker_view_to_json : worker_view -> Obs.Jsonx.t
-
-val worker_view_of_json : Obs.Jsonx.t -> worker_view
-
 type response =
   | Pong
   | Accepted of { id : string; depth : int }
@@ -130,10 +126,6 @@ type response =
       (** one relayed hidap-progress event of a watched job *)
   | Draining_reply  (** drain acknowledged *)
   | Error_reply of string
-
-val job_view_to_json : job_view -> Obs.Jsonx.t
-
-val job_view_of_json : Obs.Jsonx.t -> (job_view, string) result
 
 val response_to_json : response -> Obs.Jsonx.t
 

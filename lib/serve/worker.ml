@@ -157,36 +157,16 @@ let classify status ~frame ~killed ~mem_limited ~attempt =
 
 exception Invalid_job of string
 
-let design_of_spec (spec : Proto.submit) =
-  match (spec.Proto.circuit, spec.Proto.hnl) with
-  | Some name, None ->
-    (match Circuitgen.Suite.find name with
-    | Some c -> (name, Circuitgen.Gen.generate c.Circuitgen.Suite.params)
-    | None -> raise (Invalid_job (Printf.sprintf "unknown suite circuit %s" name)))
-  | None, Some text ->
-    let name = if spec.Proto.label <> "" then spec.Proto.label else "inline" in
-    (match Hnl.Parser.parse_string text with
-    | Ok d -> (name, d)
-    | Error { Hnl.Parser.line; col; message } ->
-      raise (Invalid_job (Printf.sprintf "hnl:%d:%d: %s" line col message)))
-  | Some _, Some _ | None, None ->
-    raise (Invalid_job "give exactly one of circuit or hnl")
-
 let run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot (job : Job.t) =
   let spec = job.Job.spec in
-  let name, design = design_of_spec spec in
-  let design =
-    match Guard.Validate.design ~strict:false design with
-    | Ok r -> r.Guard.Validate.design
-    | Error diags ->
-      raise
-        (Invalid_job
-           (String.concat "; "
-              (List.map (fun d -> Format.asprintf "%a" Guard.Diag.pp d) diags)))
-  in
-  let flat =
-    try Netlist.Flat.elaborate design
-    with Invalid_argument msg -> raise (Invalid_job msg)
+  let source =
+    match (spec.Proto.circuit, spec.Proto.hnl) with
+    | Some name, None -> Qor.Run.Circuit name
+    | None, Some hnl ->
+      let name = if spec.Proto.label <> "" then spec.Proto.label else "inline" in
+      Qor.Run.Text { name; hnl }
+    | Some _, Some _ | None, None ->
+      raise (Invalid_job "give exactly one of circuit or hnl")
   in
   let config =
     { Hidap.Config.default with
@@ -199,7 +179,20 @@ let run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot (job : Jo
     | Some l -> Hidap.Config.with_lambda config l
     | None -> config
   in
-  let die = Hidap.die_for flat ~config in
+  let input =
+    match Qor.Run.load ~strict:false ~config source with
+    | Ok input -> input
+    | Error stop ->
+      raise
+        (Invalid_job
+           (match stop with
+           | Qor.Run.Unknown_circuit name -> "unknown suite circuit " ^ name
+           | Qor.Run.Parse_error { Hnl.Parser.line; col; message } ->
+             Printf.sprintf "hnl:%d:%d: %s" line col message
+           | Qor.Run.Invalid_design ds | Qor.Run.Invalid_netlist ds ->
+             String.concat "; " (List.map Guard.Diag.to_string ds)
+           | Qor.Run.Elaboration msg -> msg))
+  in
   let ckdir = Job.ckpt_dir ~state_dir job.Job.id in
   Job.mkdir_p ckdir;
   let ckpt = { Qor.Run.dir = ckdir; every = 1; resume = true; on_save = on_snapshot } in
@@ -210,11 +203,11 @@ let run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot (job : Jo
      bit-identically. *)
   Option.iter Guard.Budget.set_deadline spec.Proto.deadline_s;
   Fun.protect ~finally:Guard.Budget.clear_deadline @@ fun () ->
-  match Qor.Run.place ~circuit:name ~config ~die ~ckpt ~measure:true flat with
-  | Error d -> raise (Invalid_job (Format.asprintf "%a" Guard.Diag.pp d))
+  match Qor.Run.place ~config ~ckpt ~measure:true input with
+  | Error d -> raise (Invalid_job (Guard.Diag.to_string d))
   | Ok p ->
     let record =
-      Qor.Record.of_place ~circuit:name ~flat ~config
+      Qor.Record.of_place ~circuit:input.Qor.Run.name ~flat:input.Qor.Run.flat ~config
         ~degradations:p.Qor.Run.degradations ~measured:(Option.get p.Qor.Run.measured)
         ?ckpt:p.Qor.Run.ckpt_summary p.Qor.Run.result
     in

@@ -18,26 +18,12 @@
 (** {1 Exit-code protocol}
 
     Self-classified ends use the sysexits-style 64+ range so a library
-    calling [exit 1]/[exit 2] under us can never impersonate them; any
-    other exit status classifies as a lost worker. *)
-
-val exit_done : int
-(** 0 *)
-
-val exit_invalid : int
-(** 64 — the job can never run (bad circuit/netlist); fail, no retry *)
-
-val exit_timed_out : int
-(** 65 — the per-attempt deadline fired inside the flow *)
-
-val exit_parked : int
-(** 66 — drain's SIGTERM was honored: checkpointed and parked *)
-
-val exit_transient : int
-(** 67 — a classified transient failure; retry within the budget *)
-
-val exit_oom : int
-(** 68 — [Out_of_memory] under an address-space rlimit; fail, no retry *)
+    calling [exit 1]/[exit 2] under us can never impersonate them: 0
+    done, 64 invalid (the job can never run: fail, no retry), 65 the
+    per-attempt deadline fired, 66 parked by a drain, 67 a transient
+    failure (retry within the budget), 68 [Out_of_memory] under an
+    address-space rlimit (fail, no retry). Any other exit status
+    classifies as a lost worker. *)
 
 (** {1 Fault injection}
 
@@ -88,9 +74,6 @@ val classify :
     cannot raise [Out_of_memory] cleanly. Total: every process status
     yields a verdict. *)
 
-val signal_name : int -> string
-(** Human name for an OCaml [Sys] signal number (["SIGKILL"], …). *)
-
 (** {1 Child main} *)
 
 exception Invalid_job of string
@@ -111,5 +94,7 @@ val exec :
     [close_fds] (the daemon's listener, client connections and sibling
     pipe ends), installs SIGTERM → cooperative cancellation (park),
     redirects stdio to the job's [worker.log], applies rlimits, then
-    streams progress to [pipe_w] and runs the flow, exiting with the
-    protocol code above. *)
+    streams progress to [pipe_w], loads the job through
+    {!Qor.Run.load} (the front door [hidap place] uses, so a netlist
+    the CLI rejects is an invalid job here) and places it through
+    {!Qor.Run.place}, exiting with the protocol code above. *)

@@ -2,10 +2,13 @@
 
    Proves the checkpoint resume contract the only way that counts: run
    `hidap place` as a child process with checkpointing on, SIGKILL it
-   at a seeded-random point mid-flow, resume, repeat — and when a run
-   finally completes, its saved placement must be byte-identical to an
-   uninterrupted run's. No cooperation from the victim: the kill lands
-   wherever the scheduler put it.
+   mid-flow, resume, repeat — and when a run finally completes, its
+   saved placement must be byte-identical to an uninterrupted run's.
+   The kill follows the child's progress, not the clock: the harness
+   reads the child's progress stream and SIGKILLs it right after its
+   k-th checkpoint event, with k drawn from a seeded sequence, so a run
+   that finishes in a fraction of a second is still cut mid-flow. A run
+   where no kill landed fails.
 
    Usage: crash_harness HIDAP_BIN [JOBS]
    JOBS defaults to $HIDAP_JOBS, then 1. Exit 0 on success. *)
@@ -14,18 +17,19 @@ let log fmt = Printf.eprintf ("crash_harness: " ^^ fmt ^^ "\n%!")
 
 let fail fmt = Printf.ksprintf (fun s -> log "FAIL: %s" s; exit 1) fmt
 
-(* Deterministic delays: SplitMix64-ish mixing, fixed seed, so a
-   failing sequence of kill points can be replayed. *)
+(* Deterministic kill points: SplitMix64-ish mixing, fixed seed, so a
+   failing sequence of kill points can be replayed. A c1 run writes 13
+   snapshots, so three kills of at most 4 checkpoints each still leave
+   the flow unfinished. *)
 let rng_state = ref 0x2545F4914F6CDD1DL
 
-let next_delay () =
+let next_kill_at () =
   let s = Int64.add !rng_state 0x9E3779B97F4A7C15L in
   rng_state := s;
   let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  let frac = Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0 in
-  0.2 +. (frac *. 2.3)  (* 0.2s .. 2.5s into a ~5s run *)
+  1 + Int64.to_int (Int64.unsigned_rem z 4L)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -53,9 +57,10 @@ let place_args ~hidap ~jobs ~save extra =
        "--save"; save ]
     @ extra)
 
-let spawn args =
+let spawn ?stderr args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid = Unix.create_process args.(0) args Unix.stdin devnull devnull in
+  let err = Option.value stderr ~default:devnull in
+  let pid = Unix.create_process args.(0) args Unix.stdin devnull err in
   Unix.close devnull;
   pid
 
@@ -65,27 +70,36 @@ let run_to_completion args =
   | _, Unix.WEXITED code -> code
   | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
 
-(* Run the child and SIGKILL it after [delay] seconds. Returns [`Done
-   code] when it beat the timer, [`Killed] when the kill landed. *)
-let run_and_kill args ~delay =
-  let pid = spawn args in
-  let deadline = Unix.gettimeofday () +. delay in
-  let rec wait () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-      if Unix.gettimeofday () >= deadline then begin
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid);
-        `Killed
-      end
-      else begin
-        ignore (Unix.select [] [] [] 0.01);
-        wait ()
-      end
-    | _, Unix.WEXITED code -> `Done code
-    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> `Done (-1)
+let is_checkpoint line =
+  let key = {|"event":"checkpoint"|} in
+  let n = String.length key in
+  let rec at i =
+    i + n <= String.length line && (String.sub line i n = key || at (i + 1))
   in
-  wait ()
+  at 0
+
+(* Run the child with its progress stream on its stderr, a pipe the
+   harness reads, and SIGKILL it right after its [k]-th checkpoint
+   event. Returns [`Killed] when the kill landed, [`Done code] when the
+   child ended first. *)
+let run_and_kill args ~k =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let pid = spawn ~stderr:w (Array.append args [| "--progress-fd"; "2" |]) in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr r in
+  let rec read seen =
+    match input_line ic with
+    | line when is_checkpoint line ->
+      if seen + 1 = k then Unix.kill pid Sys.sigkill else read (seen + 1)
+    | _ -> read seen
+    | exception End_of_file -> ()
+  in
+  read 0;
+  close_in ic;
+  match Unix.waitpid [] pid with
+  | _, Unix.WSIGNALED s when s = Sys.sigkill -> `Killed
+  | _, Unix.WEXITED code -> `Done code
+  | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> `Done (-1)
 
 let () =
   let hidap = if Array.length Sys.argv > 1 then Sys.argv.(1) else fail "usage: crash_harness HIDAP_BIN [JOBS]" in
@@ -118,13 +132,13 @@ let () =
   while not !completed && !attempts < 25 do
     incr attempts;
     if !kills < 3 then begin
-      match run_and_kill ckpt_args ~delay:(next_delay ()) with
+      let k = next_kill_at () in
+      match run_and_kill ckpt_args ~k with
       | `Killed ->
         incr kills;
-        log "attempt %d: killed mid-run (%d so far)" !attempts !kills
+        log "attempt %d: killed after checkpoint %d (%d so far)" !attempts k !kills
       | `Done 0 ->
-        (* beat the timer; accept the completion *)
-        log "attempt %d: finished before the kill" !attempts;
+        log "attempt %d: finished before checkpoint %d" !attempts k;
         completed := true
       | `Done code -> fail "attempt %d: child exited %d" !attempts code
     end
@@ -135,7 +149,7 @@ let () =
     end
   done;
   if not !completed then fail "no attempt completed in %d tries" !attempts;
-  if !kills = 0 then log "WARNING: child always finished before the kill; resume path unexercised";
+  if !kills = 0 then fail "no kill landed: the resume path was not exercised";
 
   (* 3. the recovered placement must be byte-identical *)
   let recovered = read_file out_place in

@@ -1,6 +1,7 @@
 (* Tests for the QoR run ledger: Jsonx parsing and string escaping,
    percentile edge cases, record round-trips through JSON, the baseline
-   comparator's verdicts, and the self-contained HTML report. *)
+   comparator's verdicts, the self-contained HTML report, and the run
+   paths' front door. *)
 
 module Jsonx = Obs.Jsonx
 module Metrics = Obs.Metrics
@@ -484,6 +485,54 @@ let test_eval_record_own_flow () =
         ("heap_words", float_of_int g.Obs.Gcstats.heap_words) ]);
   Alcotest.(check bool) "IndEDA anneals nothing, records no GC" true (indeda.Record.gc = None)
 
+(* The run's front door: a suite circuit, a file and text load, and each
+   way a load can stop is reported as its own stop. *)
+let test_run_load () =
+  let config = Hidap.Config.default in
+  let load ?(strict = false) source = Qor.Run.load ~strict ~config source in
+  let text hnl = Qor.Run.Text { name = "t"; hnl } in
+  let codes ds = List.map (fun (d : Guard.Diag.t) -> d.Guard.Diag.code) ds in
+  (match load (Qor.Run.Circuit "c1") with
+  | Ok i ->
+    Alcotest.(check string) "suite name" "c1" i.Qor.Run.name;
+    Alcotest.(check bool) "die sized by die_for" true
+      (i.Qor.Run.die = Hidap.die_for i.Qor.Run.flat ~config);
+    Alcotest.(check (list string)) "no diagnostics" [] (codes i.Qor.Run.diags)
+  | Error _ -> Alcotest.fail "c1 did not load");
+  let dupinst =
+    "design t\nmodule leafm { input i output o comb c (in i ; out o) }\n\
+     module t { input x output y inst u0 : leafm (i => x, o => y)\n\
+     inst u0 : leafm (i => x) }\n"
+  in
+  let path = Filename.temp_file "run-load" ".hnl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc dupinst);
+      match load (Qor.Run.File path) with
+      | Ok i ->
+        Alcotest.(check string) "file name"
+          (Filename.remove_extension (Filename.basename path)) i.Qor.Run.name;
+        Alcotest.(check (list string)) "repair warned" [ "dup-instance" ]
+          (codes i.Qor.Run.diags)
+      | Error _ -> Alcotest.fail "repairable file did not load");
+  let stop = function
+    | Qor.Run.Unknown_circuit c -> "unknown " ^ c
+    | Qor.Run.Parse_error { Hnl.Parser.line; col; _ } -> Printf.sprintf "parse %d:%d" line col
+    | Qor.Run.Invalid_design ds -> "design " ^ String.concat "," (codes ds)
+    | Qor.Run.Elaboration _ -> "elaboration"
+    | Qor.Run.Invalid_netlist ds -> "netlist " ^ String.concat "," (codes ds)
+  in
+  let check ?strict what source expected =
+    match load ?strict source with
+    | Ok _ -> Alcotest.failf "%s loaded" what
+    | Error s -> Alcotest.(check string) what expected (stop s)
+  in
+  check "unknown circuit" (Qor.Run.Circuit "c9") "unknown c9";
+  check "parse error" (text "not a netlist") "parse 1:1";
+  check ~strict:true "strict repair" (text dupinst) "design dup-instance";
+  check "missing module" (text "design t\nmodule t { input x inst u : ghost (i => x) }\n")
+    "design missing-module";
+  check "no cells" (text "design e\nmodule e { input a }\n") "netlist bad-die"
+
 let suite =
   [ ( "qor",
       [ Alcotest.test_case "jsonx escape round-trip" `Quick test_escape_roundtrip;
@@ -499,5 +548,6 @@ let suite =
         Alcotest.test_case "baseline json round-trip" `Quick
           test_baseline_json_roundtrip;
         Alcotest.test_case "html report" `Quick test_html_report;
+        Alcotest.test_case "run load: sources and stops" `Quick test_run_load;
         Alcotest.test_case "eval record describes its own flow" `Slow
           test_eval_record_own_flow ] ) ]

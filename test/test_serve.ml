@@ -611,16 +611,25 @@ let test_serve_invalid_submissions () =
   (match Serve.Client.submit cl P.default_submit with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty submit accepted");
-  (* unparseable netlist: accepted, then fails terminally without retry *)
-  let id =
-    submit_ok cl
-      { P.default_submit with P.hnl = Some "not a netlist"; max_retries = 5 }
-  in
-  let v = ok (Serve.Client.wait cl id) in
-  (match v.P.state with
-  | P.Failed -> ()
-  | s -> Alcotest.failf "invalid job ended %s" (P.state_to_string s));
-  Alcotest.(check int) "invalid jobs never retry" 1 v.P.attempts;
+  (* an unparseable netlist, and one with no cells (a degenerate die,
+     which `hidap place` rejects too): accepted, then failed terminally
+     without retry *)
+  List.iter
+    (fun (hnl, why) ->
+      let id = submit_ok cl { P.default_submit with P.hnl = Some hnl; max_retries = 5 } in
+      let v = ok (Serve.Client.wait cl id) in
+      (match v.P.state with
+      | P.Failed -> ()
+      | s -> Alcotest.failf "invalid job ended %s" (P.state_to_string s));
+      Alcotest.(check int) "invalid jobs never retry" 1 v.P.attempts;
+      List.iter
+        (fun affix ->
+          Alcotest.(check bool)
+            (Printf.sprintf "detail %S names %s" v.P.detail affix)
+            true
+            (Astring.String.is_infix ~affix v.P.detail))
+        [ "invalid job:"; why ])
+    [ ("not a netlist", "hnl:1:1"); ("design e\nmodule e { input a }\n", "bad-die") ];
   Serve.Client.close cl
 
 let test_serve_watch_streams_progress () =
