@@ -485,6 +485,47 @@ let test_eval_record_own_flow () =
         ("heap_words", float_of_int g.Obs.Gcstats.heap_words) ]);
   Alcotest.(check bool) "IndEDA anneals nothing, records no GC" true (indeda.Record.gc = None)
 
+(* MD5s of the eval records of fig1 and c1, the same at jobs 1 and 2:
+   the compact ledger JSON of [Qor.Run.eval]'s records, with the
+   wall-clock fields zeroed (each record's runtime and stage durations)
+   and every GC figure zeroed, since the heap a snapshot reads depends
+   on what ran before in this process. *)
+let golden_eval_records =
+  [ ("fig1", "8704f3c9e2b22a6cee2973b917a5ff5c"); ("c1", "3e64d97f69d29c0a79132975c4e9a3a6") ]
+
+let eval_records_digest name jobs =
+  let config = { Hidap.Config.default with Hidap.Config.jobs } in
+  let design () =
+    match Circuitgen.Suite.find name with
+    | Some c -> Circuitgen.Gen.generate c.Circuitgen.Suite.params
+    | None -> Circuitgen.Suite.fig1_design ()
+  in
+  let ev = Qor.Run.eval ~config (fun () -> (name, Netlist.Flat.elaborate (design ()))) in
+  let zero_gc =
+    { Obs.Gcstats.minor_words = 0.0; promoted_words = 0.0; major_words = 0.0;
+      minor_collections = 0; major_collections = 0; compactions = 0; heap_words = 0;
+      top_heap_words = 0 }
+  in
+  let untimed (r : Record.t) =
+    { r with
+      Record.qm = { r.Record.qm with Record.runtime_s = 0.0 };
+      stages = List.map (fun (s : Record.stage) -> { s with Record.total_us = 0.0 }) r.Record.stages;
+      gc = Option.map (fun _ -> zero_gc) r.Record.gc }
+  in
+  let json = Record.ledger_json (List.map untimed ev.Qor.Run.records) in
+  Digest.to_hex (Digest.string (Jsonx.to_string ~compact:true json))
+
+let test_golden_eval_records () =
+  List.iter
+    (fun (name, digest) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s eval records at jobs = %d" name jobs)
+            digest (eval_records_digest name jobs))
+        [ 1; 2 ])
+    golden_eval_records
+
 (* The run's front door: a suite circuit, a file and text load, and each
    way a load can stop is reported as its own stop. *)
 let test_run_load () =
@@ -550,4 +591,5 @@ let suite =
         Alcotest.test_case "html report" `Quick test_html_report;
         Alcotest.test_case "run load: sources and stops" `Quick test_run_load;
         Alcotest.test_case "eval record describes its own flow" `Slow
-          test_eval_record_own_flow ] ) ]
+          test_eval_record_own_flow;
+        Alcotest.test_case "golden eval records digest" `Quick test_golden_eval_records ] ) ]
