@@ -286,12 +286,19 @@ let test_audit_non_finite () =
 
 (* ---- end-to-end: every fault site degrades to a legal placement --- *)
 
-(* Temp checkpoint dir for the ckpt fault sites: the sites only fire
-   when a session is active, so those legs place with one. *)
-let fresh_ckpt_dir () =
+(* [f] on a fresh temp checkpoint dir for the ckpt fault sites (they
+   only fire when a session is active, so those legs place with one).
+   The dir and its snapshots are removed when [f] returns or raises. *)
+let with_ckpt_dir f =
   let dir = Filename.temp_file "hidap-ckpt-test" "" in
   Sys.remove dir;
-  dir
+  let remove () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun file -> Sys.remove (Filename.concat dir file)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  Fun.protect ~finally:remove (fun () -> f dir)
 
 let fig1_fingerprint flat =
   { Ckpt.State.circuit = "fig1";
@@ -317,26 +324,24 @@ let test_fault_matrix () =
       let spec = { Guard.Fault.site; nth = 1; action = Guard.Fault.Raise } in
       let is_ckpt_site = String.length site >= 4 && String.sub site 0 4 = "ckpt" in
       let r, degradations =
-        Guard.Supervisor.with_run ~faults:[ spec ] (fun () ->
-            let ckpt =
-              if not is_ckpt_site then None
-              else
-                (* resume:true so the load path (and its fault site) runs
-                   even on this empty store. *)
-                match
-                  Ckpt.Session.start ~dir:(fresh_ckpt_dir ()) ~resume:true
-                    (fig1_fingerprint flat)
-                with
-                | Ok s -> Some s
-                | Error d -> Alcotest.failf "session start failed: %a" Guard.Diag.pp d
-            in
-            let r = Hidap.place ?ckpt flat in
-            (* reach the cell-placement site the way `place --qor` does *)
-            let gseq = r.Hidap.gseq and ports = r.Hidap.ports in
-            ignore
-              (Evalflow.measure ~flat ~gseq ~ports ~die:r.Hidap.die
-                 ~macros:r.Hidap.placements);
-            r)
+        with_ckpt_dir (fun dir ->
+            Guard.Supervisor.with_run ~faults:[ spec ] (fun () ->
+                let ckpt =
+                  if not is_ckpt_site then None
+                  else
+                    (* resume:true so the load path (and its fault site)
+                       runs even on this empty store. *)
+                    match Ckpt.Session.start ~dir ~resume:true (fig1_fingerprint flat) with
+                    | Ok s -> Some s
+                    | Error d -> Alcotest.failf "session start failed: %a" Guard.Diag.pp d
+                in
+                let r = Hidap.place ?ckpt flat in
+                (* reach the cell-placement site the way `place --qor` does *)
+                let gseq = r.Hidap.gseq and ports = r.Hidap.ports in
+                ignore
+                  (Evalflow.measure ~flat ~gseq ~ports ~die:r.Hidap.die
+                     ~macros:r.Hidap.placements);
+                r))
       in
       Alcotest.(check bool) (site ^ " recorded") true
         (List.exists
