@@ -63,11 +63,27 @@ let table1 () =
 (* best known result (the paper normalises to handFP)                  *)
 (* ------------------------------------------------------------------ *)
 
-let flow_of_paper (p : Report.Paper_data.circuit_rows) = function
-  | Evalflow.IndEDA -> p.Report.Paper_data.indeda
-  | Evalflow.HiDaP -> p.Report.Paper_data.hidap
-
 let reference_name = "best known"
+
+(* The paper's published WLnorm, GRC% and WNS% of one flow on one
+   circuit, looked up by flow name. *)
+let paper_cells circuit flow =
+  match
+    Option.bind (Report.Paper_data.find circuit) (fun p ->
+        List.assoc_opt flow p.Report.Paper_data.flows)
+  with
+  | Some pr ->
+    [ T.fmt_f 3 pr.Report.Paper_data.wl_norm;
+      T.fmt_f 2 pr.Report.Paper_data.grc_pct;
+      T.fmt_f 1 pr.Report.Paper_data.wns_pct ]
+  | None -> [ "-"; "-"; "-" ]
+
+(* One flow's run on every circuit, with its circuit's result. *)
+let runs_of results kind = List.map (fun (_, _, res) -> (res, Evalflow.run_of res kind)) results
+
+let geo_norm results kind =
+  Util.Stat.geometric_mean
+    (List.map (fun (res, r) -> Evalflow.normalized_wl res r) (runs_of results kind))
 
 let tables_2_3 () =
   printf "%s@." (T.section "Table III: per-circuit metrics, IndEDA and HiDaP vs best known");
@@ -96,34 +112,25 @@ let tables_2_3 () =
   in
   let rows =
     List.concat_map
-      (fun ((c : Circuitgen.Suite.circuit), _, res) ->
-        let paper = Report.Paper_data.find c.Circuitgen.Suite.cname in
-        let paper_cells row =
-          match paper with
-          | Some p ->
-            let pr = row p in
-            [ T.fmt_f 3 pr.Report.Paper_data.wl_norm;
-              T.fmt_f 2 pr.Report.Paper_data.grc_pct;
-              T.fmt_f 1 pr.Report.Paper_data.wns_pct ]
-          | None -> [ "-"; "-"; "-" ]
-        in
+      (fun (_, _, res) ->
+        let circuit = res.Evalflow.circuit in
         List.map
           (fun (r : Evalflow.run) ->
-            let m = r.Evalflow.metrics in
-            [ res.Evalflow.circuit;
-              Evalflow.flow_name r.Evalflow.kind;
+            let m = r.Evalflow.metrics and flow = Evalflow.flow_name r.Evalflow.kind in
+            [ circuit;
+              flow;
               T.fmt_f 3 m.Evalflow.wl_m;
-              T.fmt_f 3 (Evalflow.normalized_wl res r.Evalflow.kind);
+              T.fmt_f 3 (Evalflow.normalized_wl res r);
               T.fmt_f 2 m.Evalflow.grc_pct;
               T.fmt_f 1 m.Evalflow.wns_pct;
               T.fmt_f 0 m.Evalflow.tns;
               T.fmt_f 2 m.Evalflow.runtime_s ]
-            @ paper_cells (fun p -> flow_of_paper p r.Evalflow.kind))
+            @ paper_cells circuit flow)
           res.Evalflow.runs
-        @ [ [ res.Evalflow.circuit; reference_name;
+        @ [ [ circuit; reference_name;
               T.fmt_f 3 (Evalflow.best_known_wl res *. 1e-6);
               T.fmt_f 3 1.0; "-"; "-"; "-"; "-" ]
-            @ paper_cells (fun p -> p.Report.Paper_data.handfp) ])
+            @ paper_cells circuit "handFP" ])
       results
   in
   printf "%s@."
@@ -140,47 +147,25 @@ let tables_2_3 () =
      paper's handFP cells.)@."
     reference_name;
   printf "%s@." (T.section "Table II: averages over the suite");
-  let geo kind =
-    Util.Stat.geometric_mean
-      (List.map (fun (_, _, res) -> Evalflow.normalized_wl res kind) results)
+  let paper_avg flow =
+    let p = List.assoc flow Report.Paper_data.table2 in
+    [ T.fmt_f 3 p.Report.Paper_data.avg_wl_norm; T.fmt_f 1 p.Report.Paper_data.avg_wns_pct;
+      p.Report.Paper_data.effort ]
   in
-  let mean_wns kind =
-    Util.Stat.mean
-      (List.map
-         (fun (_, _, res) ->
-           let r = List.find (fun (r : Evalflow.run) -> r.Evalflow.kind = kind) res.Evalflow.runs in
-           r.Evalflow.metrics.Evalflow.wns_pct)
-         results)
-  in
-  let rt_range kind =
-    let rts =
-      List.map
-        (fun (_, _, res) ->
-          let r = List.find (fun (r : Evalflow.run) -> r.Evalflow.kind = kind) res.Evalflow.runs in
-          r.Evalflow.metrics.Evalflow.runtime_s)
-        results
-    in
-    Printf.sprintf "%.2f-%.2fs" (Util.Stat.minimum rts) (Util.Stat.maximum rts)
-  in
-  let p_wl_i, p_wl_h, p_wl_f = Report.Paper_data.table2_wl_norm in
-  let p_wns_i, p_wns_h, p_wns_f = Report.Paper_data.table2_wns in
-  let e_i, e_h, e_f = Report.Paper_data.table2_effort in
-  let row kind p_wl p_wns p_effort =
+  let row kind =
+    let ms = List.map (fun (_, (r : Evalflow.run)) -> r.Evalflow.metrics) (runs_of results kind) in
+    let rts = List.map (fun (m : Evalflow.metrics) -> m.Evalflow.runtime_s) ms in
     [ Evalflow.flow_name kind;
-      T.fmt_f 3 (geo kind);
-      T.fmt_f 1 (mean_wns kind);
-      rt_range kind;
-      T.fmt_f 3 p_wl;
-      T.fmt_f 1 p_wns;
-      p_effort ]
+      T.fmt_f 3 (geo_norm results kind);
+      T.fmt_f 1 (Util.Stat.mean (List.map (fun (m : Evalflow.metrics) -> m.Evalflow.wns_pct) ms));
+      Printf.sprintf "%.2f-%.2fs" (Util.Stat.minimum rts) (Util.Stat.maximum rts) ]
+    @ paper_avg (Evalflow.flow_name kind)
   in
   printf "%s@."
     (T.render
        ~header:[ "flow"; "WL(geo)"; "WNS%"; "effort"; "pWL"; "pWNS%"; "pEffort" ]
-       [ row Evalflow.IndEDA p_wl_i p_wns_i e_i;
-         row Evalflow.HiDaP p_wl_h p_wns_h e_h;
-         [ reference_name; T.fmt_f 3 1.0; "-"; "-"; T.fmt_f 3 p_wl_f; T.fmt_f 1 p_wns_f;
-           e_f ] ]);
+       (List.map row Evalflow.flows
+        @ [ [ reference_name; T.fmt_f 3 1.0; "-"; "-" ] @ paper_avg "handFP" ]));
   results
 
 (* ------------------------------------------------------------------ *)
@@ -484,9 +469,7 @@ let fig9 results =
       res.Evalflow.runs;
     (* The Gdf diagram must show the placement of the density map above:
        the sweep's winning lambda, checked macro for macro. *)
-    let run =
-      List.find (fun (r : Evalflow.run) -> r.Evalflow.kind = Evalflow.HiDaP) res.Evalflow.runs
-    in
+    let run = Evalflow.run_of res Evalflow.HiDaP in
     let config =
       { Hidap.Config.default with Hidap.Config.lambda = Option.get run.Evalflow.lambda_used }
     in
@@ -595,10 +578,6 @@ let suite_summary results ~elapsed_s =
     Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
       tm.Unix.tm_mday
   in
-  let geo kind =
-    Util.Stat.geometric_mean
-      (List.map (fun (_, _, res) -> Evalflow.normalized_wl res kind) results)
-  in
   let per_circuit =
     List.map
       (fun ((c : Circuitgen.Suite.circuit), _, res) ->
@@ -614,8 +593,7 @@ let suite_summary results ~elapsed_s =
                        ( Evalflow.flow_name r.Evalflow.kind,
                          J.Obj
                            [ ("wl_m", J.Float m.Evalflow.wl_m);
-                             ( "wl_norm",
-                               J.Float (Evalflow.normalized_wl res r.Evalflow.kind) );
+                             ("wl_norm", J.Float (Evalflow.normalized_wl res r));
                              ("grc_pct", J.Float m.Evalflow.grc_pct);
                              ("wns_pct", J.Float m.Evalflow.wns_pct);
                              ("tns", J.Float m.Evalflow.tns);
@@ -634,8 +612,8 @@ let suite_summary results ~elapsed_s =
         ( "wl_geo_norm",
           J.Obj
             (List.map
-               (fun kind -> (Evalflow.flow_name kind, J.Float (geo kind)))
-               [ Evalflow.IndEDA; Evalflow.HiDaP ]) );
+               (fun kind -> (Evalflow.flow_name kind, J.Float (geo_norm results kind)))
+               Evalflow.flows) );
         ("circuits", J.Obj per_circuit) ]
   in
   let path = Printf.sprintf "BENCH_%s.json" date in

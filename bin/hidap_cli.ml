@@ -609,7 +609,7 @@ let eval_cmd =
           let m = r.Evalflow.metrics in
           [ Evalflow.flow_name r.Evalflow.kind;
             Report.Table.fmt_f 3 m.Evalflow.wl_m;
-            Report.Table.fmt_f 3 (Evalflow.normalized_wl res r.Evalflow.kind);
+            Report.Table.fmt_f 3 (Evalflow.normalized_wl res r);
             Report.Table.fmt_f 2 m.Evalflow.grc_pct;
             Report.Table.fmt_f 1 m.Evalflow.wns_pct;
             Report.Table.fmt_f 0 m.Evalflow.tns;

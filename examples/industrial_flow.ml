@@ -22,26 +22,18 @@ let () =
   Format.printf "paper counterpart: %d cells, %d macros (cells scaled 1:100 here)@.@."
     circuit.Circuitgen.Suite.paper_cells circuit.Circuitgen.Suite.paper_macros;
   let res = Evalflow.run_all ~name flat in
-  List.iter
-    (fun (r : Evalflow.run) ->
-      let m = r.Evalflow.metrics in
-      Format.printf
-        "%-7s WL %.3f m (norm %.3f)  GRC %.2f%%  WNS %.1f%%  TNS %.0f  runtime %.2f s@."
-        (Evalflow.flow_name r.Evalflow.kind) m.Evalflow.wl_m
-        (Evalflow.normalized_wl res r.Evalflow.kind)
-        m.Evalflow.grc_pct m.Evalflow.wns_pct m.Evalflow.tns m.Evalflow.runtime_s)
-    res.Evalflow.runs;
   (* Fig 9-style artifacts *)
   let dir = "example_artifacts" in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   List.iter
     (fun (r : Evalflow.run) ->
-      let grid = Evalflow.density_map r ~flat ~bins:24 in
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "%s_density_%s.ppm" name (Evalflow.flow_name r.Evalflow.kind))
-      in
-      Viz.Ppm.write_file path (Viz.Ppm.of_density grid ());
+      let m = r.Evalflow.metrics and flow = Evalflow.flow_name r.Evalflow.kind in
+      Format.printf
+        "%-7s WL %.3f m (norm %.3f)  GRC %.2f%%  WNS %.1f%%  TNS %.0f  runtime %.2f s@." flow
+        m.Evalflow.wl_m (Evalflow.normalized_wl res r) m.Evalflow.grc_pct m.Evalflow.wns_pct
+        m.Evalflow.tns m.Evalflow.runtime_s;
+      let path = Filename.concat dir (Printf.sprintf "%s_density_%s.ppm" name flow) in
+      Viz.Ppm.write_file path (Viz.Ppm.of_density (Evalflow.density_map r ~flat ~bins:24) ());
       Format.printf "wrote %s@." path)
     res.Evalflow.runs;
   let r = Hidap.place flat in
@@ -63,8 +55,6 @@ let () =
     Format.printf "wrote %s (top-level dataflow diagram)@." path
   | None -> ());
   (* density ASCII for a quick look *)
-  let hidap_run =
-    List.find (fun (r : Evalflow.run) -> r.Evalflow.kind = Evalflow.HiDaP) res.Evalflow.runs
-  in
+  let hidap_run = Evalflow.run_of res Evalflow.HiDaP in
   Format.printf "@.HiDaP cell-density map:@.%s@."
     (Viz.Ascii.density (Evalflow.density_map hidap_run ~flat ~bins:24) ~width:48 ~height:18 ())

@@ -6,6 +6,8 @@ type flow_kind = IndEDA | HiDaP
 
 let flow_name = function IndEDA -> "IndEDA" | HiDaP -> "HiDaP"
 
+let flows = [ IndEDA; HiDaP ]
+
 type metrics = {
   wl_um : float;
   wl_m : float;
@@ -23,7 +25,8 @@ type run = {
   lambda_used : float option;
   sa_moves : int;
   sweep_trace : (float * float) list;
-  winner_metrics : Obs.Metrics.t option;
+  registry : Obs.Metrics.t;
+  degradations : Guard.Supervisor.entry list;
 }
 
 (* Total HPWL with macro pins resolved through the flipping pin model:
@@ -115,72 +118,65 @@ let measure ~flat ~gseq ~ports ~die ~macros =
   Obs.Span.with_ ~name:"evalflow.measure" (fun () ->
       measure_body ~flat ~gseq ~ports ~die ~macros)
 
-(* The paper's λ sweep (§V) over one prepared design: one candidate per
-   λ, placed and measured once, fanned across the pool. Results come
-   back in sweep order and the fold keeps the first minimum, so the
-   winner is the same for every job count. Each candidate records into
-   a registry of its own, which keeps the winner's SA curves apart; the
-   registries are folded into the ambient one in sweep order, as
-   Parexec would have folded them. *)
-let sweep ~(config : Hidap.Config.t) (d : Hidap.design) =
-  Obs.Span.with_ ~name:"evalflow.sweep" (fun () ->
-      let { Hidap.flat; gseq; ports; die; _ } = d in
-      let candidate lambda =
-        let registry = Obs.Metrics.create () in
-        Obs.Metrics.with_ambient registry (fun () ->
-            Obs.Span.with_ ~name:"evalflow.candidate" (fun () ->
-                Obs.Span.attr_float "lambda" lambda;
-                let r = Hidap.place_design d ~lambda in
-                let measured = measure ~flat ~gseq ~ports ~die ~macros:r.Hidap.placements in
-                (r, measured, registry)))
-      in
-      let lambdas = match config.lambda_sweep with [] -> [ config.lambda ] | l -> l in
-      let runs = Array.to_list (Parexec.map ~jobs:config.jobs candidate (Array.of_list lambdas)) in
-      List.iter (fun (_, _, reg) -> Obs.Metrics.merge_into (Obs.Metrics.ambient ()) reg) runs;
-      let wl_of (_, ((m : metrics), _), _) = m.wl_um in
-      let trace = List.map (fun ((r : Hidap.result), _, _ as c) -> (r.lambda, wl_of c)) runs in
-      List.iter (fun (lambda, wl) -> Obs.Metrics.series "hidap.sweep" ~x:lambda ~y:wl) trace;
-      let winner =
-        List.fold_left (fun b c -> if wl_of c < wl_of b then c else b) (List.hd runs) runs
-      in
-      let (best : Hidap.result), _, _ = winner in
-      Obs.Span.attr_float "best_lambda" best.lambda;
-      (winner, trace))
+(* What each flow proposes: (λ, placer) pairs, in proposal order.
+   IndEDA proposes one wall-packed placement; HiDaP prepares one design
+   and proposes one placement of it per λ of the sweep. A placer
+   returns its macros and SA moves. *)
+let candidates kind ~(config : Hidap.Config.t) ~flat ~gseq ~ports ~die =
+  match kind with
+  | IndEDA -> [ (None, fun () -> (Baselines.Indeda.place ~flat ~gseq ~die (), 0)) ]
+  | HiDaP ->
+    let d = Hidap.prepare ~config ~die ~gseq ~ports flat in
+    List.map
+      (fun lambda ->
+        ( Some lambda,
+          fun () ->
+            let r = Hidap.place_design d ~lambda in
+            (r.Hidap.placements, r.Hidap.sa_moves) ))
+      (match config.lambda_sweep with [] -> [ config.lambda ] | l -> l)
 
-let run_flow_body kind ~config ~flat ~gseq ~ports ~die =
+(* The runner every flow shares: its candidates, each placed and
+   measured once, fanned across the pool. Results come back in proposal
+   order and the fold keeps the first minimum, so the winner is the
+   same for every job count. Each candidate records into a registry of
+   its own, which keeps the winner's SA curves apart; the registries are
+   folded into the ambient one in proposal order, as Parexec would have
+   folded them. *)
+let run_flow kind ?(config = Hidap.Config.default) ~flat ~gseq ~ports ~die () =
+  Obs.Span.with_ ~name:"evalflow.flow" @@ fun () ->
+  Obs.Span.attr_str "flow" (flow_name kind);
   let t0 = Obs.Clock.now_s () in
-  let run =
-    match kind with
-    | IndEDA ->
-      let macros = Baselines.Indeda.place ~flat ~gseq ~die () in
-      let runtime_s = Obs.Clock.now_s () -. t0 in
-      let metrics, placement = measure ~flat ~gseq ~ports ~die ~macros in
-      { kind; metrics = { metrics with runtime_s }; macros; placement; lambda_used = None;
-        sa_moves = 0; sweep_trace = []; winner_metrics = None }
-    | HiDaP ->
-      let (best, (metrics, placement), registry), sweep_trace =
-        sweep ~config (Hidap.prepare ~config ~die ~gseq ~ports flat)
-      in
-      { kind;
-        metrics = { metrics with runtime_s = Obs.Clock.now_s () -. t0 };
-        macros = best.Hidap.placements;
-        placement;
-        lambda_used = Some best.Hidap.lambda;
-        sa_moves = best.Hidap.sa_moves;
-        sweep_trace;
-        winner_metrics = Some registry }
+  let judge (lambda_used, place) =
+    let registry = Obs.Metrics.create () in
+    Obs.Metrics.with_ambient registry (fun () ->
+        Obs.Span.with_ ~name:"evalflow.candidate" (fun () ->
+            Option.iter (Obs.Span.attr_float "lambda") lambda_used;
+            let macros, sa_moves = place () in
+            let metrics, placement = measure ~flat ~gseq ~ports ~die ~macros in
+            { kind; metrics; macros; placement; lambda_used; sa_moves; sweep_trace = [];
+              registry; degradations = [] }))
   in
+  let sweep proposed =
+    Obs.Span.with_ ~name:"evalflow.sweep" @@ fun () ->
+    let runs = Array.to_list (Parexec.map ~jobs:config.jobs judge (Array.of_list proposed)) in
+    List.iter (fun r -> Obs.Metrics.merge_into (Obs.Metrics.ambient ()) r.registry) runs;
+    let wl r = r.metrics.wl_um in
+    let trace = List.filter_map (fun r -> Option.map (fun l -> (l, wl r)) r.lambda_used) runs in
+    List.iter (fun (lambda, wl) -> Obs.Metrics.series "hidap.sweep" ~x:lambda ~y:wl) trace;
+    let best = List.fold_left (fun b r -> if wl r < wl b then r else b) (List.hd runs) runs in
+    Option.iter (Obs.Span.attr_float "best_lambda") best.lambda_used;
+    (best, trace)
+  in
+  let (winner, sweep_trace), degradations =
+    Guard.Supervisor.during (fun () -> sweep (candidates kind ~config ~flat ~gseq ~ports ~die))
+  in
+  let runtime_s = Obs.Clock.now_s () -. t0 in
   let name = flow_name kind in
-  Obs.Metrics.gauge (Printf.sprintf "evalflow.%s.wl_um" name) run.metrics.wl_um;
-  Obs.Metrics.gauge (Printf.sprintf "evalflow.%s.runtime_s" name) run.metrics.runtime_s;
+  Obs.Metrics.gauge (Printf.sprintf "evalflow.%s.wl_um" name) winner.metrics.wl_um;
+  Obs.Metrics.gauge (Printf.sprintf "evalflow.%s.runtime_s" name) runtime_s;
   if Obs.Metrics.enabled () then
     Obs.Gcstats.record ~prefix:("gc." ^ name) Obs.Metrics.global (Obs.Gcstats.snapshot ());
-  run
-
-let run_flow kind ?(config = Hidap.Config.default) ~flat ~gseq ~ports ~die () =
-  Obs.Span.with_ ~name:"evalflow.flow" (fun () ->
-      Obs.Span.attr_str "flow" (flow_name kind);
-      run_flow_body kind ~config ~flat ~gseq ~ports ~die)
+  { winner with metrics = { winner.metrics with runtime_s }; sweep_trace; degradations }
 
 type circuit_result = {
   circuit : string;
@@ -193,11 +189,7 @@ let run_all ?(config = Hidap.Config.default) ~name flat =
   let gseq = Hidap.seqgraph ~config flat in
   let die = Hidap.die_for flat ~config in
   let ports = Hidap.port_plan gseq ~die in
-  let runs =
-    List.map
-      (fun kind -> run_flow kind ~config ~flat ~gseq ~ports ~die ())
-      [ IndEDA; HiDaP ]
-  in
+  let runs = List.map (fun kind -> run_flow kind ~config ~flat ~gseq ~ports ~die ()) flows in
   { circuit = name;
     cells = Flat.cell_count flat;
     macro_count = Flat.macro_count flat;
@@ -206,10 +198,9 @@ let run_all ?(config = Hidap.Config.default) ~name flat =
 let best_known_wl result =
   List.fold_left (fun acc r -> Float.min acc r.metrics.wl_um) infinity result.runs
 
-let normalized_wl result kind =
-  match List.find_opt (fun r -> r.kind = kind) result.runs with
-  | Some r -> r.metrics.wl_um /. best_known_wl result
-  | None -> invalid_arg "normalized_wl: missing flow"
+let normalized_wl result run = run.metrics.wl_um /. best_known_wl result
+
+let run_of result kind = List.find (fun r -> r.kind = kind) result.runs
 
 let density_map run ~flat ~bins =
   Cellplace.density_map run.placement ~flat ~macros:run.macros ~bins

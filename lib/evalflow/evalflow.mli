@@ -9,18 +9,23 @@
     - GRC%: RUDY global-routing overflow;
     - WNS% / TNS: static timing on the sequential graph.
 
-    Two flows are provided: IndEDA (wall-packing proxy of the paper's
-    commercial tool) and HiDaP (this repository's contribution), whose
-    λ sweep is the program's only one: one {!Hidap.prepare}d design,
-    one {!Hidap.place_design} and {!measure} per λ, fanned across
-    [config.jobs] domains, the first lowest WL kept — bit-identical for
-    every job count. The paper's third column, expert hand floorplans,
-    has no stand-in: WL is normalised to the best known result instead
-    ({!normalized_wl}). *)
+    A flow differs from another only in the candidate placements it
+    proposes: IndEDA (wall-packing proxy of the paper's commercial
+    tool) proposes one; HiDaP (this repository's contribution) prepares
+    one design ({!Hidap.prepare}) and proposes one {!Hidap.place_design}
+    per λ of the sweep, the program's only one. One runner places and
+    {!measure}s every candidate once, fanned across [config.jobs]
+    domains, and keeps the first lowest WL in proposal order —
+    bit-identical for every job count. The paper's third column, expert
+    hand floorplans, has no stand-in: WL is normalised to the best known
+    result instead ({!normalized_wl}). *)
 
 type flow_kind = IndEDA | HiDaP
 
 val flow_name : flow_kind -> string
+
+val flows : flow_kind list
+(** The flows {!run_all} runs, in order: IndEDA, HiDaP. *)
 
 type metrics = {
   wl_um : float;
@@ -28,7 +33,9 @@ type metrics = {
   grc_pct : float;
   wns_pct : float;  (** <= 0; percentage of the clock period *)
   tns : float;  (** ps, <= 0 *)
-  runtime_s : float;  (** flow runtime (macro placement only) *)
+  runtime_s : float;
+      (** the flow's wall time to produce and measure every candidate
+          it judged, preparation included; 0 from {!measure} *)
 }
 
 type run = {
@@ -36,17 +43,17 @@ type run = {
   metrics : metrics;
   macros : Cellplace.macro_place list;
   placement : Cellplace.t;
-  lambda_used : float option;  (** HiDaP only *)
-  sa_moves : int;
-      (** HiDaP only: the winning λ's [Hidap.result.sa_moves] (0 for
-          the other flows) *)
+  lambda_used : float option;  (** the winning candidate's λ; [None] for IndEDA *)
+  sa_moves : int;  (** the winning candidate's SA moves (0 when it anneals nothing) *)
   sweep_trace : (float * float) list;
-      (** HiDaP only: every (λ, measured WL) of the sweep, losing
-          candidates included ([] for the other flows) *)
-  winner_metrics : Obs.Metrics.t option;
-      (** HiDaP only: the winning candidate's own metrics (its SA
-          curves); every candidate's are also merged into the ambient
-          registry *)
+      (** (λ, measured WL) of every candidate that has a λ, in proposal
+          order, losing ones included *)
+  registry : Obs.Metrics.t;
+      (** the winning candidate's own metrics (its SA curves); every
+          candidate's are also merged into the ambient registry *)
+  degradations : Guard.Supervisor.entry list;
+      (** the part of the active {!Guard.Supervisor.with_run} ledger
+          recorded while this flow ran *)
 }
 
 val measure :
@@ -67,32 +74,35 @@ val run_flow :
   die:Geom.Rect.t ->
   unit ->
   run
-(** The HiDaP flow prepares its design from [gseq], [ports] and [die],
-    so the metrics read the floorplanner's Gseq, and measures each
-    candidate once. *)
+(** One flow: its candidates, each placed and measured once, the winner
+    kept. HiDaP prepares its design from [gseq], [ports] and [die], so
+    the metrics read the floorplanner's Gseq. *)
 
 type circuit_result = {
   circuit : string;
   cells : int;
   macro_count : int;
-  runs : run list;  (** IndEDA, HiDaP order *)
+  runs : run list;  (** in {!flows} order *)
 }
 
 val run_all : ?config:Hidap.Config.t -> name:string -> Netlist.Flat.t -> circuit_result
-(** Runs both flows on the elaborated netlist, on the same die with the
-    same Gseq and port plan. *)
+(** Runs every flow of {!flows} on the elaborated netlist, on the same
+    die with the same Gseq and port plan. *)
 
 val best_known_wl : circuit_result -> float
 (** The "best known" WL of a circuit: the minimum [wl_um] over
     [runs]. It is also the minimum over every candidate the flows
-    measured, because HiDaP's λ sweep keeps the candidate of lowest
-    measured WL, so a losing λ can never be lower than the winner. The
+    measured, because each flow keeps its candidate of lowest measured
+    WL, so a losing candidate can never be lower than the winner. The
     reference is taken over K = 1 seed (the config's). [infinity] when
     [runs] is empty. *)
 
-val normalized_wl : circuit_result -> flow_kind -> float
-(** WL relative to {!best_known_wl} of the same circuit: >= 1.0 for
-    every flow, and exactly 1.0 for the best one. *)
+val normalized_wl : circuit_result -> run -> float
+(** The run's WL relative to {!best_known_wl} of its circuit: >= 1.0
+    for every flow, and exactly 1.0 for the best one. *)
+
+val run_of : circuit_result -> flow_kind -> run
+(** The run of one flow. Raises [Not_found] if the result has none. *)
 
 val density_map : run -> flat:Netlist.Flat.t -> bins:int -> float array array
 

@@ -2,7 +2,7 @@ type entry = { stage : string; reason : string; detail : string; count : int }
 
 (* The ledger is a mutex-protected count table keyed by the full entry
    identity. Worker domains record concurrently; determinism of the
-   reported ledger comes from sorting at drain time, not from recording
+   reported ledger comes from sorting when it is read, not from recording
    order. *)
 let mutex = Mutex.create ()
 
@@ -33,16 +33,26 @@ let degraded () =
     n > 0
   end
 
-let drain () =
+(* The sorted ledger so far; [reset] empties the table after reading. *)
+let entries ~reset =
   Mutex.lock mutex;
   let entries =
     Hashtbl.fold
       (fun (stage, reason, detail) count acc -> { stage; reason; detail; count } :: acc)
       table []
   in
-  Hashtbl.reset table;
+  if reset then Hashtbl.reset table;
   Mutex.unlock mutex;
   List.sort compare entries
+
+let during f =
+  let key e = (e.stage, e.reason, e.detail) in
+  let before = List.map (fun e -> (key e, e.count)) (entries ~reset:false) in
+  let v = f () in
+  let since e =
+    { e with count = e.count - Option.value ~default:0 (List.assoc_opt (key e) before) }
+  in
+  (v, List.filter (fun e -> e.count > 0) (List.map since (entries ~reset:false)))
 
 let with_run ?(budgets = []) ?(faults = []) f =
   if active () then (f (), [])  (* nested: report through the outer run *)
@@ -56,7 +66,7 @@ let with_run ?(budgets = []) ?(faults = []) f =
       Budget.clear ()
     in
     let v = Fun.protect ~finally f in
-    (v, drain ())
+    (v, entries ~reset:true)
   end
 
 let recoverable = function

@@ -36,6 +36,11 @@ val with_run :
     exceptional or not. Nested calls are transparent: the inner bracket
     reports through the outer one and returns an empty ledger. *)
 
+val during : (unit -> 'a) -> 'a * entry list
+(** [during f] is [f ()] with the part of the active run's ledger that
+    was recorded while [f] ran, sorted; the run's own ledger keeps
+    those entries too. [[]] outside {!with_run}. *)
+
 val degraded : unit -> bool
 (** Whether the active run has recorded at least one degradation so
     far. Always false outside {!with_run}. Flow code uses this to

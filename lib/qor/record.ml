@@ -299,8 +299,7 @@ let of_place ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
     perf;
     cost_breakdown = cost_breakdown_of_top registry r.Hidap.top }
 
-let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans
-    ?(degradations = []) (res : Evalflow.circuit_result) =
+let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans (res : Evalflow.circuit_result) =
   let die = Hidap.die_for flat ~config in
   List.map
     (fun (run : Evalflow.run) ->
@@ -308,7 +307,7 @@ let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans
       let displacement =
         List.filter_map
           (fun (other : Evalflow.run) ->
-            if other.Evalflow.kind = run.Evalflow.kind then None
+            if other == run then None
             else
               Some
                 ( Evalflow.flow_name other.Evalflow.kind,
@@ -323,7 +322,6 @@ let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans
               orient = m.Cellplace.orient })
           run.Evalflow.macros
       in
-      let is_hidap = run.Evalflow.kind = Evalflow.HiDaP in
       let m = run.Evalflow.metrics in
       { rec_version = version;
         circuit;
@@ -341,15 +339,15 @@ let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans
             dataflow_cost = 0.0 };
         displacement;
         sa_moves = run.Evalflow.sa_moves;
-        sa_curve = sa_curve_of run.Evalflow.winner_metrics;
+        sa_curve = sa_curve_of (Some run.Evalflow.registry);
         stages =
           stages_of
             (Option.map (fun sp -> [ sp ]) (Option.bind spans (flow_span flow)));
-        gc = gc_of run.Evalflow.winner_metrics;
+        gc = gc_of (Some run.Evalflow.registry);
         die;
         macros;
         levels = [];
-        degradations = (if is_hidap then degradations else []);
+        degradations = run.Evalflow.degradations;
         ckpt = None;
         perf = None;
         (* Evalflow keeps only macro placements per flow, not the top

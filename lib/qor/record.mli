@@ -174,16 +174,16 @@ val of_eval :
   flat:Netlist.Flat.t ->
   config:Hidap.Config.t ->
   ?spans:Obs.Trace.t ->
-  ?degradations:Guard.Supervisor.entry list ->
   Evalflow.circuit_result ->
   t list
 (** One record per flow of an {!Evalflow.run_all} result, each carrying
     its macro displacement against the other flows. Each record's stage
     times come from its own flow's ["evalflow.flow"] span in [spans].
-    The HiDaP record carries the winning λ's SA move count, level-0 SA
-    curve and [Gc] gauges (from [Evalflow.run.winner_metrics]), as
-    {!of_place} of a placement at that λ does, and the degradations;
-    the other flows record 0 moves, no curve and no GC. *)
+    Each record carries its run's degradations and its winning
+    candidate's λ, SA move count, level-0 SA curve and [Gc] gauges
+    (from [Evalflow.run.registry]), as {!of_place} of that placement
+    does; a flow that anneals nothing records 0 moves, no curve and no
+    GC. *)
 
 val perf_info_json : perf_info -> Obs.Jsonx.t
 (** The ["perf"] sub-object of {!to_json}, exposed for standalone

@@ -134,5 +134,5 @@ let eval ~(config : Hidap.Config.t) ?on_finish load =
         in
         (circuit, flat, result, degradations))
   in
-  let records = Record.of_eval ~circuit ~flat ~config ~spans ~degradations result in
+  let records = Record.of_eval ~circuit ~flat ~config ~spans result in
   { flat; result; degradations; records }

@@ -83,6 +83,7 @@ type evaluated = {
   flat : Netlist.Flat.t;
   result : Evalflow.circuit_result;
   degradations : Guard.Supervisor.entry list;
+      (** the whole run's ledger; each record carries its flow's part *)
   records : Record.t list;  (** {!Record.of_eval} of the run *)
 }
 
@@ -91,7 +92,7 @@ val eval :
   ?on_finish:(Obs.Trace.t -> unit) ->
   (unit -> string * Netlist.Flat.t) ->
   evaluated
-(** [eval ~config load] runs both flows of one circuit inside
+(** [eval ~config load] runs every flow of one circuit inside
     {!Obs.Trace.instrumented} ([on_finish] is passed on): [load] names
     and elaborates the circuit inside the instrumented region, then
     {!Evalflow.run_all} runs under {!Guard.Supervisor.with_run}, armed

@@ -13,22 +13,21 @@ type circuit_rows = {
   name : string;
   cells : int;
   macros : int;
-  indeda : flow_row;
-  hidap : flow_row;
-  handfp : flow_row;
+  flows : (string * flow_row) list;
+      (** by flow name: ["IndEDA"], ["HiDaP"] and ["handFP"] *)
 }
 
 val table3 : circuit_rows list
 (** The 8 circuits of Table III. *)
 
-val table2_wl_norm : float * float * float
-(** Average normalized WL for (IndEDA, HiDaP, handFP): 1.143 / 1.013 /
-    1.000. *)
+type average = {
+  avg_wl_norm : float;  (** average normalized WL *)
+  avg_wns_pct : float;  (** average WNS% *)
+  effort : string;  (** the published effort entry *)
+}
 
-val table2_wns : float * float * float
-(** Average WNS%: -39.1 / -24.6 / -17.9. *)
-
-val table2_effort : string * string * string
-(** The published effort entries. *)
+val table2 : (string * average) list
+(** Table II by flow name, in {!circuit_rows} [flows] order: WL 1.143 /
+    1.013 / 1.000, WNS% -39.1 / -24.6 / -17.9. *)
 
 val find : string -> circuit_rows option

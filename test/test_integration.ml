@@ -28,7 +28,7 @@ let test_suite_run_elaborates_once () =
 
 let get_run kind =
   let _, res = Lazy.force result in
-  List.find (fun (r : Evalflow.run) -> r.Evalflow.kind = kind) res.Evalflow.runs
+  Evalflow.run_of res kind
 
 let test_all_flows_present () =
   let _, res = Lazy.force result in
@@ -63,7 +63,7 @@ let test_normalization () =
   let _, res = Lazy.force result in
   let norms =
     List.map
-      (fun (r : Evalflow.run) -> Evalflow.normalized_wl res r.Evalflow.kind)
+      (fun (r : Evalflow.run) -> Evalflow.normalized_wl res r)
       res.Evalflow.runs
   in
   List.iter
@@ -76,7 +76,7 @@ let test_normalization () =
 let test_paper_shape () =
   (* The headline result: HiDaP beats the commercial proxy. *)
   let _, res = Lazy.force result in
-  let wl k = Evalflow.normalized_wl res k in
+  let wl k = Evalflow.normalized_wl res (get_run k) in
   Alcotest.(check bool) "HiDaP < IndEDA on wirelength" true
     (wl Evalflow.HiDaP < wl Evalflow.IndEDA);
   (* and HiDaP's timing is no worse than the wall packer's *)

@@ -240,7 +240,8 @@ let test_record_roundtrip () =
         lambda_used = None;
         sa_moves;
         sweep_trace = [];
-        winner_metrics = None }
+        registry = Metrics.create ();
+        degradations = [] }
     in
     let res =
       { Evalflow.circuit = "fig1"; cells = 0; macro_count = 0;
@@ -437,9 +438,10 @@ let test_html_report () =
   contains "rom"
 
 (* Each eval record describes its own flow: the HiDaP record's stages
-   are its own flow span (one evalflow.flow, one measurement per λ
-   candidate, no elaboration and nothing of IndEDA's), and its GC is
-   the winning candidate's snapshot. *)
+   are its own flow span (one evalflow.flow, one candidate and one
+   measurement per λ, no elaboration and nothing of IndEDA's; IndEDA's
+   one candidate goes through the same runner), and its GC is the
+   winning candidate's snapshot. *)
 let test_eval_record_own_flow () =
   let config = Hidap.Config.default in
   let ev =
@@ -459,16 +461,13 @@ let test_eval_record_own_flow () =
     (fun (what, r, name, n) -> Alcotest.(check int) (what ^ " " ^ name) n (calls r name))
     [ ("HiDaP", hidap, "evalflow.flow", 1);
       ("HiDaP", hidap, "evalflow.measure", List.length config.Hidap.Config.lambda_sweep);
+      ("HiDaP", hidap, "evalflow.candidate", List.length config.Hidap.Config.lambda_sweep);
       ("HiDaP", hidap, "netlist.elaborate", 0);
       ("IndEDA", indeda, "evalflow.flow", 1);
       ("IndEDA", indeda, "evalflow.measure", 1);
+      ("IndEDA", indeda, "evalflow.candidate", 1);
       ("IndEDA", indeda, "floorplan.run", 0) ];
-  let winner =
-    List.find
-      (fun (r : Evalflow.run) -> r.Evalflow.kind = Evalflow.HiDaP)
-      ev.Qor.Run.result.Evalflow.runs
-  in
-  let reg = Option.get winner.Evalflow.winner_metrics in
+  let reg = (Evalflow.run_of ev.Qor.Run.result Evalflow.HiDaP).Evalflow.registry in
   let gauge name = Metrics.gauge_value reg ("gc." ^ name) in
   (match hidap.Record.gc with
   | None -> Alcotest.fail "HiDaP eval record has no GC snapshot"
@@ -491,7 +490,7 @@ let test_eval_record_own_flow () =
    and every GC figure zeroed, since the heap a snapshot reads depends
    on what ran before in this process. *)
 let golden_eval_records =
-  [ ("fig1", "8704f3c9e2b22a6cee2973b917a5ff5c"); ("c1", "3e64d97f69d29c0a79132975c4e9a3a6") ]
+  [ ("fig1", "8e741dd02bc9e0fab9952727c24ca5e8"); ("c1", "db8356fab4d75b2a3b2c19d8df5e71eb") ]
 
 let eval_records_digest name jobs =
   let config = { Hidap.Config.default with Hidap.Config.jobs } in
@@ -525,6 +524,30 @@ let test_golden_eval_records () =
             digest (eval_records_digest name jobs))
         [ 1; 2 ])
     golden_eval_records
+
+(* A degradation lands on the record of the flow that recorded it: with
+   every cell placement faulted, IndEDA's one measurement and HiDaP's
+   one per λ each fall back, and the run's ledger holds their sum. *)
+let test_eval_degradations_per_flow () =
+  let spec = { Guard.Fault.site = "cellplace.run"; nth = 1; action = Guard.Fault.Raise } in
+  let config = { Hidap.Config.default with Hidap.Config.faults = [ spec ] } in
+  let ev =
+    Qor.Run.eval ~config (fun () ->
+        ("fig1", Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ())))
+  in
+  let count degradations =
+    List.fold_left
+      (fun n (e : Guard.Supervisor.entry) ->
+        if e.Guard.Supervisor.stage = "cellplace.run" then n + e.Guard.Supervisor.count else n)
+      0 degradations
+  in
+  let sweep = List.length config.Hidap.Config.lambda_sweep in
+  Alcotest.(check (list (pair string int)))
+    "per-flow counts" [ ("IndEDA", 1); ("HiDaP", sweep) ]
+    (List.map
+       (fun (r : Record.t) -> (r.Record.flow, count r.Record.degradations))
+       ev.Qor.Run.records);
+  Alcotest.(check int) "run ledger is the sum" (1 + sweep) (count ev.Qor.Run.degradations)
 
 (* The run's front door: a suite circuit, a file and text load, and each
    way a load can stop is reported as its own stop. *)
@@ -592,4 +615,6 @@ let suite =
         Alcotest.test_case "run load: sources and stops" `Quick test_run_load;
         Alcotest.test_case "eval record describes its own flow" `Slow
           test_eval_record_own_flow;
-        Alcotest.test_case "golden eval records digest" `Quick test_golden_eval_records ] ) ]
+        Alcotest.test_case "golden eval records digest" `Quick test_golden_eval_records;
+        Alcotest.test_case "eval degradations land on their flow" `Quick
+          test_eval_degradations_per_flow ] ) ]

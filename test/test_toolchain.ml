@@ -190,22 +190,22 @@ let test_table_render () =
 let test_paper_data_consistency () =
   List.iter
     (fun (row : Report.Paper_data.circuit_rows) ->
+      let flow name = List.assoc name row.Report.Paper_data.flows in
       Alcotest.(check (float 1e-9)) "handFP normalized to 1" 1.0
-        row.Report.Paper_data.handfp.Report.Paper_data.wl_norm;
+        (flow "handFP").Report.Paper_data.wl_norm;
       (* published norm columns match the wirelength ratios *)
       let ratio =
-        row.Report.Paper_data.indeda.Report.Paper_data.wl_m
-        /. row.Report.Paper_data.handfp.Report.Paper_data.wl_m
+        (flow "IndEDA").Report.Paper_data.wl_m /. (flow "handFP").Report.Paper_data.wl_m
       in
       Alcotest.(check bool) "IndEDA norm consistent with meters" true
-        (abs_float (ratio -. row.Report.Paper_data.indeda.Report.Paper_data.wl_norm) < 0.01))
+        (abs_float (ratio -. (flow "IndEDA").Report.Paper_data.wl_norm) < 0.01))
     Report.Paper_data.table3
 
 let test_paper_table2 () =
-  let wl_i, wl_h, wl_f = Report.Paper_data.table2_wl_norm in
-  Alcotest.(check (float 1e-9)) "IndEDA avg" 1.143 wl_i;
-  Alcotest.(check (float 1e-9)) "HiDaP avg" 1.013 wl_h;
-  Alcotest.(check (float 1e-9)) "handFP avg" 1.000 wl_f
+  let wl flow = (List.assoc flow Report.Paper_data.table2).Report.Paper_data.avg_wl_norm in
+  Alcotest.(check (float 1e-9)) "IndEDA avg" 1.143 (wl "IndEDA");
+  Alcotest.(check (float 1e-9)) "HiDaP avg" 1.013 (wl "HiDaP");
+  Alcotest.(check (float 1e-9)) "handFP avg" 1.000 (wl "handFP")
 
 (* ---- viz ------------------------------------------------------------ *)
 
