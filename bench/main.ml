@@ -148,9 +148,11 @@ let tables_2_3 () =
     reference_name;
   printf "%s@." (T.section "Table II: averages over the suite");
   let paper_avg flow =
-    let p = List.assoc flow Report.Paper_data.table2 in
-    [ T.fmt_f 3 p.Report.Paper_data.avg_wl_norm; T.fmt_f 1 p.Report.Paper_data.avg_wns_pct;
-      p.Report.Paper_data.effort ]
+    match List.assoc_opt flow Report.Paper_data.table2 with
+    | Some p ->
+      [ T.fmt_f 3 p.Report.Paper_data.avg_wl_norm; T.fmt_f 1 p.Report.Paper_data.avg_wns_pct;
+        p.Report.Paper_data.effort ]
+    | None -> [ "-"; "-"; "-" ]
   in
   let row kind =
     let ms = List.map (fun (_, (r : Evalflow.run)) -> r.Evalflow.metrics) (runs_of results kind) in

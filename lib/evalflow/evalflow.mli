@@ -63,7 +63,7 @@ val measure :
   die:Geom.Rect.t ->
   macros:Cellplace.macro_place list ->
   metrics * Cellplace.t
-(** Runtime field is 0; the flow runners fill it in. *)
+(** Runtime field is 0; {!run_flow} fills it in. *)
 
 val run_flow :
   flow_kind ->
