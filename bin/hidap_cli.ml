@@ -416,10 +416,8 @@ let place_cmd =
         Option.iter (fun perf -> write_output "perf" perf_out (perf_out_json perf)) perf;
         if Option.is_some qor_out then
           let record =
-            Qor.Record.of_place ~circuit:name ~flat ~config ~spans
-              ~registry:Obs.Metrics.global ~degradations:p.Qor.Run.degradations
-              ~measured:(Option.get p.Qor.Run.measured) ?ckpt:p.Qor.Run.ckpt_summary
-              ?perf p.Qor.Run.result
+            Qor.Record.of_run ~circuit:name ~flat ~config ~spans
+              ?ckpt:p.Qor.Run.ckpt_summary ?perf (Option.get p.Qor.Run.run)
           in
           write_output "qor" qor_out (Qor.Record.to_json record)
     in
@@ -865,9 +863,10 @@ let report_cmd =
 
 (* ---- explain / diff ----------------------------------------------- *)
 
-(* Both commands read QoR ledgers written by `place --qor` (one record)
-   or `eval --qor` (one per flow); the HiDaP record is the one carrying
-   the attribution section, so prefer it. *)
+(* Both commands read QoR ledgers written by `place --qor` (one record),
+   `eval --qor` (one per flow) or `bench --qor` (one per flow and
+   circuit); the first record carrying the attribution section, a
+   HiDaP one, is preferred. *)
 let load_run path =
   match Qor.Record.load_ledger path with
   | Error msg ->
@@ -906,9 +905,10 @@ let explain_cmd =
     match r.Qor.Record.cost_breakdown with
     | None ->
       Format.eprintf
-        "hidap: %s carries no cost_breakdown section (eval-path record, a top \
-         instance replayed from a checkpoint, or a pre-v3 record); re-run \
-         'hidap place --qor' to attribute the cost@."
+        "hidap: %s carries no cost_breakdown section (a flow that does not \
+         floorplan, a top instance replayed from a checkpoint, or a pre-v3 \
+         record); re-run 'hidap place --qor' or 'hidap eval --qor' to \
+         attribute the cost@."
         input;
       exit exit_invalid
     | Some cb ->
@@ -970,7 +970,7 @@ let explain_cmd =
   in
   let input_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"RUN.json"
-           ~doc:"QoR ledger written by 'place --qor' (or 'eval --qor').")
+           ~doc:"QoR ledger written by 'place --qor' (or 'eval --qor', 'bench --qor').")
   in
   let heatmap_arg =
     Arg.(value & opt (some string) None & info [ "heatmap" ] ~docv:"OUT.svg"

@@ -17,6 +17,19 @@ type metrics = {
   runtime_s : float;
 }
 
+type placed = {
+  macros : Cellplace.macro_place list;
+  gseq : Seqgraph.t;
+  ports : Hidap.Port_plan.t;
+  sa_moves : int;
+  levels : Hidap.Floorplan.level_info list;
+  top : Hidap.Floorplan.instance_snapshot option;
+}
+
+let hidap_placed (r : Hidap.result) : placed =
+  { macros = r.placements; gseq = r.gseq; ports = r.ports; sa_moves = r.sa_moves;
+    levels = r.levels; top = r.top }
+
 type run = {
   kind : flow_kind;
   metrics : metrics;
@@ -24,6 +37,8 @@ type run = {
   placement : Cellplace.t;
   lambda_used : float option;
   sa_moves : int;
+  levels : Hidap.Floorplan.level_info list;
+  top : Hidap.Floorplan.instance_snapshot option;
   sweep_trace : (float * float) list;
   registry : Obs.Metrics.t;
   degradations : Guard.Supervisor.entry list;
@@ -118,48 +133,63 @@ let measure ~flat ~gseq ~ports ~die ~macros =
   Obs.Span.with_ ~name:"evalflow.measure" (fun () ->
       measure_body ~flat ~gseq ~ports ~die ~macros)
 
+(* The one constructor of a run: [place] runs in a metrics registry of
+   its own, which keeps its SA curves apart from any other candidate's,
+   then the placement is measured once. The registry is folded into the
+   ambient one afterwards, so the caller's telemetry still sees it all. *)
+let judge kind ~flat ~die ~lambda place =
+  let t0 = Obs.Clock.now_s () in
+  let registry = Obs.Metrics.create () in
+  let (p : placed), (metrics, placement) =
+    Obs.Metrics.with_ambient registry (fun () ->
+        let p = place () in
+        (p, measure ~flat ~gseq:p.gseq ~ports:p.ports ~die ~macros:p.macros))
+  in
+  Obs.Metrics.merge_into (Obs.Metrics.ambient ()) registry;
+  { kind;
+    metrics = { metrics with runtime_s = Obs.Clock.now_s () -. t0 };
+    macros = p.macros;
+    placement;
+    lambda_used = lambda;
+    sa_moves = p.sa_moves;
+    levels = p.levels;
+    top = p.top;
+    sweep_trace = [];
+    registry;
+    degradations = [] }
+
 (* What each flow proposes: (λ, placer) pairs, in proposal order.
    IndEDA proposes one wall-packed placement; HiDaP prepares one design
-   and proposes one placement of it per λ of the sweep. A placer
-   returns its macros and SA moves. *)
+   and proposes one placement of it per λ of the sweep. *)
 let candidates kind ~(config : Hidap.Config.t) ~flat ~gseq ~ports ~die =
   match kind with
-  | IndEDA -> [ (None, fun () -> (Baselines.Indeda.place ~flat ~gseq ~die (), 0)) ]
+  | IndEDA ->
+    [ ( None,
+        fun () ->
+          { macros = Baselines.Indeda.place ~flat ~gseq ~die (); gseq; ports; sa_moves = 0;
+            levels = []; top = None } ) ]
   | HiDaP ->
     let d = Hidap.prepare ~config ~die ~gseq ~ports flat in
     List.map
-      (fun lambda ->
-        ( Some lambda,
-          fun () ->
-            let r = Hidap.place_design d ~lambda in
-            (r.Hidap.placements, r.Hidap.sa_moves) ))
+      (fun lambda -> (Some lambda, fun () -> hidap_placed (Hidap.place_design d ~lambda)))
       (match config.lambda_sweep with [] -> [ config.lambda ] | l -> l)
 
-(* The runner every flow shares: its candidates, each placed and
-   measured once, fanned across the pool. Results come back in proposal
-   order and the fold keeps the first minimum, so the winner is the
-   same for every job count. Each candidate records into a registry of
-   its own, which keeps the winner's SA curves apart; the registries are
-   folded into the ambient one in proposal order, as Parexec would have
-   folded them. *)
+(* The runner every flow shares: its candidates, each judged once,
+   fanned across the pool. Results come back in proposal order and the
+   fold keeps the first minimum, so the winner is the same for every
+   job count. *)
 let run_flow kind ?(config = Hidap.Config.default) ~flat ~gseq ~ports ~die () =
   Obs.Span.with_ ~name:"evalflow.flow" @@ fun () ->
   Obs.Span.attr_str "flow" (flow_name kind);
   let t0 = Obs.Clock.now_s () in
-  let judge (lambda_used, place) =
-    let registry = Obs.Metrics.create () in
-    Obs.Metrics.with_ambient registry (fun () ->
-        Obs.Span.with_ ~name:"evalflow.candidate" (fun () ->
-            Option.iter (Obs.Span.attr_float "lambda") lambda_used;
-            let macros, sa_moves = place () in
-            let metrics, placement = measure ~flat ~gseq ~ports ~die ~macros in
-            { kind; metrics; macros; placement; lambda_used; sa_moves; sweep_trace = [];
-              registry; degradations = [] }))
+  let judge_one (lambda, place) =
+    Obs.Span.with_ ~name:"evalflow.candidate" (fun () ->
+        Option.iter (Obs.Span.attr_float "lambda") lambda;
+        judge kind ~flat ~die ~lambda place)
   in
   let sweep proposed =
     Obs.Span.with_ ~name:"evalflow.sweep" @@ fun () ->
-    let runs = Array.to_list (Parexec.map ~jobs:config.jobs judge (Array.of_list proposed)) in
-    List.iter (fun r -> Obs.Metrics.merge_into (Obs.Metrics.ambient ()) r.registry) runs;
+    let runs = Array.to_list (Parexec.map ~jobs:config.jobs judge_one (Array.of_list proposed)) in
     let wl r = r.metrics.wl_um in
     let trace = List.filter_map (fun r -> Option.map (fun l -> (l, wl r)) r.lambda_used) runs in
     List.iter (fun (lambda, wl) -> Obs.Metrics.series "hidap.sweep" ~x:lambda ~y:wl) trace;

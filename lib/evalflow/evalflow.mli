@@ -14,9 +14,10 @@
     tool) proposes one; HiDaP (this repository's contribution) prepares
     one design ({!Hidap.prepare}) and proposes one {!Hidap.place_design}
     per λ of the sweep, the program's only one. One runner places and
-    {!measure}s every candidate once, fanned across [config.jobs]
-    domains, and keeps the first lowest WL in proposal order —
-    bit-identical for every job count. The paper's third column, expert
+    {!measure}s every candidate once ({!judge}, the one constructor of
+    a {!run}, which [hidap place --qor] also goes through), fanned
+    across [config.jobs] domains, and keeps the first lowest WL in
+    proposal order — bit-identical for every job count. The paper's third column, expert
     hand floorplans, has no stand-in: WL is normalised to the best known
     result instead ({!normalized_wl}). *)
 
@@ -34,9 +35,22 @@ type metrics = {
   wns_pct : float;  (** <= 0; percentage of the clock period *)
   tns : float;  (** ps, <= 0 *)
   runtime_s : float;
-      (** the flow's wall time to produce and measure every candidate
-          it judged, preparation included; 0 from {!measure} *)
+      (** the wall time to produce and measure every candidate the run
+          judged, a flow's preparation included; 0 from {!measure} *)
 }
+
+type placed = {
+  macros : Cellplace.macro_place list;
+  gseq : Seqgraph.t;
+  ports : Hidap.Port_plan.t;  (** the Gseq and port plan the metrics read *)
+  sa_moves : int;  (** 0 for a placer that anneals nothing *)
+  levels : Hidap.Floorplan.level_info list;  (** [] for a placer that does not floorplan *)
+  top : Hidap.Floorplan.instance_snapshot option;
+}
+(** What a candidate's placer hands the runner: its macros, and the
+    floorplan they came from. *)
+
+val hidap_placed : Hidap.result -> placed
 
 type run = {
   kind : flow_kind;
@@ -45,6 +59,11 @@ type run = {
   placement : Cellplace.t;
   lambda_used : float option;  (** the winning candidate's λ; [None] for IndEDA *)
   sa_moves : int;  (** the winning candidate's SA moves (0 when it anneals nothing) *)
+  levels : Hidap.Floorplan.level_info list;
+      (** the winning candidate's floorplan instances; [] for IndEDA *)
+  top : Hidap.Floorplan.instance_snapshot option;
+      (** the winning candidate's top-level instance; [None] for IndEDA
+          and for a top instance replayed from a checkpoint *)
   sweep_trace : (float * float) list;
       (** (λ, measured WL) of every candidate that has a λ, in proposal
           order, losing ones included *)
@@ -64,6 +83,18 @@ val measure :
   macros:Cellplace.macro_place list ->
   metrics * Cellplace.t
 (** Runtime field is 0; {!run_flow} fills it in. *)
+
+val judge :
+  flow_kind ->
+  flat:Netlist.Flat.t ->
+  die:Geom.Rect.t ->
+  lambda:float option ->
+  (unit -> placed) ->
+  run
+(** The one constructor of a run: [place ()] in a metrics registry of
+    its own (the run's [registry], folded into the ambient one
+    afterwards), then one {!measure}. [runtime_s] is the wall time of
+    both; the run has no [sweep_trace] and no [degradations]. *)
 
 val run_flow :
   flow_kind ->

@@ -109,14 +109,7 @@ let floorplans buf (r : Record.t) =
       (fun (m : Record.macro) -> (short_name m.Record.macro_name, m.Record.macro_rect))
       r.Record.macros
   in
-  let snapshots =
-    if levels = [] && macros = [] then []
-    else if levels = [] then
-      (* eval-path record: only the final macro placement is known *)
-      Viz.Svg.floorplan_levels ~die:r.Record.die ~levels:[] ~macros ()
-    else Viz.Svg.floorplan_levels ~die:r.Record.die ~levels ~macros ()
-  in
-  match snapshots with
+  match Viz.Svg.floorplan_levels ~die:r.Record.die ~levels ~macros () with
   | [] -> Buffer.add_string buf "<p class=\"meta\">(no geometry recorded)</p>\n"
   | snapshots ->
     Buffer.add_string buf "<div class=\"levels\">\n";

@@ -127,21 +127,13 @@ let dataflow_cost_of_top (top : Hidap.Floorplan.instance_snapshot option) =
     done;
     !total
 
-let sa_curve_of registry =
-  match registry with
-  | None -> []
-  | Some reg -> Obs.Metrics.series_points reg "sa.curve.level0"
-
-let term_curves_of registry =
-  match registry with
-  | None -> []
-  | Some reg ->
-    List.filter_map
-      (fun t ->
-        match Obs.Metrics.series_points reg (Printf.sprintf "sa.term.%s.level0" t) with
-        | [] -> None
-        | pts -> Some (t, pts))
-      Hidap.Layout_gen.term_names
+let term_curves_of reg =
+  List.filter_map
+    (fun t ->
+      match Obs.Metrics.series_points reg (Printf.sprintf "sa.term.%s.level0" t) with
+      | [] -> None
+      | pts -> Some (t, pts))
+    Hidap.Layout_gen.term_names
 
 (* The exact-attribution section, from the top-level instance snapshot.
    None when the top instance was replayed from a checkpoint (no layout
@@ -213,63 +205,33 @@ let stages_of spans =
       (fun (stage_name, total_us, calls) -> { stage_name; total_us; calls })
       (Obs.Trace.stage_totals spans)
 
-(* The span of one flow's run in an eval trace. *)
-let rec flow_span flow spans =
-  List.find_map
-    (fun (sp : Obs.Span.t) ->
-      if sp.Obs.Span.name = "evalflow.flow"
-         && List.assoc_opt "flow" sp.Obs.Span.attrs = Some flow
-      then Some sp
-      else flow_span flow sp.Obs.Span.children)
-    spans
-
-let gc_of registry =
-  match registry with
+(* The gauges are published by the flow itself (Hidap.place_design);
+   None when the run was not instrumented. *)
+let gc_of reg =
+  match Obs.Metrics.gauge_value reg "gc.minor_words" with
   | None -> None
-  | Some reg ->
-    (* The gauges are published by the flow itself (Hidap.place); fall
-       back to None when the run was not instrumented. *)
-    (match Obs.Metrics.gauge_value reg "gc.minor_words" with
-    | None -> None
-    | Some minor_words ->
-      let g name = Option.value ~default:0.0 (Obs.Metrics.gauge_value reg name) in
-      Some
-        { Obs.Gcstats.minor_words;
-          promoted_words = g "gc.promoted_words";
-          major_words = g "gc.major_words";
-          minor_collections = int_of_float (g "gc.minor_collections");
-          major_collections = int_of_float (g "gc.major_collections");
-          compactions = int_of_float (g "gc.compactions");
-          heap_words = int_of_float (g "gc.heap_words");
-          top_heap_words = int_of_float (g "gc.top_heap_words") })
+  | Some minor_words ->
+    let g name = Option.value ~default:0.0 (Obs.Metrics.gauge_value reg name) in
+    Some
+      { Obs.Gcstats.minor_words;
+        promoted_words = g "gc.promoted_words";
+        major_words = g "gc.major_words";
+        minor_collections = int_of_float (g "gc.minor_collections");
+        major_collections = int_of_float (g "gc.major_collections");
+        compactions = int_of_float (g "gc.compactions");
+        heap_words = int_of_float (g "gc.heap_words");
+        top_heap_words = int_of_float (g "gc.top_heap_words") }
 
 (* ---- constructors ------------------------------------------------- *)
 
-let of_place ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
-    ?(degradations = []) ~measured:(m : Evalflow.metrics) ?ckpt ?perf
-    (r : Hidap.result) =
-  let macros =
-    List.map
-      (fun (p : Hidap.macro_placement) ->
-        { macro_name = flat.Netlist.Flat.nodes.(p.Hidap.fid).Netlist.Flat.path;
-          macro_rect = p.Hidap.rect;
-          orient = p.Hidap.orient })
-      r.Hidap.placements
-  in
-  let runtime_s =
-    match spans with
-    | None -> 0.0
-    | Some spans ->
-      List.fold_left
-        (fun acc (name, total_us, _) ->
-          if name = "hidap.place" then acc +. (total_us /. 1e6) else acc)
-        0.0 (Obs.Trace.stage_totals spans)
-  in
+let of_run ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?(displacement = []) ?ckpt ?perf
+    (run : Evalflow.run) =
+  let m = run.Evalflow.metrics and registry = run.Evalflow.registry in
   { rec_version = version;
     circuit;
-    flow = "HiDaP";
+    flow = Evalflow.flow_name run.Evalflow.kind;
     seed = config.Hidap.Config.seed;
-    lambda = Some r.Hidap.lambda;
+    lambda = run.Evalflow.lambda_used;
     cells = Netlist.Flat.cell_count flat;
     macro_count = Netlist.Flat.macro_count flat;
     qm =
@@ -277,15 +239,21 @@ let of_place ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
         grc_pct = m.Evalflow.grc_pct;
         wns_pct = m.Evalflow.wns_pct;
         tns = m.Evalflow.tns;
-        runtime_s;
-        dataflow_cost = dataflow_cost_of_top r.Hidap.top };
-    displacement = [];
-    sa_moves = r.Hidap.sa_moves;
-    sa_curve = sa_curve_of registry;
+        runtime_s = m.Evalflow.runtime_s;
+        dataflow_cost = dataflow_cost_of_top run.Evalflow.top };
+    displacement;
+    sa_moves = run.Evalflow.sa_moves;
+    sa_curve = Obs.Metrics.series_points registry "sa.curve.level0";
     stages = stages_of spans;
     gc = gc_of registry;
-    die = r.Hidap.die;
-    macros;
+    die = Hidap.die_for flat ~config;
+    macros =
+      List.map
+        (fun (p : Cellplace.macro_place) ->
+          { macro_name = flat.Netlist.Flat.nodes.(p.Cellplace.fid).Netlist.Flat.path;
+            macro_rect = p.Cellplace.rect;
+            orient = p.Cellplace.orient })
+        run.Evalflow.macros;
     levels =
       List.map
         (fun (l : Hidap.Floorplan.level_info) ->
@@ -293,67 +261,11 @@ let of_place ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?registry
             ht_id = l.Hidap.Floorplan.ht_id;
             level_rect = l.Hidap.Floorplan.rect;
             level_macros = l.Hidap.Floorplan.macro_count })
-        r.Hidap.levels;
-    degradations;
+        run.Evalflow.levels;
+    degradations = run.Evalflow.degradations;
     ckpt;
     perf;
-    cost_breakdown = cost_breakdown_of_top registry r.Hidap.top }
-
-let of_eval ~circuit ~flat ~(config : Hidap.Config.t) ?spans (res : Evalflow.circuit_result) =
-  let die = Hidap.die_for flat ~config in
-  List.map
-    (fun (run : Evalflow.run) ->
-      let flow = Evalflow.flow_name run.Evalflow.kind in
-      let displacement =
-        List.filter_map
-          (fun (other : Evalflow.run) ->
-            if other == run then None
-            else
-              Some
-                ( Evalflow.flow_name other.Evalflow.kind,
-                  Evalflow.macro_displacement run other ))
-          res.Evalflow.runs
-      in
-      let macros =
-        List.map
-          (fun (m : Cellplace.macro_place) ->
-            { macro_name = flat.Netlist.Flat.nodes.(m.Cellplace.fid).Netlist.Flat.path;
-              macro_rect = m.Cellplace.rect;
-              orient = m.Cellplace.orient })
-          run.Evalflow.macros
-      in
-      let m = run.Evalflow.metrics in
-      { rec_version = version;
-        circuit;
-        flow;
-        seed = config.Hidap.Config.seed;
-        lambda = run.Evalflow.lambda_used;
-        cells = res.Evalflow.cells;
-        macro_count = res.Evalflow.macro_count;
-        qm =
-          { wl_um = m.Evalflow.wl_um;
-            grc_pct = m.Evalflow.grc_pct;
-            wns_pct = m.Evalflow.wns_pct;
-            tns = m.Evalflow.tns;
-            runtime_s = m.Evalflow.runtime_s;
-            dataflow_cost = 0.0 };
-        displacement;
-        sa_moves = run.Evalflow.sa_moves;
-        sa_curve = sa_curve_of (Some run.Evalflow.registry);
-        stages =
-          stages_of
-            (Option.map (fun sp -> [ sp ]) (Option.bind spans (flow_span flow)));
-        gc = gc_of (Some run.Evalflow.registry);
-        die;
-        macros;
-        levels = [];
-        degradations = run.Evalflow.degradations;
-        ckpt = None;
-        perf = None;
-        (* Evalflow keeps only macro placements per flow, not the top
-           instance snapshot, so eval-path records carry no breakdown. *)
-        cost_breakdown = None })
-    res.Evalflow.runs
+    cost_breakdown = cost_breakdown_of_top registry run.Evalflow.top }
 
 (* ---- JSON ---------------------------------------------------------- *)
 

@@ -57,7 +57,7 @@ type qmetrics = {
   runtime_s : float;
   dataflow_cost : float;
       (** affinity-weighted distance between top-level Gdf blocks; 0
-          when no top snapshot was available (eval-path records) *)
+          for a flow that does not floorplan (IndEDA) *)
 }
 
 type pool_worker = {
@@ -147,43 +147,29 @@ type t = {
           Added as a backward-compatible field — no version bump. *)
   cost_breakdown : cost_breakdown option;
       (** exact cost-term attribution of the top-level instance (v3);
-          [None] for eval-path records, runs whose top instance was
-          replayed from a checkpoint, and every pre-v3 record *)
+          [None] for a flow that does not floorplan (IndEDA), a run
+          whose top instance was replayed from a checkpoint, and every
+          pre-v3 record *)
 }
 
-val of_place :
+val of_run :
   circuit:string ->
   flat:Netlist.Flat.t ->
   config:Hidap.Config.t ->
   ?spans:Obs.Trace.t ->
-  ?registry:Obs.Metrics.t ->
-  ?degradations:Guard.Supervisor.entry list ->
-  measured:Evalflow.metrics ->
+  ?displacement:(string * float) list ->
   ?ckpt:ckpt_info ->
   ?perf:perf_info ->
-  Hidap.result ->
+  Evalflow.run ->
   t
-(** Record a [Hidap.place] run whose quality metrics [measured] came
-    from {!Evalflow.measure} ({!Run.place} measures inside the
-    supervised region, so cell-placement degradations are captured);
-    stage times, the SA curve and [Gc] gauges are pulled from
-    [spans] / [registry] when the run was instrumented. *)
-
-val of_eval :
-  circuit:string ->
-  flat:Netlist.Flat.t ->
-  config:Hidap.Config.t ->
-  ?spans:Obs.Trace.t ->
-  Evalflow.circuit_result ->
-  t list
-(** One record per flow of an {!Evalflow.run_all} result, each carrying
-    its macro displacement against the other flows. Each record's stage
-    times come from its own flow's ["evalflow.flow"] span in [spans].
-    Each record carries its run's degradations and its winning
-    candidate's λ, SA move count, level-0 SA curve and [Gc] gauges
-    (from [Evalflow.run.registry]), as {!of_place} of that placement
-    does; a flow that anneals nothing records 0 moves, no curve and no
-    GC. *)
+(** The record of a measured run ({!Evalflow.judge}), whichever path
+    measured it: [hidap place --qor], the serve worker and {!Run.eval}
+    all build theirs here, so a placement has one record. Metrics,
+    runtime, λ, macros, levels, SA curve, [Gc] gauges, degradations and
+    the cost breakdown come from the run (its [registry] holds the
+    curves and gauges when the run was instrumented); stage times roll
+    up [spans]. [displacement], [ckpt] and [perf] are what only some
+    callers have, absent by default. *)
 
 val perf_info_json : perf_info -> Obs.Jsonx.t
 (** The ["perf"] sub-object of {!to_json}, exposed for standalone

@@ -54,7 +54,7 @@ type ckpt = {
 
 type placed = {
   result : Hidap.result;
-  measured : Evalflow.metrics option;
+  run : Evalflow.run option;
   degradations : Guard.Supervisor.entry list;
   ckpt_summary : Record.ckpt_info option;
 }
@@ -86,16 +86,18 @@ let place ~(config : Hidap.Config.t) ?ckpt ?(on_resume = ignore) ~measure
       (fun s ->
         session := s;
         Option.iter on_resume (Option.bind s Ckpt.Session.resumed_from);
-        let r = Hidap.place ~config ~die ?ckpt:s flat in
-        let measured =
-          if measure then
-            Some
-              (fst
-                 (Evalflow.measure ~flat ~gseq:r.Hidap.gseq ~ports:r.Hidap.ports
-                    ~die:r.Hidap.die ~macros:r.Hidap.placements))
-          else None
-        in
-        (r, measured))
+        let place () = Hidap.place ~config ~die ?ckpt:s flat in
+        if not measure then (place (), None)
+        else
+          let result = ref None in
+          let run =
+            Evalflow.judge HiDaP ~flat ~die ~lambda:(Some config.Hidap.Config.lambda)
+              (fun () ->
+                let r = place () in
+                result := Some r;
+                Evalflow.hidap_placed r)
+          in
+          (Option.get !result, Some run))
       started
   in
   match
@@ -103,10 +105,10 @@ let place ~(config : Hidap.Config.t) ?ckpt ?(on_resume = ignore) ~measure
       ~faults:config.Hidap.Config.faults run
   with
   | Error d, _ -> Error d
-  | Ok (result, measured), degradations ->
+  | Ok (result, run), degradations ->
     Ok
       { result;
-        measured;
+        run = Option.map (fun (r : Evalflow.run) -> { r with degradations }) run;
         degradations;
         ckpt_summary = Option.map Ckpt.Session.summary !session }
   | exception (Guard.Budget.Cancelled _ as e) ->
@@ -123,6 +125,18 @@ type evaluated = {
   records : Record.t list;
 }
 
+(* The span of one flow's run in an eval trace, as a trace of its own. *)
+let flow_spans flow spans =
+  let rec find spans =
+    List.find_map
+      (fun (sp : Obs.Span.t) ->
+        if sp.Obs.Span.name = "evalflow.flow" && List.assoc_opt "flow" sp.Obs.Span.attrs = Some flow
+        then Some sp
+        else find sp.Obs.Span.children)
+      spans
+  in
+  Option.to_list (find spans)
+
 let eval ~(config : Hidap.Config.t) ?on_finish load =
   let (circuit, flat, result, degradations), spans =
     Obs.Trace.instrumented ?on_finish (fun () ->
@@ -134,5 +148,15 @@ let eval ~(config : Hidap.Config.t) ?on_finish load =
         in
         (circuit, flat, result, degradations))
   in
-  let records = Record.of_eval ~circuit ~flat ~config ~spans result in
-  { flat; result; degradations; records }
+  let record (run : Evalflow.run) =
+    let flow = Evalflow.flow_name run.Evalflow.kind in
+    let displacement =
+      List.filter_map
+        (fun (other : Evalflow.run) ->
+          if other == run then None
+          else Some (Evalflow.flow_name other.Evalflow.kind, Evalflow.macro_displacement run other))
+        result.Evalflow.runs
+    in
+    Record.of_run ~circuit ~flat ~config ~spans:(flow_spans flow spans) ~displacement run
+  in
+  { flat; result; degradations; records = List.map record result.Evalflow.runs }

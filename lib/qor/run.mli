@@ -50,7 +50,9 @@ type ckpt = {
 
 type placed = {
   result : Hidap.result;
-  measured : Evalflow.metrics option;  (** [Some] iff [~measure:true] *)
+  run : Evalflow.run option;
+      (** [Some] iff [~measure:true]: the placement as {!Evalflow.judge}
+          measured it, with the run's [degradations] *)
   degradations : Guard.Supervisor.entry list;
   ckpt_summary : Record.ckpt_info option;  (** [Some] iff checkpointed *)
 }
@@ -67,10 +69,10 @@ val place :
     [config.budgets]. Inside the supervised region, in this order: the
     checkpoint session starts (its fingerprint built from the input's
     name and netlist and [config]), [on_resume] gets the snapshot
-    file a resumed session adopted, {!Hidap.place} runs, and with
-    [~measure:true] {!Evalflow.measure} scores the placement. So
-    resume-time rollbacks, snapshot-write failures and cell-placement
-    fallbacks all land in [degradations].
+    file a resumed session adopted, and {!Hidap.place} runs; with
+    [~measure:true] it runs as the candidate of {!Evalflow.judge}, which
+    scores the placement. So resume-time rollbacks, snapshot-write
+    failures and cell-placement fallbacks all land in [degradations].
 
     [Error] is a checkpoint session that could not start (an unusable
     directory or a fingerprint mismatch). When the run is cancelled
@@ -84,7 +86,9 @@ type evaluated = {
   result : Evalflow.circuit_result;
   degradations : Guard.Supervisor.entry list;
       (** the whole run's ledger; each record carries its flow's part *)
-  records : Record.t list;  (** {!Record.of_eval} of the run *)
+  records : Record.t list;
+      (** {!Record.of_run} of each flow's run, with its own flow's spans
+          and its macro displacement against the other flows *)
 }
 
 val eval :

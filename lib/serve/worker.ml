@@ -207,9 +207,8 @@ let run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot (job : Jo
   | Error d -> raise (Invalid_job (Guard.Diag.to_string d))
   | Ok p ->
     let record =
-      Qor.Record.of_place ~circuit:input.Qor.Run.name ~flat:input.Qor.Run.flat ~config
-        ~degradations:p.Qor.Run.degradations ~measured:(Option.get p.Qor.Run.measured)
-        ?ckpt:p.Qor.Run.ckpt_summary p.Qor.Run.result
+      Qor.Record.of_run ~circuit:input.Qor.Run.name ~flat:input.Qor.Run.flat ~config
+        ?ckpt:p.Qor.Run.ckpt_summary (Option.get p.Qor.Run.run)
     in
     Qor.Record.write_ledger (Job.result_path ~state_dir job.Job.id) [ record ];
     Qor.Html.write_file

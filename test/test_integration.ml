@@ -223,28 +223,55 @@ let test_prepared_once () =
     (List.length sweep + 1)
     (count "cellplace.runs" eval_counters)
 
-(* The eval record describes the winning candidate: its SA curve is
-   the curve of [Hidap.place] at the winning λ, point for point. *)
-let test_record_curve_is_winners () =
-  let ev, _ = Lazy.force suite_run in
-  let flat = ev.Qor.Run.flat in
-  let hidap =
-    List.find (fun (r : Qor.Record.t) -> r.Qor.Record.flow = "HiDaP") ev.Qor.Run.records
+(* A placement has one record: the HiDaP record of an eval is the
+   record [Qor.Run.place ~measure:true] makes at the winning λ — macros,
+   metrics, dataflow cost, levels, SA curve and cost breakdown with its
+   term curves — apart from what depends on the clock, the process or
+   the other flows. *)
+let test_eval_record_is_place_record () =
+  let design = Circuitgen.Suite.fig1_design () in
+  let flat = Flat.elaborate design in
+  let comparable r =
+    match Qor.Record.to_json r with
+    | Obs.Jsonx.Obj fields ->
+      List.filter_map
+        (fun (k, v) ->
+          match (k, v) with
+          | ("stages" | "gc" | "displacement" | "perf" | "ckpt"), _ -> None
+          | "metrics", Obs.Jsonx.Obj m ->
+            Some (k, Obs.Jsonx.Obj (List.remove_assoc "runtime_s" m))
+          | _ -> Some (k, v))
+        fields
+    | _ -> Alcotest.fail "a record serializes to an object"
   in
-  let lambda = Option.get hidap.Qor.Record.lambda in
-  let config = Hidap.Config.with_lambda Hidap.Config.default lambda in
-  let p, spans = Obs.Trace.instrumented (fun () -> Hidap.place ~config flat) in
-  let measured, _ =
-    Evalflow.measure ~flat ~gseq:p.Hidap.gseq ~ports:p.Hidap.ports ~die:p.Hidap.die
-      ~macros:p.Hidap.placements
-  in
-  let placed =
-    Qor.Record.of_place ~circuit:"fig1" ~flat ~config ~spans ~registry:Obs.Metrics.global
-      ~measured p
-  in
-  Alcotest.(check bool) "the place record has a curve" true (placed.Qor.Record.sa_curve <> []);
-  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-    "eval curve = place-at-winner curve" placed.Qor.Record.sa_curve hidap.Qor.Record.sa_curve
+  List.iter
+    (fun jobs ->
+      let config = { Hidap.Config.default with Hidap.Config.jobs } in
+      let ev = Qor.Run.eval ~config (fun () -> ("fig1", flat)) in
+      let hidap =
+        List.find (fun (r : Qor.Record.t) -> r.Qor.Record.flow = "HiDaP") ev.Qor.Run.records
+      in
+      let config = Hidap.Config.with_lambda config (Option.get hidap.Qor.Record.lambda) in
+      let input =
+        { Qor.Run.name = "fig1"; design; flat; die = Hidap.die_for flat ~config; diags = [] }
+      in
+      let p, _ =
+        Obs.Trace.instrumented (fun () ->
+            Result.get_ok (Qor.Run.place ~config ~measure:true input))
+      in
+      let placed = Qor.Record.of_run ~circuit:"fig1" ~flat ~config (Option.get p.Qor.Run.run) in
+      Alcotest.(check bool) "the place record has a curve" true (placed.Qor.Record.sa_curve <> []);
+      Alcotest.(check bool) "the place record has a breakdown" true
+        (placed.Qor.Record.cost_breakdown <> None);
+      List.iter2
+        (fun (k, a) (k', b) ->
+          Alcotest.(check string) "field" k k';
+          Alcotest.(check string)
+            (Printf.sprintf "%s at jobs = %d" k jobs)
+            (Obs.Jsonx.to_string ~compact:true a)
+            (Obs.Jsonx.to_string ~compact:true b))
+        (comparable placed) (comparable hidap))
+    [ 1; 2 ]
 
 let suite =
   [ ( "integration.evalflow",
@@ -266,5 +293,5 @@ let suite =
         Alcotest.test_case "every sweep candidate equals Hidap.place at its lambda" `Slow
           test_candidates_equal_place;
         Alcotest.test_case "eval builds the shape curves once" `Slow test_prepared_once;
-        Alcotest.test_case "eval record carries the winner's SA curve" `Slow
-          test_record_curve_is_winners ] ) ]
+        Alcotest.test_case "eval record equals the place record of its winner" `Slow
+          test_eval_record_is_place_record ] ) ]

@@ -227,8 +227,8 @@ let test_record_roundtrip () =
     Alcotest.(check bool) "perf kept" true (r'.Record.perf = r.Record.perf);
     Alcotest.(check bool) "cost_breakdown kept" true
       (r'.Record.cost_breakdown = r.Record.cost_breakdown);
-    (* An eval-path record carries the HiDaP run's SA move count, as a
-       place-path record does; the other flows anneal nothing. *)
+    (* A run's record carries its SA move count, through JSON: a flow
+       that anneals nothing records 0. *)
     let flat = Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ()) in
     let die = Geom.Rect.make ~x:0.0 ~y:0.0 ~w:400.0 ~h:400.0 in
     let run kind sa_moves =
@@ -239,23 +239,22 @@ let test_record_roundtrip () =
         placement = { Cellplace.positions = [||]; die; movable = [||] };
         lambda_used = None;
         sa_moves;
+        levels = [];
+        top = None;
         sweep_trace = [];
         registry = Metrics.create ();
         degradations = [] }
     in
-    let res =
-      { Evalflow.circuit = "fig1"; cells = 0; macro_count = 0;
-        runs = [ run Evalflow.IndEDA 0; run Evalflow.HiDaP r.Record.sa_moves ] }
-    in
     let moves =
       List.map
-        (fun (e : Record.t) ->
+        (fun run ->
+          let e = Record.of_run ~circuit:"fig1" ~flat ~config:Hidap.Config.default run in
           match Record.of_json (roundtrip (Record.to_json e)) with
           | Ok e' -> (e'.Record.flow, e'.Record.sa_moves)
-          | Error e -> Alcotest.failf "eval record of_json failed: %s" e)
-        (Record.of_eval ~circuit:"fig1" ~flat ~config:Hidap.Config.default res)
+          | Error e -> Alcotest.failf "run record of_json failed: %s" e)
+        [ run Evalflow.IndEDA 0; run Evalflow.HiDaP r.Record.sa_moves ]
     in
-    Alcotest.(check (list (pair string int))) "eval records keep sa_moves"
+    Alcotest.(check (list (pair string int))) "run records keep sa_moves"
       [ ("IndEDA", 0); ("HiDaP", r.Record.sa_moves) ] moves
 
 let test_record_versioning () =
@@ -490,7 +489,7 @@ let test_eval_record_own_flow () =
    and every GC figure zeroed, since the heap a snapshot reads depends
    on what ran before in this process. *)
 let golden_eval_records =
-  [ ("fig1", "8e741dd02bc9e0fab9952727c24ca5e8"); ("c1", "db8356fab4d75b2a3b2c19d8df5e71eb") ]
+  [ ("fig1", "8d7ee2b2cf96e597e8b34ab6cdf253ac"); ("c1", "84371918cf4fb049132cb04e10d4fbfb") ]
 
 let eval_records_digest name jobs =
   let config = { Hidap.Config.default with Hidap.Config.jobs } in
