@@ -396,22 +396,9 @@ let handle_request t c line =
       request_drain t;
       send t c Proto.Draining_reply)
 
-(* Split buffered bytes into complete lines; the remainder stays. *)
-let take_lines buf =
-  let data = Buffer.contents buf in
-  Buffer.clear buf;
-  let rec go start acc =
-    match String.index_from_opt data start '\n' with
-    | Some i -> go (i + 1) (String.sub data start (i - start) :: acc)
-    | None ->
-      Buffer.add_substring buf data start (String.length data - start);
-      List.rev acc
-  in
-  go 0 []
-
 let feed_conn t c chunk =
   Buffer.add_string c.rbuf chunk;
-  let lines = take_lines c.rbuf in
+  let lines = Proto.take_lines c.rbuf in
   List.iter
     (fun line ->
       if c.alive then

@@ -103,19 +103,6 @@ let spawn t ~job ~extra_close ~child =
               drain_killed = false; status = None; eof = false };
         Spawned pid))
 
-(* Split complete lines out of [r.rbuf], leaving any partial tail. *)
-let take_lines buf =
-  let data = Buffer.contents buf in
-  Buffer.clear buf;
-  let rec go start acc =
-    match String.index_from_opt data start '\n' with
-    | Some i -> go (i + 1) (String.sub data start (i - start) :: acc)
-    | None ->
-      Buffer.add_substring buf data start (String.length data - start);
-      List.rev acc
-  in
-  go 0 []
-
 let scratch = Bytes.create 65536
 
 let consume r ~on_event =
@@ -133,7 +120,7 @@ let consume r ~on_event =
           r.frame <- Some (str "outcome", str "detail")
         | _ -> ());
         on_event r.job j)
-    (take_lines r.rbuf)
+    (Proto.take_lines r.rbuf)
 
 (* Drain the (nonblocking) pipe: refresh liveness, buffer bytes, parse
    complete lines. Returns at EOF (pipe closed, fd released), EAGAIN,

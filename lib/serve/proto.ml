@@ -342,3 +342,15 @@ let response_of_line line =
   | Ok j -> response_of_json j
 
 let to_line j = J.to_string ~compact:true j
+
+let take_lines buf =
+  let data = Buffer.contents buf in
+  Buffer.clear buf;
+  let rec go start acc =
+    match String.index_from_opt data start '\n' with
+    | Some i -> go (i + 1) (String.sub data start (i - start) :: acc)
+    | None ->
+      Buffer.add_substring buf data start (String.length data - start);
+      List.rev acc
+  in
+  go 0 []

@@ -142,3 +142,8 @@ val submit_of_json : Obs.Jsonx.t -> submit
 
 val to_line : Obs.Jsonx.t -> string
 (** Compact one-line rendering (the only framing the protocol has). *)
+
+val take_lines : Buffer.t -> string list
+(** The complete lines buffered so far, in order and without their
+    newlines; the unterminated tail stays in the buffer. Daemon
+    connections and worker pipes are both framed this way. *)
