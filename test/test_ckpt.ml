@@ -10,11 +10,6 @@ module State = Ckpt.State
 module Store = Ckpt.Store
 module Session = Ckpt.Session
 
-let fresh_dir () =
-  let dir = Filename.temp_file "hidap-ckpt" "" in
-  Sys.remove dir;
-  dir
-
 let fresh_file () = Filename.temp_file "hidap-env" ".ckpt"
 
 let read_file path =
@@ -156,7 +151,7 @@ let test_state_rejects_foreign () =
 (* ---- store --------------------------------------------------------- *)
 
 let test_store_retention () =
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   match Store.open_ ~keep:2 ~fresh:true dir with
   | Error msg -> Alcotest.failf "open failed: %s" msg
   | Ok store ->
@@ -181,7 +176,7 @@ let test_store_retention () =
       Alcotest.(check bool) "reopen sees entries" true (Store.entries store' = entries))
 
 let test_store_rollback_past_corruption () =
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   match Store.open_ ~fresh:true dir with
   | Error msg -> Alcotest.failf "open failed: %s" msg
   | Ok store ->
@@ -209,7 +204,7 @@ let test_store_rollback_past_corruption () =
          degradations)
 
 let test_store_all_corrupt_is_empty () =
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   match Store.open_ ~fresh:true dir with
   | Error msg -> Alcotest.failf "open failed: %s" msg
   | Ok store ->
@@ -247,7 +242,7 @@ let session_or_fail ?every ~dir ~resume fp =
    both stage boundaries. *)
 let save_load_identity name =
   let flat = flat_of_circuit name in
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   let session = session_or_fail ~dir ~resume:false (fingerprint ~name flat) in
   let _r = Hidap.place ~ckpt:session flat in
   match Store.open_ ~fresh:false dir with
@@ -301,7 +296,7 @@ let placements_bit_equal (a : Hidap.result) (b : Hidap.result) =
 let resume_determinism name =
   let flat = flat_of_circuit name in
   let baseline = Hidap.place flat in
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   let fp = fingerprint ~name flat in
   let s0 = session_or_fail ~dir ~resume:false fp in
   let checkpointed = Hidap.place ~ckpt:s0 flat in
@@ -344,7 +339,7 @@ let test_resume_determinism_c1 () = resume_determinism "c1"
    blend two runs. *)
 let test_resume_fingerprint_mismatch () =
   let flat = flat_of_circuit "fig1" in
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   let fp = fingerprint ~name:"fig1" flat in
   let s0 = session_or_fail ~dir ~resume:false fp in
   ignore (Hidap.place ~ckpt:s0 flat);
@@ -356,7 +351,7 @@ let test_resume_fingerprint_mismatch () =
 (* An empty (or missing) store with --resume starts from scratch, so
    retry loops are idempotent. *)
 let test_resume_empty_store_is_fresh () =
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   let fp = sample_fp in
   let s = session_or_fail ~dir ~resume:true fp in
   Alcotest.(check bool) "fresh" true (Session.resumed_from s = None)
@@ -367,7 +362,7 @@ let test_resume_empty_store_is_fresh () =
 let test_ckpt_write_fault_degrades () =
   let flat = flat_of_circuit "fig1" in
   let baseline = Hidap.place flat in
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   let spec = { Guard.Fault.site = "ckpt_write"; nth = 1; action = Guard.Fault.Raise } in
   let r, degradations =
     Guard.Supervisor.with_run ~faults:[ spec ] (fun () ->
@@ -395,7 +390,7 @@ let test_ckpt_write_fault_degrades () =
 let test_ckpt_load_corrupt_rolls_back () =
   let flat = flat_of_circuit "fig1" in
   let baseline = Hidap.place flat in
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   let fp = fingerprint ~name:"fig1" flat in
   let s0 = session_or_fail ~dir ~resume:false fp in
   ignore (Hidap.place ~ckpt:s0 flat);
@@ -435,7 +430,7 @@ let test_ckpt_load_corrupt_rolls_back () =
 (* ---- gc ------------------------------------------------------------ *)
 
 let test_gc_sweeps_unreferenced () =
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   (match Store.open_ ~fresh:true dir with
   | Error msg -> Alcotest.failf "open failed: %s" msg
   | Ok store ->
@@ -466,7 +461,7 @@ let test_gc_sweeps_unreferenced () =
    keeps exactly the newest snapshot, which supersedes the rest. *)
 let test_reopened_store_index () =
   let flat = flat_of_circuit "c1" in
-  let dir = fresh_dir () in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
   let session = session_or_fail ~dir ~resume:false (fingerprint ~name:"c1" flat) in
   ignore (Hidap.place ~ckpt:session flat);
   let manifest = Filename.concat dir "manifest.json" in

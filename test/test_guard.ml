@@ -286,20 +286,6 @@ let test_audit_non_finite () =
 
 (* ---- end-to-end: every fault site degrades to a legal placement --- *)
 
-(* [f] on a fresh temp checkpoint dir for the ckpt fault sites (they
-   only fire when a session is active, so those legs place with one).
-   The dir and its snapshots are removed when [f] returns or raises. *)
-let with_ckpt_dir f =
-  let dir = Filename.temp_file "hidap-ckpt-test" "" in
-  Sys.remove dir;
-  let remove () =
-    if Sys.file_exists dir then begin
-      Array.iter (fun file -> Sys.remove (Filename.concat dir file)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  Fun.protect ~finally:remove (fun () -> f dir)
-
 let fig1_fingerprint flat =
   { Ckpt.State.circuit = "fig1";
     seed = Hidap.Config.default.Hidap.Config.seed;
@@ -323,8 +309,10 @@ let test_fault_matrix () =
     (fun (site, _) ->
       let spec = { Guard.Fault.site; nth = 1; action = Guard.Fault.Raise } in
       let is_ckpt_site = String.length site >= 4 && String.sub site 0 4 = "ckpt" in
+      (* The ckpt sites fire only with an active session, so those legs
+         checkpoint into a scratch dir. *)
       let r, degradations =
-        with_ckpt_dir (fun dir ->
+        Tmp_dir.with_dir "hidap-ckpt-test" (fun dir ->
             Guard.Supervisor.with_run ~faults:[ spec ] (fun () ->
                 let ckpt =
                   if not is_ckpt_site then None
