@@ -130,7 +130,8 @@ let flow_spans flow spans =
   let rec find spans =
     List.find_map
       (fun (sp : Obs.Span.t) ->
-        if sp.Obs.Span.name = "evalflow.flow" && List.assoc_opt "flow" sp.Obs.Span.attrs = Some flow
+        if sp.Obs.Span.name = "evalflow.flow"
+           && List.assoc_opt "flow" sp.Obs.Span.attrs = Some flow
         then Some sp
         else find sp.Obs.Span.children)
       spans
@@ -154,7 +155,8 @@ let eval ~(config : Hidap.Config.t) ?on_finish load =
       List.filter_map
         (fun (other : Evalflow.run) ->
           if other == run then None
-          else Some (Evalflow.flow_name other.Evalflow.kind, Evalflow.macro_displacement run other))
+          else
+            Some (Evalflow.flow_name other.Evalflow.kind, Evalflow.macro_displacement run other))
         result.Evalflow.runs
     in
     Record.of_run ~circuit ~flat ~config ~spans:(flow_spans flow spans) ~displacement run
