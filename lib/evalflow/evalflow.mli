@@ -17,9 +17,9 @@
     {!measure}s every candidate once ({!judge}, the one constructor of
     a {!run}, which [hidap place --qor] also goes through), fanned
     across [config.jobs] domains, and keeps the first lowest WL in
-    proposal order — bit-identical for every job count. The paper's third column, expert
-    hand floorplans, has no stand-in: WL is normalised to the best known
-    result instead ({!normalized_wl}). *)
+    proposal order — bit-identical for every job count. The paper's
+    third column, expert hand floorplans, has no stand-in: WL is
+    normalised to the best known result instead ({!normalized_wl}). *)
 
 type flow_kind = IndEDA | HiDaP
 
@@ -82,7 +82,7 @@ val measure :
   die:Geom.Rect.t ->
   macros:Cellplace.macro_place list ->
   metrics * Cellplace.t
-(** Runtime field is 0; {!run_flow} fills it in. *)
+(** Runtime field is 0; {!judge} fills it in. *)
 
 val judge :
   flow_kind ->
