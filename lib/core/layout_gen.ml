@@ -171,7 +171,7 @@ let viol_of_frame cf =
    only when all [2n - 1] elements fit 62 bits, i.e. n <= 8. The
    annealer's walker keeps the key up to date as it moves.
 
-   One table per [run] instance, [ic_shared], is shared by its starts
+   One table per annealed instance, [ic_shared], is shared by its starts
    (possibly on other domains), with bounded linear probing. An entry
    is an immutable record holding the key and its own copy of the cost
    frame, both built before the entry is published with a single array
@@ -262,7 +262,7 @@ type inc = {
   ic_config : Config.t;
   ic_n_blocks : int;
   (* The instance table (below); [ic_bits = 0] turns it off, with an
-     empty table. *)
+     empty table (off at the size, or none given). *)
   ic_bits : int;
   ic_shared : entry array;   (* the instance table, one per [run] instance *)
   ic_home : int -> int;      (* a key's home slot in [ic_shared] *)
@@ -307,7 +307,7 @@ let make_inc ?(home = table_slot) ~leaves ~table ~budget ~pairs ~fixed_pos ~conf
     ic_budget = budget;
     ic_config = config;
     ic_n_blocks = n_blocks;
-    ic_bits = key_bits n_blocks;
+    ic_bits = (if Array.length shared = 0 then 0 else key_bits n_blocks);
     ic_shared = shared;
     ic_home = home }
 
@@ -531,6 +531,141 @@ let greedy_chain ~affinity ~n_blocks ~n_endpoints =
   done;
   Array.of_list (List.rev !order)
 
+(* The largest instance solved exactly. Its 10,800 normalized
+   expressions cost a quarter of the 42,756 cost calls the default
+   schedule spends on an annealed instance; 6 blocks have 283,680. *)
+let exact_max_blocks = 5
+
+(* The annealing starts' initial expressions and RNG streams, drawn
+   from [rng] in start order on the calling domain: the affinity-greedy
+   chain, the reversed chain and sa_starts - 2 random shuffles, then one
+   pre-split stream per start. Honors the configured start count
+   exactly: sa_starts = 1 runs the greedy chain alone, 2 adds the
+   reversed chain. An exact instance makes the same draws and drops
+   them, so the parent stream, and with it every later instance, does
+   not depend on which search ran. *)
+let start_draws ~rng ~(config : Config.t) ~n_blocks ~chain =
+  let n_starts = max 1 config.Config.sa_starts in
+  let inits =
+    if n_starts = 1 then [| chain_expr ~n_blocks ~order:chain |]
+    else begin
+      let rev_chain = Array.init n_blocks (fun i -> chain.(n_blocks - 1 - i)) in
+      Array.of_list
+        (chain_expr ~n_blocks ~order:chain
+        :: chain_expr ~n_blocks ~order:rev_chain
+        :: List.init (n_starts - 2) (fun _ -> Slicing.Polish.initial_random rng ~n:n_blocks))
+    end
+  in
+  (inits, Array.init n_starts (fun _ -> Util.Rng.split rng))
+
+(* The exact search: every normalized expression, scored on an
+   incremental state with no instance table (no expression comes
+   twice). The minimum cost wins, ties to the first in code order. One
+   chunk per first operand, each on its own state, runs across up to
+   [config.jobs] domains; the chunks are reduced in order by the same
+   strict [<], so the winner is the same at every job count. Returns
+   the winner and the number of expressions scored. *)
+let exact_search ~leaves ~table ~budget ~pairs ~fixed_pos ~(config : Config.t) =
+  let n = Array.length leaves in
+  let chunk first =
+    let inc = make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared:[||] () in
+    let best = ref (Slicing.Polish.initial ~n) and best_cost = ref infinity in
+    let count = ref 0 in
+    Slicing.Polish.iter_normalized ~first ~n (fun e ->
+        Guard.Budget.check ~stage:"floorplan";
+        evaluate_slicing inc e;
+        incr count;
+        if inc.ic_cf.(cf_cost) < !best_cost then begin
+          best_cost := inc.ic_cf.(cf_cost);
+          best := Slicing.Polish.copy e
+        end);
+    (!best, !best_cost, !count)
+  in
+  let chunks = Parexec.map ~jobs:config.Config.jobs chunk (Array.init n Fun.id) in
+  let best_i = ref 0 in
+  Array.iteri
+    (fun i (_, c, _) ->
+      let _, best_c, _ = chunks.(!best_i) in
+      if c < best_c then best_i := i)
+    chunks;
+  let best, _, _ = chunks.(!best_i) in
+  (best, Array.fold_left (fun acc (_, _, k) -> acc + k) 0 chunks)
+
+(* [Array.length inits] annealing starts, start [i] from [inits.(i)] on
+   stream [rngs.(i)], across up to [config.jobs] domains. Returns the
+   best expression (minimum best cost, ties to the lowest start index),
+   the cost calls of every start, calibration included, and the winning
+   start's final temperature. *)
+let anneal_starts ?observer ?term_observer ~inits ~rngs ~leaves ~table ~budget ~pairs
+    ~fixed_pos ~(config : Config.t) () =
+  let n_blocks = Array.length leaves in
+  let n_starts = Array.length inits in
+  (* Every start beyond the first re-anneals the same instance from
+     a fresh calibrated temperature — the reheat counter. *)
+  Obs.Perf.add Obs.Perf.sa_reheats (n_starts - 1);
+  let shared = instance_table ~n_blocks in
+  let results =
+    Parexec.map ~jobs:config.Config.jobs
+      (fun i ->
+        (* Each start owns its incremental evaluation state; the
+           starts share only the instance table, whose entries are
+           immutable. *)
+        let inc = make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared () in
+        let cost, observer =
+          match term_observer with
+          | None ->
+            let cost w =
+              Guard.Budget.check ~stage:"floorplan";
+              walker_cost inc w
+            in
+            (cost, observer)
+          | Some on_terms ->
+            (* Telemetry-only side channel: the cost closure remembers
+               the cheapest evaluation this start has seen (calibration
+               samples included), and each plateau reports its named
+               breakdown. The closure returns the identical scalar and
+               the observer runs outside the RNG path, so trajectories
+               and placements are unchanged (DESIGN.md §9). *)
+            let best = ref infinity in
+            let best_wl = ref 0.0 in
+            let best_viol = ref Slicing.Layout.no_violations in
+            let cost w =
+              Guard.Budget.check ~stage:"floorplan";
+              let c = walker_cost inc w in
+              if not (!best <= c) then begin
+                best := c;
+                best_wl := inc.ic_cf.(cf_wl);
+                best_viol := viol_of_frame inc.ic_cf
+              end;
+              c
+            in
+            let observer' p =
+              (match observer with None -> () | Some f -> f p);
+              on_terms p
+                (breakdown_of ~cost:!best ~wirelength:!best_wl ~viol:!best_viol ~config
+                   ~budget ~n_pairs:(Array.length pairs))
+            in
+            (cost, Some observer')
+        in
+        Anneal.Sa.anneal ~rng:rngs.(i) ~init:(walker ~n_blocks inits.(i)) ~cost
+          ~perturb:Slicing.Polish.Walker.perturb ~undo:Slicing.Polish.Walker.undo
+          ~copy:Slicing.Polish.Walker.copy ~params:config.Config.layout_sa ?observer ())
+      (Array.init n_starts Fun.id)
+  in
+  let best_i = ref 0 in
+  for i = 1 to n_starts - 1 do
+    if results.(i).Anneal.Sa.best_cost < results.(!best_i).Anneal.Sa.best_cost then
+      best_i := i
+  done;
+  let sa_moves =
+    Array.fold_left
+      (fun acc (r : _ Anneal.Sa.result) -> acc + r.moves + r.calibration_moves)
+      0 results
+  in
+  ( Slicing.Polish.Walker.expr results.(!best_i).Anneal.Sa.best,
+    sa_moves,
+    results.(!best_i).Anneal.Sa.final_temperature )
+
 let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budget () =
   let n_blocks = Array.length blocks in
   assert (n_blocks >= 1);
@@ -545,110 +680,23 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
     result_of_expr ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks ~sa_moves:0
       ~final_temperature:0.0 (Slicing.Polish.initial ~n:1)
   else begin
-    (* N independent annealing starts: the affinity-greedy chain, the
-       reversed chain and sa_starts - 2 random shuffles. Initial
-       expressions and pre-split RNG streams are derived from [rng] in
-       start order on the calling domain, so every start's trajectory —
-       and hence the reduced result — is independent of how the starts
-       are scheduled across domains. *)
     let chain = greedy_chain ~affinity ~n_blocks ~n_endpoints in
     let table = Slicing.Layout.leaf_table leaves in
     let search () =
       Guard.Fault.hit "floorplan.sa";
-      (* Honor the configured start count exactly: sa_starts = 1 runs
-         the affinity-greedy chain alone (it used to silently run the
-         reversed chain too), 2 adds the reversed chain, and anything
-         beyond fills up with random shuffles — the same construction
-         and RNG consumption as before for >= 2, so the default of 4
-         stays bit-identical. *)
-      let n_starts_cfg = max 1 config.Config.sa_starts in
-      let inits =
-        if n_starts_cfg = 1 then [| chain_expr ~n_blocks ~order:chain |]
-        else begin
-          let rev_chain =
-            Array.init n_blocks (fun i -> chain.(n_blocks - 1 - i))
-          in
-          Array.of_list
-            (chain_expr ~n_blocks ~order:chain
-            :: chain_expr ~n_blocks ~order:rev_chain
-            :: List.init (n_starts_cfg - 2) (fun _ ->
-                   Slicing.Polish.initial_random rng ~n:n_blocks))
-        end
-      in
-      let n_starts = Array.length inits in
-      (* Every start beyond the first re-anneals the same instance from
-         a fresh calibrated temperature — the reheat counter. *)
-      Obs.Perf.add Obs.Perf.sa_reheats (n_starts - 1);
-      let rngs = Array.init n_starts (fun _ -> Util.Rng.split rng) in
-      let shared = instance_table ~n_blocks in
-      let results =
-        Parexec.map ~jobs:config.Config.jobs
-          (fun i ->
-            (* Each start owns its incremental evaluation state; the
-               starts share only the instance table, whose entries are
-               immutable. *)
-            let inc =
-              make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared ()
-            in
-            let cost, observer =
-              match term_observer with
-              | None ->
-                let cost w =
-                  Guard.Budget.check ~stage:"floorplan";
-                  walker_cost inc w
-                in
-                (cost, observer)
-              | Some on_terms ->
-                (* Telemetry-only side channel: the cost closure remembers
-                   the cheapest evaluation this start has seen (calibration
-                   samples included), and each plateau reports its named
-                   breakdown. The closure returns the identical scalar and
-                   the observer runs outside the RNG path, so trajectories
-                   and placements are unchanged (DESIGN.md §9). *)
-                let best = ref infinity in
-                let best_wl = ref 0.0 in
-                let best_viol = ref Slicing.Layout.no_violations in
-                let cost w =
-                  Guard.Budget.check ~stage:"floorplan";
-                  let c = walker_cost inc w in
-                  if not (!best <= c) then begin
-                    best := c;
-                    best_wl := inc.ic_cf.(cf_wl);
-                    best_viol := viol_of_frame inc.ic_cf
-                  end;
-                  c
-                in
-                let observer' p =
-                  (match observer with None -> () | Some f -> f p);
-                  on_terms p
-                    (breakdown_of ~cost:!best ~wirelength:!best_wl ~viol:!best_viol
-                       ~config ~budget ~n_pairs:(Array.length pairs))
-                in
-                (cost, Some observer')
-            in
-            Anneal.Sa.anneal ~rng:rngs.(i) ~init:(walker ~n_blocks inits.(i)) ~cost
-              ~perturb:Slicing.Polish.Walker.perturb ~undo:Slicing.Polish.Walker.undo
-              ~copy:Slicing.Polish.Walker.copy ~params:config.Config.layout_sa ?observer ())
-          (Array.init n_starts Fun.id)
-      in
-      (* Deterministic reduction: minimum best cost, ties to the lowest
-         start index. *)
-      let best_i = ref 0 in
-      for i = 1 to n_starts - 1 do
-        if results.(i).Anneal.Sa.best_cost < results.(!best_i).Anneal.Sa.best_cost then
-          best_i := i
-      done;
-      let sa_moves =
-        Array.fold_left
-          (fun acc (r : _ Anneal.Sa.result) -> acc + r.moves + r.calibration_moves)
-          0 results
-      in
-      ( Slicing.Polish.Walker.expr results.(!best_i).Anneal.Sa.best,
-        sa_moves,
-        results.(!best_i).Anneal.Sa.final_temperature )
+      let inits, rngs = start_draws ~rng ~config ~n_blocks ~chain in
+      if n_blocks <= exact_max_blocks then begin
+        let expr, count = exact_search ~leaves ~table ~budget ~pairs ~fixed_pos ~config in
+        Obs.Span.attr_int "exact_exprs" count;
+        Obs.Perf.add Obs.Perf.cost_evals count;
+        (expr, 0, 0.0)
+      end
+      else
+        anneal_starts ?observer ?term_observer ~inits ~rngs ~leaves ~table ~budget ~pairs
+          ~fixed_pos ~config ()
     in
-    (* When the annealing search dies — injected fault, exceeded budget
-       — the instance keeps the affinity-greedy chain layout: legal by
+    (* When the search dies — injected fault, exceeded budget — the
+       instance keeps the affinity-greedy chain layout: legal by
        construction of the slicing evaluation, just not optimized. *)
     let best_expr, sa_moves, final_temperature =
       Guard.Supervisor.protect ~stage:"floorplan.sa"
@@ -658,4 +706,3 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
     result_of_expr ~leaves ~budget ~pairs ~fixed_pos ~config ~n_blocks ~sa_moves
       ~final_temperature best_expr
   end
-

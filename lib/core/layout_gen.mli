@@ -1,8 +1,9 @@
 (** Layout generation for one floorplan instance (paper §IV-E).
 
-    The blocks are arranged by a slicing tree explored with simulated
-    annealing (operand swap / operator-chain inversion / operand-operator
-    swap). The cost is
+    The blocks are arranged by a slicing tree. On up to 5 blocks every
+    normalized Polish expression is scored and the cheapest wins; on
+    more, the tree is explored with simulated annealing (operand swap /
+    operator-chain inversion / operand-operator swap). The cost is
     [(1 + penalty) * sum over pairs of distance * affinity], where the
     pairs range over (block, block) and (block, fixed endpoint); fixed
     endpoints (ports, external macros) contribute with their fixed
@@ -70,10 +71,11 @@ type result = {
   attribution : attribution;  (** per-pair and per-block shares *)
   sa_moves : int;
       (** cost evaluations across every annealing start, including the
-          initial-temperature calibration samples *)
+          initial-temperature calibration samples (0 when no annealer
+          ran — exact search, single block or degraded) *)
   final_temperature : float;
       (** final plateau temperature of the winning annealing start
-          (0.0 when no search ran — single block or degraded) *)
+          (0.0 when no annealer ran) *)
 }
 
 val breakdown_of :
@@ -163,14 +165,34 @@ val run :
 (** [affinity] is indexed over blocks then fixed endpoints
     ([Array.length blocks + Array.length fixed_pos] square).
     A single block is placed directly with no search, but still at the
-    penalized multi-block cost. Otherwise [config.sa_starts] annealing
-    starts (the affinity-greedy chain, the reversed chain, then random
-    shuffles) run across up to [config.jobs] domains, each with an RNG
-    stream pre-split in start order; the best result is chosen by
-    minimum cost with ties to the lowest start index, so the outcome is
-    bit-identical for every job count. [observer] receives per-plateau
-    convergence snapshots from every start (it runs on worker domains;
-    the telemetry shorthands it may call are domain-safe).
+    penalized multi-block cost.
+
+    On 2 to 5 blocks the search is exact: every normalized expression
+    ({!Slicing.Polish.iter_normalized}) is scored, the minimum cost
+    wins and ties go to the first expression in code order. The
+    expressions are split by first operand across up to
+    [config.jobs] domains and the parts reduced in order, so the result
+    is bit-identical for every job count. The instance reports
+    [sa_moves = 0], adds the expressions it scored to the [cost.evals]
+    counter and to its span's [exact_exprs] attribute, and calls
+    neither observer. It still draws from [rng] what the annealing
+    starts would (the [sa_starts - 2] random initial expressions and one
+    split per start), so later instances see the same stream.
+
+    On more blocks, [config.sa_starts] annealing starts (the
+    affinity-greedy chain, the reversed chain, then random shuffles) run
+    across up to [config.jobs] domains, each with an RNG stream
+    pre-split in start order; the best result is chosen by minimum cost
+    with ties to the lowest start index, so the outcome is bit-identical
+    for every job count.
+
+    Either search polls the [floorplan] budget on every cost call; when
+    it dies (injected [floorplan.sa] fault, exceeded budget) the
+    instance keeps the affinity-greedy chain layout.
+
+    [observer] receives per-plateau convergence snapshots from every
+    start (it runs on worker domains; the telemetry shorthands it may
+    call are domain-safe).
     [term_observer] additionally receives, per plateau, the named
     breakdown of the cheapest evaluation that start's cost closure has
     seen so far (calibration samples included, so it can lead the

@@ -73,6 +73,48 @@ let of_elements e =
       | x -> encode x)
     e
 
+let copy = Array.copy
+
+(* Depth-first over positions, each position trying its codes in
+   ascending order (H, V, then the unused operands), so expressions
+   come out in ascending code order. An operator is legal when the
+   prefix keeps more operands than operators after it and it differs
+   from its left neighbour; an operand when one is unused. Neither rule
+   can strand a prefix: with operands left one can always follow, and
+   with none left the operators alternate down to the end. *)
+let iter_normalized ?first ~n f =
+  if n < 1 then invalid_arg "Polish.iter_normalized: n < 1";
+  let len = (2 * n) - 1 in
+  let e = Array.make len 0 and used = Array.make n false in
+  let rec fill k operands operators =
+    if k = len then f e
+    else begin
+      if operators + 1 < operands then
+        for op = 0 to 1 do
+          if e.(k - 1) <> op then begin
+            e.(k) <- op;
+            fill (k + 1) operands (operators + 1)
+          end
+        done;
+      if operands < n then
+        for i = 0 to n - 1 do
+          if not used.(i) then begin
+            used.(i) <- true;
+            e.(k) <- i + 2;
+            fill (k + 1) (operands + 1) operators;
+            used.(i) <- false
+          end
+        done
+    end
+  in
+  match first with
+  | None -> fill 0 0 0
+  | Some i ->
+    if i < 0 || i >= n then invalid_arg "Polish.iter_normalized: first out of range";
+    used.(i) <- true;
+    e.(0) <- i + 2;
+    fill 1 1 0
+
 (* ---- the walker ---------------------------------------------------- *)
 
 (* A walker moves one expression in place. Beside the codes it keeps

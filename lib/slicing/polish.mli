@@ -58,6 +58,21 @@ val of_elements : elt array -> t
 (** Validates normalization and non-negative operands; raises
     [Invalid_argument] otherwise. *)
 
+val copy : t -> t
+
+(** {1 Enumeration} *)
+
+val iter_normalized : ?first:int -> n:int -> (t -> unit) -> unit
+(** [iter_normalized ~n f] calls [f] once on every normalized
+    expression whose operands are [0 .. n - 1], each exactly once — one
+    per slicing tree: 4, 36, 528 and 10,800 of them for [n] = 2..5 — in
+    ascending code order (element 0 first, compared by {!code}). [f]
+    receives one buffer, rewritten between calls: it must {!copy} what
+    it keeps. With [first], only the expressions whose element 0 is
+    operand [first]; the runs for [first] = 0 .. n - 1, concatenated,
+    are the whole sequence. Raises [Invalid_argument] when [n < 1] or
+    [first] is not an operand. *)
+
 (** {1 Moving in place}
 
     A walker owns one mutable expression and moves it in place, the way

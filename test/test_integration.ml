@@ -227,9 +227,12 @@ let test_prepared_once () =
    record [Qor.Run.place ~measure:true] makes at the winning λ — macros,
    metrics, dataflow cost, levels, SA curve and cost breakdown with its
    term curves — apart from what depends on the clock, the process or
-   the other flows. *)
+   the other flows. On c3, whose 6-, 7- and 11-block instances anneal
+   (smaller ones are solved exactly and leave no SA curve). *)
 let test_eval_record_is_place_record () =
-  let design = Circuitgen.Suite.fig1_design () in
+  let design =
+    Circuitgen.Gen.generate (Option.get (Circuitgen.Suite.find "c3")).Circuitgen.Suite.params
+  in
   let flat = Flat.elaborate design in
   let comparable r =
     match Qor.Record.to_json r with
@@ -247,19 +250,19 @@ let test_eval_record_is_place_record () =
   List.iter
     (fun jobs ->
       let config = { Hidap.Config.default with Hidap.Config.jobs } in
-      let ev = Qor.Run.eval ~config (fun () -> ("fig1", flat)) in
+      let ev = Qor.Run.eval ~config (fun () -> ("c3", flat)) in
       let hidap =
         List.find (fun (r : Qor.Record.t) -> r.Qor.Record.flow = "HiDaP") ev.Qor.Run.records
       in
       let config = Hidap.Config.with_lambda config (Option.get hidap.Qor.Record.lambda) in
       let input =
-        { Qor.Run.name = "fig1"; design; flat; die = Hidap.die_for flat ~config; diags = [] }
+        { Qor.Run.name = "c3"; design; flat; die = Hidap.die_for flat ~config; diags = [] }
       in
       let p, _ =
         Obs.Trace.instrumented (fun () ->
             Result.get_ok (Qor.Run.place ~config ~measure:true input))
       in
-      let placed = Qor.Record.of_run ~circuit:"fig1" ~flat ~config (Option.get p.Qor.Run.run) in
+      let placed = Qor.Record.of_run ~circuit:"c3" ~flat ~config (Option.get p.Qor.Run.run) in
       Alcotest.(check bool) "the place record has a curve" true (placed.Qor.Record.sa_curve <> []);
       Alcotest.(check bool) "the place record has a breakdown" true
         (placed.Qor.Record.cost_breakdown <> None);

@@ -38,13 +38,14 @@ let c1_submit ?(label = "c1") () =
 let c5_submit ?(max_retries = 0) ?(label = "c5") () =
   { P.default_submit with P.circuit = Some "c5"; max_retries; label }
 
-(* Short scratch dirs: Unix socket paths are capped around 100 bytes,
-   so everything lives directly under the system temp dir. *)
-let scratch () =
-  let dir = Filename.temp_file "hidap-serve" "" in
-  Sys.remove dir;
+(* A case's scratch dir (daemon socket, log and state dir), removed
+   with everything in it when the case ends. Short: Unix socket paths
+   are capped around 100 bytes, so it lives directly under the system
+   temp dir. *)
+let with_scratch f =
+  Tmp_dir.with_dir "hidap-serve" @@ fun dir ->
   Unix.mkdir dir 0o755;
-  dir
+  f dir
 
 (* The real CLI binary, located relative to this test executable:
    _build/default/test/main.exe -> _build/default/bin/hidap_cli.exe.
@@ -434,7 +435,8 @@ let test_pool_sibling_fd_reuse () =
 (* ---- end-to-end daemon -------------------------------------------- *)
 
 let test_serve_done_result_report () =
-  let d = start (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   ok (Serve.Client.ping cl);
@@ -471,7 +473,8 @@ let test_serve_done_result_report () =
   Serve.Client.close cl
 
 let test_serve_deadline_lands_timed_out () =
-  let d = start (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id = submit_ok cl (fig1_submit ~deadline_s:0.0005 ~label:"doomed" ()) in
@@ -491,7 +494,8 @@ let test_serve_deadline_lands_timed_out () =
 let test_serve_backpressure () =
   (* Stall the worker on its first job so submissions pile up behind a
      queue bound of 1: the third submit must be refused, structured. *)
-  let d = start ~queue_limit:1 ~fault:"serve.worker:1:stall=0.6" (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~queue_limit:1 ~fault:"serve.worker:1:stall=0.6" dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id1 = submit_ok cl (fig1_submit ~label:"stalled" ()) in
@@ -518,7 +522,8 @@ let test_serve_retry_then_done () =
   (* Transient serve.worker fault: attempt 1's worker dies at start,
      the retry heals. The hit is counted in the daemon, so one spec
      spans both worker processes. *)
-  let d = start ~fault:"serve.worker:1" (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~fault:"serve.worker:1" dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id = submit_ok cl (fig1_submit ~max_retries:2 ()) in
@@ -532,7 +537,8 @@ let test_serve_retry_then_done () =
   Serve.Client.close cl
 
 let test_serve_fails_after_retry_budget () =
-  let d = start ~fault:"serve.worker:99" (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~fault:"serve.worker:99" dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id = submit_ok cl (fig1_submit ~max_retries:1 ()) in
@@ -548,7 +554,8 @@ let test_serve_fails_after_retry_budget () =
    placement however fast the job runs. The daemon must classify the
    signaled exit as worker-lost, retry, and stay fully serviceable. *)
 let test_serve_worker_killed_retries () =
-  let d = start ~fault:"serve.worker_kill:1" (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~fault:"serve.worker_kill:1" dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id = submit_ok cl (fig1_submit ~max_retries:1 ()) in
@@ -566,7 +573,8 @@ let test_serve_worker_killed_retries () =
 (* serve.worker_hang: the worker goes silent before its first stream
    byte. Only the hung-job watchdog can end it; the job then retries. *)
 let test_serve_worker_hang_watchdog () =
-  let d = start ~fault:"serve.worker_hang:1" ~job_stall_s:0.8 (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~fault:"serve.worker_hang:1" ~job_stall_s:0.8 dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id = submit_ok cl (fig1_submit ~max_retries:1 ()) in
@@ -585,7 +593,8 @@ let test_serve_worker_hang_watchdog () =
    ~0.1s of CPU and a c5 job ~2s (its placement alone is 1.8s on one
    2-core box), so 1s fails only c5. *)
 let test_serve_cpu_rlimit () =
-  let d = start ~job_cpu_s:1 (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~job_cpu_s:1 dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id = submit_ok cl (c5_submit ~max_retries:3 ()) in
@@ -604,7 +613,8 @@ let test_serve_cpu_rlimit () =
   Serve.Client.close cl
 
 let test_serve_invalid_submissions () =
-  let d = start (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   (* neither circuit nor hnl: refused at the door *)
@@ -633,7 +643,8 @@ let test_serve_invalid_submissions () =
   Serve.Client.close cl
 
 let test_serve_watch_streams_progress () =
-  let d = start (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   let id = submit_ok cl (fig1_submit ()) in
@@ -661,7 +672,8 @@ let test_serve_watch_streams_progress () =
    every job completes, every result decodes, nothing lost or
    duplicated across the concurrent conversations. *)
 let test_serve_stress_multi_client () =
-  let d = start ~workers:2 ~queue_limit:100 (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~workers:2 ~queue_limit:100 dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let clients = List.init 4 (fun _ -> connect d) in
   let ids =
@@ -747,7 +759,8 @@ let record_macros_of_json doc =
    store — produce macros bit-identical to an uninterrupted control
    run of the same spec. *)
 let test_serve_worker_sigkill_bit_identical () =
-  let d = start (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let cl = connect d in
   (* control: uninterrupted run *)
@@ -836,7 +849,8 @@ let test_serve_framing_fuzz () =
     String.length (P.to_line (P.request_to_json (P.Submit (fig1_submit ()))))
   in
   let max_line_bytes = max 1024 (4 * submit_len) in
-  let d = start ~max_line_bytes (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~max_line_bytes dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
   let assert_alive tag =
     let cl = connect d in
@@ -929,7 +943,7 @@ let record_resumed_from path =
    restart the parked job's newest snapshot is torn, so the resume
    rolls back past it, and the job's result must record that rollback. *)
 let test_serve_drain_parks_then_resumes () =
-  let dir = scratch () in
+  with_scratch @@ fun dir ->
   let spec = c1_submit () in
   let d1 = start ~drain_grace_s:0.05 dir in
   let id =
@@ -991,7 +1005,7 @@ let test_serve_drain_parks_then_resumes () =
    job (recovered as pending, completed). Satellite: stale-socket
    recovery composed with crash recovery. *)
 let test_serve_kill9_stale_socket_recovery () =
-  let dir = scratch () in
+  with_scratch @@ fun dir ->
   let d1 = start dir in
   let id =
     let cl = connect d1 in
@@ -1017,10 +1031,10 @@ let test_serve_kill9_stale_socket_recovery () =
 (* A second daemon must refuse to steal a live daemon's socket, with
    the serve-socket-busy diag and the daemon exit code. *)
 let test_serve_socket_busy_refused () =
-  let dir = scratch () in
+  with_scratch @@ fun dir ->
   let d = start dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
-  let dir2 = scratch () in
+  with_scratch @@ fun dir2 ->
   let log2 = Filename.concat dir2 "serve2.log" in
   let logfd = Unix.openfile log2 [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   let pid =
@@ -1050,7 +1064,7 @@ let test_serve_socket_busy_refused () =
 (* crash recovery of a job.json left in running state with no
    checkpoint at all (the worker never got that far). *)
 let test_serve_crash_recovery () =
-  let dir = scratch () in
+  with_scratch @@ fun dir ->
   let state_dir = Filename.concat dir "state" in
   let j = Serve.Job.make ~seq:1 (fig1_submit ()) in
   j.Serve.Job.state <- P.Running;
@@ -1072,7 +1086,8 @@ let test_serve_crash_recovery () =
 (* The daemon dying mid-conversation surfaces as a typed Conn error,
    never an exception or a hang. *)
 let test_serve_daemon_death_is_conn_error () =
-  let d = start (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start dir in
   let cl = connect d in
   let id = submit_ok cl (c5_submit ()) in
   ignore id;
@@ -1087,7 +1102,8 @@ let test_serve_daemon_death_is_conn_error () =
 (* Draining refuses new work with its own structured reason. *)
 let test_serve_draining_rejects () =
   (* hold a worker busy so the daemon survives long enough to answer *)
-  let d = start ~fault:"serve.worker:1:stall=1.5" ~drain_grace_s:3.0 (scratch ()) in
+  with_scratch @@ fun dir ->
+  let d = start ~fault:"serve.worker:1:stall=1.5" ~drain_grace_s:3.0 dir in
   let cl = connect d in
   let _busy = submit_ok cl (fig1_submit ~label:"busy" ()) in
   Unix.sleepf 0.2;

@@ -69,6 +69,42 @@ let test_is_normalized_rejects_skew () =
           Polish.Operator Polish.V; Polish.Operator Polish.V |]);
   Alcotest.(check bool) "alternating accepted" true (Polish.is_normalized bad)
 
+(* The enumeration: n! times the large Schröder number of slicing
+   trees, strictly ascending in code order (so each expression once),
+   each normalized over the operands 0 .. n - 1, and the runs per first
+   operand concatenate to the whole sequence. *)
+let test_iter_normalized () =
+  let collect ?first n =
+    let out = ref [] in
+    Polish.iter_normalized ?first ~n (fun e -> out := Polish.copy e :: !out);
+    List.rev !out
+  in
+  List.iter
+    (fun (n, expected) ->
+      let all = collect n in
+      Alcotest.(check int) (Printf.sprintf "n = %d count" n) expected (List.length all);
+      List.iter
+        (fun e ->
+          let elts = Polish.elements e in
+          let ops =
+            List.sort compare
+              (List.filter_map
+                 (function Polish.Operand i -> Some i | Polish.Operator _ -> None)
+                 (Array.to_list elts))
+          in
+          if not (Polish.is_normalized elts && ops = List.init n Fun.id) then
+            Alcotest.failf "n = %d: %s is not a normalized expression on 0..%d" n
+              (Format.asprintf "%a" Polish.pp e) (n - 1))
+        all;
+      let codes = List.map (fun (e : Polish.t) -> (e :> int array)) all in
+      Alcotest.(check bool) (Printf.sprintf "n = %d strictly ascending" n) true
+        (List.sort_uniq compare codes = codes);
+      Alcotest.(check bool)
+        (Printf.sprintf "n = %d runs by first operand" n)
+        true
+        (List.concat (List.init n (fun first -> collect ~first n)) = all))
+    [ (1, 1); (2, 4); (3, 36); (4, 528); (5, 10_800) ]
+
 let perturb_preserves_normalization =
   qtest "perturb preserves normalization and operands"
     QCheck.(pair small_int (int_range 2 15))
@@ -608,6 +644,8 @@ let suite =
         Alcotest.test_case "random initial" `Quick test_initial_random_normalized;
         Alcotest.test_case "of_elements validation" `Quick test_of_elements_validation;
         Alcotest.test_case "normalization check" `Quick test_is_normalized_rejects_skew;
+        Alcotest.test_case "enumeration: every normalized expression once, ascending"
+          `Quick test_iter_normalized;
         Alcotest.test_case "single operand perturb" `Quick test_perturb_single_operand;
         perturb_preserves_normalization; m1_preserves; m2_preserves; m3_preserves;
         m1_touches_operands_only; m2_touches_operators_only; moves_match_reference;
