@@ -38,11 +38,12 @@ val sa_reheats : id
     each restarts the schedule from a fresh calibrated temperature. *)
 
 val cost_evals : id
-(** Cost-function evaluations, including calibration samples and the
-    initial-state evaluation. *)
+(** Cost-function evaluations, including calibration samples, the
+    initial-state evaluation and every expression an exact floorplan
+    instance scores. *)
 
 val fp_instances : id
-(** Floorplan instances annealed. *)
+(** Floorplan instances laid out, annealed or solved exactly. *)
 
 val fp_sa_moves : id
 (** SA moves of the floorplan instances ([floorplan.sa_moves]); a
