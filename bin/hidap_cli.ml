@@ -215,7 +215,7 @@ let trace_arg =
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"OUT.json"
          ~doc:"Write flow metrics as JSON: the run's counters (the values \
-               $(b,--perf-out) reports), gauges, histograms and series.")
+               $(b,--perf-out) reports), gauges and series.")
 
 let profile_arg =
   Arg.(value & flag & info [ "profile" ]

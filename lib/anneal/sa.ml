@@ -4,7 +4,6 @@ type params = {
   cooling : float;
   moves_per_plateau : int;
   min_temp : float;
-  max_moves : int;
 }
 
 let default_params =
@@ -12,11 +11,10 @@ let default_params =
     initial_acceptance = 0.85;
     cooling = 0.92;
     moves_per_plateau = 64;
-    min_temp = 1e-4;
-    max_moves = 100_000 }
+    min_temp = 1e-4 }
 
 let quick_params =
-  { default_params with moves_per_plateau = 24; max_moves = 6_000; cooling = 0.85 }
+  { default_params with moves_per_plateau = 24; cooling = 0.85 }
 
 type 'a result = {
   best : 'a;
@@ -71,9 +69,10 @@ let calibrate ~rng ~cost ~perturb ~target state c0 =
    inside (0, 1): log 1.0 = 0 divides by zero (the 1e-9 floor would
    silently quench the search), log of a non-positive target is NaN,
    and a target above 1 gives a negative temperature. The loop ends
-   when the temperature falls below [min_temp * t0] or the moves reach
-   [max_moves]; with no move per plateau and a cooling factor of 1 it
-   would end never. Every check is written to also catch NaN. *)
+   when the temperature falls to [min_temp * t0]: with no move per
+   plateau, a cooling factor of 1 or a non-positive [min_temp] it would
+   end never, and at [min_temp >= 1] it would run no plateau. Every
+   check is written to also catch NaN. *)
 let validate params =
   let bad fmt =
     Printf.ksprintf (fun msg -> Guard.Diag.fail ~code:"bad-sa-params" ~stage:"anneal" msg) fmt
@@ -84,7 +83,9 @@ let validate params =
   if not (params.cooling > 0.0 && params.cooling < 1.0) then
     bad "cooling %g is outside (0, 1): the temperature must fall geometrically"
       params.cooling;
-  if params.max_moves < 0 then bad "max_moves %d is negative" params.max_moves;
+  if not (params.min_temp > 0.0 && params.min_temp < 1.0) then
+    bad "min_temp %g is outside (0, 1): the schedule must stop below its start"
+      params.min_temp;
   (match params.initial_temp with
   | Some t ->
     if not (t > 0.0 && t < Float.infinity) then
@@ -116,30 +117,28 @@ let anneal ~rng ~init ~cost ~perturb ~undo ~copy ?(params = default_params) ?obs
   let temp = ref t0 in
   let moves = ref 0 and accepted = ref 0 and plateaus = ref 0 in
   let stop_temp = params.min_temp *. t0 in
-  while !temp > stop_temp && !moves < params.max_moves do
+  while !temp > stop_temp do
     let plateau_accepts = ref 0 in
     let plateau_start = !moves in
     for _ = 1 to params.moves_per_plateau do
-      if !moves < params.max_moves then begin
-        incr moves;
-        perturb rng cur;
-        let cand_cost = cost cur in
-        let delta = cand_cost -. !cur_cost in
-        let accept =
-          delta <= 0.0
-          || Util.Rng.float rng 1.0 < exp (-.delta /. !temp)
-        in
-        if accept then begin
-          cur_cost := cand_cost;
-          incr accepted;
-          incr plateau_accepts;
-          if cand_cost < !best_cost then begin
-            best := copy cur;
-            best_cost := cand_cost
-          end
+      incr moves;
+      perturb rng cur;
+      let cand_cost = cost cur in
+      let delta = cand_cost -. !cur_cost in
+      let accept =
+        delta <= 0.0
+        || Util.Rng.float rng 1.0 < exp (-.delta /. !temp)
+      in
+      if accept then begin
+        cur_cost := cand_cost;
+        incr accepted;
+        incr plateau_accepts;
+        if cand_cost < !best_cost then begin
+          best := copy cur;
+          best_cost := cand_cost
         end
-        else undo cur
       end
+      else undo cur
     done;
     incr plateaus;
     (* The observer runs outside the RNG path: enabling telemetry can

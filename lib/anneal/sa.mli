@@ -17,16 +17,18 @@ type params = {
       (** target acceptance probability for calibration (default 0.85) *)
   cooling : float;  (** geometric factor per plateau, in (0, 1) *)
   moves_per_plateau : int;  (** proposals evaluated at each temperature, >= 1 *)
-  min_temp : float;  (** stop when temperature drops below *)
-  max_moves : int;  (** hard cap on total proposals, >= 0 *)
+  min_temp : float;
+      (** stop once the temperature falls to [min_temp] times the
+          initial one, in (0, 1) *)
 }
 
 val default_params : params
 (** cooling 0.92, 64 moves per plateau, min_temp 1e-4 relative,
-    100_000 max moves, calibrated initial temperature. *)
+    calibrated initial temperature: 111 plateaus, 7,104 moves. *)
 
 val quick_params : params
-(** A small budget for inner loops (shape-curve generation). *)
+(** A small budget for inner loops (shape-curve generation): cooling
+    0.85, 24 moves per plateau, 57 plateaus, 1,368 moves. *)
 
 type 'a result = {
   best : 'a;
@@ -82,7 +84,7 @@ val anneal :
 
     The parameters are checked first. A schedule that cannot run fails
     with a [bad-sa-params] diagnostic ([moves_per_plateau < 1], [cooling]
-    outside (0, 1), [max_moves < 0], or an [initial_temp] that is not
+    or [min_temp] outside (0, 1), or an [initial_temp] that is not
     finite and positive), and a calibration target outside (0, 1) with
     [bad-sa-acceptance] (only when calibration runs). *)
 

@@ -29,7 +29,7 @@ let default =
     at_weight = 2.0;
     am_weight = 10.0;
     macro_weight = 50.0;
-    layout_sa = { Anneal.Sa.default_params with Anneal.Sa.max_moves = 25_000; moves_per_plateau = 96 };
+    layout_sa = { Anneal.Sa.default_params with Anneal.Sa.moves_per_plateau = 96 };
     curve_sa = Anneal.Sa.quick_params;
     seed = 1;
     sa_starts = 4;

@@ -164,31 +164,19 @@ let fix_position ctx ~fid ~rect ~attract =
   ctx.out_macros <- (fid, r, orient) :: ctx.out_macros;
   Hashtbl.replace ctx.macro_pos fid (Rect.center r)
 
-(* Per-plateau SA telemetry for one floorplan instance: acceptance-rate
-   histogram and ordered convergence curve, both keyed by recursion
-   depth. Only built when metrics are enabled, so the default path adds
-   a single boolean test. *)
+(* Per-plateau SA telemetry for one floorplan instance, keyed by
+   recursion depth: the convergence curve [sa.curve.level<d>] (total
+   moves -> acceptance rate) and the five cost-term trajectories
+   [sa.term.<t>.level<d>]. Series names are pre-rendered so the
+   per-plateau work is six registry appends. Only built when metrics
+   are enabled, so the default path adds a single boolean test; the
+   observer runs outside the SA RNG path (Anneal.Sa), so enabling it
+   cannot change a placement. *)
 let sa_observer ~depth =
   if not (Obs.Metrics.enabled ()) then None
   else begin
-    let hist_name = Printf.sprintf "sa.acceptance.level%d" depth in
     let curve_name = Printf.sprintf "sa.curve.level%d" depth in
-    Some
-      (fun (p : Anneal.Sa.plateau) ->
-        let rate = Anneal.Sa.acceptance_rate p in
-        Obs.Metrics.sample ~bin_width:0.05 hist_name rate;
-        Obs.Metrics.series curve_name ~x:(float_of_int p.Anneal.Sa.total_moves) ~y:rate;
-        Obs.Metrics.sample "sa.plateau_temperature" p.Anneal.Sa.temperature)
-  end
-
-(* Per-plateau cost-term trajectories, keyed by recursion depth like
-   [sa_observer]. Series names are pre-rendered so the per-plateau work
-   is five registry appends; the observer runs outside the SA RNG path
-   (Anneal.Sa) so enabling it cannot change a placement. *)
-let sa_term_observer ~depth =
-  if not (Obs.Metrics.enabled ()) then None
-  else begin
-    let names =
+    let term_names =
       List.map
         (fun t -> Printf.sprintf "sa.term.%s.level%d" t depth)
         Layout_gen.term_names
@@ -196,9 +184,10 @@ let sa_term_observer ~depth =
     Some
       (fun (p : Anneal.Sa.plateau) (b : Layout_gen.breakdown) ->
         let x = float_of_int p.Anneal.Sa.total_moves in
+        Obs.Metrics.series curve_name ~x ~y:(Anneal.Sa.acceptance_rate p);
         List.iter2
           (fun name (_, v) -> Obs.Metrics.series name ~x ~y:v)
-          names
+          term_names
           (Layout_gen.breakdown_terms b))
   end
 
@@ -289,8 +278,7 @@ and instance_body ctx ~nh ~budget ~depth =
         let streaming = Obs.Stream.enabled () in
         let t0 = if streaming then Obs.Clock.now_us () else 0.0 in
         let layout =
-          Layout_gen.run ?observer:(sa_observer ~depth)
-            ?term_observer:(sa_term_observer ~depth) ~rng:ctx.rng ~config ~blocks
+          Layout_gen.run ?observer:(sa_observer ~depth) ~rng:ctx.rng ~config ~blocks
             ~affinity ~fixed_pos ~budget ()
         in
         if streaming then begin
@@ -317,7 +305,6 @@ and instance_body ctx ~nh ~budget ~depth =
     Obs.Span.attr_int "sa_moves" inst_moves;
     Obs.Perf.add Obs.Perf.fp_instances 1;
     Obs.Perf.add Obs.Perf.fp_sa_moves inst_moves;
-    Obs.Metrics.sample "floorplan.block_count" (float_of_int n_blocks);
     (* Record rectangles; update provisional macro positions. *)
     let positions = Array.append (Array.map Rect.center rects) fixed_pos in
     Array.iteri

@@ -596,7 +596,7 @@ let exact_search ~leaves ~table ~budget ~pairs ~fixed_pos ~(config : Config.t) =
    best expression (minimum best cost, ties to the lowest start index),
    the cost calls of every start, calibration included, and the winning
    start's final temperature. *)
-let anneal_starts ?observer ?term_observer ~inits ~rngs ~leaves ~table ~budget ~pairs
+let anneal_starts ?observer ~inits ~rngs ~leaves ~table ~budget ~pairs
     ~fixed_pos ~(config : Config.t) () =
   let n_blocks = Array.length leaves in
   let n_starts = Array.length inits in
@@ -612,14 +612,14 @@ let anneal_starts ?observer ?term_observer ~inits ~rngs ~leaves ~table ~budget ~
            immutable. *)
         let inc = make_inc ~leaves ~table ~budget ~pairs ~fixed_pos ~config ~shared () in
         let cost, observer =
-          match term_observer with
+          match observer with
           | None ->
             let cost w =
               Guard.Budget.check ~stage:"floorplan";
               walker_cost inc w
             in
-            (cost, observer)
-          | Some on_terms ->
+            (cost, None)
+          | Some on_plateau ->
             (* Telemetry-only side channel: the cost closure remembers
                the cheapest evaluation this start has seen (calibration
                samples included), and each plateau reports its named
@@ -639,13 +639,12 @@ let anneal_starts ?observer ?term_observer ~inits ~rngs ~leaves ~table ~budget ~
               end;
               c
             in
-            let observer' p =
-              (match observer with None -> () | Some f -> f p);
-              on_terms p
+            let observer p =
+              on_plateau p
                 (breakdown_of ~cost:!best ~wirelength:!best_wl ~viol:!best_viol ~config
                    ~budget ~n_pairs:(Array.length pairs))
             in
-            (cost, Some observer')
+            (cost, Some observer)
         in
         Anneal.Sa.anneal ~rng:rngs.(i) ~init:(walker ~n_blocks inits.(i)) ~cost
           ~perturb:Slicing.Polish.Walker.perturb ~undo:Slicing.Polish.Walker.undo
@@ -666,7 +665,7 @@ let anneal_starts ?observer ?term_observer ~inits ~rngs ~leaves ~table ~budget ~
     sa_moves,
     results.(!best_i).Anneal.Sa.final_temperature )
 
-let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budget () =
+let run ?observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budget () =
   let n_blocks = Array.length blocks in
   assert (n_blocks >= 1);
   let leaves = Array.map Block.to_leaf blocks in
@@ -692,7 +691,7 @@ let run ?observer ?term_observer ~rng ~config ~blocks ~affinity ~fixed_pos ~budg
         (expr, 0, 0.0)
       end
       else
-        anneal_starts ?observer ?term_observer ~inits ~rngs ~leaves ~table ~budget ~pairs
+        anneal_starts ?observer ~inits ~rngs ~leaves ~table ~budget ~pairs
           ~fixed_pos ~config ()
     in
     (* When the search dies — injected fault, exceeded budget — the

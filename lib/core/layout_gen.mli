@@ -152,8 +152,7 @@ val table_slot_of : n_blocks:int -> Slicing.Polish.t -> int option
     range). Exposed for tests. *)
 
 val run :
-  ?observer:(Anneal.Sa.plateau -> unit) ->
-  ?term_observer:(Anneal.Sa.plateau -> breakdown -> unit) ->
+  ?observer:(Anneal.Sa.plateau -> breakdown -> unit) ->
   rng:Util.Rng.t ->
   config:Config.t ->
   blocks:Block.t array ->
@@ -174,8 +173,8 @@ val run :
     [config.jobs] domains and the parts reduced in order, so the result
     is bit-identical for every job count. The instance reports
     [sa_moves = 0], adds the expressions it scored to the [cost.evals]
-    counter and to its span's [exact_exprs] attribute, and calls
-    neither observer. It still draws from [rng] what the annealing
+    counter and to its span's [exact_exprs] attribute, and never calls
+    [observer]. It still draws from [rng] what the annealing
     starts would (the [sa_starts - 2] random initial expressions and one
     split per start), so later instances see the same stream.
 
@@ -190,11 +189,10 @@ val run :
     it dies (injected [floorplan.sa] fault, exceeded budget) the
     instance keeps the affinity-greedy chain layout.
 
-    [observer] receives per-plateau convergence snapshots from every
-    start (it runs on worker domains; the telemetry shorthands it may
-    call are domain-safe).
-    [term_observer] additionally receives, per plateau, the named
-    breakdown of the cheapest evaluation that start's cost closure has
-    seen so far (calibration samples included, so it can lead the
-    annealer's accepted best). Both observers run outside the RNG path:
-    enabling them never changes a placement. *)
+    [observer] receives, after each plateau of every start, the
+    plateau's convergence snapshot and the named breakdown of the
+    cheapest evaluation that start's cost closure has seen so far
+    (calibration samples included, so it can lead the annealer's
+    accepted best). It runs on worker domains (the telemetry shorthands
+    it may call are domain-safe) and outside the RNG path: enabling it
+    never changes a placement. *)

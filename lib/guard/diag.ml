@@ -57,9 +57,9 @@ let codes =
       temperatures");
     ("bad-sa-params", "error",
      "an annealing schedule that cannot run: moves_per_plateau below 1, cooling \
-      outside (0, 1), negative max_moves, or an initial_temp that is not finite \
-      and positive (with no move per plateau and a cooling of 1 the loop would \
-      never end)");
+      or min_temp outside (0, 1), or an initial_temp that is not finite and \
+      positive (with no move per plateau, a cooling of 1 or a min_temp of 0 the \
+      loop would never end)");
     ("ckpt-io", "error",
      "checkpoint directory cannot be created, opened or written");
     ("ckpt-mismatch", "error",

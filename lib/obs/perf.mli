@@ -6,7 +6,7 @@
     flag load) when disabled. No string is hashed and nothing is
     allocated, which is what the annealing inner loop needs. Ids are
     appended, never reordered, so an id's index is stable. {!Metrics}
-    holds the other telemetry kinds (gauges, histograms, series), and
+    holds the other telemetry kinds (gauges and series), and
     its JSON document reports this registry as its ["counters"].
 
     {b Determinism contract} (DESIGN.md §9/§12): counters never touch

@@ -38,8 +38,16 @@ let read_file path =
   close_in ic;
   s
 
+let rec remove path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 (* Work in $CRASH_HARNESS_DIR when set (CI uploads it as an artifact
-   on failure), a temp dir otherwise. *)
+   on failure, so it is kept), else in a temp dir removed when the
+   harness exits, pass or fail. *)
 let fresh_dir () =
   match Sys.getenv_opt "CRASH_HARNESS_DIR" with
   | Some dir ->
@@ -49,6 +57,7 @@ let fresh_dir () =
     let dir = Filename.temp_file "hidap-crash" "" in
     Sys.remove dir;
     Unix.mkdir dir 0o755;
+    at_exit (fun () -> if Sys.file_exists dir then remove dir);
     dir
 
 let place_args ~hidap ~jobs ~save extra =

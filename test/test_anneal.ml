@@ -25,15 +25,24 @@ let test_deterministic () =
   Alcotest.(check (float 0.0)) "identical best" a.Sa.best b.Sa.best;
   Alcotest.(check int) "identical move count" a.Sa.moves b.Sa.moves
 
-let test_respects_max_moves () =
+(* The schedule alone bounds the run: it stops once the temperature
+   falls to [min_temp] times the start, after
+   ceil(log min_temp / log cooling) full plateaus. *)
+let test_schedule_length () =
   let cost, neighbor = quadratic_setup () in
-  let params = { Sa.default_params with Sa.max_moves = 100 } in
-  let r = Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor ~params () in
-  Alcotest.(check bool) "bounded moves" true (r.Sa.moves <= 100)
+  List.iter
+    (fun (what, params, plateaus) ->
+      let r = Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor ~params () in
+      Alcotest.(check int) (what ^ ": plateaus") plateaus r.Sa.plateaus;
+      Alcotest.(check int) (what ^ ": moves")
+        (plateaus * params.Sa.moves_per_plateau)
+        r.Sa.moves)
+    [ ("default", Sa.default_params, 111); ("quick", Sa.quick_params, 57) ]
 
 let test_explicit_temperature () =
   let cost, neighbor = quadratic_setup () in
-  let params = { Sa.default_params with Sa.initial_temp = Some 10.0; max_moves = 2000 } in
+  (* 31 plateaus of 64: 1,984 moves *)
+  let params = { Sa.default_params with Sa.initial_temp = Some 10.0; min_temp = 0.08 } in
   let r = Sa.minimize ~rng:(Util.Rng.create 2) ~init:10.0 ~cost ~neighbor ~params () in
   Alcotest.(check bool) "still converges" true (abs_float (r.Sa.best -. 3.0) < 1.0)
 
@@ -52,16 +61,17 @@ let test_calibration_moves_zero_with_explicit_temp () =
   let r = Sa.minimize ~rng:(Util.Rng.create 3) ~init:10.0 ~cost ~neighbor ~params () in
   Alcotest.(check int) "explicit temp skips calibration" 0 r.Sa.calibration_moves
 
-(* [moves] must not silently absorb the calibration evaluations: a
-   max_moves budget caps moves alone, and the total cost-call count is
-   exactly moves + calibration_moves (+1 for the initial state). *)
+(* [moves] must not silently absorb the calibration evaluations: it
+   counts the schedule's proposals alone, and the total cost-call count
+   is exactly moves + calibration_moves (+1 for the initial state). *)
 let test_cost_calls_accounted () =
   let cost, neighbor = quadratic_setup () in
   let calls = ref 0 in
   let cost x = incr calls; cost x in
-  let params = { Sa.default_params with Sa.max_moves = 100 } in
+  (* 9 plateaus of 64 *)
+  let params = { Sa.default_params with Sa.min_temp = 0.5 } in
   let r = Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor ~params () in
-  Alcotest.(check bool) "moves excludes calibration" true (r.Sa.moves <= 100);
+  Alcotest.(check int) "moves excludes calibration" (9 * 64) r.Sa.moves;
   Alcotest.(check int) "cost calls = moves + calibration + init"
     (r.Sa.moves + r.Sa.calibration_moves + 1)
     !calls
@@ -103,10 +113,10 @@ let test_acceptance_validation () =
   let run params =
     Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor ~params ()
   in
+  (* 7 plateaus of 10 *)
+  let short = { Sa.default_params with Sa.moves_per_plateau = 10; min_temp = 0.6 } in
   let rejected a =
-    match
-      run { Sa.default_params with Sa.initial_acceptance = a; max_moves = 50 }
-    with
+    match run { short with Sa.initial_acceptance = a } with
     | exception Guard.Diag.Fail d -> d.Guard.Diag.code = "bad-sa-acceptance"
     | _ -> false
   in
@@ -117,24 +127,17 @@ let test_acceptance_validation () =
         true (rejected a))
     [ 0.0; 1.0; -0.3; 1.5; Float.nan ];
   (* valid target and explicit-temperature paths stay untouched *)
-  let ok =
-    run
-      { Sa.default_params with Sa.initial_acceptance = 0.5; max_moves = 50 }
-  in
+  let ok = run { short with Sa.initial_acceptance = 0.5 } in
   Alcotest.(check bool) "valid target runs" true (ok.Sa.moves > 0);
   let explicit =
-    run
-      { Sa.default_params with
-        Sa.initial_temp = Some 5.0;
-        initial_acceptance = 1.5;
-        max_moves = 50 }
+    run { short with Sa.initial_temp = Some 5.0; initial_acceptance = 1.5 }
   in
   Alcotest.(check bool) "explicit temp skips the validation" true
     (explicit.Sa.moves > 0)
 
 (* A schedule that cannot run is rejected before any cost call, with
-   one structured diagnostic per case. With no move per plateau and a
-   cooling factor of 1 the loop used to spin forever. *)
+   one structured diagnostic per case. With no move per plateau, a
+   cooling factor of 1 or a min_temp of 0 the loop would spin forever. *)
 let test_params_validation () =
   let cost, neighbor = quadratic_setup () in
   let calls = ref 0 in
@@ -158,16 +161,18 @@ let test_params_validation () =
   List.iter
     (fun c -> rejected (Printf.sprintf "cooling %g" c) { p with Sa.cooling = c })
     [ 1.0; 0.0; -0.5; 1.5; Float.nan ];
-  rejected "max_moves -1" { p with Sa.max_moves = -1 };
+  List.iter
+    (fun m -> rejected (Printf.sprintf "min_temp %g" m) { p with Sa.min_temp = m })
+    [ 0.0; -1e-4; 1.0; 1.5; Float.nan ];
   List.iter
     (fun t -> rejected (Printf.sprintf "initial_temp %g" t) { p with Sa.initial_temp = Some t })
     [ 0.0; -1.0; Float.infinity; Float.nan ];
   (* the edges that can run still do *)
   let r = Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor
-      ~params:{ p with Sa.max_moves = 0 } () in
-  Alcotest.(check int) "max_moves 0 runs no move" 0 r.Sa.moves;
+      ~params:{ p with Sa.min_temp = 0.99 } () in
+  Alcotest.(check int) "min_temp 0.99 runs one plateau" 1 r.Sa.plateaus;
   let r = Sa.minimize ~rng:(Util.Rng.create 1) ~init:10.0 ~cost ~neighbor
-      ~params:{ p with Sa.moves_per_plateau = 1; max_moves = 50 } () in
+      ~params:{ p with Sa.moves_per_plateau = 1; min_temp = 0.02 } () in
   Alcotest.(check int) "one move per plateau" r.Sa.moves r.Sa.plateaus
 
 (* The in-place loop on the Polish walker against the functional loop on
@@ -187,7 +192,8 @@ let test_in_place_matches_functional () =
         let init = Slicing.Polish.initial_random rng ~n in
         let calls = ref [] and plateaus = ref [] in
         let observer p = plateaus := p :: !plateaus in
-        let params = { Sa.default_params with Sa.max_moves = 3_000 } in
+        (* 47 plateaus of 64 *)
+        let params = { Sa.default_params with Sa.min_temp = 0.02 } in
         let stats (r : _ Sa.result) =
           ( r.Sa.best_cost, r.Sa.moves, r.Sa.accepted, r.Sa.plateaus, r.Sa.calibration_moves,
             r.Sa.final_temperature )
@@ -233,7 +239,7 @@ let suite =
   [ ( "anneal.sa",
       [ Alcotest.test_case "minimizes quadratic" `Quick test_minimizes_quadratic;
         Alcotest.test_case "deterministic" `Quick test_deterministic;
-        Alcotest.test_case "max moves" `Quick test_respects_max_moves;
+        Alcotest.test_case "schedule length" `Quick test_schedule_length;
         Alcotest.test_case "explicit temperature" `Quick test_explicit_temperature;
         Alcotest.test_case "calibration moves reported" `Quick
           test_calibration_moves_reported;

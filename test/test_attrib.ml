@@ -132,18 +132,19 @@ let fast_config jobs =
   { Hidap.Config.default with
     Hidap.Config.jobs;
     sa_starts = 3;
-    layout_sa = { Anneal.Sa.quick_params with Anneal.Sa.max_moves = 600 } }
+    (* 25 plateaus of 24: 600 moves per start *)
+    layout_sa = { Anneal.Sa.quick_params with Anneal.Sa.min_temp = 0.018 } }
 
 (* An instance of 6 to 8 blocks: fewer are solved exactly, without the
-   annealer and its term observer. *)
+   annealer and its plateau observer. *)
 let run_one seed ~jobs ~observe =
   let blocks, affinity, fixed_pos, budget, _ = random_instance ~n:(6 + (seed mod 3)) seed in
   let observed = ref 0 in
-  let term_observer =
+  let observer =
     if observe then Some (fun _ (_ : LG.breakdown) -> incr observed) else None
   in
   let r =
-    LG.run ?term_observer
+    LG.run ?observer
       ~rng:(Util.Rng.create (seed + 7))
       ~config:(fast_config jobs) ~blocks ~affinity ~fixed_pos ~budget ()
   in

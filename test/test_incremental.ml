@@ -146,7 +146,8 @@ let fast_config ~jobs =
   { Hidap.Config.default with
     Hidap.Config.jobs;
     sa_starts = 3;
-    layout_sa = { Anneal.Sa.quick_params with Anneal.Sa.max_moves = 600 } }
+    (* 25 plateaus of 24: 600 moves per start *)
+    layout_sa = { Anneal.Sa.quick_params with Anneal.Sa.min_temp = 0.018 } }
 
 let random_instance ?n seed =
   let rng = Util.Rng.create seed in
@@ -223,7 +224,7 @@ let run_one seed ~jobs =
   let blocks, affinity, fixed_pos, budget = random_instance ~n:(6 + (seed mod 3)) seed in
   let lock = Mutex.create () in
   let best = ref infinity in
-  let observer (p : Anneal.Sa.plateau) =
+  let observer (p : Anneal.Sa.plateau) (_ : LG.breakdown) =
     let c = p.Anneal.Sa.plateau_best_cost in
     Mutex.protect lock (fun () -> if c < !best then best := c)
   in
@@ -446,7 +447,7 @@ let instance_terms jobs =
   let blocks, affinity, fixed_pos, budget = alloc_instance () in
   let config = { Hidap.Config.default with Hidap.Config.jobs } in
   let names = List.map (fun t -> "sa.term." ^ t) LG.term_names in
-  let term_observer (p : Anneal.Sa.plateau) b =
+  let observer (p : Anneal.Sa.plateau) b =
     let x = float_of_int p.Anneal.Sa.total_moves in
     List.iter2 (fun name (_, y) -> Obs.Metrics.series name ~x ~y) names (LG.breakdown_terms b)
   in
@@ -462,7 +463,7 @@ let instance_terms jobs =
       Obs.Perf.reset Obs.Perf.global)
     (fun () ->
       let r =
-        LG.run ~term_observer ~rng:(Util.Rng.create 3) ~config ~blocks ~affinity ~fixed_pos
+        LG.run ~observer ~rng:(Util.Rng.create 3) ~config ~blocks ~affinity ~fixed_pos
           ~budget ()
       in
       let b = Buffer.create 65536 in

@@ -139,54 +139,38 @@ let test_jsonx_nonfinite_roundtrip () =
   Alcotest.(check bool) "ordinary string stays a string" true
     (Jsonx.to_float_opt (Jsonx.String "fast") = None)
 
-let test_percentiles () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  Alcotest.(check (float 1e-9)) "p0" 1.0 (Metrics.percentile xs ~p:0.0);
-  Alcotest.(check (float 1e-9)) "p50" 50.5 (Metrics.percentile xs ~p:50.0);
-  Alcotest.(check (float 1e-9)) "p90" 90.1 (Metrics.percentile xs ~p:90.0);
-  Alcotest.(check (float 1e-9)) "p100" 100.0 (Metrics.percentile xs ~p:100.0);
-  Alcotest.(check (float 1e-9)) "singleton" 7.0 (Metrics.percentile [ 7.0 ] ~p:90.0)
-
 let test_registry_basics () =
   let r = Metrics.create () in
   Metrics.set_gauge r "wl" 10.0;
   Metrics.set_gauge r "wl" 11.5;
-  Metrics.observe ~bin_width:0.5 r "rate" 0.6;
-  Metrics.observe r "rate" 1.4;
   Metrics.push_series r "curve" 1.0 0.9;
   Metrics.push_series r "curve" 2.0 0.8;
   Alcotest.(check (option (float 0.0))) "gauge keeps last" (Some 11.5)
     (Metrics.gauge_value r "wl");
-  Alcotest.(check (list (float 1e-9))) "samples in order" [ 0.6; 1.4 ]
-    (Metrics.hist_samples r "rate");
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "series in order"
     [ (1.0, 0.9); (2.0, 0.8) ]
     (Metrics.series_points r "curve");
-  Alcotest.(check (list string)) "names sorted" [ "curve"; "rate"; "wl" ]
-    (Metrics.names r)
+  Alcotest.(check (list string)) "names sorted" [ "curve"; "wl" ] (Metrics.names r)
 
 let test_registry_merge () =
   let a = Metrics.create () and b = Metrics.create () in
   Metrics.set_gauge a "only_a" 4.0;
   Metrics.set_gauge a "g" 1.0;
   Metrics.set_gauge b "g" 2.0;
-  Metrics.observe a "h" 1.0;
-  Metrics.observe b "h" 3.0;
   Metrics.push_series a "s" 0.0 1.0;
   Metrics.push_series b "s" 1.0 2.0;
-  let m = Metrics.merge a b in
-  Alcotest.(check (option (float 0.0))) "left-only kept" (Some 4.0)
-    (Metrics.gauge_value m "only_a");
-  Alcotest.(check (option (float 0.0))) "gauge right wins" (Some 2.0)
-    (Metrics.gauge_value m "g");
-  Alcotest.(check (list (float 1e-9))) "histograms pool" [ 1.0; 3.0 ]
-    (Metrics.hist_samples m "h");
+  Metrics.merge_into a b;
+  Alcotest.(check (option (float 0.0))) "destination-only kept" (Some 4.0)
+    (Metrics.gauge_value a "only_a");
+  Alcotest.(check (option (float 0.0))) "gauge source wins" (Some 2.0)
+    (Metrics.gauge_value a "g");
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "series concatenate"
     [ (0.0, 1.0); (1.0, 2.0) ]
-    (Metrics.series_points m "s");
-  (* merge leaves its inputs untouched *)
-  Alcotest.(check (list (float 1e-9))) "left input intact" [ 1.0 ]
-    (Metrics.hist_samples a "h")
+    (Metrics.series_points a "s");
+  (* merge_into leaves its source untouched *)
+  Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "source intact"
+    [ (1.0, 2.0) ]
+    (Metrics.series_points b "s")
 
 let test_global_gating () =
   Metrics.reset Metrics.global;
@@ -328,7 +312,7 @@ let test_perf_merge_determinism () =
    the same on every machine. Perf counters are flushed once per start
    from local tallies, so enabling them may add well under one word per
    hundred moves; the metrics layer works once per plateau (observer,
-   histogram sample, curve point), so it may add a fixed amount per
+   curve and cost-term points), so it may add a fixed amount per
    plateau but not a boxed word per move. On c3, whose 6-, 7- and
    11-block instances anneal (smaller ones are solved exactly). *)
 let test_telemetry_no_per_move_work () =
@@ -581,7 +565,6 @@ let suite =
         Alcotest.test_case "jsonx rendering" `Quick test_jsonx_rendering;
         Alcotest.test_case "jsonx non-finite round-trip" `Quick
           test_jsonx_nonfinite_roundtrip;
-        Alcotest.test_case "percentile math" `Quick test_percentiles;
         Alcotest.test_case "registry basics" `Quick test_registry_basics;
         Alcotest.test_case "registry merge" `Quick test_registry_merge;
         Alcotest.test_case "global registry gating" `Quick test_global_gating;

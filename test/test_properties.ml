@@ -26,9 +26,9 @@ let params_arb =
 
 let fast_config =
   { Hidap.Config.default with
-    Hidap.Config.layout_sa =
-      { Anneal.Sa.quick_params with Anneal.Sa.max_moves = 1_500 };
-    curve_sa = { Anneal.Sa.quick_params with Anneal.Sa.max_moves = 800 } }
+    Hidap.Config.layout_sa = Anneal.Sa.quick_params;
+    (* 33 plateaus of 24: 792 moves *)
+    curve_sa = { Anneal.Sa.quick_params with Anneal.Sa.min_temp = 0.005 } }
 
 let flow_total_and_legal =
   qtest ~count:12 "HiDaP is total, complete and in-bounds on random designs" params_arb

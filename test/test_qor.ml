@@ -1,5 +1,5 @@
 (* Tests for the QoR run ledger: Jsonx parsing and string escaping,
-   percentile edge cases, record round-trips through JSON, the baseline
+   record round-trips through JSON, the baseline
    comparator's verdicts, the self-contained HTML report, and the run
    paths' front door. *)
 
@@ -85,22 +85,6 @@ let test_parse_errors () =
   rejects "1 2";
   rejects {|"unterminated|};
   rejects {|"\q"|}
-
-(* ---------------------------------------------------------------- *)
-(* Percentile edge cases                                             *)
-(* ---------------------------------------------------------------- *)
-
-let test_percentile_edges () =
-  (* Convention: an empty sample has no percentiles; a single sample is
-     every percentile. *)
-  Alcotest.(check bool) "empty -> None" true (Metrics.percentile_opt [] ~p:50.0 = None);
-  (match Metrics.percentile [] ~p:50.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "percentile [] must raise");
-  Alcotest.(check bool) "singleton p0" true
-    (Metrics.percentile_opt [ 3.0 ] ~p:0.0 = Some 3.0);
-  Alcotest.(check bool) "singleton p100" true
-    (Metrics.percentile_opt [ 3.0 ] ~p:100.0 = Some 3.0)
 
 (* ---------------------------------------------------------------- *)
 (* QoR record round-trip                                             *)
@@ -610,7 +594,6 @@ let suite =
         Alcotest.test_case "jsonx unicode escapes" `Quick test_unicode_escapes;
         Alcotest.test_case "jsonx value parsing" `Quick test_parse_values;
         Alcotest.test_case "jsonx parse errors" `Quick test_parse_errors;
-        Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges;
         Alcotest.test_case "record json round-trip" `Quick test_record_roundtrip;
         Alcotest.test_case "record versioning rules" `Quick test_record_versioning;
         Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;

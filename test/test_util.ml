@@ -160,37 +160,6 @@ let geo_between_min_max =
       let g = Util.Stat.geometric_mean l in
       g >= Util.Stat.minimum l -. 1e-9 && g <= Util.Stat.maximum l +. 1e-9)
 
-(* ---- Disjoint_set ------------------------------------------------- *)
-
-let test_ds_basic () =
-  let ds = Util.Disjoint_set.create 5 in
-  Alcotest.(check bool) "initially apart" false (Util.Disjoint_set.same ds 0 1);
-  Util.Disjoint_set.union ds 0 1;
-  Util.Disjoint_set.union ds 1 2;
-  Alcotest.(check bool) "transitive" true (Util.Disjoint_set.same ds 0 2);
-  Alcotest.(check int) "size" 3 (Util.Disjoint_set.size ds 1);
-  Alcotest.(check int) "singleton size" 1 (Util.Disjoint_set.size ds 4)
-
-let test_ds_groups () =
-  let ds = Util.Disjoint_set.create 4 in
-  Util.Disjoint_set.union ds 0 3;
-  let groups = Util.Disjoint_set.groups ds in
-  let sizes = Array.to_list groups |> List.map List.length |> List.sort compare in
-  Alcotest.(check (list int)) "group sizes" [ 1; 1; 2 ] sizes;
-  let all = Array.to_list groups |> List.concat |> List.sort compare in
-  Alcotest.(check (list int)) "covers all" [ 0; 1; 2; 3 ] all
-
-let ds_union_idempotent =
-  qtest "repeated unions keep sizes consistent"
-    QCheck.(list_of_size (Gen.int_range 0 30) (pair (int_range 0 9) (int_range 0 9)))
-    (fun pairs ->
-      let ds = Util.Disjoint_set.create 10 in
-      List.iter (fun (a, b) -> Util.Disjoint_set.union ds a b) pairs;
-      let total =
-        Array.fold_left (fun acc g -> acc + List.length g) 0 (Util.Disjoint_set.groups ds)
-      in
-      total = 10)
-
 (* ---- Heap --------------------------------------------------------- *)
 
 let test_heap_basic () =
@@ -266,10 +235,6 @@ let suite =
         Alcotest.test_case "stddev" `Quick test_stddev;
         Alcotest.test_case "clamp" `Quick test_clamp;
         geo_between_min_max ] );
-    ( "util.disjoint_set",
-      [ Alcotest.test_case "basic" `Quick test_ds_basic;
-        Alcotest.test_case "groups" `Quick test_ds_groups;
-        ds_union_idempotent ] );
     ( "util.heap",
       [ Alcotest.test_case "basic" `Quick test_heap_basic; heap_sorts ] );
     ( "util.names",
