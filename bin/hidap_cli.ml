@@ -826,9 +826,21 @@ let report_cmd =
         |> List.filter (fun f -> Filename.check_suffix f ".json")
         |> List.filter_map (fun f ->
                let path = Filename.concat input f in
-               match Qor.Record.load_ledger path with
-               | Ok (_ :: _) -> Some path
-               | Ok [] | Error _ -> None)
+               (* Other JSON (a --trace or --metrics file) is skipped
+                  silently; a QoR document that fails to decode is named. *)
+               match Obs.Jsonx.parse_file path with
+               | Error _ -> None
+               | Ok j ->
+                 (match Obs.Jsonx.member "schema" j with
+                 | Some (Obs.Jsonx.String s)
+                   when s = Qor.Record.schema || s = Qor.Record.ledger_schema ->
+                   (match Qor.Record.records_of_json j with
+                   | Ok (_ :: _) -> Some path
+                   | Ok [] -> None
+                   | Error msg ->
+                     Format.eprintf "hidap: skipping %s: %s@." path msg;
+                     None)
+                 | _ -> None))
       in
       if entries = [] then begin
         Format.eprintf "hidap: no QoR ledgers found under %s@." input;

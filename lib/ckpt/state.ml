@@ -47,25 +47,28 @@ let empty fp = { fp; instances = []; flip = None; stages = [] }
    make torn-state debugging greppable. *)
 let float_json f = Jsonx.String (Printf.sprintf "%Lx" (Int64.bits_of_float f))
 
+open Jsonx.Syntax
+
+let hex64 j =
+  let* s = Jsonx.string j in
+  match Int64.of_string_opt ("0x" ^ s) with
+  | Some bits -> Ok bits
+  | None -> Error (Printf.sprintf "expected hex bits, got %S" s)
+
 let float_of_json = function
-  | Jsonx.String s ->
-    (match Int64.of_string_opt ("0x" ^ s) with
-    | Some bits -> Some (Int64.float_of_bits bits)
-    | None -> None)
-  | Jsonx.Int i -> Some (float_of_int i)
-  | _ -> None
+  | Jsonx.Int i -> Ok (float_of_int i)
+  | j -> Result.map Int64.float_of_bits (hex64 j)
 
 let float_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 let rect_json (r : Rect.t) =
   Jsonx.List [ float_json r.Rect.x; float_json r.Rect.y; float_json r.Rect.w; float_json r.Rect.h ]
 
-let rect_of_json = function
-  | Jsonx.List [ x; y; w; h ] ->
-    (match (float_of_json x, float_of_json y, float_of_json w, float_of_json h) with
-    | Some x, Some y, Some w, Some h -> Some (Rect.make ~x ~y ~w ~h)
-    | _ -> None)
-  | _ -> None
+let rect_of_json j =
+  let* l = Jsonx.list float_of_json j in
+  match l with
+  | [ x; y; w; h ] -> Ok (Rect.make ~x ~y ~w ~h)
+  | _ -> Error (Printf.sprintf "expected [x, y, w, h], got %d numbers" (List.length l))
 
 let rect_equal a b =
   float_equal a.Rect.x b.Rect.x
@@ -140,83 +143,45 @@ let to_json t =
 
 let to_payload t = Jsonx.to_string ~compact:true (to_json t) ^ "\n"
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let field j name of_j =
-  match Option.bind (Jsonx.member name j) of_j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed field %S" name)
-
 let fingerprint_of_json j =
-  let* circuit = field j "circuit" Jsonx.to_string_opt in
-  let* seed = field j "seed" Jsonx.to_int_opt in
-  let* lambda = field j "lambda" float_of_json in
-  let* sa_starts = field j "sa_starts" Jsonx.to_int_opt in
-  let* cells = field j "cells" Jsonx.to_int_opt in
-  let* macro_count = field j "macro_count" Jsonx.to_int_opt in
+  let* circuit = Jsonx.field "circuit" Jsonx.string j in
+  let* seed = Jsonx.field "seed" Jsonx.int j in
+  let* lambda = Jsonx.field "lambda" float_of_json j in
+  let* sa_starts = Jsonx.field "sa_starts" Jsonx.int j in
+  let* cells = Jsonx.field "cells" Jsonx.int j in
+  let* macro_count = Jsonx.field "macro_count" Jsonx.int j in
   Ok { circuit; seed; lambda; sa_starts; cells; macro_count }
 
 let instance_of_json j =
-  let* nh = field j "nh" Jsonx.to_int_opt in
-  let* depth = field j "depth" Jsonx.to_int_opt in
-  let* n_blocks = field j "n_blocks" Jsonx.to_int_opt in
-  let* rect_items = field j "rects" Jsonx.to_list_opt in
-  let rects = List.filter_map rect_of_json rect_items in
-  if List.length rects <> List.length rect_items then
-    Error "malformed rectangle in instance entry"
-  else
-    let* sa_moves = field j "sa_moves" Jsonx.to_int_opt in
-    let* rng_after =
-      field j "rng_after" (fun v ->
-          Option.bind (Jsonx.to_string_opt v) (fun s -> Int64.of_string_opt ("0x" ^ s)))
-    in
-    Ok { nh; depth; n_blocks; rects = Array.of_list rects; sa_moves; rng_after }
+  let* nh = Jsonx.field "nh" Jsonx.int j in
+  let* depth = Jsonx.field "depth" Jsonx.int j in
+  let* n_blocks = Jsonx.field "n_blocks" Jsonx.int j in
+  let* rects = Jsonx.field "rects" (Jsonx.list rect_of_json) j in
+  let* sa_moves = Jsonx.field "sa_moves" Jsonx.int j in
+  let* rng_after = Jsonx.field "rng_after" hex64 j in
+  Ok { nh; depth; n_blocks; rects = Array.of_list rects; sa_moves; rng_after }
 
 let flip_of_json j =
-  let* items = field j "orientations" Jsonx.to_list_opt in
-  let orient = function
-    | Jsonx.List [ fid; o ] ->
-      (match (Jsonx.to_int_opt fid, Option.bind (Jsonx.to_string_opt o) Geom.Orientation.of_string) with
-      | Some fid, Some o -> Some (fid, o)
-      | _ -> None)
-    | _ -> None
+  let orientation = Jsonx.enum "orientation" Geom.Orientation.of_string in
+  let* orientations =
+    Jsonx.field "orientations" (Jsonx.list (Jsonx.pair Jsonx.int orientation)) j
   in
-  let orientations = List.filter_map orient items in
-  if List.length orientations <> List.length items then
-    Error "malformed orientation in flip entry"
-  else
-    let* flip_gain = field j "gain" float_of_json in
-    Ok { orientations; flip_gain }
+  let* flip_gain = Jsonx.field "gain" float_of_json j in
+  Ok { orientations; flip_gain }
 
 let of_json j =
-  let* s = field j "schema" Jsonx.to_string_opt in
+  let* s = Jsonx.field "schema" Jsonx.string j in
   if s <> schema then Error (Printf.sprintf "not a %s payload (schema %S)" schema s)
   else
-    let* v = field j "version" Jsonx.to_int_opt in
+    let* v = Jsonx.field "version" Jsonx.int j in
     if v > version then
       Error (Printf.sprintf "state version %d is newer than supported %d" v version)
     else
-      let* fpj = field j "fingerprint" (fun x -> Some x) in
-      let* fp = fingerprint_of_json fpj in
-      let* stage_items = field j "stages" Jsonx.to_list_opt in
-      let stages = List.filter_map Jsonx.to_string_opt stage_items in
-      let* inst_items = field j "instances" Jsonx.to_list_opt in
-      let* instances =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* e = instance_of_json item in
-            Ok (e :: acc))
-          (Ok []) inst_items
-      in
-      let* flip =
-        match Jsonx.member "flip" j with
-        | None | Some Jsonx.Null -> Ok None
-        | Some f ->
-          let* f = flip_of_json f in
-          Ok (Some f)
-      in
-      Ok { fp; instances = List.rev instances; flip; stages }
+      let* fp = Jsonx.field "fingerprint" fingerprint_of_json j in
+      let* stages = Jsonx.field "stages" (Jsonx.list Jsonx.string) j in
+      let* instances = Jsonx.field "instances" (Jsonx.list instance_of_json) j in
+      let* flip = Jsonx.field_opt "flip" flip_of_json j in
+      Ok { fp; instances; flip; stages }
 
 let of_payload payload =
   match Jsonx.parse payload with

@@ -47,19 +47,26 @@ let to_json s =
       ("heap_words", Jsonx.Int s.heap_words);
       ("top_heap_words", Jsonx.Int s.top_heap_words) ]
 
+open Jsonx.Syntax
+
+(* allocated_words is derived: type-checked, not read back. *)
 let of_json j =
-  let f name = Option.bind (Jsonx.member name j) Jsonx.to_float_opt in
-  let i name = Option.bind (Jsonx.member name j) Jsonx.to_int_opt in
-  match (f "minor_words", f "promoted_words", f "major_words") with
-  | Some minor_words, Some promoted_words, Some major_words ->
-    let get name = Option.value ~default:0 (i name) in
-    Some
-      { minor_words;
-        promoted_words;
-        major_words;
-        minor_collections = get "minor_collections";
-        major_collections = get "major_collections";
-        compactions = get "compactions";
-        heap_words = get "heap_words";
-        top_heap_words = get "top_heap_words" }
-  | _ -> None
+  let count name = Jsonx.field_or name ~default:0 Jsonx.int j in
+  let* minor_words = Jsonx.field "minor_words" Jsonx.float j in
+  let* promoted_words = Jsonx.field "promoted_words" Jsonx.float j in
+  let* major_words = Jsonx.field "major_words" Jsonx.float j in
+  let* _ = Jsonx.field_opt "allocated_words" Jsonx.float j in
+  let* minor_collections = count "minor_collections" in
+  let* major_collections = count "major_collections" in
+  let* compactions = count "compactions" in
+  let* heap_words = count "heap_words" in
+  let* top_heap_words = count "top_heap_words" in
+  Ok
+    { minor_words;
+      promoted_words;
+      major_words;
+      minor_collections;
+      major_collections;
+      compactions;
+      heap_words;
+      top_heap_words }

@@ -33,4 +33,5 @@ val gauges : ?prefix:string -> snapshot -> unit
 
 val to_json : snapshot -> Jsonx.t
 
-val of_json : Jsonx.t -> snapshot option
+val of_json : snapshot Jsonx.decoder
+(** The three word counts are required; absent counts read as 0. *)

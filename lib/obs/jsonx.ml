@@ -327,3 +327,97 @@ let to_float_opt = function
   | _ -> None
 
 let to_list_opt = function List l -> Some l | _ -> None
+
+(* ---- decoders ----------------------------------------------------- *)
+
+type 'a decoder = t -> ('a, string) result
+
+module Syntax = struct
+  let ( let* ) = Result.bind
+end
+
+open Syntax
+
+let describe = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> Option.value ~default:"a non-finite number" (float_repr f)
+  | String s when String.length s <= 40 -> Printf.sprintf "%S" s
+  | String _ -> "a string"
+  | List l -> Printf.sprintf "an array of %d" (List.length l)
+  | Obj _ -> "an object"
+
+let expected what j = Error (Printf.sprintf "expected %s, got %s" what (describe j))
+
+(* An error reads "path: message". A path has no space, so a message
+   whose text before its first ':' has none already carries one. *)
+let has_path e =
+  match String.index_opt e ':' with
+  | Some i -> i > 0 && not (String.contains (String.sub e 0 i) ' ')
+  | None -> false
+
+let at seg = function
+  | Ok _ as ok -> ok
+  | Error e when not (has_path e) -> Error (seg ^ ": " ^ e)
+  | Error e when e.[0] = '[' -> Error (seg ^ e)
+  | Error e -> Error (seg ^ "." ^ e)
+
+let int = function Int i -> Ok i | j -> expected "an integer" j
+
+let float j = match to_float_opt j with Some f -> Ok f | None -> expected "a number" j
+
+let string = function String s -> Ok s | j -> expected "a string" j
+
+let bool = function Bool b -> Ok b | j -> expected "a boolean" j
+
+let enum what of_string j =
+  let* s = string j in
+  match of_string s with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "unknown %s %S" what s)
+
+let list d = function
+  | List items ->
+    let rec go i acc = function
+      | [] -> Ok (List.rev acc)
+      | x :: rest ->
+        let* v = at (Printf.sprintf "[%d]" i) (d x) in
+        go (i + 1) (v :: acc) rest
+    in
+    go 0 [] items
+  | j -> expected "an array" j
+
+let pair da db = function
+  | List [ a; b ] ->
+    let* a = at "[0]" (da a) in
+    let* b = at "[1]" (db b) in
+    Ok (a, b)
+  | j -> expected "an array of 2" j
+
+let assoc d = function
+  | Obj fields ->
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | (k, x) :: rest ->
+        let* v = at k (d x) in
+        go ((k, v) :: acc) rest
+    in
+    go [] fields
+  | j -> expected "an object" j
+
+let field_opt name d = function
+  | Obj fields ->
+    (match List.assoc_opt name fields with
+    | None | Some Null -> Ok None
+    | Some v -> at name (Result.map Option.some (d v)))
+  | j -> expected "an object" j
+
+let field name d = function
+  | Obj fields ->
+    (match List.assoc_opt name fields with
+    | None -> Error (name ^ ": missing")
+    | Some v -> at name (d v))
+  | j -> expected "an object" j
+
+let field_or name ~default d j = Result.map (Option.value ~default) (field_opt name d j)

@@ -162,48 +162,38 @@ let to_json t =
                           metrics) ) ])
              t.entries) ) ]
 
+open Jsonx.Syntax
+
+(* Every gated metric is required: an entry without one would gate
+   against a made-up value. Runtime is never gated, so never stored. *)
+let qmetrics_of_json j =
+  let metric name = Jsonx.field name Jsonx.float j in
+  let* wl_um = metric "wl_um" in
+  let* grc_pct = metric "grc_pct" in
+  let* wns_pct = metric "wns_pct" in
+  let* tns = metric "tns" in
+  let* dataflow_cost = metric "dataflow_cost" in
+  Ok { Record.wl_um; grc_pct; wns_pct; tns; runtime_s = 0.0; dataflow_cost }
+
+let entry_of_json j =
+  let* circuit = Jsonx.field "circuit" Jsonx.string j in
+  let* flow = Jsonx.field "flow" Jsonx.string j in
+  let* qm = Jsonx.field "metrics" qmetrics_of_json j in
+  Ok { circuit; flow; qm }
+
 let of_json j =
-  match Jsonx.member "schema" j with
-  | Some (Jsonx.String s) when s = schema ->
-    let tolerances =
-      match Jsonx.member "tolerances" j with
-      | Some (Jsonx.Obj fields) ->
-        List.filter_map
-          (fun (k, v) -> Option.map (fun f -> (k, f)) (Jsonx.to_float_opt v))
-          fields
-      | _ -> default_tolerances
-    in
-    let entries =
-      match Option.bind (Jsonx.member "entries" j) Jsonx.to_list_opt with
-      | None -> []
-      | Some items ->
-        List.filter_map
-          (fun e ->
-            match
-              ( Option.bind (Jsonx.member "circuit" e) Jsonx.to_string_opt,
-                Option.bind (Jsonx.member "flow" e) Jsonx.to_string_opt,
-                Jsonx.member "metrics" e )
-            with
-            | Some circuit, Some flow, Some mj ->
-              let metric name =
-                Option.value ~default:0.0
-                  (Option.bind (Jsonx.member name mj) Jsonx.to_float_opt)
-              in
-              Some
-                { circuit;
-                  flow;
-                  qm =
-                    { Record.wl_um = metric "wl_um";
-                      grc_pct = metric "grc_pct";
-                      wns_pct = metric "wns_pct";
-                      tns = metric "tns";
-                      runtime_s = 0.0;
-                      dataflow_cost = metric "dataflow_cost" } }
-            | _ -> None)
-          items
-    in
-    Ok { tolerances; entries }
-  | _ -> Error "not a hidap-qor-baselines document"
+  let* s = Jsonx.field "schema" Jsonx.string j in
+  if s <> schema then Error "not a hidap-qor-baselines document"
+  else
+    let* v = Jsonx.field_or "version" ~default:version Jsonx.int j in
+    if v > version then
+      Error (Printf.sprintf "baselines version %d is newer than supported %d" v version)
+    else
+      let* tolerances =
+        Jsonx.field_or "tolerances" ~default:default_tolerances (Jsonx.assoc Jsonx.float) j
+      in
+      let* entries = Jsonx.field_or "entries" ~default:[] (Jsonx.list entry_of_json) j in
+      Ok { tolerances; entries }
 
 let write path t = Jsonx.write_file path (to_json t)
 

@@ -274,31 +274,8 @@ let rect_json (r : Rect.t) =
     [ Jsonx.Float r.Rect.x; Jsonx.Float r.Rect.y; Jsonx.Float r.Rect.w;
       Jsonx.Float r.Rect.h ]
 
-let rect_of_json = function
-  | Jsonx.List [ x; y; w; h ] ->
-    (match (Jsonx.to_float_opt x, Jsonx.to_float_opt y, Jsonx.to_float_opt w,
-            Jsonx.to_float_opt h)
-     with
-    | Some x, Some y, Some w, Some h -> Some (Rect.make ~x ~y ~w ~h)
-    | _ -> None)
-  | _ -> None
-
 let points_json pts =
   Jsonx.List (List.map (fun (x, y) -> Jsonx.List [ Jsonx.Float x; Jsonx.Float y ]) pts)
-
-let points_of_json j =
-  match Jsonx.to_list_opt j with
-  | None -> None
-  | Some items ->
-    let pt = function
-      | Jsonx.List [ x; y ] ->
-        (match (Jsonx.to_float_opt x, Jsonx.to_float_opt y) with
-        | Some x, Some y -> Some (x, y)
-        | _ -> None)
-      | _ -> None
-    in
-    let pts = List.filter_map pt items in
-    if List.length pts = List.length items then Some pts else None
 
 let perf_info_json p =
   Jsonx.Obj
@@ -435,286 +412,156 @@ let to_json t =
                   (List.map (fun (name, pts) -> (name, points_json pts)) cb.cb_term_curves)
               ) ] ) ]
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+(* ---- decoding ------------------------------------------------------ *)
 
-let field j name of_j =
-  match Option.bind (Jsonx.member name j) of_j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed field %S" name)
+open Jsonx.Syntax
+
+let rect_of_json j =
+  let* l = Jsonx.list Jsonx.float j in
+  match l with
+  | [ x; y; w; h ] -> Ok (Rect.make ~x ~y ~w ~h)
+  | _ -> Error (Printf.sprintf "expected [x, y, w, h], got %d numbers" (List.length l))
+
+let points_of_json = Jsonx.list (Jsonx.pair Jsonx.float Jsonx.float)
+
+let qmetrics_of_json j =
+  let metric name = Jsonx.field name Jsonx.float j in
+  let* wl_um = metric "wl_um" in
+  let* _ = Jsonx.field_opt "wl_m" Jsonx.float j (* derived from wl_um *) in
+  let* grc_pct = metric "grc_pct" in
+  let* wns_pct = metric "wns_pct" in
+  let* tns = metric "tns" in
+  let* runtime_s = metric "runtime_s" in
+  let* dataflow_cost = metric "dataflow_cost" in
+  Ok { wl_um; grc_pct; wns_pct; tns; runtime_s; dataflow_cost }
+
+let sa_of_json j =
+  let* moves = Jsonx.field_or "moves" ~default:0 Jsonx.int j in
+  let* curve = Jsonx.field_or "curve" ~default:[] points_of_json j in
+  Ok (moves, curve)
+
+let stage_of_json j =
+  let* stage_name = Jsonx.field "name" Jsonx.string j in
+  let* total_us = Jsonx.field "total_us" Jsonx.float j in
+  let* calls = Jsonx.field "calls" Jsonx.int j in
+  Ok { stage_name; total_us; calls }
+
+let macro_of_json j =
+  let* macro_name = Jsonx.field "name" Jsonx.string j in
+  let* macro_rect = Jsonx.field "rect" rect_of_json j in
+  let* orient =
+    Jsonx.field "orient" (Jsonx.enum "orientation" Geom.Orientation.of_string) j
+  in
+  Ok { macro_name; macro_rect; orient }
+
+let level_of_json j =
+  let* depth = Jsonx.field "depth" Jsonx.int j in
+  let* ht_id = Jsonx.field "ht_id" Jsonx.int j in
+  let* level_rect = Jsonx.field "rect" rect_of_json j in
+  let* level_macros = Jsonx.field "macro_count" Jsonx.int j in
+  Ok { depth; ht_id; level_rect; level_macros }
+
+let degradation_of_json j =
+  let* stage = Jsonx.field "stage" Jsonx.string j in
+  let* reason = Jsonx.field "reason" Jsonx.string j in
+  let* detail = Jsonx.field "detail" Jsonx.string j in
+  let* count = Jsonx.field "count" Jsonx.int j in
+  Ok { Guard.Supervisor.stage; reason; detail; count }
+
+let ckpt_of_json j =
+  let* resumed_from = Jsonx.field_opt "resumed_from" Jsonx.string j in
+  let* snapshots_written = Jsonx.field "snapshots_written" Jsonx.int j in
+  let* instances_reused = Jsonx.field "instances_reused" Jsonx.int j in
+  Ok { resumed_from; snapshots_written; instances_reused }
+
+let pool_worker_of_json j =
+  let* pw_tasks = Jsonx.field "tasks" Jsonx.int j in
+  let* pw_steals = Jsonx.field "steals" Jsonx.int j in
+  let* pw_busy_us = Jsonx.field "busy_us" Jsonx.float j in
+  Ok { pw_tasks; pw_steals; pw_busy_us }
+
+let pool_of_json j =
+  let* workers = Jsonx.field_or "workers" ~default:[] (Jsonx.list pool_worker_of_json) j in
+  let* wall_us = Jsonx.field_or "wall_us" ~default:0.0 Jsonx.float j in
+  let* maps = Jsonx.field_or "maps" ~default:0 Jsonx.int j in
+  Ok (workers, wall_us, maps)
+
+let perf_of_json j =
+  let* perf_counters = Jsonx.field_or "counters" ~default:[] (Jsonx.assoc Jsonx.int) j in
+  let* perf_moves_per_s = Jsonx.field_or "moves_per_s" ~default:0.0 Jsonx.float j in
+  let* perf_wall_s = Jsonx.field_or "wall_s" ~default:0.0 Jsonx.float j in
+  let* pool_workers, pool_wall_us, pool_maps =
+    Jsonx.field_or "pool" ~default:([], 0.0, 0) pool_of_json j
+  in
+  let* profile =
+    Jsonx.field_or "profile" ~default:[] (Jsonx.list (Jsonx.pair Jsonx.string Jsonx.int)) j
+  in
+  Ok
+    { perf_counters; perf_moves_per_s; perf_wall_s; pool_workers; pool_wall_us; pool_maps;
+      profile }
+
+let term_of_json j =
+  let* name = Jsonx.field "name" Jsonx.string j in
+  let* value = Jsonx.field "value" Jsonx.float j in
+  Ok (name, value)
+
+let pair_contrib_of_json j =
+  let* pair_a = Jsonx.field "a" Jsonx.string j in
+  let* pair_b = Jsonx.field "b" Jsonx.string j in
+  let* pair_weight = Jsonx.field "weight" Jsonx.float j in
+  let* pair_wl = Jsonx.field "wl" Jsonx.float j in
+  Ok { pair_a; pair_b; pair_weight; pair_wl }
+
+let block_contrib_of_json j =
+  let num name = Jsonx.field name Jsonx.float j in
+  let* bc_name = Jsonx.field "name" Jsonx.string j in
+  let* bc_wl = num "wl" in
+  let* bc_at_shift = num "at_shift" in
+  let* bc_am_deficit = num "am_deficit" in
+  let* bc_macro_deficit = num "macro_deficit" in
+  Ok { bc_name; bc_wl; bc_at_shift; bc_am_deficit; bc_macro_deficit }
+
+let cost_breakdown_of_json j =
+  let* cb_total = Jsonx.field "total" Jsonx.float j in
+  let* cb_terms = Jsonx.field_or "terms" ~default:[] (Jsonx.list term_of_json) j in
+  let* cb_pairs = Jsonx.field_or "pairs" ~default:[] (Jsonx.list pair_contrib_of_json) j in
+  let* cb_blocks = Jsonx.field_or "blocks" ~default:[] (Jsonx.list block_contrib_of_json) j in
+  let* cb_term_curves =
+    Jsonx.field_or "term_curves" ~default:[] (Jsonx.assoc points_of_json) j
+  in
+  Ok { cb_total; cb_terms; cb_pairs; cb_blocks; cb_term_curves }
 
 let of_json j =
-  let* s = field j "schema" Jsonx.to_string_opt in
+  let* s = Jsonx.field "schema" Jsonx.string j in
   if s <> schema then Error (Printf.sprintf "not a %s record (schema %S)" schema s)
   else
-    let* v = field j "version" Jsonx.to_int_opt in
+    let* v = Jsonx.field "version" Jsonx.int j in
     if v > version then
       Error (Printf.sprintf "record version %d is newer than supported %d" v version)
     else
-      let* circuit = field j "circuit" Jsonx.to_string_opt in
-      let* flow = field j "flow" Jsonx.to_string_opt in
-      let* seed = field j "seed" Jsonx.to_int_opt in
-      let lambda = Option.bind (Jsonx.member "lambda" j) Jsonx.to_float_opt in
-      let* cells = field j "cells" Jsonx.to_int_opt in
-      let* macro_count = field j "macro_count" Jsonx.to_int_opt in
-      let* mj = field j "metrics" (fun x -> Some x) in
-      let metric name = field mj name Jsonx.to_float_opt in
-      let* wl_um = metric "wl_um" in
-      let* grc_pct = metric "grc_pct" in
-      let* wns_pct = metric "wns_pct" in
-      let* tns = metric "tns" in
-      let* runtime_s = metric "runtime_s" in
-      let* dataflow_cost = metric "dataflow_cost" in
-      let displacement =
-        match Jsonx.member "displacement" j with
-        | Some (Jsonx.Obj fields) ->
-          List.filter_map
-            (fun (k, v) -> Option.map (fun f -> (k, f)) (Jsonx.to_float_opt v))
-            fields
-        | _ -> []
-      in
-      let sa_moves, sa_curve =
-        match Jsonx.member "sa" j with
-        | Some sa ->
-          ( Option.value ~default:0 (Option.bind (Jsonx.member "moves" sa) Jsonx.to_int_opt),
-            Option.value ~default:[]
-              (Option.bind (Jsonx.member "curve" sa) points_of_json) )
-        | None -> (0, [])
-      in
-      let stages =
-        match Option.bind (Jsonx.member "stages" j) Jsonx.to_list_opt with
-        | None -> []
-        | Some items ->
-          List.filter_map
-            (fun s ->
-              match
-                ( Option.bind (Jsonx.member "name" s) Jsonx.to_string_opt,
-                  Option.bind (Jsonx.member "total_us" s) Jsonx.to_float_opt,
-                  Option.bind (Jsonx.member "calls" s) Jsonx.to_int_opt )
-              with
-              | Some stage_name, Some total_us, Some calls ->
-                Some { stage_name; total_us; calls }
-              | _ -> None)
-            items
-      in
-      let gc = Option.bind (Jsonx.member "gc" j) Obs.Gcstats.of_json in
-      let* die = field j "die" rect_of_json in
-      let macros =
-        match Option.bind (Jsonx.member "macros" j) Jsonx.to_list_opt with
-        | None -> []
-        | Some items ->
-          List.filter_map
-            (fun m ->
-              match
-                ( Option.bind (Jsonx.member "name" m) Jsonx.to_string_opt,
-                  Option.bind (Jsonx.member "rect" m) rect_of_json,
-                  Option.bind
-                    (Option.bind (Jsonx.member "orient" m) Jsonx.to_string_opt)
-                    Geom.Orientation.of_string )
-              with
-              | Some macro_name, Some macro_rect, Some orient ->
-                Some { macro_name; macro_rect; orient }
-              | _ -> None)
-            items
-      in
-      let levels =
-        match Option.bind (Jsonx.member "levels" j) Jsonx.to_list_opt with
-        | None -> []
-        | Some items ->
-          List.filter_map
-            (fun l ->
-              match
-                ( Option.bind (Jsonx.member "depth" l) Jsonx.to_int_opt,
-                  Option.bind (Jsonx.member "ht_id" l) Jsonx.to_int_opt,
-                  Option.bind (Jsonx.member "rect" l) rect_of_json,
-                  Option.bind (Jsonx.member "macro_count" l) Jsonx.to_int_opt )
-              with
-              | Some depth, Some ht_id, Some level_rect, Some level_macros ->
-                Some { depth; ht_id; level_rect; level_macros }
-              | _ -> None)
-            items
-      in
-      let degradations =
-        match Option.bind (Jsonx.member "degradations" j) Jsonx.to_list_opt with
-        | None -> []
-        | Some items ->
-          List.filter_map
-            (fun d ->
-              match
-                ( Option.bind (Jsonx.member "stage" d) Jsonx.to_string_opt,
-                  Option.bind (Jsonx.member "reason" d) Jsonx.to_string_opt,
-                  Option.bind (Jsonx.member "detail" d) Jsonx.to_string_opt,
-                  Option.bind (Jsonx.member "count" d) Jsonx.to_int_opt )
-              with
-              | Some stage, Some reason, Some detail, Some count ->
-                Some { Guard.Supervisor.stage; reason; detail; count }
-              | _ -> None)
-            items
-      in
-      let ckpt =
-        match Jsonx.member "ckpt" j with
-        | Some (Jsonx.Obj _ as c) ->
-          (match
-             ( Option.bind (Jsonx.member "snapshots_written" c) Jsonx.to_int_opt,
-               Option.bind (Jsonx.member "instances_reused" c) Jsonx.to_int_opt )
-           with
-          | Some snapshots_written, Some instances_reused ->
-            Some
-              { resumed_from =
-                  Option.bind (Jsonx.member "resumed_from" c) Jsonx.to_string_opt;
-                snapshots_written;
-                instances_reused }
-          | _ -> None)
-        | _ -> None
-      in
-      let perf =
-        match Jsonx.member "perf" j with
-        | Some (Jsonx.Obj _ as p) ->
-          let counters =
-            match Jsonx.member "counters" p with
-            | Some (Jsonx.Obj fields) ->
-              List.filter_map
-                (fun (k, v) -> Option.map (fun n -> (k, n)) (Jsonx.to_int_opt v))
-                fields
-            | _ -> []
-          in
-          let f name =
-            Option.value ~default:0.0
-              (Option.bind (Jsonx.member name p) Jsonx.to_float_opt)
-          in
-          let pool = Jsonx.member "pool" p in
-          let pool_workers =
-            match Option.bind (Option.bind pool (Jsonx.member "workers")) Jsonx.to_list_opt with
-            | None -> []
-            | Some items ->
-              List.filter_map
-                (fun w ->
-                  match
-                    ( Option.bind (Jsonx.member "tasks" w) Jsonx.to_int_opt,
-                      Option.bind (Jsonx.member "steals" w) Jsonx.to_int_opt,
-                      Option.bind (Jsonx.member "busy_us" w) Jsonx.to_float_opt )
-                  with
-                  | Some pw_tasks, Some pw_steals, Some pw_busy_us ->
-                    Some { pw_tasks; pw_steals; pw_busy_us }
-                  | _ -> None)
-                items
-          in
-          let profile =
-            match Option.bind (Jsonx.member "profile" p) Jsonx.to_list_opt with
-            | None -> []
-            | Some items ->
-              List.filter_map
-                (function
-                  | Jsonx.List [ stack; n ] ->
-                    (match (Jsonx.to_string_opt stack, Jsonx.to_int_opt n) with
-                    | Some s, Some n -> Some (s, n)
-                    | _ -> None)
-                  | _ -> None)
-                items
-          in
-          Some
-            { perf_counters = counters;
-              perf_moves_per_s = f "moves_per_s";
-              perf_wall_s = f "wall_s";
-              pool_workers;
-              pool_wall_us =
-                Option.value ~default:0.0
-                  (Option.bind (Option.bind pool (Jsonx.member "wall_us"))
-                     Jsonx.to_float_opt);
-              pool_maps =
-                Option.value ~default:0
-                  (Option.bind (Option.bind pool (Jsonx.member "maps"))
-                     Jsonx.to_int_opt);
-              profile }
-        | _ -> None
-      in
-      let cost_breakdown =
-        match Jsonx.member "cost_breakdown" j with
-        | Some (Jsonx.Obj _ as cb) ->
-          (match Option.bind (Jsonx.member "total" cb) Jsonx.to_float_opt with
-          | None -> None
-          | Some cb_total ->
-            let cb_terms =
-              match Option.bind (Jsonx.member "terms" cb) Jsonx.to_list_opt with
-              | None -> []
-              | Some items ->
-                List.filter_map
-                  (fun t ->
-                    match
-                      ( Option.bind (Jsonx.member "name" t) Jsonx.to_string_opt,
-                        Option.bind (Jsonx.member "value" t) Jsonx.to_float_opt )
-                    with
-                    | Some n, Some v -> Some (n, v)
-                    | _ -> None)
-                  items
-            in
-            let cb_pairs =
-              match Option.bind (Jsonx.member "pairs" cb) Jsonx.to_list_opt with
-              | None -> []
-              | Some items ->
-                List.filter_map
-                  (fun p ->
-                    match
-                      ( Option.bind (Jsonx.member "a" p) Jsonx.to_string_opt,
-                        Option.bind (Jsonx.member "b" p) Jsonx.to_string_opt,
-                        Option.bind (Jsonx.member "weight" p) Jsonx.to_float_opt,
-                        Option.bind (Jsonx.member "wl" p) Jsonx.to_float_opt )
-                    with
-                    | Some pair_a, Some pair_b, Some pair_weight, Some pair_wl ->
-                      Some { pair_a; pair_b; pair_weight; pair_wl }
-                    | _ -> None)
-                  items
-            in
-            let cb_blocks =
-              match Option.bind (Jsonx.member "blocks" cb) Jsonx.to_list_opt with
-              | None -> []
-              | Some items ->
-                List.filter_map
-                  (fun b ->
-                    let f name =
-                      Option.bind (Jsonx.member name b) Jsonx.to_float_opt
-                    in
-                    match
-                      ( Option.bind (Jsonx.member "name" b) Jsonx.to_string_opt,
-                        f "wl", f "at_shift", f "am_deficit", f "macro_deficit" )
-                    with
-                    | Some bc_name, Some bc_wl, Some bc_at_shift, Some bc_am_deficit,
-                      Some bc_macro_deficit ->
-                      Some { bc_name; bc_wl; bc_at_shift; bc_am_deficit; bc_macro_deficit }
-                    | _ -> None)
-                  items
-            in
-            let cb_term_curves =
-              match Jsonx.member "term_curves" cb with
-              | Some (Jsonx.Obj fields) ->
-                List.filter_map
-                  (fun (k, v) -> Option.map (fun pts -> (k, pts)) (points_of_json v))
-                  fields
-              | _ -> []
-            in
-            Some { cb_total; cb_terms; cb_pairs; cb_blocks; cb_term_curves })
-        | _ -> None
-      in
+      let list name d = Jsonx.field_or name ~default:[] (Jsonx.list d) j in
+      let* circuit = Jsonx.field "circuit" Jsonx.string j in
+      let* flow = Jsonx.field "flow" Jsonx.string j in
+      let* seed = Jsonx.field "seed" Jsonx.int j in
+      let* lambda = Jsonx.field_opt "lambda" Jsonx.float j in
+      let* cells = Jsonx.field "cells" Jsonx.int j in
+      let* macro_count = Jsonx.field "macro_count" Jsonx.int j in
+      let* qm = Jsonx.field "metrics" qmetrics_of_json j in
+      let* displacement = Jsonx.field_or "displacement" ~default:[] (Jsonx.assoc Jsonx.float) j in
+      let* sa_moves, sa_curve = Jsonx.field_or "sa" ~default:(0, []) sa_of_json j in
+      let* stages = list "stages" stage_of_json in
+      let* gc = Jsonx.field_opt "gc" Obs.Gcstats.of_json j in
+      let* die = Jsonx.field "die" rect_of_json j in
+      let* macros = list "macros" macro_of_json in
+      let* levels = list "levels" level_of_json in
+      let* degradations = list "degradations" degradation_of_json in
+      let* ckpt = Jsonx.field_opt "ckpt" ckpt_of_json j in
+      let* perf = Jsonx.field_opt "perf" perf_of_json j in
+      let* cost_breakdown = Jsonx.field_opt "cost_breakdown" cost_breakdown_of_json j in
       Ok
-        { rec_version = v;
-          circuit;
-          flow;
-          seed;
-          lambda;
-          cells;
-          macro_count;
-          qm = { wl_um; grc_pct; wns_pct; tns; runtime_s; dataflow_cost };
-          displacement;
-          sa_moves;
-          sa_curve;
-          stages;
-          gc;
-          die;
-          macros;
-          levels;
-          degradations;
-          ckpt;
-          perf;
-          cost_breakdown }
+        { rec_version = v; circuit; flow; seed; lambda; cells; macro_count; qm;
+          displacement; sa_moves; sa_curve; stages; gc; die; macros; levels;
+          degradations; ckpt; perf; cost_breakdown }
 
 (* ---- ledger files -------------------------------------------------- *)
 
@@ -729,22 +576,14 @@ let ledger_json records =
 let write_ledger path records = Jsonx.write_file path (ledger_json records)
 
 let records_of_json j =
-  match Jsonx.member "schema" j with
-  | Some (Jsonx.String s) when s = ledger_schema ->
-    (match Option.bind (Jsonx.member "records" j) Jsonx.to_list_opt with
-    | None -> Error "ledger has no records array"
-    | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-          (match of_json item with
-          | Ok r -> go (r :: acc) rest
-          | Error _ as e -> e)
-      in
-      go [] items)
-  | Some (Jsonx.String s) when s = schema ->
-    (match of_json j with Ok r -> Ok [ r ] | Error _ as e -> e)
-  | _ -> Error "not a hidap-qor record or ledger"
+  let* s = Jsonx.field "schema" Jsonx.string j in
+  if s = schema then Result.map (fun r -> [ r ]) (of_json j)
+  else if s <> ledger_schema then Error "not a hidap-qor record or ledger"
+  else
+    let* v = Jsonx.field "version" Jsonx.int j in
+    if v > version then
+      Error (Printf.sprintf "ledger version %d is newer than supported %d" v version)
+    else Jsonx.field "records" (Jsonx.list of_json) j
 
 let load_ledger path =
   match Jsonx.parse_file path with

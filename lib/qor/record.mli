@@ -11,7 +11,9 @@
     Versioning / compatibility rules: [version] bumps only on breaking
     changes; added fields are backward-compatible and readers must
     ignore unknown fields. [of_json] accepts any record whose version
-    is <= the library's, refuses newer ones. *)
+    is <= the library's, refuses newer ones. Absent optional sections
+    read as absent; a present known field of the wrong type or shape
+    is an [Error] naming its path ({!Obs.Jsonx} decoders). *)
 
 val schema : string
 (** ["hidap-qor"], the [schema] tag of every record. *)
@@ -178,6 +180,9 @@ val perf_info_json : perf_info -> Obs.Jsonx.t
 val to_json : t -> Obs.Jsonx.t
 
 val of_json : Obs.Jsonx.t -> (t, string) result
+
+val ledger_schema : string
+(** ["hidap-qor-ledger"], the [schema] tag of a ledger document. *)
 
 val ledger_json : t list -> Obs.Jsonx.t
 (** Records wrapped as a ["hidap-qor-ledger"] document. *)

@@ -223,6 +223,15 @@ let create cfg =
      when the previous daemon died is re-enqueued as pending. Its
      attempts survive; its checkpoint store makes the resumed
      placement bit-identical. Terminal jobs stay queryable. *)
+  let jobs, skipped = Job.load_all ~state_dir:cfg.state_dir in
+  List.iter
+    (fun (id, e) ->
+      log t "skipping job dir %s: %s" (Job.dir ~state_dir:cfg.state_dir id) e;
+      (* its id stays taken: a new job must not write into its dir *)
+      match Job.seq_of_id id with
+      | Some seq when seq >= t.next_seq -> t.next_seq <- seq + 1
+      | _ -> ())
+    skipped;
   List.iter
     (fun (j : Job.t) ->
       Hashtbl.replace t.jobs j.Job.id j;
@@ -240,7 +249,7 @@ let create cfg =
         Job.save ~state_dir:cfg.state_dir j;
         Jobq.force_push t.q ~priority:j.Job.spec.Proto.priority ~seq:j.Job.seq j
       | Proto.Done | Proto.Failed | Proto.Timed_out -> ())
-    (Job.load_all ~state_dir:cfg.state_dir);
+    jobs;
   t
 
 let request_drain t = Atomic.set t.drain_req true

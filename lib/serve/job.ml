@@ -8,7 +8,8 @@
 
    job.json is written atomically (tmp + rename), so a kill -9 at any
    point leaves either the previous state or the new one, never a torn
-   file; recovery treats an unreadable job.json as absent. *)
+   file; recovery skips a job whose job.json does not parse or decode,
+   and names it. *)
 
 module J = Obs.Jsonx
 
@@ -26,6 +27,8 @@ type t = {
 }
 
 let id_of_seq seq = Printf.sprintf "j%04d" seq
+
+let seq_of_id id = Scanf.sscanf_opt id "j%d%!" Fun.id
 
 let make ~seq spec =
   { id = id_of_seq seq; seq; spec; state = Proto.Pending; attempts = 0; detail = "" }
@@ -76,26 +79,23 @@ let save ~state_dir t =
   close_out oc;
   Sys.rename tmp path
 
+open J.Syntax
+
+(* A job file without schema or version loads as the current one. *)
 let of_json j =
-  let str name = Option.bind (J.member name j) J.to_string_opt in
-  let int name = Option.bind (J.member name j) J.to_int_opt in
-  match (str "schema", int "version") with
-  | Some s, _ when s <> job_schema -> Error (Printf.sprintf "unexpected schema %S" s)
-  | _, Some v when v > job_version ->
-    Error (Printf.sprintf "job version %d is newer than %d" v job_version)
-  | _ ->
-    (match (str "id", int "seq", Option.bind (str "state") Proto.state_of_string) with
-    | Some id, Some seq, Some state ->
-      let spec =
-        match J.member "spec" j with
-        | Some s -> Proto.submit_of_json s
-        | None -> Proto.default_submit
-      in
-      Ok
-        { id; seq; spec; state;
-          attempts = Option.value ~default:0 (int "attempts");
-          detail = Option.value ~default:"" (str "detail") }
-    | _ -> Error "missing id/seq/state")
+  let* s = J.field_or "schema" ~default:job_schema J.string j in
+  if s <> job_schema then Error (Printf.sprintf "unexpected schema %S" s)
+  else
+    let* v = J.field_or "version" ~default:job_version J.int j in
+    if v > job_version then Error (Printf.sprintf "job version %d is newer than %d" v job_version)
+    else
+      let* id = J.field "id" J.string j in
+      let* seq = J.field "seq" J.int j in
+      let* state = J.field "state" (J.enum "state" Proto.state_of_string) j in
+      let* attempts = J.field_or "attempts" ~default:0 J.int j in
+      let* detail = J.field_or "detail" ~default:"" J.string j in
+      let* spec = J.field_or "spec" ~default:Proto.default_submit Proto.submit_of_json j in
+      Ok { id; seq; spec; state; attempts; detail }
 
 let load ~state_dir id =
   match J.parse_file (meta_path ~state_dir id) with
@@ -104,16 +104,22 @@ let load ~state_dir id =
 
 (* Scan the state directory for every job with a readable job.json.
    Unreadable or torn entries are skipped, not fatal: recovery must
-   start with whatever survived. Sorted by submission sequence so
-   re-enqueueing preserves the original order. *)
+   start with whatever survived, and reports the skipped dirs with
+   their errors. Sorted by submission sequence so re-enqueueing
+   preserves the original order. *)
 let load_all ~state_dir =
   let root = jobs_root state_dir in
   let ids =
     match Sys.readdir root with
-    | entries -> Array.to_list entries
+    | entries -> List.sort compare (Array.to_list entries)
     | exception Sys_error _ -> []
   in
-  List.filter_map
-    (fun id -> match load ~state_dir id with Ok t -> Some t | Error _ -> None)
-    ids
-  |> List.sort (fun a b -> compare a.seq b.seq)
+  let jobs, skipped =
+    List.partition_map
+      (fun id ->
+        match load ~state_dir id with
+        | Ok t -> Either.Left t
+        | Error e -> Either.Right (id, e))
+      ids
+  in
+  (List.sort (fun a b -> compare a.seq b.seq) jobs, skipped)

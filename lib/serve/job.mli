@@ -17,6 +17,9 @@ type t = {
   mutable detail : string;
 }
 
+val seq_of_id : string -> int option
+(** The [seq] a job id (a job dir's name) encodes, if it is one. *)
+
 val make : seq:int -> Proto.submit -> t
 (** A fresh pending job. *)
 
@@ -37,10 +40,10 @@ val save : state_dir:string -> t -> unit
 
 val load : state_dir:string -> string -> (t, string) result
 
-val load_all : state_dir:string -> t list
-(** Every job with a readable [job.json], sorted by [seq]. Torn or
-    foreign entries are skipped — recovery starts from whatever
-    survived. *)
+val load_all : state_dir:string -> t list * (string * string) list
+(** Every job with a readable [job.json], sorted by [seq], and the ids
+    of the job dirs skipped, with their errors. Torn, foreign or malformed entries
+    are skipped — recovery starts from whatever survived. *)
 
 val to_json : t -> Obs.Jsonx.t
 

@@ -111,13 +111,13 @@ let consume r ~on_event =
       match J.parse line with
       | Error _ -> ()
       | Ok j ->
-        (match Option.bind (J.member "event" j) J.to_string_opt with
-        | Some "job-attempt-end" ->
-          let str name =
-            Option.value ~default:""
-              (Option.bind (J.member name j) J.to_string_opt)
-          in
-          r.frame <- Some (str "outcome", str "detail")
+        (match J.field "event" J.string j with
+        | Ok "job-attempt-end" ->
+          let text name = J.field_or name ~default:"" J.string j in
+          (* a malformed frame counts as none: the death is unclassified *)
+          (match (text "outcome", text "detail") with
+          | Ok outcome, Ok detail -> r.frame <- Some (outcome, detail)
+          | _ -> ())
         | _ -> ());
         on_event r.job j)
     (Proto.take_lines r.rbuf)

@@ -68,24 +68,20 @@ let submit_fields s =
       Some ("max_retries", J.Int s.max_retries);
       Some ("label", J.String s.label) ]
 
-let opt_str j name = Option.bind (J.member name j) J.to_string_opt
-
-let opt_int j name = Option.bind (J.member name j) J.to_int_opt
-
-let opt_float j name = Option.bind (J.member name j) J.to_float_opt
-
-let int_or j name d = Option.value ~default:d (opt_int j name)
+open J.Syntax
 
 let submit_of_json j =
-  { circuit = opt_str j "circuit";
-    hnl = opt_str j "hnl";
-    seed = int_or j "seed" default_submit.seed;
-    lambda = opt_float j "lambda";
-    jobs = int_or j "jobs" default_submit.jobs;
-    priority = int_or j "priority" default_submit.priority;
-    deadline_s = opt_float j "deadline_s";
-    max_retries = int_or j "max_retries" default_submit.max_retries;
-    label = Option.value ~default:"" (opt_str j "label") }
+  let d = default_submit in
+  let* circuit = J.field_opt "circuit" J.string j in
+  let* hnl = J.field_opt "hnl" J.string j in
+  let* seed = J.field_or "seed" ~default:d.seed J.int j in
+  let* lambda = J.field_opt "lambda" J.float j in
+  let* jobs = J.field_or "jobs" ~default:d.jobs J.int j in
+  let* priority = J.field_or "priority" ~default:d.priority J.int j in
+  let* deadline_s = J.field_opt "deadline_s" J.float j in
+  let* max_retries = J.field_or "max_retries" ~default:d.max_retries J.int j in
+  let* label = J.field_or "label" ~default:d.label J.string j in
+  Ok { circuit; hnl; seed; lambda; jobs; priority; deadline_s; max_retries; label }
 
 (* ---- requests ----------------------------------------------------- *)
 
@@ -118,36 +114,29 @@ let request_to_json = function
 (* The envelope check is shared by both directions: requests and
    responses refuse foreign schemas and newer versions the same way. *)
 let check_envelope j =
-  match (opt_str j "schema", opt_int j "version") with
-  | None, _ -> Error "missing schema field"
-  | Some s, _ when s <> schema ->
-    Error (Printf.sprintf "unexpected schema %S (want %s)" s schema)
-  | _, None -> Error "missing version field"
-  | _, Some v when v > version ->
-    Error (Printf.sprintf "protocol version %d is newer than %d" v version)
-  | Some _, Some _ -> Ok ()
+  let* s = J.field "schema" J.string j in
+  if s <> schema then Error (Printf.sprintf "unexpected schema %S (want %s)" s schema)
+  else
+    let* v = J.field "version" J.int j in
+    if v > version then Error (Printf.sprintf "protocol version %d is newer than %d" v version)
+    else Ok ()
 
-let need_id j k =
-  match opt_str j "id" with
-  | Some id -> Ok (k id)
-  | None -> Error "missing id field"
+let need_id j k = Result.map k (J.field "id" J.string j)
 
 let request_of_json j =
-  match check_envelope j with
-  | Error _ as e -> e
-  | Ok () ->
-    (match opt_str j "req" with
-    | None -> Error "missing req field"
-    | Some "ping" -> Ok Ping
-    | Some "submit" -> Ok (Submit (submit_of_json j))
-    | Some "status" -> need_id j (fun id -> Status id)
-    | Some "list" -> Ok List
-    | Some "stats" -> Ok Stats
-    | Some "result" -> need_id j (fun id -> Result id)
-    | Some "report" -> need_id j (fun id -> Report id)
-    | Some "watch" -> need_id j (fun id -> Watch id)
-    | Some "drain" -> Ok Drain
-    | Some other -> Error (Printf.sprintf "unknown request %S" other))
+  let* () = check_envelope j in
+  let* req = J.field "req" J.string j in
+  match req with
+  | "ping" -> Ok Ping
+  | "submit" -> Result.map (fun s -> Submit s) (submit_of_json j)
+  | "status" -> need_id j (fun id -> Status id)
+  | "list" -> Ok List
+  | "stats" -> Ok Stats
+  | "result" -> need_id j (fun id -> Result id)
+  | "report" -> need_id j (fun id -> Report id)
+  | "watch" -> need_id j (fun id -> Watch id)
+  | "drain" -> Ok Drain
+  | other -> Error (Printf.sprintf "unknown request %S" other)
 
 let request_of_line line =
   match J.parse line with
@@ -213,15 +202,13 @@ let job_view_to_json v =
       ("detail", J.String v.detail) ]
 
 let job_view_of_json j =
-  match (opt_str j "id", Option.bind (opt_str j "state") state_of_string) with
-  | Some id, Some state ->
-    Ok
-      { id; state;
-        label = Option.value ~default:"" (opt_str j "label");
-        attempts = int_or j "attempts" 0;
-        priority = int_or j "priority" 0;
-        detail = Option.value ~default:"" (opt_str j "detail") }
-  | _ -> Error "bad job view"
+  let* id = J.field "id" J.string j in
+  let* state = J.field "state" (J.enum "state" state_of_string) j in
+  let* label = J.field_or "label" ~default:"" J.string j in
+  let* attempts = J.field_or "attempts" ~default:0 J.int j in
+  let* priority = J.field_or "priority" ~default:0 J.int j in
+  let* detail = J.field_or "detail" ~default:"" J.string j in
+  Ok { id; label; state; attempts; priority; detail }
 
 let worker_view_to_json w =
   J.Obj
@@ -231,10 +218,11 @@ let worker_view_to_json w =
       ("elapsed_s", J.Float w.elapsed_s) ]
 
 let worker_view_of_json j =
-  { slot = int_or j "slot" 0;
-    pid = opt_int j "pid";
-    job = opt_str j "job";
-    elapsed_s = Option.value ~default:0.0 (opt_float j "elapsed_s") }
+  let* slot = J.field_or "slot" ~default:0 J.int j in
+  let* pid = J.field_opt "pid" J.int j in
+  let* job = J.field_opt "job" J.string j in
+  let* elapsed_s = J.field_or "elapsed_s" ~default:0.0 J.float j in
+  Ok { slot; pid; job; elapsed_s }
 
 let stats_to_json s =
   J.Obj
@@ -249,22 +237,23 @@ let stats_to_json s =
       ("workers", J.List (List.map worker_view_to_json s.workers)) ]
 
 let stats_of_json j =
-  { queue_depth = int_or j "queue_depth" 0;
-    queue_limit = int_or j "queue_limit" 0;
-    accepted = int_or j "accepted" 0;
-    rejected_backpressure = int_or j "rejected_backpressure" 0;
-    rejected_draining = int_or j "rejected_draining" 0;
-    completed = int_or j "completed" 0;
-    failed = int_or j "failed" 0;
-    timed_out = int_or j "timed_out" 0;
-    parked = int_or j "parked" 0;
-    retried = int_or j "retried" 0;
-    worker_lost = int_or j "worker_lost" 0;
-    draining = (match J.member "draining" j with Some (J.Bool b) -> b | _ -> false);
-    workers =
-      (match Option.bind (J.member "workers" j) J.to_list_opt with
-      | Some l -> List.map worker_view_of_json l
-      | None -> []) }
+  let count name = J.field_or name ~default:0 J.int j in
+  let* queue_depth = count "queue_depth" in
+  let* queue_limit = count "queue_limit" in
+  let* accepted = count "accepted" in
+  let* rejected_backpressure = count "rejected_backpressure" in
+  let* rejected_draining = count "rejected_draining" in
+  let* completed = count "completed" in
+  let* failed = count "failed" in
+  let* timed_out = count "timed_out" in
+  let* parked = count "parked" in
+  let* retried = count "retried" in
+  let* worker_lost = count "worker_lost" in
+  let* draining = J.field_or "draining" ~default:false J.bool j in
+  let* workers = J.field_or "workers" ~default:[] (J.list worker_view_of_json) j in
+  Ok
+    { queue_depth; queue_limit; accepted; rejected_backpressure; rejected_draining;
+      completed; failed; timed_out; parked; retried; worker_lost; draining; workers }
 
 let response_to_json = function
   | Pong -> envelope [ ("resp", J.String "pong") ]
@@ -288,53 +277,40 @@ let response_to_json = function
   | Error_reply msg -> envelope [ ("resp", J.String "error"); ("message", J.String msg) ]
 
 let response_of_json j =
-  match check_envelope j with
-  | Error _ as e -> e
-  | Ok () ->
-    (match opt_str j "resp" with
-    | None -> Error "missing resp field"
-    | Some "pong" -> Ok Pong
-    | Some "accepted" ->
-      need_id j (fun id -> Accepted { id; depth = int_or j "depth" 0 })
-    | Some "rejected" ->
-      Ok
-        (Rejected
-           { reason = Option.value ~default:"" (opt_str j "reason");
-             depth = int_or j "depth" 0; limit = int_or j "limit" 0 })
-    | Some "job" ->
-      (match J.member "job" j with
-      | Some v -> Result.map (fun v -> Job v) (job_view_of_json v)
-      | None -> Error "missing job field")
-    | Some "jobs" ->
-      (match Option.bind (J.member "jobs" j) J.to_list_opt with
-      | None -> Error "missing jobs field"
-      | Some l ->
-        let rec go acc = function
-          | [] -> Ok (Jobs (List.rev acc))
-          | v :: rest ->
-            (match job_view_of_json v with
-            | Ok v -> go (v :: acc) rest
-            | Error _ as e -> e)
-        in
-        go [] l)
-    | Some "stats" ->
-      (match J.member "stats" j with
-      | Some s -> Ok (Stats_reply (stats_of_json s))
-      | None -> Error "missing stats field")
-    | Some "result" ->
-      need_id j (fun id ->
-          Result_reply { id; qor = Option.value ~default:J.Null (J.member "qor" j) })
-    | Some "report" ->
-      need_id j (fun id ->
-          Report_reply
-            { id; html = Option.value ~default:"" (opt_str j "html") })
-    | Some "progress" ->
-      need_id j (fun id ->
-          Progress { id; event = Option.value ~default:J.Null (J.member "event" j) })
-    | Some "draining" -> Ok Draining_reply
-    | Some "error" ->
-      Ok (Error_reply (Option.value ~default:"" (opt_str j "message")))
-    | Some other -> Error (Printf.sprintf "unknown response %S" other))
+  let* () = check_envelope j in
+  let* resp = J.field "resp" J.string j in
+  let text name = J.field_or name ~default:"" J.string j in
+  let count name = J.field_or name ~default:0 J.int j in
+  let value name = J.field_or name ~default:J.Null Result.ok j in
+  match resp with
+  | "pong" -> Ok Pong
+  | "accepted" ->
+    let* id = J.field "id" J.string j in
+    let* depth = count "depth" in
+    Ok (Accepted { id; depth })
+  | "rejected" ->
+    let* reason = text "reason" in
+    let* depth = count "depth" in
+    let* limit = count "limit" in
+    Ok (Rejected { reason; depth; limit })
+  | "job" -> Result.map (fun v -> Job v) (J.field "job" job_view_of_json j)
+  | "jobs" -> Result.map (fun vs -> Jobs vs) (J.field "jobs" (J.list job_view_of_json) j)
+  | "stats" -> Result.map (fun s -> Stats_reply s) (J.field "stats" stats_of_json j)
+  | "result" ->
+    let* id = J.field "id" J.string j in
+    let* qor = value "qor" in
+    Ok (Result_reply { id; qor })
+  | "report" ->
+    let* id = J.field "id" J.string j in
+    let* html = text "html" in
+    Ok (Report_reply { id; html })
+  | "progress" ->
+    let* id = J.field "id" J.string j in
+    let* event = value "event" in
+    Ok (Progress { id; event })
+  | "draining" -> Ok Draining_reply
+  | "error" -> Result.map (fun m -> Error_reply m) (text "message")
+  | other -> Error (Printf.sprintf "unknown response %S" other)
 
 let response_of_line line =
   match J.parse line with

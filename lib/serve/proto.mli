@@ -9,7 +9,9 @@
 
     Decoding is {e total}: malformed bytes become [Error _], never an
     exception, because the daemon feeds raw client input through these
-    functions (the framing fuzz tests assert exactly this). *)
+    functions (the framing fuzz tests assert exactly this). Absent or
+    [null] fields take their defaults; a present field of the wrong
+    type is an [Error] naming it. *)
 
 val schema : string
 (** ["hidap-serve"] *)
@@ -137,8 +139,9 @@ val submit_fields : submit -> (string * Obs.Jsonx.t) list
 (** The submit payload as envelope fields (shared with the on-disk
     job.json). *)
 
-val submit_of_json : Obs.Jsonx.t -> submit
-(** Lenient: absent fields take their {!default_submit} values. *)
+val submit_of_json : submit Obs.Jsonx.decoder
+(** Absent or [null] fields take their {!default_submit} values; a
+    present field of the wrong type is an [Error] naming it. *)
 
 val to_line : Obs.Jsonx.t -> string
 (** Compact one-line rendering (the only framing the protocol has). *)

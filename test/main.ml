@@ -7,4 +7,5 @@ let () =
     @ Test_substrates.suite @ Test_toolchain.suite @ Test_extras.suite
     @ Test_integration.suite @ Test_properties.suite @ Test_attrib.suite
     @ Test_incremental.suite @ Test_obs.suite @ Test_qor.suite
-    @ Test_parexec.suite @ Test_guard.suite @ Test_ckpt.suite @ Test_serve.suite)
+    @ Test_parexec.suite @ Test_guard.suite @ Test_ckpt.suite @ Test_serve.suite
+    @ Test_decoders.suite)

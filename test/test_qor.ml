@@ -389,6 +389,37 @@ let test_baseline_json_roundtrip () =
     Alcotest.(check bool) "tolerances kept" true
       (List.mem_assoc "wl_um" b.Baseline.tolerances)
 
+(* [hidap report DIR] renders every QoR ledger in DIR, names a QoR
+   document that fails to decode, and passes over other JSON (a
+   --metrics file) in silence. *)
+let test_report_dir_names_skipped () =
+  Tmp_dir.with_dir "hidap-report" @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let r = sample_record () in
+  let file name = Filename.concat dir name in
+  Record.write_ledger (file "good.json") [ r ];
+  (match Record.to_json r with
+  | Jsonx.Obj fields ->
+    Jsonx.write_file (file "bad.json")
+      (Jsonx.Obj (List.map (fun (k, v) -> if k = "seed" then (k, Jsonx.String "7") else (k, v)) fields))
+  | _ -> Alcotest.fail "record must serialize to an object");
+  Jsonx.write_file (file "metrics.json") (Jsonx.Obj [ ("counters", Jsonx.Obj []) ]);
+  let cli = Lazy.force Test_serve.cli in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let errfd = Unix.openfile (file "stderr") [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  let pid = Unix.create_process cli [| cli; "report"; dir |] Unix.stdin null errfd in
+  Unix.close null;
+  Unix.close errfd;
+  let _, status = Unix.waitpid [] pid in
+  let stderr = In_channel.with_open_bin (file "stderr") In_channel.input_all in
+  Alcotest.(check bool) ("exit 0; stderr:\n" ^ stderr) true (status = Unix.WEXITED 0);
+  Alcotest.(check string) "the bad ledger is named with its error"
+    (Printf.sprintf "hidap: skipping %s: seed: expected an integer, got \"7\"\n"
+       (file "bad.json"))
+    stderr;
+  Alcotest.(check (list bool)) "only the good ledger is rendered" [ true; false; false ]
+    (List.map Sys.file_exists [ file "good.html"; file "bad.html"; file "metrics.html" ])
+
 (* ---------------------------------------------------------------- *)
 (* HTML report                                                       *)
 (* ---------------------------------------------------------------- *)
@@ -601,6 +632,8 @@ let suite =
         Alcotest.test_case "gate flags a flow with no run" `Quick test_gate_no_run;
         Alcotest.test_case "baseline json round-trip" `Quick
           test_baseline_json_roundtrip;
+        Alcotest.test_case "report DIR names the ledgers it skips" `Quick
+          test_report_dir_names_skipped;
         Alcotest.test_case "html report" `Quick test_html_report;
         Alcotest.test_case "run load: sources and stops" `Quick test_run_load;
         Alcotest.test_case "eval record describes its own flow" `Slow

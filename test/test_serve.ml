@@ -1083,6 +1083,81 @@ let test_serve_crash_recovery () =
   Alcotest.(check int) "completed after recovery" 1 s.P.completed;
   Serve.Client.close cl
 
+(* Recovery starts from whatever survived: a job dir whose job.json is
+   torn, or decodes to a wrong-typed field, is skipped and named on the
+   daemon's stderr, and the good jobs around it recover as before. The
+   skipped dir's id stays taken, so no new job writes into it. *)
+let test_serve_recovery_names_skipped_dirs () =
+  with_scratch @@ fun dir ->
+  let state_dir = Filename.concat dir "state" in
+  let save seq state =
+    let j = Serve.Job.make ~seq (fig1_submit ()) in
+    j.Serve.Job.state <- state;
+    Serve.Job.save ~state_dir j;
+    j.Serve.Job.id
+  in
+  let running = save 1 P.Running in
+  let done_ = save 4 P.Done in
+  let write_meta id text =
+    Serve.Job.mkdir_p (Serve.Job.dir ~state_dir id);
+    let oc = open_out (Filename.concat (Serve.Job.dir ~state_dir id) "job.json") in
+    output_string oc text;
+    close_out oc;
+    id
+  in
+  let torn = write_meta "j0005" {|{"schema":"hidap-serve-job","version":1,"id":"j0005","se|} in
+  let wrong =
+    write_meta "j0003"
+      {|{"schema":"hidap-serve-job","version":1,"id":"j0003","seq":3,"state":"pending","spec":{"circuit":"c1","lambda":"0.2"}}|}
+  in
+  let d = start dir in
+  Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
+  let cl = connect d in
+  (match wait_state cl running with
+  | P.Done -> ()
+  | s -> Alcotest.failf "recovered job ended %s" (P.state_to_string s));
+  Alcotest.(check bool) "the done job stays queryable" true
+    ((ok (Serve.Client.status cl done_)).P.state = P.Done);
+  List.iter
+    (fun id ->
+      match Serve.Client.status cl id with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "skipped job %s was recovered" id)
+    [ torn; wrong ];
+  (* the skipped ids stay taken: a new job gets a fresh dir *)
+  Alcotest.(check string) "next job id" "j0006" (submit_ok cl (fig1_submit ()));
+  Serve.Client.close cl;
+  let log = dump_log d in
+  List.iter
+    (fun affix ->
+      if not (Astring.String.is_infix ~affix log) then
+        Alcotest.failf "daemon log does not name %S:\n%s" affix log)
+    [ "hidap serve: skipping job dir " ^ Serve.Job.dir ~state_dir torn;
+      "hidap serve: skipping job dir " ^ Serve.Job.dir ~state_dir wrong ^ ": spec.lambda" ]
+
+(* A present submit field of the wrong type is refused with an error
+   naming it, and no job is admitted: a string lambda must not run the
+   default sweep. *)
+let test_serve_wrong_typed_submit_refused () =
+  with_scratch @@ fun dir ->
+  let d = start dir in
+  Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
+  let fd = raw_connect d.sock in
+  raw_send fd
+    ({|{"schema":"hidap-serve","version":1,"req":"submit","circuit":"c1","lambda":"0.2"}|}
+    ^ "\n");
+  (match Option.map P.response_of_line (raw_recv_line fd) with
+  | Some (Ok (P.Error_reply msg)) ->
+    Alcotest.(check bool) (Printf.sprintf "error %S names lambda" msg) true
+      (Astring.String.is_infix ~affix:"lambda" msg)
+  | Some (Ok r) -> Alcotest.failf "answered %s" (P.to_line (P.response_to_json r))
+  | Some (Error e) -> Alcotest.failf "unparseable reply: %s" e
+  | None -> Alcotest.fail "no reply");
+  Unix.close fd;
+  let cl = connect d in
+  Alcotest.(check int) "no job admitted" 0 (ok (Serve.Client.stats cl)).P.accepted;
+  Serve.Client.close cl
+
 (* The daemon dying mid-conversation surfaces as a typed Conn error,
    never an exception or a hang. *)
 let test_serve_daemon_death_is_conn_error () =
@@ -1173,6 +1248,10 @@ let suite =
           test_serve_socket_busy_refused;
         Alcotest.test_case "crash recovery completes the job" `Slow
           test_serve_crash_recovery;
+        Alcotest.test_case "recovery names the job dirs it skips" `Slow
+          test_serve_recovery_names_skipped_dirs;
+        Alcotest.test_case "wrong-typed submit field refused" `Slow
+          test_serve_wrong_typed_submit_refused;
         Alcotest.test_case "daemon death is a typed conn error" `Slow
           test_serve_daemon_death_is_conn_error;
         Alcotest.test_case "draining rejects new work" `Slow
