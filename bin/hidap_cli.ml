@@ -806,16 +806,11 @@ let load_baselines ~required path =
       Format.eprintf "hidap: %s@." msg;
       exit 1
 
-let report_one ?baseline ~input ~output () =
-  match Qor.Record.load_ledger input with
-  | Error msg ->
-    Format.eprintf "hidap: %s@." msg;
-    exit 1
-  | Ok records ->
-    let title = Printf.sprintf "HiDaP run report — %s" (Filename.basename input) in
-    Qor.Html.write_file output (Qor.Html.render ?baseline ~title records);
-    Format.printf "wrote %s (%d record%s)@." output (List.length records)
-      (if List.length records = 1 then "" else "s")
+let report_one ?baseline ~input ~output records =
+  let title = Printf.sprintf "HiDaP run report — %s" (Filename.basename input) in
+  Qor.Html.write_file output (Qor.Html.render ?baseline ~title records);
+  Format.printf "wrote %s (%d record%s)@." output (List.length records)
+    (if List.length records = 1 then "" else "s")
 
 let report_cmd =
   let run input output baselines =
@@ -835,7 +830,7 @@ let report_cmd =
                  | Some (Obs.Jsonx.String s)
                    when s = Qor.Record.schema || s = Qor.Record.ledger_schema ->
                    (match Qor.Record.records_of_json j with
-                   | Ok (_ :: _) -> Some path
+                   | Ok (_ :: _ as records) -> Some (path, records)
                    | Ok [] -> None
                    | Error msg ->
                      Format.eprintf "hidap: skipping %s: %s@." path msg;
@@ -847,10 +842,10 @@ let report_cmd =
         exit 1
       end;
       List.iter
-        (fun path ->
+        (fun (path, records) ->
           report_one ?baseline ~input:path
             ~output:(Filename.remove_extension path ^ ".html")
-            ())
+            records)
         entries
     end
     else
@@ -859,7 +854,11 @@ let report_cmd =
         | Some o -> o
         | None -> Filename.remove_extension input ^ ".html"
       in
-      report_one ?baseline ~input ~output ()
+      match Qor.Record.load_ledger input with
+      | Error msg ->
+        Format.eprintf "hidap: %s@." msg;
+        exit 1
+      | Ok records -> report_one ?baseline ~input ~output records
   in
   let input_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"LEDGER|DIR"
@@ -1139,6 +1138,11 @@ let bench_cmd =
     let qor_out = Option.map (open_output ~what:"qor") qor in
     let names = String.split_on_char ',' circuits |> List.filter (fun s -> s <> "") in
     let config = { Hidap.Config.default with Hidap.Config.jobs = resolve_jobs jobs } in
+    let baselines_path = Option.value ~default:default_baselines baselines in
+    (* A gate reads its baselines before the runs, so a bad file fails fast. *)
+    let baseline =
+      if update then None else load_baselines ~required:true (Some baselines_path)
+    in
     let records =
       List.concat_map
         (fun name ->
@@ -1154,34 +1158,30 @@ let bench_cmd =
         names
     in
     write_output "qor" qor_out (Qor.Record.ledger_json records);
-    let baselines_path = Option.value ~default:default_baselines baselines in
-    if update then begin
+    match baseline with
+    | None ->
       Qor.Baseline.write baselines_path (Qor.Baseline.of_records records);
       Format.printf "wrote baselines %s (%d entries)@." baselines_path
         (List.length records);
-      match report_out with
+      (match report_out with
       | Some path ->
         Qor.Html.write_file path (Qor.Html.render ~title:"hidap bench" records);
         Format.printf "wrote report %s@." path
-      | None -> ()
-    end
-    else
-      match load_baselines ~required:true (Some baselines_path) with
-      | None -> assert false
-      | Some b ->
-        let comparisons = Qor.Baseline.compare_all b records in
-        print_string (Qor.Baseline.render comparisons);
-        (match report_out with
-        | Some path ->
-          Qor.Html.write_file path
-            (Qor.Html.render ~baseline:b ~title:"hidap bench" records);
-          Format.printf "wrote report %s@." path
-        | None -> ());
-        if Qor.Baseline.overall comparisons = Qor.Baseline.Regressed then begin
-          flush stdout;
-          Format.eprintf "hidap bench: QoR regression beyond tolerance@.";
-          exit 1
-        end
+      | None -> ())
+    | Some b ->
+      let comparisons = Qor.Baseline.compare_all b records in
+      print_string (Qor.Baseline.render comparisons);
+      (match report_out with
+      | Some path ->
+        Qor.Html.write_file path
+          (Qor.Html.render ~baseline:b ~title:"hidap bench" records);
+        Format.printf "wrote report %s@." path
+      | None -> ());
+      if Qor.Baseline.overall comparisons = Qor.Baseline.Regressed then begin
+        flush stdout;
+        Format.eprintf "hidap bench: QoR regression beyond tolerance@.";
+        exit 1
+      end
   in
   let circuits_arg =
     Arg.(value & opt string "c1" & info [ "circuits" ] ~docv:"c1,c2"

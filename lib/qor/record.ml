@@ -525,7 +525,9 @@ let cost_breakdown_of_json j =
   let* cb_total = Jsonx.field "total" Jsonx.float j in
   let* cb_terms = Jsonx.field_or "terms" ~default:[] (Jsonx.list term_of_json) j in
   let* cb_pairs = Jsonx.field_or "pairs" ~default:[] (Jsonx.list pair_contrib_of_json) j in
-  let* cb_blocks = Jsonx.field_or "blocks" ~default:[] (Jsonx.list block_contrib_of_json) j in
+  let* cb_blocks =
+    Jsonx.field_or "blocks" ~default:[] (Jsonx.list block_contrib_of_json) j
+  in
   let* cb_term_curves =
     Jsonx.field_or "term_curves" ~default:[] (Jsonx.assoc points_of_json) j
   in
@@ -547,7 +549,9 @@ let of_json j =
       let* cells = Jsonx.field "cells" Jsonx.int j in
       let* macro_count = Jsonx.field "macro_count" Jsonx.int j in
       let* qm = Jsonx.field "metrics" qmetrics_of_json j in
-      let* displacement = Jsonx.field_or "displacement" ~default:[] (Jsonx.assoc Jsonx.float) j in
+      let* displacement =
+        Jsonx.field_or "displacement" ~default:[] (Jsonx.assoc Jsonx.float) j
+      in
       let* sa_moves, sa_curve = Jsonx.field_or "sa" ~default:(0, []) sa_of_json j in
       let* stages = list "stages" stage_of_json in
       let* gc = Jsonx.field_opt "gc" Obs.Gcstats.of_json j in

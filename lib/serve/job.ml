@@ -87,7 +87,8 @@ let of_json j =
   if s <> job_schema then Error (Printf.sprintf "unexpected schema %S" s)
   else
     let* v = J.field_or "version" ~default:job_version J.int j in
-    if v > job_version then Error (Printf.sprintf "job version %d is newer than %d" v job_version)
+    if v > job_version then
+      Error (Printf.sprintf "job version %d is newer than %d" v job_version)
     else
       let* id = J.field "id" J.string j in
       let* seq = J.field "seq" J.int j in

@@ -42,8 +42,9 @@ val load : state_dir:string -> string -> (t, string) result
 
 val load_all : state_dir:string -> t list * (string * string) list
 (** Every job with a readable [job.json], sorted by [seq], and the ids
-    of the job dirs skipped, with their errors. Torn, foreign or malformed entries
-    are skipped — recovery starts from whatever survived. *)
+    of the job dirs skipped, with their errors. Torn, foreign or
+    malformed entries are skipped — recovery starts from whatever
+    survived. *)
 
 val to_json : t -> Obs.Jsonx.t
 

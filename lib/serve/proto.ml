@@ -118,7 +118,8 @@ let check_envelope j =
   if s <> schema then Error (Printf.sprintf "unexpected schema %S (want %s)" s schema)
   else
     let* v = J.field "version" J.int j in
-    if v > version then Error (Printf.sprintf "protocol version %d is newer than %d" v version)
+    if v > version then
+      Error (Printf.sprintf "protocol version %d is newer than %d" v version)
     else Ok ()
 
 let need_id j k = Result.map k (J.field "id" J.string j)

@@ -101,13 +101,13 @@ let check_case (Case c) () =
       decodes_to (p ^ " null") (default c.value) (edit p (fun _ -> Some Jsonx.Null) "" doc))
     c.defaults;
   let extra = ("zz_unknown", Jsonx.Obj [ ("k", Jsonx.Int 1) ]) in
-  let add = function Jsonx.Obj fields -> Some (Jsonx.Obj (fields @ [ extra ])) | v -> Some v in
-  (match add doc with Some doc' -> decodes_to "unknown top-level field" c.value doc' | None -> ());
+  let add = function Jsonx.Obj fields -> Jsonx.Obj (fields @ [ extra ]) | v -> v in
+  decodes_to "unknown top-level field" c.value (add doc);
   List.iter
     (fun (p, v) ->
       match v with
       | Jsonx.Obj _ when not (under c.opaque p || List.mem p c.maps) ->
-        decodes_to ("unknown field in " ^ p) c.value (edit p add "" doc)
+        decodes_to ("unknown field in " ^ p) c.value (edit p (fun v -> Some (add v)) "" doc)
       | _ -> ())
     (paths "" doc)
 
@@ -317,7 +317,8 @@ let test_named_failures () =
         Alcotest.failf "%s: error %S does not name %s" what e affix
   in
   expect "a submit's string lambda" "lambda"
-    (P.request_of_line {|{"schema":"hidap-serve","version":1,"req":"submit","circuit":"c1","lambda":"0.2"}|});
+    (P.request_of_line
+       {|{"schema":"hidap-serve","version":1,"req":"submit","circuit":"c1","lambda":"0.2"}|});
   let base =
     edit "entries[0].metrics.grc_pct" (fun _ -> Some (Jsonx.String "6.3")) ""
       (Baseline.to_json baseline)

@@ -401,7 +401,8 @@ let test_report_dir_names_skipped () =
   (match Record.to_json r with
   | Jsonx.Obj fields ->
     Jsonx.write_file (file "bad.json")
-      (Jsonx.Obj (List.map (fun (k, v) -> if k = "seed" then (k, Jsonx.String "7") else (k, v)) fields))
+      (Jsonx.Obj
+         (List.map (fun (k, v) -> if k = "seed" then (k, Jsonx.String "7") else (k, v)) fields))
   | _ -> Alcotest.fail "record must serialize to an object");
   Jsonx.write_file (file "metrics.json") (Jsonx.Obj [ ("counters", Jsonx.Obj []) ]);
   let cli = Lazy.force Test_serve.cli in
