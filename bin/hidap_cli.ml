@@ -67,9 +67,8 @@ let die_usage fmt =
    report stays greppable alongside parser diagnostics. *)
 let print_diag ?path d =
   match path with
-  | Some p when d.Guard.Diag.loc = None ->
-    Format.eprintf "%s: %a@." p Guard.Diag.pp d
-  | _ -> Format.eprintf "%a@." Guard.Diag.pp d
+  | Some p -> Format.eprintf "%s: %a@." p Guard.Diag.pp d
+  | None -> Format.eprintf "%a@." Guard.Diag.pp d
 
 let source_of ~file ~circuit =
   match (file, circuit) with
@@ -372,8 +371,7 @@ let stats_cmd =
 
 let place_cmd =
   let run file circuit seed lambda jobs svg ascii save strict budget trace metrics
-      profile qor profile_out perf_out progress_file progress_fd ckpt_dir ckpt_every
-      resume =
+      profile qor profile_out perf_out progress_file progress_fd ckpt_dir resume =
     if resume && ckpt_dir = None then die_usage "--resume requires --checkpoint-dir";
     (* SIGINT/SIGTERM on a checkpointed run: ask the flow to stop at
        its next budget poll instead of dying mid-write; the handler
@@ -441,7 +439,7 @@ let place_cmd =
         let t0 = Obs.Clock.now_s () in
         let ckpt =
           Option.map
-            (fun dir -> { Qor.Run.dir; every = ckpt_every; resume; on_save = ignore })
+            (fun dir -> { Qor.Run.dir; resume; on_save = ignore })
             ckpt_dir
         in
         let on_resume f =
@@ -559,13 +557,8 @@ let place_cmd =
   let ckpt_dir_arg =
     Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
            ~doc:"Checkpoint the run into DIR (created if needed): a crash-safe \
-                 snapshot after every N completed floorplan instances and at \
+                 snapshot after every completed floorplan instance and at \
                  each stage boundary. Inspect with $(b,hidap ckpt).")
-  in
-  let ckpt_every_arg =
-    Arg.(value & opt int 1 & info [ "checkpoint-every" ] ~docv:"N"
-           ~doc:"Completed floorplan instances between periodic snapshots \
-                 (default 1). Stage boundaries always snapshot.")
   in
   let resume_arg =
     Arg.(value & flag & info [ "resume" ]
@@ -579,7 +572,7 @@ let place_cmd =
     Term.(const run $ file_arg $ circuit_arg $ seed_arg $ lambda_arg $ jobs_arg $ svg_arg
           $ ascii_arg $ save_arg $ strict_arg $ budget_arg $ trace_arg $ metrics_arg
           $ profile_arg $ qor_arg $ profile_out_arg $ perf_out_arg $ progress_file_arg
-          $ progress_fd_arg $ ckpt_dir_arg $ ckpt_every_arg $ resume_arg)
+          $ progress_fd_arg $ ckpt_dir_arg $ resume_arg)
 
 (* ---- eval --------------------------------------------------------- *)
 
@@ -1223,9 +1216,28 @@ let connect_client socket =
 let client_error_code e fallback =
   if Serve.Client.is_conn e then exit_daemon else fallback
 
+(* Fetch a done job's QoR ledger into [out], opened before the daemon
+   was contacted (stdout when [None]). A ledger that cannot be fetched
+   fails the command. *)
+let fetch_result cl id out =
+  match Serve.Client.result cl id with
+  | Ok qor ->
+    if out = None then print_endline (Obs.Jsonx.to_string qor)
+    else write_output "qor" out qor;
+    0
+  | Error e ->
+    Format.eprintf "hidap: result: %s@." (Serve.Client.error_message e);
+    client_error_code e 1
+
+let print_job_view (v : Serve.Proto.job_view) =
+  Format.printf "%s  %-9s  attempts %d  %s%s@." v.Serve.Proto.id
+    (Serve.Proto.state_to_string v.Serve.Proto.state)
+    v.Serve.Proto.attempts v.Serve.Proto.label
+    (if v.Serve.Proto.detail = "" then "" else "  — " ^ v.Serve.Proto.detail)
+
 let serve_cmd =
   let run socket state_dir queue_limit workers drain_grace jobs retry_base
-      retry_cap job_mem_mb job_cpu_s job_stall max_line_bytes =
+      job_mem_mb job_cpu_s job_stall max_line_bytes =
     let faults =
       match Guard.Fault.of_env () with Ok s -> s | Error msg -> die_usage "%s" msg
     in
@@ -1243,7 +1255,7 @@ let serve_cmd =
       { (Serve.Engine.default_config ~socket_path:socket ~state_dir) with
         Serve.Engine.queue_limit; workers; drain_grace_s = drain_grace;
         default_job_jobs = resolve_jobs jobs; retry_base_s = retry_base;
-        retry_cap_s = retry_cap; job_mem_mb; job_cpu_s; stall_s = job_stall;
+        job_mem_mb; job_cpu_s; stall_s = job_stall;
         max_line_bytes; faults }
     in
     let eng =
@@ -1283,12 +1295,8 @@ let serve_cmd =
   in
   let retry_base_arg =
     Arg.(value & opt float 0.05 & info [ "retry-base" ] ~docv:"SECONDS"
-           ~doc:"First retry backoff; doubles per attempt (deterministic, no \
-                 jitter).")
-  in
-  let retry_cap_arg =
-    Arg.(value & opt float 2.0 & info [ "retry-cap" ] ~docv:"SECONDS"
-           ~doc:"Backoff ceiling.")
+           ~doc:"First retry backoff; doubles per attempt up to 2s \
+                 (deterministic, no jitter).")
   in
   let workers_arg =
     Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N"
@@ -1327,16 +1335,16 @@ let serve_cmd =
              watchdog, retry, graceful drain, crash recovery)" ~exits)
     Term.(const run $ socket_arg $ state_dir_arg $ queue_limit_arg
           $ workers_arg $ drain_grace_arg $ jobs_arg $ retry_base_arg
-          $ retry_cap_arg $ job_mem_mb_arg $ job_cpu_s_arg $ job_stall_arg
+          $ job_mem_mb_arg $ job_cpu_s_arg $ job_stall_arg
           $ max_line_bytes_arg)
 
 let submit_cmd =
-  let run socket file circuit seed lambda jobs priority deadline max_retries
-      label watch wait result_out report_out =
+  let run socket file circuit seed lambda jobs deadline max_retries label watch
+      wait result_out =
     let spec =
       let base =
         { Serve.Proto.default_submit with
-          Serve.Proto.seed; lambda; jobs; priority; deadline_s = deadline;
+          Serve.Proto.seed; lambda; jobs; deadline_s = deadline;
           max_retries; label }
       in
       match (file, circuit) with
@@ -1358,36 +1366,18 @@ let submit_cmd =
       | Some _, Some _ | None, None ->
         die_usage "give exactly one of FILE.hnl or --circuit"
     in
+    if result_out <> None && not (watch || wait) then
+      die_usage "--result-out requires --watch or --wait";
+    let result_out = Option.map (open_output ~what:"result") result_out in
     let cl = connect_client socket in
-    let fetch_outputs id =
-      (match result_out with
-      | None -> ()
-      | Some path ->
-        (match Serve.Client.result cl id with
-        | Ok qor ->
-          Obs.Jsonx.write_file path qor;
-          Format.printf "wrote qor %s@." path
-        | Error e ->
-          Format.eprintf "hidap: result: %s@." (Serve.Client.error_message e)));
-      match report_out with
-      | None -> ()
-      | Some path ->
-        (match Serve.Client.report cl id with
-        | Ok html ->
-          let oc = open_out path in
-          output_string oc html;
-          close_out oc;
-          Format.printf "wrote report %s@." path
-        | Error e ->
-          Format.eprintf "hidap: report: %s@." (Serve.Client.error_message e))
-    in
     let finish (v : Serve.Proto.job_view) =
       Format.printf "job %s: %s%s@." v.Serve.Proto.id
         (Serve.Proto.state_to_string v.Serve.Proto.state)
         (if v.Serve.Proto.detail = "" then ""
          else " (" ^ v.Serve.Proto.detail ^ ")");
-      if v.Serve.Proto.state = Serve.Proto.Done then fetch_outputs v.Serve.Proto.id;
       match v.Serve.Proto.state with
+      | Serve.Proto.Done when result_out <> None ->
+        fetch_result cl v.Serve.Proto.id result_out
       | Serve.Proto.Done -> 0
       | Serve.Proto.Timed_out -> exit_budget
       | Serve.Proto.Parked -> exit_interrupted
@@ -1428,11 +1418,6 @@ let submit_cmd =
     Serve.Client.close cl;
     if code <> 0 then exit code
   in
-  let priority_arg =
-    Arg.(value & opt int 0 & info [ "priority" ] ~docv:"N"
-           ~doc:"Queue priority: higher runs first, FIFO within a priority \
-                 (default 0).")
-  in
   let deadline_arg =
     Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS"
            ~doc:"Per-attempt wall-clock deadline. A job past it lands in the \
@@ -1459,63 +1444,34 @@ let submit_cmd =
   in
   let result_out_arg =
     Arg.(value & opt (some string) None & info [ "result-out" ] ~docv:"OUT.json"
-           ~doc:"With --watch/--wait: download the finished job's QoR ledger.")
-  in
-  let report_out_arg =
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"OUT.html"
-           ~doc:"With --watch/--wait: download the finished job's HTML report.")
+           ~doc:"With --watch/--wait: download the finished job's QoR ledger \
+                 (render it with $(b,hidap report)). The file is opened \
+                 before the job is submitted.")
   in
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit a placement job to a running daemon" ~exits)
     Term.(const run $ socket_arg $ file_arg $ circuit_arg $ seed_arg $ lambda_arg
-          $ jobs_arg $ priority_arg $ deadline_arg $ max_retries_arg $ label_arg
-          $ watch_flag $ wait_flag $ result_out_arg $ report_out_arg)
+          $ jobs_arg $ deadline_arg $ max_retries_arg $ label_arg
+          $ watch_flag $ wait_flag $ result_out_arg)
 
 let jobs_cmd =
-  let run socket stats status result report output drain =
+  let run socket stats status result output drain =
+    let output =
+      if result = None then None else Option.map (open_output ~what:"result") output
+    in
     let cl = connect_client socket in
     let code =
-      match (status, result, report, stats, drain) with
-      | Some id, None, None, false, false ->
+      match (status, result, stats, drain) with
+      | Some id, None, false, false ->
         (match Serve.Client.status cl id with
         | Ok v ->
-          Format.printf "%s  %-9s  attempts %d  priority %d  %s%s@."
-            v.Serve.Proto.id
-            (Serve.Proto.state_to_string v.Serve.Proto.state)
-            v.Serve.Proto.attempts v.Serve.Proto.priority v.Serve.Proto.label
-            (if v.Serve.Proto.detail = "" then ""
-             else "  — " ^ v.Serve.Proto.detail);
+          print_job_view v;
           0
         | Error e ->
           Format.eprintf "hidap: %s@." (Serve.Client.error_message e);
           client_error_code e 1)
-      | None, Some id, None, false, false ->
-        (match Serve.Client.result cl id with
-        | Ok qor ->
-          (match output with
-          | Some path ->
-            Obs.Jsonx.write_file path qor;
-            Format.printf "wrote qor %s@." path
-          | None -> print_endline (Obs.Jsonx.to_string qor));
-          0
-        | Error e ->
-          Format.eprintf "hidap: %s@." (Serve.Client.error_message e);
-          client_error_code e 1)
-      | None, None, Some id, false, false ->
-        (match Serve.Client.report cl id with
-        | Ok html ->
-          (match output with
-          | Some path ->
-            let oc = open_out path in
-            output_string oc html;
-            close_out oc;
-            Format.printf "wrote report %s@." path
-          | None -> print_string html);
-          0
-        | Error e ->
-          Format.eprintf "hidap: %s@." (Serve.Client.error_message e);
-          client_error_code e 1)
-      | None, None, None, true, false ->
+      | None, Some id, false, false -> fetch_result cl id output
+      | None, None, true, false ->
         (match Serve.Client.stats cl with
         | Ok s ->
           Format.printf
@@ -1540,7 +1496,7 @@ let jobs_cmd =
         | Error e ->
           Format.eprintf "hidap: %s@." (Serve.Client.error_message e);
           client_error_code e 1)
-      | None, None, None, false, true ->
+      | None, None, false, true ->
         (match Serve.Client.drain cl with
         | Ok () ->
           Format.printf "drain requested@.";
@@ -1548,26 +1504,18 @@ let jobs_cmd =
         | Error e ->
           Format.eprintf "hidap: %s@." (Serve.Client.error_message e);
           client_error_code e 1)
-      | None, None, None, false, false ->
+      | None, None, false, false ->
         (match Serve.Client.list cl with
         | Ok [] ->
           Format.printf "no jobs@.";
           0
         | Ok vs ->
-          List.iter
-            (fun (v : Serve.Proto.job_view) ->
-              Format.printf "%s  %-9s  attempts %d  priority %d  %s%s@."
-                v.Serve.Proto.id
-                (Serve.Proto.state_to_string v.Serve.Proto.state)
-                v.Serve.Proto.attempts v.Serve.Proto.priority v.Serve.Proto.label
-                (if v.Serve.Proto.detail = "" then ""
-                 else "  — " ^ v.Serve.Proto.detail))
-            vs;
+          List.iter print_job_view vs;
           0
         | Error e ->
           Format.eprintf "hidap: %s@." (Serve.Client.error_message e);
           client_error_code e 1)
-      | _ -> die_usage "give at most one of --status, --result, --report, --stats, --drain"
+      | _ -> die_usage "give at most one of --status, --result, --stats, --drain"
     in
     Serve.Client.close cl;
     if code <> 0 then exit code
@@ -1581,15 +1529,12 @@ let jobs_cmd =
   in
   let result_arg =
     Arg.(value & opt (some string) None & info [ "result" ] ~docv:"ID"
-           ~doc:"Fetch a completed job's QoR ledger.")
-  in
-  let report_arg =
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"ID"
-           ~doc:"Fetch a completed job's HTML report.")
+           ~doc:"Fetch a completed job's QoR ledger (render it with \
+                 $(b,hidap report)).")
   in
   let output_arg =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT"
-           ~doc:"Write --result/--report output to a file instead of stdout.")
+           ~doc:"Write --result output to a file instead of stdout.")
   in
   let drain_flag =
     Arg.(value & flag & info [ "drain" ]
@@ -1599,7 +1544,7 @@ let jobs_cmd =
   Cmd.v
     (Cmd.info "jobs" ~doc:"List and query a running daemon's jobs" ~exits)
     Term.(const run $ socket_arg $ stats_flag $ status_arg $ result_arg
-          $ report_arg $ output_arg $ drain_flag)
+          $ output_arg $ drain_flag)
 
 (* ---- ckpt --------------------------------------------------------- *)
 
@@ -1619,9 +1564,8 @@ let ckpt_cmd =
   in
   let describe = function
     | Ok st ->
-      Printf.sprintf "ok    %d instance(s)%s%s"
+      Printf.sprintf "ok    %d instance(s)%s"
         (List.length st.Ckpt.State.instances)
-        (if st.Ckpt.State.flip <> None then ", flip" else "")
         (match st.Ckpt.State.stages with
         | [] -> ""
         | l -> ", stages " ^ String.concat "+" l)

@@ -1,11 +1,8 @@
 type t = {
   store : Store.t;
-  every : int;
   mutable state : State.t;
   lookup : (int, State.instance_entry) Hashtbl.t;  (* nh -> resumed entry *)
-  resumed_flip : State.flip_entry option;
   resumed_from : string option;
-  mutable new_units : int;  (* completed units since the last snapshot *)
   mutable written : int;
   mutable reused : int;
   mutex : Mutex.t;
@@ -27,12 +24,11 @@ let summary (t : t) =
     snapshots_written = t.written;
     instances_reused = t.reused }
 
-let make ~store ~every ~state ~resumed_from ~on_save =
+let make ~store ~state ~resumed_from ~on_save =
   let lookup = Hashtbl.create 64 in
   List.iter (fun (e : State.instance_entry) -> Hashtbl.replace lookup e.State.nh e) state.State.instances;
-  { store; every = max 1 every; state; lookup;
-    resumed_flip = state.State.flip; resumed_from;
-    new_units = 0; written = 0; reused = 0; mutex = Mutex.create (); on_save }
+  { store; state; lookup; resumed_from; written = 0; reused = 0;
+    mutex = Mutex.create (); on_save }
 
 (* Resume loading honors the [ckpt_load_corrupt] injection site: the
    armed fault corrupts the newest snapshot on disk and retries, so the
@@ -56,19 +52,19 @@ let load_for_resume store =
       | None -> ());
       loaded)
 
-let start ?(keep = 4) ?(every = 1) ?(on_save = ignore) ~dir ~resume fp =
+let start ?(keep = 4) ?(on_save = ignore) ~dir ~resume fp =
   match Store.open_ ~keep ~fresh:(not resume) dir with
   | Error msg ->
     Error (Guard.Diag.error ~code:"ckpt-io" ~stage:"ckpt" (dir ^ ": " ^ msg))
   | Ok store ->
     if not resume then
-      Ok (make ~store ~every ~state:(State.empty fp) ~resumed_from:None ~on_save)
+      Ok (make ~store ~state:(State.empty fp) ~resumed_from:None ~on_save)
     else begin
       match load_for_resume store with
       | None ->
         (* Nothing (valid) to resume from: run from scratch in the same
            directory so retry loops are idempotent. *)
-        Ok (make ~store ~every ~state:(State.empty fp) ~resumed_from:None ~on_save)
+        Ok (make ~store ~state:(State.empty fp) ~resumed_from:None ~on_save)
       | Some { Store.state; entry; rejected = _ } ->
         if not (State.fingerprint_equal state.State.fp fp) then
           Error
@@ -79,7 +75,7 @@ let start ?(keep = 4) ?(every = 1) ?(on_save = ignore) ~dir ~resume fp =
                   entry.Store.file State.pp_fingerprint state.State.fp
                   State.pp_fingerprint fp))
         else
-          Ok (make ~store ~every ~state ~resumed_from:(Some entry.Store.file) ~on_save)
+          Ok (make ~store ~state ~resumed_from:(Some entry.Store.file) ~on_save)
     end
 
 (* Snapshot writes degrade, never kill: a full disk or an injected
@@ -94,8 +90,7 @@ let save_now t =
           Obs.Span.attr_int "seq" e.Store.seq;
           Obs.Span.attr_int "instances" (List.length t.state.State.instances);
           Obs.Stream.checkpoint ~seq:e.Store.seq ~file:e.Store.file;
-          t.on_save ()));
-  t.new_units <- 0
+          t.on_save ()))
 
 let lookup_instance t ~nh ~n_blocks =
   match Hashtbl.find_opt t.lookup nh with
@@ -111,17 +106,8 @@ let instance_done t ~nh ~depth ~n_blocks ~rects ~sa_moves ~rng_after =
   let entry = { State.nh; depth; n_blocks; rects; sa_moves; rng_after } in
   t.state <- { t.state with State.instances = t.state.State.instances @ [ entry ] };
   Hashtbl.replace t.lookup nh entry;
-  t.new_units <- t.new_units + 1;
-  let due = t.new_units >= t.every in
   Mutex.unlock t.mutex;
-  if due then save_now t
-
-let lookup_flip t = t.resumed_flip
-
-let flip_done t flip =
-  Mutex.lock t.mutex;
-  t.state <- { t.state with State.flip = Some flip };
-  Mutex.unlock t.mutex
+  save_now t
 
 let stage_done t name =
   let fresh =

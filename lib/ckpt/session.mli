@@ -2,17 +2,16 @@
 
     A session owns a {!Store.t} plus the cumulative {!State.t} of the
     run so far. The flow reports completed work ({!instance_done},
-    {!flip_done}, {!stage_done}); the session appends it to the state
-    and snapshots the whole state every [every] completed units, and
-    unconditionally at stage boundaries. Every snapshot holds the whole
-    state, so a stage snapshot is an ordinary one whose [stages] list
-    grew, and the newest valid snapshot supersedes the rest. On resume,
-    the flow asks
-    before each unit of work ({!lookup_instance}, {!lookup_flip})
-    whether a finished result is already on record; a hit skips the
-    computation and — for floorplan instances — restores the RNG to the
-    recorded post-instance state, which is what keeps a resumed run
-    bit-identical to an uninterrupted one at any [--jobs] count.
+    {!stage_done}); the session appends it to the state and snapshots
+    the whole state after every completed floorplan instance and at
+    every stage boundary. Every snapshot holds the whole state, so a
+    stage snapshot is an ordinary one whose [stages] list grew, and the
+    newest valid snapshot supersedes the rest. On resume, the flow asks
+    before each floorplan instance ({!lookup_instance}) whether its
+    result is already on record; a hit skips the computation and
+    restores the RNG to the recorded post-instance state, which is what
+    keeps a resumed run bit-identical to an uninterrupted one at any
+    [--jobs] count. The later stages are deterministic and recomputed.
 
     Snapshot writes are supervised under the [ckpt_write] stage: an I/O
     failure (or injected fault) degrades to "no checkpoint written" and
@@ -30,7 +29,6 @@ type summary = {
 
 val start :
   ?keep:int ->
-  ?every:int ->
   ?on_save:(unit -> unit) ->
   dir:string ->
   resume:bool ->
@@ -41,9 +39,8 @@ val start :
     [resume:true] the newest valid snapshot file in [dir], whichever
     run wrote it, is adopted when its
     fingerprint matches ([ckpt-mismatch] error otherwise); an empty or
-    wholly invalid store resumes from scratch. [every] (default 1) is
-    the number of completed floorplan instances between periodic
-    snapshots; [keep] (default 4) the store retention window.
+    wholly invalid store resumes from scratch. [keep] (default 4) is
+    the store retention window.
     [on_save] runs after each snapshot is written (default: nothing). *)
 
 val lookup_instance : t -> nh:int -> n_blocks:int -> State.instance_entry option
@@ -57,10 +54,6 @@ val instance_done :
   sa_moves:int ->
   rng_after:int64 ->
   unit
-
-val lookup_flip : t -> State.flip_entry option
-
-val flip_done : t -> State.flip_entry -> unit
 
 val stage_done : t -> string -> unit
 (** Record a completed stage boundary and write a snapshot.

@@ -25,19 +25,13 @@ type instance_entry = {
   rng_after : int64;
 }
 
-type flip_entry = {
-  orientations : (int * Geom.Orientation.t) list;
-  flip_gain : float;
-}
-
 type t = {
   fp : fingerprint;
   instances : instance_entry list;  (** completion order *)
-  flip : flip_entry option;
   stages : string list;  (** completed stage boundaries, in order *)
 }
 
-let empty fp = { fp; instances = []; flip = None; stages = [] }
+let empty fp = { fp; instances = []; stages = [] }
 
 (* ---- bit-exact floats ---------------------------------------------- *)
 
@@ -89,17 +83,10 @@ let instance_equal a b =
   && Array.for_all2 rect_equal a.rects b.rects
   && a.sa_moves = b.sa_moves && a.rng_after = b.rng_after
 
-let flip_equal a b =
-  a.orientations = b.orientations && float_equal a.flip_gain b.flip_gain
-
 let equal a b =
   fingerprint_equal a.fp b.fp
   && List.length a.instances = List.length b.instances
   && List.for_all2 instance_equal a.instances b.instances
-  && (match (a.flip, b.flip) with
-     | None, None -> true
-     | Some x, Some y -> flip_equal x y
-     | _ -> false)
   && a.stages = b.stages
 
 (* ---- JSON codec ---------------------------------------------------- *)
@@ -122,24 +109,13 @@ let instance_json e =
       ("sa_moves", Jsonx.Int e.sa_moves);
       ("rng_after", Jsonx.String (Printf.sprintf "%Lx" e.rng_after)) ]
 
-let flip_json f =
-  Jsonx.Obj
-    [ ( "orientations",
-        Jsonx.List
-          (List.map
-             (fun (fid, o) ->
-               Jsonx.List [ Jsonx.Int fid; Jsonx.String (Geom.Orientation.to_string o) ])
-             f.orientations) );
-      ("gain", float_json f.flip_gain) ]
-
 let to_json t =
   Jsonx.Obj
     [ ("schema", Jsonx.String schema);
       ("version", Jsonx.Int version);
       ("fingerprint", fingerprint_json t.fp);
       ("stages", Jsonx.List (List.map (fun s -> Jsonx.String s) t.stages));
-      ("instances", Jsonx.List (List.map instance_json t.instances));
-      ("flip", (match t.flip with Some f -> flip_json f | None -> Jsonx.Null)) ]
+      ("instances", Jsonx.List (List.map instance_json t.instances)) ]
 
 let to_payload t = Jsonx.to_string ~compact:true (to_json t) ^ "\n"
 
@@ -161,14 +137,6 @@ let instance_of_json j =
   let* rng_after = Jsonx.field "rng_after" hex64 j in
   Ok { nh; depth; n_blocks; rects = Array.of_list rects; sa_moves; rng_after }
 
-let flip_of_json j =
-  let orientation = Jsonx.enum "orientation" Geom.Orientation.of_string in
-  let* orientations =
-    Jsonx.field "orientations" (Jsonx.list (Jsonx.pair Jsonx.int orientation)) j
-  in
-  let* flip_gain = Jsonx.field "gain" float_of_json j in
-  Ok { orientations; flip_gain }
-
 let of_json j =
   let* s = Jsonx.field "schema" Jsonx.string j in
   if s <> schema then Error (Printf.sprintf "not a %s payload (schema %S)" schema s)
@@ -180,8 +148,7 @@ let of_json j =
       let* fp = Jsonx.field "fingerprint" fingerprint_of_json j in
       let* stages = Jsonx.field "stages" (Jsonx.list Jsonx.string) j in
       let* instances = Jsonx.field "instances" (Jsonx.list instance_of_json) j in
-      let* flip = Jsonx.field_opt "flip" flip_of_json j in
-      Ok { fp; instances; flip; stages }
+      Ok { fp; instances; stages }
 
 let of_payload payload =
   match Jsonx.parse payload with

@@ -5,8 +5,9 @@
     match for a resume to be meaningful), the per-instance floorplan
     results in completion order — each carrying the SA-derived block
     rectangles {e and} the RNG state after the instance, so a resumed
-    run replays the identical pseudo-random stream — the flipping
-    result, and the completed stage boundaries.
+    run replays the identical pseudo-random stream — and the completed
+    stage boundaries. Flipping is not recorded: it is deterministic and
+    cheap, so a resumed run recomputes it.
 
     All floats are serialized as the hex image of their IEEE-754 bits:
     a loaded snapshot is bit-identical to the saved one, which is what
@@ -32,15 +33,9 @@ type instance_entry = {
   rng_after : int64;  (** RNG state after the instance completed *)
 }
 
-type flip_entry = {
-  orientations : (int * Geom.Orientation.t) list;
-  flip_gain : float;
-}
-
 type t = {
   fp : fingerprint;
   instances : instance_entry list;
-  flip : flip_entry option;
   stages : string list;
 }
 
@@ -55,7 +50,9 @@ val to_payload : t -> string
 (** Serialize for {!Envelope.write}. *)
 
 val of_payload : string -> (t, string) result
-(** Inverse of {!to_payload}; schema/version-checked. *)
+(** Inverse of {!to_payload}; schema/version-checked. Unknown fields
+    are ignored, so a snapshot carrying an older run's ["flip"] entry
+    still loads. *)
 
 val to_json : t -> Obs.Jsonx.t
 

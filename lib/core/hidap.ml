@@ -121,27 +121,12 @@ let place_design ?ckpt d ~lambda =
           ?ckpt ~die ())
   in
   Option.iter (fun s -> Ckpt.Session.stage_done s "floorplan") ckpt;
-  (* The flipping stage is replayed from the checkpoint when a resumed
-     snapshot carries it; orientation search is deterministic, so the
-     replay equals a recomputation — just free. *)
+  (* Orientation search is deterministic and cheap, so a resumed run
+     recomputes it rather than replaying it from the checkpoint. *)
   let flip =
-    match Option.bind ckpt Ckpt.Session.lookup_flip with
-    | Some e ->
-      { Flipping.orientations = e.Ckpt.State.orientations;
-        gain = e.Ckpt.State.flip_gain }
-    | None ->
-      let flip =
-        stage "flipping.run" (fun () ->
-            Flipping.run ~tree ~gseq ~ports ~macros:fp.Floorplan.placed_macros
-              ~ht_rects:fp.Floorplan.ht_rects ~die ~config)
-      in
-      Option.iter
-        (fun s ->
-          Ckpt.Session.flip_done s
-            { Ckpt.State.orientations = flip.Flipping.orientations;
-              flip_gain = flip.Flipping.gain })
-        ckpt;
-      flip
+    stage "flipping.run" (fun () ->
+        Flipping.run ~tree ~gseq ~ports ~macros:fp.Floorplan.placed_macros
+          ~ht_rects:fp.Floorplan.ht_rects ~die ~config)
   in
   Option.iter (fun s -> Ckpt.Session.stage_done s "flipping") ckpt;
   let orient_of = Hashtbl.create 64 in

@@ -89,12 +89,12 @@ val place :
 
     With [ckpt], the run checkpoints itself through the session: every
     completed floorplan instance is recorded (with the post-instance
-    RNG state), the flipping result is recorded, and the "floorplan"
-    and "flipping" stage boundaries force snapshots. A session that
-    resumed from a snapshot replays the recorded work instead of
-    recomputing it; because the recorded RNG states are restored, the
-    resumed placement is bit-identical to an uninterrupted run at any
-    [config.jobs]. *)
+    RNG state), and the "floorplan" and "flipping" stage boundaries
+    force snapshots. A session that resumed from a snapshot replays the
+    recorded instances instead of recomputing them and recomputes the
+    deterministic flipping; because the recorded RNG states are
+    restored, the resumed placement is bit-identical to an
+    uninterrupted run at any [config.jobs]. *)
 
 val overlap_area : result -> float
 (** Total pairwise overlap between placed macros — 0 for a legal

@@ -50,8 +50,9 @@ val check : stage:string -> unit
     Shared by every stage of the running flow. [hidap serve] arms a
     deadline per job attempt and requests cancellation to park the
     in-flight job on drain; a checkpointed [hidap place] requests
-    cancellation from its SIGINT/SIGTERM handler. Single global cells:
-    one flow at a time (the serve engine serializes job execution). *)
+    cancellation from its SIGINT/SIGTERM handler. Single global cells,
+    so one flow per process: the serve engine runs each job attempt in
+    its own worker process. *)
 
 val set_deadline : float -> unit
 (** Arm a run deadline [seconds] from now. *)

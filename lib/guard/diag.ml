@@ -1,12 +1,9 @@
 type severity = Info | Warning | Error
 
-type loc = { file : string option; line : int; col : int }
-
 type t = {
   code : string;
   severity : severity;
   stage : string;
-  loc : loc option;
   message : string;
 }
 
@@ -81,13 +78,13 @@ let codes =
       space or --job-cpu-s CPU time); deterministic exhaustion, so the job \
       fails without retry") ]
 
-let make ~code ~severity ~stage ?loc message = { code; severity; stage; loc; message }
+let make ~code ~severity ~stage message = { code; severity; stage; message }
 
-let error ~code ~stage ?loc message = make ~code ~severity:Error ~stage ?loc message
+let error ~code ~stage message = make ~code ~severity:Error ~stage message
 
-let warning ~code ~stage ?loc message = make ~code ~severity:Warning ~stage ?loc message
+let warning ~code ~stage message = make ~code ~severity:Warning ~stage message
 
-let fail ~code ~stage ?loc message = raise (Fail (error ~code ~stage ?loc message))
+let fail ~code ~stage message = raise (Fail (error ~code ~stage message))
 
 let escalate t = match t.severity with Warning -> { t with severity = Error } | _ -> t
 
@@ -99,35 +96,11 @@ let severity_to_string = function
   | Error -> "error"
 
 let pp ppf t =
-  (match t.loc with
-  | Some { file; line; col } ->
-    (match file with Some f -> Format.fprintf ppf "%s:" f | None -> ());
-    if line > 0 then Format.fprintf ppf "%d:" line;
-    if col > 0 then Format.fprintf ppf "%d:" col;
-    Format.pp_print_char ppf ' '
-  | None -> ());
   Format.fprintf ppf "%s[%s] (%s): %s"
     (severity_to_string t.severity)
     t.code t.stage t.message
 
 let to_string t = Format.asprintf "%a" pp t
-
-let to_json t =
-  let loc_json =
-    match t.loc with
-    | None -> Obs.Jsonx.Null
-    | Some { file; line; col } ->
-      Obs.Jsonx.Obj
-        [ ("file", (match file with Some f -> Obs.Jsonx.String f | None -> Obs.Jsonx.Null));
-          ("line", Obs.Jsonx.Int line);
-          ("col", Obs.Jsonx.Int col) ]
-  in
-  Obs.Jsonx.Obj
-    [ ("code", Obs.Jsonx.String t.code);
-      ("severity", Obs.Jsonx.String (severity_to_string t.severity));
-      ("stage", Obs.Jsonx.String t.stage);
-      ("loc", loc_json);
-      ("message", Obs.Jsonx.String t.message) ]
 
 (* Register a printer so an escaped Fail still renders readably in a
    backtrace instead of an opaque constructor dump. *)

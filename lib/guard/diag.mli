@@ -2,25 +2,18 @@
 
     Every user-facing failure in the flow is a diagnostic: a stable
     [code] (listed in DESIGN.md section 10), a severity, the flow stage
-    that produced it, an optional source location, and a message.
-    Diagnostics replace ad-hoc [failwith] in the parsing, validation and
-    placement layers: library code raises {!Fail} with a diagnostic and
-    the CLI turns it into a [file:line:col: message] report plus a
-    distinct exit code, instead of an uncaught-exception dump. *)
+    that produced it, and a message. Diagnostics replace ad-hoc
+    [failwith] in the validation and placement layers: library code
+    raises {!Fail} with a diagnostic and the CLI turns it into a
+    one-line report plus a distinct exit code, instead of an
+    uncaught-exception dump. *)
 
 type severity = Info | Warning | Error
-
-type loc = {
-  file : string option;
-  line : int;  (** 1-based; 0 when unknown *)
-  col : int;  (** 1-based; 0 when unknown *)
-}
 
 type t = {
   code : string;  (** stable kebab-case identifier, e.g. ["bad-area"] *)
   severity : severity;
   stage : string;  (** flow stage, e.g. ["validate"], ["floorplan"] *)
-  loc : loc option;
   message : string;
 }
 
@@ -35,14 +28,13 @@ exception Fail of t
     failure. The supervisor never converts a [Fail] into a degradation:
     it is a verdict, not a fault. *)
 
-val make :
-  code:string -> severity:severity -> stage:string -> ?loc:loc -> string -> t
+val make : code:string -> severity:severity -> stage:string -> string -> t
 
-val error : code:string -> stage:string -> ?loc:loc -> string -> t
+val error : code:string -> stage:string -> string -> t
 
-val warning : code:string -> stage:string -> ?loc:loc -> string -> t
+val warning : code:string -> stage:string -> string -> t
 
-val fail : code:string -> stage:string -> ?loc:loc -> string -> 'a
+val fail : code:string -> stage:string -> string -> 'a
 (** [fail ~code ~stage msg] raises {!Fail} with an [Error] diagnostic. *)
 
 val escalate : t -> t
@@ -51,9 +43,6 @@ val escalate : t -> t
 val is_error : t -> bool
 
 val pp : Format.formatter -> t -> unit
-(** [file:line:col: severity[code] (stage): message]; location parts are
-    omitted when unknown. *)
+(** [severity[code] (stage): message] *)
 
 val to_string : t -> string
-
-val to_json : t -> Obs.Jsonx.t

@@ -1,7 +1,7 @@
 (** Versioned NDJSON progress event stream.
 
-    The live feed behind [--progress-file]/[--progress-fd] (and, later,
-    [hidap serve]): one JSON object per line, written and flushed
+    The live feed behind [--progress-file]/[--progress-fd] and each
+    [hidap serve] worker's progress pipe: one JSON object per line, written and flushed
     atomically under a mutex so worker domains can report concurrently
     without interleaving. Every line is self-describing:
 

@@ -47,7 +47,6 @@ let load ~strict ~(config : Hidap.Config.t) source =
 
 type ckpt = {
   dir : string;
-  every : int;
   resume : bool;
   on_save : unit -> unit;
 }
@@ -78,7 +77,7 @@ let place ~(config : Hidap.Config.t) ?ckpt ?(on_resume = ignore) ~measure
       match ckpt with
       | None -> Ok None
       | Some c ->
-        Ckpt.Session.start ~every:c.every ~on_save:c.on_save ~dir:c.dir
+        Ckpt.Session.start ~on_save:c.on_save ~dir:c.dir
           ~resume:c.resume (fingerprint ~circuit ~config flat)
         |> Result.map Option.some
     in

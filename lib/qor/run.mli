@@ -43,7 +43,6 @@ val load : strict:bool -> config:Hidap.Config.t -> source -> (input, stop) resul
 
 type ckpt = {
   dir : string;  (** checkpoint directory (created if needed) *)
-  every : int;  (** completed floorplan instances between snapshots *)
   resume : bool;  (** adopt the newest valid snapshot in [dir] *)
   on_save : unit -> unit;  (** runs after each snapshot is written *)
 }

@@ -102,13 +102,6 @@ let result t id =
   | Ok _ -> Error (Remote "unexpected response to result")
   | Error e -> Error e
 
-let report t id =
-  match request t (Proto.Report id) with
-  | Ok (Proto.Report_reply { html; _ }) -> Ok html
-  | Ok (Proto.Error_reply m) -> Error (Remote m)
-  | Ok _ -> Error (Remote "unexpected response to report")
-  | Error e -> Error e
-
 let drain t =
   match request t Proto.Drain with
   | Ok Proto.Draining_reply -> Ok ()

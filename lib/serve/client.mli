@@ -45,9 +45,6 @@ val stats : t -> (Proto.stats, error) result
 val result : t -> string -> (Obs.Jsonx.t, error) result
 (** The completed job's QoR ledger document. *)
 
-val report : t -> string -> (string, error) result
-(** The completed job's HTML report. *)
-
 val drain : t -> (unit, error) result
 
 val watch :

@@ -58,7 +58,6 @@ type config = {
   workers : int;
   drain_grace_s : float;
   retry_base_s : float;
-  retry_cap_s : float;
   max_line_bytes : int;
   default_job_jobs : int;
   job_mem_mb : int option;
@@ -70,7 +69,7 @@ type config = {
 
 let default_config ~socket_path ~state_dir =
   { socket_path; state_dir; queue_limit = 8; workers = 1; drain_grace_s = 5.0;
-    retry_base_s = 0.05; retry_cap_s = 2.0; max_line_bytes = 1 lsl 20;
+    retry_base_s = 0.05; max_line_bytes = 1 lsl 20;
     default_job_jobs = 1; job_mem_mb = None; job_cpu_s = None; stall_s = 30.0;
     deadline_grace_s = 2.0; faults = [] }
 
@@ -247,7 +246,7 @@ let create cfg =
         j.Job.state <- Proto.Pending;
         j.Job.detail <- note;
         Job.save ~state_dir:cfg.state_dir j;
-        Jobq.force_push t.q ~priority:j.Job.spec.Proto.priority ~seq:j.Job.seq j
+        Jobq.force_push t.q ~seq:j.Job.seq j
       | Proto.Done | Proto.Failed | Proto.Timed_out -> ())
     jobs;
   t
@@ -268,9 +267,12 @@ let stats t =
     draining = t.draining;
     workers = Pool.views t.pool ~now:(Unix.gettimeofday ()) }
 
+(* The ceiling of the retry backoff. *)
+let max_backoff_s = 2.0
+
 (* The deterministic delay after failed attempt [attempts] (1-based). *)
 let backoff_s cfg attempts =
-  Float.min cfg.retry_cap_s (cfg.retry_base_s *. (2.0 ** float_of_int (attempts - 1)))
+  Float.min max_backoff_s (cfg.retry_base_s *. (2.0 ** float_of_int (attempts - 1)))
 
 (* ---- connections: framing, requests ------------------------------- *)
 
@@ -340,7 +342,7 @@ let handle_submit t spec =
     | _ ->
       let seq = t.next_seq in
       let job = Job.make ~seq spec in
-      (match Jobq.push t.q ~priority:spec.Proto.priority ~seq job with
+      (match Jobq.push t.q ~seq job with
       | Jobq.Full depth ->
         t.c.rejected_backpressure <- t.c.rejected_backpressure + 1;
         Proto.Rejected { reason = "backpressure"; depth; limit = Jobq.limit t.q }
@@ -390,11 +392,6 @@ let handle_request t c line =
         | Some (Error e) ->
           send t c (Proto.Error_reply (Printf.sprintf "corrupt result: %s" e))
         | None -> send t c (Proto.Error_reply "result file missing")))
-    | Proto.Report id ->
-      (match read_file_opt (Job.report_path ~state_dir:t.cfg.state_dir id) with
-      | Some html -> send t c (Proto.Report_reply { id; html })
-      | None ->
-        send t c (Proto.Error_reply (Printf.sprintf "no report for job %s" id)))
     | Proto.Watch id ->
       (match view_of t id with
       | None -> send t c (Proto.Error_reply (Printf.sprintf "unknown job %s" id))
@@ -447,8 +444,7 @@ let retry_or_fail t conns (job : Job.t) msg =
       (Printf.sprintf "attempt %d failed (%s); retrying in %gs" job.Job.attempts
          msg delay);
     t.c.retried <- t.c.retried + 1;
-    Jobq.force_push t.q ~priority:job.Job.spec.Proto.priority ~seq:job.Job.seq
-      ~ready_s:(Unix.gettimeofday () +. delay)
+    Jobq.force_push t.q ~seq:job.Job.seq ~ready_s:(Unix.gettimeofday () +. delay)
       job
   end
   else begin

@@ -43,9 +43,9 @@ type config = {
   drain_grace_s : float;
       (** per-phase drain grace: first let in-flight jobs finish, then
           after SIGTERM let them checkpoint and park, then SIGKILL *)
-  retry_base_s : float;  (** backoff of the first retry *)
-  retry_cap_s : float;
-      (** ceiling of [base * 2^(attempt-1)] — deterministic, no jitter *)
+  retry_base_s : float;
+      (** backoff of the first retry; attempt [n] waits
+          [min 2 (base * 2^(n-1))] s — deterministic, no jitter *)
   max_line_bytes : int;  (** request framing bound *)
   default_job_jobs : int;  (** worker domains for jobs submitting [jobs=0] *)
   job_mem_mb : int option;

@@ -4,7 +4,6 @@
      job.json     — spec + mutable state/attempts/detail (this module)
      ckpt/        — the job's Ckpt checkpoint store
      result.json  — QoR ledger once done
-     report.html  — rendered report once done
 
    job.json is written atomically (tmp + rename), so a kill -9 at any
    point leaves either the previous state or the new one, never a torn
@@ -43,8 +42,6 @@ let meta_path ~state_dir id = Filename.concat (dir ~state_dir id) "job.json"
 
 let result_path ~state_dir id = Filename.concat (dir ~state_dir id) "result.json"
 
-let report_path ~state_dir id = Filename.concat (dir ~state_dir id) "report.html"
-
 let rec mkdir_p path =
   if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path)
   then begin
@@ -54,7 +51,7 @@ let rec mkdir_p path =
 
 let view t =
   { Proto.id = t.id; label = t.spec.Proto.label; state = t.state;
-    attempts = t.attempts; priority = t.spec.Proto.priority; detail = t.detail }
+    attempts = t.attempts; detail = t.detail }
 
 let to_json t =
   J.Obj

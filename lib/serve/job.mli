@@ -3,8 +3,7 @@
     A job lives in [<state_dir>/jobs/<id>/]: [job.json] (spec + state,
     written atomically via tmp + rename so a kill -9 never leaves a
     torn file), [ckpt/] (the job's checkpoint store, what makes
-    recovery bit-identical), and [result.json] / [report.html] once
-    done. *)
+    recovery bit-identical), and [result.json] once done. *)
 
 type t = {
   id : string;  (** ["j%04d"] of [seq] *)
@@ -30,8 +29,6 @@ val dir : state_dir:string -> string -> string
 val ckpt_dir : state_dir:string -> string -> string
 
 val result_path : state_dir:string -> string -> string
-
-val report_path : state_dir:string -> string -> string
 
 val mkdir_p : string -> unit
 

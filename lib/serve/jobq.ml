@@ -1,12 +1,11 @@
-(* Bounded priority queue between the accept loop and the worker.
+(* Bounded queue between the accept loop and the workers.
 
    A mutex around a small list: queue depths are bounded by admission
    control (the whole point), so linear scans beat a heap on clarity.
-   Ordering is priority descending, then submission sequence ascending
-   (FIFO within a priority). An entry can carry a ready time in the
+   Ordering is submission sequence ascending (FIFO by seq). An entry can carry a ready time in the
    future (retry backoff); [try_pop] never returns it early. *)
 
-type 'a entry = { priority : int; seq : int; ready_s : float; v : 'a }
+type 'a entry = { seq : int; ready_s : float; v : 'a }
 
 type 'a t = {
   lock : Mutex.t;
@@ -28,23 +27,22 @@ let depth t = locked t (fun () -> List.length t.entries)
 
 let limit t = t.limit
 
-let insert t ~priority ~seq ~ready_s v =
-  t.entries <- { priority; seq; ready_s; v } :: t.entries
+let insert t ~seq ~ready_s v = t.entries <- { seq; ready_s; v } :: t.entries
 
-let push t ~priority ~seq ?(ready_s = 0.0) v =
+let push t ~seq ?(ready_s = 0.0) v =
   locked t (fun () ->
       let d = List.length t.entries in
       if t.closed || d >= t.limit then Full d
       else begin
-        insert t ~priority ~seq ~ready_s v;
+        insert t ~seq ~ready_s v;
         Enqueued (d + 1)
       end)
 
 (* Retries and crash recovery re-enter the queue past the admission
    bound: the job was already admitted once, and dropping it would
    turn a transient fault into a lost job. *)
-let force_push t ~priority ~seq ?(ready_s = 0.0) v =
-  locked t (fun () -> if not t.closed then insert t ~priority ~seq ~ready_s v)
+let force_push t ~seq ?(ready_s = 0.0) v =
+  locked t (fun () -> if not t.closed then insert t ~seq ~ready_s v)
 
 let close t = locked t (fun () -> t.closed <- true)
 
@@ -53,12 +51,7 @@ let best_ready ~now entries =
     (fun acc e ->
       if e.ready_s > now then acc
       else
-        match acc with
-        | Some b
-          when b.priority > e.priority
-               || (b.priority = e.priority && b.seq < e.seq) ->
-          acc
-        | _ -> Some e)
+        match acc with Some b when b.seq < e.seq -> acc | _ -> Some e)
     None entries
 
 (* Non-blocking pop for the daemon's single-domain select loop, which

@@ -1,8 +1,8 @@
-(** Bounded priority queue between the daemon's accept loop and its
-    worker.
+(** Bounded queue between the daemon's accept loop and its workers.
 
-    Ordering: priority descending, then submission sequence ascending
-    (FIFO within a priority). Entries may carry a future ready time
+    Ordering: submission sequence ascending (FIFO by [seq], so a
+    recovered or retried job keeps its original place). Entries may
+    carry a future ready time
     (retry backoff); {!try_pop} never hands one out early. The bound is
     the admission-control limit — {!push} refuses past it, returning
     the depth for the structured backpressure rejection. *)
@@ -16,12 +16,12 @@ type push_result =
 val create : limit:int -> 'a t
 (** [limit] is clamped to at least 1. *)
 
-val push : 'a t -> priority:int -> seq:int -> ?ready_s:float -> 'a -> push_result
+val push : 'a t -> seq:int -> ?ready_s:float -> 'a -> push_result
 (** Admission-controlled push; [Full] when the queue is at its limit
     or closed. [ready_s] is an absolute [Unix.gettimeofday] time
     before which the entry is not eligible (default: immediately). *)
 
-val force_push : 'a t -> priority:int -> seq:int -> ?ready_s:float -> 'a -> unit
+val force_push : 'a t -> seq:int -> ?ready_s:float -> 'a -> unit
 (** Push past the admission bound — for retries and crash recovery,
     which re-enter work that was already admitted once. Silently
     dropped on a closed queue (the entry is persisted on disk and the

@@ -45,7 +45,6 @@ type submit = {
   seed : int;
   lambda : float option;
   jobs : int;
-  priority : int;
   deadline_s : float option;
   max_retries : int;
   label : string;
@@ -53,7 +52,7 @@ type submit = {
 
 let default_submit =
   { circuit = None; hnl = None; seed = 1; lambda = None; jobs = 0;
-    priority = 0; deadline_s = None; max_retries = 0; label = "" }
+    deadline_s = None; max_retries = 0; label = "" }
 
 let submit_fields s =
   List.filter_map
@@ -63,7 +62,6 @@ let submit_fields s =
       Some ("seed", J.Int s.seed);
       Option.map (fun l -> ("lambda", J.Float l)) s.lambda;
       Some ("jobs", J.Int s.jobs);
-      Some ("priority", J.Int s.priority);
       Option.map (fun d -> ("deadline_s", J.Float d)) s.deadline_s;
       Some ("max_retries", J.Int s.max_retries);
       Some ("label", J.String s.label) ]
@@ -77,11 +75,10 @@ let submit_of_json j =
   let* seed = J.field_or "seed" ~default:d.seed J.int j in
   let* lambda = J.field_opt "lambda" J.float j in
   let* jobs = J.field_or "jobs" ~default:d.jobs J.int j in
-  let* priority = J.field_or "priority" ~default:d.priority J.int j in
   let* deadline_s = J.field_opt "deadline_s" J.float j in
   let* max_retries = J.field_or "max_retries" ~default:d.max_retries J.int j in
   let* label = J.field_or "label" ~default:d.label J.string j in
-  Ok { circuit; hnl; seed; lambda; jobs; priority; deadline_s; max_retries; label }
+  Ok { circuit; hnl; seed; lambda; jobs; deadline_s; max_retries; label }
 
 (* ---- requests ----------------------------------------------------- *)
 
@@ -92,7 +89,6 @@ type request =
   | List
   | Stats
   | Result of string
-  | Report of string
   | Watch of string
   | Drain
 
@@ -107,7 +103,6 @@ let request_to_json = function
   | List -> envelope [ ("req", J.String "list") ]
   | Stats -> envelope [ ("req", J.String "stats") ]
   | Result id -> envelope (with_id "result" id)
-  | Report id -> envelope (with_id "report" id)
   | Watch id -> envelope (with_id "watch" id)
   | Drain -> envelope [ ("req", J.String "drain") ]
 
@@ -134,7 +129,6 @@ let request_of_json j =
   | "list" -> Ok List
   | "stats" -> Ok Stats
   | "result" -> need_id j (fun id -> Result id)
-  | "report" -> need_id j (fun id -> Report id)
   | "watch" -> need_id j (fun id -> Watch id)
   | "drain" -> Ok Drain
   | other -> Error (Printf.sprintf "unknown request %S" other)
@@ -151,7 +145,6 @@ type job_view = {
   label : string;
   state : state;
   attempts : int;
-  priority : int;
   detail : string;
 }
 
@@ -190,7 +183,6 @@ type response =
   | Jobs of job_view list
   | Stats_reply of stats
   | Result_reply of { id : string; qor : J.t }
-  | Report_reply of { id : string; html : string }
   | Progress of { id : string; event : J.t }
   | Draining_reply
   | Error_reply of string
@@ -199,17 +191,15 @@ let job_view_to_json v =
   J.Obj
     [ ("id", J.String v.id); ("label", J.String v.label);
       ("state", J.String (state_to_string v.state));
-      ("attempts", J.Int v.attempts); ("priority", J.Int v.priority);
-      ("detail", J.String v.detail) ]
+      ("attempts", J.Int v.attempts); ("detail", J.String v.detail) ]
 
 let job_view_of_json j =
   let* id = J.field "id" J.string j in
   let* state = J.field "state" (J.enum "state" state_of_string) j in
   let* label = J.field_or "label" ~default:"" J.string j in
   let* attempts = J.field_or "attempts" ~default:0 J.int j in
-  let* priority = J.field_or "priority" ~default:0 J.int j in
   let* detail = J.field_or "detail" ~default:"" J.string j in
-  Ok { id; label; state; attempts; priority; detail }
+  Ok { id; label; state; attempts; detail }
 
 let worker_view_to_json w =
   J.Obj
@@ -270,8 +260,6 @@ let response_to_json = function
   | Stats_reply s -> envelope [ ("resp", J.String "stats"); ("stats", stats_to_json s) ]
   | Result_reply { id; qor } ->
     envelope [ ("resp", J.String "result"); ("id", J.String id); ("qor", qor) ]
-  | Report_reply { id; html } ->
-    envelope [ ("resp", J.String "report"); ("id", J.String id); ("html", J.String html) ]
   | Progress { id; event } ->
     envelope [ ("resp", J.String "progress"); ("id", J.String id); ("event", event) ]
   | Draining_reply -> envelope [ ("resp", J.String "draining") ]
@@ -301,10 +289,6 @@ let response_of_json j =
     let* id = J.field "id" J.string j in
     let* qor = value "qor" in
     Ok (Result_reply { id; qor })
-  | "report" ->
-    let* id = J.field "id" J.string j in
-    let* html = text "html" in
-    Ok (Report_reply { id; html })
   | "progress" ->
     let* id = J.field "id" J.string j in
     let* event = value "event" in

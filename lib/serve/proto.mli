@@ -46,14 +46,13 @@ type submit = {
   seed : int;
   lambda : float option;
   jobs : int;  (** worker domains inside the job; 0 = daemon default *)
-  priority : int;  (** higher runs first; FIFO within a priority *)
   deadline_s : float option;  (** per-attempt wall-clock deadline *)
   max_retries : int;  (** extra attempts after a transient failure *)
   label : string;
 }
 
 val default_submit : submit
-(** [seed 1], no circuit/hnl, [jobs 0], [priority 0], no deadline,
+(** [seed 1], no circuit/hnl, [jobs 0], no deadline,
     [max_retries 0], empty label — absent wire fields decode to these. *)
 
 type request =
@@ -63,7 +62,6 @@ type request =
   | List
   | Stats
   | Result of string  (** completed job's QoR ledger *)
-  | Report of string  (** completed job's HTML report *)
   | Watch of string  (** stream progress until the job is terminal *)
   | Drain  (** ask the daemon to drain (same as SIGTERM) *)
 
@@ -80,7 +78,6 @@ type job_view = {
   label : string;
   state : state;
   attempts : int;
-  priority : int;
   detail : string;  (** last failure / retry / recovery note *)
 }
 
@@ -123,7 +120,6 @@ type response =
   | Jobs of job_view list
   | Stats_reply of stats
   | Result_reply of { id : string; qor : Obs.Jsonx.t }
-  | Report_reply of { id : string; html : string }
   | Progress of { id : string; event : Obs.Jsonx.t }
       (** one relayed hidap-progress event of a watched job *)
   | Draining_reply  (** drain acknowledged *)

@@ -195,7 +195,7 @@ let run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot (job : Jo
   in
   let ckdir = Job.ckpt_dir ~state_dir job.Job.id in
   Job.mkdir_p ckdir;
-  let ckpt = { Qor.Run.dir = ckdir; every = 1; resume = true; on_save = on_snapshot } in
+  let ckpt = { Qor.Run.dir = ckdir; resume = true; on_save = on_snapshot } in
   (* The deadline is per attempt: each retry gets the full window. The
      budget cells are process-global but the process is ours alone. A
      drain's cancellation unwinds out of [Qor.Run.place] after it
@@ -210,11 +210,7 @@ let run_attempt ~state_dir ~default_job_jobs ~flow_faults ~on_snapshot (job : Jo
       Qor.Record.of_run ~circuit:input.Qor.Run.name ~flat:input.Qor.Run.flat ~config
         ?ckpt:p.Qor.Run.ckpt_summary (Option.get p.Qor.Run.run)
     in
-    Qor.Record.write_ledger (Job.result_path ~state_dir job.Job.id) [ record ];
-    Qor.Html.write_file
-      (Job.report_path ~state_dir job.Job.id)
-      (Qor.Html.render ~title:(Printf.sprintf "hidap serve — %s" job.Job.id)
-         [ record ])
+    Qor.Record.write_ledger (Job.result_path ~state_dir job.Job.id) [ record ]
 
 (* ---- child main ----------------------------------------------------- *)
 

@@ -133,7 +133,7 @@ let () =
      starts fresh), so the same command line retries idempotently. *)
   let ckpt_args =
     place_args ~hidap ~jobs ~save:out_place
-      [ "--checkpoint-dir"; ckpt_dir; "--checkpoint-every"; "1"; "--resume" ]
+      [ "--checkpoint-dir"; ckpt_dir; "--resume" ]
   in
   let kills = ref 0 in
   let completed = ref false in

@@ -110,10 +110,6 @@ let sample_state () =
         { State.nh = 7; depth = 1; n_blocks = 2;
           rects = [| Rect.make ~x:1e-9 ~y:3.0 ~w:0.1 ~h:0.2 |];
           sa_moves = 45; rng_after = -1L } ];
-    flip =
-      Some
-        { State.orientations = [ (2, Geom.Orientation.R90); (5, Geom.Orientation.MY) ];
-          flip_gain = 0.875 };
     stages = [ "floorplan"; "flipping" ] }
 
 let test_state_roundtrip () =
@@ -133,8 +129,7 @@ let test_state_roundtrip_nonfinite () =
       instances =
         [ { State.nh = 1; depth = 0; n_blocks = 1;
             rects = [| Rect.make ~x:Float.nan ~y:Float.infinity ~w:1.0 ~h:(-0.0) |];
-            sa_moves = 0; rng_after = 0L } ];
-      flip = Some { State.orientations = []; flip_gain = Float.nan } }
+            sa_moves = 0; rng_after = 0L } ] }
   in
   match State.of_payload (State.to_payload st) with
   | Ok st' -> Alcotest.(check bool) "bit-exact non-finite" true (State.equal st st')
@@ -231,8 +226,8 @@ let fingerprint ~name flat =
     cells = Flat.cell_count flat;
     macro_count = Flat.macro_count flat }
 
-let session_or_fail ?every ~dir ~resume fp =
-  match Session.start ?every ~dir ~resume fp with
+let session_or_fail ~dir ~resume fp =
+  match Session.start ~dir ~resume fp with
   | Ok s -> s
   | Error d -> Alcotest.failf "session start failed: %a" Guard.Diag.pp d
 
@@ -266,9 +261,7 @@ let save_load_identity name =
     | Error msg -> Alcotest.failf "last snapshot: %s" msg
     | Ok st ->
       Alcotest.(check bool) "final snapshot has both stages" true
-        (List.mem "floorplan" st.State.stages && List.mem "flipping" st.State.stages);
-      Alcotest.(check bool) "final snapshot has the flip result" true
-        (st.State.flip <> None))
+        (List.mem "floorplan" st.State.stages && List.mem "flipping" st.State.stages))
 
 let test_save_load_identity_fig1 () = save_load_identity "fig1"
 
@@ -334,6 +327,47 @@ let resume_determinism name =
 let test_resume_determinism_fig1 () = resume_determinism "fig1"
 
 let test_resume_determinism_c1 () = resume_determinism "c1"
+
+(* Snapshots written before flipping was recomputed on resume carry a
+   "flip" entry. Such a snapshot still loads, and the resumed run
+   recomputes flipping: even a stored entry that disagrees with the
+   real orientations leaves the placement bit-identical to an
+   uninterrupted run. *)
+let test_resume_ignores_stored_flip () =
+  let flat = flat_of_circuit "fig1" in
+  let baseline = Hidap.place flat in
+  Tmp_dir.with_dir "hidap-ckpt" @@ fun dir ->
+  let fp = fingerprint ~name:"fig1" flat in
+  ignore (Hidap.place ~ckpt:(session_or_fail ~dir ~resume:false fp) flat);
+  let newest =
+    match Store.open_ ~fresh:false dir with
+    | Ok store -> List.nth (Store.entries store) (List.length (Store.entries store) - 1)
+    | Error msg -> Alcotest.failf "reopen failed: %s" msg
+  in
+  let path = Filename.concat dir newest.Store.file in
+  let doc =
+    match Result.bind (Envelope.read path) Obs.Jsonx.parse with
+    | Ok (Obs.Jsonx.Obj fields) -> fields
+    | Ok _ -> Alcotest.fail "snapshot payload is not an object"
+    | Error msg -> Alcotest.failf "snapshot unreadable: %s" msg
+  in
+  let flip =
+    Obs.Jsonx.Obj
+      [ ( "orientations",
+          Obs.Jsonx.List
+            (List.map
+               (fun (p : Hidap.macro_placement) ->
+                 Obs.Jsonx.List [ Obs.Jsonx.Int p.Hidap.fid; Obs.Jsonx.String "R180" ])
+               baseline.Hidap.placements) );
+        ("gain", Obs.Jsonx.String "3fec000000000000") ]
+  in
+  Envelope.write path
+    (Obs.Jsonx.to_string ~compact:true (Obs.Jsonx.Obj (doc @ [ ("flip", flip) ])) ^ "\n");
+  let s = session_or_fail ~dir ~resume:true fp in
+  Alcotest.(check (option string)) "resumed from the flip-carrying snapshot"
+    (Some newest.Store.file) (Session.resumed_from s);
+  Alcotest.(check bool) "resume bit-identical" true
+    (placements_bit_equal baseline (Hidap.place ~ckpt:s flat))
 
 (* Resuming under a different fingerprint must refuse, not silently
    blend two runs. *)
@@ -525,6 +559,8 @@ let suite =
           test_resume_determinism_fig1;
         Alcotest.test_case "resume determinism (c1)" `Slow
           test_resume_determinism_c1;
+        Alcotest.test_case "resume ignores a stored flip" `Quick
+          test_resume_ignores_stored_flip;
         Alcotest.test_case "resume refuses fingerprint mismatch" `Quick
           test_resume_fingerprint_mismatch;
         Alcotest.test_case "resume on empty store is fresh" `Quick

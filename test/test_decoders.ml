@@ -168,7 +168,7 @@ let baseline =
 
 let submit =
   { P.circuit = Some "c1"; hnl = Some "design t\n"; seed = 7; lambda = Some 0.25;
-    jobs = 2; priority = 3; deadline_s = Some 1.5; max_retries = 2; label = "x" }
+    jobs = 2; deadline_s = Some 1.5; max_retries = 2; label = "x" }
 
 let submit_defaults : (string * (P.submit -> P.submit)) list =
   let d = P.default_submit in
@@ -177,13 +177,12 @@ let submit_defaults : (string * (P.submit -> P.submit)) list =
     ("seed", fun s -> { s with P.seed = d.P.seed });
     ("lambda", fun s -> { s with P.lambda = None });
     ("jobs", fun s -> { s with P.jobs = d.P.jobs });
-    ("priority", fun s -> { s with P.priority = d.P.priority });
     ("deadline_s", fun s -> { s with P.deadline_s = None });
     ("max_retries", fun s -> { s with P.max_retries = d.P.max_retries });
     ("label", fun s -> { s with P.label = d.P.label }) ]
 
 let view =
-  { P.id = "j0001"; label = "x"; state = P.Timed_out; attempts = 2; priority = 1;
+  { P.id = "j0001"; label = "x"; state = P.Timed_out; attempts = 2;
     detail = "deadline 0.5s" }
 
 let stats =
@@ -236,7 +235,7 @@ let cases =
       { name = "Ckpt.State.of_payload"; value = Test_ckpt.sample_state ();
         encode = State.to_json;
         decode = (fun j -> State.of_payload (Jsonx.to_string ~compact:true j));
-        opaque = []; maps = []; defaults = [ ("flip", fun s -> { s with State.flip = None }) ] };
+        opaque = []; maps = []; defaults = [] };
     Case
       { name = "Gcstats.of_json"; value = gc; encode = Obs.Gcstats.to_json;
         decode = Obs.Gcstats.of_json; opaque = []; maps = [];
@@ -292,8 +291,6 @@ let cases =
     response "response progress"
       (P.Progress { id = "j0001"; event = Jsonx.Obj [ ("event", Jsonx.String "x") ] })
       ~opaque:[ "event" ] ~defaults:[];
-    response "response report"
-      (P.Report_reply { id = "j0001"; html = "<html/>" }) ~opaque:[] ~defaults:[];
     response "response error" (P.Error_reply "nope") ~opaque:[]
       ~defaults:[ ("message", fun _ -> P.Error_reply "") ];
     Case

@@ -26,11 +26,9 @@ let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    daemon jobs stay fast. *)
 let fig1_hnl = lazy (Hnl.Printer.to_string (Circuitgen.Suite.fig1_design ()))
 
-let fig1_submit ?(seed = 1) ?(priority = 0) ?deadline_s ?(max_retries = 0)
-    ?(label = "fig1") () =
+let fig1_submit ?(seed = 1) ?deadline_s ?(max_retries = 0) ?(label = "fig1") () =
   { P.default_submit with
-    P.hnl = Some (Lazy.force fig1_hnl); seed; priority; deadline_s; max_retries;
-    label }
+    P.hnl = Some (Lazy.force fig1_hnl); seed; deadline_s; max_retries; label }
 
 let c1_submit ?(label = "c1") () =
   { P.default_submit with P.circuit = Some "c1"; label }
@@ -183,9 +181,9 @@ let wait_state ?timeout_s cl id = (ok (Serve.Client.wait ?timeout_s cl id)).P.st
 
 let test_proto_request_roundtrip () =
   let reqs =
-    [ P.Ping; P.Submit (fig1_submit ~seed:7 ~priority:3 ~deadline_s:1.5 ());
+    [ P.Ping; P.Submit (fig1_submit ~seed:7 ~deadline_s:1.5 ());
       P.Submit (c1_submit ()); P.Status "j0001"; P.List; P.Stats;
-      P.Result "j0002"; P.Report "j0003"; P.Watch "j0004"; P.Drain ]
+      P.Result "j0002"; P.Watch "j0004"; P.Drain ]
   in
   List.iter
     (fun r ->
@@ -197,7 +195,7 @@ let test_proto_request_roundtrip () =
 let test_proto_response_roundtrip () =
   let view =
     { P.id = "j0001"; label = "x"; state = P.Timed_out; attempts = 2;
-      priority = 1; detail = "deadline 0.5s" }
+      detail = "deadline 0.5s" }
   in
   let stats =
     { P.queue_depth = 1; queue_limit = 8; accepted = 3; rejected_backpressure = 1;
@@ -213,7 +211,6 @@ let test_proto_response_roundtrip () =
       P.Jobs [ view; { view with P.id = "j0002"; state = P.Running } ];
       P.Stats_reply stats;
       P.Result_reply { id = "j0001"; qor = J.Obj [ ("k", J.Int 1) ] };
-      P.Report_reply { id = "j0001"; html = "<html>&\"</html>" };
       P.Progress { id = "j0001"; event = J.Obj [ ("event", J.String "x") ] };
       P.Draining_reply; P.Error_reply "nope" ]
   in
@@ -278,35 +275,36 @@ let test_proto_decode_total () =
 
 let test_jobq_admission () =
   let q = Jobq.create ~limit:2 in
-  (match Jobq.push q ~priority:0 ~seq:1 "a" with
+  (match Jobq.push q ~seq:1 "a" with
   | Jobq.Enqueued 1 -> ()
   | _ -> Alcotest.fail "first push");
-  (match Jobq.push q ~priority:0 ~seq:2 "b" with
+  (match Jobq.push q ~seq:2 "b" with
   | Jobq.Enqueued 2 -> ()
   | _ -> Alcotest.fail "second push");
-  (match Jobq.push q ~priority:9 ~seq:3 "c" with
+  (match Jobq.push q ~seq:3 "c" with
   | Jobq.Full 2 -> ()
   | _ -> Alcotest.fail "push past the bound must be refused");
   (* retries re-enter past the bound *)
-  Jobq.force_push q ~priority:0 ~seq:4 "d";
+  Jobq.force_push q ~seq:4 "d";
   Alcotest.(check int) "forced depth" 3 (Jobq.depth q)
 
+(* FIFO by submission sequence, not by push order: a retried or
+   recovered job re-enters the queue late but keeps its place. *)
 let test_jobq_ordering () =
   let q = Jobq.create ~limit:10 in
-  ignore (Jobq.push q ~priority:0 ~seq:1 "low-first");
-  ignore (Jobq.push q ~priority:5 ~seq:2 "high-a");
-  ignore (Jobq.push q ~priority:5 ~seq:3 "high-b");
-  ignore (Jobq.push q ~priority:0 ~seq:4 "low-second");
+  ignore (Jobq.push q ~seq:2 "second");
+  ignore (Jobq.push q ~seq:3 "third");
+  Jobq.force_push q ~seq:1 "first";
+  ignore (Jobq.push q ~seq:4 "fourth");
   let order = List.init 4 (fun _ -> Option.get (Jobq.try_pop q)) in
-  Alcotest.(check (list string))
-    "priority desc, FIFO within a priority"
-    [ "high-a"; "high-b"; "low-first"; "low-second" ]
+  Alcotest.(check (list string)) "FIFO by seq"
+    [ "first"; "second"; "third"; "fourth" ]
     order
 
 let test_jobq_backoff () =
   let q = Jobq.create ~limit:4 in
-  Jobq.force_push q ~priority:0 ~seq:1 ~ready_s:(Unix.gettimeofday () +. 0.15) "later";
-  ignore (Jobq.push q ~priority:0 ~seq:2 "now");
+  Jobq.force_push q ~seq:1 ~ready_s:(Unix.gettimeofday () +. 0.15) "later";
+  ignore (Jobq.push q ~seq:2 "now");
   Alcotest.(check (option string)) "eligible entry first" (Some "now") (Jobq.try_pop q);
   Alcotest.(check (option string)) "backed-off entry held" None (Jobq.try_pop q);
   Unix.sleepf 0.2;
@@ -318,8 +316,8 @@ let test_jobq_backoff () =
 let test_jobq_try_pop () =
   let q = Jobq.create ~limit:4 in
   Alcotest.(check bool) "empty -> None" true (Jobq.try_pop q = None);
-  ignore (Jobq.push q ~priority:0 ~seq:1 "now");
-  Jobq.force_push q ~priority:9 ~seq:2
+  ignore (Jobq.push q ~seq:1 "now");
+  Jobq.force_push q ~seq:2
     ~ready_s:(Unix.gettimeofday () +. 0.2)
     "later";
   Alcotest.(check (option string)) "ready entry pops" (Some "now")
@@ -333,14 +331,14 @@ let test_jobq_try_pop () =
   Alcotest.(check (option string)) "ready after its backoff" (Some "later")
     (Jobq.try_pop q);
   Jobq.close q;
-  ignore (Jobq.push q ~priority:0 ~seq:3 "x");
+  ignore (Jobq.push q ~seq:3 "x");
   Alcotest.(check bool) "closed -> None" true (Jobq.try_pop q = None)
 
 let test_jobq_close_drains () =
   let q = Jobq.create ~limit:4 in
-  ignore (Jobq.push q ~priority:0 ~seq:1 "left-behind");
+  ignore (Jobq.push q ~seq:1 "left-behind");
   Jobq.close q;
-  (match Jobq.push q ~priority:0 ~seq:2 "refused" with
+  (match Jobq.push q ~seq:2 "refused" with
   | Jobq.Full _ -> ()
   | Jobq.Enqueued _ -> Alcotest.fail "closed queue accepted a push");
   Alcotest.(check bool) "pop on closed queue is None (drain)" true
@@ -434,7 +432,7 @@ let test_pool_sibling_fd_reuse () =
 
 (* ---- end-to-end daemon -------------------------------------------- *)
 
-let test_serve_done_result_report () =
+let test_serve_done_result () =
   with_scratch @@ fun dir ->
   let d = start dir in
   Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
@@ -452,15 +450,11 @@ let test_serve_done_result_report () =
     Alcotest.(check bool) "job.json keeps the netlist" true
       (j.Serve.Job.spec.P.hnl = Some (Lazy.force fig1_hnl))
   | Error e -> Alcotest.failf "job.json unreadable: %s" e);
-  (* the QoR ledger and the HTML report are served back *)
+  (* the QoR ledger is served back *)
   let qor = ok (Serve.Client.result cl id) in
   (match J.member "records" qor with
   | Some (J.List [ _ ]) -> ()
   | _ -> Alcotest.fail "result is not a one-record ledger");
-  let html = ok (Serve.Client.report cl id) in
-  Alcotest.(check bool) "report looks like html" true
-    (String.length html > 0
-    && Astring.String.is_infix ~affix:"<html" (String.lowercase_ascii html));
   let s = ok (Serve.Client.stats cl) in
   Alcotest.(check int) "accepted" 1 s.P.accepted;
   Alcotest.(check int) "completed" 1 s.P.completed;
@@ -1083,6 +1077,31 @@ let test_serve_crash_recovery () =
   Alcotest.(check int) "completed after recovery" 1 s.P.completed;
   Serve.Client.close cl
 
+(* A job.json written while submissions still carried a queue
+   priority recovers and runs: the unknown field is ignored. *)
+let test_serve_recovers_job_with_priority () =
+  with_scratch @@ fun dir ->
+  let state_dir = Filename.concat dir "state" in
+  let j = Serve.Job.make ~seq:1 (fig1_submit ()) in
+  let with_priority = function
+    | "spec", J.Obj f -> ("spec", J.Obj (f @ [ ("priority", J.Int 3) ]))
+    | kv -> kv
+  in
+  (match Serve.Job.to_json j with
+  | J.Obj f ->
+    Serve.Job.mkdir_p (Serve.Job.dir ~state_dir j.Serve.Job.id);
+    J.write_file
+      (Filename.concat (Serve.Job.dir ~state_dir j.Serve.Job.id) "job.json")
+      (J.Obj (List.map with_priority f))
+  | _ -> Alcotest.fail "job.json is not an object");
+  let d = start dir in
+  Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
+  let cl = connect d in
+  (match wait_state cl j.Serve.Job.id with
+  | P.Done -> ()
+  | s -> Alcotest.failf "recovered job ended %s" (P.state_to_string s));
+  Serve.Client.close cl
+
 (* Recovery starts from whatever survived: a job dir whose job.json is
    torn, or decodes to a wrong-typed field, is skipped and named on the
    daemon's stderr, and the good jobs around it recover as before. The
@@ -1158,6 +1177,85 @@ let test_serve_wrong_typed_submit_refused () =
   Alcotest.(check int) "no job admitted" 0 (ok (Serve.Client.stats cl)).P.accepted;
   Serve.Client.close cl
 
+(* An older client's report request gets a structured error, and the
+   daemon goes on serving that same connection. *)
+let test_serve_old_report_request () =
+  with_scratch @@ fun dir ->
+  let d = start dir in
+  Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
+  let fd = raw_connect d.sock in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let exchange line =
+    raw_send fd (line ^ "\n");
+    Option.map P.response_of_line (raw_recv_line fd)
+  in
+  (match exchange {|{"schema":"hidap-serve","version":1,"req":"report","id":"j0001"}|} with
+  | Some (Ok (P.Error_reply msg)) ->
+    Alcotest.(check bool) (Printf.sprintf "error %S names the request" msg) true
+      (Astring.String.is_infix ~affix:"report" msg)
+  | Some (Ok r) -> Alcotest.failf "answered %s" (P.to_line (P.response_to_json r))
+  | Some (Error e) -> Alcotest.failf "unparseable reply: %s" e
+  | None -> Alcotest.fail "no reply");
+  match exchange (P.to_line (P.request_to_json P.Ping)) with
+  | Some (Ok P.Pong) -> ()
+  | _ -> Alcotest.fail "the connection was not served after the report request"
+
+(* Run [hidap ARGS --socket] against the daemon [d]: the exit code and
+   stderr. *)
+let run_client d args =
+  let err = Filename.concat (Filename.dirname d.log) "client.err" in
+  let cli = Lazy.force cli in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process cli
+      (Array.of_list ((cli :: args) @ [ "--socket"; d.sock ]))
+      Unix.stdin null errfd
+  in
+  Unix.close null;
+  Unix.close errfd;
+  let code =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED c -> c
+    | _ -> Alcotest.failf "hidap %s died of a signal" (String.concat " " args)
+  in
+  (code, In_channel.with_open_bin err In_channel.input_all)
+
+(* A ledger download to a path that cannot be opened fails before the
+   daemon is contacted, with place --qor's bad-output-path diagnostic
+   and usage exit; a done job's ledger the daemon cannot serve fails
+   the command. *)
+let test_serve_result_download_paths () =
+  with_scratch @@ fun dir ->
+  let d = start dir in
+  Fun.protect ~finally:(fun () -> try stop d with _ -> ()) @@ fun () ->
+  let bad = Filename.concat dir "no/such/dir/x.json" in
+  let expect_bad_path tag args =
+    let code, err = run_client d args in
+    Alcotest.(check int) (tag ^ " exit; stderr:\n" ^ err) 2 code;
+    Alcotest.(check bool) (tag ^ " names bad-output-path") true
+      (Astring.String.is_infix ~affix:"bad-output-path" err)
+  in
+  expect_bad_path "submit" [ "submit"; "-c"; "c1"; "--wait"; "--result-out"; bad ];
+  let cl = connect d in
+  Alcotest.(check int) "no job submitted" 0 (ok (Serve.Client.stats cl)).P.accepted;
+  let id = submit_ok cl (fig1_submit ()) in
+  (match wait_state cl id with
+  | P.Done -> ()
+  | s -> Alcotest.failf "job ended %s" (P.state_to_string s));
+  Serve.Client.close cl;
+  expect_bad_path "jobs" [ "jobs"; "--result"; id; "-o"; bad ];
+  let out = Filename.concat dir "r.json" in
+  let code, err = run_client d [ "jobs"; "--result"; id; "-o"; out ] in
+  Alcotest.(check int) ("download exit; stderr:\n" ^ err) 0 code;
+  (match Result.map (J.member "records") (J.parse_file out) with
+  | Ok (Some (J.List [ _ ])) -> ()
+  | _ -> Alcotest.fail "downloaded file is not a one-record ledger");
+  Sys.remove (Serve.Job.result_path ~state_dir:d.state_dir id);
+  let code, _ = run_client d [ "jobs"; "--result"; id; "-o"; out ] in
+  Alcotest.(check int) "a missing ledger fails the download" 1 code
+
 (* The daemon dying mid-conversation surfaces as a typed Conn error,
    never an exception or a hang. *)
 let test_serve_daemon_death_is_conn_error () =
@@ -1203,7 +1301,7 @@ let suite =
         Alcotest.test_case "proto decoding is total" `Quick
           test_proto_decode_total;
         Alcotest.test_case "jobq admission bound" `Quick test_jobq_admission;
-        Alcotest.test_case "jobq priority + FIFO" `Quick test_jobq_ordering;
+        Alcotest.test_case "jobq FIFO by seq" `Quick test_jobq_ordering;
         Alcotest.test_case "jobq retry backoff" `Quick test_jobq_backoff;
         Alcotest.test_case "jobq try_pop never blocks" `Quick test_jobq_try_pop;
         Alcotest.test_case "jobq close means drain" `Quick
@@ -1214,8 +1312,7 @@ let suite =
           test_worker_fault_sites_registered;
         Alcotest.test_case "pool worker survives an EOF'd sibling's fd reuse"
           `Quick test_pool_sibling_fd_reuse;
-        Alcotest.test_case "job done, result and report served" `Slow
-          test_serve_done_result_report;
+        Alcotest.test_case "job done, result served" `Slow test_serve_done_result;
         Alcotest.test_case "deadline lands in timed-out" `Slow
           test_serve_deadline_lands_timed_out;
         Alcotest.test_case "backpressure rejection at the bound" `Slow
@@ -1250,6 +1347,12 @@ let suite =
           test_serve_crash_recovery;
         Alcotest.test_case "recovery names the job dirs it skips" `Slow
           test_serve_recovery_names_skipped_dirs;
+        Alcotest.test_case "job.json with a priority recovers" `Slow
+          test_serve_recovers_job_with_priority;
+        Alcotest.test_case "old report request is an error" `Slow
+          test_serve_old_report_request;
+        Alcotest.test_case "result download paths" `Slow
+          test_serve_result_download_paths;
         Alcotest.test_case "wrong-typed submit field refused" `Slow
           test_serve_wrong_typed_submit_refused;
         Alcotest.test_case "daemon death is a typed conn error" `Slow
