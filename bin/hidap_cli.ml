@@ -327,7 +327,7 @@ let obs_outputs ~trace ~metrics ~profile =
   fun spans ->
     write_output "trace" trace_out (Obs.Trace.to_chrome_json spans);
     write_output "metrics" metrics_out
-      (Obs.Metrics.to_json ~counters:Obs.Perf.global Obs.Metrics.global);
+      (Obs.Perf.to_json Obs.Perf.global);
     if profile then prerr_string (Obs.Trace.summary spans)
 
 (* ---- stats -------------------------------------------------------- *)

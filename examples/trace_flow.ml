@@ -1,7 +1,7 @@
 (* Trace a full HiDaP run: place suite circuit c3' with the span
-   recorder, the metrics registry and the perf counters on, then print
-   the stage tree and the per-level SA convergence telemetry, and
-   export both as JSON. c3's floorplan instances of 6, 7 and 11 blocks
+   recorder and the telemetry registry on, then print the stage tree
+   and the per-level SA convergence telemetry, and export both as
+   JSON. c3's floorplan instances of 6, 7 and 11 blocks
    anneal (instances of up to 5 blocks are solved exactly, with no
    plateau to report).
 
@@ -43,14 +43,14 @@ let () =
   List.iter
     (fun name ->
       if String.starts_with ~prefix name then begin
-        let rates = List.map snd (Obs.Metrics.series_points Obs.Metrics.global name) in
+        let rates = List.map snd (Obs.Perf.series_points Obs.Perf.global name) in
         Format.printf "  %s: %d plateaus, mean acceptance %.3f@." name
           (List.length rates) (Util.Stat.mean rates)
       end)
-    (Obs.Metrics.names Obs.Metrics.global);
+    (Obs.Perf.names Obs.Perf.global);
 
   (* 4. Export both views as JSON. *)
   Obs.Trace.write_chrome_file "trace_c3.json" spans;
   Obs.Jsonx.write_file "metrics_c3.json"
-    (Obs.Metrics.to_json ~counters:Obs.Perf.global Obs.Metrics.global);
+    (Obs.Perf.to_json Obs.Perf.global);
   Format.printf "@.wrote trace_c3.json and metrics_c3.json@."

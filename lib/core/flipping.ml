@@ -4,6 +4,9 @@ module Rect = Geom.Rect
 module Point = Geom.Point
 module Orientation = Geom.Orientation
 
+(* Pin offset from the placed macro's lower-left corner, for a macro
+   whose library (R0) footprint is [w] x [h]; for a dim-swapping
+   [orient] the offset lives in the rotated [h] x [w] footprint. *)
 let pin_offset ~orient ~w ~h ~dir =
   let base =
     match dir with
@@ -101,7 +104,7 @@ let run_body ~tree ~gseq ~ports ~macros ~ht_rects ~die ~config =
           (fid, best))
       macros
   in
-  Obs.Metrics.gauge "flipping.gain" !gain;
+  Obs.Perf.gauge "flipping.gain" !gain;
   { orientations; gain = !gain }
 
 let run ~tree ~gseq ~ports ~macros ~ht_rects ~die ~config =

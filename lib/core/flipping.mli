@@ -14,12 +14,6 @@
     The same pin model is exported for the downstream
     wirelength/timing metrics so that flipping gains are measurable. *)
 
-val pin_offset :
-  orient:Geom.Orientation.t -> w:float -> h:float -> dir:[ `In | `Out ] -> Geom.Point.t
-(** Pin offset from the placed macro's lower-left corner, for a macro
-    whose {e library} (R0) footprint is [w] x [h]; for a dim-swapping
-    [orient] the offset lives in the rotated [h] x [w] footprint. *)
-
 val pin_position :
   rect:Geom.Rect.t -> orient:Geom.Orientation.t -> dir:[ `In | `Out ] -> Geom.Point.t
 (** Absolute pin position of a placed macro. [rect] is the placed

@@ -168,12 +168,12 @@ let fix_position ctx ~fid ~rect ~attract =
    recursion depth: the convergence curve [sa.curve.level<d>] (total
    moves -> acceptance rate) and the five cost-term trajectories
    [sa.term.<t>.level<d>]. Series names are pre-rendered so the
-   per-plateau work is six registry appends. Only built when metrics
-   are enabled, so the default path adds a single boolean test; the
+   per-plateau work is six registry appends. Only built when telemetry
+   is enabled, so the default path adds a single boolean test; the
    observer runs outside the SA RNG path (Anneal.Sa), so enabling it
    cannot change a placement. *)
 let sa_observer ~depth =
-  if not (Obs.Metrics.enabled ()) then None
+  if not (Obs.Perf.enabled ()) then None
   else begin
     let curve_name = Printf.sprintf "sa.curve.level%d" depth in
     let term_names =
@@ -184,9 +184,9 @@ let sa_observer ~depth =
     Some
       (fun (p : Anneal.Sa.plateau) (b : Layout_gen.breakdown) ->
         let x = float_of_int p.Anneal.Sa.total_moves in
-        Obs.Metrics.series curve_name ~x ~y:(Anneal.Sa.acceptance_rate p);
+        Obs.Perf.series curve_name ~x ~y:(Anneal.Sa.acceptance_rate p);
         List.iter2
-          (fun name (_, v) -> Obs.Metrics.series name ~x ~y:v)
+          (fun name (_, v) -> Obs.Perf.series name ~x ~y:v)
           term_names
           (Layout_gen.breakdown_terms b))
   end

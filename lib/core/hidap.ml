@@ -149,9 +149,9 @@ let place_design ?ckpt d ~lambda =
     else placements
   in
   Obs.Perf.add Obs.Perf.hidap_places 1;
-  Obs.Metrics.gauge "hidap.macros_placed" (float_of_int (List.length placements));
-  Obs.Metrics.gauge "hidap.die_area" (Rect.area die);
-  if Obs.Metrics.enabled () then Obs.Gcstats.gauges (Obs.Gcstats.snapshot ());
+  Obs.Perf.gauge "hidap.macros_placed" (float_of_int (List.length placements));
+  Obs.Perf.gauge "hidap.die_area" (Rect.area die);
+  if Obs.Perf.enabled () then Obs.Gcstats.gauges (Obs.Gcstats.snapshot ());
   { die;
     placements;
     levels = fp.Floorplan.levels;

@@ -40,7 +40,7 @@ type run = {
   levels : Hidap.Floorplan.level_info list;
   top : Hidap.Floorplan.instance_snapshot option;
   sweep_trace : (float * float) list;
-  registry : Obs.Metrics.t;
+  registry : Obs.Perf.t;
   degradations : Guard.Supervisor.entry list;
 }
 
@@ -133,19 +133,22 @@ let measure ~flat ~gseq ~ports ~die ~macros =
   Obs.Span.with_ ~name:"evalflow.measure" (fun () ->
       measure_body ~flat ~gseq ~ports ~die ~macros)
 
-(* The one constructor of a run: [place] runs in a metrics registry of
-   its own, which keeps its SA curves apart from any other candidate's,
-   then the placement is measured once. The registry is folded into the
-   ambient one afterwards, so the caller's telemetry still sees it all. *)
+(* The one constructor of a run: [place] runs in a telemetry registry
+   of its own, which keeps its SA curves apart from any other
+   candidate's, then the placement is measured once. The registry is
+   folded into the ambient one on every exit, a cancelled or failed
+   [place] included, so the caller's telemetry still sees it all. *)
 let judge kind ~flat ~die ~lambda place =
   let t0 = Obs.Clock.now_s () in
-  let registry = Obs.Metrics.create () in
+  let registry = Obs.Perf.create () in
   let (p : placed), (metrics, placement) =
-    Obs.Metrics.with_ambient registry (fun () ->
-        let p = place () in
-        (p, measure ~flat ~gseq:p.gseq ~ports:p.ports ~die ~macros:p.macros))
+    Fun.protect
+      ~finally:(fun () -> Obs.Perf.merge_into (Obs.Perf.ambient ()) registry)
+      (fun () ->
+        Obs.Perf.with_ambient registry (fun () ->
+            let p = place () in
+            (p, measure ~flat ~gseq:p.gseq ~ports:p.ports ~die ~macros:p.macros)))
   in
-  Obs.Metrics.merge_into (Obs.Metrics.ambient ()) registry;
   { kind;
     metrics = { metrics with runtime_s = Obs.Clock.now_s () -. t0 };
     macros = p.macros;
@@ -192,7 +195,7 @@ let run_flow kind ?(config = Hidap.Config.default) ~flat ~gseq ~ports ~die () =
     let runs = Array.to_list (Parexec.map ~jobs:config.jobs judge_one (Array.of_list proposed)) in
     let wl r = r.metrics.wl_um in
     let trace = List.filter_map (fun r -> Option.map (fun l -> (l, wl r)) r.lambda_used) runs in
-    List.iter (fun (lambda, wl) -> Obs.Metrics.series "hidap.sweep" ~x:lambda ~y:wl) trace;
+    List.iter (fun (lambda, wl) -> Obs.Perf.series "hidap.sweep" ~x:lambda ~y:wl) trace;
     let best = List.fold_left (fun b r -> if wl r < wl b then r else b) (List.hd runs) runs in
     Option.iter (Obs.Span.attr_float "best_lambda") best.lambda_used;
     (best, trace)
@@ -202,10 +205,10 @@ let run_flow kind ?(config = Hidap.Config.default) ~flat ~gseq ~ports ~die () =
   in
   let runtime_s = Obs.Clock.now_s () -. t0 in
   let name = flow_name kind in
-  Obs.Metrics.gauge (Printf.sprintf "evalflow.%s.wl_um" name) winner.metrics.wl_um;
-  Obs.Metrics.gauge (Printf.sprintf "evalflow.%s.runtime_s" name) runtime_s;
-  if Obs.Metrics.enabled () then
-    Obs.Gcstats.record ~prefix:("gc." ^ name) Obs.Metrics.global (Obs.Gcstats.snapshot ());
+  Obs.Perf.gauge (Printf.sprintf "evalflow.%s.wl_um" name) winner.metrics.wl_um;
+  Obs.Perf.gauge (Printf.sprintf "evalflow.%s.runtime_s" name) runtime_s;
+  if Obs.Perf.enabled () then
+    Obs.Gcstats.record ~prefix:("gc." ^ name) Obs.Perf.global (Obs.Gcstats.snapshot ());
   { winner with metrics = { winner.metrics with runtime_s }; sweep_trace; degradations }
 
 type circuit_result = {

@@ -67,9 +67,10 @@ type run = {
   sweep_trace : (float * float) list;
       (** (λ, measured WL) of every candidate that has a λ, in proposal
           order, losing ones included *)
-  registry : Obs.Metrics.t;
-      (** the winning candidate's own metrics (its SA curves); every
-          candidate's are also merged into the ambient registry *)
+  registry : Obs.Perf.t;
+      (** the winning candidate's own telemetry (its counters, SA
+          curves and GC gauges); every candidate's are also merged into
+          the ambient registry *)
   degradations : Guard.Supervisor.entry list;
       (** the part of the active {!Guard.Supervisor.with_run} ledger
           recorded while this flow ran *)
@@ -91,10 +92,11 @@ val judge :
   lambda:float option ->
   (unit -> placed) ->
   run
-(** The one constructor of a run: [place ()] in a metrics registry of
-    its own (the run's [registry], folded into the ambient one
-    afterwards), then one {!measure}. [runtime_s] is the wall time of
-    both; the run has no [sweep_trace] and no [degradations]. *)
+(** The one constructor of a run: [place ()] in a telemetry registry
+    of its own (the run's [registry], folded into the ambient one on
+    every exit, a raising [place] included), then one {!measure}.
+    [runtime_s] is the wall time of both; the run has no
+    [sweep_trace] and no [degradations]. *)
 
 val run_flow :
   flow_kind ->

@@ -241,8 +241,8 @@ let elaborate (d : Design.t) =
       Obs.Span.attr_int "nodes" (Array.length t.nodes);
       Obs.Span.attr_int "nets" t.net_count;
       Obs.Perf.add Obs.Perf.netlist_elaborations 1;
-      Obs.Metrics.gauge "netlist.nodes" (float_of_int (Array.length t.nodes));
-      Obs.Metrics.gauge "netlist.nets" (float_of_int t.net_count);
+      Obs.Perf.gauge "netlist.nodes" (float_of_int (Array.length t.nodes));
+      Obs.Perf.gauge "netlist.nets" (float_of_int t.net_count);
       t)
 
 let is_macro n = match n.kind with Kmacro _ -> true | Kflop | Kcomb | Kport _ -> false

@@ -23,17 +23,17 @@ let snapshot () =
 let allocated_words s = s.minor_words +. s.major_words -. s.promoted_words
 
 let record ?(prefix = "gc") t s =
-  Metrics.set_gauge t (prefix ^ ".minor_words") s.minor_words;
-  Metrics.set_gauge t (prefix ^ ".promoted_words") s.promoted_words;
-  Metrics.set_gauge t (prefix ^ ".major_words") s.major_words;
-  Metrics.set_gauge t (prefix ^ ".allocated_words") (allocated_words s);
-  Metrics.set_gauge t (prefix ^ ".minor_collections") (float_of_int s.minor_collections);
-  Metrics.set_gauge t (prefix ^ ".major_collections") (float_of_int s.major_collections);
-  Metrics.set_gauge t (prefix ^ ".compactions") (float_of_int s.compactions);
-  Metrics.set_gauge t (prefix ^ ".heap_words") (float_of_int s.heap_words);
-  Metrics.set_gauge t (prefix ^ ".top_heap_words") (float_of_int s.top_heap_words)
+  Perf.set_gauge t (prefix ^ ".minor_words") s.minor_words;
+  Perf.set_gauge t (prefix ^ ".promoted_words") s.promoted_words;
+  Perf.set_gauge t (prefix ^ ".major_words") s.major_words;
+  Perf.set_gauge t (prefix ^ ".allocated_words") (allocated_words s);
+  Perf.set_gauge t (prefix ^ ".minor_collections") (float_of_int s.minor_collections);
+  Perf.set_gauge t (prefix ^ ".major_collections") (float_of_int s.major_collections);
+  Perf.set_gauge t (prefix ^ ".compactions") (float_of_int s.compactions);
+  Perf.set_gauge t (prefix ^ ".heap_words") (float_of_int s.heap_words);
+  Perf.set_gauge t (prefix ^ ".top_heap_words") (float_of_int s.top_heap_words)
 
-let gauges ?prefix s = if Metrics.enabled () then record ?prefix (Metrics.ambient ()) s
+let gauges ?prefix s = if Perf.enabled () then record ?prefix (Perf.ambient ()) s
 
 let to_json s =
   Jsonx.Obj

@@ -2,7 +2,7 @@
 
     A [snapshot] captures [Gc.quick_stat] at one point. [gauges]
     publishes a snapshot to the ambient registry as [gc.*] gauges, gated
-    on {!Metrics.enabled} like every other shorthand — reading [Gc]
+    on {!Perf.enabled} like every other shorthand — reading [Gc]
     statistics never perturbs the flow. *)
 
 type snapshot = {
@@ -22,13 +22,13 @@ val allocated_words : snapshot -> float
 (** Total words allocated: minor + major - promoted (promoted words
     would otherwise be counted twice). *)
 
-val record : ?prefix:string -> Metrics.t -> snapshot -> unit
+val record : ?prefix:string -> Perf.t -> snapshot -> unit
 (** Publish as [<prefix>.minor_words] etc. gauges (default prefix
     ["gc"]) on an explicit registry. *)
 
 val gauges : ?prefix:string -> snapshot -> unit
-(** [record] on the ambient registry ({!Metrics.ambient}), no-op unless
-    metrics are enabled: a task with a registry of its own keeps its
+(** [record] on the ambient registry ({!Perf.ambient}), no-op unless
+    telemetry is enabled: a task with a registry of its own keeps its
     snapshot there. *)
 
 val to_json : snapshot -> Jsonx.t

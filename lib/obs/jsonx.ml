@@ -314,10 +314,6 @@ let parse_file path =
 
 (* ---- typed accessors ---------------------------------------------- *)
 
-let to_string_opt = function String s -> Some s | _ -> None
-
-let to_int_opt = function Int i -> Some i | _ -> None
-
 let to_float_opt = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
@@ -325,8 +321,6 @@ let to_float_opt = function
   | String "Infinity" -> Some Float.infinity
   | String "-Infinity" -> Some Float.neg_infinity
   | _ -> None
-
-let to_list_opt = function List l -> Some l | _ -> None
 
 (* ---- decoders ----------------------------------------------------- *)
 

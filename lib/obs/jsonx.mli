@@ -45,17 +45,9 @@ val parse : string -> (t, string) result
 val parse_file : string -> (t, string) result
 (** [parse] on a file's contents; I/O failures become [Error]. *)
 
-(* Shallow typed accessors, for destructuring parsed documents. *)
-
-val to_string_opt : t -> string option
-
-val to_int_opt : t -> int option
-
 val to_float_opt : t -> float option
 (** Accepts [Float], [Int] (JSON does not distinguish), and the
     non-finite string sentinels the serializer emits. *)
-
-val to_list_opt : t -> t list option
 
 (** {1 Decoders}
 

@@ -1,22 +1,31 @@
-(** The counter registry: every counter of the program.
+(** The telemetry registry of a run: counters, gauges and series.
 
     Each counter is registered below as a fixed integer {!id} indexing
     a flat [int array], so bumping a counter is two array accesses and
     the gated shorthand {!add} costs exactly one branch (an atomic
     flag load) when disabled. No string is hashed and nothing is
     allocated, which is what the annealing inner loop needs. Ids are
-    appended, never reordered, so an id's index is stable. {!Metrics}
-    holds the other telemetry kinds (gauges and series), and
-    its JSON document reports this registry as its ["counters"].
+    appended, never reordered, so an id's index is stable.
 
-    {b Determinism contract} (DESIGN.md §9/§12): counters never touch
-    any RNG, so enabling them cannot change a placement. The registry
-    is ambient and domain-local: a fork-join runner ({!Parexec}) gives
-    each task a fresh array via {!with_ambient} and folds the results
-    back with {!merge_into} in {e task order} at the join point, so the
-    merged totals are bit-identical for every [--jobs] value. Counters
-    whose value would depend on the schedule (per-worker task or steal
-    counts) live in [Parexec.pool_stats], not here. *)
+    Next to the counters a registry holds named gauges and series. A
+    gauge holds the last value set. A series is an append-only ordered
+    list of (x, y) points, used for convergence curves where sample
+    order matters; every point is kept.
+
+    One atomic gate ({!set_enabled}) switches every gated shorthand
+    ({!add}, {!gauge}, {!series}); they write to the calling domain's
+    {e ambient} registry, {!global} unless overridden with
+    {!with_ambient}. Explicit registries ignore the gate.
+
+    {b Determinism contract} (DESIGN.md §9/§12): telemetry never
+    touches any RNG, so enabling it cannot change a placement. A
+    registry is not synchronized: a fork-join runner ({!Parexec}) gives
+    each task a fresh registry via {!with_ambient} and folds the
+    results back with {!merge_into} in {e task order} at the join
+    point, so the merged registry is bit-identical for every [--jobs]
+    value. Counters whose value would depend on the schedule
+    (per-worker task or steal counts) live in [Parexec.pool_stats], not
+    here. *)
 
 type id = private int
 (** Index of a registered counter. Only the values below exist. *)
@@ -72,22 +81,20 @@ val hnl_bytes_parsed : id
 
 val n_ids : int
 
-val all_ids : id list
-(** All registered ids in registration order. *)
-
 (** {1 Enable gate} *)
 
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
-(** Flip the global atomic gate read by {!add}. Flip it only between
-    runs, not while a pool is executing tasks. *)
+(** Flip the global atomic gate read by {!add}, {!gauge} and
+    {!series}. Flip it only between runs, not while a pool is executing
+    tasks. *)
 
 (** {1 Registries} *)
 
 type t
-(** A flat counter array. Not safe to share between domains; each
-    domain (or task) writes its own and the owner merges. *)
+(** Counters, gauges and series. Not safe to share between domains;
+    each domain (or task) writes its own and the owner merges. *)
 
 val create : unit -> t
 
@@ -100,27 +107,55 @@ val with_ambient : t -> (unit -> 'a) -> 'a
 (** Run [f] with a given ambient registry on the calling domain,
     restoring the previous one afterwards (even on exceptions). *)
 
+val reset : t -> unit
+(** Zero every counter and drop every gauge and series. *)
+
+val merge_into : t -> t -> unit
+(** [merge_into dst src] folds [src] into [dst] in place: counters add,
+    gauges take [src]'s value, series append [src]'s points after
+    [dst]'s. On a gauge/series name clash [src] wins. Callers merge in
+    task order. *)
+
+val to_json : t -> Jsonx.t
+(** The metrics document of a run (what [--metrics] writes):
+    [{"counters": {...}, "gauges": {...}, "series": {...}}], counters
+    in registration order, gauges and series by name, a series as its
+    [[x, y]] points in order. *)
+
+(** {1 Counters} *)
+
 val get : t -> id -> int
 
 val bump : t -> id -> int -> unit
 (** Unchecked increment on a registry the caller already holds — the
-    hot-path primitive ([a.(i) <- a.(i) + n], no gate). *)
+    hot-path primitive, no gate. *)
 
 val add : id -> int -> unit
 (** Gated shorthand: bump the ambient registry when {!enabled}, else do
     nothing (one branch). *)
 
-val reset : t -> unit
-
 val snapshot : t -> int array
 (** Copy of the current counts, indexed by id. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into dst src] adds [src]'s counts into [dst]. Callers must
-    merge in task order (the totals commute, but the convention keeps
-    the contract uniform with {!Metrics.merge_into}). *)
 
 val to_assoc : t -> (string * int) list
 (** [(name, count)] for every registered id, in registration order. *)
 
-val to_json : t -> Jsonx.t
+(** {1 Gauges and series} *)
+
+val set_gauge : t -> string -> float -> unit
+
+val push_series : t -> string -> float -> float -> unit
+(** Append an (x, y) point to a named series. *)
+
+val gauge : string -> float -> unit
+(** Gated shorthand for {!set_gauge} on the ambient registry. *)
+
+val series : string -> x:float -> y:float -> unit
+(** Gated shorthand for {!push_series} on the ambient registry. *)
+
+val names : t -> string list
+(** Sorted names of every gauge and series. *)
+
+val gauge_value : t -> string -> float option
+
+val series_points : t -> string -> (float * float) list

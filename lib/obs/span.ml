@@ -94,19 +94,17 @@ let with_ ?(attrs = []) ~name f =
         | _ -> ()))
       f
 
-let add_attr k v =
+let attr_str k v =
   match get_active () with
   | Some { stack = sp :: _; _ } -> sp.attrs <- (k, v) :: sp.attrs
   | Some { stack = []; _ } | None -> ()
 
 let attr_int k v =
   match get_active () with
-  | Some { stack = _ :: _; _ } -> add_attr k (string_of_int v)
+  | Some { stack = _ :: _; _ } -> attr_str k (string_of_int v)
   | Some { stack = []; _ } | None -> ()
 
 let attr_float k v =
   match get_active () with
-  | Some { stack = _ :: _; _ } -> add_attr k (Printf.sprintf "%g" v)
+  | Some { stack = _ :: _; _ } -> attr_str k (Printf.sprintf "%g" v)
   | Some { stack = []; _ } | None -> ()
-
-let attr_str k v = add_attr k v

@@ -56,11 +56,10 @@ val with_ : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a
     span is closed even if [f] raises. When recording is off this is
     just [f ()]. *)
 
-val add_attr : string -> string -> unit
+val attr_str : string -> string -> unit
 (** Attach an attribute to the innermost open span; no-op when
-    recording is off. Use the typed variants below in hot paths — they
-    only build the string representation when a recorder is active. *)
+    recording is off. The typed variants below only build the string
+    representation when a recorder is active. *)
 
 val attr_int : string -> int -> unit
 val attr_float : string -> float -> unit
-val attr_str : string -> string -> unit

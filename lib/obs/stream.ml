@@ -1,7 +1,7 @@
 (* Versioned NDJSON progress event stream.
 
    One JSON object per line, every line self-describing:
-   {"schema":"hidap-progress","version":1,"event":...,"t_us":...}.
+   {"schema":"hidap-progress","version":2,"event":...,"t_us":...}.
    Emission is gated on one atomic flag and serialized with a mutex so
    worker domains can report concurrently; the stream is write-only
    telemetry and never touches any RNG, so enabling it cannot change a

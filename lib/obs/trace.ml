@@ -5,14 +5,11 @@ let start = Span.start_recording
 let finish = Span.finish_recording
 
 let instrumented ?(on_finish = ignore) f =
-  Metrics.reset Metrics.global;
-  Metrics.set_enabled true;
   Perf.reset Perf.global;
   Perf.set_enabled true;
   start ();
   let stop () =
     let spans = finish () in
-    Metrics.set_enabled false;
     Perf.set_enabled false;
     on_finish spans;
     spans

@@ -14,11 +14,11 @@ val finish : unit -> t
 
 val instrumented : ?on_finish:(t -> unit) -> (unit -> 'a) -> 'a * t
 (** [instrumented f] is the one instrumented run: it resets and enables
-    {!Metrics.global} and {!Perf.global}, starts span recording, runs
-    [f], then finishes the trace and disables both sinks. [on_finish]
-    gets the spans on every exit path, returned or raised, while the
-    two global registries still hold the run's values; an exception
-    from [f] is re-raised after it. *)
+    {!Perf.global}, starts span recording, runs [f], then finishes the
+    trace and disables the registry's gate. [on_finish] gets the spans
+    on every exit path, returned or raised, while the global registry
+    still holds the run's values; an exception from [f] is re-raised
+    after it. *)
 
 val to_chrome_json : t -> Jsonx.t
 (** JSON array of ["ph": "X"] complete events, one per span, with

@@ -19,10 +19,9 @@ let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
    remainder against the accumulated pool-open wall time. The numbers
    are timing observations — inherently schedule-dependent — so they
    are surfaced here and in the QoR record's perf section, never
-   through [Obs.Metrics] (whose output is schedule-independent) or
-   [Obs.Perf] (whose merged counts are identical for every job
-   count). Nested sequential maps are not recorded: their busy time is
-   already inside the enclosing task's. *)
+   through [Obs.Perf] (whose merged registry is identical for every
+   job count). Nested sequential maps are not recorded: their busy
+   time is already inside the enclosing task's. *)
 
 type worker_stats = { tasks : int; steals : int; busy_us : float }
 
@@ -61,9 +60,9 @@ let pool_stats () =
   Mutex.unlock stats_lock;
   st
 
-type ('b, 'reg, 'span, 'perf) slot =
+type ('b, 'reg, 'span) slot =
   | Pending
-  | Done of 'b * 'reg option * 'span list * 'perf option
+  | Done of 'b * 'reg option * 'span list
   | Failed of exn * Printexc.raw_backtrace
 
 let map ~jobs f xs =
@@ -71,10 +70,9 @@ let map ~jobs f xs =
   if n = 0 then [||]
   else begin
     (* Sinks are sampled once, on the calling domain: worker domains
-       have no recorder of their own, and the atomic telemetry flags
+       have no recorder of their own, and the atomic telemetry gate
        must not flip collection on for some tasks and off for
        others. *)
-    let metrics_on = Obs.Metrics.enabled () in
     let perf_on = Obs.Perf.enabled () in
     let tracing = Obs.Span.enabled () in
     let slots = Array.make n Pending in
@@ -82,25 +80,18 @@ let map ~jobs f xs =
       let saved = Domain.DLS.get in_task in
       Domain.DLS.set in_task true;
       (match
-         let reg = if metrics_on then Some (Obs.Metrics.create ()) else None in
-         let perf = if perf_on then Some (Obs.Perf.create ()) else None in
-         let body () = f xs.(i) in
-         let in_perf () =
-           match perf with
-           | Some p -> Obs.Perf.with_ambient p body
-           | None -> body ()
-         in
+         let reg = if perf_on then Some (Obs.Perf.create ()) else None in
          let in_registry () =
            match reg with
-           | Some r -> Obs.Metrics.with_ambient r in_perf
-           | None -> in_perf ()
+           | Some r -> Obs.Perf.with_ambient r (fun () -> f xs.(i))
+           | None -> f xs.(i)
          in
          let v, spans =
            if tracing then Obs.Span.capture in_registry else (in_registry (), [])
          in
-         (v, reg, spans, perf)
+         (v, reg, spans)
        with
-      | v, reg, spans, perf -> slots.(i) <- Done (v, reg, spans, perf)
+      | v, reg, spans -> slots.(i) <- Done (v, reg, spans)
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         slots.(i) <- Failed (e, bt));
@@ -146,13 +137,8 @@ let map ~jobs f xs =
        collections depend only on the tasks, never on the schedule. *)
     Array.iter
       (function
-        | Done (_, reg, spans, perf) ->
-          (match reg with
-          | Some r -> Obs.Metrics.merge_into (Obs.Metrics.ambient ()) r
-          | None -> ());
-          (match perf with
-          | Some p -> Obs.Perf.merge_into (Obs.Perf.ambient ()) p
-          | None -> ());
+        | Done (_, reg, spans) ->
+          Option.iter (Obs.Perf.merge_into (Obs.Perf.ambient ())) reg;
           Obs.Span.graft spans
         | Pending | Failed _ -> ())
       slots;
@@ -163,7 +149,7 @@ let map ~jobs f xs =
       slots;
     Array.map
       (function
-        | Done (v, _, _, _) -> v
+        | Done (v, _, _) -> v
         | Pending | Failed _ -> assert false)
       slots
   end

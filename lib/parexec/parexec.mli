@@ -13,9 +13,9 @@
     - the first exception {e by task index} (not by wall-clock) is
       re-raised with its backtrace;
     - telemetry is domain-safe and deterministic: each task runs with
-      its own fresh {!Obs.Metrics} ambient registry, its own
-      {!Obs.Perf} counter array and its own {!Obs.Span} recorder (each
-      only when the respective sink is enabled), and the per-task
+      its own fresh {!Obs.Perf} ambient registry and its own
+      {!Obs.Span} recorder (each only when its sink is enabled), and
+      the per-task
       collections are merged back into the caller's collectors in task
       order at the join point. Enabling telemetry never changes the
       tasks' trajectory, and the merged telemetry is the same for any
@@ -48,7 +48,7 @@ val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     [map] call since the last {!reset_pool_stats}. These are timing
     observations — inherently schedule-dependent — so they are
     surfaced here (and in the QoR record's perf section) rather than
-    through {!Obs.Metrics}, whose exported registry is
+    through {!Obs.Perf}, whose merged registry is
     schedule-independent. Collection is always on; the cost is two
     monotonic clock reads per task. *)
 

@@ -130,7 +130,7 @@ let dataflow_cost_of_top (top : Hidap.Floorplan.instance_snapshot option) =
 let term_curves_of reg =
   List.filter_map
     (fun t ->
-      match Obs.Metrics.series_points reg (Printf.sprintf "sa.term.%s.level0" t) with
+      match Obs.Perf.series_points reg (Printf.sprintf "sa.term.%s.level0" t) with
       | [] -> None
       | pts -> Some (t, pts))
     Hidap.Layout_gen.term_names
@@ -208,10 +208,10 @@ let stages_of spans =
 (* The gauges are published by the flow itself (Hidap.place_design);
    None when the run was not instrumented. *)
 let gc_of reg =
-  match Obs.Metrics.gauge_value reg "gc.minor_words" with
+  match Obs.Perf.gauge_value reg "gc.minor_words" with
   | None -> None
   | Some minor_words ->
-    let g name = Option.value ~default:0.0 (Obs.Metrics.gauge_value reg name) in
+    let g name = Option.value ~default:0.0 (Obs.Perf.gauge_value reg name) in
     Some
       { Obs.Gcstats.minor_words;
         promoted_words = g "gc.promoted_words";
@@ -243,7 +243,7 @@ let of_run ~circuit ~flat ~(config : Hidap.Config.t) ?spans ?(displacement = [])
         dataflow_cost = dataflow_cost_of_top run.Evalflow.top };
     displacement;
     sa_moves = run.Evalflow.sa_moves;
-    sa_curve = Obs.Metrics.series_points registry "sa.curve.level0";
+    sa_curve = Obs.Perf.series_points registry "sa.curve.level0";
     stages = stages_of spans;
     gc = gc_of registry;
     die = Hidap.die_for flat ~config;

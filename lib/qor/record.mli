@@ -166,11 +166,11 @@ val of_run :
   t
 (** The record of a measured run ({!Evalflow.judge}), whichever path
     measured it: [hidap place --qor], the serve worker and {!Run.eval}
-    all build theirs here, so a placement has one record. Metrics,
-    runtime, λ, macros, levels, SA curve, [Gc] gauges, degradations and
-    the cost breakdown come from the run (its [registry] holds the
-    curves and gauges when the run was instrumented); stage times roll
-    up [spans]. [displacement], [ckpt] and [perf] are what only some
+    all build theirs here, so a placement has one record. Quality
+    metrics, runtime, λ, macros, levels, SA curve, [Gc] gauges,
+    degradations and the cost breakdown come from the run (its
+    [registry] holds the curves and gauges when the run was
+    instrumented); stage times roll up [spans]. [displacement], [ckpt] and [perf] are what only some
     callers have, absent by default. *)
 
 val perf_info_json : perf_info -> Obs.Jsonx.t

@@ -8,8 +8,6 @@ type style = {
 }
 
 val macro_style : style
-val block_style : style
-val glue_style : style
 
 val floorplan :
   die:Geom.Rect.t ->

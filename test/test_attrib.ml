@@ -188,7 +188,7 @@ let test_stream_v2 () =
   | Error msg -> Alcotest.failf "progress event did not parse: %s" msg
   | Ok j ->
     Alcotest.(check bool) "event version 2" true
-      (Option.bind (Obs.Jsonx.member "version" j) Obs.Jsonx.to_int_opt = Some 2);
+      (Obs.Jsonx.field "version" Obs.Jsonx.int j = Ok 2);
     let terms = Obs.Jsonx.member "cost_terms" j in
     Alcotest.(check bool) "cost_terms object present" true
       (match terms with Some (Obs.Jsonx.Obj _) -> true | _ -> false);

@@ -449,17 +449,13 @@ let instance_terms jobs =
   let names = List.map (fun t -> "sa.term." ^ t) LG.term_names in
   let observer (p : Anneal.Sa.plateau) b =
     let x = float_of_int p.Anneal.Sa.total_moves in
-    List.iter2 (fun name (_, y) -> Obs.Metrics.series name ~x ~y) names (LG.breakdown_terms b)
+    List.iter2 (fun name (_, y) -> Obs.Perf.series name ~x ~y) names (LG.breakdown_terms b)
   in
   Obs.Perf.reset Obs.Perf.global;
-  Obs.Metrics.reset Obs.Metrics.global;
   Obs.Perf.set_enabled true;
-  Obs.Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Obs.Perf.set_enabled false;
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset Obs.Metrics.global;
       Obs.Perf.reset Obs.Perf.global)
     (fun () ->
       let r =
@@ -472,7 +468,7 @@ let instance_terms jobs =
           Buffer.add_string b (name ^ "\n");
           List.iter
             (fun (x, y) -> Buffer.add_string b (Printf.sprintf "%h %h\n" x y))
-            (Obs.Metrics.series_points Obs.Metrics.global name))
+            (Obs.Perf.series_points Obs.Perf.global name))
         names;
       (r, Buffer.contents b, Obs.Perf.to_assoc Obs.Perf.global))
 

@@ -1,10 +1,10 @@
 (* Tests for the observability library: spans, Chrome-trace export,
-   metrics registry, SA plateau observer, and the guarantee that turning
+   telemetry registry, SA plateau observer, and the guarantee that turning
    telemetry on does not perturb placement results. *)
 
 module Span = Obs.Span
 module Trace = Obs.Trace
-module Metrics = Obs.Metrics
+module Perf = Obs.Perf
 module Jsonx = Obs.Jsonx
 module Sa = Anneal.Sa
 
@@ -140,53 +140,56 @@ let test_jsonx_nonfinite_roundtrip () =
     (Jsonx.to_float_opt (Jsonx.String "fast") = None)
 
 let test_registry_basics () =
-  let r = Metrics.create () in
-  Metrics.set_gauge r "wl" 10.0;
-  Metrics.set_gauge r "wl" 11.5;
-  Metrics.push_series r "curve" 1.0 0.9;
-  Metrics.push_series r "curve" 2.0 0.8;
+  let r = Perf.create () in
+  Perf.set_gauge r "wl" 10.0;
+  Perf.set_gauge r "wl" 11.5;
+  Perf.push_series r "curve" 1.0 0.9;
+  Perf.push_series r "curve" 2.0 0.8;
   Alcotest.(check (option (float 0.0))) "gauge keeps last" (Some 11.5)
-    (Metrics.gauge_value r "wl");
+    (Perf.gauge_value r "wl");
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "series in order"
     [ (1.0, 0.9); (2.0, 0.8) ]
-    (Metrics.series_points r "curve");
-  Alcotest.(check (list string)) "names sorted" [ "curve"; "wl" ] (Metrics.names r)
+    (Perf.series_points r "curve");
+  Alcotest.(check (list string)) "names sorted" [ "curve"; "wl" ] (Perf.names r)
 
 let test_registry_merge () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.set_gauge a "only_a" 4.0;
-  Metrics.set_gauge a "g" 1.0;
-  Metrics.set_gauge b "g" 2.0;
-  Metrics.push_series a "s" 0.0 1.0;
-  Metrics.push_series b "s" 1.0 2.0;
-  Metrics.merge_into a b;
+  let a = Perf.create () and b = Perf.create () in
+  Perf.set_gauge a "only_a" 4.0;
+  Perf.set_gauge a "g" 1.0;
+  Perf.set_gauge b "g" 2.0;
+  Perf.push_series a "s" 0.0 1.0;
+  Perf.push_series b "s" 1.0 2.0;
+  Perf.bump a Perf.sa_moves 3;
+  Perf.bump b Perf.sa_moves 4;
+  Perf.merge_into a b;
+  Alcotest.(check int) "counters add" 7 (Perf.get a Perf.sa_moves);
   Alcotest.(check (option (float 0.0))) "destination-only kept" (Some 4.0)
-    (Metrics.gauge_value a "only_a");
+    (Perf.gauge_value a "only_a");
   Alcotest.(check (option (float 0.0))) "gauge source wins" (Some 2.0)
-    (Metrics.gauge_value a "g");
+    (Perf.gauge_value a "g");
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "series concatenate"
     [ (0.0, 1.0); (1.0, 2.0) ]
-    (Metrics.series_points a "s");
+    (Perf.series_points a "s");
   (* merge_into leaves its source untouched *)
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "source intact"
     [ (1.0, 2.0) ]
-    (Metrics.series_points b "s")
+    (Perf.series_points b "s")
 
 let test_global_gating () =
-  Metrics.reset Metrics.global;
-  Metrics.set_enabled false;
-  Metrics.gauge "gated" 1.0;
+  Perf.reset Perf.global;
+  Perf.set_enabled false;
+  Perf.gauge "gated" 1.0;
   Alcotest.(check (option (float 0.0))) "disabled shorthand drops" None
-    (Metrics.gauge_value Metrics.global "gated");
-  Metrics.set_enabled true;
+    (Perf.gauge_value Perf.global "gated");
+  Perf.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset Metrics.global)
+      Perf.set_enabled false;
+      Perf.reset Perf.global)
     (fun () ->
-      Metrics.gauge "gated" 1.0;
+      Perf.gauge "gated" 1.0;
       Alcotest.(check (option (float 0.0))) "enabled shorthand records" (Some 1.0)
-        (Metrics.gauge_value Metrics.global "gated"))
+        (Perf.gauge_value Perf.global "gated"))
 
 (* The SA observer sees every plateau and cannot change the outcome. *)
 let test_sa_observer () =
@@ -226,19 +229,19 @@ let test_sa_observer () =
 let test_place_determinism_under_tracing () =
   let flat = Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ()) in
   let plain = Hidap.place flat in
-  Metrics.reset Metrics.global;
-  Metrics.set_enabled true;
+  Perf.reset Perf.global;
+  Perf.set_enabled true;
   Trace.start ();
   let traced, spans, n_metrics =
     Fun.protect
       ~finally:(fun () ->
         ignore (Trace.finish ());
-        Metrics.set_enabled false;
-        Metrics.reset Metrics.global)
+        Perf.set_enabled false;
+        Perf.reset Perf.global)
       (fun () ->
         let r = Hidap.place flat in
         let spans = Trace.finish () in
-        (r, spans, List.length (Metrics.names Metrics.global)))
+        (r, spans, List.length (Perf.names Perf.global)))
   in
   Alcotest.(check bool) "identical placements" true
     (plain.Hidap.placements = traced.Hidap.placements);
@@ -250,20 +253,28 @@ let test_place_determinism_under_tracing () =
     | _ -> false);
   Alcotest.(check bool) "at least 8 named metrics" true (n_metrics >= 8)
 
-(* Perf counters are merged in task order at every join point, so the
-   merged totals — and the placement itself — must be bit-identical for
-   every job count (DESIGN.md §9/§12). Each run parses and elaborates
-   the design too, so every registered counter is exercised. *)
+(* The registry is merged in task order at every join point, so the
+   merged counters, a gauge, a series — and the placement itself — must
+   be bit-identical for every job count (DESIGN.md §9/§12). Each run
+   parses and elaborates the design too, so every registered counter is
+   exercised. On c3, whose top instance anneals (fig1's and c1's are
+   all solved exactly, so they record no series), with a short layout
+   schedule to keep the three placements quick. *)
 let test_perf_merge_determinism () =
-  let src = Hnl.Printer.to_string (Circuitgen.Suite.fig1_design ()) in
-  let path = Filename.temp_file "fig1" ".hnl" in
+  let c = Option.get (Circuitgen.Suite.find "c3") in
+  let src = Hnl.Printer.to_string (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
+  let path = Filename.temp_file "c3" ".hnl" in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc src);
   let run jobs =
-    let config = { Hidap.Config.default with Hidap.Config.jobs } in
-    Obs.Perf.reset Obs.Perf.global;
-    Obs.Perf.set_enabled true;
+    let config =
+      { (Hidap.Config.with_lambda Hidap.Config.default 0.5) with
+        Hidap.Config.jobs;
+        layout_sa = { Sa.default_params with Sa.moves_per_plateau = 8; cooling = 0.7 } }
+    in
+    Perf.reset Perf.global;
+    Perf.set_enabled true;
     Fun.protect
-      ~finally:(fun () -> Obs.Perf.set_enabled false)
+      ~finally:(fun () -> Perf.set_enabled false)
       (fun () ->
         let design =
           match Hnl.Parser.parse_file path with
@@ -272,22 +283,32 @@ let test_perf_merge_determinism () =
         in
         let flat = Netlist.Flat.elaborate design in
         let r = Hidap.place ~config flat in
-        let counts = Obs.Perf.to_assoc Obs.Perf.global in
-        Obs.Perf.reset Obs.Perf.global;
-        (r, counts))
+        let counts = Perf.to_assoc Perf.global in
+        let gain = Perf.gauge_value Perf.global "flipping.gain" in
+        let curve = Perf.series_points Perf.global "sa.curve.level0" in
+        Perf.reset Perf.global;
+        (r, counts, gain, curve))
   in
-  let base, counts1 = run 1 in
+  let base, counts1, gain1, curve1 = run 1 in
   List.iter
     (fun jobs ->
-      let r, counts = run jobs in
+      let r, counts, gain, curve = run jobs in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d placement identical to jobs=1" jobs)
         true
         (r.Hidap.placements = base.Hidap.placements);
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "jobs=%d merged counters identical to jobs=1" jobs)
-        counts1 counts)
+        counts1 counts;
+      Alcotest.(check (option (float 0.0)))
+        (Printf.sprintf "jobs=%d flipping.gain gauge identical to jobs=1" jobs)
+        gain1 gain;
+      Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+        (Printf.sprintf "jobs=%d sa.curve.level0 series identical to jobs=1" jobs)
+        curve1 curve)
     [ 2; 4 ];
+  Alcotest.(check bool) "flipping.gain recorded" true (gain1 <> None);
+  Alcotest.(check bool) "sa.curve.level0 recorded" true (curve1 <> []);
   Sys.remove path;
   Alcotest.(check bool) "sa.moves counted" true
     (List.assoc "sa.moves" counts1 > 0);
@@ -309,53 +330,92 @@ let test_perf_merge_determinism () =
 
 (* Telemetry must cost nothing per annealing move (DESIGN.md §12). The
    bound is on minor words, which — unlike wall-clock — a run allocates
-   the same on every machine. Perf counters are flushed once per start
-   from local tallies, so enabling them may add well under one word per
-   hundred moves; the metrics layer works once per plateau (observer,
-   curve and cost-term points), so it may add a fixed amount per
-   plateau but not a boxed word per move. On c3, whose 6-, 7- and
+   the same on every machine. The registry works once per plateau
+   (observer, curve and cost-term points) and flushes its counters once
+   per start from local tallies, so it may add a fixed amount per
+   plateau but not a boxed word per move. The per-move share is read
+   off a differential: c3 placed with telemetry off and on at the
+   default [layout_sa] and at twice its [moves_per_plateau]. The
+   plateau count depends only on [cooling] and [min_temp], so the
+   per-plateau work cancels, and what the extra moves add must stay
+   under one word per hundred of them. On c3, whose 6-, 7- and
    11-block instances anneal (smaller ones are solved exactly). *)
 let test_telemetry_no_per_move_work () =
   let c = Option.get (Circuitgen.Suite.find "c3") in
   let flat = Netlist.Flat.elaborate (Circuitgen.Gen.generate c.Circuitgen.Suite.params) in
-  let config =
+  let base =
     { (Hidap.Config.with_lambda Hidap.Config.default 0.5) with Hidap.Config.jobs = 1 }
   in
-  let die = Hidap.die_for flat ~config in
-  let place ~perf ~metrics =
-    Obs.Perf.reset Obs.Perf.global;
-    Metrics.reset Metrics.global;
-    Obs.Perf.set_enabled perf;
-    Metrics.set_enabled metrics;
+  let die = Hidap.die_for flat ~config:base in
+  let place ~moves_per_plateau ~on =
+    let sa = base.Hidap.Config.layout_sa in
+    let config =
+      { base with Hidap.Config.layout_sa = { sa with Sa.moves_per_plateau = moves_per_plateau } }
+    in
+    Perf.reset Perf.global;
+    Perf.set_enabled on;
     Fun.protect
       ~finally:(fun () ->
-        Obs.Perf.set_enabled false;
-        Metrics.set_enabled false;
-        Metrics.reset Metrics.global)
+        Perf.set_enabled false;
+        Perf.reset Perf.global)
       (fun () ->
         let w0 = Gc.minor_words () in
         let r = Hidap.place ~config ~die flat in
-        (r, Gc.minor_words () -. w0))
+        let words = Gc.minor_words () -. w0 in
+        (r, words, Perf.get Perf.global Perf.sa_moves, Perf.get Perf.global Perf.sa_plateaus))
   in
-  ignore (place ~perf:false ~metrics:false : Hidap.result * float);
-  let off, off_words = place ~perf:false ~metrics:false in
-  let perf, perf_words = place ~perf:true ~metrics:false in
-  let moves = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_moves in
-  let plateaus = Obs.Perf.get Obs.Perf.global Obs.Perf.sa_plateaus in
-  let both, both_words = place ~perf:true ~metrics:true in
-  Alcotest.(check bool) "perf-on placement identical" true
-    (perf.Hidap.placements = off.Hidap.placements);
-  Alcotest.(check bool) "perf+metrics placement identical" true
-    (both.Hidap.placements = off.Hidap.placements);
-  Alcotest.(check bool) "moves and plateaus counted" true (moves > 0 && plateaus > 0);
-  let perf_extra = perf_words -. off_words in
-  let both_extra = both_words -. off_words in
-  if perf_extra >= float_of_int (moves / 100) then
-    Alcotest.failf "perf counters added %.0f minor words over %d moves (bound %d)"
-      perf_extra moves (moves / 100);
-  if both_extra >= float_of_int (300 * plateaus) then
-    Alcotest.failf "perf + metrics added %.0f minor words over %d plateaus (bound %d)"
-      both_extra plateaus (300 * plateaus)
+  (* One leg pair per schedule: the telemetry overhead in minor words,
+     the moves and plateaus counted. *)
+  let overhead moves_per_plateau =
+    let off, off_words, _, _ = place ~moves_per_plateau ~on:false in
+    let on, on_words, moves, plateaus = place ~moves_per_plateau ~on:true in
+    Alcotest.(check bool)
+      (Printf.sprintf "placement identical with telemetry on (%d moves per plateau)"
+         moves_per_plateau)
+      true
+      (on.Hidap.placements = off.Hidap.placements);
+    (on_words -. off_words, moves, plateaus)
+  in
+  let mpp = base.Hidap.Config.layout_sa.Sa.moves_per_plateau in
+  ignore (place ~moves_per_plateau:mpp ~on:false);
+  let extra1, moves1, plateaus = overhead mpp in
+  let extra2, moves2, plateaus2 = overhead (2 * mpp) in
+  Alcotest.(check bool) "moves and plateaus counted" true (moves1 > 0 && plateaus > 0);
+  Alcotest.(check int) "doubling moves per plateau keeps the plateau count" plateaus plateaus2;
+  let per_move = extra2 -. extra1 and extra_moves = moves2 - moves1 in
+  if per_move >= float_of_int (extra_moves / 100) then
+    Alcotest.failf "telemetry added %.0f minor words over %d extra moves (bound %d)" per_move
+      extra_moves (extra_moves / 100);
+  if extra1 >= float_of_int (300 * plateaus) then
+    Alcotest.failf "telemetry added %.0f minor words over %d plateaus (bound %d)" extra1
+      plateaus (300 * plateaus)
+
+(* [Evalflow.judge] folds its candidate's registry into the enclosing
+   one on every exit: a candidate cancelled mid-placement keeps the
+   counters, gauges and series it recorded before the cancel. *)
+let test_judge_keeps_telemetry_on_raise () =
+  let flat = Netlist.Flat.elaborate (Circuitgen.Suite.fig1_design ()) in
+  let die = Hidap.die_for flat ~config:Hidap.Config.default in
+  let place () =
+    Perf.add Perf.sa_moves 5;
+    Perf.gauge "judge.gauge" 1.5;
+    Perf.series "judge.series" ~x:1.0 ~y:2.0;
+    raise (Guard.Budget.Cancelled { stage = "floorplan" })
+  in
+  let outer = Perf.create () in
+  Perf.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Perf.set_enabled false)
+    (fun () ->
+      Perf.with_ambient outer (fun () ->
+          match Evalflow.judge Evalflow.HiDaP ~flat ~die ~lambda:(Some 0.5) place with
+          | _ -> Alcotest.fail "judge returned although its placer raised"
+          | exception Guard.Budget.Cancelled _ -> ()));
+  Alcotest.(check int) "counter merged" 5 (Perf.get outer Perf.sa_moves);
+  Alcotest.(check (option (float 0.0))) "gauge merged" (Some 1.5)
+    (Perf.gauge_value outer "judge.gauge");
+  Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "series merged" [ (1.0, 2.0) ]
+    (Perf.series_points outer "judge.series")
 
 (* A hand-built span; times in µs. *)
 let span ?(children = []) name ~start ~dur =
@@ -582,5 +642,7 @@ let suite =
           test_telemetry_no_per_move_work;
         Alcotest.test_case "perf counter merge determinism" `Slow
           test_perf_merge_determinism;
+        Alcotest.test_case "judge keeps a raising candidate's telemetry" `Quick
+          test_judge_keeps_telemetry_on_raise;
         Alcotest.test_case "tracing preserves determinism" `Slow
           test_place_determinism_under_tracing ] ) ]

@@ -66,52 +66,47 @@ let test_exception_lowest_index () =
 (* Telemetry merged at the join point must be identical for every job
    count: counters in full, series and span trees in task order. *)
 let run_instrumented jobs =
-  let registry = Obs.Metrics.create () in
-  let perf = Obs.Perf.create () in
+  let registry = Obs.Perf.create () in
   let spans =
-    Obs.Metrics.with_ambient registry @@ fun () ->
-    Obs.Perf.with_ambient perf (fun () ->
-        Obs.Metrics.set_enabled true;
-        Obs.Perf.set_enabled true;
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.Metrics.set_enabled false;
-            Obs.Perf.set_enabled false)
-          (fun () ->
-            Obs.Trace.start ();
-            let (_ : int array) =
-              P.map ~jobs
-                (fun i ->
-                  Obs.Span.with_ ~name:(Printf.sprintf "task.%d" i) (fun () ->
-                      Obs.Perf.add Obs.Perf.hidap_places 1;
-                      Obs.Perf.add Obs.Perf.sa_moves (i + 1);
-                      Obs.Metrics.series "order" ~x:(float_of_int i) ~y:0.0;
-                      i))
-                (Array.init 8 Fun.id)
-            in
-            Obs.Trace.finish ()))
+    Obs.Perf.with_ambient registry @@ fun () ->
+    Obs.Perf.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Obs.Perf.set_enabled false)
+      (fun () ->
+        Obs.Trace.start ();
+        let (_ : int array) =
+          P.map ~jobs
+            (fun i ->
+              Obs.Span.with_ ~name:(Printf.sprintf "task.%d" i) (fun () ->
+                  Obs.Perf.add Obs.Perf.hidap_places 1;
+                  Obs.Perf.add Obs.Perf.sa_moves (i + 1);
+                  Obs.Perf.series "order" ~x:(float_of_int i) ~y:0.0;
+                  i))
+            (Array.init 8 Fun.id)
+        in
+        Obs.Trace.finish ())
   in
-  (registry, perf, spans)
+  (registry, spans)
 
 let rec span_names (s : Obs.Span.t) =
   s.Obs.Span.name :: List.concat_map span_names s.Obs.Span.children
 
 let test_telemetry_deterministic () =
-  let r1, p1, spans1 = run_instrumented 1 in
-  let r4, p4, spans4 = run_instrumented 4 in
-  Alcotest.(check (list string)) "same metric names" (Obs.Metrics.names r1)
-    (Obs.Metrics.names r4);
+  let r1, spans1 = run_instrumented 1 in
+  let r4, spans4 = run_instrumented 4 in
+  Alcotest.(check (list string)) "same metric names" (Obs.Perf.names r1)
+    (Obs.Perf.names r4);
   Alcotest.(check (list (pair string int))) "same counters"
-    (Obs.Perf.to_assoc p1) (Obs.Perf.to_assoc p4);
+    (Obs.Perf.to_assoc r1) (Obs.Perf.to_assoc r4);
   Alcotest.(check (list (pair (float 0.0) (float 0.0))))
     "series points merged in task order"
-    (Obs.Metrics.series_points r1 "order")
-    (Obs.Metrics.series_points r4 "order");
+    (Obs.Perf.series_points r1 "order")
+    (Obs.Perf.series_points r4 "order");
   Alcotest.(check (list string)) "span trees in task order"
     (List.concat_map span_names spans1)
     (List.concat_map span_names spans4);
-  Alcotest.(check int) "all tasks counted" 8 (Obs.Perf.get p1 Obs.Perf.hidap_places);
-  Alcotest.(check int) "every task's count added" 36 (Obs.Perf.get p1 Obs.Perf.sa_moves)
+  Alcotest.(check int) "all tasks counted" 8 (Obs.Perf.get r1 Obs.Perf.hidap_places);
+  Alcotest.(check int) "every task's count added" 36 (Obs.Perf.get r1 Obs.Perf.sa_moves)
 
 let test_results_identical_across_jobs () =
   (* A pure computation gives bitwise-equal outputs regardless of the

@@ -4,7 +4,6 @@
    paths' front door. *)
 
 module Jsonx = Obs.Jsonx
-module Metrics = Obs.Metrics
 module Record = Qor.Record
 module Baseline = Qor.Baseline
 
@@ -226,7 +225,7 @@ let test_record_roundtrip () =
         levels = [];
         top = None;
         sweep_trace = [];
-        registry = Metrics.create ();
+        registry = Obs.Perf.create ();
         degradations = [] }
     in
     let moves =
@@ -489,7 +488,7 @@ let test_eval_record_own_flow () =
       ("IndEDA", indeda, "evalflow.candidate", 1);
       ("IndEDA", indeda, "floorplan.run", 0) ];
   let reg = (Evalflow.run_of ev.Qor.Run.result Evalflow.HiDaP).Evalflow.registry in
-  let gauge name = Metrics.gauge_value reg ("gc." ^ name) in
+  let gauge name = Obs.Perf.gauge_value reg ("gc." ^ name) in
   (match hidap.Record.gc with
   | None -> Alcotest.fail "HiDaP eval record has no GC snapshot"
   | Some g ->
